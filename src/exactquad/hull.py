@@ -2,8 +2,10 @@
 
 Two reduction mechanisms live here.  ``caratheodory_finite`` prunes a large
 non-negative combination of points in R^n down to at most n+1 support
-points by repeatedly shifting weight along a null vector of the homogeneous
-system [points; 1] until a weight hits zero.  ``reduce_on_curve`` takes a
+points by shifting weight along null vectors of the homogeneous system
+[points; 1] until weights hit zero.  It works merge-reduce, eliminating
+the means of 2(n+1) contiguous clusters per round, so its cost grows
+linearly in the number of points.  ``reduce_on_curve`` takes a
 strictly positive combination of n+1 ordered points of a continuous curve
 and produces at most n curve points with the same total weight and the
 same weighted sum: it rebuilds coordinates in the barycentric frame rooted
@@ -179,6 +181,23 @@ def _shift_to_zero(weights, c):
     return np.maximum(out, 0.0), j
 
 
+def _eliminate(points, weights, target, floor):
+    """Shift ``weights`` in place until at most n+1 exceed ``floor``.
+
+    Each step takes the first n+2 active points, where the homogeneous
+    system [points; 1] always has a null vector, and moves along it until
+    one weight reaches zero.  Returns the active indices.
+    """
+    n = points.shape[1]
+    active = np.flatnonzero(weights > floor)
+    while active.size > n + 1:
+        sub = active[: n + 2]
+        c, _, _ = _null_direction(points[sub], target)
+        weights[sub], _ = _shift_to_zero(weights[sub], c)
+        active = np.flatnonzero(weights > floor)
+    return active
+
+
 def caratheodory_finite(points, weights, target, params=None,
                         feas_tol: float = RECON_TOL,
                         recon_tol: float = RECON_TOL) -> ConvexCombination:
@@ -190,10 +209,13 @@ def caratheodory_finite(points, weights, target, params=None,
     ``params`` optionally maps point indices to curve parameters; when
     omitted, point indices serve as the output parameters.
 
-    Eliminations run over batches of n+2 active points: the homogeneous
-    system [points; 1] always has a null vector there, and shifting the
-    weights along it drives one weight to zero without changing the total
-    or the weighted sum.
+    Merge-reduce: while more than k = 2(n+1) points carry weight, they are
+    split in index order into k contiguous clusters.  The cluster means are
+    eliminated down to n+1 clusters by null-vector shifts, and each
+    surviving cluster's weights are rescaled by its new mass over its old
+    one, which keeps the total and the weighted sum.  A round drops about
+    half the points, so a few small SVDs per round replace one SVD per
+    removed point.  The last at most 2(n+1) points are eliminated directly.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float).copy()
@@ -216,13 +238,21 @@ def caratheodory_finite(points, weights, target, params=None,
         )
 
     floor = 1e-15 * total
+    k = 2 * (n + 1)
     active = np.flatnonzero(weights > floor)
-    while active.size > n + 1:
-        sub = active[: n + 2]
-        c, _, _ = _null_direction(points[sub], target)
-        new_w, _ = _shift_to_zero(weights[sub], c)
-        weights[sub] = new_w
-        active = np.flatnonzero(weights > floor)
+    while active.size > k:
+        starts = np.arange(k) * active.size // k
+        w_act = weights[active]
+        mass = np.add.reduceat(w_act, starts)
+        sums = points[active]
+        sums *= w_act[:, None]
+        means = np.add.reduceat(sums, starts) / mass[:, None]
+        new_mass = mass.copy()
+        _eliminate(means, new_mass, target, floor)
+        sizes = np.diff(starts, append=active.size)
+        weights[active] = w_act * np.repeat(new_mass / mass, sizes)
+        active = active[weights[active] > floor]
+    active = _eliminate(points, weights, target, floor)
 
     # keep eliminating while the support is still affinely dependent, so a
     # target in a lower-dimensional affine hull gets a matching support size
@@ -234,6 +264,8 @@ def caratheodory_finite(points, weights, target, params=None,
         new_w, _ = _shift_to_zero(weights[active], c)
         weights[active] = new_w
         active = np.flatnonzero(weights > floor)
+    if active.size == 0:
+        raise ReconstructionError("the prune eliminated every support point")
     w_act = weights[active]
     if (
         np.max(np.abs(w_act @ points[active] / math.fsum(w_act) - target))
@@ -325,6 +357,7 @@ def _clip_bounds(iv: IntervalSpec):
 
 _LM_LADDER = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 _LM_ALPHAS = (1.0, 0.5, 0.25)
+_LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
 def polish_combination(curve: CurveSystem, params, weights, target, total,
@@ -341,9 +374,14 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     trial wins.  Parameters are clipped into the curve interval (nudged
     inside open ends) and weights are projected to be non-negative.
 
+    The iteration also stops after a step that lowers the residual norm by
+    less than 1%: near a rank-deficient Jacobian the residual sits in a
+    weak singular direction, the damped steps crawl along it, and running
+    to ``max_iter`` would cost hundreds of evaluations for almost no gain.
+
     Returns ``(params, weights, converged)``.  A ``False`` flag means the
-    iteration stalled at a stationary point above ``target_resid``; the
-    caller decides whether the achieved residual is acceptable.
+    iteration stalled above ``target_resid``; the caller decides whether
+    the achieved residual is acceptable.
     """
     params = np.asarray(params, dtype=float).copy()
     weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
@@ -389,7 +427,10 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
                     best = (norm_try, p_try, w_try, r_try)
         if best is None or best[0] >= norm:
             break  # first-order stationary; caller checks the residual gate
+        stalled = best[0] > (1.0 - _LM_MIN_GAIN) * norm
         norm, params, weights, r = best
+        if stalled:
+            break
     return params, weights, float(np.max(np.abs(r))) <= target_resid
 
 

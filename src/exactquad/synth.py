@@ -12,13 +12,15 @@ total mass, reproducing every function integral:
 4. discretize the measure into grid cells plus atoms, correcting the cell
    weights so the discrete combination reproduces the integral vector
    exactly;
-5. prune the combination to at most rank+1 support points
+5. prune the combination to at most rank+1 support points with a
+   merge-reduce Caratheodory elimination over contiguous grid clusters
    (:func:`~exactquad.hull.caratheodory_finite`), then to at most rank
    points (:func:`~exactquad.hull.reduce_on_curve`);
 6. polish nodes and weights with a damped Gauss-Newton solve, dropping
    nodes whose weight reaches zero;
 7. rescale to the original mass and check residuals for all functions,
-   including the dependent ones.
+   including the dependent ones; a rank-restricted rule that misses the
+   gate is rebuilt once on the full system.
 
 The produced rule is one of infinitely many valid rules; the pipeline is
 deterministic, so identical inputs give identical output.
@@ -144,7 +146,7 @@ class VerificationReport:
 
 
 class _DependentMismatch(Exception):
-    """Internal: a rank-restricted rule failed to reproduce a dependent function."""
+    """Internal: a rule restricted to the independent functions failed the gate."""
 
 
 def _measure_probes(m: MeasureSpec, working: IntervalSpec, count: int) -> np.ndarray:
@@ -455,17 +457,19 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
         nodes, lam = uniq, merged
     lam = _refit_weights(curve.evaluate(nodes), j_vals, mu, lam)
 
-    if abs(math.fsum(lam) - mu) > 1e-10 * mu:
-        raise PolishError(
-            f"weights sum to {math.fsum(lam)} instead of the total mass {mu}"
-        )
+    mass_ok = abs(math.fsum(lam) - mu) <= 1e-10 * mu
     resid, ok = _gate_residuals(curve, nodes, lam, j_vals, cfg.residual_gate)
-    if not np.all(ok):
-        bad = np.flatnonzero(~ok)
-        if restrict and report is not None and any(
-            k in report.dependency_coefficients for k in bad
-        ):
+    if not (mass_ok and np.all(ok)):
+        # the weight refit spans all n functions, so a dependent function's
+        # miss can land on independent ones or on the mass: any gate failure
+        # of a pass that dropped dependents is retried on the full system
+        if restrict and report.dependency_coefficients:
             raise _DependentMismatch
+        if not mass_ok:
+            raise PolishError(
+                f"weights sum to {math.fsum(lam)} instead of the total mass {mu}"
+            )
+        bad = np.flatnonzero(~ok)
         raise PolishError(
             f"rule residuals exceed the {cfg.residual_gate} gate for "
             f"function(s) {bad.tolist()}"
@@ -505,7 +509,8 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
         return _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict=True)
     except _DependentMismatch:
         # the affine relation held only on the measure's support, not at the
-        # synthesized nodes; retry on the full system
+        # synthesized nodes, or the refit spread a miss; retry on the full
+        # system
         return _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict=False)
 
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from exactquad.errors import (
     InfeasibleCombinationError,
@@ -10,6 +12,7 @@ from exactquad.errors import (
     SchemaError,
 )
 from exactquad.hull import (
+    RECON_TOL,
     ConvexCombination,
     CurveSystem,
     build_frame,
@@ -22,9 +25,17 @@ from exactquad.hull import (
 from exactquad.measure import IntervalSpec
 
 
-def reconstruction_gap(comb, points_of):
-    pts = points_of(comb.params)
-    return comb.weights @ pts, comb.total
+def reconstruction_gap(comb, params, pts, target):
+    """Largest miss of a pruned combination, relative to 1 + |target|."""
+    kept = np.searchsorted(params, comb.params)
+    recon = comb.weights @ pts[kept] / comb.total
+    return np.max(np.abs(recon - target)) / (1 + np.max(np.abs(target)))
+
+
+def _curve_points(ts, n):
+    """Monomials and cosines of ``ts``: a curve like the ones synthesis prunes."""
+    return np.column_stack([ts ** (k // 2 + 1) if k % 2 == 0
+                            else np.cos((k // 2 + 1) * ts) for k in range(n)])
 
 
 class TestConvexCombination:
@@ -108,6 +119,37 @@ class TestCaratheodoryFinite:
         w = np.array([1.0, 2.0, 3.0, 4.0])
         comb = caratheodory_finite(pts, w, w @ pts / w.sum())
         assert math.fsum(comb.weights) == pytest.approx(10.0, rel=1e-12)
+
+    def test_grid_scale_prune(self):
+        # a 131072-cell grid with 12 functions, the size grid doubling reaches
+        ts = np.linspace(0.0, 1.0, 2**17)
+        pts = _curve_points(ts, 12)
+        w = np.random.default_rng(5).uniform(0.1, 1.0, ts.size)
+        target = w @ pts / w.sum()
+        comb = caratheodory_finite(pts, w, target, params=ts)
+        assert len(comb) <= 13
+        assert reconstruction_gap(comb, ts, pts, target) <= RECON_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 2000), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), on_curve=st.booleans())
+def test_caratheodory_properties(m, n, seed, on_curve):
+    rng = np.random.default_rng(seed)
+    params = np.cumsum(rng.uniform(0.1, 1.0, m))
+    params /= params[-1]
+    pts = _curve_points(params, n) if on_curve else rng.normal(size=(m, n))
+    w = rng.uniform(0.0, 1.0, m)
+    w[rng.random(m) < 0.1] = 0.0
+    w[rng.integers(m)] += 0.5
+    total = math.fsum(w)
+    target = w @ pts / total
+    comb = caratheodory_finite(pts, w, target, params=params)
+    assert len(comb) <= n + 1
+    assert np.all(np.diff(comb.params) > 0)
+    assert np.all(np.isin(comb.params, params))
+    assert abs(math.fsum(comb.weights) - total) <= 1e-12 * total
+    assert reconstruction_gap(comb, params, pts, target) <= RECON_TOL
 
 
 class TestFrame:
@@ -301,3 +343,42 @@ def test_polish_combination_tightens():
     assert ok
     recon = w2 @ curve.evaluate(p2)
     assert np.max(np.abs(recon - target)) <= 1e-12
+
+
+def test_polish_stops_when_it_crawls(monkeypatch):
+    # acceptance corpus problem #74 after the curve walk: the residual lies
+    # along a near-null singular direction of the Jacobian, and the damped
+    # steps used to crawl through all 200 iterations (3600+ evaluations)
+    curve = CurveSystem.from_texts(
+        ["1.3128826039627826+1.3208619900495298*t+1.0729205776771917*t^2"
+         "+0.7663845871672894*t^3+1.3452647080708244*t^4",
+         "0.33202265963306443*sin(1*t)+0.21042946188805756*cos(1*t)",
+         "0.12266712350369291+-0.3422822885166248*t+-0.7983247980858281*t^2"
+         "+-0.07043190569863267*t^3+-0.10298843889847209*t^4",
+         "-1.940273535742774+1.9651638622605399*t+0.37237785750577457*t^2",
+         "-1.3826221380560018*sin(1*t)+1.9563082290262486*cos(1*t)",
+         "1.118974552744438*exp(-0.07091298615020936*t)"],
+        IntervalSpec(0.6560792544773761, 1.922477067896547),
+    )
+    params = np.array([0.8372582385261149, 1.0196739391895209, 1.3826502655943322,
+                       1.5700128327164067, 1.7864382402831596, 1.9221678887428804])
+    weights = np.array([0.5810342330816054, 0.27344819372435913, 2.508300974453302,
+                        0.3955833629314873, 3.1018801555697086, 0.46235117858812075])
+    target = np.array([18.306483639199758, 0.32200366292819926, -3.3650108869130215,
+                       2.007033931450024, -1.2717386756456739, 1.0033724143915583])
+    total = 7.322598098326351
+
+    def rel_resid(p, w):
+        return np.max(np.abs(w @ curve.evaluate(p) - total * target)
+                      / (1 + np.abs(total * target)))
+
+    before = rel_resid(params, weights)
+    calls = []
+    evaluate = CurveSystem.evaluate
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: calls.append(1) or evaluate(self, t))
+    p2, w2, _ = polish_combination(curve, params, weights, target, total)
+    monkeypatch.undo()
+    assert len(calls) < 200
+    assert rel_resid(p2, w2) <= before
+    assert rel_resid(p2, w2) <= RECON_TOL

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from exactquad.errors import DiscretizationError
+from exactquad.errors import DiscretizationError, ExactQuadError
 from exactquad.expr import parse
 from exactquad.hull import CurveSystem
 from exactquad.measure import (
@@ -11,6 +11,7 @@ from exactquad.measure import (
     MeasureSpec,
     density_cell_masses,
     integrate_system,
+    measure_from_json,
     total_mass,
 )
 from exactquad.synth import (
@@ -26,6 +27,55 @@ from exactquad.synth import (
 )
 
 UNIT = MeasureSpec(IntervalSpec(0, 1), density=parse("1"))
+
+# acceptance-style problems whose rank-restricted pass misses the gate.  In
+# the first (seed 7, variant 3, #186 of the benchmark corpus) the weight
+# refit spreads a dependent function's miss onto functions 1, 2 and 4; in
+# the second (seed 1, variant 0, #154) the polish stalls with the weights
+# 2.4e-10 off the mass.  Both must fall back to the full system.
+FALLBACK_PROBLEMS = [
+    {
+        "functions": [
+            "-0.3386611155801522*exp(-0.14424630541783467*t)",
+            "0.28994621383245356*exp(0.3742868565507005*t)",
+            "1.6527680915646616*exp(0.2546180803244473*t)",
+            "-1.8119204374242428*exp(0.9150349137930265*t)",
+            "1.6152312598380072*exp(0.2530034526510454*t)",
+            "0.5204546239334915+1.8156035449797354*t+1.9773556296743613*t^2"
+            "+0.6096023055457072*t^3",
+        ],
+        "measure": {
+            "interval": {"lower": 0.7532512740847093,
+                         "upper": 2.104708814147082,
+                         "lower_open": False, "upper_open": False},
+            "density": "(-0.731627848261378+0.8889611787343725*t"
+                       "+-0.7175824371717026*t^2)^2+0.3789949746267842",
+            "atoms": [{"t": 1.0407551322306818, "mass": 0.2182087829977166}],
+        },
+    },
+    {
+        "functions": [
+            "-0.4773355402576298+-1.9411610617699004*t+0.5775807223794587*t^2"
+            "+1.752250500197376*t^3+-1.0459181325897804*t^4",
+            "1.363502832638484*exp(-0.36188765700967673*t)",
+            "1.135209428143547*exp(-0.3493744458166048*t)",
+            "-0.0003160872329859288*exp(-0.5859028818412471*t)",
+            "-0.2805172893035204*sin(2*t)+-0.3966229877912224*cos(1*t)",
+            "-0.8171237680904735+-0.7109890372501826*t+1.8150096875591286*t^2"
+            "+-0.4098087190207149*t^3+-0.41737411326802754*t^4",
+        ],
+        "measure": {
+            "interval": {"lower": 1.8519001550514842,
+                         "upper": 3.197191674788946,
+                         "lower_open": False, "upper_open": False},
+            "density": "(0.6827522018180376+-0.3090580468772175*t"
+                       "+0.9061230277381946*t^2)^2+0.48129558008203654",
+            "atoms": [{"t": 2.269300366039617, "mass": 0.9773796841455145},
+                      {"t": 2.5078568873788014, "mass": 0.1604577900781573},
+                      {"t": 1.9566774164487537, "mass": 0.8011454589560094}],
+        },
+    },
+]
 
 
 def curve(*texts, interval=IntervalSpec(0, 1)):
@@ -198,6 +248,23 @@ class TestSynthesize:
         j = integrate_system(m, c, 1e-12).values
         recon = rule.weights @ c.evaluate(rule.nodes)
         assert np.all(np.abs(recon - j) <= 1e-8 * (1 + np.abs(j)))
+
+
+    @pytest.mark.parametrize("problem", FALLBACK_PROBLEMS)
+    def test_restricted_gate_miss_falls_back(self, problem):
+        m = measure_from_json(problem["measure"])
+        c = curve(*problem["functions"], interval=m.interval)
+        rule = synthesize_rule(c, m)
+        assert len(rule) <= c.n
+        assert verify_rule(rule, c, m).passed
+
+    def test_heavy_tail_support_loss_is_typed(self):
+        # the prune can eliminate every support point of this measure; that
+        # must surface as a library error, not an arithmetic crash
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("(1+t^2)^-2"))
+        with pytest.raises(ExactQuadError):
+            synthesize_rule(curve("t", "t^2", interval=m.interval), m)
 
 
 class TestVerify:
