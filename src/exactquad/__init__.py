@@ -9,7 +9,7 @@ combination of at most n curve points), and applies them to covariance
 representations and Gruss-type covariance bounds.
 """
 
-from . import errors
+from . import cli, errors
 from .expr import Expression, continuity_probe, evaluate, parse
 from .measure import (
     IntegralVector,
@@ -28,6 +28,7 @@ from .hull import (
     CurveSystem,
     build_frame,
     caratheodory_finite,
+    chebyshev_sample_test,
     coords,
     first_zero_crossing,
     reduce_on_curve,
@@ -39,7 +40,6 @@ from .synth import (
     VerificationReport,
     affine_rank,
     discretize_hull_point,
-    interiority_check,
     rule_from_json,
     rule_to_json,
     synthesize_rule,
@@ -53,7 +53,6 @@ from .stats import (
     gruss_check,
     gruss_discrete,
 )
-from .cli import chebyshev_sample_test
 
 __version__ = "0.1.0"
 
@@ -80,13 +79,13 @@ __all__ = [
     "coords",
     "first_zero_crossing",
     "reduce_on_curve",
+    "chebyshev_sample_test",
     "SynthesisConfig",
     "AffineRankReport",
     "QuadratureRule",
     "VerificationReport",
     "affine_rank",
     "discretize_hull_point",
-    "interiority_check",
     "synthesize_rule",
     "verify_rule",
     "rule_from_json",
@@ -97,5 +96,4 @@ __all__ = [
     "covariance_witness",
     "gruss_check",
     "gruss_discrete",
-    "chebyshev_sample_test",
 ]

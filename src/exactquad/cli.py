@@ -13,16 +13,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
-from scipy.optimize import minimize
 
-from .errors import ExactQuadError, SchemaError
+from .errors import (
+    ExactQuadError,
+    SchemaError,
+    check_fields,
+    numbers,
+    string,
+    strings,
+)
 from .expr import parse as parse_expr
 from .hull import (
     CurveSystem,
+    chebyshev_sample_test,
     combination_from_json,
     combination_to_json,
     reduce_on_curve,
@@ -37,107 +44,17 @@ from .synth import (
     verify_rule,
 )
 
-__all__ = ["run", "main", "chebyshev_sample_test"]
+__all__ = ["run", "main"]
 
 
-def chebyshev_sample_test(functions, interval, trial_count: int = 200,
-                          seed: int = 0) -> dict:
-    """Randomized search for a vanishing generalized Vandermonde determinant.
-
-    Draws ``trial_count`` strictly increasing tuples from a seeded 64-bit
-    PRNG, evaluates det[x_i(t_j)], then locally minimizes |det| divided by
-    the node-gap product (which stays bounded away from zero under node
-    coalescence) around the most suspicious tuple.  A tuple of distinct
-    points with |det| <= 1e-12 * scale disproves the alternant property;
-    finding none is evidence only, not a certificate.
-    """
-    if isinstance(functions, CurveSystem):
-        curve = functions
-    else:
-        curve = CurveSystem.from_texts(functions, interval)
-    lo, hi = curve.interval.lower, curve.interval.upper
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise SchemaError("the determinant test needs a compact interval")
-    span = hi - lo
-    m = curve.n
-    rng = np.random.default_rng(seed)
-
-    def det_and_scale(ts):
-        mat = curve.evaluate(ts).T  # rows: functions, columns: points
-        det = float(np.linalg.det(mat))
-        scale = float(np.prod(np.linalg.norm(mat, axis=0))) + 1e-300
-        return det, scale
-
-    best = None  # (ratio, tuple, det, scale)
-    for _ in range(trial_count):
-        for _ in range(100):
-            ts = np.sort(rng.uniform(lo, hi, m))
-            if m == 1 or np.min(np.diff(ts)) > 1e-12 * span:
-                break
-        det, scale = det_and_scale(ts)
-        ratio = abs(det) / scale
-        if best is None or ratio < best[0]:
-            best = (ratio, ts, det, scale)
-
-    def objective(ts):
-        ts = np.asarray(ts)
-        if np.any(ts < lo) or np.any(ts > hi):
-            return np.inf
-        order = np.sort(ts)
-        if m > 1 and np.min(np.diff(order)) <= 1e-12 * span:
-            return np.inf
-        mat = curve.evaluate(order).T
-        det = abs(float(np.linalg.det(mat)))
-        gaps = 1.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                gaps *= order[j] - order[i]
-        return det / max(gaps, 1e-300)
-
-    polished = minimize(objective, best[1], method="Nelder-Mead",
-                        options={"maxiter": 2000, "xatol": 1e-14,
-                                 "fatol": 1e-300})
-    t_star = np.sort(np.clip(polished.x, lo, hi))
-    det_star, scale_star = det_and_scale(t_star)
-    distinct = m == 1 or float(np.min(np.diff(t_star))) > 1e-9 * span
-    witness = None
-    if distinct and abs(det_star) <= 1e-12 * scale_star:
-        witness = {
-            "tuple": [float(x) for x in t_star],
-            "det": det_star,
-            "scale": scale_star,
-        }
-    return {
-        "trials": trial_count,
-        "seed": seed,
-        "min_abs_det": abs(best[2]),
-        "min_scaled_det": best[0],
-        "argmin_tuple": [float(x) for x in best[1]],
-        "witness": witness,
-    }
-
-
-def _require(obj: dict, what: str, required: tuple[str, ...],
-             optional: tuple[str, ...] = ()):
-    if not isinstance(obj, dict):
-        raise SchemaError(f"{what} must be a JSON object")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in {what}")
-    missing = [k for k in required if k not in obj]
-    if missing:
-        raise SchemaError(f"{what} is missing field(s) {missing}")
-
-
-def _functions_and_measure(obj):
-    _require(obj, "problem", ("functions", "measure"), ("tolerances",))
-    texts = obj["functions"]
-    if not isinstance(texts, list) or not texts or not all(
-        isinstance(s, str) for s in texts
-    ):
-        raise SchemaError("'functions' must be a non-empty list of strings")
+def _functions_and_measure(obj, **extra):
+    """Curve and measure of a problem with fields functions, measure and ``extra``."""
+    check_fields(obj, "problem",
+                 {"functions": strings, "measure": None, "tolerances": None,
+                  **extra},
+                 optional=("tolerances",))
     m = measure_from_json(obj["measure"])
-    curve = CurveSystem.from_texts(texts, m.interval)
+    curve = CurveSystem.from_texts(obj["functions"], m.interval)
     return curve, m
 
 
@@ -161,11 +78,8 @@ def _cmd_synthesize(obj, args):
 
 
 def _cmd_verify(obj, args):
-    _require(obj, "problem", ("functions", "measure", "rule"), ("tolerances",))
+    curve, m = _functions_and_measure(obj, rule=None)
     rule = rule_from_json(obj["rule"])
-    curve, m = _functions_and_measure(
-        {"functions": obj["functions"], "measure": obj["measure"]}
-    )
     report = verify_rule(rule, curve, m)
     note = ("rule verifies: max relative residual "
             f"{float(np.max(report.relative_residuals)):.3e}"
@@ -174,13 +88,12 @@ def _cmd_verify(obj, args):
 
 
 def _cmd_reduce(obj, args):
-    _require(obj, "problem", ("functions", "interval", "combination"),
-             ("tolerances",))
+    check_fields(obj, "problem",
+                 {"functions": strings, "interval": None, "combination": None,
+                  "tolerances": None},
+                 optional=("tolerances",))
     interval = interval_from_json(obj["interval"])
-    texts = obj["functions"]
-    if not isinstance(texts, list) or not texts:
-        raise SchemaError("'functions' must be a non-empty list of strings")
-    curve = CurveSystem.from_texts(texts, interval)
+    curve = CurveSystem.from_texts(obj["functions"], interval)
     comb = combination_from_json(obj["combination"])
     points = curve.evaluate(comb.params)
     v = comb.weights @ points / comb.total
@@ -189,35 +102,38 @@ def _cmd_reduce(obj, args):
     return combination_to_json(reduced), note
 
 
+_STATS_FIELDS = {"f": string, "g": string, "measure": None, "tolerances": None}
+
+
 def _cmd_covwitness(obj, args):
-    _require(obj, "problem", ("f", "g", "measure"), ("tolerances",))
+    check_fields(obj, "problem", _STATS_FIELDS, optional=("tolerances",))
     m = measure_from_json(obj["measure"])
     cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, cfg)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")
-    return w.to_json(), note
+    return asdict(w), note
 
 
 def _cmd_gruss(obj, args):
-    _require(obj, "problem", ("f", "g", "measure"), ("tolerances",))
+    check_fields(obj, "problem", _STATS_FIELDS, optional=("tolerances",))
     m = measure_from_json(obj["measure"])
     r = gruss_check(parse_expr(obj["f"]), parse_expr(obj["g"]), m)
     note = f"|covariance| {abs(r.covariance):.6g} <= bound {r.bound:.6g}"
-    return r.to_json(), note
+    return asdict(r), note
 
 
 def _cmd_gruss_discrete(obj, args):
-    _require(obj, "problem", ("p", "u", "v"))
+    check_fields(obj, "problem", {"p": numbers, "u": numbers, "v": numbers})
     r = gruss_discrete(obj["p"], obj["u"], obj["v"])
-    out = r.to_json()
+    out = asdict(r)
     out["lhs"] = abs(r.covariance)
     note = f"lhs {out['lhs']:.6g} <= bound {r.bound:.6g}"
     return out, note
 
 
 def _cmd_chebyshev(obj, args):
-    _require(obj, "problem", ("functions", "interval"))
+    check_fields(obj, "problem", {"functions": strings, "interval": None})
     interval = interval_from_json(obj["interval"])
     report = chebyshev_sample_test(obj["functions"], interval,
                                    trial_count=args.trials, seed=args.seed)

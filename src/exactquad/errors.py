@@ -1,7 +1,10 @@
-"""Exception types shared across the library.
+"""Exception types shared across the library, and the JSON field check.
 
 Every exception carries a stable machine-readable ``kind`` string so callers
 (and the CLI) can branch on failure classes without parsing messages.
+:func:`check_fields` is the one place that validates the field names and
+scalar types of a JSON input object, so every malformed input becomes a
+:class:`SchemaError`.
 """
 
 from __future__ import annotations
@@ -89,3 +92,55 @@ class UnboundedFunctionError(ExactQuadError):
 
 class WeightNormalizationError(ExactQuadError):
     kind = "weight-normalization"
+
+
+# --- JSON input checks ------------------------------------------------------
+# Kinds for :func:`check_fields`: predicates on a decoded JSON value.  JSON
+# booleans decode to ``bool``, a subclass of ``int``, so they are excluded
+# from the numeric kinds explicitly.
+
+def number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def integer(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def boolean(value) -> bool:
+    return isinstance(value, bool)
+
+
+def string(value) -> bool:
+    return isinstance(value, str)
+
+
+def numbers(value) -> bool:
+    return isinstance(value, list) and all(number(v) for v in value)
+
+
+def strings(value) -> bool:
+    """A non-empty list of strings."""
+    return isinstance(value, list) and bool(value) and all(map(string, value))
+
+
+def check_fields(obj, what: str, fields: dict, optional=()) -> None:
+    """Check a decoded JSON object against its field table.
+
+    ``fields`` maps every allowed name to a kind predicate, or to ``None``
+    for a value whose own parser checks it.  Names in ``optional`` may be
+    absent; all others are required.  Raises :class:`SchemaError` for a
+    non-object, an unknown or missing field, or a value of the wrong kind.
+    """
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object")
+    unknown = set(obj) - set(fields)
+    if unknown:
+        raise SchemaError(f"unknown field(s) {sorted(unknown)} in {what}")
+    missing = [k for k in fields if k not in obj and k not in optional]
+    if missing:
+        raise SchemaError(f"{what} is missing field(s) {missing}")
+    for key, kind in fields.items():
+        if kind is not None and key in obj and not kind(obj[key]):
+            raise SchemaError(f"field {key!r} of {what} has an invalid value "
+                              f"{obj[key]!r:.80}")

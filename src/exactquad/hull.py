@@ -11,6 +11,12 @@ and produces at most n curve points with the same total weight and the
 same weighted sum: it rebuilds coordinates in the barycentric frame rooted
 at the target, slides the parameter from the smallest support point until
 one coordinate first crosses zero, and reweights the remaining points.
+
+``merge_coincident`` is the one sort-and-merge of equal parameters that
+the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
+is the alternant-determinant probe: a seeded random search, polished by
+Nelder-Mead, for node tuples where det[x_i(t_j)] vanishes, which would
+show that the system is not a Chebyshev (alternant) system.
 """
 
 from __future__ import annotations
@@ -27,6 +33,9 @@ from .errors import (
     RankDeficiencyError,
     ReconstructionError,
     SchemaError,
+    check_fields,
+    number,
+    numbers,
 )
 from .expr import Expression, parse
 from .measure import IntervalSpec
@@ -40,6 +49,7 @@ __all__ = [
     "coords",
     "first_zero_crossing",
     "reduce_on_curve",
+    "chebyshev_sample_test",
     "combination_from_json",
     "combination_to_json",
 ]
@@ -109,8 +119,88 @@ class CurveSystem:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         return np.stack([comp(ts) for comp in self.components], axis=1)
 
-    def evaluate_point(self, t: float) -> np.ndarray:
-        return np.array([comp(float(t)) for comp in self.components])
+
+def chebyshev_sample_test(functions, interval, trial_count: int = 200,
+                          seed: int = 0) -> dict:
+    """Randomized search for a vanishing generalized Vandermonde determinant.
+
+    Draws ``trial_count`` strictly increasing tuples from a seeded 64-bit
+    PRNG, evaluates det[x_i(t_j)], then locally minimizes |det| divided by
+    the node-gap product (which stays bounded away from zero under node
+    coalescence) around the most suspicious tuple.  A tuple of distinct
+    points with |det| <= 1e-12 * scale disproves the alternant property;
+    finding none is evidence only, not a certificate.
+    """
+    # scipy.optimize is slow to import and only this function needs it
+    from scipy.optimize import minimize
+
+    if isinstance(functions, CurveSystem):
+        curve = functions
+    else:
+        curve = CurveSystem.from_texts(functions, interval)
+    lo, hi = curve.interval.lower, curve.interval.upper
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise SchemaError("the determinant test needs a compact interval")
+    if trial_count < 1 or seed < 0:
+        raise SchemaError("need at least one trial and a non-negative seed, "
+                          f"got {trial_count} trials and seed {seed}")
+    span = hi - lo
+    m = curve.n
+    rng = np.random.default_rng(seed)
+
+    def det_and_scale(ts):
+        mat = curve.evaluate(ts).T  # rows: functions, columns: points
+        det = float(np.linalg.det(mat))
+        scale = float(np.prod(np.linalg.norm(mat, axis=0))) + 1e-300
+        return det, scale
+
+    best = None  # (ratio, tuple, det, scale)
+    for _ in range(trial_count):
+        for _ in range(100):
+            ts = np.sort(rng.uniform(lo, hi, m))
+            if m == 1 or np.min(np.diff(ts)) > 1e-12 * span:
+                break
+        det, scale = det_and_scale(ts)
+        ratio = abs(det) / scale
+        if best is None or ratio < best[0]:
+            best = (ratio, ts, det, scale)
+
+    def objective(ts):
+        ts = np.asarray(ts)
+        if np.any(ts < lo) or np.any(ts > hi):
+            return np.inf
+        order = np.sort(ts)
+        if m > 1 and np.min(np.diff(order)) <= 1e-12 * span:
+            return np.inf
+        mat = curve.evaluate(order).T
+        det = abs(float(np.linalg.det(mat)))
+        gaps = 1.0
+        for i in range(m):
+            for j in range(i + 1, m):
+                gaps *= order[j] - order[i]
+        return det / max(gaps, 1e-300)
+
+    polished = minimize(objective, best[1], method="Nelder-Mead",
+                        options={"maxiter": 2000, "xatol": 1e-14,
+                                 "fatol": 1e-300})
+    t_star = np.sort(np.clip(polished.x, lo, hi))
+    det_star, scale_star = det_and_scale(t_star)
+    distinct = m == 1 or float(np.min(np.diff(t_star))) > 1e-9 * span
+    witness = None
+    if distinct and abs(det_star) <= 1e-12 * scale_star:
+        witness = {
+            "tuple": [float(x) for x in t_star],
+            "det": det_star,
+            "scale": scale_star,
+        }
+    return {
+        "trials": trial_count,
+        "seed": seed,
+        "min_abs_det": abs(best[2]),
+        "min_scaled_det": best[0],
+        "argmin_tuple": [float(x) for x in best[1]],
+        "witness": witness,
+    }
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +382,6 @@ def caratheodory_finite(points, weights, target, params=None,
 
 def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
                         t0: float, t_stop: float,
-                        grid: int = CROSSING_GRID,
-                        grid_cap: int = CROSSING_GRID_CAP,
-                        zero_tol: float = ZERO_TOL,
                         bisect_tol: float = BISECT_TOL):
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
@@ -304,12 +391,12 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     ``(t_bar, k)`` where k is the 0-based index of the vanishing
     coordinate; ties pick the smallest index.
     """
-    p0 = coords(frame, curve.evaluate_point(t0))
-    if p0.max() >= -zero_tol:
-        return float(t0), int(np.flatnonzero(p0 >= -zero_tol)[0])
+    p0 = coords(frame, curve.evaluate(t0)[0])
+    if p0.max() >= -ZERO_TOL:
+        return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0])
     scale_t = max(1.0, abs(t0), abs(t_stop))
 
-    m = grid
+    m = CROSSING_GRID
     lo_t, hi_t = None, None
     while True:
         ts = np.linspace(t0, t_stop, m + 1)
@@ -319,7 +406,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
             i = int(hits[0])
             lo_t, hi_t = float(ts[i - 1]), float(ts[i])
             break
-        if m >= grid_cap:
+        if m >= CROSSING_GRID_CAP:
             raise NoCrossingError(
                 f"no coordinate sign change found in ({t0}, {t_stop}] "
                 f"at grid resolution {m}"
@@ -327,19 +414,19 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
         m *= 2
 
     def g_at(t: float) -> float:
-        return float(coords(frame, curve.evaluate_point(t)).max())
+        return float(coords(frame, curve.evaluate(t)[0]).max())
 
     width_floor = 8.0 * np.finfo(float).eps * scale_t
     while hi_t - lo_t > width_floor and (
-        hi_t - lo_t > bisect_tol * scale_t or g_at(hi_t) > zero_tol
+        hi_t - lo_t > bisect_tol * scale_t or g_at(hi_t) > ZERO_TOL
     ):
         mid = 0.5 * (lo_t + hi_t)
         if g_at(mid) >= 0.0:
             hi_t = mid
         else:
             lo_t = mid
-    p = coords(frame, curve.evaluate_point(hi_t))
-    k = int(np.flatnonzero(p >= -zero_tol)[0])
+    p = coords(frame, curve.evaluate(hi_t)[0])
+    k = int(np.flatnonzero(p >= -ZERO_TOL)[0])
     return float(hi_t), k
 
 
@@ -434,17 +521,25 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     return params, weights, float(np.max(np.abs(r))) <= target_resid
 
 
+def merge_coincident(params, weights, points=None):
+    """Sort by parameter and sum the weights of equal parameters.
+
+    Returns ``(params, weights)``, or ``(params, weights, points)`` when
+    ``points`` (one row per parameter) is given; a merged parameter keeps
+    the row of its first occurrence.  The parameters come out strictly
+    increasing, and each sum adds its terms in input order.
+    """
+    uniq, first, inverse = np.unique(params, return_index=True,
+                                     return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, weights)
+    if points is None:
+        return uniq, merged
+    return uniq, merged, points[first]
+
+
 def _rebuild(params, weights, points, target, total, recon_tol):
-    order = np.argsort(params, kind="stable")
-    params, weights, points = params[order], weights[order], points[order]
-    # merge exactly coincident parameters so params stay strictly increasing
-    uniq, inverse = np.unique(params, return_inverse=True)
-    if uniq.size != params.size:
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, weights)
-        pts = np.zeros((uniq.size, points.shape[1]))
-        pts[inverse] = points
-        params, weights, points = uniq, merged, pts
+    params, weights, points = merge_coincident(params, weights, points)
     weights = weights * (total / math.fsum(weights))
     scale = 1.0 + float(np.max(np.abs(target)))
     recon = np.max(np.abs(weights @ points - total * target)) / max(total, 1.0)
@@ -458,7 +553,6 @@ def _rebuild(params, weights, points, target, total, recon_tol):
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination, v,
                     recon_tol: float = RECON_TOL,
                     rank_tol: float = RANK_TOL,
-                    zero_tol: float = ZERO_TOL,
                     bisect_tol: float = BISECT_TOL) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
@@ -519,32 +613,26 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination, v,
         return finish(params[keep], new_w[keep], points[keep])
 
     t_bar, k = first_zero_crossing(frame, curve, params[0], params[1],
-                                   zero_tol=zero_tol, bisect_tol=bisect_tol)
-    p = coords(frame, curve.evaluate_point(t_bar))
+                                   bisect_tol=bisect_tol)
+    x_bar = curve.evaluate(t_bar)[0]
+    p = coords(frame, x_bar)
     p[k] = 0.0
-    p = np.minimum(p, 0.0)  # residual positives are within zero_tol
+    p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
     denom = 1.0 - p.sum()
     new_params = np.concatenate([[t_bar], np.delete(params[1:], k)])
     new_nu = np.concatenate([[1.0 / denom], -np.delete(p, k) / denom])
-    new_points = np.vstack([curve.evaluate_point(t_bar),
-                            np.delete(points[1:], k, axis=0)])
+    new_points = np.vstack([x_bar, np.delete(points[1:], k, axis=0)])
     return finish(new_params, new_nu * total, new_points)
 
 
 def combination_from_json(obj) -> ConvexCombination:
-    if not isinstance(obj, dict):
-        raise SchemaError("combination must be an object")
-    unknown = set(obj) - {"params", "weights", "total"}
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in combination")
-    try:
-        return ConvexCombination(
-            params=np.asarray(obj["params"], dtype=float),
-            weights=np.asarray(obj["weights"], dtype=float),
-            total=float(obj["total"]),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"combination is missing field {exc.args[0]!r}") from None
+    check_fields(obj, "combination",
+                 {"params": numbers, "weights": numbers, "total": number})
+    return ConvexCombination(
+        params=np.asarray(obj["params"], dtype=float),
+        weights=np.asarray(obj["weights"], dtype=float),
+        total=float(obj["total"]),
+    )
 
 
 def combination_to_json(comb: ConvexCombination) -> dict:

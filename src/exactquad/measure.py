@@ -24,6 +24,10 @@ from .errors import (
     NegativeDensityError,
     NonConvergenceError,
     SchemaError,
+    boolean,
+    check_fields,
+    number,
+    string,
 )
 from .expr import Expression, parse
 
@@ -39,7 +43,6 @@ __all__ = [
     "measure_from_json",
     "measure_to_json",
     "interval_from_json",
-    "interval_to_json",
 ]
 
 DEFAULT_TOL = 1e-10
@@ -50,6 +53,8 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 65536
 _MAX_ROUNDS = 48
 _MAX_EXHAUST_STEPS = 60
+
+_ONE = parse("1")
 
 
 @dataclass(frozen=True)
@@ -82,11 +87,9 @@ class IntervalSpec:
         )
 
     def contains(self, t: float) -> bool:
-        if t < self.lower or (t == self.lower and self.lower_open):
-            return False
-        if t > self.upper or (t == self.upper and self.upper_open):
-            return False
-        return True
+        above = self.lower < t or (t == self.lower and not self.lower_open)
+        below = t < self.upper or (t == self.upper and not self.upper_open)
+        return above and below
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,25 +213,6 @@ def _system_vec_fn(m: MeasureSpec, components):
     return vec
 
 
-def _atom_sums(m: MeasureSpec, components, a, b):
-    """Exact atom contribution per component over atoms in [a, b]."""
-    out = []
-    inside = [(loc, mass) for loc, mass in m.atoms if a <= loc <= b]
-    for comp in components:
-        out.append(math.fsum(mass * comp(loc) for loc, mass in inside))
-    return np.array(out), len(inside) == len(m.atoms)
-
-
-def _compact_window_integrals(m: MeasureSpec, components, a, b, tol):
-    n = len(components)
-    if m.density is not None:
-        vals, errs = _integrate_compact(_system_vec_fn(m, components), a, b, tol, n)
-    else:
-        vals, errs = np.zeros(n), np.zeros(n)
-    atom_vals, covered = _atom_sums(m, components, a, b)
-    return vals + atom_vals, errs, covered
-
-
 def _working_windows(interval: IntervalSpec):
     """Nested compact sub-intervals exhausting an open or infinite interval."""
     lo, hi = interval.lower, interval.upper
@@ -253,41 +237,73 @@ def _working_windows(interval: IntervalSpec):
             yield IntervalSpec(a, b)
 
 
-def _exhausted_integrals(m: MeasureSpec, components, tol):
-    """Integrals over a non-compact interval, with the final compact window."""
-    prev = None
+def exhaust(m: MeasureSpec, on_window, rtol: float):
+    """Drive ``on_window`` over compact windows of the measure's interval.
+
+    ``on_window(window, inner)`` returns a 1-d array of values for the
+    compact ``window``; ``inner`` is the previous, smaller window, or
+    ``None`` on the first call.  A compact interval is its own window and
+    is evaluated once.  Otherwise the windows grow by the exhaustion
+    schedule, and the values are accepted once two consecutive windows,
+    each holding every atom, moved them by at most ``rtol * (1 + |value|)``.
+
+    Returns ``(values, change, window)``, where ``change`` is the last
+    window-to-window difference (zero for a compact interval).  Raises
+    :class:`NonConvergenceError` when the schedule runs out first.
+    """
+    if m.interval.is_compact:
+        vals = on_window(m.interval, None)
+        return vals, np.zeros_like(vals), m.interval
+    prev = inner = None
     stable = 0
-    last = None
     for window in _working_windows(m.interval):
-        vals, errs, covered = _compact_window_integrals(
-            m, components, window.lower, window.upper, tol
-        )
-        last = (vals, errs, window)
+        vals = on_window(window, inner)
+        covered = all(window.lower <= loc <= window.upper for loc, _ in m.atoms)
         if prev is not None and covered:
             delta = np.abs(vals - prev)
-            if np.all(delta <= 0.25 * tol * (1.0 + np.abs(vals))):
+            if np.all(delta <= rtol * (1.0 + np.abs(vals))):
                 stable += 1
                 if stable >= 2:
-                    return vals, errs + delta, window
+                    return vals, delta, window
             else:
                 stable = 0
-        prev = vals
-    assert last is not None
+        prev, inner = vals, window
     raise NonConvergenceError(
         "exhaustion of the interval did not stabilize within the expansion "
-        f"schedule (last window [{last[2].lower}, {last[2].upper}])"
+        f"schedule (last window [{inner.lower}, {inner.upper}])"
     )
+
+
+def _integrals(m: MeasureSpec, components, tol):
+    """Integrals of ``components`` against ``m``: ``(values, errors, window)``.
+
+    Atom contributions are exact sums over the atoms inside the window.
+    """
+    n = len(components)
+    vec = _system_vec_fn(m, components) if m.density is not None else None
+    errs = np.zeros(n)
+
+    def on_window(window, inner):
+        nonlocal errs
+        vals = np.zeros(n)
+        if vec is not None:
+            vals, errs = _integrate_compact(vec, window.lower, window.upper,
+                                            tol, n)
+        inside = [(loc, mass) for loc, mass in m.atoms
+                  if window.lower <= loc <= window.upper]
+        return vals + np.array(
+            [math.fsum(mass * comp(loc) for loc, mass in inside)
+             for comp in components]
+        )
+
+    vals, change, window = exhaust(m, on_window, 0.25 * tol)
+    return vals, errs + change, window
 
 
 def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
     """Total mass of the measure: density integral plus atom masses."""
-    one = parse("1")
     try:
-        if m.interval.is_compact:
-            vals, _, _ = _compact_window_integrals(m, [one], m.interval.lower,
-                                                   m.interval.upper, tol)
-        else:
-            vals, _, _ = _exhausted_integrals(m, [one], tol)
+        vals, _, _ = _integrals(m, [_ONE], tol)
     except NonConvergenceError as exc:
         raise DivergentMassError(str(exc)) from exc
     mass = float(vals[0])
@@ -298,11 +314,7 @@ def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
 
 def integrate(m: MeasureSpec, f: Expression, tol: float = DEFAULT_TOL) -> float:
     """Integral of ``f`` over the interval against the measure."""
-    if m.interval.is_compact:
-        vals, _, _ = _compact_window_integrals(m, [f], m.interval.lower,
-                                               m.interval.upper, tol)
-    else:
-        vals, _, _ = _exhausted_integrals(m, [f], tol)
+    vals, _, _ = _integrals(m, [f], tol)
     return float(vals[0])
 
 
@@ -312,12 +324,7 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
     ``curve`` is anything with a ``components`` sequence of expressions
     (see :class:`exactquad.hull.CurveSystem`).
     """
-    components = list(curve.components)
-    if m.interval.is_compact:
-        vals, errs, _ = _compact_window_integrals(m, components, m.interval.lower,
-                                                  m.interval.upper, tol)
-    else:
-        vals, errs, _ = _exhausted_integrals(m, components, tol)
+    vals, errs, _ = _integrals(m, list(curve.components), tol)
     return IntegralVector(values=vals, estimated_abs_error=errs)
 
 
@@ -329,12 +336,7 @@ def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
     sub-interval carrying all but a ``tol`` fraction of the mass.  Compact
     input is returned unchanged (identity).
     """
-    components = list(curve.components)
-    if m.interval.is_compact:
-        vals, errs, _ = _compact_window_integrals(m, components, m.interval.lower,
-                                                  m.interval.upper, tol)
-        return IntegralVector(values=vals, estimated_abs_error=errs), m.interval
-    vals, errs, window = _exhausted_integrals(m, components, tol)
+    vals, errs, window = _integrals(m, list(curve.components), tol)
     return IntegralVector(values=vals, estimated_abs_error=errs), window
 
 
@@ -358,71 +360,51 @@ def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:
 
 # --- JSON wire format -------------------------------------------------------
 
-def _reject_unknown(obj: dict, allowed: set[str], what: str):
-    unknown = set(obj) - allowed
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in {what}")
+def _endpoint(value) -> bool:
+    return number(value) or value in ("-inf", "inf")
 
 
 def interval_from_json(obj) -> IntervalSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("interval must be an object")
-    _reject_unknown(obj, {"lower", "upper", "lower_open", "upper_open"}, "interval")
-    try:
-        lower, upper = obj["lower"], obj["upper"]
-    except KeyError as exc:
-        raise SchemaError(f"interval is missing field {exc.args[0]!r}") from None
-    if lower == "-inf":
-        lower = -math.inf
-    if upper == "inf":
-        upper = math.inf
-    if not isinstance(lower, (int, float)) or not isinstance(upper, (int, float)):
-        raise SchemaError("interval endpoints must be numbers, \"-inf\" or \"inf\"")
+    check_fields(obj, "interval",
+                 {"lower": _endpoint, "upper": _endpoint,
+                  "lower_open": boolean, "upper_open": boolean},
+                 optional=("lower_open", "upper_open"))
     return IntervalSpec(
-        lower=float(lower),
-        upper=float(upper),
-        lower_open=bool(obj.get("lower_open", False)),
-        upper_open=bool(obj.get("upper_open", False)),
+        lower=float(obj["lower"]),
+        upper=float(obj["upper"]),
+        lower_open=obj.get("lower_open", False),
+        upper_open=obj.get("upper_open", False),
     )
 
 
-def interval_to_json(iv: IntervalSpec) -> dict:
-    return {
-        "lower": "-inf" if math.isinf(iv.lower) else iv.lower,
-        "upper": "inf" if math.isinf(iv.upper) else iv.upper,
-        "lower_open": iv.lower_open,
-        "upper_open": iv.upper_open,
-    }
-
-
 def measure_from_json(obj) -> MeasureSpec:
-    if not isinstance(obj, dict):
-        raise SchemaError("measure must be an object")
-    _reject_unknown(obj, {"interval", "density", "atoms"}, "measure")
-    if "interval" not in obj:
-        raise SchemaError("measure is missing field 'interval'")
+    check_fields(obj, "measure",
+                 {"interval": None,
+                  "density": lambda v: v is None or string(v),
+                  "atoms": lambda v: v is None or isinstance(v, list)},
+                 optional=("density", "atoms"))
     interval = interval_from_json(obj["interval"])
-    density_text = obj.get("density")
-    density = None
-    if density_text is not None:
-        if not isinstance(density_text, str):
-            raise SchemaError("measure density must be a string or null")
-        density = parse(density_text)
+    density = obj.get("density")
     atoms = []
-    for i, atom in enumerate(obj.get("atoms", []) or []):
-        if not isinstance(atom, dict):
-            raise SchemaError(f"atom #{i} must be an object")
-        _reject_unknown(atom, {"t", "mass"}, f"atom #{i}")
-        try:
-            atoms.append((float(atom["t"]), float(atom["mass"])))
-        except KeyError as exc:
-            raise SchemaError(f"atom #{i} is missing field {exc.args[0]!r}") from None
-    return MeasureSpec(interval=interval, density=density, atoms=tuple(atoms))
+    for i, atom in enumerate(obj.get("atoms") or []):
+        check_fields(atom, f"atom #{i}", {"t": number, "mass": number})
+        atoms.append((float(atom["t"]), float(atom["mass"])))
+    return MeasureSpec(
+        interval=interval,
+        density=parse(density) if density is not None else None,
+        atoms=tuple(atoms),
+    )
 
 
 def measure_to_json(m: MeasureSpec) -> dict:
+    iv = m.interval
     return {
-        "interval": interval_to_json(m.interval),
+        "interval": {
+            "lower": "-inf" if math.isinf(iv.lower) else iv.lower,
+            "upper": "inf" if math.isinf(iv.upper) else iv.upper,
+            "lower_open": iv.lower_open,
+            "upper_open": iv.upper_open,
+        },
         "density": m.density.text if m.density is not None else None,
         "atoms": [{"t": loc, "mass": mass} for loc, mass in m.atoms],
     }

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .expr import Expression
 from .hull import CurveSystem
-from .measure import IntervalSpec, MeasureSpec, integrate_system, total_mass
+from .measure import MeasureSpec, exhaust, integrate_system, total_mass
 from .synth import SynthesisConfig, synthesize_rule
 
 __all__ = [
@@ -46,7 +46,7 @@ __all__ = [
 
 _SCAN_POINTS = 4096
 _GOLDEN_TOL = 1e-10
-_MAX_EXPAND = 60
+_EXTREMA_RTOL = 1e-10  # window-to-window stability of the extrema
 
 
 @dataclass(frozen=True)
@@ -58,14 +58,6 @@ class CovarianceWitness:
     covariance: float
     product_gap: float
 
-    def to_json(self) -> dict:
-        return {
-            "t1": self.t1,
-            "t2": self.t2,
-            "covariance": self.covariance,
-            "product_gap": self.product_gap,
-        }
-
 
 @dataclass(frozen=True)
 class GrussReport:
@@ -76,17 +68,6 @@ class GrussReport:
     M_g: float
     bound: float
     slack: float
-
-    def to_json(self) -> dict:
-        return {
-            "covariance": self.covariance,
-            "m_f": self.m_f,
-            "M_f": self.M_f,
-            "m_g": self.m_g,
-            "M_g": self.M_g,
-            "bound": self.bound,
-            "slack": self.slack,
-        }
 
 
 def _moments(f: Expression, g: Expression, m: MeasureSpec, tol: float):
@@ -243,35 +224,23 @@ def _window_extrema(fn, lo: float, hi: float, extra: np.ndarray):
 
 def _extrema(fn, m: MeasureSpec):
     """Infimum and supremum of fn over the measure's interval."""
-    iv = m.interval
     atoms = np.array([loc for loc, _ in m.atoms])
-    if iv.is_compact:
-        return _window_extrema(fn, iv.lower, iv.upper, atoms)
-    prev = None
-    stable = 0
-    from .measure import _working_windows
 
-    for window in _working_windows(iv):
+    def on_window(window, inner):
         inside = atoms[(atoms >= window.lower) & (atoms <= window.upper)]
-        lo_val, hi_val = _window_extrema(fn, window.lower, window.upper, inside)
-        if prev is not None and inside.size == atoms.size:
-            d_lo = abs(lo_val - prev[0]) <= 1e-10 * (1.0 + abs(lo_val))
-            d_hi = abs(hi_val - prev[1]) <= 1e-10 * (1.0 + abs(hi_val))
-            if d_lo and d_hi:
-                stable += 1
-                if stable >= 2:
-                    return lo_val, hi_val
-            else:
-                stable = 0
-        prev = (lo_val, hi_val)
-    raise UnboundedFunctionError(
-        "extrema did not stabilize under interval expansion; "
-        "the function looks unbounded on the interval"
-    )
+        return np.array(_window_extrema(fn, window.lower, window.upper, inside))
+
+    try:
+        (lo_val, hi_val), _, _ = exhaust(m, on_window, _EXTREMA_RTOL)
+    except NonConvergenceError:
+        raise UnboundedFunctionError(
+            "extrema did not stabilize under interval expansion; "
+            "the function looks unbounded on the interval"
+        ) from None
+    return float(lo_val), float(hi_val)
 
 
-def gruss_check(f: Expression, g: Expression, m: MeasureSpec,
-                config: SynthesisConfig | None = None) -> GrussReport:
+def gruss_check(f: Expression, g: Expression, m: MeasureSpec) -> GrussReport:
     """Covariance bound report: |Cov| <= (1/4)(M_f - m_f)(M_g - m_g)."""
     cov = covariance(f, g, m)
     m_f, big_f = _extrema(f, m)

@@ -29,7 +29,7 @@ deterministic, so identical inputs give identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -37,11 +37,19 @@ from .errors import (
     DiscretizationError,
     PolishError,
     SchemaError,
+    check_fields,
+    integer,
+    number,
+    numbers,
 )
 from .expr import continuity_probe
 from .hull import (
+    BISECT_TOL,
+    RANK_TOL,
+    RECON_TOL,
     CurveSystem,
     caratheodory_finite,
+    merge_coincident,
     polish_combination,
     reduce_on_curve,
 )
@@ -61,7 +69,6 @@ __all__ = [
     "VerificationReport",
     "affine_rank",
     "discretize_hull_point",
-    "interiority_check",
     "synthesize_rule",
     "verify_rule",
     "rule_from_json",
@@ -72,10 +79,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SynthesisConfig:
+    """Tolerances and budgets of the pipeline; every field must be positive."""
+
     tol: float = 1e-10              # integration tolerance (relative)
-    recon_tol: float = 1e-9         # hull reconstruction gate
-    rank_tol: float = 1e-10         # singular-value rank threshold
-    bisect_tol: float = 1e-13       # crossing bisection, in t
+    recon_tol: float = RECON_TOL    # hull reconstruction gate
+    rank_tol: float = RANK_TOL      # singular-value rank threshold
+    bisect_tol: float = BISECT_TOL  # crossing bisection, in t
     correction_tol: float = 1e-11   # discretization correction gate
     residual_gate: float = 1e-8     # final per-function exactness gate
     grid0: int = 128                # initial discretization cells
@@ -83,6 +92,16 @@ class SynthesisConfig:
     polish_target: float = 1e-12
     polish_max_iter: int = 200
     probe_points: int = 512
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value > 0):
+                raise SchemaError(f"{f.name} must be finite and > 0, got {value}")
+        if self.grid_cap < self.grid0:
+            raise SchemaError(f"grid_cap {self.grid_cap} is below grid0 {self.grid0}")
+        if self.probe_points < 2:
+            raise SchemaError("probe_points must be at least 2")
 
 
 @dataclass(frozen=True)
@@ -210,27 +229,6 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, working: IntervalSpec | None
     )
 
 
-def interiority_check(points, weights, J, mu_total: float, tol: float = 1e-9) -> str:
-    """Classify the normalized integral vector against the sampled hull.
-
-    ``points`` are curve values (one row per sample), ``weights`` their
-    masses.  Returns ``"interior"`` or ``"boundary"``: the vector is on the
-    boundary exactly when the mass-weighted centered samples drop rank,
-    which is the hyperplane witness of an affine dependence.
-    """
-    points = np.asarray(points, dtype=float)
-    weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    mean = np.asarray(J, dtype=float) / mu_total
-    mask = weights > 0.0
-    if int(mask.sum()) < points.shape[1] + 1:
-        return "boundary"
-    xc = (points[mask] - mean) * np.sqrt(weights[mask] / weights[mask].sum())[:, None]
-    s = np.linalg.svd(xc, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= tol * s[0]:
-        return "boundary"
-    return "interior"
-
-
 def _nonneg_correction(x, w0, target, tol):
     """Minimum-norm non-negative adjustment so the combination hits target.
 
@@ -310,13 +308,7 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J, grid: int,
         if atom_locs.size:
             params = np.concatenate([params, atom_locs])
             masses = np.concatenate([masses, atom_masses])
-        order = np.argsort(params, kind="stable")
-        params, masses = params[order], masses[order]
-        uniq, inverse = np.unique(params, return_inverse=True)
-        if uniq.size != params.size:
-            merged = np.zeros(uniq.size)
-            np.add.at(merged, inverse, masses)
-            params, masses = uniq, merged
+        params, masses = merge_coincident(params, masses)
         keep = masses > 0.0
         params, masses = params[keep], masses[keep]
         nu = masses / math.fsum(masses)
@@ -448,13 +440,7 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
                 break
             nodes, lam = nodes[~drop], lam[~drop]
 
-    order = np.argsort(nodes, kind="stable")
-    nodes, lam = nodes[order], lam[order]
-    uniq, inverse = np.unique(nodes, return_inverse=True)
-    if uniq.size != nodes.size:
-        merged = np.zeros(uniq.size)
-        np.add.at(merged, inverse, lam)
-        nodes, lam = uniq, merged
+    nodes, lam = merge_coincident(nodes, lam)
     lam = _refit_weights(curve.evaluate(nodes), j_vals, mu, lam)
 
     mass_ok = abs(math.fsum(lam) - mu) <= 1e-10 * mu
@@ -497,12 +483,8 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     """
     cfg = config or SynthesisConfig()
     mu = total_mass(m, cfg.tol)
-    if m.interval.is_compact:
-        working = m.interval
-        j_vals = integrate_system(m, curve, cfg.tol).values
-    else:
-        ivec, working = exhaust_interval(m, curve, cfg.tol)
-        j_vals = ivec.values
+    ivec, working = exhaust_interval(m, curve, cfg.tol)
+    j_vals = ivec.values
     for comp in curve.components:
         continuity_probe(comp, working.lower, working.upper)
     try:
@@ -551,37 +533,28 @@ def rule_to_json(rule: QuadratureRule) -> dict:
 
 
 def rule_from_json(obj) -> QuadratureRule:
-    if not isinstance(obj, dict):
-        raise SchemaError("rule must be an object")
-    unknown = set(obj) - {"nodes", "weights", "total", "residuals", "rank_used"}
-    if unknown:
-        raise SchemaError(f"unknown field(s) {sorted(unknown)} in rule")
-    try:
-        return QuadratureRule(
-            nodes=np.asarray(obj["nodes"], dtype=float),
-            weights=np.asarray(obj["weights"], dtype=float),
-            total=float(obj["total"]),
-            residuals=np.asarray(obj.get("residuals", []), dtype=float),
-            rank_used=int(obj.get("rank_used", len(obj["nodes"]))),
-        )
-    except KeyError as exc:
-        raise SchemaError(f"rule is missing field {exc.args[0]!r}") from None
+    check_fields(obj, "rule",
+                 {"nodes": numbers, "weights": numbers, "total": number,
+                  "residuals": numbers, "rank_used": integer},
+                 optional=("residuals", "rank_used"))
+    return QuadratureRule(
+        nodes=np.asarray(obj["nodes"], dtype=float),
+        weights=np.asarray(obj["weights"], dtype=float),
+        total=float(obj["total"]),
+        residuals=np.asarray(obj.get("residuals", []), dtype=float),
+        rank_used=obj.get("rank_used", len(obj["nodes"])),
+    )
 
 
-_CONFIG_FIELDS = {f: None for f in SynthesisConfig.__dataclass_fields__}
+# JSON kind of each tolerance field, from the type of its default
+_CONFIG_KINDS = {f.name: integer if isinstance(f.default, int) else number
+                 for f in fields(SynthesisConfig)}
 
 
 def config_from_json(obj, base: SynthesisConfig | None = None) -> SynthesisConfig:
     base = base or SynthesisConfig()
     if obj is None:
         return base
-    if not isinstance(obj, dict):
-        raise SchemaError("tolerances must be an object")
-    unknown = set(obj) - set(_CONFIG_FIELDS)
-    if unknown:
-        raise SchemaError(f"unknown tolerance field(s) {sorted(unknown)}")
-    kwargs = {}
-    for key, value in obj.items():
-        current = getattr(base, key)
-        kwargs[key] = type(current)(value)
-    return replace(base, **kwargs)
+    check_fields(obj, "tolerances", _CONFIG_KINDS, optional=_CONFIG_KINDS)
+    return replace(base, **{key: type(getattr(base, key))(value)
+                            for key, value in obj.items()})

@@ -12,6 +12,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 import json
 import math
 import time
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -225,7 +226,7 @@ def criterion_6_gruss_tightness():
         ok = ok and case_ok
         cases.append({"covariance": report.covariance, "bound": report.bound,
                       "slack": report.slack, "ok": case_ok})
-    return {"tight_case": tight.to_json(), "cases": cases, "pass": bool(ok)}
+    return {"tight_case": asdict(tight), "cases": cases, "pass": bool(ok)}
 
 
 def criterion_7_degeneracy_handling():

@@ -191,3 +191,37 @@ class TestChebyshevCommand:
         assert code == 0
         assert out1 == out2
         assert json.loads(out1)["seed"] == 7
+
+
+def _with(obj, **changes):
+    return {**obj, **changes}
+
+
+_SYNTH = {"functions": ["t"], "measure": UNIT_MEASURE}
+_INTERVAL = UNIT_MEASURE["interval"]
+
+
+@pytest.mark.parametrize("command, problem, flags", [
+    ("synthesize", _with(_SYNTH, tolerances={"tol": "abc"}), []),
+    ("synthesize", _with(_SYNTH, tolerances={"tol": -1}), []),
+    ("synthesize", _with(_SYNTH, tolerances={"probe_points": 0}), []),
+    ("synthesize", _with(_SYNTH, tolerances={"grid0": 128.5}), []),
+    ("synthesize", _with(_SYNTH, measure=_with(
+        UNIT_MEASURE, atoms=[{"t": "x", "mass": 1.0}])), []),
+    ("synthesize", _with(_SYNTH, measure=_with(
+        UNIT_MEASURE, interval=_with(_INTERVAL, lower=True, upper=2))), []),
+    ("reduce", {"functions": [1, "t"], "interval": _INTERVAL,
+                "combination": {"params": [0.2, 0.8], "weights": [0.5, 0.5],
+                                "total": 1.0}}, []),
+    ("covwitness", {"f": 1, "g": "t", "measure": UNIT_MEASURE}, []),
+    ("gruss-discrete", {"p": ["a"], "u": [0], "v": [0]}, []),
+    ("chebyshev-test", {"functions": ["1", "t"], "interval": _INTERVAL},
+     ["--trials", "0"]),
+], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-fraction",
+        "atom-t-string", "lower-boolean", "reduce-function-number",
+        "covwitness-f-number", "gruss-discrete-p-string", "trials-zero"])
+def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
+    code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[0])["kind"] == "schema"

@@ -19,6 +19,7 @@ from exactquad.hull import (
     caratheodory_finite,
     coords,
     first_zero_crossing,
+    merge_coincident,
     polish_combination,
     reduce_on_curve,
 )
@@ -301,6 +302,18 @@ class TestReduceOnCurve:
         comb = ConvexCombination(params=ts, weights=w, total=total)
         out = reduce_on_curve(curve, comb, v)
         assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
+
+
+def test_merge_coincident_sums_repeated_parameters():
+    params = np.array([0.5, 0.1, 0.5, 0.9, 0.1, 0.5])
+    weights = np.array([0.25, 0.125, 0.5, 1.0, 2.0, 4.0])
+    points = np.column_stack([params, params ** 2])
+    p, w, pts = merge_coincident(params, weights, points)
+    assert list(p) == [0.1, 0.5, 0.9] and np.all(np.diff(p) > 0)
+    assert list(w) == [0.125 + 2.0, 0.25 + 0.5 + 4.0, 1.0]
+    assert np.array_equal(pts, np.column_stack([p, p ** 2]))
+    p2, w2 = merge_coincident(params, weights)
+    assert np.array_equal(p2, p) and np.array_equal(w2, w)
 
 
 def _random_curve(rng, n):

@@ -47,6 +47,7 @@ class TestIntervalSpec:
         iv = IntervalSpec(0, 1, lower_open=True)
         assert not iv.contains(0.0)
         assert iv.contains(1.0) and iv.contains(0.5)
+        assert not iv.contains(math.nan)
 
 
 class TestTotalMass:

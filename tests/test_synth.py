@@ -19,7 +19,6 @@ from exactquad.synth import (
     affine_rank,
     config_from_json,
     discretize_hull_point,
-    interiority_check,
     rule_from_json,
     rule_to_json,
     synthesize_rule,
@@ -140,28 +139,6 @@ class TestDiscretize:
         cfg = SynthesisConfig(grid_cap=512)
         with pytest.raises(DiscretizationError):
             discretize_hull_point(c, UNIT, np.array([2.0]), 8, config=cfg)
-
-
-class TestInteriority:
-    def test_moment_curve_interior(self):
-        c = curve("t", "t^2")
-        ts = np.linspace(0, 1, 201)
-        verdict = interiority_check(c.evaluate(ts), np.full(201, 1 / 201),
-                                    np.array([0.5, 1 / 3]), 1.0)
-        assert verdict == "interior"
-
-    def test_collinear_curve_boundary(self):
-        c = curve("t", "2*t")
-        ts = np.linspace(0, 1, 201)
-        verdict = interiority_check(c.evaluate(ts), np.full(201, 1 / 201),
-                                    np.array([0.5, 1.0]), 1.0)
-        assert verdict == "boundary"
-
-    def test_single_atom_boundary(self):
-        c = curve("t", "t^2")
-        x = c.evaluate(np.array([0.3]))
-        verdict = interiority_check(x, np.array([1.0]), x[0], 1.0)
-        assert verdict == "boundary"
 
 
 class TestSynthesize:
