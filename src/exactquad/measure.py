@@ -4,9 +4,12 @@ A measure is a non-negative density (an :class:`~exactquad.expr.Expression`
 in ``t``) plus a finite list of point atoms, on an interval that may be
 open or infinite.  Integration over a compact interval uses interval
 bisection with an embedded Gauss 7/15 pair per panel (the error estimate
-is the difference of the pair); open or infinite intervals are reduced to
-compact ones by a geometric exhaustion schedule and the integrals over the
-nested compacts are driven to stability.
+is the difference of the pair).  Open or infinite intervals are reduced to
+compact ones by a geometric schedule of nested windows, driven to
+stability by :func:`exhaust`; each window adds the integrals over its two
+new shells to those of the window inside it, so the adaptive panels always
+start at the scale of the shell.  All four public integrators run on the
+one private integrator ``_integrals``.
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -277,21 +280,27 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
 def _integrals(m: MeasureSpec, components, tol):
     """Integrals of ``components`` against ``m``: ``(values, errors, window)``.
 
-    Atom contributions are exact sums over the atoms inside the window.
+    Each larger window adds only its two new shells to the density
+    integral of the window inside it.  Integrating a large window from
+    scratch would start from panels far wider than the density's scale,
+    whose nodes can all miss the mass.  Atom contributions are exact sums
+    over the atoms inside the window.
     """
     n = len(components)
     vec = _system_vec_fn(m, components) if m.density is not None else None
-    errs = np.zeros(n)
+    dens, errs = np.zeros(n), np.zeros(n)
 
     def on_window(window, inner):
-        nonlocal errs
-        vals = np.zeros(n)
+        nonlocal dens, errs
         if vec is not None:
-            vals, errs = _integrate_compact(vec, window.lower, window.upper,
-                                            tol, n)
+            pieces = ([(window.lower, window.upper)] if inner is None else
+                      [(window.lower, inner.lower), (inner.upper, window.upper)])
+            for a, b in pieces:
+                vals, err = _integrate_compact(vec, a, b, tol, n)
+                dens, errs = dens + vals, errs + err
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
-        return vals + np.array(
+        return dens + np.array(
             [math.fsum(mass * comp(loc) for loc, mass in inside)
              for comp in components]
         )

@@ -60,6 +60,14 @@ class TestTotalMass:
     def test_atom_sum_exact(self):
         assert total_mass(ATOMS) == 1.0
 
+    def test_open_exponential_tail_keeps_its_mass(self):
+        # the open end keeps the windows growing to 2^33 and more, far
+        # past the scale of exp(-t); only the new shells are integrated
+        m = MeasureSpec(IntervalSpec(0, math.inf, lower_open=True),
+                        density=parse("exp(-t)"))
+        assert total_mass(m) == pytest.approx(1.0, abs=1e-9)
+        assert integrate(m, parse("t")) == pytest.approx(1.0, abs=1e-9)
+
     def test_divergent_mass(self):
         bad = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1/t"))
         with pytest.raises(DivergentMassError):
