@@ -9,7 +9,7 @@ combination of at most n curve points), and applies them to covariance
 representations and Gruss-type covariance bounds.
 """
 
-from . import cli, errors
+from . import cli, errors  # exactquad.cli resolves after "import exactquad"
 from .expr import Expression, continuity_probe, evaluate, parse
 from .measure import (
     IntegralVector,

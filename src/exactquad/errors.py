@@ -9,6 +9,8 @@ scalar types of a JSON input object, so every malformed input becomes a
 
 from __future__ import annotations
 
+import sys
+
 
 class ExactQuadError(Exception):
     """Base class for all library failures."""
@@ -97,14 +99,17 @@ class WeightNormalizationError(ExactQuadError):
 # --- JSON input checks ------------------------------------------------------
 # Kinds for :func:`check_fields`: predicates on a decoded JSON value.  JSON
 # booleans decode to ``bool``, a subclass of ``int``, so they are excluded
-# from the numeric kinds explicitly.
-
-def number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
+# from the numeric kinds explicitly, and an integer literal too long for a
+# float would overflow on conversion.
 
 def integer(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    """An integer that converts to a finite float."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
+def number(value) -> bool:
+    return isinstance(value, float) or integer(value)
 
 
 def boolean(value) -> bool:

@@ -240,21 +240,16 @@ def _extrema(fn, m: MeasureSpec):
     return float(lo_val), float(hi_val)
 
 
+def _gruss_report(cov, m_f, big_f, m_g, big_g) -> GrussReport:
+    bound = 0.25 * (big_f - m_f) * (big_g - m_g)
+    return GrussReport(covariance=cov, m_f=m_f, M_f=big_f, m_g=m_g, M_g=big_g,
+                       bound=bound, slack=bound - abs(cov))
+
+
 def gruss_check(f: Expression, g: Expression, m: MeasureSpec) -> GrussReport:
     """Covariance bound report: |Cov| <= (1/4)(M_f - m_f)(M_g - m_g)."""
     cov = covariance(f, g, m)
-    m_f, big_f = _extrema(f, m)
-    m_g, big_g = _extrema(g, m)
-    bound = 0.25 * (big_f - m_f) * (big_g - m_g)
-    return GrussReport(
-        covariance=cov,
-        m_f=m_f,
-        M_f=big_f,
-        m_g=m_g,
-        M_g=big_g,
-        bound=bound,
-        slack=bound - abs(cov),
-    )
+    return _gruss_report(cov, *_extrema(f, m), *_extrema(g, m))
 
 
 def gruss_discrete(p, u, v) -> GrussReport:
@@ -282,15 +277,5 @@ def gruss_discrete(p, u, v) -> GrussReport:
     e_v = math.fsum(p * v)
     e_uv = math.fsum(p * u * v)
     cov = e_uv - e_u * e_v
-    m_u, big_u = float(np.min(u)), float(np.max(u))
-    m_v, big_v = float(np.min(v)), float(np.max(v))
-    bound = 0.25 * (big_u - m_u) * (big_v - m_v)
-    return GrussReport(
-        covariance=cov,
-        m_f=m_u,
-        M_f=big_u,
-        m_g=m_v,
-        M_g=big_v,
-        bound=bound,
-        slack=bound - abs(cov),
-    )
+    return _gruss_report(cov, float(np.min(u)), float(np.max(u)),
+                         float(np.min(v)), float(np.max(v)))

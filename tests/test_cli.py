@@ -210,6 +210,8 @@ _INTERVAL = UNIT_MEASURE["interval"]
         UNIT_MEASURE, atoms=[{"t": "x", "mass": 1.0}])), []),
     ("synthesize", _with(_SYNTH, measure=_with(
         UNIT_MEASURE, interval=_with(_INTERVAL, lower=True, upper=2))), []),
+    ("synthesize", _with(_SYNTH, measure=_with(
+        UNIT_MEASURE, interval=_with(_INTERVAL, upper=10 ** 400))), []),
     ("reduce", {"functions": [1, "t"], "interval": _INTERVAL,
                 "combination": {"params": [0.2, 0.8], "weights": [0.5, 0.5],
                                 "total": 1.0}}, []),
@@ -218,7 +220,8 @@ _INTERVAL = UNIT_MEASURE["interval"]
     ("chebyshev-test", {"functions": ["1", "t"], "interval": _INTERVAL},
      ["--trials", "0"]),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-fraction",
-        "atom-t-string", "lower-boolean", "reduce-function-number",
+        "atom-t-string", "lower-boolean", "upper-overflows-float",
+        "reduce-function-number",
         "covwitness-f-number", "gruss-discrete-p-string", "trials-zero"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
