@@ -12,6 +12,7 @@ Subcommands: ``synthesize``, ``reduce``, ``covwitness``, ``gruss``,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -59,11 +60,28 @@ def _functions_and_measure(obj, **extra):
 
 
 def _apply_flags(cfg, args):
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         cfg = config_from_json({"tol": args.tol}, cfg)
-    if getattr(args, "grid", None) is not None:
+    if args.grid is not None:
         cfg = config_from_json({"grid0": args.grid}, cfg)
     return cfg
+
+
+def _tolerance_kwargs(obj, keywords):
+    """Keyword arguments from the optional ``tolerances`` block.
+
+    ``keywords`` maps each tolerance the command honours to the keyword
+    that receives it.  Values are checked like a synthesis configuration;
+    a tolerance the command would ignore is a schema error.
+    """
+    tols = obj.get("tolerances")
+    cfg = config_from_json(tols)
+    tols = tols or {}
+    unused = sorted(set(tols) - set(keywords))
+    if unused:
+        raise SchemaError(f"tolerance(s) {unused} have no effect on this "
+                          f"command; it honours {sorted(keywords)}")
+    return {keywords[key]: getattr(cfg, key) for key in tols}
 
 
 def _cmd_synthesize(obj, args):
@@ -80,7 +98,8 @@ def _cmd_synthesize(obj, args):
 def _cmd_verify(obj, args):
     curve, m = _functions_and_measure(obj, rule=None)
     rule = rule_from_json(obj["rule"])
-    report = verify_rule(rule, curve, m)
+    report = verify_rule(rule, curve, m, **_tolerance_kwargs(
+        obj, {"tol": "tol", "residual_gate": "gate"}))
     note = ("rule verifies: max relative residual "
             f"{float(np.max(report.relative_residuals)):.3e}"
             if report.passed else "rule FAILS verification")
@@ -97,16 +116,16 @@ def _cmd_reduce(obj, args):
     comb = combination_from_json(obj["combination"])
     points = curve.evaluate(comb.params)
     v = comb.weights @ points / comb.total
-    reduced = reduce_on_curve(curve, comb, v)
+    reduced = reduce_on_curve(curve, comb, v, **_tolerance_kwargs(
+        obj, {key: key for key in ("recon_tol", "rank_tol", "bisect_tol")}))
     note = f"reduced {len(comb)} support points to {len(reduced)}"
     return combination_to_json(reduced), note
 
 
-_STATS_FIELDS = {"f": string, "g": string, "measure": None, "tolerances": None}
-
-
 def _cmd_covwitness(obj, args):
-    check_fields(obj, "problem", _STATS_FIELDS, optional=("tolerances",))
+    check_fields(obj, "problem",
+                 {"f": string, "g": string, "measure": None, "tolerances": None},
+                 optional=("tolerances",))
     m = measure_from_json(obj["measure"])
     cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, cfg)
@@ -116,7 +135,7 @@ def _cmd_covwitness(obj, args):
 
 
 def _cmd_gruss(obj, args):
-    check_fields(obj, "problem", _STATS_FIELDS, optional=("tolerances",))
+    check_fields(obj, "problem", {"f": string, "g": string, "measure": None})
     m = measure_from_json(obj["measure"])
     r = gruss_check(parse_expr(obj["f"]), parse_expr(obj["g"]), m)
     note = f"|covariance| {abs(r.covariance):.6g} <= bound {r.bound:.6g}"
@@ -154,6 +173,11 @@ _COMMANDS = {
 }
 
 
+# subcommands whose synthesis configuration --tol and --grid override
+_CONFIG_COMMANDS = ("synthesize", "covwitness")
+
+
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="exactquad",
@@ -164,10 +188,11 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("problem", help="path to a JSON problem file, or - for stdin")
-        p.add_argument("--tol", type=float, default=None,
-                       help="integration tolerance override")
-        p.add_argument("--grid", type=int, default=None,
-                       help="initial discretization grid override")
+        if name in _CONFIG_COMMANDS:
+            p.add_argument("--tol", type=float, default=None,
+                           help="integration tolerance override")
+            p.add_argument("--grid", type=int, default=None,
+                           help="initial discretization grid override")
         if name == "chebyshev-test":
             p.add_argument("--trials", type=int, default=200)
             p.add_argument("--seed", type=int, default=0)

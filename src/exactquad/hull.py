@@ -11,6 +11,11 @@ and produces at most n curve points with the same total weight and the
 same weighted sum: it rebuilds coordinates in the barycentric frame rooted
 at the target, slides the parameter from the smallest support point until
 one coordinate first crosses zero, and reweights the remaining points.
+The crossing is found on a uniform grid and then narrowed by
+``refine_bracket``, which probes 63 interior points of the bracket per
+vectorized call and keeps the cell ending at the first sign change; the
+vanishing coordinate's index is read from that probe's coordinate row.
+``stats.covariance_witness`` narrows its bracket the same way.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
 the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
@@ -60,6 +65,7 @@ BISECT_TOL = 1e-13
 ZERO_TOL = 1e-11
 CROSSING_GRID = 4096
 CROSSING_GRID_CAP = 2**20
+REFINE_POINTS = 63  # interior points per batched bracket-refinement round
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,6 +386,36 @@ def caratheodory_finite(points, weights, target, params=None,
     return ConvexCombination(params=out_params, weights=w_out, total=total)
 
 
+def refine_bracket(probe, lo: float, hi: float, hi_info, done):
+    """Narrow ``[lo, hi]`` to the first parameter where ``probe`` hits.
+
+    ``probe(ts)`` takes an increasing array of parameters and returns
+    ``(hits, info)``: a boolean array, False before the crossing and True
+    at or past it, and per-point data indexable like ``ts``.  ``lo`` must
+    not hit and ``hi`` must, with ``hi_info`` its data.  Each round probes
+    ``REFINE_POINTS`` evenly spaced interior points in one call and keeps
+    the cell that ends at the first hit, so the bracket shrinks
+    ``REFINE_POINTS + 1``-fold per call.  Rounds stop when
+    ``done(lo, hi, hi_info)`` holds or no float lies strictly inside.
+    Returns ``(hi, hi_info)``.
+    """
+    while not done(lo, hi, hi_info):
+        ts = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+        ts = ts[(ts > lo) & (ts < hi)]
+        if ts.size == 0:
+            break
+        hits, info = probe(ts)
+        first = np.flatnonzero(hits)
+        if first.size == 0:
+            lo = float(ts[-1])
+            continue
+        i = int(first[0])
+        if i > 0:
+            lo = float(ts[i - 1])
+        hi, hi_info = float(ts[i]), info[i]
+    return hi, hi_info
+
+
 def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
                         t0: float, t_stop: float,
                         bisect_tol: float = BISECT_TOL):
@@ -387,24 +423,32 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
 
     Requires all coordinates of ``x(t0) - origin`` negative and a crossing
     before ``t_stop`` (guaranteed when the frame was built from curve
-    points at parameters > t0 carrying positive weight).  Returns
-    ``(t_bar, k)`` where k is the 0-based index of the vanishing
-    coordinate; ties pick the smallest index.
+    points at parameters > t0 carrying positive weight).  A uniform grid of
+    ``CROSSING_GRID`` cells, doubled up to ``CROSSING_GRID_CAP``, finds the
+    first cell where the largest coordinate g(t) turns non-negative, and
+    :func:`refine_bracket` narrows that cell with batched rounds until it
+    is ``bisect_tol`` wide (relative) with g(hi) <= ``ZERO_TOL``, or a few
+    ulps wide.  Returns ``(t_bar, k)`` where k is the 0-based index of the
+    vanishing coordinate, read from the coordinate row that met g >= 0 in
+    its batch (a scalar re-solve can differ by more than ``ZERO_TOL`` on an
+    ill-conditioned frame); ties pick the smallest index.
     """
     p0 = coords(frame, curve.evaluate(t0)[0])
     if p0.max() >= -ZERO_TOL:
         return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0])
     scale_t = max(1.0, abs(t0), abs(t_stop))
 
+    def probe(ts):
+        rows = coords(frame, curve.evaluate(ts))
+        return rows.max(axis=1) >= 0.0, rows
+
     m = CROSSING_GRID
-    lo_t, hi_t = None, None
     while True:
         ts = np.linspace(t0, t_stop, m + 1)
-        g = coords(frame, curve.evaluate(ts)).max(axis=1)
-        hits = np.flatnonzero(g >= 0.0)
-        if hits.size:
-            i = int(hits[0])
-            lo_t, hi_t = float(ts[i - 1]), float(ts[i])
+        hits, rows = probe(ts)
+        first = np.flatnonzero(hits)
+        if first.size:
+            i = int(first[0])
             break
         if m >= CROSSING_GRID_CAP:
             raise NoCrossingError(
@@ -413,21 +457,15 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
             )
         m *= 2
 
-    def g_at(t: float) -> float:
-        return float(coords(frame, curve.evaluate(t)[0]).max())
-
     width_floor = 8.0 * np.finfo(float).eps * scale_t
-    while hi_t - lo_t > width_floor and (
-        hi_t - lo_t > bisect_tol * scale_t or g_at(hi_t) > ZERO_TOL
-    ):
-        mid = 0.5 * (lo_t + hi_t)
-        if g_at(mid) >= 0.0:
-            hi_t = mid
-        else:
-            lo_t = mid
-    p = coords(frame, curve.evaluate(hi_t)[0])
-    k = int(np.flatnonzero(p >= -ZERO_TOL)[0])
-    return float(hi_t), k
+
+    def done(lo, hi, row):
+        return hi - lo <= width_floor or (
+            hi - lo <= bisect_tol * scale_t and row.max() <= ZERO_TOL)
+
+    hi_t, row = refine_bracket(probe, float(ts[i - 1]), float(ts[i]),
+                               rows[i], done)
+    return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0])
 
 
 def _clip_bounds(iv: IntervalSpec):

@@ -9,11 +9,11 @@ witness pair is built constructively: a two-node exact rule for the system
 
     Cov = lambda (1 - lambda) (f(t1) - f(t2)) (g(t1) - g(t2)),
 
-and a bisection along the curve parameter moves the second node until the
-factor lambda(1 - lambda) is replaced by its maximal value 1/4.  The
-covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows with
-function extrema over the interval, and a discrete sequence version falls
-out by using an atomic measure.
+and a batched bracket refinement along the curve parameter moves the second
+node until the factor lambda(1 - lambda) is replaced by its maximal value
+1/4.  The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then
+follows with function extrema over the interval, and a discrete sequence
+version falls out by using an atomic measure.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     WeightNormalizationError,
 )
 from .expr import Expression
-from .hull import CurveSystem
+from .hull import CurveSystem, refine_bracket
 from .measure import MeasureSpec, exhaust, integrate_system, total_mass
 from .synth import SynthesisConfig, synthesize_rule
 
@@ -114,8 +114,10 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
 
     Zero covariance returns t1 = t2.  Otherwise a two-node exact rule for
     ((f - Ef)(g - Eg), f) supplies nodes satisfying the lambda(1 - lambda)
-    identity, and a bisection between them (t1 held fixed) locates the
-    point where the product gap reaches 4 Cov, which exists by continuity.
+    identity.  With t1 held fixed, batched rounds of
+    :func:`~exactquad.hull.refine_bracket` on [t1, t2] locate the point
+    where the product gap reaches 4 Cov, which exists by continuity; a
+    point whose gap is within 1e-11 (relative) of 4 Cov ends the search.
     A failed bracket is reported as an error, never patched.
     """
     cfg = config or SynthesisConfig()
@@ -153,12 +155,12 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     # move the second point until the gap h(s) = (f(t1)-f(s))(g(t1)-g(s))
     # grows from 0 to 4 Cov; h(t2) = Cov / (lam (1 - lam)) overshoots it
     sign = 1.0 if cov > 0 else -1.0
+    f1, g1 = f(t1), g(t1)
 
-    def psi(s: float) -> float:
-        return sign * (gap(t1, s) - 4.0 * cov)
+    def psi(s):
+        return sign * ((f1 - f(s)) * (g1 - g(s)) - 4.0 * cov)
 
-    a, b = t1, t2
-    psi_b = psi(b)
+    psi_b = psi(t2)
     if psi_b < 0.0:
         raise NonConvergenceError(
             "witness bracket failed: the two-node gap does not cover 4*Cov "
@@ -166,21 +168,20 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
         )
     tol_phi = 1e-11 * (1.0 + 4.0 * abs(cov))
     width_floor = 8.0 * np.finfo(float).eps * max(1.0, abs(t1), abs(t2))
-    while abs(b - a) > width_floor:
-        mid = 0.5 * (a + b)
-        val = psi(mid)
-        if abs(val) <= tol_phi:
-            b = mid
-            break
-        if val >= 0.0:
-            b = mid
-        else:
-            a = mid
-    s_star = b
+
+    def probe(ss):
+        # a point with |psi| <= tol_phi ends the search there
+        vals = psi(ss)
+        return (vals >= 0.0) | (np.abs(vals) <= tol_phi), vals
+
+    def done(a, b, psi_hi):
+        return b - a <= width_floor or abs(psi_hi) <= tol_phi
+
+    s_star, _ = refine_bracket(probe, t1, t2, psi_b, done)
     product_gap = 0.25 * gap(t1, s_star)
     if abs(product_gap - cov) > 1e-8 * (1.0 + abs(cov)):
         raise NonConvergenceError(
-            f"witness bisection left a gap of {abs(product_gap - cov):.3e}; "
+            f"witness search left a gap of {abs(product_gap - cov):.3e}; "
             "continuity assumptions look violated"
         )
     return CovarianceWitness(t1=t1, t2=float(s_star), covariance=cov,

@@ -84,7 +84,7 @@ class SynthesisConfig:
     tol: float = 1e-10              # integration tolerance (relative)
     recon_tol: float = RECON_TOL    # hull reconstruction gate
     rank_tol: float = RANK_TOL      # singular-value rank threshold
-    bisect_tol: float = BISECT_TOL  # crossing bisection, in t
+    bisect_tol: float = BISECT_TOL  # crossing bracket width, in t
     correction_tol: float = 1e-11   # discretization correction gate
     residual_gate: float = 1e-8     # final per-function exactness gate
     grid0: int = 128                # initial discretization cells

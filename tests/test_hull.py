@@ -23,7 +23,9 @@ from exactquad.hull import (
     polish_combination,
     reduce_on_curve,
 )
-from exactquad.measure import IntervalSpec
+from exactquad.expr import parse
+from exactquad.measure import IntervalSpec, MeasureSpec, integrate_system
+from exactquad.synth import synthesize_rule
 
 
 def reconstruction_gap(comb, params, pts, target):
@@ -225,6 +227,26 @@ class TestFirstZeroCrossing:
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2e-6
 
+    def test_refinement_is_batched(self, monkeypatch):
+        # one call for t0, one per grid scan and one per refinement round;
+        # scalar bisection from the 4096-cell grid took 35 calls here
+        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+        ts = np.array([0.05, 0.5, 0.95])
+        x = curve.evaluate(ts)
+        frame = build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
+        calls = 0
+        evaluate = CurveSystem.evaluate
+
+        def counting(self, t):
+            nonlocal calls
+            calls += 1
+            return evaluate(self, t)
+
+        monkeypatch.setattr(CurveSystem, "evaluate", counting)
+        t_bar, k = first_zero_crossing(frame, curve, ts[0], ts[1])
+        assert calls <= 10
+        assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
+
 
 class TestReduceOnCurve:
     def test_scalar_mean_value(self):
@@ -302,6 +324,35 @@ class TestReduceOnCurve:
         comb = ConvexCombination(params=ts, weights=w, total=total)
         out = reduce_on_curve(curve, comb, v)
         assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
+
+
+def test_ill_conditioned_frame_keeps_the_batched_coordinates():
+    # acceptance corpus seed 20260808, problem #117: a frame with condition
+    # number ~2e8, where a scalar re-solve at the crossing misses the
+    # vanishing coordinate by 6e-11 > ZERO_TOL
+    interval = IntervalSpec(1.362644541917652, 2.6516422145861447)
+    curve = CurveSystem.from_texts([
+        "1.6965421476797595*sin(1.0*t)+1.250702542024929*cos(1.0*t)",
+        "0.5651198495632848*exp(-0.5850129241072366*t)",
+        "-1.4298504293183116*exp(0.38707677689242326*t)",
+        "0.8410274934463366*sin(2.0*t)+0.19990977262985732*cos(2.0*t)",
+        "-0.6363375964416433+0.38888011216003404*t+1.5834360865196606*t^2.0"
+        "+0.08046194338817614*t^3.0+1.4402295024589518*t^4.0",
+        "-1.7025910431733196*sin(2.0*t)+-1.3118546682880172*cos(2.0*t)",
+    ], interval)
+    m = MeasureSpec(
+        interval,
+        density=parse("(0.21477274019827375+-0.964723685860156*t"
+                      "+-0.2877084316890195*t^2.0)^2.0+0.39066117659980126"),
+        atoms=((1.7655926258369377, 0.8606186593636598),
+               (1.781984759431643, 0.2903897280012151),
+               (2.3857290709644996, 0.6999736198014517)),
+    )
+    rule = synthesize_rule(curve, m)
+    assert len(rule) <= curve.n and np.all(rule.weights >= 0.0)
+    recon = rule.weights @ curve.evaluate(rule.nodes)
+    j_ref = integrate_system(m, curve, 1e-12).values
+    assert np.max(np.abs(recon - j_ref) / (1.0 + np.abs(j_ref))) <= 1e-8
 
 
 def test_merge_coincident_sums_repeated_parameters():

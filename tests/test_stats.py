@@ -113,6 +113,26 @@ class TestCovarianceWitness:
                 w.covariance, abs=1e-8 * (1 + abs(w.covariance)))
             assert m.interval.contains(w.t1) and m.interval.contains(w.t2)
 
+    def test_refined_witness_is_tight(self):
+        # the refinement stops within 1e-11 of 4 Cov, far inside the
+        # witness's own 1e-8 acceptance check
+        rng = np.random.default_rng(20260808)
+        for _ in range(20):
+            a = float(rng.uniform(-1, 1))
+            b = a + float(rng.uniform(0.5, 2.0))
+            m = MeasureSpec(IntervalSpec(a, b),
+                            density=parse(f"({float(rng.uniform(-1, 1))!r}"
+                                          f"+{float(rng.uniform(-1, 1))!r}*t)^2"
+                                          f"+{float(rng.uniform(0.05, 1))!r}"))
+            f = parse(f"{float(rng.uniform(-1.5, 1.5))!r}*t"
+                      f"+{float(rng.uniform(-1.5, 1.5))!r}*t^3")
+            g = parse(f"sin({float(rng.uniform(0.5, 2.0))!r}*t)"
+                      f"+{float(rng.uniform(-1, 1))!r}*t^2")
+            w = covariance_witness(f, g, m)
+            assert abs(w.product_gap - w.covariance) <= (
+                1e-10 * (1 + abs(w.covariance)))
+            assert a <= w.t2 <= b
+
 
 class TestGrussContinuous:
     def test_uniform_slack(self):
