@@ -51,8 +51,7 @@ __all__ = ["run", "main"]
 def _functions_and_measure(obj, **extra):
     """Curve and measure of a problem with fields functions, measure and ``extra``."""
     check_fields(obj, "problem",
-                 {"functions": strings, "measure": None, "tolerances": None,
-                  **extra},
+                 {"functions": strings, "measure": None, **extra},
                  optional=("tolerances",))
     m = measure_from_json(obj["measure"])
     curve = CurveSystem.from_texts(obj["functions"], m.interval)
@@ -67,25 +66,8 @@ def _apply_flags(cfg, args):
     return cfg
 
 
-def _tolerance_kwargs(obj, keywords):
-    """Keyword arguments from the optional ``tolerances`` block.
-
-    ``keywords`` maps each tolerance the command honours to the keyword
-    that receives it.  Values are checked like a synthesis configuration;
-    a tolerance the command would ignore is a schema error.
-    """
-    tols = obj.get("tolerances")
-    cfg = config_from_json(tols)
-    tols = tols or {}
-    unused = sorted(set(tols) - set(keywords))
-    if unused:
-        raise SchemaError(f"tolerance(s) {unused} have no effect on this "
-                          f"command; it honours {sorted(keywords)}")
-    return {keywords[key]: getattr(cfg, key) for key in tols}
-
-
 def _cmd_synthesize(obj, args):
-    curve, m = _functions_and_measure(obj)
+    curve, m = _functions_and_measure(obj, tolerances=None)
     cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
     rule = synthesize_rule(curve, m, cfg)
     note = (f"synthesized {len(rule)}-node rule (rank {rule.rank_used}), "
@@ -98,8 +80,7 @@ def _cmd_synthesize(obj, args):
 def _cmd_verify(obj, args):
     curve, m = _functions_and_measure(obj, rule=None)
     rule = rule_from_json(obj["rule"])
-    report = verify_rule(rule, curve, m, **_tolerance_kwargs(
-        obj, {"tol": "tol", "residual_gate": "gate"}))
+    report = verify_rule(rule, curve, m)
     note = ("rule verifies: max relative residual "
             f"{float(np.max(report.relative_residuals)):.3e}"
             if report.passed else "rule FAILS verification")
@@ -108,16 +89,13 @@ def _cmd_verify(obj, args):
 
 def _cmd_reduce(obj, args):
     check_fields(obj, "problem",
-                 {"functions": strings, "interval": None, "combination": None,
-                  "tolerances": None},
-                 optional=("tolerances",))
+                 {"functions": strings, "interval": None, "combination": None})
     interval = interval_from_json(obj["interval"])
     curve = CurveSystem.from_texts(obj["functions"], interval)
     comb = combination_from_json(obj["combination"])
     points = curve.evaluate(comb.params)
     v = comb.weights @ points / comb.total
-    reduced = reduce_on_curve(curve, comb, v, **_tolerance_kwargs(
-        obj, {key: key for key in ("recon_tol", "rank_tol", "bisect_tol")}))
+    reduced = reduce_on_curve(curve, comb, v)
     note = f"reduced {len(comb)} support points to {len(reduced)}"
     return combination_to_json(reduced), note
 

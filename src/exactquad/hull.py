@@ -14,7 +14,8 @@ one coordinate first crosses zero, and reweights the remaining points.
 The crossing is found on a uniform grid and then narrowed by
 ``refine_bracket``, which probes 63 interior points of the bracket per
 vectorized call and keeps the cell ending at the first sign change; the
-vanishing coordinate's index is read from that probe's coordinate row.
+vanishing coordinate and the reweighting both come from that probe's
+coordinate row.
 ``stats.covariance_witness`` narrows its bracket the same way.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
@@ -215,7 +216,8 @@ class BarycentricFrame:
 
     origin: np.ndarray
     basis: np.ndarray  # columns are basis vectors
-    lu: tuple
+    lu: tuple          # scipy lu_factor of basis
+    perm: np.ndarray   # row order that the pivots of lu apply
 
 
 def build_frame(v, curve_points, rank_tol: float = RANK_TOL) -> BarycentricFrame:
@@ -236,18 +238,34 @@ def build_frame(v, curve_points, rank_tol: float = RANK_TOL) -> BarycentricFrame
         raise RankDeficiencyError(
             f"frame basis is rank deficient (singular values {s[0]:.3e}..{s[-1]:.3e})"
         )
-    return BarycentricFrame(origin=v, basis=basis, lu=lu_factor(basis))
+    lu, piv = lu_factor(basis)
+    perm = np.arange(n)
+    for i, j in enumerate(piv):
+        perm[[i, j]] = perm[[j, i]]
+    return BarycentricFrame(origin=v, basis=basis, lu=(lu, piv), perm=perm)
 
 
 def coords(frame: BarycentricFrame, x) -> np.ndarray:
     """Frame coordinates p with ``frame.basis @ p = x - frame.origin``.
 
     Accepts a single point (n,) or a batch (k, n); returns matching shape.
+    A batch is substituted through the triangular factors with elementwise
+    numpy on the calling thread: OpenBLAS threads every multi-column
+    ``lu_solve``, and on small batches its spinning threads slow down
+    processes that run side by side.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
         return lu_solve(frame.lu, x - frame.origin)
-    return lu_solve(frame.lu, (x - frame.origin).T).T
+    lu = frame.lu[0]
+    y = (x - frame.origin).T[frame.perm]
+    n = y.shape[0]
+    for j in range(n - 1):  # unit lower triangle
+        y[j + 1:] -= np.multiply.outer(lu[j + 1:, j], y[j])
+    for j in range(n - 1, -1, -1):  # upper triangle
+        y[j] /= lu[j, j]
+        y[:j] -= np.multiply.outer(lu[:j, j], y[j])
+    return y.T
 
 
 def _null_direction(points, target):
@@ -428,14 +446,15 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     first cell where the largest coordinate g(t) turns non-negative, and
     :func:`refine_bracket` narrows that cell with batched rounds until it
     is ``bisect_tol`` wide (relative) with g(hi) <= ``ZERO_TOL``, or a few
-    ulps wide.  Returns ``(t_bar, k)`` where k is the 0-based index of the
-    vanishing coordinate, read from the coordinate row that met g >= 0 in
-    its batch (a scalar re-solve can differ by more than ``ZERO_TOL`` on an
-    ill-conditioned frame); ties pick the smallest index.
+    ulps wide.  Returns ``(t_bar, k, p)``: p is the coordinate row of
+    x(t_bar) that met g >= 0 in its batch, and k the 0-based index of its
+    vanishing coordinate; ties pick the smallest index.  Callers use this p
+    rather than a re-solve at t_bar, which can differ by more than
+    ``ZERO_TOL`` on an ill-conditioned frame.
     """
     p0 = coords(frame, curve.evaluate(t0)[0])
     if p0.max() >= -ZERO_TOL:
-        return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0])
+        return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0
     scale_t = max(1.0, abs(t0), abs(t_stop))
 
     def probe(ts):
@@ -465,7 +484,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
 
     hi_t, row = refine_bracket(probe, float(ts[i - 1]), float(ts[i]),
                                rows[i], done)
-    return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0])
+    return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0]), row
 
 
 def _clip_bounds(iv: IntervalSpec):
@@ -650,10 +669,9 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination, v,
         keep = new_w > 0.0
         return finish(params[keep], new_w[keep], points[keep])
 
-    t_bar, k = first_zero_crossing(frame, curve, params[0], params[1],
-                                   bisect_tol=bisect_tol)
+    t_bar, k, p = first_zero_crossing(frame, curve, params[0], params[1],
+                                      bisect_tol=bisect_tol)
     x_bar = curve.evaluate(t_bar)[0]
-    p = coords(frame, x_bar)
     p[k] = 0.0
     p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
     denom = 1.0 - p.sum()

@@ -13,6 +13,7 @@ from exactquad.errors import (
 )
 from exactquad.hull import (
     RECON_TOL,
+    ZERO_TOL,
     ConvexCombination,
     CurveSystem,
     build_frame,
@@ -197,19 +198,28 @@ class TestFrame:
         batch = np.array([[0.1, 0.2], [0.3, 0.4]])
         assert coords(frame, batch) == pytest.approx(batch)
 
+    def test_batched_coords_match_single_solves_under_pivoting(self):
+        rng = np.random.default_rng(3)
+        frame = build_frame(rng.standard_normal(5),
+                            rng.standard_normal((5, 5)))
+        assert not np.array_equal(frame.perm, np.arange(5))
+        batch = rng.standard_normal((7, 5))
+        single = np.array([coords(frame, x) for x in batch])
+        assert np.max(np.abs(coords(frame, batch) - single)) <= 1e-12
+
 
 class TestFirstZeroCrossing:
     def test_affine_crossing(self):
         curve = CurveSystem.from_texts(["t-0.3", "t-1.5"], IntervalSpec(0, 1))
         frame = build_frame(np.zeros(2), np.eye(2))
-        t_bar, k = first_zero_crossing(frame, curve, 0.0, 1.0)
+        t_bar, k, _ = first_zero_crossing(frame, curve, 0.0, 1.0)
         assert t_bar == pytest.approx(0.3, abs=1e-12)
         assert k == 0
 
     def test_crossing_at_t_stop(self):
         curve = CurveSystem.from_texts(["t-1"], IntervalSpec(0, 1))
         frame = build_frame(np.zeros(1), np.array([[1.0]]))
-        t_bar, k = first_zero_crossing(frame, curve, 0.0, 1.0)
+        t_bar, k, _ = first_zero_crossing(frame, curve, 0.0, 1.0)
         assert t_bar == pytest.approx(1.0, abs=1e-12)
         assert k == 0
 
@@ -220,7 +230,7 @@ class TestFirstZeroCrossing:
         x = curve.evaluate(ts)
         v = nu @ x
         frame = build_frame(v, x[1:])
-        t_bar, _ = first_zero_crossing(frame, curve, ts[0], ts[1])
+        t_bar, _, _ = first_zero_crossing(frame, curve, ts[0], ts[1])
         # oracle: brute-force scan of the coordinate maximum at 1e6 points
         grid = np.linspace(ts[0], ts[1], 10**6 + 1)
         g = coords(frame, curve.evaluate(grid)).max(axis=1)
@@ -243,9 +253,10 @@ class TestFirstZeroCrossing:
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", counting)
-        t_bar, k = first_zero_crossing(frame, curve, ts[0], ts[1])
+        t_bar, k, p = first_zero_crossing(frame, curve, ts[0], ts[1])
         assert calls <= 10
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
+        assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
 
 
 class TestReduceOnCurve:
