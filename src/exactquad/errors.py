@@ -9,6 +9,7 @@ scalar types of a JSON input object, so every malformed input becomes a
 
 from __future__ import annotations
 
+import math
 import sys
 
 
@@ -99,8 +100,9 @@ class WeightNormalizationError(ExactQuadError):
 # --- JSON input checks ------------------------------------------------------
 # Kinds for :func:`check_fields`: predicates on a decoded JSON value.  JSON
 # booleans decode to ``bool``, a subclass of ``int``, so they are excluded
-# from the numeric kinds explicitly, and an integer literal too long for a
-# float would overflow on conversion.
+# from the numeric kinds explicitly, an integer literal too long for a
+# float would overflow on conversion, and Python's decoder accepts the
+# non-standard ``NaN`` and ``Infinity``, which no number field takes.
 
 def integer(value) -> bool:
     """An integer that converts to a finite float."""
@@ -109,7 +111,8 @@ def integer(value) -> bool:
 
 
 def number(value) -> bool:
-    return isinstance(value, float) or integer(value)
+    """A finite float, or an integer that converts to one."""
+    return (isinstance(value, float) and math.isfinite(value)) or integer(value)
 
 
 def boolean(value) -> bool:

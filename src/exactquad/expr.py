@@ -13,6 +13,9 @@ Grammar (closed, no user-defined functions)::
 ``^`` binds tightest, then unary minus, then ``* /``, then ``+ -``.
 Functions: sin cos tan exp log sqrt abs (one argument), min max (two or
 more).  There is no implicit multiplication: ``2t`` is a syntax error.
+Number literals must be finite doubles.  Trees may be ``MAX_DEPTH`` levels
+deep (``t+t+t`` and ``-(-t)`` have three), and parentheses, calls and
+exponents may nest ``MAX_DEPTH`` deep.
 
 Expressions are immutable after parsing; evaluation is side-effect free and
 follows IEEE-754 double semantics.  Evaluating outside the real domain
@@ -24,6 +27,7 @@ subexpression.  Syntax errors carry 0-based byte offsets.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -32,12 +36,22 @@ from .errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 
 __all__ = ["Expression", "parse", "evaluate", "continuity_probe"]
 
+# evaluation and printing recurse once per level, and composing parsed
+# expressions (as stats does) adds a few levels
+MAX_DEPTH = 100
+CONTINUITY_POINTS = 1024
+
 _UNARY_FUNCS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": np.tan,
     "exp": np.exp,
     "abs": np.abs,
+}
+# one-argument functions with a domain: ufunc, out-of-domain test, message
+_DOMAIN_FUNCS = {
+    "log": (np.log, lambda a: a <= 0.0, "log of a non-positive value"),
+    "sqrt": (np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
 }
 _VARIADIC_FUNCS = {"min", "max"}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
@@ -82,6 +96,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
+        self.nesting = 0  # open parentheses, calls and exponents
 
     def peek(self):
         return self.tokens[self.i]
@@ -101,11 +116,21 @@ class _Parser:
             self.fail(f"expected '{op}'")
         return self.advance()
 
+    def descend(self, tok):
+        """Open a parenthesis, call or exponent; bounds the parser's recursion."""
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            self.fail(f"expression is nested deeper than {MAX_DEPTH} levels", tok)
+
     def parse(self):
         node = self.sum()
         kind, val, _ = self.peek()
         if kind != "end":
             self.fail(f"unexpected token {val!r}")
+        # each tree level holds at least one token
+        if len(self.tokens) > MAX_DEPTH + 1 and _depth(node) > MAX_DEPTH:
+            self.fail(f"expression tree is deeper than {MAX_DEPTH} levels",
+                      self.tokens[0])
         return node
 
     def sum(self):
@@ -129,58 +154,73 @@ class _Parser:
                 return node
 
     def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.advance()
-            return ("neg", self.unary())
-        return self.power()
+        signs = []  # a loop, not recursion: a run of minus signs can be long
+        while self.peek()[:2] == ("op", "-"):
+            signs.append(self.advance())
+        node = self.power()
+        for _ in signs:
+            node = ("neg", node)
+        return node
 
     def power(self):
         base = self.atom()
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
-            self.advance()
-            return ("bin", "^", base, self.unary())
+            self.descend(self.advance())
+            base = ("bin", "^", base, self.unary())
+            self.nesting -= 1
         return base
 
     def atom(self):
-        kind, val, pos = self.peek()
+        tok = kind, val, pos = self.peek()
         if kind == "num":
             self.advance()
-            return ("num", float(val))
+            value = float(val)
+            if value == math.inf:
+                self.fail("number literal overflows a double", tok)
+            return ("num", value)
         if kind == "ident":
             self.advance()
             if val == "t":
                 return ("t",)
             if val in _CONSTANTS:
                 return ("const", val)
-            if val in _UNARY_FUNCS or val in _VARIADIC_FUNCS or val in ("log", "sqrt"):
+            if val in _UNARY_FUNCS or val in _DOMAIN_FUNCS or val in _VARIADIC_FUNCS:
                 self.expect_op("(")
+                self.descend(tok)
                 args = [self.sum()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.sum())
-                    else:
-                        break
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.sum())
                 self.expect_op(")")
+                self.nesting -= 1
                 if val in _VARIADIC_FUNCS:
                     if len(args) < 2:
-                        self.fail(f"'{val}' needs at least two arguments",
-                                  ("", "", pos))
+                        self.fail(f"'{val}' needs at least two arguments", tok)
                 elif len(args) != 1:
-                    self.fail(f"'{val}' takes exactly one argument", ("", "", pos))
+                    self.fail(f"'{val}' takes exactly one argument", tok)
                 return ("fn", val, tuple(args))
             raise UnknownIdentifierError(
                 f"unknown identifier {val!r}", _byte_offset(self.text, pos)
             )
         if kind == "op" and val == "(":
-            self.advance()
+            self.descend(self.advance())
             node = self.sum()
             self.expect_op(")")
+            self.nesting -= 1
             return node
         self.fail("expected a value" if kind == "end" else f"unexpected token {val!r}")
+
+
+def _depth(node) -> int:
+    """Depth of an expression tree, level by level rather than recursively."""
+    depth, level = 0, [node]
+    while level:
+        depth += 1
+        level = [child for n in level for child in (
+            (n[1],) if n[0] == "neg" else n[2:] if n[0] == "bin"
+            else n[2] if n[0] == "fn" else ())]
+    return depth
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -282,28 +322,17 @@ def _compile(node):
         if name in _UNARY_FUNCS:
             ufunc, fa = _UNARY_FUNCS[name], _compile(args[0])
             return lambda t: ufunc(fa(t))
-        if name == "log":
-            fa = _compile(args[0])
-            label = _pretty(node)
+        if name in _DOMAIN_FUNCS:
+            ufunc, outside, message = _DOMAIN_FUNCS[name]
+            fa, label = _compile(args[0]), _pretty(node)
 
-            def _log(t):
+            def _checked(t):
                 a = fa(t)
-                if np.any(np.asarray(a) <= 0.0):
-                    raise EvalDomainError("log of a non-positive value", label)
-                return np.log(a)
+                if np.any(outside(np.asarray(a))):
+                    raise EvalDomainError(message, label)
+                return ufunc(a)
 
-            return _log
-        if name == "sqrt":
-            fa = _compile(args[0])
-            label = _pretty(node)
-
-            def _sqrt(t):
-                a = fa(t)
-                if np.any(np.asarray(a) < 0.0):
-                    raise EvalDomainError("sqrt of a negative value", label)
-                return np.sqrt(a)
-
-            return _sqrt
+            return _checked
         fs = [_compile(a) for a in args]
         reducer = np.minimum if name == "min" else np.maximum
         sentinel = np.inf if name == "min" else -np.inf
@@ -423,13 +452,13 @@ def evaluate(e: Expression, t: float) -> float:
     return e(float(t))
 
 
-def continuity_probe(e: Expression, lower: float, upper: float, points: int = 1024):
-    """Evaluate ``e`` at Chebyshev-spaced points of ``[lower, upper]``.
+def continuity_probe(e: Expression, lower: float, upper: float):
+    """Evaluate ``e`` at ``CONTINUITY_POINTS`` Chebyshev-spaced points of
+    ``[lower, upper]``.
 
     Raises :class:`EvalDomainError` if any probe fails; returns the probe
     values otherwise.  Guards the continuity hypothesis before an
     expression is used as a quadrature input.
     """
-    j = np.arange(points, dtype=float)
-    x = 0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(np.pi * j / (points - 1))
-    return e(x)
+    theta = np.pi * np.arange(CONTINUITY_POINTS, dtype=float) / (CONTINUITY_POINTS - 1)
+    return e(0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(theta))

@@ -60,10 +60,12 @@ __all__ = [
     "combination_to_json",
 ]
 
-RECON_TOL = 1e-9
-RANK_TOL = 1e-10
-BISECT_TOL = 1e-13
-ZERO_TOL = 1e-11
+RECON_TOL = 1e-9        # reconstruction gate of the reductions, relative
+RANK_TOL = 1e-10        # singular-value rank threshold, relative
+BISECT_TOL = 1e-13      # crossing bracket width, relative to the parameter
+ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
+POLISH_TARGET = 1e-12   # relative residual at which the polish stops
+POLISH_MAX_ITER = 200   # Gauss-Newton iterations before the polish gives up
 CROSSING_GRID = 4096
 CROSSING_GRID_CAP = 2**20
 REFINE_POINTS = 63  # interior points per batched bracket-refinement round
@@ -220,12 +222,12 @@ class BarycentricFrame:
     perm: np.ndarray   # row order that the pivots of lu apply
 
 
-def build_frame(v, curve_points, rank_tol: float = RANK_TOL) -> BarycentricFrame:
+def build_frame(v, curve_points) -> BarycentricFrame:
     """Frame with origin ``v`` and basis vectors ``curve_points[j] - v``.
 
     ``curve_points`` holds n points of R^n as rows.  Raises
     :class:`RankDeficiencyError` when the basis is numerically singular
-    (smallest singular value <= ``rank_tol`` times the largest).
+    (smallest singular value <= ``RANK_TOL`` times the largest).
     """
     v = np.asarray(v, dtype=float)
     pts = np.asarray(curve_points, dtype=float)
@@ -234,7 +236,7 @@ def build_frame(v, curve_points, rank_tol: float = RANK_TOL) -> BarycentricFrame
         raise SchemaError(f"need exactly {n} points of R^{n}, got shape {pts.shape}")
     basis = (pts - v).T
     s = np.linalg.svd(basis, compute_uv=False)
-    if s[0] == 0.0 or s[-1] <= rank_tol * s[0]:
+    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficiencyError(
             f"frame basis is rank deficient (singular values {s[0]:.3e}..{s[-1]:.3e})"
         )
@@ -312,14 +314,13 @@ def _eliminate(points, weights, target, floor):
     return active
 
 
-def caratheodory_finite(points, weights, target, params=None,
-                        feas_tol: float = RECON_TOL,
-                        recon_tol: float = RECON_TOL) -> ConvexCombination:
+def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
     """Prune a combination of m points of R^n to at most n+1 support points.
 
     ``points`` is (m, n), ``weights`` non-negative with positive sum, and
     the weighted mean of the points must already reproduce ``target``
-    within ``feas_tol`` (relative); otherwise the input is infeasible.
+    within ``RECON_TOL`` (relative); otherwise the input is infeasible, and
+    the pruned combination must meet the same gate.
     ``params`` optionally maps point indices to curve parameters; when
     omitted, point indices serve as the output parameters.
 
@@ -345,10 +346,10 @@ def caratheodory_finite(points, weights, target, params=None,
         raise SchemaError("weights must have positive sum")
     feas_scale = 1.0 + float(np.max(np.abs(target)))
     gap = np.max(np.abs(weights @ points / total - target))
-    if gap > feas_tol * feas_scale:
+    if gap > RECON_TOL * feas_scale:
         raise InfeasibleCombinationError(
             f"input combination misses the target by {gap:.3e} "
-            f"(allowed {feas_tol * feas_scale:.3e})"
+            f"(allowed {RECON_TOL * feas_scale:.3e})"
         )
 
     floor = 1e-15 * total
@@ -383,7 +384,7 @@ def caratheodory_finite(points, weights, target, params=None,
     w_act = weights[active]
     if (
         np.max(np.abs(w_act @ points[active] / math.fsum(w_act) - target))
-        > recon_tol * feas_scale
+        > RECON_TOL * feas_scale
     ):
         # near-null eliminations drifted too far; the <= n+1 support stands
         weights = snapshot
@@ -393,7 +394,7 @@ def caratheodory_finite(points, weights, target, params=None,
     w_out = weights[kept]
     w_out *= total / math.fsum(w_out)
     recon = np.max(np.abs(w_out @ points[kept] / total - target))
-    if recon > recon_tol * feas_scale:
+    if recon > RECON_TOL * feas_scale:
         raise ReconstructionError(
             f"reduced combination misses the target by {recon:.3e}"
         )
@@ -435,8 +436,7 @@ def refine_bracket(probe, lo: float, hi: float, hi_info, done):
 
 
 def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
-                        t0: float, t_stop: float,
-                        bisect_tol: float = BISECT_TOL):
+                        t0: float, t_stop: float):
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
     Requires all coordinates of ``x(t0) - origin`` negative and a crossing
@@ -445,7 +445,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     ``CROSSING_GRID`` cells, doubled up to ``CROSSING_GRID_CAP``, finds the
     first cell where the largest coordinate g(t) turns non-negative, and
     :func:`refine_bracket` narrows that cell with batched rounds until it
-    is ``bisect_tol`` wide (relative) with g(hi) <= ``ZERO_TOL``, or a few
+    is ``BISECT_TOL`` wide (relative) with g(hi) <= ``ZERO_TOL``, or a few
     ulps wide.  Returns ``(t_bar, k, p)``: p is the coordinate row of
     x(t_bar) that met g >= 0 in its batch, and k the 0-based index of its
     vanishing coordinate; ties pick the smallest index.  Callers use this p
@@ -480,7 +480,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
 
     def done(lo, hi, row):
         return hi - lo <= width_floor or (
-            hi - lo <= bisect_tol * scale_t and row.max() <= ZERO_TOL)
+            hi - lo <= BISECT_TOL * scale_t and row.max() <= ZERO_TOL)
 
     hi_t, row = refine_bracket(probe, float(ts[i - 1]), float(ts[i]),
                                rows[i], done)
@@ -505,7 +505,7 @@ _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
 def polish_combination(curve: CurveSystem, params, weights, target, total,
-                       target_resid: float = 1e-12, max_iter: int = 200):
+                       target_resid: float = POLISH_TARGET):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
     Drives the residual map (sum(w_i x(t_i)) - total*target, sum(w_i) - total)
@@ -521,7 +521,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     The iteration also stops after a step that lowers the residual norm by
     less than 1%: near a rank-deficient Jacobian the residual sits in a
     weak singular direction, the damped steps crawl along it, and running
-    to ``max_iter`` would cost hundreds of evaluations for almost no gain.
+    to ``POLISH_MAX_ITER`` would cost hundreds of evaluations for almost no gain.
 
     Returns ``(params, weights, converged)``.  A ``False`` flag means the
     iteration stalled above ``target_resid``; the caller decides whether
@@ -543,7 +543,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
 
     r = residual(params, weights)
     norm = float(np.linalg.norm(r))
-    for _ in range(max_iter):
+    for _ in range(POLISH_MAX_ITER):
         if float(np.max(np.abs(r))) <= target_resid:
             return params, weights, True
         x = curve.evaluate(params)
@@ -595,22 +595,20 @@ def merge_coincident(params, weights, points=None):
     return uniq, merged, points[first]
 
 
-def _rebuild(params, weights, points, target, total, recon_tol):
+def _rebuild(params, weights, points, target, total):
     params, weights, points = merge_coincident(params, weights, points)
     weights = weights * (total / math.fsum(weights))
     scale = 1.0 + float(np.max(np.abs(target)))
     recon = np.max(np.abs(weights @ points - total * target)) / max(total, 1.0)
-    if recon > recon_tol * scale:
+    if recon > RECON_TOL * scale:
         raise ReconstructionError(
             f"reduced combination misses the target by {recon:.3e}"
         )
     return ConvexCombination(params=params, weights=weights, total=total)
 
 
-def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination, v,
-                    recon_tol: float = RECON_TOL,
-                    rank_tol: float = RANK_TOL,
-                    bisect_tol: float = BISECT_TOL) -> ConvexCombination:
+def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
+                    v) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
@@ -633,44 +631,40 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination, v,
 
     scale = 1.0 + float(np.max(np.abs(v)))
     gap = np.max(np.abs(weights @ points - total * v)) / max(total, 1.0)
-    if gap > recon_tol * scale:
+    if gap > RECON_TOL * scale:
         raise InfeasibleCombinationError(
             f"combination does not reproduce the target (off by {gap:.3e})"
         )
 
     if params.size > n + 1:
-        pruned = caratheodory_finite(points, weights, v, params=params,
-                                     recon_tol=recon_tol)
+        pruned = caratheodory_finite(points, weights, v, params=params)
         params, weights = pruned.params, pruned.weights
         points = curve.evaluate(params)
     if params.size <= n:
-        return _rebuild(params, weights, points, v, total, recon_tol)
+        return _rebuild(params, weights, points, v, total)
 
     def finish(new_params, new_weights, new_points):
         try:
-            return _rebuild(new_params, new_weights, new_points, v, total,
-                            recon_tol)
+            return _rebuild(new_params, new_weights, new_points, v, total)
         except ReconstructionError:
             # an ill-conditioned frame can leave the dropped coordinate at
             # its forward-error floor; a local Gauss-Newton solve recovers
             # the nearby exact root
-            scale = 1.0 + float(np.max(np.abs(v)))
             p2, w2, _ = polish_combination(
                 curve, new_params, new_weights, v, total,
-                target_resid=0.01 * recon_tol * scale * max(total, 1.0),
+                target_resid=0.01 * RECON_TOL * scale * max(total, 1.0),
             )
-            return _rebuild(p2, w2, curve.evaluate(p2), v, total, recon_tol)
+            return _rebuild(p2, w2, curve.evaluate(p2), v, total)
 
     try:
-        frame = build_frame(v, points[1:], rank_tol=rank_tol)
+        frame = build_frame(v, points[1:])
     except RankDeficiencyError:
         c, _, _ = _null_direction(points, v)
         new_w, _ = _shift_to_zero(weights, c)
         keep = new_w > 0.0
         return finish(params[keep], new_w[keep], points[keep])
 
-    t_bar, k, p = first_zero_crossing(frame, curve, params[0], params[1],
-                                      bisect_tol=bisect_tol)
+    t_bar, k, p = first_zero_crossing(frame, curve, params[0], params[1])
     x_bar = curve.evaluate(t_bar)[0]
     p[k] = 0.0
     p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL

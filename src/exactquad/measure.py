@@ -123,16 +123,12 @@ class MeasureSpec:
         if self.density is None and not self.atoms:
             raise SchemaError("measure needs a density or at least one atom")
 
-    def atom_mass(self) -> float:
-        return math.fsum(mass for _, mass in self.atoms)
-
 
 @dataclass(frozen=True, eq=False)
 class IntegralVector:
-    """Component integrals of a function system with per-component error estimates."""
+    """Component integrals of a function system."""
 
     values: np.ndarray
-    estimated_abs_error: np.ndarray
 
 
 def _density_callable(m: MeasureSpec):
@@ -164,9 +160,9 @@ def _panel_rule(vec_fn, lo, hi):
 
 
 def _integrate_compact(vec_fn, a, b, tol, n_out):
-    """Adaptive bisection of [a, b]; returns (totals, error_sums), each (n_out,)."""
+    """Adaptive bisection of [a, b]; returns the (n_out,) integrals."""
     if not b > a:
-        return np.zeros(n_out), np.zeros(n_out)
+        return np.zeros(n_out)
     edges = np.linspace(a, b, 9)
     lo, hi = edges[:-1], edges[1:]
     vals, errs = _panel_rule(vec_fn, lo, hi)
@@ -178,7 +174,7 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
         err_tot = errs.sum(axis=0)
         fn_tol = tol * (1.0 + np.abs(totals))
         if np.all(err_tot <= fn_tol):
-            return totals, err_tot
+            return totals
         share = (hi - lo) / (b - a)
         bad = np.any(errs > 0.5 * fn_tol[None, :] * share[:, None], axis=1)
         bad &= (hi - lo) > width_floor
@@ -250,24 +246,21 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
     schedule, and the values are accepted once two consecutive windows,
     each holding every atom, moved them by at most ``rtol * (1 + |value|)``.
 
-    Returns ``(values, change, window)``, where ``change`` is the last
-    window-to-window difference (zero for a compact interval).  Raises
-    :class:`NonConvergenceError` when the schedule runs out first.
+    Returns ``(values, window)``.  Raises :class:`NonConvergenceError` when
+    the schedule runs out first.
     """
     if m.interval.is_compact:
-        vals = on_window(m.interval, None)
-        return vals, np.zeros_like(vals), m.interval
+        return on_window(m.interval, None), m.interval
     prev = inner = None
     stable = 0
     for window in _working_windows(m.interval):
         vals = on_window(window, inner)
         covered = all(window.lower <= loc <= window.upper for loc, _ in m.atoms)
         if prev is not None and covered:
-            delta = np.abs(vals - prev)
-            if np.all(delta <= rtol * (1.0 + np.abs(vals))):
+            if np.all(np.abs(vals - prev) <= rtol * (1.0 + np.abs(vals))):
                 stable += 1
                 if stable >= 2:
-                    return vals, delta, window
+                    return vals, window
             else:
                 stable = 0
         prev, inner = vals, window
@@ -278,7 +271,7 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
 
 
 def _integrals(m: MeasureSpec, components, tol):
-    """Integrals of ``components`` against ``m``: ``(values, errors, window)``.
+    """Integrals of ``components`` against ``m``: ``(values, window)``.
 
     Each larger window adds only its two new shells to the density
     integral of the window inside it.  Integrating a large window from
@@ -288,16 +281,15 @@ def _integrals(m: MeasureSpec, components, tol):
     """
     n = len(components)
     vec = _system_vec_fn(m, components) if m.density is not None else None
-    dens, errs = np.zeros(n), np.zeros(n)
+    dens = np.zeros(n)
 
     def on_window(window, inner):
-        nonlocal dens, errs
+        nonlocal dens
         if vec is not None:
             pieces = ([(window.lower, window.upper)] if inner is None else
                       [(window.lower, inner.lower), (inner.upper, window.upper)])
             for a, b in pieces:
-                vals, err = _integrate_compact(vec, a, b, tol, n)
-                dens, errs = dens + vals, errs + err
+                dens = dens + _integrate_compact(vec, a, b, tol, n)
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
         return dens + np.array(
@@ -305,14 +297,13 @@ def _integrals(m: MeasureSpec, components, tol):
              for comp in components]
         )
 
-    vals, change, window = exhaust(m, on_window, 0.25 * tol)
-    return vals, errs + change, window
+    return exhaust(m, on_window, 0.25 * tol)
 
 
 def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
     """Total mass of the measure: density integral plus atom masses."""
     try:
-        vals, _, _ = _integrals(m, [_ONE], tol)
+        vals, _ = _integrals(m, [_ONE], tol)
     except NonConvergenceError as exc:
         raise DivergentMassError(str(exc)) from exc
     mass = float(vals[0])
@@ -323,7 +314,7 @@ def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
 
 def integrate(m: MeasureSpec, f: Expression, tol: float = DEFAULT_TOL) -> float:
     """Integral of ``f`` over the interval against the measure."""
-    vals, _, _ = _integrals(m, [f], tol)
+    vals, _ = _integrals(m, [f], tol)
     return float(vals[0])
 
 
@@ -333,8 +324,8 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
     ``curve`` is anything with a ``components`` sequence of expressions
     (see :class:`exactquad.hull.CurveSystem`).
     """
-    vals, errs, _ = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals, estimated_abs_error=errs)
+    vals, _ = _integrals(m, list(curve.components), tol)
+    return IntegralVector(values=vals)
 
 
 def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
@@ -345,8 +336,8 @@ def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
     sub-interval carrying all but a ``tol`` fraction of the mass.  Compact
     input is returned unchanged (identity).
     """
-    vals, errs, window = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals, estimated_abs_error=errs), window
+    vals, window = _integrals(m, list(curve.components), tol)
+    return IntegralVector(values=vals), window
 
 
 def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:

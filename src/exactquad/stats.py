@@ -33,7 +33,7 @@ from .errors import (
 from .expr import Expression
 from .hull import CurveSystem, refine_bracket
 from .measure import MeasureSpec, exhaust, integrate_system, total_mass
-from .synth import SynthesisConfig, synthesize_rule
+from .synth import RESIDUAL_GATE, SynthesisConfig, synthesize_rule
 
 __all__ = [
     "CovarianceWitness",
@@ -47,6 +47,7 @@ __all__ = [
 _SCAN_POINTS = 4096
 _GOLDEN_TOL = 1e-10
 _EXTREMA_RTOL = 1e-10  # window-to-window stability of the extrema
+MOMENT_TOL = 1e-11     # integration tolerance of the moments
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,7 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec, tol: float):
 
 
 def covariance(f: Expression, g: Expression, m: MeasureSpec,
-               tol: float = 1e-11) -> float:
+               tol: float = MOMENT_TOL) -> float:
     """Cov(f(X), g(X)) under the measure normalized to a probability law."""
     ef, eg, efg = _moments(f, g, m, tol)
     return efg - ef * eg
@@ -120,8 +121,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     point whose gap is within 1e-11 (relative) of 4 Cov ends the search.
     A failed bracket is reported as an error, never patched.
     """
-    cfg = config or SynthesisConfig()
-    ef, eg, efg = _moments(f, g, m, tol=1e-11)
+    ef, eg, efg = _moments(f, g, m, MOMENT_TOL)
     cov = efg - ef * eg
     zero_scale = 1e-12 * (1.0 + abs(efg) + abs(ef * eg))
     if abs(cov) <= zero_scale:
@@ -130,7 +130,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
 
     x1 = (f - ef) * (g - eg)
     system = CurveSystem(components=(x1, f), interval=m.interval)
-    rule = synthesize_rule(system, m, cfg)
+    rule = synthesize_rule(system, m, config)
     nu = rule.weights / math.fsum(rule.weights)
 
     def gap(a: float, b: float) -> float:
@@ -139,7 +139,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     if len(rule) == 1:
         # a single node forces lambda in {0, 1}, which forces Cov = 0;
         # reaching here with |Cov| above the gate is an inconsistency
-        if abs(cov) > cfg.residual_gate * (1.0 + abs(cov)):
+        if abs(cov) > RESIDUAL_GATE * (1.0 + abs(cov)):
             raise NonConvergenceError(
                 "single-node rule is inconsistent with a non-zero covariance"
             )
@@ -232,7 +232,7 @@ def _extrema(fn, m: MeasureSpec):
         return np.array(_window_extrema(fn, window.lower, window.upper, inside))
 
     try:
-        (lo_val, hi_val), _, _ = exhaust(m, on_window, _EXTREMA_RTOL)
+        (lo_val, hi_val), _ = exhaust(m, on_window, _EXTREMA_RTOL)
     except NonConvergenceError:
         raise UnboundedFunctionError(
             "extrema did not stabilize under interval expansion; "
@@ -258,7 +258,8 @@ def gruss_discrete(p, u, v) -> GrussReport:
 
     ``p`` must be non-negative and sum to 1 within 1e-12; all three
     sequences share one length (at most 10^6, so the fixed-order exact
-    sums stay reproducible).
+    sums stay reproducible).  Raises :class:`MomentDivergenceError` when a
+    moment or the bound overflows a double.
     """
     p = np.asarray(p, dtype=float)
     u = np.asarray(u, dtype=float)
@@ -270,13 +271,20 @@ def gruss_discrete(p, u, v) -> GrussReport:
     if np.any(p < 0.0):
         raise WeightNormalizationError("weights must be non-negative")
     total = math.fsum(p)
-    if abs(total - 1.0) > 1e-12:
+    if not abs(total - 1.0) <= 1e-12:
         raise WeightNormalizationError(
             f"weights sum to {total}, not 1 (within 1e-12)"
         )
-    e_u = math.fsum(p * u)
-    e_v = math.fsum(p * v)
-    e_uv = math.fsum(p * u * v)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = (p * u, p * v, p * u * v)
+    try:
+        e_u, e_v, e_uv = map(math.fsum, terms)
+    except (OverflowError, ValueError):  # the sum leaves the double range
+        e_u = e_v = e_uv = math.inf
     cov = e_uv - e_u * e_v
-    return _gruss_report(cov, float(np.min(u)), float(np.max(u)),
-                         float(np.min(v)), float(np.max(v)))
+    report = _gruss_report(cov, float(np.min(u)), float(np.max(u)),
+                           float(np.min(v)), float(np.max(v)))
+    if not all(map(math.isfinite, (e_u, e_v, e_uv, cov, report.bound))):
+        raise MomentDivergenceError(
+            "the moments or the bound of the sequences overflow a double")
+    return report

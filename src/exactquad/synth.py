@@ -44,9 +44,7 @@ from .errors import (
 )
 from .expr import continuity_probe
 from .hull import (
-    BISECT_TOL,
     RANK_TOL,
-    RECON_TOL,
     CurveSystem,
     caratheodory_finite,
     merge_coincident,
@@ -54,6 +52,7 @@ from .hull import (
     reduce_on_curve,
 )
 from .measure import (
+    DEFAULT_TOL,
     IntervalSpec,
     MeasureSpec,
     density_cell_masses,
@@ -76,32 +75,28 @@ __all__ = [
     "config_from_json",
 ]
 
+CORRECTION_TOL = 1e-11  # discretization correction gate
+RESIDUAL_GATE = 1e-8    # final per-function exactness gate, relative
+MASS_GATE = 1e-10       # weight sum against the total mass, relative
+VERIFY_TOL = 1e-12      # re-integration tolerance of verify_rule
+GRID_CAP = 2**18        # largest discretization grid
+PROBE_POINTS = 512      # support probes of the affine rank
+
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """Tolerances and budgets of the pipeline; every field must be positive."""
+    """What a caller may set; both positive, ``grid0`` at most ``GRID_CAP``."""
 
-    tol: float = 1e-10              # integration tolerance (relative)
-    recon_tol: float = RECON_TOL    # hull reconstruction gate
-    rank_tol: float = RANK_TOL      # singular-value rank threshold
-    bisect_tol: float = BISECT_TOL  # crossing bracket width, in t
-    correction_tol: float = 1e-11   # discretization correction gate
-    residual_gate: float = 1e-8     # final per-function exactness gate
-    grid0: int = 128                # initial discretization cells
-    grid_cap: int = 2**18
-    polish_target: float = 1e-12
-    polish_max_iter: int = 200
-    probe_points: int = 512
+    tol: float = DEFAULT_TOL  # integration tolerance (relative)
+    grid0: int = 128          # initial discretization cells
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise SchemaError(f"{f.name} must be finite and > 0, got {value}")
-        if self.grid_cap < self.grid0:
-            raise SchemaError(f"grid_cap {self.grid_cap} is below grid0 {self.grid0}")
-        if self.probe_points < 2:
-            raise SchemaError("probe_points must be at least 2")
+        if self.grid0 > GRID_CAP:
+            raise SchemaError(f"grid0 {self.grid0} is above the grid cap {GRID_CAP}")
 
 
 @dataclass(frozen=True)
@@ -152,27 +147,19 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "reference": [float(x) for x in self.reference],
-            "residuals": [float(x) for x in self.residuals],
-            "relative_residuals": [float(x) for x in self.relative_residuals],
-            "weight_sum": self.weight_sum,
-            "weight_sum_rel_error": self.weight_sum_rel_error,
-            "nodes_in_interval": self.nodes_in_interval,
-            "weights_nonnegative": self.weights_nonnegative,
-            "passed": self.passed,
-        }
+        return {key: value.tolist() if isinstance(value, np.ndarray) else value
+                for key, value in vars(self).items()}
 
 
 class _DependentMismatch(Exception):
     """Internal: a rule restricted to the independent functions failed the gate."""
 
 
-def _measure_probes(m: MeasureSpec, working: IntervalSpec, count: int) -> np.ndarray:
+def _measure_probes(m: MeasureSpec, working: IntervalSpec) -> np.ndarray:
     """Probe points where the measure has mass: density support plus atoms."""
     pieces = []
     if m.density is not None:
-        grid = np.linspace(working.lower, working.upper, count)
+        grid = np.linspace(working.lower, working.upper, PROBE_POINTS)
         vals = np.maximum(np.asarray(m.density(grid), dtype=float), 0.0)
         support = grid[vals > 0.0]
         pieces.append(support if support.size else grid)
@@ -193,18 +180,18 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, working: IntervalSpec | None
     """Affine rank of the function system over the measure's support.
 
     Rank is read off the singular values of the centered probe samples with
-    relative threshold ``rank_tol``; the independent subset is chosen
+    relative threshold ``RANK_TOL``; the independent subset is chosen
     greedily in index order, so earlier functions win.  Rank 0 means every
     function is constant wherever the measure has mass.
     """
     cfg = config or SynthesisConfig()
     if working is None:
         working = _resolve_working(curve, m, cfg)
-    probes = _measure_probes(m, working, cfg.probe_points)
+    probes = _measure_probes(m, working)
     x = curve.evaluate(probes)
     xc = x - x.mean(axis=0)
     smax = float(np.linalg.svd(xc, compute_uv=False)[0]) if probes.size else 0.0
-    thresh = cfg.rank_tol * smax
+    thresh = RANK_TOL * smax
     indep: list[int] = []
     for k in range(curve.n):
         cand = xc[:, indep + [k]]
@@ -278,7 +265,7 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J, grid: int,
     contributes its left endpoint with the cell's density mass, and every
     atom contributes its own location with its mass.  The raw weights are
     then corrected (minimum-norm, non-negative) so the combination
-    reproduces ``J / mu_total`` within ``correction_tol``; the grid doubles
+    reproduces ``J / mu_total`` within ``CORRECTION_TOL``; the grid doubles
     until the correction succeeds.  Failure at the grid cap signals that
     the integral vector sits on the hull boundary, so the caller must
     reduce the affine rank first.
@@ -313,38 +300,34 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J, grid: int,
         params, masses = params[keep], masses[keep]
         nu = masses / math.fsum(masses)
         x = curve.evaluate(params)
-        nu2, ok = _nonneg_correction(x, nu, target, cfg.correction_tol)
+        nu2, ok = _nonneg_correction(x, nu, target, CORRECTION_TOL)
         if ok:
             return params, nu2 * mu_total
-        if g >= cfg.grid_cap:
+        if g >= GRID_CAP:
             raise DiscretizationError(
-                f"no grid up to {cfg.grid_cap} admits a non-negative exact "
+                f"no grid up to {GRID_CAP} admits a non-negative exact "
                 "correction; the integral vector is numerically on the hull "
                 "boundary"
             )
         g *= 2
 
 
-def _constant_rule(curve, m, working, j_vals, mu, cfg):
+def _constant_rule(curve, m, working, j_vals, mu):
     """Rank-0 case: every function is constant wherever the measure has mass."""
     mean = j_vals / mu
-    candidates = _measure_probes(m, working, cfg.probe_points)
+    candidates = _measure_probes(m, working)
     vals = curve.evaluate(candidates)
     miss = np.max(np.abs(vals - mean), axis=1)
     node = float(candidates[int(np.argmin(miss))])
     full = CurveSystem(components=curve.components, interval=m.interval)
-    nodes, lam, converged = polish_combination(
-        full, np.array([node]), np.array([mu]), mean, mu,
-        target_resid=cfg.polish_target, max_iter=cfg.polish_max_iter,
-    )
-    return nodes, lam, converged
+    return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
 
 
-def _gate_residuals(curve, nodes, lam, j_vals, gate):
+def _gate_residuals(curve, nodes, lam, j_vals):
     node_vals = curve.evaluate(nodes)
     recon = lam @ node_vals
     resid = np.abs(recon - j_vals)
-    ok = resid <= gate * (1.0 + np.abs(j_vals))
+    ok = resid <= RESIDUAL_GATE * (1.0 + np.abs(j_vals))
     return resid, ok
 
 
@@ -376,7 +359,7 @@ def _refit_weights(node_vals, j_vals, mu, lam):
     fit = np.maximum(fit, 0.0)
 
     def key(w):
-        mass_ok = abs(math.fsum(w) - mu) <= 1e-10 * mu
+        mass_ok = abs(math.fsum(w) - mu) <= MASS_GATE * mu
         rel = float(np.max(np.abs(w @ node_vals - j_vals) * d))
         return (not mass_ok, rel)
 
@@ -393,7 +376,7 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
         indep = list(range(n))
 
     if not indep:
-        nodes, lam, converged = _constant_rule(curve, m, working, j_vals, mu, cfg)
+        nodes, lam, converged = _constant_rule(curve, m, working, j_vals, mu)
         rank_used = 0
     else:
         while True:
@@ -414,15 +397,10 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
                 indep = indep[:-1]  # enforce A2: drop into a lower rank
         rank_used = len(indep)
         target = sub_j / mu
-        comb = caratheodory_finite(
-            sub.evaluate(params), w / mu, target, params=params,
-            feas_tol=cfg.recon_tol, recon_tol=cfg.recon_tol,
-        )
+        comb = caratheodory_finite(sub.evaluate(params), w / mu, target,
+                                   params=params)
         if len(comb) > rank_used:
-            comb = reduce_on_curve(sub, comb, target,
-                                   recon_tol=cfg.recon_tol,
-                                   rank_tol=cfg.rank_tol,
-                                   bisect_tol=cfg.bisect_tol)
+            comb = reduce_on_curve(sub, comb, target)
         # polish against the measure's full interval: exhaustion bias is
         # absorbed here because nodes may move anywhere in it
         polish_curve = CurveSystem(components=sub.components,
@@ -431,10 +409,7 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
         converged = False
         for _ in range(max(1, len(nodes))):
             nodes, lam, converged = polish_combination(
-                polish_curve, nodes, lam, target, mu,
-                target_resid=cfg.polish_target,
-                max_iter=cfg.polish_max_iter,
-            )
+                polish_curve, nodes, lam, target, mu)
             drop = lam <= 1e-14 * mu
             if not np.any(drop) or np.all(drop):
                 break
@@ -443,8 +418,8 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
     nodes, lam = merge_coincident(nodes, lam)
     lam = _refit_weights(curve.evaluate(nodes), j_vals, mu, lam)
 
-    mass_ok = abs(math.fsum(lam) - mu) <= 1e-10 * mu
-    resid, ok = _gate_residuals(curve, nodes, lam, j_vals, cfg.residual_gate)
+    mass_ok = abs(math.fsum(lam) - mu) <= MASS_GATE * mu
+    resid, ok = _gate_residuals(curve, nodes, lam, j_vals)
     if not (mass_ok and np.all(ok)):
         # the weight refit spans all n functions, so a dependent function's
         # miss can land on independent ones or on the mass: any gate failure
@@ -457,7 +432,7 @@ def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
             )
         bad = np.flatnonzero(~ok)
         raise PolishError(
-            f"rule residuals exceed the {cfg.residual_gate} gate for "
+            f"rule residuals exceed the {RESIDUAL_GATE} gate for "
             f"function(s) {bad.tolist()}"
         )
     return QuadratureRule(
@@ -496,20 +471,22 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
         return _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict=False)
 
 
-def verify_rule(rule: QuadratureRule, curve: CurveSystem, m: MeasureSpec,
-                tol: float = 1e-12, gate: float = 1e-8) -> VerificationReport:
-    """Re-integrate at a tighter tolerance and report the rule's residuals."""
-    j_ref = integrate_system(m, curve, tol).values
+def verify_rule(rule: QuadratureRule, curve: CurveSystem,
+                m: MeasureSpec) -> VerificationReport:
+    """Re-integrate at ``VERIFY_TOL`` and check the rule against the
+    synthesis gates ``RESIDUAL_GATE`` and ``MASS_GATE``."""
+    j_ref = integrate_system(m, curve, VERIFY_TOL).values
     node_vals = curve.evaluate(rule.nodes)
     recon = rule.weights @ node_vals
     resid = np.abs(recon - j_ref)
     rel = resid / (1.0 + np.abs(j_ref))
     weight_sum = float(math.fsum(rule.weights))
-    mass = total_mass(m, tol)
+    mass = total_mass(m, VERIFY_TOL)
     ws_err = abs(weight_sum - mass) / mass
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
     nonneg = bool(np.all(rule.weights >= 0.0))
-    passed = bool(np.all(rel <= gate) and ws_err <= 1e-10 and nodes_in and nonneg)
+    passed = bool(np.all(rel <= RESIDUAL_GATE) and ws_err <= MASS_GATE
+                  and nodes_in and nonneg)
     return VerificationReport(
         reference=j_ref,
         residuals=resid,
@@ -546,9 +523,7 @@ def rule_from_json(obj) -> QuadratureRule:
     )
 
 
-# JSON kind of each tolerance field, from the type of its default
-_CONFIG_KINDS = {f.name: integer if isinstance(f.default, int) else number
-                 for f in fields(SynthesisConfig)}
+_CONFIG_KINDS = {"tol": number, "grid0": integer}
 
 
 def config_from_json(obj, base: SynthesisConfig | None = None) -> SynthesisConfig:

@@ -228,13 +228,36 @@ _INTERVAL = UNIT_MEASURE["interval"]
     ("gruss-discrete", {"p": ["a"], "u": [0], "v": [0]}, []),
     ("chebyshev-test", {"functions": ["1", "t"], "interval": _INTERVAL},
      ["--trials", "0"]),
+    ("gruss-discrete", {"p": [math.nan], "u": [0], "v": [0]}, []),
+    ("verify", _with(_SYNTH, rule={"nodes": [math.nan], "weights": [1.0],
+                                   "total": 1.0}), []),
+    ("reduce", {"functions": ["t"], "interval": _INTERVAL,
+                "combination": {"params": [0.2, math.nan],
+                                "weights": [0.5, 0.5], "total": 1.0}}, []),
+    ("gruss-discrete", {"p": [1.0], "u": [math.inf], "v": [0]}, []),
+    ("synthesize", _with(_SYNTH, tolerances={"grid0": 2 ** 19}), []),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-fraction",
         "atom-t-string", "lower-boolean", "upper-overflows-float",
         "reduce-function-number", "reduce-tolerances", "verify-tolerances",
         "covwitness-f-number", "gruss-tolerances", "gruss-discrete-p-string",
-        "trials-zero"])
+        "trials-zero", "gruss-discrete-p-nan", "verify-node-nan",
+        "reduce-param-nan", "gruss-discrete-u-infinity", "grid0-above-cap"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert json.loads(err.splitlines()[0])["kind"] == "schema"
+
+
+@pytest.mark.parametrize("function", [
+    "(" * 3000 + "t" + ")" * 3000,
+    "-" * 3000 + "t",
+    "^".join(["t"] * 2000),
+    "+".join(["t"] * 2000),
+], ids=["parentheses", "unary-minus", "power-chain", "flat-sum"])
+def test_deep_expression_is_syntax_error(tmp_path, function):
+    problem = _with(_SYNTH, functions=[function])
+    code, out, err = invoke(["synthesize", write(tmp_path, "p.json", problem)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    assert json.loads(err.splitlines()[0])["kind"] == "syntax"

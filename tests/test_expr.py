@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactquad.errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
-from exactquad.expr import Expression, continuity_probe, evaluate, parse
+from exactquad.expr import MAX_DEPTH, Expression, continuity_probe, evaluate, parse
 
 
 class TestParseExamples:
@@ -148,6 +148,36 @@ def test_operator_combinators_roundtrip():
     ts = np.linspace(0.1, 2.0, 101)
     assert np.array_equal(h(ts), again(ts))
     assert h(1.0) == (1.0 - 0.5) * (1.0 - 1.0 / 3.0) + 2.0
+
+
+def test_overflowing_literal_is_syntax_error():
+    # it would print as "inf", which does not reparse
+    with pytest.raises(SyntaxParseError) as exc:
+        parse("exp(-1e400*t^2)")
+    assert exc.value.offset == 5
+
+
+# each shape as text whose tree is k levels deep (parentheses: nested k deep)
+_DEEP_SHAPES = {
+    "parentheses": lambda k: "(" * k + "t" + ")" * k,
+    "unary-minus": lambda k: "-" * (k - 1) + "t",
+    "power-chain": lambda k: "^".join(["t"] * k),
+    "flat-sum": lambda k: "+".join(["t"] * k),
+    "calls": lambda k: "abs(" * (k - 1) + "t" + ")" * (k - 1),
+}
+
+
+@pytest.mark.parametrize("shape", list(_DEEP_SHAPES))
+def test_depth_limit(shape):
+    make = _DEEP_SHAPES[shape]
+    with pytest.raises(SyntaxParseError):
+        parse(make(MAX_DEPTH + 1))
+    e = parse(make(MAX_DEPTH))
+    assert parse(e.text).ast == e.ast
+    assert np.isfinite(e(1.0))
+    # composites as stats builds them stay evaluable past the limit
+    composite = (e - 0.5) * (e - 0.25)
+    assert composite(1.0) == (e(1.0) - 0.5) * (e(1.0) - 0.25)
 
 
 def test_continuity_probe_accepts_and_rejects():

@@ -192,6 +192,17 @@ class TestGrussDiscrete:
             gruss_discrete([0.5, 0.6], [0, 1], [0, 1])
         with pytest.raises(WeightNormalizationError):
             gruss_discrete([1.5, -0.5], [0, 1], [0, 1])
+        with pytest.raises(WeightNormalizationError):
+            gruss_discrete([math.nan], [0], [0])
+
+    @pytest.mark.parametrize("p, u, v", [
+        ([1.0], [1e308], [1e308]),                     # the product moment
+        ([0.5, 0.5], [-1.7e308, 1.7e308], [0, 1]),     # the bound's range
+        ([0.5, 0.5], [1e308, -1e308], [1e308, 1e308]),  # inf - inf in a sum
+    ], ids=["moment", "bound", "opposite-infinities"])
+    def test_overflow_is_moment_divergence(self, p, u, v):
+        with pytest.raises(MomentDivergenceError):
+            gruss_discrete(p, u, v)
 
     def test_randomized_bound_holds(self):
         rng = np.random.default_rng(29)

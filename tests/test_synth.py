@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exactquad import synth
 from exactquad.errors import DiscretizationError, ExactQuadError
 from exactquad.expr import parse
 from exactquad.hull import CurveSystem
@@ -15,7 +16,6 @@ from exactquad.measure import (
     total_mass,
 )
 from exactquad.synth import (
-    SynthesisConfig,
     affine_rank,
     config_from_json,
     discretize_hull_point,
@@ -134,11 +134,10 @@ class TestDiscretize:
         assert list(params) == [0.25, 0.75]
         assert w == pytest.approx([0.5, 1.5], rel=1e-12)
 
-    def test_unreachable_target_fails_at_cap(self):
-        c = curve("t")
-        cfg = SynthesisConfig(grid_cap=512)
+    def test_unreachable_target_fails_at_cap(self, monkeypatch):
+        monkeypatch.setattr(synth, "GRID_CAP", 512)  # fail fast
         with pytest.raises(DiscretizationError):
-            discretize_hull_point(c, UNIT, np.array([2.0]), 8, config=cfg)
+            discretize_hull_point(curve("t"), UNIT, np.array([2.0]), 8)
 
 
 class TestSynthesize:
