@@ -58,16 +58,17 @@ def _functions_and_measure(obj, **extra):
     return curve, m
 
 
-def _config(obj, args):
-    """The problem's ``tolerances`` block, overridden by --tol and --grid."""
-    flags = {"tol": args.tol, "grid0": args.grid}
-    return config_from_json({k: v for k, v in flags.items() if v is not None},
-                            config_from_json(obj.get("tolerances")))
+def _apply_flags(cfg, args):
+    if args.tol is not None:
+        cfg = config_from_json({"tol": args.tol}, cfg)
+    if args.grid is not None:
+        cfg = config_from_json({"grid0": args.grid}, cfg)
+    return cfg
 
 
 def _cmd_synthesize(obj, args):
     curve, m = _functions_and_measure(obj, tolerances=None)
-    cfg = _config(obj, args)
+    cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
     rule = synthesize_rule(curve, m, cfg)
     note = (f"synthesized {len(rule)}-node rule (rank {rule.rank_used}), "
             f"max residual {float(np.max(rule.residuals)):.3e}")
@@ -104,7 +105,7 @@ def _cmd_covwitness(obj, args):
                  {"f": string, "g": string, "measure": None, "tolerances": None},
                  optional=("tolerances",))
     m = measure_from_json(obj["measure"])
-    cfg = _config(obj, args)
+    cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, cfg)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")

@@ -189,9 +189,13 @@ class _Parser:
                 self.expect_op("(")
                 self.descend(tok)
                 args = [self.sum()]
-                while self.peek()[:2] == ("op", ","):
-                    self.advance()
-                    args.append(self.sum())
+                while True:
+                    k, v, _ = self.peek()
+                    if k == "op" and v == ",":
+                        self.advance()
+                        args.append(self.sum())
+                    else:
+                        break
                 self.expect_op(")")
                 self.nesting -= 1
                 if val in _VARIADIC_FUNCS:
@@ -460,5 +464,7 @@ def continuity_probe(e: Expression, lower: float, upper: float):
     values otherwise.  Guards the continuity hypothesis before an
     expression is used as a quadrature input.
     """
-    theta = np.pi * np.arange(CONTINUITY_POINTS, dtype=float) / (CONTINUITY_POINTS - 1)
-    return e(0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(theta))
+    j = np.arange(CONTINUITY_POINTS, dtype=float)
+    x = 0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
+        np.pi * j / (CONTINUITY_POINTS - 1))
+    return e(x)

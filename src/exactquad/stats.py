@@ -71,14 +71,14 @@ class GrussReport:
     slack: float
 
 
-def _moments(f: Expression, g: Expression, m: MeasureSpec, tol: float):
+def _moments(f: Expression, g: Expression, m: MeasureSpec):
     """Probability-normalized Ef, Eg, Efg; checks the second moments."""
     system = CurveSystem(
         components=(f, g, f * g, f * f, g * g), interval=m.interval
     )
     try:
-        mass = total_mass(m, tol)
-        vals = integrate_system(m, system, tol).values
+        mass = total_mass(m, MOMENT_TOL)
+        vals = integrate_system(m, system, MOMENT_TOL).values
     except NonConvergenceError as exc:
         raise MomentDivergenceError(
             f"first or second moments do not converge: {exc}"
@@ -89,10 +89,9 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec, tol: float):
     return ef, eg, efg
 
 
-def covariance(f: Expression, g: Expression, m: MeasureSpec,
-               tol: float = MOMENT_TOL) -> float:
+def covariance(f: Expression, g: Expression, m: MeasureSpec) -> float:
     """Cov(f(X), g(X)) under the measure normalized to a probability law."""
-    ef, eg, efg = _moments(f, g, m, tol)
+    ef, eg, efg = _moments(f, g, m)
     return efg - ef * eg
 
 
@@ -121,7 +120,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     point whose gap is within 1e-11 (relative) of 4 Cov ends the search.
     A failed bracket is reported as an error, never patched.
     """
-    ef, eg, efg = _moments(f, g, m, MOMENT_TOL)
+    ef, eg, efg = _moments(f, g, m)
     cov = efg - ef * eg
     zero_scale = 1e-12 * (1.0 + abs(efg) + abs(ef * eg))
     if abs(cov) <= zero_scale:

@@ -147,8 +147,16 @@ class VerificationReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {key: value.tolist() if isinstance(value, np.ndarray) else value
-                for key, value in vars(self).items()}
+        return {
+            "reference": [float(x) for x in self.reference],
+            "residuals": [float(x) for x in self.residuals],
+            "relative_residuals": [float(x) for x in self.relative_residuals],
+            "weight_sum": self.weight_sum,
+            "weight_sum_rel_error": self.weight_sum_rel_error,
+            "nodes_in_interval": self.nodes_in_interval,
+            "weights_nonnegative": self.weights_nonnegative,
+            "passed": self.passed,
+        }
 
 
 class _DependentMismatch(Exception):
@@ -216,7 +224,7 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, working: IntervalSpec | None
     )
 
 
-def _nonneg_correction(x, w0, target, tol):
+def _nonneg_correction(x, w0, target):
     """Minimum-norm non-negative adjustment so the combination hits target.
 
     Solves min ||w - w0|| subject to sum(w) = 1, sum(w_i x_i) = target,
@@ -251,7 +259,7 @@ def _nonneg_correction(x, w0, target, tol):
         if not np.any(free):
             return w0, False
     w = np.maximum(w, 0.0)
-    ok = float(np.max(np.abs(a @ w - b))) <= tol * scale
+    ok = float(np.max(np.abs(a @ w - b))) <= CORRECTION_TOL * scale
     return w, ok
 
 
@@ -300,7 +308,7 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J, grid: int,
         params, masses = params[keep], masses[keep]
         nu = masses / math.fsum(masses)
         x = curve.evaluate(params)
-        nu2, ok = _nonneg_correction(x, nu, target, CORRECTION_TOL)
+        nu2, ok = _nonneg_correction(x, nu, target)
         if ok:
             return params, nu2 * mu_total
         if g >= GRID_CAP:
