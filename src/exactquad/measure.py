@@ -9,7 +9,8 @@ compact ones by a geometric schedule of nested windows, driven to
 stability by :func:`exhaust`; each window adds the integrals over its two
 new shells to those of the window inside it, so the adaptive panels always
 start at the scale of the shell.  All four public integrators run on the
-one private integrator ``_integrals``.
+one private integrator ``_integrals``, whose column 0 is the mass: every
+integration checks that the mass converges and is positive.
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -56,8 +57,6 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 65536
 _MAX_ROUNDS = 48
 _MAX_EXHAUST_STEPS = 60
-
-_ONE = parse("1")
 
 
 @dataclass(frozen=True)
@@ -126,9 +125,10 @@ class MeasureSpec:
 
 @dataclass(frozen=True, eq=False)
 class IntegralVector:
-    """Component integrals of a function system."""
+    """Component integrals of a function system, and the measure's mass."""
 
     values: np.ndarray
+    mass: float
 
 
 def _density_callable(m: MeasureSpec):
@@ -200,18 +200,6 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
     )
 
 
-def _system_vec_fn(m: MeasureSpec, components):
-    w = _density_callable(m) if m.density is not None else None
-
-    def vec(ts):
-        cols = np.stack([comp(ts) for comp in components], axis=1)
-        if w is not None:
-            cols = cols * w(ts)[:, None]
-        return cols
-
-    return vec
-
-
 def _working_windows(interval: IntervalSpec):
     """Nested compact sub-intervals exhausting an open or infinite interval."""
     lo, hi = interval.lower, interval.upper
@@ -271,21 +259,26 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
 
 
 def _integrals(m: MeasureSpec, components, tol):
-    """Integrals of ``components`` against ``m``: ``(values, window)``.
+    """``(mass, values, window)`` of ``components`` integrated against ``m``.
 
-    Each larger window adds only its two new shells to the density
-    integral of the window inside it.  Integrating a large window from
+    Column 0 is the mass, so it shares the panels and windows of the
+    values.  Each larger window adds only its two new shells to the density
+    integral of the window inside it: integrating a large window from
     scratch would start from panels far wider than the density's scale,
-    whose nodes can all miss the mass.  Atom contributions are exact sums
-    over the atoms inside the window.
+    whose nodes can all miss the mass.  Atoms are exact sums.
     """
-    n = len(components)
-    vec = _system_vec_fn(m, components) if m.density is not None else None
+    n = len(components) + 1
+    w = _density_callable(m) if m.density is not None else None
     dens = np.zeros(n)
+
+    def vec(ts):
+        weight = w(ts)
+        return np.stack([weight] + [comp(ts) * weight for comp in components],
+                        axis=1)
 
     def on_window(window, inner):
         nonlocal dens
-        if vec is not None:
+        if w is not None:
             pieces = ([(window.lower, window.upper)] if inner is None else
                       [(window.lower, inner.lower), (inner.upper, window.upper)])
             for a, b in pieces:
@@ -293,28 +286,32 @@ def _integrals(m: MeasureSpec, components, tol):
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
         return dens + np.array(
-            [math.fsum(mass * comp(loc) for loc, mass in inside)
-             for comp in components]
+            [math.fsum(mass for _, mass in inside)]
+            + [math.fsum(mass * comp(loc) for loc, mass in inside)
+               for comp in components]
         )
 
-    return exhaust(m, on_window, 0.25 * tol)
-
-
-def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
-    """Total mass of the measure: density integral plus atom masses."""
     try:
-        vals, _ = _integrals(m, [_ONE], tol)
+        vals, window = exhaust(m, on_window, 0.25 * tol)
     except NonConvergenceError as exc:
+        if components:
+            _integrals(m, [], tol)  # raises if the mass is what diverges
+            raise
         raise DivergentMassError(str(exc)) from exc
     mass = float(vals[0])
     if not math.isfinite(mass) or mass <= 0.0:
         raise SchemaError(f"measure has non-positive total mass {mass}")
-    return mass
+    return mass, vals[1:], window
+
+
+def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
+    """Total mass of the measure: density integral plus atom masses."""
+    return _integrals(m, [], tol)[0]
 
 
 def integrate(m: MeasureSpec, f: Expression, tol: float = DEFAULT_TOL) -> float:
     """Integral of ``f`` over the interval against the measure."""
-    vals, _ = _integrals(m, [f], tol)
+    _, vals, _ = _integrals(m, [f], tol)
     return float(vals[0])
 
 
@@ -324,20 +321,20 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
     ``curve`` is anything with a ``components`` sequence of expressions
     (see :class:`exactquad.hull.CurveSystem`).
     """
-    vals, _ = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals)
+    mass, vals, _ = _integrals(m, list(curve.components), tol)
+    return IntegralVector(values=vals, mass=mass)
 
 
 def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
     """Reduce an open or infinite interval to a compact working window.
 
     Returns ``(integrals, window)`` where ``integrals`` estimates the
-    system integrals over the whole interval and ``window`` is a compact
-    sub-interval carrying all but a ``tol`` fraction of the mass.  Compact
-    input is returned unchanged (identity).
+    system integrals and the mass over the whole interval and ``window``
+    is a compact sub-interval carrying all but a ``tol`` fraction of the
+    mass.  Compact input is returned unchanged (identity).
     """
-    vals, window = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals), window
+    mass, vals, window = _integrals(m, list(curve.components), tol)
+    return IntegralVector(values=vals, mass=mass), window
 
 
 def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:

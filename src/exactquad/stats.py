@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EvalDomainError,
     MomentDivergenceError,
     NonConvergenceError,
     SchemaError,
@@ -32,7 +33,7 @@ from .errors import (
 )
 from .expr import Expression
 from .hull import CurveSystem, refine_bracket
-from .measure import MeasureSpec, exhaust, integrate_system, total_mass
+from .measure import MeasureSpec, exhaust, integrate_system
 from .synth import RESIDUAL_GATE, SynthesisConfig, synthesize_rule
 
 __all__ = [
@@ -72,18 +73,24 @@ class GrussReport:
 
 
 def _moments(f: Expression, g: Expression, m: MeasureSpec):
-    """Probability-normalized Ef, Eg, Efg; checks the second moments."""
-    system = CurveSystem(
-        components=(f, g, f * g, f * f, g * g), interval=m.interval
-    )
+    """Probability-normalized Ef, Eg, Efg; checks the second moments.
+
+    f and g are evaluated before their products at every point, so a
+    non-finite product is an overflowing second moment, not a domain error.
+    """
+    products = (f * g, f * f, g * g)
+    system = CurveSystem(components=(f, g, *products), interval=m.interval)
     try:
-        mass = total_mass(m, MOMENT_TOL)
-        vals = integrate_system(m, system, MOMENT_TOL).values
+        moments = integrate_system(m, system, MOMENT_TOL)
     except NonConvergenceError as exc:
         raise MomentDivergenceError(
             f"first or second moments do not converge: {exc}"
         ) from exc
-    ef, eg, efg, ef2, eg2 = (float(v) / mass for v in vals)
+    except EvalDomainError as exc:
+        if exc.subexpr not in {p.text for p in products}:
+            raise
+        raise MomentDivergenceError(f"second moments overflow: {exc}") from exc
+    ef, eg, efg, ef2, eg2 = (float(v) / moments.mass for v in moments.values)
     if not all(math.isfinite(v) for v in (ef, eg, efg, ef2, eg2)):
         raise MomentDivergenceError("moments are not finite")
     return ef, eg, efg

@@ -4,11 +4,12 @@ Given n integrable continuous functions and a finite positive measure, the
 pipeline produces at most n nodes with non-negative weights summing to the
 total mass, reproducing every function integral:
 
-1. reduce an open or infinite interval to a compact working window by
-   exhaustion;
+1. integrate the functions and the mass in one pass, which also reduces
+   an open or infinite interval to a compact working window by exhaustion;
 2. detect affine dependencies among the functions over the measure's
    support and restrict to a maximal independent subset;
-3. normalize to unit mass and compute the integral vector;
+3. normalize the integral vector to unit mass, the mass being column 0 of
+   that same pass, so the target is consistent with its window;
 4. discretize the measure into grid cells plus atoms, correcting the cell
    weights so the discrete combination reproduces the integral vector
    exactly;
@@ -465,9 +466,8 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     failures from the inputs.
     """
     cfg = config or SynthesisConfig()
-    mu = total_mass(m, cfg.tol)
     ivec, working = exhaust_interval(m, curve, cfg.tol)
-    j_vals = ivec.values
+    mu, j_vals = ivec.mass, ivec.values
     for comp in curve.components:
         continuity_probe(comp, working.lower, working.upper)
     try:
@@ -483,13 +483,13 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
                 m: MeasureSpec) -> VerificationReport:
     """Re-integrate at ``VERIFY_TOL`` and check the rule against the
     synthesis gates ``RESIDUAL_GATE`` and ``MASS_GATE``."""
-    j_ref = integrate_system(m, curve, VERIFY_TOL).values
+    ref = integrate_system(m, curve, VERIFY_TOL)
+    j_ref, mass = ref.values, ref.mass
     node_vals = curve.evaluate(rule.nodes)
     recon = rule.weights @ node_vals
     resid = np.abs(recon - j_ref)
     rel = resid / (1.0 + np.abs(j_ref))
     weight_sum = float(math.fsum(rule.weights))
-    mass = total_mass(m, VERIFY_TOL)
     ws_err = abs(weight_sum - mass) / mass
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
     nonneg = bool(np.all(rule.weights >= 0.0))

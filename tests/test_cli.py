@@ -1,10 +1,15 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import exactquad
 from exactquad.cli import chebyshev_sample_test, run
 from exactquad.measure import IntervalSpec
 
@@ -132,6 +137,16 @@ class TestReduceCommand:
         assert math.fsum(comb["weights"]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_module_entry_point_runs_the_command(tmp_path):
+    path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})
+    env = dict(os.environ, PYTHONPATH=str(Path(exactquad.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "exactquad.cli", "gruss", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = invoke(["gruss", path])
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and out
+
+
 class TestStatsCommands:
     def test_covwitness(self, tmp_path):
         path = write(tmp_path, "c.json",
@@ -148,6 +163,32 @@ class TestStatsCommands:
         assert code == 0
         r = json.loads(out)
         assert r["slack"] == pytest.approx(1 / 6, abs=1e-9)
+
+    @pytest.mark.parametrize("command", ["gruss", "covwitness"])
+    def test_divergent_mass_in_stats_commands(self, tmp_path, command):
+        measure = {
+            "interval": {"lower": 0, "upper": 1,
+                         "lower_open": True, "upper_open": False},
+            "density": "1/t",
+            "atoms": [],
+        }
+        path = write(tmp_path, "p.json", {"f": "t", "g": "t^2", "measure": measure})
+        code, _, err = invoke([command, path])
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["kind"] == "divergent-mass"
+
+    @pytest.mark.parametrize("command", ["gruss", "covwitness"])
+    @pytest.mark.parametrize("f,lower,kind", [
+        ("1e200*t", 0, "moment-divergence"),  # f*f overflows, f does not
+        ("log(t)", -1, "domain"),             # f itself leaves its domain
+    ], ids=["overflowing-product", "domain-of-f"])
+    def test_moment_failure_kinds(self, tmp_path, command, f, lower, kind):
+        measure = dict(UNIT_MEASURE, interval=dict(UNIT_MEASURE["interval"],
+                                                   lower=lower))
+        path = write(tmp_path, "p.json", {"f": f, "g": f, "measure": measure})
+        code, out, err = invoke([command, path])
+        assert code == 3 and out == ""
+        assert json.loads(err.splitlines()[0])["kind"] == kind
 
     def test_gruss_discrete_equality(self, tmp_path):
         path = write(tmp_path, "d.json",

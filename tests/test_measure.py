@@ -72,11 +72,17 @@ class TestTotalMass:
         bad = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1/t"))
         with pytest.raises(DivergentMassError):
             total_mass(bad)
+        # t/t is integrable though 1/t is not: the failed joint pass
+        # integrates the mass alone and reports it as the cause
+        with pytest.raises(DivergentMassError):
+            integrate_system(bad, curve("t"))
 
     def test_zero_mass_rejected(self):
         zero = MeasureSpec(IntervalSpec(0, 1), density=parse("0"))
         with pytest.raises(SchemaError):
             total_mass(zero)
+        with pytest.raises(SchemaError):
+            exhaust_interval(zero, curve("t"))
 
 
 class TestIntegrate:
@@ -139,6 +145,16 @@ class TestIntegrateSystem:
         m2 = MeasureSpec(IntervalSpec(0, 1), atoms=tuple(reversed(atoms)))
         f = parse("exp(t)*sin(5*t)")
         assert integrate(m1, f) == integrate(m2, f)
+
+
+class TestMassColumn:
+    @pytest.mark.parametrize("m,rel", [(UNIT, 1e-10), (EXP, 1e-10), (ATOMS, 0.0)],
+                             ids=["unit", "exp", "atoms"])
+    def test_every_integration_carries_the_mass(self, m, rel):
+        c = curve("t", "t^2", interval=m.interval)
+        mass = total_mass(m)
+        assert integrate_system(m, c).mass == pytest.approx(mass, rel=rel, abs=0.0)
+        assert exhaust_interval(m, c)[0].mass == pytest.approx(mass, rel=rel, abs=0.0)
 
 
 class TestExhaustion:

@@ -174,6 +174,21 @@ class TestSynthesize:
         assert recon == pytest.approx([1.0, 2.0], abs=1e-7)
         assert np.all([m.interval.contains(float(t)) for t in rule.nodes])
 
+    def test_gaussian_moments_within_a_smaller_grid_cap(self, monkeypatch):
+        # the mass and the moments come from one exhaustion pass, so the
+        # target J / mu is consistent and a 32768-cell grid suffices
+        monkeypatch.setattr(synth, "GRID_CAP", 32768)
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("exp(-t^2/2)"))
+        c = curve("t", "t^2", "t^3", "t^4", "t^5", "t^6", interval=m.interval)
+        rule = synthesize_rule(c, m)
+        assert len(rule) == 6
+        root = math.sqrt(2.0 * math.pi)
+        assert math.fsum(rule.weights) == pytest.approx(root, rel=1e-10)
+        recon = rule.weights @ c.evaluate(rule.nodes)
+        exact = [0.0, root, 0.0, 3.0 * root, 0.0, 15.0 * root]
+        assert recon == pytest.approx(exact, abs=1e-7)
+
     def test_affine_dependent_system(self):
         c = curve("t", "2*t+3", "t^2")
         rule = synthesize_rule(c, UNIT)
