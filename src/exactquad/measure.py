@@ -10,7 +10,11 @@ stability by :func:`exhaust`; each window adds the integrals over its two
 new shells to those of the window inside it, so the adaptive panels always
 start at the scale of the shell.  All four public integrators run on the
 one private integrator ``_integrals``, whose column 0 is the mass: every
-integration checks that the mass converges and is positive.
+integration checks that the mass converges and is positive.  On an open or
+infinite interval it also integrates each ``|f|`` over the same shells, and
+exhaustion must stabilize those too: symmetric windows let the two tails of
+a non-integrable ``f`` cancel, so the signed integrals alone could settle
+on a principal value.
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -262,19 +266,25 @@ def _integrals(m: MeasureSpec, components, tol):
     """``(mass, values, window)`` of ``components`` integrated against ``m``.
 
     Column 0 is the mass, so it shares the panels and windows of the
-    values.  Each larger window adds only its two new shells to the density
-    integral of the window inside it: integrating a large window from
-    scratch would start from panels far wider than the density's scale,
-    whose nodes can all miss the mass.  Atoms are exact sums.
+    values.  On a non-compact interval the columns after the values hold
+    the integrals of ``|f|``, which only the stability test reads: a
+    function that is not absolutely integrable never stabilizes.  Each
+    larger window adds only its two new shells to the density integral of
+    the window inside it: integrating a large window from scratch would
+    start from panels far wider than the density's scale, whose nodes can
+    all miss the mass.  Atoms are exact sums.
     """
-    n = len(components) + 1
+    k = len(components)
+    absolute = not m.interval.is_compact
     w = _density_callable(m) if m.density is not None else None
-    dens = np.zeros(n)
+    dens = np.zeros(1 + 2 * k if absolute else 1 + k)
 
     def vec(ts):
         weight = w(ts)
-        return np.stack([weight] + [comp(ts) * weight for comp in components],
-                        axis=1)
+        cols = [weight] + [comp(ts) * weight for comp in components]
+        if absolute:
+            cols += [np.abs(col) for col in cols[1:]]
+        return np.stack(cols, axis=1)
 
     def on_window(window, inner):
         nonlocal dens
@@ -282,14 +292,16 @@ def _integrals(m: MeasureSpec, components, tol):
             pieces = ([(window.lower, window.upper)] if inner is None else
                       [(window.lower, inner.lower), (inner.upper, window.upper)])
             for a, b in pieces:
-                dens = dens + _integrate_compact(vec, a, b, tol, n)
+                dens = dens + _integrate_compact(vec, a, b, tol, dens.size)
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
-        return dens + np.array(
-            [math.fsum(mass for _, mass in inside)]
-            + [math.fsum(mass * comp(loc) for loc, mass in inside)
-               for comp in components]
-        )
+        terms = [[mass * comp(loc) for loc, mass in inside]
+                 for comp in components]
+        sums = [math.fsum(mass for _, mass in inside)]
+        sums += [math.fsum(col) for col in terms]
+        if absolute:
+            sums += [math.fsum(map(abs, col)) for col in terms]
+        return dens + np.array(sums)
 
     try:
         vals, window = exhaust(m, on_window, 0.25 * tol)
@@ -301,7 +313,7 @@ def _integrals(m: MeasureSpec, components, tol):
     mass = float(vals[0])
     if not math.isfinite(mass) or mass <= 0.0:
         raise SchemaError(f"measure has non-positive total mass {mass}")
-    return mass, vals[1:], window
+    return mass, vals[1:k + 1], window
 
 
 def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:

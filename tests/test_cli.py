@@ -87,6 +87,21 @@ class TestSynthesizeCommand:
         assert code == 3
         assert json.loads(err.splitlines()[0])["kind"] == "divergent-mass"
 
+    @pytest.mark.parametrize("f,density", [
+        ("t", "(1+abs(t))^-2"),
+        ("t^3", "1/(1+t^4)"),
+        ("t", "1/(1+t^2)"),
+    ])
+    def test_principal_value_is_not_an_integral(self, tmp_path, f, density):
+        # symmetric windows cancel the two tails of f, so only the integral
+        # of |f| shows that f is not integrable
+        measure = {"interval": {"lower": "-inf", "upper": "inf"},
+                   "density": density}
+        path = write(tmp_path, "p.json", {"functions": [f], "measure": measure})
+        code, out, err = invoke(["synthesize", path])
+        assert code == 3 and out == ""
+        assert json.loads(err.splitlines()[0])["kind"] == "non-convergence"
+
     def test_missing_file(self):
         code, _, err = invoke(["synthesize", "/nonexistent/x.json"])
         assert code == 2

@@ -134,6 +134,30 @@ class TestDiscretize:
         assert list(params) == [0.25, 0.75]
         assert w == pytest.approx([0.5, 1.5], rel=1e-12)
 
+    @pytest.mark.parametrize("n", [11, 12])
+    def test_monomials_hold_on_the_first_grid(self, n):
+        # cond ~ 1e8 here: a correction through the normal equations
+        # squares it and misses the gate on this feasible grid
+        c = curve(*[f"t^{k}" for k in range(1, n + 1)])
+        j = integrate_system(UNIT, c, 1e-12)
+        params, w = discretize_hull_point(c, UNIT, j, 128)
+        assert params.size == 128
+        assert np.all(w >= 0)
+        assert w @ c.evaluate(params) == pytest.approx(j.values, abs=1e-10)
+
+    def test_correction_on_ill_conditioned_monomials(self):
+        k = np.arange(1, 12)
+        t = np.linspace(0, 1, 129)[:-1]
+        x = t[:, None] ** k
+        target = 1.0 / (k + 1.0)  # moments of the uniform measure on [0, 1]
+        a = np.vstack([(x - target).T, np.ones(t.size)])
+        assert np.linalg.cond(a) >= 1e7
+        w, ok = synth._nonneg_correction(x, np.full(t.size, 1 / t.size), target)
+        gap = np.append(w @ x - target * w.sum(), w.sum() - 1.0)
+        assert ok
+        assert np.max(np.abs(gap)) <= synth.CORRECTION_TOL * (1.0 + target.max())
+        assert np.all(w >= 0)
+
     def test_unreachable_target_fails_at_cap(self, monkeypatch):
         monkeypatch.setattr(synth, "GRID_CAP", 512)  # fail fast
         with pytest.raises(DiscretizationError):
@@ -175,9 +199,9 @@ class TestSynthesize:
         assert np.all([m.interval.contains(float(t)) for t in rule.nodes])
 
     def test_gaussian_moments_within_a_smaller_grid_cap(self, monkeypatch):
-        # the mass and the moments come from one exhaustion pass, so the
-        # target J / mu is consistent and a 32768-cell grid suffices
-        monkeypatch.setattr(synth, "GRID_CAP", 32768)
+        # the target is feasible on the first 128 cells of the window, and
+        # the least-squares correction finds it there: no doubling
+        monkeypatch.setattr(synth, "GRID_CAP", 128)
         m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
                         density=parse("exp(-t^2/2)"))
         c = curve("t", "t^2", "t^3", "t^4", "t^5", "t^6", interval=m.interval)
