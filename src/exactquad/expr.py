@@ -22,7 +22,9 @@ follows IEEE-754 double semantics.  Evaluating outside the real domain
 (log of a non-positive value, division by zero, sqrt of a negative, a
 negative base with a non-integer exponent, or any non-finite result) raises
 :class:`~exactquad.errors.EvalDomainError` naming the offending
-subexpression.  Syntax errors carry 0-based byte offsets.
+subexpression.  A power whose exponent is a number literal (``t^3``,
+``t^-0.5``) decides when it is compiled which of its two domain checks can
+fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based byte offsets.
 """
 
 from __future__ import annotations
@@ -53,6 +55,11 @@ _DOMAIN_FUNCS = {
     "log": (np.log, lambda a: a <= 0.0, "log of a non-positive value"),
     "sqrt": (np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
 }
+# checks of a power with a literal exponent, in order: base test, message
+_POW_CHECKS = (
+    (lambda b: b < 0, "negative base with non-integer exponent"),
+    (lambda b: b == 0, "zero raised to a negative power"),
+)
 _VARIADIC_FUNCS = {"min", "max"}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
@@ -269,6 +276,36 @@ def _pretty(node) -> str:
     raise AssertionError(f"bad node {node!r}")
 
 
+def _literal(node):
+    """The value of a number literal or a negated one, else None."""
+    if node[0] == "num":
+        return node[1]
+    if node[0] == "neg" and node[1][0] == "num":
+        return -node[1][1]
+    return None
+
+
+def _literal_pow(fa, c, label):
+    """``fa ^ c`` for a literal ``c``, with only the domain checks that can fire.
+
+    A negative base fails only for a non-integer ``c`` and a zero base only
+    for a negative ``c``; the checks keep the general power's order.
+    """
+    checks = [check for check, fires in zip(_POW_CHECKS, (not c.is_integer(), c < 0))
+              if fires]
+    if not checks:
+        return lambda t: np.power(fa(t), c)
+
+    def _pow(t):
+        base = fa(t)
+        for outside, message in checks:
+            if np.any(outside(base)):
+                raise EvalDomainError(message, label)
+        return np.power(base, c)
+
+    return _pow
+
+
 def _compile(node):
     """Build a closure evaluating ``node`` on a float ndarray."""
     tag = node[0]
@@ -303,6 +340,9 @@ def _compile(node):
             return _div
         if op == "^":
             label = _pretty(node)
+            c = _literal(node[3])
+            if c is not None:
+                return _literal_pow(fa, c, label)
 
             def _pow(t):
                 base = np.asarray(fa(t), dtype=float)
@@ -390,14 +430,16 @@ class Expression:
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
         with np.errstate(all="ignore"):
-            out = np.asarray(self._fn(arr), dtype=float)
-        if out.shape != arr.shape:
-            out = np.broadcast_to(out, arr.shape)
-        if not np.all(np.isfinite(out)):
+            out = self._fn(arr)
+        if not np.isfinite(out).all():
             raise EvalDomainError("non-finite value", self._text)
         if arr.ndim == 0:
             return float(out)
-        return np.array(out, dtype=float, copy=True)
+        # every operation makes a new array; only the bare ``t`` hands back
+        # the caller's input, and a constant comes back as a scalar
+        if out is arr or np.ndim(out) == 0:
+            return np.full(arr.shape, out, dtype=float)
+        return out
 
     def __repr__(self):
         return f"Expression({self._text!r})"

@@ -162,6 +162,17 @@ def test_module_entry_point_runs_the_command(tmp_path):
     assert code == 0 and out
 
 
+
+def test_package_entry_point_runs_without_warning(tmp_path):
+    path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})
+    env = dict(os.environ, PYTHONPATH=str(Path(exactquad.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "exactquad", "gruss", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = invoke(["gruss", path])
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+    assert "Warning" not in proc.stderr
+
 class TestStatsCommands:
     def test_covwitness(self, tmp_path):
         path = write(tmp_path, "c.json",

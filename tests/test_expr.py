@@ -89,6 +89,105 @@ class TestDomainErrors:
         assert "log(t-2.0)" in str(exc.value)
 
 
+# --- powers with a literal exponent ---------------------------------------
+
+_NEGATIVE_BASE = "negative base with non-integer exponent"
+_ZERO_BASE = "zero raised to a negative power"
+
+
+def _exponent_text(c):
+    # "t^-0.5" parses as a negated literal, "t^0.5" as a literal
+    return ("-" if math.copysign(1.0, c) < 0 else "") + repr(abs(c))
+
+
+def _power_outcome(x, c):
+    """What ``t^c`` must give at ``x``: the error message, or np.power's value."""
+    x = np.asarray(x, dtype=float)
+    if not c.is_integer() and np.any(x < 0):
+        return _NEGATIVE_BASE
+    if c < 0 and np.any(x == 0):
+        return _ZERO_BASE
+    return np.power(x, c)
+
+
+def _check_power(c, x):
+    text = "t^" + _exponent_text(c)
+    expected = _power_outcome(x, c)
+    if isinstance(expected, str):
+        # inside a sum, so the label must name the power, not the whole
+        with pytest.raises(EvalDomainError) as exc:
+            parse("1+" + text)(x)
+        assert str(exc.value) == f"{expected} in '{parse(text).text}'"
+        assert exc.value.subexpr == parse(text).text
+    else:
+        got = parse(text)(x)
+        assert type(got) is (float if np.ndim(x) == 0 else np.ndarray)
+        assert np.asarray(got).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("c,x,outcome", [
+    (2.0, [-3.0, -0.0, 0.0, 1.5], "value"),
+    (-0.0, [-2.0, -0.0, 0.0], "value"),         # t^-0 is 1 everywhere
+    (-3.0, [-2.0, 0.5], "value"),
+    (-3.0, [-2.0, 0.0], _ZERO_BASE),
+    (-2.0, [-0.0], _ZERO_BASE),
+    (0.5, [0.0, -0.0, 4.0], "value"),           # sqrt(-0.0) is -0.0
+    (0.5, [4.0, -1.0], _NEGATIVE_BASE),
+    (-0.5, [4.0, 0.0], _ZERO_BASE),
+    (-0.5, [-0.0], _ZERO_BASE),                 # -0.0 is not negative
+    (-0.5, [0.0, -1.0], _NEGATIVE_BASE),        # both fire: negative first
+    (-1.5, [-1.0, 0.0], _NEGATIVE_BASE),
+])
+def test_literal_power_table(c, x, outcome):
+    expected = _power_outcome(x, c)
+    assert (expected if isinstance(expected, str) else "value") == outcome
+    _check_power(c, np.array(x))
+    for xi in x:
+        _check_power(c, xi)
+
+
+_LITERAL_EXPONENTS = st.one_of(
+    st.integers(-4, 4).map(float),
+    st.just(-0.0),
+    st.floats(-4.0, 4.0).filter(lambda c: not c.is_integer()),
+)
+_BASES = st.one_of(
+    st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 3.0]),
+    st.floats(0.01, 10.0),
+    st.floats(-10.0, -0.01),
+)
+
+
+@given(_LITERAL_EXPONENTS, st.lists(_BASES, min_size=1, max_size=6))
+@settings(max_examples=300, deadline=None)
+def test_literal_power_matches_np_power(c, bases):
+    _check_power(c, np.array(bases))
+    _check_power(c, bases[0])
+
+
+def test_zero_to_the_zero_is_one():
+    assert evaluate(parse("0^0"), 5.0) == 1.0
+    assert evaluate(parse("t^0"), 0.0) == 1.0
+    assert evaluate(parse("t^-0"), 0.0) == 1.0
+    assert np.array_equal(parse("0^0")(np.zeros(3)), np.ones(3))
+
+
+@pytest.mark.parametrize("text", ["t", "2", "t^2"])
+@pytest.mark.parametrize("x", [
+    np.linspace(0.5, 1.5, 12).reshape(3, 4),
+    np.broadcast_to(0.75, (5,)),                # read-only input
+], ids=["2-d", "read-only"])
+def test_array_result_is_a_fresh_array(text, x):
+    before = x.copy()
+    out = parse(text)(x)
+    assert isinstance(out, np.ndarray) and out.dtype == np.float64
+    assert out.shape == x.shape and out.flags.writeable
+    assert not np.shares_memory(out, x)
+    out[...] = -1.0
+    assert np.array_equal(x, before)
+    assert type(parse(text)(0.75)) is float
+
+
 # --- round-trip property ------------------------------------------------
 
 def _tree(draw_depth):
