@@ -5,12 +5,15 @@ non-negative combination of points in R^n down to at most n+1 support
 points by shifting weight along null vectors of the homogeneous system
 [points; 1] until weights hit zero.  It works merge-reduce, eliminating
 the means of 2(n+1) contiguous clusters per round, so its cost grows
-linearly in the number of points.  ``reduce_on_curve`` takes a
-strictly positive combination of n+1 ordered points of a continuous curve
-and produces at most n curve points with the same total weight and the
-same weighted sum: it rebuilds coordinates in the barycentric frame rooted
-at the target, slides the parameter from the smallest support point until
-one coordinate first crosses zero, and reweights the remaining points.
+linearly in the number of points.  Each round factorizes once: one SVD
+gives a null-space basis, and a rank-one update after every elimination
+keeps the rest of the basis null on the surviving points.
+``reduce_on_curve`` takes a strictly positive combination of n+1 ordered
+points of a continuous curve and produces at most n curve points with the
+same total weight and the same weighted sum: it rebuilds coordinates in
+the barycentric frame rooted at the target, slides the parameter from a
+support point toward its right neighbour until one coordinate first
+crosses zero, and reweights the remaining points.
 The crossing is found on a uniform grid and then narrowed by
 ``refine_bracket``, which probes 63 interior points of the bracket per
 vectorized call and keeps the cell ending at the first sign change; the
@@ -287,31 +290,52 @@ def _null_direction(points, target):
 
 
 def _shift_to_zero(weights, c):
-    """Largest step along -c keeping all weights >= 0; returns (new_w, dropped)."""
-    pos = c > 1e-14 * np.abs(c).max()
-    ratios = np.where(pos, weights / np.where(pos, c, 1.0), np.inf)
-    j = int(np.argmin(ratios))
-    theta = ratios[j]
-    out = weights - theta * c
-    out[j] = 0.0
-    return np.maximum(out, 0.0), j
+    """Step ``weights`` along -c, in place, until the first one reaches zero.
+
+    ``c`` must be sign-normalized: its largest-magnitude entry is positive.
+    The step is the ratio test over the entries above 1e-14 times that
+    entry.  The weight it zeroes is set to exactly 0 and roundoff negatives
+    are clipped to 0.  Returns the index of the zeroed weight.
+    """
+    pos = (c > 1e-14 * c.max()).nonzero()[0]
+    ratios = weights[pos] / c[pos]
+    i = int(ratios.argmin())
+    weights -= ratios[i] * c
+    j = int(pos[i])
+    weights[j] = 0.0
+    np.maximum(weights, 0.0, out=weights)
+    return j
 
 
 def _eliminate(points, weights, target, floor):
     """Shift ``weights`` in place until at most n+1 exceed ``floor``.
 
-    Each step takes the first n+2 active points, where the homogeneous
-    system [points; 1] always has a null vector, and moves along it until
-    one weight reaches zero.  Returns the active indices.
+    One SVD of [points - target; 1] over the a active points: the trailing
+    a - (n+1) rows of vt are null vectors (a basis of the null space, or
+    part of it when the system has rank below n+1).  Each step
+    sign-normalizes the next one, moves along it until one weight reaches
+    zero at point j, and subtracts multiples of it from the remaining
+    vectors so they vanish at j.  They stay null vectors of the surviving
+    points, so every step zeroes a new point (the recombination of Litterer
+    & Lyons, 2012).  Returns the active indices.
     """
     n = points.shape[1]
     active = np.flatnonzero(weights > floor)
-    while active.size > n + 1:
-        sub = active[: n + 2]
-        c, _, _ = _null_direction(points[sub], target)
-        weights[sub], _ = _shift_to_zero(weights[sub], c)
-        active = np.flatnonzero(weights > floor)
-    return active
+    if active.size <= n + 1:
+        return active
+    a = np.vstack([(points[active] - target).T, np.ones(active.size)])
+    basis = np.linalg.svd(a)[2][n + 1:]
+    w = weights[active]
+    for i in range(basis.shape[0]):
+        c = basis[i]
+        if -c.min() > c.max():
+            c = -c
+        j = _shift_to_zero(w, c)
+        rest = basis[i + 1:]
+        rest -= np.multiply.outer(rest[:, j] / c[j], c)
+        rest[:, j] = 0.0
+    weights[active] = w
+    return np.flatnonzero(weights > floor)
 
 
 def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
@@ -329,8 +353,10 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     eliminated down to n+1 clusters by null-vector shifts, and each
     surviving cluster's weights are rescaled by its new mass over its old
     one, which keeps the total and the weighted sum.  A round drops about
-    half the points, so a few small SVDs per round replace one SVD per
-    removed point.  The last at most 2(n+1) points are eliminated directly.
+    half the points with one SVD of 2(n+1) columns (see ``_eliminate``).
+    The last at most 2(n+1) points are eliminated directly, again with one
+    SVD, and a final SVD checks whether the support is still affinely
+    dependent.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float).copy()
@@ -376,8 +402,9 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         c, smin, smax = _null_direction(points[active], target)
         if smin > RANK_TOL * smax:
             break
-        new_w, _ = _shift_to_zero(weights[active], c)
-        weights[active] = new_w
+        w_act = weights[active]
+        _shift_to_zero(w_act, c)
+        weights[active] = w_act
         active = np.flatnonzero(weights > floor)
     if active.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
@@ -440,8 +467,9 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
     Requires all coordinates of ``x(t0) - origin`` negative and a crossing
-    before ``t_stop`` (guaranteed when the frame was built from curve
-    points at parameters > t0 carrying positive weight).  A uniform grid of
+    before ``t_stop`` (guaranteed when the origin is a positive combination
+    of x(t0) and the frame's basis points, and t_stop is the parameter of
+    one of those points).  A uniform grid of
     ``CROSSING_GRID`` cells, doubled up to ``CROSSING_GRID_CAP``, finds the
     first cell where the largest coordinate g(t) turns non-negative, and
     :func:`refine_bracket` narrows that cell with batched rounds until it
@@ -614,10 +642,14 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
     zero weight are dropped first; if more than n+1 positive terms remain
     they are pruned with :func:`caratheodory_finite`.  The n+1 -> n step
-    walks the curve from the smallest support parameter to the first
-    coordinate zero-crossing and reweights; when the frame is rank
-    deficient (the support points are affinely dependent) one point is
-    eliminated along a null vector instead.
+    walks the curve from support point i toward point i+1, to the first
+    coordinate zero-crossing of the frame built from the other n points,
+    and reweights.  It takes the first i, in index order, whose frame
+    :func:`build_frame` accepts: the walk has a crossing in that gap,
+    because every coordinate of x(t_i) is negative and x(t_(i+1)) is a
+    basis point.  Only when every frame is rank deficient (the support
+    points are affinely dependent) is one point eliminated along a null
+    vector instead.
     """
     v = np.asarray(v, dtype=float)
     n = curve.n
@@ -656,23 +688,32 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
             )
             return _rebuild(p2, w2, curve.evaluate(p2), v, total)
 
-    try:
-        frame = build_frame(v, points[1:])
-    except RankDeficiencyError:
-        c, _, _ = _null_direction(points, v)
-        new_w, _ = _shift_to_zero(weights, c)
-        keep = new_w > 0.0
-        return finish(params[keep], new_w[keep], points[keep])
+    for i in range(n):
+        # a support point of small weight leaves v near the affine hull of
+        # the others, so the frame without it can be singular; the next
+        # point's frame then serves, walking toward its right neighbour
+        basis_params = np.delete(params, i)
+        basis_points = np.delete(points, i, axis=0)
+        try:
+            frame = build_frame(v, basis_points)
+        except RankDeficiencyError:
+            continue
+        t_bar, k, p = first_zero_crossing(frame, curve, params[i],
+                                          params[i + 1])
+        x_bar = curve.evaluate(t_bar)[0]
+        p[k] = 0.0
+        p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
+        denom = 1.0 - p.sum()
+        new_params = np.concatenate([[t_bar], np.delete(basis_params, k)])
+        new_nu = np.concatenate([[1.0 / denom], -np.delete(p, k) / denom])
+        new_points = np.vstack([x_bar, np.delete(basis_points, k, axis=0)])
+        return finish(new_params, new_nu * total, new_points)
 
-    t_bar, k, p = first_zero_crossing(frame, curve, params[0], params[1])
-    x_bar = curve.evaluate(t_bar)[0]
-    p[k] = 0.0
-    p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
-    denom = 1.0 - p.sum()
-    new_params = np.concatenate([[t_bar], np.delete(params[1:], k)])
-    new_nu = np.concatenate([[1.0 / denom], -np.delete(p, k) / denom])
-    new_points = np.vstack([x_bar, np.delete(points[1:], k, axis=0)])
-    return finish(new_params, new_nu * total, new_points)
+    # every frame is singular: the support is affinely dependent
+    c, _, _ = _null_direction(points, v)
+    _shift_to_zero(weights, c)
+    keep = weights > 0.0
+    return finish(params[keep], weights[keep], points[keep])
 
 
 def combination_from_json(obj) -> ConvexCombination:

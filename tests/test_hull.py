@@ -24,6 +24,7 @@ from exactquad.hull import (
     polish_combination,
     reduce_on_curve,
 )
+from exactquad import hull
 from exactquad.expr import parse
 from exactquad.measure import IntervalSpec, MeasureSpec, integrate_system
 from exactquad.synth import synthesize_rule
@@ -124,6 +125,31 @@ class TestCaratheodoryFinite:
         comb = caratheodory_finite(pts, w, w @ pts / w.sum())
         assert math.fsum(comb.weights) == pytest.approx(10.0, rel=1e-12)
 
+    def test_one_svd_per_round(self, monkeypatch):
+        # each merge round and the final elimination factorize once and
+        # update the null-space basis; one SVD per eliminated point made
+        # 67 calls here
+        ts = np.linspace(0.0, 1.0, 4096)
+        pts = _curve_points(ts, 6)
+        w = np.random.default_rng(5).uniform(0.1, 1.0, ts.size)
+        # a round keeps at most n+1 of its 2(n+1) contiguous clusters
+        rounds, active = 0, ts.size
+        while active > 14:
+            rounds, active = rounds + 1, 7 * -(-active // 14)
+        calls = 0
+        svd = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        comb = caratheodory_finite(pts, w, w @ pts / w.sum(), params=ts)
+        assert len(comb) <= 7
+        # the rounds, the final elimination and the dependent check
+        assert calls <= rounds + 2
+
     def test_grid_scale_prune(self):
         # a 131072-cell grid with 12 functions, the size grid doubling reaches
         ts = np.linspace(0.0, 1.0, 2**17)
@@ -135,21 +161,44 @@ class TestCaratheodoryFinite:
         assert reconstruction_gap(comb, ts, pts, target) <= RECON_TOL
 
 
-@settings(max_examples=60, deadline=None)
+def _degenerate_points(rng, kind, m, n):
+    """Points whose [points - target; 1] may have rank below n+1.
+
+    Returns ``(points, d)``, d a bound on the dimension of their affine hull.
+    """
+    if kind == "repeated":
+        # m draws from a few distinct points
+        base = rng.normal(size=(int(rng.integers(1, n + 3)), n))
+        return base[rng.integers(base.shape[0], size=m)], base.shape[0] - 1
+    # an affine subspace of dimension d < n, possibly a single point
+    d = int(rng.integers(0, n))
+    pts = rng.normal(size=(m, d)) @ rng.normal(size=(d, n)) + rng.normal(size=n)
+    return pts, d
+
+
+@settings(max_examples=80, deadline=None)
 @given(m=st.integers(1, 2000), n=st.integers(1, 8),
-       seed=st.integers(0, 2**32 - 1), on_curve=st.booleans())
-def test_caratheodory_properties(m, n, seed, on_curve):
+       seed=st.integers(0, 2**32 - 1),
+       kind=st.sampled_from(["generic", "curve", "repeated", "subspace"]))
+def test_caratheodory_properties(m, n, seed, kind):
     rng = np.random.default_rng(seed)
     params = np.cumsum(rng.uniform(0.1, 1.0, m))
     params /= params[-1]
-    pts = _curve_points(params, n) if on_curve else rng.normal(size=(m, n))
+    dim = n
+    if kind == "generic":
+        pts = rng.normal(size=(m, n))
+    elif kind == "curve":
+        pts = _curve_points(params, n)
+    else:
+        pts, dim = _degenerate_points(rng, kind, m, n)
     w = rng.uniform(0.0, 1.0, m)
     w[rng.random(m) < 0.1] = 0.0
     w[rng.integers(m)] += 0.5
     total = math.fsum(w)
     target = w @ pts / total
     comb = caratheodory_finite(pts, w, target, params=params)
-    assert len(comb) <= n + 1
+    # the support follows the affine dimension of the points
+    assert len(comb) <= min(dim, n) + 1
     assert np.all(np.diff(comb.params) > 0)
     assert np.all(np.isin(comb.params, params))
     assert abs(math.fsum(comb.weights) - total) <= 1e-12 * total
@@ -337,6 +386,13 @@ class TestReduceOnCurve:
         assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
 
 
+def _check_rule(curve, m, rule):
+    assert len(rule) <= curve.n and np.all(rule.weights >= 0.0)
+    recon = rule.weights @ curve.evaluate(rule.nodes)
+    j_ref = integrate_system(m, curve, 1e-12).values
+    assert np.max(np.abs(recon - j_ref) / (1.0 + np.abs(j_ref))) <= 1e-8
+
+
 def test_ill_conditioned_frame_keeps_the_batched_coordinates():
     # acceptance corpus seed 20260808, problem #117: a frame with condition
     # number ~2e8, where a scalar re-solve at the crossing misses the
@@ -359,11 +415,74 @@ def test_ill_conditioned_frame_keeps_the_batched_coordinates():
                (1.781984759431643, 0.2903897280012151),
                (2.3857290709644996, 0.6999736198014517)),
     )
-    rule = synthesize_rule(curve, m)
-    assert len(rule) <= curve.n and np.all(rule.weights >= 0.0)
-    recon = rule.weights @ curve.evaluate(rule.nodes)
-    j_ref = integrate_system(m, curve, 1e-12).values
-    assert np.max(np.abs(recon - j_ref) / (1.0 + np.abs(j_ref))) <= 1e-8
+    _check_rule(curve, m, synthesize_rule(curve, m))
+
+
+def test_small_first_weight_walks_the_next_support_point():
+    # acceptance corpus seed 309, variant 2, problem #88: a prune that
+    # eliminated one point per SVD left weight 4.7e-4 on the walk's first
+    # support point, the frame without it was singular (2.5e-11), and a
+    # shift along the smallest singular vector of a nonsingular [P - v; 1]
+    # missed the gate by 8.6e-9
+    interval = IntervalSpec(-0.7486452736829508, 0.931735112813084)
+    curve = CurveSystem.from_texts([
+        "-0.21158320142889497+1.0125497815678273*t+0.14216381370925557*t^2"
+        "+0.003782260914741098*t^3+1.5474522290866468*t^4",
+        "-1.5330353666627814*exp(-0.02769698396725717*t)",
+        "0.07198674005010375*sin(1*t)+1.6416081269846243*cos(1*t)",
+        "-0.9255772378136995+-0.8458773448663042*t",
+        "1.795217089603736*exp(-0.7871426235124117*t)",
+    ], interval)
+    m = MeasureSpec(
+        interval,
+        density=parse("(-0.8323808437942213+0.8162669977010044*t"
+                      "+0.34300093928459763*t^2)^2+0.5427348439661214"),
+    )
+    _check_rule(curve, m, synthesize_rule(curve, m))
+
+
+def test_small_first_weight_after_the_updated_prune():
+    # acceptance corpus seed 302, variant 0, problem #10: the prune leaves
+    # weight 3.2e-4 on the first support point and its frame is singular
+    # (3.4e-11); the walk starts from the second point instead
+    interval = IntervalSpec(1.6067093005772861, 3.659864103404301)
+    curve = CurveSystem.from_texts([
+        "-1.820590724232373*sin(2*t)+-1.1365000343102092*cos(1*t)",
+        "-0.5416201963480667+0.7600824398193824*t+0.6427310351879583*t^2"
+        "+-1.0302630944333595*t^3+-1.8984581687035695*t^4",
+        "1.783614019765292*sin(1*t)+1.1475982174314305*cos(1*t)",
+        "1.625184577386185*exp(0.9750141715664367*t)",
+        "0.7158775673542821+-0.9979866586447832*t+1.0529311731392488*t^2"
+        "+0.41764125952776476*t^3+1.4160197414214992*t^4",
+        "-1.198457697741322*exp(0.3896220264476882*t)",
+    ], interval)
+    m = MeasureSpec(
+        interval,
+        density=parse("(-0.13281704652634052+-0.193478421816196*t"
+                      "+-0.521960020343432*t^2)^2+0.5960265728163593"),
+        atoms=((2.658252056087158, 0.3807105744446613),
+               (3.1658702904668297, 0.16216030302023146)),
+    )
+    _check_rule(curve, m, synthesize_rule(curve, m))
+
+
+def test_singular_first_frame_needs_no_polish(monkeypatch):
+    # with weight 1e-11 on t = 0.1, the frame of the other two points is
+    # singular; walking t = 0.5 toward 0.9 reproduces v on its own
+    def no_polish(*args, **kwargs):
+        raise AssertionError("the walk fell back to the polish")
+
+    monkeypatch.setattr(hull, "polish_combination", no_polish)
+    curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+    ts = np.array([0.1, 0.5, 0.9])
+    w = np.array([1e-11, 0.5, 0.5 - 1e-11])
+    v = w @ curve.evaluate(ts)
+    with pytest.raises(RankDeficiencyError):
+        build_frame(v, curve.evaluate(ts[1:]))
+    out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
+    assert len(out) <= 2 and np.all(out.weights >= 0.0)
+    recon = out.weights @ curve.evaluate(out.params)
+    assert np.max(np.abs(recon - v)) <= RECON_TOL
 
 
 def test_merge_coincident_sums_repeated_parameters():
