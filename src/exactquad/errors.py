@@ -73,10 +73,6 @@ class RankDeficiencyError(ExactQuadError):
     kind = "rank-deficient"
 
 
-class NoCrossingError(ExactQuadError):
-    kind = "no-crossing"
-
-
 class ReconstructionError(ExactQuadError):
     kind = "reconstruction-failure"
 

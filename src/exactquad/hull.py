@@ -14,11 +14,13 @@ same total weight and the same weighted sum: it rebuilds coordinates in
 the barycentric frame rooted at the target, slides the parameter from a
 support point toward its right neighbour until one coordinate first
 crosses zero, and reweights the remaining points.
-The crossing is found on a uniform grid and then narrowed by
-``refine_bracket``, which probes 63 interior points of the bracket per
-vectorized call and keeps the cell ending at the first sign change; the
-vanishing coordinate and the reweighting both come from that probe's
-coordinate row.
+The crossing is found by ``refine_bracket``, which probes up to 63
+points of the bracket per vectorized call and keeps the cell ending at
+the first sign change: one evenly spaced round, then rounds centred on the
+secant root of the end scores, with an even round after any round that
+narrows the bracket less than 4-fold, so a walk usually takes 4 calls.
+The vanishing coordinate and the reweighting both come from the
+coordinate row probed at the crossing.
 ``stats.covariance_witness`` narrows its bracket the same way.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
@@ -38,7 +40,6 @@ from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     InfeasibleCombinationError,
-    NoCrossingError,
     RankDeficiencyError,
     ReconstructionError,
     SchemaError,
@@ -69,9 +70,10 @@ BISECT_TOL = 1e-13      # crossing bracket width, relative to the parameter
 ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
 POLISH_TARGET = 1e-12   # relative residual at which the polish stops
 POLISH_MAX_ITER = 200   # Gauss-Newton iterations before the polish gives up
-CROSSING_GRID = 4096
-CROSSING_GRID_CAP = 2**20
 REFINE_POINTS = 63  # interior points per batched bracket-refinement round
+# offsets of a secant-centred round, in bracket widths: 0 and +-4^-j, j = 1..31
+_SECANT_OFFSETS = np.concatenate(
+    [-(4.0 ** -np.arange(1, 32)), [0.0], 4.0 ** -np.arange(31, 0, -1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -432,33 +434,49 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     return ConvexCombination(params=out_params, weights=w_out, total=total)
 
 
-def refine_bracket(probe, lo: float, hi: float, hi_info, done):
+def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
     """Narrow ``[lo, hi]`` to the first parameter where ``probe`` hits.
 
     ``probe(ts)`` takes an increasing array of parameters and returns
-    ``(hits, info)``: a boolean array, False before the crossing and True
-    at or past it, and per-point data indexable like ``ts``.  ``lo`` must
-    not hit and ``hi`` must, with ``hi_info`` its data.  Each round probes
-    ``REFINE_POINTS`` evenly spaced interior points in one call and keeps
-    the cell that ends at the first hit, so the bracket shrinks
-    ``REFINE_POINTS + 1``-fold per call.  Rounds stop when
+    ``(g, info)``: a score array, negative before the crossing and ``>= 0``
+    (a hit) at or past it, and per-point data indexable like ``ts``.
+    ``lo`` must not hit and ``hi`` must, with ``hi_g`` and ``hi_info`` its
+    score and data.  Each round probes up to ``REFINE_POINTS`` interior
+    points in one call and keeps the cell that ends at the first hit.  The
+    first round spaces them evenly.  Once ``lo`` carries a probed score,
+    a round centres them on the secant root s of the scores at ``lo`` and
+    ``hi``, at s and s +- w 4^-j (j = 1..31, w the bracket width), so the
+    kept cell is about as wide as the secant's error and the bracket
+    shrinks about quadratically (a batched Dekker-Brent secant).  A round
+    that shrinks the bracket less than 4-fold is followed by an even one,
+    which shrinks it ``REFINE_POINTS + 1``-fold.  Rounds stop when
     ``done(lo, hi, hi_info)`` holds or no float lies strictly inside.
-    Returns ``(hi, hi_info)``.
+    Returns ``(hi, hi_info)``: the first hit the probes saw, which is the
+    first crossing in ``[lo, hi]`` unless the scores cross zero more than
+    once inside one probed cell.
     """
+    lo_g = None
+    even = True
     while not done(lo, hi, hi_info):
-        ts = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
-        ts = ts[(ts > lo) & (ts < hi)]
-        if ts.size == 0:
-            break
-        hits, info = probe(ts)
-        first = np.flatnonzero(hits)
-        if first.size == 0:
-            lo = float(ts[-1])
-            continue
-        i = int(first[0])
+        width = hi - lo
+        if not even:
+            s = lo + width * (lo_g / (lo_g - hi_g))
+            ts = np.unique(s + width * _SECANT_OFFSETS)
+            ts = ts[(ts > lo) & (ts < hi)]
+            even = ts.size == 0
+        if even:
+            ts = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+            ts = ts[(ts > lo) & (ts < hi)]
+            if ts.size == 0:
+                break
+        g, info = probe(ts)
+        hits = np.flatnonzero(g >= 0.0)
+        i = int(hits[0]) if hits.size else ts.size
         if i > 0:
-            lo = float(ts[i - 1])
-        hi, hi_info = float(ts[i]), info[i]
+            lo, lo_g = float(ts[i - 1]), float(g[i - 1])
+        if i < ts.size:
+            hi, hi_g, hi_info = float(ts[i]), float(g[i]), info[i]
+        even = lo_g is None or 4.0 * (hi - lo) > width
     return hi, hi_info
 
 
@@ -466,52 +484,37 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
                         t0: float, t_stop: float):
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
-    Requires all coordinates of ``x(t0) - origin`` negative and a crossing
-    before ``t_stop`` (guaranteed when the origin is a positive combination
-    of x(t0) and the frame's basis points, and t_stop is the parameter of
-    one of those points).  A uniform grid of
-    ``CROSSING_GRID`` cells, doubled up to ``CROSSING_GRID_CAP``, finds the
-    first cell where the largest coordinate g(t) turns non-negative, and
-    :func:`refine_bracket` narrows that cell with batched rounds until it
-    is ``BISECT_TOL`` wide (relative) with g(hi) <= ``ZERO_TOL``, or a few
-    ulps wide.  Returns ``(t_bar, k, p)``: p is the coordinate row of
-    x(t_bar) that met g >= 0 in its batch, and k the 0-based index of its
-    vanishing coordinate; ties pick the smallest index.  Callers use this p
-    rather than a re-solve at t_bar, which can differ by more than
-    ``ZERO_TOL`` on an ill-conditioned frame.
+    Requires all coordinates of ``x(t0) - origin`` negative and ``x(t_stop)``
+    a basis point of the frame, whose coordinate row is a unit vector up to
+    roundoff, so the largest coordinate g(t) is negative at t0 and positive
+    at t_stop.  :func:`refine_bracket` narrows (t0, t_stop] until the
+    bracket is ``BISECT_TOL`` wide (relative) with g(hi) <= ``ZERO_TOL``,
+    or a few ulps wide, and returns the first crossing its probes see; any
+    such crossing leaves every coordinate <= ``ZERO_TOL`` (up to roundoff
+    on a frame of condition above about 1e5), which is all the reweighting
+    needs.  Returns ``(t_bar, k, p)``: p is the coordinate row of x(t_bar)
+    that met g >= 0 in its batch, and k the 0-based index of its vanishing
+    coordinate; ties pick the smallest index.  Callers use this p rather
+    than a re-solve at t_bar, which can differ by more than ``ZERO_TOL`` on
+    an ill-conditioned frame.
     """
     p0 = coords(frame, curve.evaluate(t0)[0])
     if p0.max() >= -ZERO_TOL:
         return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0
     scale_t = max(1.0, abs(t0), abs(t_stop))
+    width_floor = 8.0 * np.finfo(float).eps * scale_t
 
     def probe(ts):
         rows = coords(frame, curve.evaluate(ts))
-        return rows.max(axis=1) >= 0.0, rows
-
-    m = CROSSING_GRID
-    while True:
-        ts = np.linspace(t0, t_stop, m + 1)
-        hits, rows = probe(ts)
-        first = np.flatnonzero(hits)
-        if first.size:
-            i = int(first[0])
-            break
-        if m >= CROSSING_GRID_CAP:
-            raise NoCrossingError(
-                f"no coordinate sign change found in ({t0}, {t_stop}] "
-                f"at grid resolution {m}"
-            )
-        m *= 2
-
-    width_floor = 8.0 * np.finfo(float).eps * scale_t
+        return rows.max(axis=1), rows
 
     def done(lo, hi, row):
         return hi - lo <= width_floor or (
             hi - lo <= BISECT_TOL * scale_t and row.max() <= ZERO_TOL)
 
-    hi_t, row = refine_bracket(probe, float(ts[i - 1]), float(ts[i]),
-                               rows[i], done)
+    g_stop, rows_stop = probe(np.array([float(t_stop)]))
+    hi_t, row = refine_bracket(probe, float(t0), float(t_stop),
+                               float(g_stop[0]), rows_stop[0], done)
     return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0]), row
 
 
@@ -643,8 +646,11 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     zero weight are dropped first; if more than n+1 positive terms remain
     they are pruned with :func:`caratheodory_finite`.  The n+1 -> n step
     walks the curve from support point i toward point i+1, to the first
-    coordinate zero-crossing of the frame built from the other n points,
-    and reweights.  It takes the first i, in index order, whose frame
+    coordinate zero-crossing that :func:`first_zero_crossing` sees in the
+    frame built from the other n points, and reweights; any crossing it
+    returns leaves every coordinate <= ``ZERO_TOL``, so the n kept points
+    carry non-negative weights (positives left by roundoff are clipped).
+    It takes the first i, in index order, whose frame
     :func:`build_frame` accepts: the walk has a crossing in that gap,
     because every coordinate of x(t_i) is negative and x(t_(i+1)) is a
     basis point.  Only when every frame is rank deficient (the support

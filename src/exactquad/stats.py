@@ -9,7 +9,8 @@ witness pair is built constructively: a two-node exact rule for the system
 
     Cov = lambda (1 - lambda) (f(t1) - f(t2)) (g(t1) - g(t2)),
 
-and a batched bracket refinement along the curve parameter moves the second
+and a batched bracket refinement along the curve parameter (one even
+round, then secant-centred rounds, usually 3 or 4 in all) moves the second
 node until the factor lambda(1 - lambda) is replaced by its maximal value
 1/4.  The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then
 follows with function extrema over the interval, and a discrete sequence
@@ -123,9 +124,12 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     ((f - Ef)(g - Eg), f) supplies nodes satisfying the lambda(1 - lambda)
     identity.  With t1 held fixed, batched rounds of
     :func:`~exactquad.hull.refine_bracket` on [t1, t2] locate the point
-    where the product gap reaches 4 Cov, which exists by continuity; a
-    point whose gap is within 1e-11 (relative) of 4 Cov ends the search.
-    A failed bracket is reported as an error, never patched.
+    where the product gap reaches 4 Cov, which exists by continuity.  The
+    score is psi + tol_phi, with psi the signed excess of the gap over
+    4 Cov and tol_phi = 1e-11 (1 + 4 |Cov|), so a point with
+    psi >= -tol_phi hits, and one with |psi| <= tol_phi ends the search.
+    It returns the first such point the probes see.  A failed bracket is
+    reported as an error, never patched.
     """
     ef, eg, efg = _moments(f, g, m)
     cov = efg - ef * eg
@@ -176,14 +180,15 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     width_floor = 8.0 * np.finfo(float).eps * max(1.0, abs(t1), abs(t2))
 
     def probe(ss):
-        # a point with |psi| <= tol_phi ends the search there
+        # a point with psi >= -tol_phi hits; one with |psi| <= tol_phi ends
+        # the search there
         vals = psi(ss)
-        return (vals >= 0.0) | (np.abs(vals) <= tol_phi), vals
+        return vals + tol_phi, vals
 
     def done(a, b, psi_hi):
         return b - a <= width_floor or abs(psi_hi) <= tol_phi
 
-    s_star, _ = refine_bracket(probe, t1, t2, psi_b, done)
+    s_star, _ = refine_bracket(probe, t1, t2, psi_b + tol_phi, psi_b, done)
     product_gap = 0.25 * gap(t1, s_star)
     if abs(product_gap - cov) > 1e-8 * (1.0 + abs(cov)):
         raise NonConvergenceError(

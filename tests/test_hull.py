@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactquad.errors import (
@@ -287,25 +287,110 @@ class TestFirstZeroCrossing:
         assert abs(t_bar - grid[first]) <= 2e-6
 
     def test_refinement_is_batched(self, monkeypatch):
-        # one call for t0, one per grid scan and one per refinement round;
-        # scalar bisection from the 4096-cell grid took 35 calls here
+        # one call each for t0 and t_stop, then one per refinement round of
+        # at most 63 points: an even round and secant-centred ones
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.05, 0.5, 0.95])
         x = curve.evaluate(ts)
         frame = build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
-        calls = 0
+        sizes = []
         evaluate = CurveSystem.evaluate
 
         def counting(self, t):
-            nonlocal calls
-            calls += 1
+            sizes.append(np.atleast_1d(t).size)
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", counting)
         t_bar, k, p = first_zero_crossing(frame, curve, ts[0], ts[1])
-        assert calls <= 10
+        assert len(sizes) <= 6 and sum(sizes) <= 300
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
         assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
+
+
+def _refine_rounds(g, lo, hi, tol):
+    """Rounds of ``refine_bracket`` on a scalar score, and the point it returns."""
+    rounds = 0
+
+    def probe(ts):
+        nonlocal rounds
+        rounds += 1
+        return g(ts), ts
+
+    def done(a, b, _):
+        return b - a <= tol
+
+    t, _ = hull.refine_bracket(probe, lo, hi, float(g(np.array([hi]))[0]),
+                               hi, done)
+    return rounds, t
+
+
+class TestRefineBracket:
+    def test_smooth_root_in_four_rounds(self):
+        # even rounds alone shrink the bracket 64-fold each and need 8 to
+        # get from width 1 to 1e-13; secant-centred rounds need 4
+        rounds, t = _refine_rounds(lambda t: np.exp(t) - 2.0, 0.0, 1.0, 1e-13)
+        assert rounds <= 4
+        assert t == pytest.approx(math.log(2.0), abs=1e-13)
+
+    def test_stagnating_secant_falls_back_to_even_rounds(self):
+        # e^(K(t - r)) - 1 is strongly convex: on a bracket of width 1/64
+        # the secant root lies far left of the root, so a secant-centred
+        # round keeps a cell only 4/3 narrower; the even round that follows
+        # it bounds the count (13 rounds without that fallback)
+        r = (math.sqrt(5.0) - 1.0) / 2.0
+
+        def g(t):
+            return np.expm1(np.minimum(1e4 * (t - r), 700.0))
+
+        rounds, t = _refine_rounds(g, 0.0, 1.0, 1e-13)
+        assert rounds <= 8
+        assert r <= t <= r + 1e-13
+
+    def test_no_float_inside_stops(self):
+        lo = 1.0
+        hi = np.nextafter(lo, 2.0)
+        rounds, t = _refine_rounds(lambda t: t - hi, lo, hi, 0.0)
+        assert rounds == 0 and t == hi
+
+
+_SMOOTH_TEXTS = ("t", "t^2", "t^3", "t^4", "exp(0.7*t)", "exp(-1.3*t)",
+                 "sin(2*t)", "sin(0.5*t+1)")
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 4), moment=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_zero_crossing_properties(data, n, moment, seed):
+    # a positive combination of n+1 curve points; walk the first toward the
+    # second in the frame of the other n rooted at the combination
+    if moment:
+        texts = [f"t^{k}" for k in range(1, n + 1)]
+    else:
+        texts = data.draw(st.lists(st.sampled_from(_SMOOTH_TEXTS), min_size=n,
+                                   max_size=n, unique=True))
+    curve = CurveSystem.from_texts(texts, IntervalSpec(-1, 2))
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(0.05, 0.6, n + 1)) - 1.0
+    nu = rng.uniform(0.05, 1.0, n + 1)
+    x = curve.evaluate(ts)
+    try:
+        frame = build_frame(nu @ x / nu.sum(), x[1:])
+    except RankDeficiencyError:
+        assume(False)
+    # on frames with a condition number above about 1e5 the coordinates'
+    # roundoff can exceed ZERO_TOL at the crossing (14 of 20000 draws)
+    assume(np.linalg.cond(frame.basis) <= 1e4)
+    t_bar, k, p = first_zero_crossing(frame, curve, ts[0], ts[1])
+    assert ts[0] < t_bar <= ts[1]
+    assert p.max() <= ZERO_TOL
+    assert abs(p[k]) <= ZERO_TOL
+    if moment:
+        # each coordinate of the moment curve changes sign at most once in
+        # (t0, t1), so the first crossing is the only one
+        grid = np.linspace(ts[0], ts[1], 20001)
+        g = coords(frame, curve.evaluate(grid)).max(axis=1)
+        first = int(np.flatnonzero(g >= 0.0)[0])
+        assert abs(t_bar - grid[first]) <= 2.0 * (grid[1] - grid[0])
 
 
 class TestReduceOnCurve:

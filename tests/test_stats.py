@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from exactquad import stats
 from exactquad.errors import (
     MomentDivergenceError,
     UnboundedFunctionError,
@@ -112,6 +113,24 @@ class TestCovarianceWitness:
             assert w.product_gap == pytest.approx(
                 w.covariance, abs=1e-8 * (1 + abs(w.covariance)))
             assert m.interval.contains(w.t1) and m.interval.contains(w.t2)
+
+    def test_witness_search_takes_few_rounds(self, monkeypatch):
+        # one even round, then secant-centred ones; even rounds alone took 6
+        rounds = 0
+        refine = stats.refine_bracket
+
+        def counting(probe, *args):
+            def counted(ts):
+                nonlocal rounds
+                rounds += 1
+                return probe(ts)
+            return refine(counted, *args)
+
+        monkeypatch.setattr(stats, "refine_bracket", counting)
+        w = covariance_witness(T, T2, UNIT)
+        assert 1 <= rounds <= 4
+        assert abs(w.product_gap - w.covariance) <= (
+            1e-10 * (1 + abs(w.covariance)))
 
     def test_refined_witness_is_tight(self):
         # the refinement stops within 1e-11 of 4 Cov, far inside the
