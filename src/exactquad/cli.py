@@ -61,8 +61,6 @@ def _functions_and_measure(obj, **extra):
 def _apply_flags(cfg, args):
     if args.tol is not None:
         cfg = config_from_json({"tol": args.tol}, cfg)
-    if args.grid is not None:
-        cfg = config_from_json({"grid0": args.grid}, cfg)
     return cfg
 
 
@@ -151,7 +149,7 @@ _COMMANDS = {
 }
 
 
-# subcommands whose synthesis configuration --tol and --grid override
+# subcommands whose synthesis configuration --tol overrides
 _CONFIG_COMMANDS = ("synthesize", "covwitness")
 
 
@@ -169,8 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if name in _CONFIG_COMMANDS:
             p.add_argument("--tol", type=float, default=None,
                            help="integration tolerance override")
-            p.add_argument("--grid", type=int, default=None,
-                           help="initial discretization grid override")
         if name == "chebyshev-test":
             p.add_argument("--trials", type=int, default=200)
             p.add_argument("--seed", type=int, default=0)

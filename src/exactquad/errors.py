@@ -77,10 +77,6 @@ class ReconstructionError(ExactQuadError):
     kind = "reconstruction-failure"
 
 
-class DiscretizationError(ExactQuadError):
-    kind = "discretization-cap"
-
-
 class PolishError(ExactQuadError):
     kind = "polish-failure"
 

@@ -16,6 +16,13 @@ exhaustion must stabilize those too: symmetric windows let the two tails of
 a non-integrable ``f`` cancel, so the signed integrals alone could settle
 on a principal value.
 
+The integrator keeps the Gauss 15 nodes of the panels it accepts, weighted
+by half-width, Gauss weight and density, and returns them with the
+integrals (:class:`IntegralVector`).  This positive discrete measure, with
+the atoms, has exactly the computed integrals as its moments, up to
+summation order, so synthesis prunes it directly (Tchakaloff's theorem used
+constructively).
+
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
 """
@@ -129,10 +136,19 @@ class MeasureSpec:
 
 @dataclass(frozen=True, eq=False)
 class IntegralVector:
-    """Component integrals of a function system, and the measure's mass."""
+    """Component integrals of a function system, and the measure's mass.
+
+    ``nodes`` (increasing) and ``weights`` are the positive quadrature
+    rule of the density part that computed them: the Gauss 15 nodes of
+    every accepted panel, each weighted by the panel's half-width, its
+    Gauss weight and the density there.  With the atoms added, their
+    moments are ``mass`` and ``values`` up to summation order.
+    """
 
     values: np.ndarray
     mass: float
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
 def _density_callable(m: MeasureSpec):
@@ -150,35 +166,52 @@ def _density_callable(m: MeasureSpec):
     return w
 
 
-def _panel_rule(vec_fn, lo, hi):
-    """Gauss 15 values and |G15 - G7| error estimates for a batch of panels."""
+def _gauss_nodes(lo, hi, x):
+    """Half-widths and the (panels, len(x)) nodes of a Gauss rule with
+    abscissae ``x`` on [-1, 1], for a batch of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    pts15 = (mid[:, None] + half[:, None] * _G15_X[None, :]).ravel()
-    pts7 = (mid[:, None] + half[:, None] * _G7_X[None, :]).ravel()
-    v15 = np.asarray(vec_fn(pts15), dtype=float).reshape(len(lo), 15, -1)
-    v7 = np.asarray(vec_fn(pts7), dtype=float).reshape(len(lo), 7, -1)
+    return half, mid[:, None] + half[:, None] * x[None, :]
+
+
+def _panel_rule(vec_fn, lo, hi):
+    """Gauss 15 values, |G15 - G7| error estimates and the (panels, 15)
+    column-0 samples of ``vec_fn`` for a batch of panels."""
+    half, pts15 = _gauss_nodes(lo, hi, _G15_X)
+    _, pts7 = _gauss_nodes(lo, hi, _G7_X)
+    v15 = np.asarray(vec_fn(pts15.ravel()), dtype=float).reshape(len(lo), 15, -1)
+    v7 = np.asarray(vec_fn(pts7.ravel()), dtype=float).reshape(len(lo), 7, -1)
     i15 = half[:, None] * np.einsum("pkn,k->pn", v15, _G15_W)
     i7 = half[:, None] * np.einsum("pkn,k->pn", v7, _G7_W)
-    return i15, np.abs(i15 - i7)
+    return i15, np.abs(i15 - i7), v15[:, :, 0]
 
 
 def _integrate_compact(vec_fn, a, b, tol, n_out):
-    """Adaptive bisection of [a, b]; returns the (n_out,) integrals."""
+    """Adaptive bisection of [a, b] with ``vec_fn``'s column 0 the density.
+
+    Returns ``(integrals, nodes, weights)``: the ``(n_out,)`` integrals and
+    the Gauss 15 rule of the accepted panels, in increasing node order,
+    each weight the half-width times the Gauss weight times the density at
+    the node.  The integrals are the moments of that rule up to summation
+    order.
+    """
     if not b > a:
-        return np.zeros(n_out)
+        return np.zeros(n_out), np.empty(0), np.empty(0)
     edges = np.linspace(a, b, 9)
     lo, hi = edges[:-1], edges[1:]
-    vals, errs = _panel_rule(vec_fn, lo, hi)
+    vals, errs, dens = _panel_rule(vec_fn, lo, hi)
     width_floor = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
     for _ in range(_MAX_ROUNDS):
         order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs = lo[order], hi[order], vals[order], errs[order]
+        lo, hi, vals, errs, dens = (lo[order], hi[order], vals[order],
+                                    errs[order], dens[order])
         totals = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
         fn_tol = tol * (1.0 + np.abs(totals))
         if np.all(err_tot <= fn_tol):
-            return totals
+            half, nodes = _gauss_nodes(lo, hi, _G15_X)
+            weights = half[:, None] * _G15_W[None, :] * dens
+            return totals, nodes.ravel(), weights.ravel()
         share = (hi - lo) / (b - a)
         bad = np.any(errs > 0.5 * fn_tol[None, :] * share[:, None], axis=1)
         bad &= (hi - lo) > width_floor
@@ -194,11 +227,12 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
         mid = 0.5 * (lo[bad] + hi[bad])
         child_lo = np.concatenate([lo[bad], mid])
         child_hi = np.concatenate([mid, hi[bad]])
-        child_vals, child_errs = _panel_rule(vec_fn, child_lo, child_hi)
+        child_vals, child_errs, child_dens = _panel_rule(vec_fn, child_lo, child_hi)
         lo = np.concatenate([lo[~bad], child_lo])
         hi = np.concatenate([hi[~bad], child_hi])
         vals = np.concatenate([vals[~bad], child_vals])
         errs = np.concatenate([errs[~bad], child_errs])
+        dens = np.concatenate([dens[~bad], child_dens])
     raise NonConvergenceError(
         f"integral over [{a}, {b}] did not converge within the refinement depth"
     )
@@ -263,7 +297,7 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
 
 
 def _integrals(m: MeasureSpec, components, tol):
-    """``(mass, values, window)`` of ``components`` integrated against ``m``.
+    """``(IntegralVector, window)`` of ``components`` integrated against ``m``.
 
     Column 0 is the mass, so it shares the panels and windows of the
     values.  On a non-compact interval the columns after the values hold
@@ -272,12 +306,14 @@ def _integrals(m: MeasureSpec, components, tol):
     larger window adds only its two new shells to the density integral of
     the window inside it: integrating a large window from scratch would
     start from panels far wider than the density's scale, whose nodes can
-    all miss the mass.  Atoms are exact sums.
+    all miss the mass.  The Gauss rules of the shells, in order, are the
+    rule of the window.  Atoms are exact sums.
     """
     k = len(components)
     absolute = not m.interval.is_compact
     w = _density_callable(m) if m.density is not None else None
     dens = np.zeros(1 + 2 * k if absolute else 1 + k)
+    shells: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def vec(ts):
         weight = w(ts)
@@ -292,7 +328,9 @@ def _integrals(m: MeasureSpec, components, tol):
             pieces = ([(window.lower, window.upper)] if inner is None else
                       [(window.lower, inner.lower), (inner.upper, window.upper)])
             for a, b in pieces:
-                dens = dens + _integrate_compact(vec, a, b, tol, dens.size)
+                vals, nodes, weights = _integrate_compact(vec, a, b, tol, dens.size)
+                dens = dens + vals
+                shells.append((a, nodes, weights))
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
         terms = [[mass * comp(loc) for loc, mass in inside]
@@ -313,18 +351,21 @@ def _integrals(m: MeasureSpec, components, tol):
     mass = float(vals[0])
     if not math.isfinite(mass) or mass <= 0.0:
         raise SchemaError(f"measure has non-positive total mass {mass}")
-    return mass, vals[1:k + 1], window
+    shells.sort(key=lambda shell: shell[0])
+    nodes = np.concatenate([np.empty(0)] + [shell[1] for shell in shells])
+    weights = np.concatenate([np.empty(0)] + [shell[2] for shell in shells])
+    return IntegralVector(values=vals[1:k + 1], mass=mass, nodes=nodes,
+                          weights=weights), window
 
 
 def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
     """Total mass of the measure: density integral plus atom masses."""
-    return _integrals(m, [], tol)[0]
+    return _integrals(m, [], tol)[0].mass
 
 
 def integrate(m: MeasureSpec, f: Expression, tol: float = DEFAULT_TOL) -> float:
     """Integral of ``f`` over the interval against the measure."""
-    _, vals, _ = _integrals(m, [f], tol)
-    return float(vals[0])
+    return float(_integrals(m, [f], tol)[0].values[0])
 
 
 def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> IntegralVector:
@@ -333,8 +374,7 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
     ``curve`` is anything with a ``components`` sequence of expressions
     (see :class:`exactquad.hull.CurveSystem`).
     """
-    mass, vals, _ = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals, mass=mass)
+    return _integrals(m, list(curve.components), tol)[0]
 
 
 def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
@@ -343,27 +383,23 @@ def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
     Returns ``(integrals, window)`` where ``integrals`` estimates the
     system integrals and the mass over the whole interval and ``window``
     is a compact sub-interval carrying all but a ``tol`` fraction of the
-    mass.  Compact input is returned unchanged (identity).
+    mass; the Gauss nodes of ``integrals`` lie in it.  Compact input is
+    returned unchanged (identity).
     """
-    mass, vals, window = _integrals(m, list(curve.components), tol)
-    return IntegralVector(values=vals, mass=mass), window
+    return _integrals(m, list(curve.components), tol)
 
 
 def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:
     """Density mass of each cell ``[edges[i], edges[i+1])``, atoms excluded.
 
-    Uses one fixed 15-point Gauss rule per cell: the caller corrects the
-    resulting weights against exact integrals, so per-cell adaptivity is
-    not needed.
+    Uses one fixed 15-point Gauss rule per cell, with no error control.
+    Synthesis does not call it: it discretizes on the Gauss nodes that
+    :class:`IntegralVector` carries.
     """
     if m.density is None:
         return np.zeros(len(edges) - 1)
-    w = _density_callable(m)
-    lo, hi = edges[:-1], edges[1:]
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    pts = (mid[:, None] + half[:, None] * _G15_X[None, :]).ravel()
-    vals = w(pts).reshape(len(lo), 15)
+    half, pts = _gauss_nodes(edges[:-1], edges[1:], _G15_X)
+    vals = _density_callable(m)(pts.ravel()).reshape(pts.shape)
     return np.maximum(half * (vals @ _G15_W), 0.0)
 
 

@@ -10,11 +10,12 @@ total mass, reproducing every function integral:
    support and restrict to a maximal independent subset;
 3. normalize the integral vector to unit mass, the mass being column 0 of
    that same pass, so the target is consistent with its window;
-4. discretize the measure into grid cells plus atoms, correcting the cell
-   weights so the discrete combination reproduces the integral vector
-   exactly; the grid doubles only when it cannot hold the target;
+4. discretize the measure as the Gauss nodes of step 1's accepted panels
+   plus the atoms; the moments of this positive discrete measure are the
+   integral vector itself, so the target lies in its hull by construction
+   and the affine rank of step 2 is read on the same nodes;
 5. prune the combination to at most rank+1 support points with a
-   merge-reduce Caratheodory elimination over contiguous grid clusters
+   merge-reduce Caratheodory elimination over contiguous node clusters
    (:func:`~exactquad.hull.caratheodory_finite`), then to at most rank
    points (:func:`~exactquad.hull.reduce_on_curve`);
 6. polish nodes and weights with a damped Gauss-Newton solve, dropping
@@ -35,7 +36,6 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import (
-    DiscretizationError,
     PolishError,
     SchemaError,
     check_fields,
@@ -54,12 +54,10 @@ from .hull import (
 )
 from .measure import (
     DEFAULT_TOL,
-    IntervalSpec,
+    IntegralVector,
     MeasureSpec,
-    density_cell_masses,
     exhaust_interval,
     integrate_system,
-    total_mass,
 )
 
 __all__ = [
@@ -76,28 +74,25 @@ __all__ = [
     "config_from_json",
 ]
 
-CORRECTION_TOL = 1e-11  # discretization correction gate
 RESIDUAL_GATE = 1e-8    # final per-function exactness gate, relative
 MASS_GATE = 1e-10       # weight sum against the total mass, relative
 VERIFY_TOL = 1e-12      # re-integration tolerance of verify_rule
-GRID_CAP = 2**18        # largest discretization grid
-PROBE_POINTS = 512      # support probes of the affine rank
+# a centred column below this, times sqrt(nodes) and the column's largest
+# magnitude, is the rounding of its mean: the function is constant
+ROUNDING_FLOOR = 16 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class SynthesisConfig:
-    """What a caller may set; both positive, ``grid0`` at most ``GRID_CAP``."""
+    """What a caller may set: the integration tolerance, finite and > 0."""
 
     tol: float = DEFAULT_TOL  # integration tolerance (relative)
-    grid0: int = 128          # initial discretization cells
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
             if not (math.isfinite(value) and value > 0):
                 raise SchemaError(f"{f.name} must be finite and > 0, got {value}")
-        if self.grid0 > GRID_CAP:
-            raise SchemaError(f"grid0 {self.grid0} is above the grid cap {GRID_CAP}")
 
 
 @dataclass(frozen=True)
@@ -164,57 +159,62 @@ class _DependentMismatch(Exception):
     """Internal: a rule restricted to the independent functions failed the gate."""
 
 
-def _measure_probes(m: MeasureSpec, working: IntervalSpec) -> np.ndarray:
-    """Probe points where the measure has mass: density support plus atoms."""
-    pieces = []
-    if m.density is not None:
-        grid = np.linspace(working.lower, working.upper, PROBE_POINTS)
-        vals = np.maximum(np.asarray(m.density(grid), dtype=float), 0.0)
-        support = grid[vals > 0.0]
-        pieces.append(support if support.size else grid)
-    if m.atoms:
-        pieces.append(np.array([loc for loc, _ in m.atoms]))
-    return np.unique(np.concatenate(pieces))
+def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector):
+    """The positive discrete measure whose moments are ``J``.
+
+    ``J`` is the integral vector of ``curve`` against ``m``, from
+    :func:`~exactquad.measure.exhaust_interval` or
+    :func:`~exactquad.measure.integrate_system`.  Its Gauss nodes and the
+    atoms of ``m`` are merged and sorted, and zero weights (density
+    underflow) are dropped.  Since the integrals are the moments of this
+    measure, ``J / J.mass`` lies in the convex hull of its curve points by
+    construction.
+
+    Returns ``(params, weights)``: distinct increasing parameters, weights
+    > 0 that sum to ``J.mass`` and reproduce ``J.values`` up to rounding.
+    """
+    if len(J.values) != curve.n:
+        raise SchemaError(f"J has {len(J.values)} integrals for {curve.n} functions")
+    params = np.concatenate([J.nodes, [loc for loc, _ in m.atoms]])
+    weights = np.concatenate([J.weights, [mass for _, mass in m.atoms]])
+    params, weights = merge_coincident(params, weights)
+    keep = weights > 0.0
+    return params[keep], weights[keep]
 
 
-def _resolve_working(curve: CurveSystem, m: MeasureSpec, cfg: SynthesisConfig):
-    if m.interval.is_compact:
-        return m.interval
-    _, window = exhaust_interval(m, curve, cfg.tol)
-    return window
-
-
-def affine_rank(curve: CurveSystem, m: MeasureSpec, working: IntervalSpec | None = None,
+def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
                 config: SynthesisConfig | None = None) -> AffineRankReport:
     """Affine rank of the function system over the measure's support.
 
-    Rank is read off the singular values of the centered probe samples with
-    relative threshold ``RANK_TOL``; the independent subset is chosen
-    greedily in index order, so earlier functions win.  Rank 0 means every
-    function is constant wherever the measure has mass.
+    The support is probed at ``params``, by default the nodes of
+    :func:`discretize_hull_point`.  Rank is read off the singular values of
+    the centered samples with relative threshold ``RANK_TOL``, and a
+    column must also stand above the rounding of its own mean
+    (``ROUNDING_FLOOR``), so a constant function is dependent.  The
+    independent subset is chosen greedily in index order, so earlier
+    functions win.  Rank 0 means every function is constant wherever the
+    measure has mass.
     """
-    cfg = config or SynthesisConfig()
-    if working is None:
-        working = _resolve_working(curve, m, cfg)
-    probes = _measure_probes(m, working)
-    x = curve.evaluate(probes)
+    if params is None:
+        ivec, _ = exhaust_interval(m, curve, (config or SynthesisConfig()).tol)
+        params, _ = discretize_hull_point(curve, m, ivec)
+    x = curve.evaluate(params)
     xc = x - x.mean(axis=0)
-    smax = float(np.linalg.svd(xc, compute_uv=False)[0]) if probes.size else 0.0
-    thresh = RANK_TOL * smax
+    thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
+    floor = ROUNDING_FLOOR * math.sqrt(len(params)) * np.max(np.abs(x), axis=0)
     indep: list[int] = []
     for k in range(curve.n):
-        cand = xc[:, indep + [k]]
-        s = np.linalg.svd(cand, compute_uv=False)
-        if s.size == len(indep) + 1 and s[-1] > thresh:
+        s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
+        if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
             indep.append(k)
     deps: dict[int, tuple[np.ndarray, float]] = {}
     residual_of_fit = 0.0
     dependent = [k for k in range(curve.n) if k not in indep]
     if dependent:
-        a = np.column_stack([x[:, indep], np.ones(len(probes))])
+        a = np.column_stack([x[:, indep], np.ones(len(params))])
         for k in dependent:
             coef, *_ = np.linalg.lstsq(a, x[:, k], rcond=None)
-            fit = float(np.max(np.abs(a @ coef - x[:, k]))) if probes.size else 0.0
+            fit = float(np.max(np.abs(a @ coef - x[:, k])))
             deps[k] = (coef[:-1], float(coef[-1]))
             residual_of_fit = max(residual_of_fit, fit)
     return AffineRankReport(
@@ -225,111 +225,11 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, working: IntervalSpec | None
     )
 
 
-def _nonneg_correction(x, w0, target):
-    """Minimum-norm non-negative adjustment so the combination hits target.
-
-    Solves min ||w - w0|| subject to sum(w) = 1, sum(w_i x_i) = target,
-    w >= 0, by the min-norm equality solution plus an active-set loop that
-    zeroes violated weights.  Returns (w, ok).
-
-    Each step is the min-norm least-squares solution on the free columns
-    (orthogonal factorization), refined once by solving again on its
-    residual.  The normal equations would square the constraint matrix's
-    condition number, about 1e8 for 11 monomials on a 128-cell grid of
-    [0, 1], and miss the ``CORRECTION_TOL`` gate on targets the grid holds.
-    """
-    m, n = x.shape
-    a = np.vstack([(x - target).T, np.ones(m)])
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    scale = 1.0 + float(np.max(np.abs(target)))
-    free = np.ones(m, dtype=bool)
-    w = w0.copy()
-    for _ in range(60):
-        af = a[:, free]
-        rhs = b - af @ w0[free]
-        step = np.linalg.lstsq(af, rhs, rcond=None)[0]
-        step += np.linalg.lstsq(af, rhs - af @ step, rcond=None)[0]
-        w_free = w0[free] + step
-        w = np.zeros(m)
-        w[free] = w_free
-        neg = w_free < 0.0
-        if not np.any(neg):
-            break
-        idx = np.flatnonzero(free)
-        free[idx[neg]] = False
-        if not np.any(free):
-            return w0, False
-    w = np.maximum(w, 0.0)
-    ok = float(np.max(np.abs(a @ w - b))) <= CORRECTION_TOL * scale
-    return w, ok
-
-
-def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J, grid: int,
-                          working: IntervalSpec | None = None,
-                          mu_total: float | None = None,
-                          config: SynthesisConfig | None = None):
-    """Grid combination of curve points reproducing the integral vector.
-
-    Cells are ``[s_i, s_{i+1})`` with the last cell closed; each cell
-    contributes its left endpoint with the cell's density mass, and every
-    atom contributes its own location with its mass.  The raw weights are
-    then corrected (minimum-norm, non-negative) so the combination
-    reproduces ``J / mu_total`` within ``CORRECTION_TOL``.  The grid
-    doubles only when its own points cannot hold the target, for instance
-    when the window puts nearly all the mass in one or two cells.  Failure
-    at the grid cap signals that the integral vector sits on the hull
-    boundary, so the caller must reduce the affine rank first.
-
-    Returns ``(params, weights)`` with ``sum(weights) = mu_total``.
-    """
-    cfg = config or SynthesisConfig()
-    if working is None:
-        working = _resolve_working(curve, m, cfg)
-    if grid < curve.n + 2:
-        raise SchemaError(f"grid must be at least n+2 = {curve.n + 2}")
-    if mu_total is None:
-        mu_total = total_mass(m, cfg.tol)
-    j_vals = np.asarray(getattr(J, "values", J), dtype=float)
-    target = j_vals / mu_total
-    atom_locs = np.array([loc for loc, _ in m.atoms])
-    atom_masses = np.array([mass for _, mass in m.atoms])
-    g = int(grid)
-    while True:
-        if m.density is not None:
-            edges = np.linspace(working.lower, working.upper, g + 1)
-            params = edges[:-1]
-            masses = density_cell_masses(m, edges)
-        else:
-            params = np.empty(0)
-            masses = np.empty(0)
-        if atom_locs.size:
-            params = np.concatenate([params, atom_locs])
-            masses = np.concatenate([masses, atom_masses])
-        params, masses = merge_coincident(params, masses)
-        keep = masses > 0.0
-        params, masses = params[keep], masses[keep]
-        nu = masses / math.fsum(masses)
-        x = curve.evaluate(params)
-        nu2, ok = _nonneg_correction(x, nu, target)
-        if ok:
-            return params, nu2 * mu_total
-        if g >= GRID_CAP:
-            raise DiscretizationError(
-                f"no grid up to {GRID_CAP} admits a non-negative exact "
-                "correction; the integral vector is numerically on the hull "
-                "boundary"
-            )
-        g *= 2
-
-
-def _constant_rule(curve, m, working, j_vals, mu):
+def _constant_rule(curve, m, params, j_vals, mu):
     """Rank-0 case: every function is constant wherever the measure has mass."""
     mean = j_vals / mu
-    candidates = _measure_probes(m, working)
-    vals = curve.evaluate(candidates)
-    miss = np.max(np.abs(vals - mean), axis=1)
-    node = float(candidates[int(np.argmin(miss))])
+    miss = np.max(np.abs(curve.evaluate(params) - mean), axis=1)
+    node = float(params[int(np.argmin(miss))])
     full = CurveSystem(components=curve.components, interval=m.interval)
     return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
 
@@ -377,35 +277,24 @@ def _refit_weights(node_vals, j_vals, mu, lam):
     return fit if key(fit) <= key(lam) else lam
 
 
-def _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict):
+def _synthesize_pass(curve, m, working, params, w, j_vals, mu, restrict):
     n = curve.n
     if restrict:
-        report = affine_rank(curve, m, working=working, config=cfg)
+        report = affine_rank(curve, m, params)
         indep = list(report.independent_indices)
     else:
         report = None
         indep = list(range(n))
 
     if not indep:
-        nodes, lam, converged = _constant_rule(curve, m, working, j_vals, mu)
+        nodes, lam, converged = _constant_rule(curve, m, params, j_vals, mu)
         rank_used = 0
     else:
-        while True:
-            sub = CurveSystem(
-                components=tuple(curve.components[i] for i in indep),
-                interval=working,
-            )
-            sub_j = j_vals[indep]
-            try:
-                params, w = discretize_hull_point(
-                    sub, m, sub_j, cfg.grid0, working=working, mu_total=mu,
-                    config=cfg,
-                )
-                break
-            except DiscretizationError:
-                if not restrict or len(indep) <= 1:
-                    raise
-                indep = indep[:-1]  # enforce A2: drop into a lower rank
+        sub = CurveSystem(
+            components=tuple(curve.components[i] for i in indep),
+            interval=working,
+        )
+        sub_j = j_vals[indep]
         rank_used = len(indep)
         target = sub_j / mu
         comb = caratheodory_finite(sub.evaluate(params), w / mu, target,
@@ -462,23 +351,22 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
 
     The weights sum to the total mass of the measure, and each function's
     weighted node sum matches its integral within the residual gate.
-    Raises :class:`DiscretizationError` when the integral vector cannot be
-    represented (hull boundary at full rank), :class:`PolishError` when the
-    final residuals miss the gate, and propagates integration or domain
-    failures from the inputs.
+    Raises :class:`PolishError` when the final residuals miss the gate,
+    and propagates integration or domain failures from the inputs.
     """
     cfg = config or SynthesisConfig()
     ivec, working = exhaust_interval(m, curve, cfg.tol)
-    mu, j_vals = ivec.mass, ivec.values
     for comp in curve.components:
         continuity_probe(comp, working.lower, working.upper)
+    params, w = discretize_hull_point(curve, m, ivec)
+    args = (curve, m, working, params, w, ivec.values, ivec.mass)
     try:
-        return _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict=True)
+        return _synthesize_pass(*args, restrict=True)
     except _DependentMismatch:
         # the affine relation held only on the measure's support, not at the
         # synthesized nodes, or the refit spread a miss; retry on the full
         # system
-        return _synthesize_pass(curve, m, working, j_vals, mu, cfg, restrict=False)
+        return _synthesize_pass(*args, restrict=False)
 
 
 def verify_rule(rule: QuadratureRule, curve: CurveSystem,
@@ -533,7 +421,7 @@ def rule_from_json(obj) -> QuadratureRule:
     )
 
 
-_CONFIG_KINDS = {"tol": number, "grid0": integer}
+_CONFIG_KINDS = {"tol": number}
 
 
 def config_from_json(obj, base: SynthesisConfig | None = None) -> SynthesisConfig:

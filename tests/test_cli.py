@@ -48,10 +48,16 @@ class TestSynthesizeCommand:
         path = write(tmp_path, "p.json", {
             "functions": ["t", "t^2"],
             "measure": UNIT_MEASURE,
-            "tolerances": {"grid0": 64},
+            "tolerances": {"tol": 1e-8},
         })
         code, out, _ = invoke(["synthesize", path, "--tol", "1e-9"])
         assert code == 0
+
+    def test_grid_flag_is_gone(self, tmp_path):
+        # synthesis discretizes on the integrator's nodes; there is no grid
+        path = write(tmp_path, "p.json", {"functions": ["t"], "measure": UNIT_MEASURE})
+        code, out, _ = invoke(["synthesize", path, "--grid", "64"])
+        assert code == 2 and out == ""
 
     def test_malformed_json_offset(self, tmp_path):
         path = write(tmp_path, "bad.json", "{ nope")
@@ -272,7 +278,7 @@ _INTERVAL = UNIT_MEASURE["interval"]
     ("synthesize", _with(_SYNTH, tolerances={"tol": "abc"}), []),
     ("synthesize", _with(_SYNTH, tolerances={"tol": -1}), []),
     ("synthesize", _with(_SYNTH, tolerances={"probe_points": 0}), []),
-    ("synthesize", _with(_SYNTH, tolerances={"grid0": 128.5}), []),
+    ("synthesize", _with(_SYNTH, tolerances={"grid0": 128}), []),
     ("synthesize", _with(_SYNTH, measure=_with(
         UNIT_MEASURE, atoms=[{"t": "x", "mass": 1.0}])), []),
     ("synthesize", _with(_SYNTH, measure=_with(
@@ -302,13 +308,12 @@ _INTERVAL = UNIT_MEASURE["interval"]
                 "combination": {"params": [0.2, math.nan],
                                 "weights": [0.5, 0.5], "total": 1.0}}, []),
     ("gruss-discrete", {"p": [1.0], "u": [math.inf], "v": [0]}, []),
-    ("synthesize", _with(_SYNTH, tolerances={"grid0": 2 ** 19}), []),
-], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-fraction",
+], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-unknown",
         "atom-t-string", "lower-boolean", "upper-overflows-float",
         "reduce-function-number", "reduce-tolerances", "verify-tolerances",
         "covwitness-f-number", "gruss-tolerances", "gruss-discrete-p-string",
         "trials-zero", "gruss-discrete-p-nan", "verify-node-nan",
-        "reduce-param-nan", "gruss-discrete-u-infinity", "grid0-above-cap"])
+        "reduce-param-nan", "gruss-discrete-u-infinity"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
     assert code == 2 and out == ""

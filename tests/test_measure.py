@@ -156,6 +156,21 @@ class TestMassColumn:
         assert integrate_system(m, c).mass == pytest.approx(mass, rel=rel, abs=0.0)
         assert exhaust_interval(m, c)[0].mass == pytest.approx(mass, rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("m", [UNIT, EXP, ATOMS], ids=["unit", "exp", "atoms"])
+    def test_gauss_nodes_are_the_density_part(self, m):
+        # with the atoms, the moments of the integrator's own nodes are the
+        # integrals it returns, up to summation order
+        c = curve("t", "t^2", interval=m.interval)
+        out, window = exhaust_interval(m, c)
+        nodes = np.concatenate([out.nodes, [loc for loc, _ in m.atoms]])
+        weights = np.concatenate([out.weights, [mass for _, mass in m.atoms]])
+        assert np.all(np.diff(out.nodes) > 0) and np.all(out.weights >= 0)
+        assert np.all((window.lower <= out.nodes) & (out.nodes <= window.upper))
+        assert math.fsum(weights) == pytest.approx(out.mass, rel=1e-14)
+        recon = weights @ c.evaluate(nodes)
+        assert recon == pytest.approx(out.values, rel=1e-14, abs=1e-15)
+        assert (out.nodes.size == 0) == (m.density is None)
+
 
 class TestExhaustion:
     def test_compact_identity(self):
