@@ -11,9 +11,10 @@ keeps the rest of the basis null on the surviving points.
 ``reduce_on_curve`` takes a strictly positive combination of n+1 ordered
 points of a continuous curve and produces at most n curve points with the
 same total weight and the same weighted sum: it rebuilds coordinates in
-the barycentric frame rooted at the target, slides the parameter from a
-support point toward its right neighbour until one coordinate first
-crosses zero, and reweights the remaining points.
+the barycentric frame rooted at the target, solved through one SVD of the
+frame's basis, slides the parameter from a support point toward its right
+neighbour until one coordinate first crosses zero, and reweights the
+remaining points.
 The crossing is found by ``refine_bracket``, which probes up to 63
 points of the bracket per vectorized call and keeps the cell ending at
 the first sign change: one evenly spaced round, then rounds centred on the
@@ -36,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
 
 from .errors import (
     InfeasibleCombinationError,
@@ -223,8 +223,9 @@ class BarycentricFrame:
 
     origin: np.ndarray
     basis: np.ndarray  # columns are basis vectors
-    lu: tuple          # scipy lu_factor of basis
-    perm: np.ndarray   # row order that the pivots of lu apply
+    u: np.ndarray      # basis = u @ diag(s) @ vt, its SVD
+    s: np.ndarray
+    vt: np.ndarray
 
 
 def build_frame(v, curve_points) -> BarycentricFrame:
@@ -240,39 +241,22 @@ def build_frame(v, curve_points) -> BarycentricFrame:
     if pts.shape != (n, n):
         raise SchemaError(f"need exactly {n} points of R^{n}, got shape {pts.shape}")
     basis = (pts - v).T
-    s = np.linalg.svd(basis, compute_uv=False)
+    u, s, vt = np.linalg.svd(basis)
     if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
         raise RankDeficiencyError(
             f"frame basis is rank deficient (singular values {s[0]:.3e}..{s[-1]:.3e})"
         )
-    lu, piv = lu_factor(basis)
-    perm = np.arange(n)
-    for i, j in enumerate(piv):
-        perm[[i, j]] = perm[[j, i]]
-    return BarycentricFrame(origin=v, basis=basis, lu=(lu, piv), perm=perm)
+    return BarycentricFrame(origin=v, basis=basis, u=u, s=s, vt=vt)
 
 
 def coords(frame: BarycentricFrame, x) -> np.ndarray:
     """Frame coordinates p with ``frame.basis @ p = x - frame.origin``.
 
     Accepts a single point (n,) or a batch (k, n); returns matching shape.
-    A batch is substituted through the triangular factors with elementwise
-    numpy on the calling thread: OpenBLAS threads every multi-column
-    ``lu_solve``, and on small batches its spinning threads slow down
-    processes that run side by side.
+    Solved through the SVD of the basis: p = V diag(1/s) U^T (x - origin).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return lu_solve(frame.lu, x - frame.origin)
-    lu = frame.lu[0]
-    y = (x - frame.origin).T[frame.perm]
-    n = y.shape[0]
-    for j in range(n - 1):  # unit lower triangle
-        y[j + 1:] -= np.multiply.outer(lu[j + 1:, j], y[j])
-    for j in range(n - 1, -1, -1):  # upper triangle
-        y[j] /= lu[j, j]
-        y[:j] -= np.multiply.outer(lu[:j, j], y[j])
-    return y.T
+    return ((x - frame.origin) @ frame.u / frame.s) @ frame.vt
 
 
 def _null_direction(points, target):

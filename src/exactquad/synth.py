@@ -115,7 +115,7 @@ class QuadratureRule:
     weights: np.ndarray
     total: float
     residuals: np.ndarray
-    rank_used: int
+    rank_used: int  # affine rank of the functions over the measure's support
     converged: bool = True
 
     def __post_init__(self):
@@ -277,43 +277,28 @@ def _refit_weights(node_vals, j_vals, mu, lam):
     return fit if key(fit) <= key(lam) else lam
 
 
-def _synthesize_pass(curve, m, working, params, w, j_vals, mu, restrict):
-    n = curve.n
-    if restrict:
-        report = affine_rank(curve, m, params)
-        indep = list(report.independent_indices)
-    else:
-        report = None
-        indep = list(range(n))
-
+def _synthesize_pass(curve, m, working, params, w, j_vals, mu, rank, indep):
     if not indep:
         nodes, lam, converged = _constant_rule(curve, m, params, j_vals, mu)
-        rank_used = 0
     else:
         sub = CurveSystem(
             components=tuple(curve.components[i] for i in indep),
             interval=working,
         )
-        sub_j = j_vals[indep]
-        rank_used = len(indep)
-        target = sub_j / mu
+        target = j_vals[indep] / mu
         comb = caratheodory_finite(sub.evaluate(params), w / mu, target,
                                    params=params)
-        if len(comb) > rank_used:
+        if len(comb) > len(indep):
             comb = reduce_on_curve(sub, comb, target)
         # polish against the measure's full interval: exhaustion bias is
         # absorbed here because nodes may move anywhere in it
         polish_curve = CurveSystem(components=sub.components,
                                    interval=m.interval)
-        nodes, lam = comb.params, comb.weights * mu
-        converged = False
-        for _ in range(max(1, len(nodes))):
-            nodes, lam, converged = polish_combination(
-                polish_curve, nodes, lam, target, mu)
-            drop = lam <= 1e-14 * mu
-            if not np.any(drop) or np.all(drop):
-                break
-            nodes, lam = nodes[~drop], lam[~drop]
+        nodes, lam, converged = polish_combination(
+            polish_curve, comb.params, comb.weights * mu, target, mu)
+        keep = lam > 1e-14 * mu
+        if np.any(keep):
+            nodes, lam = nodes[keep], lam[keep]
 
     nodes, lam = merge_coincident(nodes, lam)
     lam = _refit_weights(curve.evaluate(nodes), j_vals, mu, lam)
@@ -324,7 +309,7 @@ def _synthesize_pass(curve, m, working, params, w, j_vals, mu, restrict):
         # the weight refit spans all n functions, so a dependent function's
         # miss can land on independent ones or on the mass: any gate failure
         # of a pass that dropped dependents is retried on the full system
-        if restrict and report.dependency_coefficients:
+        if len(indep) < curve.n:
             raise _DependentMismatch
         if not mass_ok:
             raise PolishError(
@@ -340,7 +325,7 @@ def _synthesize_pass(curve, m, working, params, w, j_vals, mu, restrict):
         weights=lam,
         total=mu,
         residuals=resid,
-        rank_used=rank_used,
+        rank_used=rank,
         converged=bool(converged),
     )
 
@@ -359,14 +344,15 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     for comp in curve.components:
         continuity_probe(comp, working.lower, working.upper)
     params, w = discretize_hull_point(curve, m, ivec)
-    args = (curve, m, working, params, w, ivec.values, ivec.mass)
+    report = affine_rank(curve, m, params)
+    args = (curve, m, working, params, w, ivec.values, ivec.mass, report.rank)
     try:
-        return _synthesize_pass(*args, restrict=True)
+        return _synthesize_pass(*args, list(report.independent_indices))
     except _DependentMismatch:
         # the affine relation held only on the measure's support, not at the
         # synthesized nodes, or the refit spread a miss; retry on the full
         # system
-        return _synthesize_pass(*args, restrict=False)
+        return _synthesize_pass(*args, list(range(curve.n)))
 
 
 def verify_rule(rule: QuadratureRule, curve: CurveSystem,

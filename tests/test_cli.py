@@ -179,6 +179,32 @@ def test_package_entry_point_runs_without_warning(tmp_path):
     assert proc.stdout == out
     assert "Warning" not in proc.stderr
 
+
+_NO_SCIPY_SCRIPT = """
+import io, sys
+import exactquad
+from exactquad.cli import run
+from exactquad.expr import parse
+from exactquad.hull import CurveSystem
+from exactquad.measure import IntervalSpec, MeasureSpec
+from exactquad.synth import synthesize_rule
+m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"))
+assert len(synthesize_rule(CurveSystem.from_texts(["t", "t^2"], m.interval), m)) == 2
+assert run(["gruss", sys.argv[1]], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_import_synthesis_and_gruss_load_no_scipy(tmp_path):
+    # scipy is slow to import and only chebyshev-test needs it
+    path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})
+    env = dict(os.environ, PYTHONPATH=str(Path(exactquad.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestStatsCommands:
     def test_covwitness(self, tmp_path):
         path = write(tmp_path, "c.json",

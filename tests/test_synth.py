@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from exactquad import synth
 from exactquad.errors import ExactQuadError, SchemaError
 from exactquad.expr import parse
 from exactquad.hull import RECON_TOL, CurveSystem
@@ -76,6 +77,27 @@ FALLBACK_PROBLEMS = [
         },
     },
 ]
+
+# acceptance corpus seed 11, variant 5, #122: affine rank 5 of 6 functions;
+# the restricted pass misses the gate, so the rule is the full system's
+RANK_FIVE_RETRY = {
+    "functions": [
+        "-0.715954439663486*sin(1*t)+-1.9009061892791164*cos(1*t)",
+        "-1.4616574113336767*exp(-0.5554918602190011*t)",
+        "0.5666747308846114+0.6129247624175118*t+0.06761989673868563*t^2",
+        "-1.4064852138062771*sin(2*t)+1.268408052727735*cos(1*t)",
+        "0.03057423448141705*exp(-0.12625134528724336*t)",
+        "0.976012535688795+0.4324885111562051*t+-1.3225996902347328*t^2"
+        "+1.5405429929189682*t^3",
+    ],
+    "measure": {
+        "interval": {"lower": 1.281788288890934, "upper": 2.3503417354964005,
+                     "lower_open": False, "upper_open": False},
+        "density": "(0.6495879048546132+0.0604431105194243*t"
+                   "+-0.18365286893771504*t^2)^2+0.8737131039023647",
+        "atoms": [],
+    },
+}
 
 # acceptance corpus seed 402, variant 4, #165: a near-dependent exponential
 # pair (functions 0 and 1) that the grid discretization left to a polish
@@ -335,6 +357,32 @@ class TestSynthesize:
         rule = synthesize_rule(c, m)
         assert len(rule) <= c.n
         assert verify_rule(rule, c, m).passed
+
+    def test_retry_reports_the_affine_rank(self):
+        problem = RANK_FIVE_RETRY
+        m = measure_from_json(problem["measure"])
+        c = curve(*problem["functions"], interval=m.interval)
+        assert affine_rank(c, m).rank == 5
+        rule = synthesize_rule(c, m)
+        assert rule.rank_used == 5
+        assert len(rule) <= 6
+        assert verify_rule(rule, c, m).passed
+
+    def test_polish_runs_once_and_its_zero_weights_drop(self, monkeypatch):
+        calls = []
+        polish = synth.polish_combination
+
+        def with_zero_weight(curve, params, weights, *args, **kwargs):
+            calls.append(len(params))
+            p, w, converged = polish(curve, params, weights, *args, **kwargs)
+            return np.append(p, 0.123), np.append(w, 0.0), converged
+
+        monkeypatch.setattr(synth, "polish_combination", with_zero_weight)
+        c = curve("t", "t^2")
+        rule = synthesize_rule(c, UNIT)
+        assert calls == [2]
+        assert len(rule) == 2 and 0.123 not in rule.nodes
+        assert verify_rule(rule, c, UNIT).passed
 
     def test_gamma_tail_nodes_carry_density(self):
         # the exhaustion window of (0, inf) reaches far past the mass; a
