@@ -25,6 +25,11 @@ negative base with a non-integer exponent, or any non-finite result) raises
 subexpression.  A power whose exponent is a number literal (``t^3``,
 ``t^-0.5``) decides when it is compiled which of its two domain checks can
 fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based byte offsets.
+
+A function system is evaluated as one batch by :func:`evaluate_columns`:
+one ``errstate`` and one output array for all components, each column
+checked for finiteness before the next is computed, so it raises exactly
+the error that calling the components one by one, in index order, would.
 """
 
 from __future__ import annotations
@@ -481,6 +486,27 @@ class Expression:
         return Expression(("neg", self._ast))
 
 
+def evaluate_columns(exprs, ts) -> np.ndarray:
+    """Values of every expression at ``ts``, one column per expression.
+
+    Returns a new ``ts.shape + (len(exprs),)`` array, a scalar ``ts``
+    counting as one point; column k holds exactly the values of
+    ``exprs[k](ts)``.  All closures run under one ``errstate``.  Each
+    column is checked for finiteness as soon as it is computed, so the
+    first component that fails, in index order, raises the same
+    :class:`EvalDomainError` as its own call.
+    """
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    out = np.empty(ts.shape + (len(exprs),))
+    with np.errstate(all="ignore"):
+        for k, e in enumerate(exprs):
+            col = e._fn(ts)
+            if not np.isfinite(col).all():
+                raise EvalDomainError("non-finite value", e._text)
+            out[..., k] = col
+    return out
+
+
 def parse(text: str) -> Expression:
     """Parse ``text`` into an :class:`Expression`.
 
@@ -498,15 +524,19 @@ def evaluate(e: Expression, t: float) -> float:
     return e(float(t))
 
 
+def continuity_points(lower: float, upper: float) -> np.ndarray:
+    """``CONTINUITY_POINTS`` Chebyshev-spaced points of ``[lower, upper]``,
+    both ends included."""
+    j = np.arange(CONTINUITY_POINTS, dtype=float)
+    return 0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
+        np.pi * j / (CONTINUITY_POINTS - 1))
+
+
 def continuity_probe(e: Expression, lower: float, upper: float):
-    """Evaluate ``e`` at ``CONTINUITY_POINTS`` Chebyshev-spaced points of
-    ``[lower, upper]``.
+    """Evaluate ``e`` at the :func:`continuity_points` of ``[lower, upper]``.
 
     Raises :class:`EvalDomainError` if any probe fails; returns the probe
     values otherwise.  Guards the continuity hypothesis before an
     expression is used as a quadrature input.
     """
-    j = np.arange(CONTINUITY_POINTS, dtype=float)
-    x = 0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
-        np.pi * j / (CONTINUITY_POINTS - 1))
-    return e(x)
+    return e(continuity_points(lower, upper))

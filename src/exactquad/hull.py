@@ -47,7 +47,7 @@ from .errors import (
     number,
     numbers,
 )
-from .expr import Expression, parse
+from .expr import Expression, evaluate_columns, parse
 from .measure import IntervalSpec
 
 __all__ = [
@@ -129,9 +129,14 @@ class CurveSystem:
         return cls(tuple(parse(s) for s in texts), interval)
 
     def evaluate(self, ts) -> np.ndarray:
-        """Curve values at the given parameters, one row per parameter."""
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        return np.stack([comp(ts) for comp in self.components], axis=1)
+        """Curve values at the given parameters, one row per parameter.
+
+        One batch for the whole system (:func:`~exactquad.expr.evaluate_columns`):
+        a new ``(len(ts), n)`` array, a scalar counting as one parameter.
+        The first failing component, in index order, raises the
+        :class:`EvalDomainError` of its own call.
+        """
+        return evaluate_columns(self.components, ts)
 
 
 def chebyshev_sample_test(functions, interval, trial_count: int = 200,
@@ -538,6 +543,11 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     weak singular direction, the damped steps crawl along it, and running
     to ``POLISH_MAX_ITER`` would cost hundreds of evaluations for almost no gain.
 
+    An iteration evaluates the curve twice: once at the parameters and
+    their two central-difference neighbours for the Jacobian, and once at
+    the parameters of all 18 damped trial steps, so a polish of k
+    iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls.
+
     Returns ``(params, weights, converged)``.  A ``False`` flag means the
     iteration stalled above ``target_resid``; the caller decides whether
     the achieved residual is acceptable.
@@ -551,21 +561,20 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         [1.0 / (1.0 + np.abs(total * target)), [1.0 / (1.0 + abs(total))]]
     )
 
-    def residual(p, w):
-        x = curve.evaluate(p)
+    def residual(x, w):
         raw = np.concatenate([w @ x - total * target, [math.fsum(w) - total]])
         return raw * row_scale
 
-    r = residual(params, weights)
+    r = residual(curve.evaluate(params), weights)
     norm = float(np.linalg.norm(r))
     for _ in range(POLISH_MAX_ITER):
         if float(np.max(np.abs(r))) <= target_resid:
             return params, weights, True
-        x = curve.evaluate(params)
         h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(params))
         up = np.minimum(params + h, hi)
         dn = np.maximum(params - h, lo)
-        dx = (curve.evaluate(up) - curve.evaluate(dn)) / (up - dn)[:, None]
+        x, x_up, x_dn = np.split(curve.evaluate(np.concatenate([params, up, dn])), 3)
+        dx = (x_up - x_dn) / (up - dn)[:, None]
         jac = np.zeros((n + 1, 2 * m))
         jac[:n, :m] = (weights[:, None] * dx).T
         jac[:n, m:] = x.T
@@ -573,17 +582,20 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         jac *= row_scale[:, None]
         u, s, vt = np.linalg.svd(jac, full_matrices=False)
         utr = u.T @ (-r)
-        best = None
+        trials = []
         for lam_rel in _LM_LADDER:
             lam = lam_rel * s[0]
             step = vt.T @ (s / (s * s + lam * lam) * utr)
             for alpha in _LM_ALPHAS:
-                p_try = np.clip(params + alpha * step[:m], lo, hi)
-                w_try = np.maximum(weights + alpha * step[m:], 0.0)
-                r_try = residual(p_try, w_try)
-                norm_try = float(np.linalg.norm(r_try))
-                if best is None or norm_try < best[0]:
-                    best = (norm_try, p_try, w_try, r_try)
+                trials.append((np.clip(params + alpha * step[:m], lo, hi),
+                               np.maximum(weights + alpha * step[m:], 0.0)))
+        x_try = curve.evaluate(np.concatenate([p for p, _ in trials]))
+        best = None
+        for (p_try, w_try), x_t in zip(trials, np.split(x_try, len(trials))):
+            r_try = residual(x_t, w_try)
+            norm_try = float(np.linalg.norm(r_try))
+            if best is None or norm_try < best[0]:
+                best = (norm_try, p_try, w_try, r_try)
         if best is None or best[0] >= norm:
             break  # first-order stationary; caller checks the residual gate
         stalled = best[0] > (1.0 - _LM_MIN_GAIN) * norm

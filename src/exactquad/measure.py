@@ -44,7 +44,7 @@ from .errors import (
     number,
     string,
 )
-from .expr import Expression, parse
+from .expr import Expression, evaluate_columns, parse
 
 __all__ = [
     "IntervalSpec",
@@ -176,11 +176,16 @@ def _gauss_nodes(lo, hi, x):
 
 def _panel_rule(vec_fn, lo, hi):
     """Gauss 15 values, |G15 - G7| error estimates and the (panels, 15)
-    column-0 samples of ``vec_fn`` for a batch of panels."""
+    column-0 samples of ``vec_fn`` for a batch of panels.
+
+    One ``vec_fn`` call takes the Gauss 15 nodes of every panel, then
+    their Gauss 7 nodes."""
     half, pts15 = _gauss_nodes(lo, hi, _G15_X)
     _, pts7 = _gauss_nodes(lo, hi, _G7_X)
-    v15 = np.asarray(vec_fn(pts15.ravel()), dtype=float).reshape(len(lo), 15, -1)
-    v7 = np.asarray(vec_fn(pts7.ravel()), dtype=float).reshape(len(lo), 7, -1)
+    vals = np.asarray(vec_fn(np.concatenate([pts15.ravel(), pts7.ravel()])),
+                      dtype=float)
+    v15 = vals[:pts15.size].reshape(len(lo), 15, -1)
+    v7 = vals[pts15.size:].reshape(len(lo), 7, -1)
     i15 = half[:, None] * np.einsum("pkn,k->pn", v15, _G15_W)
     i7 = half[:, None] * np.einsum("pkn,k->pn", v7, _G7_W)
     return i15, np.abs(i15 - i7), v15[:, :, 0]
@@ -316,11 +321,11 @@ def _integrals(m: MeasureSpec, components, tol):
     shells: list[tuple[float, np.ndarray, np.ndarray]] = []
 
     def vec(ts):
-        weight = w(ts)
-        cols = [weight] + [comp(ts) * weight for comp in components]
+        weight = w(ts)[:, None]
+        cols = [weight, evaluate_columns(components, ts) * weight]
         if absolute:
-            cols += [np.abs(col) for col in cols[1:]]
-        return np.stack(cols, axis=1)
+            cols.append(np.abs(cols[1]))
+        return np.concatenate(cols, axis=1)
 
     def on_window(window, inner):
         nonlocal dens

@@ -43,7 +43,7 @@ from .errors import (
     number,
     numbers,
 )
-from .expr import continuity_probe
+from .expr import continuity_points
 from .hull import (
     RANK_TOL,
     CurveSystem,
@@ -234,8 +234,7 @@ def _constant_rule(curve, m, params, j_vals, mu):
     return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
 
 
-def _gate_residuals(curve, nodes, lam, j_vals):
-    node_vals = curve.evaluate(nodes)
+def _gate_residuals(node_vals, lam, j_vals):
     recon = lam @ node_vals
     resid = np.abs(recon - j_vals)
     ok = resid <= RESIDUAL_GATE * (1.0 + np.abs(j_vals))
@@ -301,10 +300,11 @@ def _synthesize_pass(curve, m, working, params, w, j_vals, mu, rank, indep):
             nodes, lam = nodes[keep], lam[keep]
 
     nodes, lam = merge_coincident(nodes, lam)
-    lam = _refit_weights(curve.evaluate(nodes), j_vals, mu, lam)
+    node_vals = curve.evaluate(nodes)
+    lam = _refit_weights(node_vals, j_vals, mu, lam)
 
     mass_ok = abs(math.fsum(lam) - mu) <= MASS_GATE * mu
-    resid, ok = _gate_residuals(curve, nodes, lam, j_vals)
+    resid, ok = _gate_residuals(node_vals, lam, j_vals)
     if not (mass_ok and np.all(ok)):
         # the weight refit spans all n functions, so a dependent function's
         # miss can land on independent ones or on the mass: any gate failure
@@ -341,8 +341,7 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     """
     cfg = config or SynthesisConfig()
     ivec, working = exhaust_interval(m, curve, cfg.tol)
-    for comp in curve.components:
-        continuity_probe(comp, working.lower, working.upper)
+    curve.evaluate(continuity_points(working.lower, working.upper))
     params, w = discretize_hull_point(curve, m, ivec)
     report = affine_rank(curve, m, params)
     args = (curve, m, working, params, w, ivec.values, ivec.mass, report.rank)

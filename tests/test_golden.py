@@ -1,0 +1,143 @@
+"""Golden rules: variant 0 of the three benchmark corpora at seed 20260808.
+
+``golden_rules.json`` holds, for every problem, the rule's nodes, weights
+and ``rank_used`` or the typed error's ``kind`` (acceptance and tail), and
+the exit code and JSON output of ``cli.run`` (stats).  Node counts,
+``rank_used``, error kinds, exit codes and non-numeric output fields must
+match exactly.  Nodes, weights and numeric output fields must match within
+``RTOL``, relative with an absolute floor of the same size
+(``|a - b| <= RTOL * (1 + |b|)``).  The bytes depend on the BLAS kernels
+and numpy's SIMD loops, which the CPU selects: a rule with n nodes for n
+functions is one point of a family of exact rules, and the polish stops
+at whichever point its path reaches.  Forcing other OpenBLAS kernels
+(``OPENBLAS_CORETYPE`` Haswell, Sandybridge, Prescott) and numpy without
+AVX-512 moved no node count, rank or error kind, and moved nodes and
+weights by at most 9.1e-9 on acceptance, 2.3e-7 on tail (the eps = 1e-7
+near-dependent systems) and 4e-16 on stats, all inside ``RTOL``.
+Tightening the polish target from 1e-12 to 1e-11 moves 12 acceptance rules
+by up to 2.3e-6 and fails the test; a changed support moves rules far more.
+The file's ``digests`` record the exact digests of variants 0-5
+(acceptance, stats) and 0-3 (tail) on the machine that wrote it.
+
+A change that moves rules on purpose rewrites the file with
+``PYTHONPATH=src python tests/test_golden.py`` and says why.
+"""
+
+import hashlib
+import io
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from exactquad import cli
+from exactquad.errors import ExactQuadError
+from exactquad.hull import CurveSystem
+from exactquad.measure import measure_from_json
+from exactquad.synth import rule_to_json, synthesize_rule
+
+GOLDEN = Path(__file__).resolve().parent / "golden_rules.json"
+SEED = 20260808
+RTOL = 1e-6
+# corpus variants of the digests in the file's header
+DIGEST_VARIANTS = {"acceptance": 6, "tail": 4, "stats": 6}
+DIGEST_DEFINITION = (
+    "SHA-256, first 16 hex, of the newline-joined lines of every problem: "
+    "the rule_to_json text with sorted keys or 'ERR <kind>' (acceptance, "
+    "tail), '<exit code> <stdout of cli.run>' (stats)")
+
+# the benchmark's problem generators, imported read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
+sys.path.pop(0)
+
+
+def synthesize(problem):
+    """The rule of one synthesis problem, or its typed error."""
+    try:
+        m = measure_from_json(problem["measure"])
+        return synthesize_rule(CurveSystem.from_texts(problem["functions"],
+                                                      m.interval), m)
+    except ExactQuadError as exc:
+        return exc
+
+
+def run_cli(item, tmp: Path):
+    """``(exit code, stdout)`` of one stats problem through ``cli.run``."""
+    path = tmp / "problem.json"
+    path.write_text(json.dumps(item["problem"]), encoding="utf-8")
+    out = io.StringIO()
+    code = cli.run([item["kind"], str(path)], stdout=out, stderr=io.StringIO())
+    return code, out.getvalue()
+
+
+def results(workload: str, variant: int, tmp: Path) -> list:
+    items = corpus.CORPORA[workload](SEED, variant)
+    if workload == "stats":
+        return [run_cli(item, tmp) for item in items]
+    return [synthesize(item["problem"]) for item in items]
+
+
+def golden_records(workload: str, raw: list) -> list[dict]:
+    if workload == "stats":
+        return [{"exit": code, "output": json.loads(out or "null")}
+                for code, out in raw]
+    return [{"error": r.kind} if isinstance(r, ExactQuadError) else
+            {"nodes": r.nodes.tolist(), "weights": r.weights.tolist(),
+             "rank_used": r.rank_used} for r in raw]
+
+
+def digest_lines(workload: str, raw: list) -> list[str]:
+    if workload == "stats":
+        return [f"{code} {out}" for code, out in raw]
+    return [f"ERR {r.kind}" if isinstance(r, ExactQuadError)
+            else json.dumps(rule_to_json(r), sort_keys=True) for r in raw]
+
+
+def mismatches(got, want, where: str) -> list[str]:
+    """Where ``got`` differs from ``want``: floats within ``RTOL``, the rest exactly."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        if sorted(got) != sorted(want):
+            return [f"{where}: fields {sorted(got)} != {sorted(want)}"]
+        return [line for key in want
+                for line in mismatches(got[key], want[key], f"{where}.{key}")]
+    if isinstance(want, list) and isinstance(got, list):
+        if len(got) != len(want):
+            return [f"{where}: length {len(got)} != {len(want)}"]
+        return [line for i, (g, w) in enumerate(zip(got, want))
+                for line in mismatches(g, w, f"{where}[{i}]")]
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isfinite(want) and abs(got - want) <= RTOL * (1.0 + abs(want)):
+            return []
+    elif got == want and type(got) is type(want):
+        return []
+    return [f"{where}: {got!r} != {want!r}"]
+
+
+@pytest.mark.parametrize("workload", ["acceptance", "tail", "stats"])
+def test_rules_match_the_golden_file(workload, tmp_path):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[workload]
+    got = golden_records(workload, results(workload, 0, tmp_path))
+    bad = mismatches(got, want, workload)
+    assert not bad, f"{len(bad)} mismatches, first: " + "; ".join(bad[:5])
+
+
+if __name__ == "__main__":
+    out = {"about": __doc__.split("\n\n")[0], "seed": SEED, "rtol": RTOL,
+           "digest_definition": DIGEST_DEFINITION, "digests": {}}
+    with tempfile.TemporaryDirectory() as tmp:
+        for workload, count in DIGEST_VARIANTS.items():
+            lines = []
+            for variant in range(count):
+                raw = results(workload, variant, Path(tmp))
+                lines += digest_lines(workload, raw)
+                if variant == 0:
+                    out[workload] = golden_records(workload, raw)
+            out["digests"][f"{workload} v0-{count - 1}"] = hashlib.sha256(
+                "\n".join(lines).encode()).hexdigest()[:16]
+    GOLDEN.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
+    print(json.dumps(out["digests"]))

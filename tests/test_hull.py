@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from exactquad.errors import (
+    EvalDomainError,
     InfeasibleCombinationError,
     RankDeficiencyError,
     SchemaError,
@@ -675,3 +676,92 @@ def test_polish_stops_when_it_crawls(monkeypatch):
     assert len(calls) < 200
     assert rel_resid(p2, w2) <= before
     assert rel_resid(p2, w2) <= RECON_TOL
+
+
+# components of the batching properties: polynomials, exponentials, sines
+# and cosines, literal powers (negative and fractional ones too, so the
+# parameters stay positive), constants and the bare t
+_coef = st.floats(-3, 3, allow_nan=False).map(repr)
+_component = st.one_of(
+    st.lists(_coef, min_size=1, max_size=5).map(
+        lambda cs: "+".join(f"{c}*t^{k}" for k, c in enumerate(cs))),
+    st.tuples(_coef, st.floats(-2, 2).map(repr)).map(
+        lambda ab: f"{ab[0]}*exp({ab[1]}*t)"),
+    st.tuples(st.sampled_from(["sin", "cos"]), st.floats(-4, 4).map(repr)).map(
+        lambda fk: f"{fk[0]}({fk[1]}*t)"),
+    st.sampled_from(["-3", "-2", "-1", "-0.5", "0.5", "1.5", "2", "3"]).map(
+        lambda p: f"t^{p}" if p[0] != "-" else f"t^({p})"),
+    _coef,
+    st.just("pi"),
+    st.just("t"),
+)
+_params = st.lists(st.floats(0.125, 4.0), max_size=70).map(np.array)
+
+
+@settings(max_examples=80, deadline=None)
+@given(texts=st.lists(_component, min_size=1, max_size=6), a=_params, b=_params)
+def test_system_evaluation_is_batch_invariant(texts, a, b):
+    # the rules are byte-identical whatever the batch split: one batch
+    # gives the rows of separate batches, and each column the values of
+    # its component's own call
+    curve = CurveSystem.from_texts(texts, IntervalSpec(0, 5))
+    both = np.concatenate([a, b])
+    x = curve.evaluate(both)
+    assert x.shape == (both.size, len(texts))
+    assert np.array_equal(x, np.vstack([curve.evaluate(a), curve.evaluate(b)]))
+    for k, comp in enumerate(curve.components):
+        assert np.array_equal(x[:, k], comp(both))
+
+
+class TestSystemEvaluation:
+    def test_first_failing_component_raises_its_own_error(self):
+        curve = CurveSystem.from_texts(["t", "log(t-5)", "sqrt(t-5)"],
+                                       IntervalSpec(0, 1))
+        ts = np.array([0.0, 1.0])
+        with pytest.raises(EvalDomainError) as own:
+            curve.components[1](ts)
+        with pytest.raises(EvalDomainError) as batch:
+            curve.evaluate(ts)
+        assert str(batch.value) == str(own.value)
+        assert batch.value.subexpr == own.value.subexpr == "log(t-5.0)"
+
+    def test_non_finite_value_names_its_component(self):
+        curve = CurveSystem.from_texts(["t^2", "exp(1000*t)", "1/t"],
+                                       IntervalSpec(0, 1))
+        with pytest.raises(EvalDomainError) as exc:
+            curve.evaluate(np.array([0.0, 1.0]))
+        assert exc.value.subexpr == curve.components[1].text
+        assert str(exc.value) == f"non-finite value in '{curve.components[1].text}'"
+
+    def test_scalar_and_empty_shapes(self):
+        curve = CurveSystem.from_texts(["t", "2", "sin(t)"], IntervalSpec(0, 1))
+        assert curve.evaluate(0.5).shape == (1, 3)
+        assert np.array_equal(curve.evaluate(0.5)[0], [0.5, 2.0, math.sin(0.5)])
+        assert curve.evaluate(np.empty(0)).shape == (0, 3)
+
+    def test_constants_and_bare_t_come_back_fresh(self):
+        curve = CurveSystem.from_texts(["t", "2", "pi", "t"], IntervalSpec(0, 1))
+        ts = np.linspace(0.0, 1.0, 5)
+        kept = ts.copy()
+        x = curve.evaluate(ts)
+        x[:] = -1.0
+        assert np.array_equal(ts, kept)
+        assert np.array_equal(curve.evaluate(ts)[:, 1:3], np.full((5, 2), [2.0, math.pi]))
+
+
+def test_polish_evaluates_twice_per_iteration(monkeypatch):
+    # one batch for the Jacobian (point, up, dn) and one for the 18 trials
+    curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
+    params = np.array([0.1, 0.45, 0.8])
+    weights = np.array([0.3, 0.4, 0.3])
+    target = np.array([0.5, 1.0 / 3.0, math.e - 1.0])
+    calls, iterations = [], []
+    evaluate, svd = CurveSystem.evaluate, np.linalg.svd
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: calls.append(np.size(t)) or evaluate(self, t))
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: iterations.append(1) or svd(*a, **k))
+    _, _, ok = polish_combination(curve, params, weights, target, 1.0)
+    monkeypatch.undo()
+    assert ok and len(iterations) >= 2
+    assert len(calls) <= 1 + 2 * len(iterations)

@@ -9,6 +9,7 @@ from exactquad.errors import (
     NegativeDensityError,
     SchemaError,
 )
+from exactquad import measure
 from exactquad.expr import parse
 from exactquad.hull import CurveSystem
 from exactquad.measure import (
@@ -271,3 +272,22 @@ class TestJson:
         m = MeasureSpec(IntervalSpec(0, 1),
                         atoms=((0.7, 0.25), (0.3, 0.5), (0.7, 0.25)))
         assert m.atoms == ((0.3, 0.5), (0.7, 0.5))
+
+
+def test_one_column_call_per_refinement_round(monkeypatch):
+    # each panel batch evaluates its Gauss 15 and Gauss 7 nodes in one call
+    rounds, calls = [], []
+    panel_rule = measure._panel_rule
+    monkeypatch.setattr(measure, "_panel_rule",
+                        lambda *a: rounds.append(1) or panel_rule(*a))
+    dens = measure._density_callable(UNIT)
+    comps = [parse("sqrt(t)"), parse("exp(-40*(t-0.3)^2)")]
+
+    def vec(ts):
+        calls.append(ts.size)
+        return np.column_stack([dens(ts)] + [c(ts) for c in comps])
+
+    vals, nodes, _ = measure._integrate_compact(vec, 0.0, 1.0, 1e-10, 3)
+    assert len(rounds) > 2 and len(calls) == len(rounds)
+    assert all(size % 22 == 0 for size in calls)
+    assert vals[1] == pytest.approx(2.0 / 3.0, rel=1e-10)

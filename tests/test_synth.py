@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from exactquad import synth
-from exactquad.errors import ExactQuadError, SchemaError
+from exactquad.errors import EvalDomainError, ExactQuadError, SchemaError
 from exactquad.expr import parse
 from exactquad.hull import RECON_TOL, CurveSystem
 from exactquad.measure import (
@@ -411,6 +411,17 @@ class TestSynthesize:
                         density=parse("(1+t^2)^-2"))
         with pytest.raises(ExactQuadError):
             synthesize_rule(curve("t", "t^2", interval=m.interval), m)
+
+
+def test_continuity_probe_reports_the_first_failing_component():
+    # the Gauss nodes are interior, so only the probe's endpoint t = 0 meets
+    # the removable singularities of components 2 and 3
+    curve = CurveSystem.from_texts(["exp(t)", "t^2", "sin(t)/t", "(exp(t)-1)/t"],
+                                   IntervalSpec(0, 1))
+    with pytest.raises(EvalDomainError) as exc:
+        synthesize_rule(curve, UNIT)
+    assert exc.value.subexpr == "sin(t)/t"
+    assert str(exc.value) == "division by zero in 'sin(t)/t'"
 
 
 class TestVerify:
