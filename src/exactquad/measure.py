@@ -338,12 +338,14 @@ def _integrals(m: MeasureSpec, components, tol):
                 shells.append((a, nodes, weights))
         inside = [(loc, mass) for loc, mass in m.atoms
                   if window.lower <= loc <= window.upper]
-        terms = [[mass * comp(loc) for loc, mass in inside]
-                 for comp in components]
-        sums = [math.fsum(mass for _, mass in inside)]
+        if not inside:
+            return dens
+        locs, masses = np.array(inside).T
+        terms = (masses[:, None] * evaluate_columns(components, locs)).T
+        sums = [math.fsum(masses)]
         sums += [math.fsum(col) for col in terms]
         if absolute:
-            sums += [math.fsum(map(abs, col)) for col in terms]
+            sums += [math.fsum(np.abs(col)) for col in terms]
         return dens + np.array(sums)
 
     try:

@@ -55,6 +55,7 @@ from .hull import (
 from .measure import (
     DEFAULT_TOL,
     IntegralVector,
+    IntervalSpec,
     MeasureSpec,
     exhaust_interval,
     integrate_system,
@@ -340,11 +341,26 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     and propagates integration or domain failures from the inputs.
     """
     cfg = config or SynthesisConfig()
-    ivec, working = exhaust_interval(m, curve, cfg.tol)
+    return synthesize_on_pass(curve, m, *exhaust_interval(m, curve, cfg.tol))
+
+
+def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
+                       working: IntervalSpec) -> QuadratureRule:
+    """:func:`synthesize_rule` after its integration pass.
+
+    ``J`` holds the integrals of ``curve`` against ``m`` and the Gauss
+    rule of the pass that computed them, ``working`` that pass's window.
+    The pass may have integrated other functions: its Gauss rule with the
+    atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
+    which holds whenever each component of ``curve`` is a linear
+    combination of the constant 1 and the functions that pass integrated.
+    Probes continuity on the window, discretizes, reads the affine rank
+    and runs the passes and the full-system retry.
+    """
     curve.evaluate(continuity_points(working.lower, working.upper))
-    params, w = discretize_hull_point(curve, m, ivec)
+    params, w = discretize_hull_point(curve, m, J)
     report = affine_rank(curve, m, params)
-    args = (curve, m, working, params, w, ivec.values, ivec.mass, report.rank)
+    args = (curve, m, working, params, w, J.values, J.mass, report.rank)
     try:
         return _synthesize_pass(*args, list(report.independent_indices))
     except _DependentMismatch:

@@ -214,6 +214,22 @@ class TestStatsCommands:
         w = json.loads(out)
         assert abs(w["t1"] - w["t2"]) == pytest.approx(3 ** -0.5, abs=1e-6)
 
+    def test_covwitness_tolerance_only_tightens(self, tmp_path):
+        # the one integration pass runs at min(MOMENT_TOL, tol): a looser
+        # tol changes nothing, a tighter one still meets the witness gap
+        problem = {"f": "sin(3*t)+t", "g": "t^2*exp(-t)",
+                   "measure": dict(UNIT_MEASURE, density="1+t^2")}
+        outputs = {}
+        for tol in (None, 1e-6, 1e-13):
+            body = dict(problem, tolerances={"tol": tol}) if tol else problem
+            code, out, _ = invoke(["covwitness", write(tmp_path, "c.json", body)])
+            assert code == 0
+            outputs[tol] = out
+        assert outputs[1e-6] == outputs[None]
+        w = json.loads(outputs[1e-13])
+        assert abs(w["product_gap"] - w["covariance"]) <= (
+            1e-8 * (1 + abs(w["covariance"])))
+
     def test_gruss(self, tmp_path):
         path = write(tmp_path, "g.json",
                      {"f": "t", "g": "t", "measure": UNIT_MEASURE})

@@ -6,11 +6,12 @@ from scipy.integrate import quad
 
 from exactquad.errors import (
     DivergentMassError,
+    EvalDomainError,
     NegativeDensityError,
     SchemaError,
 )
 from exactquad import measure
-from exactquad.expr import parse
+from exactquad.expr import Expression, parse
 from exactquad.hull import CurveSystem
 from exactquad.measure import (
     IntervalSpec,
@@ -291,3 +292,31 @@ def test_one_column_call_per_refinement_round(monkeypatch):
     assert len(rounds) > 2 and len(calls) == len(rounds)
     assert all(size % 22 == 0 for size in calls)
     assert vals[1] == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
+def test_atoms_evaluate_as_one_batch(monkeypatch):
+    # the atoms of a window are one evaluation of the system, never a
+    # scalar call per atom and component
+    calls = []
+    call = Expression.__call__
+    monkeypatch.setattr(Expression, "__call__",
+                        lambda e, t: calls.append(np.ndim(t)) or call(e, t))
+    m = MeasureSpec(IntervalSpec(0, 1), density=parse("1"),
+                    atoms=((0.1, 0.125), (0.3, 0.25), (0.7, 0.5)))
+    funcs = CurveSystem.from_texts(["t", "exp(t)"], m.interval)
+    out = integrate_system(m, funcs, 1e-12)
+    assert 0 not in calls
+    assert out.values[0] == pytest.approx(0.5 + math.fsum([0.0125, 0.075, 0.35]),
+                                          rel=1e-14)
+    assert out.mass == pytest.approx(1.875, rel=1e-14)
+
+
+def test_atom_error_names_the_first_failing_function():
+    # sqrt(0.5-t) fails only at the second atom, log(t-0.5) at the first:
+    # the error is the first function's, in index order, as for the
+    # density's nodes
+    m = MeasureSpec(IntervalSpec(0, 1), atoms=((0.2, 0.5), (0.8, 0.5)))
+    funcs = CurveSystem.from_texts(["sqrt(0.5-t)", "log(t-0.5)"], m.interval)
+    with pytest.raises(EvalDomainError) as info:
+        integrate_system(m, funcs)
+    assert info.value.subexpr.startswith("sqrt")

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from exactquad import stats
+from exactquad import measure, stats
 from exactquad.errors import (
     MomentDivergenceError,
     UnboundedFunctionError,
     WeightNormalizationError,
 )
-from exactquad.expr import parse
+from exactquad.expr import Expression, parse
 from exactquad.measure import IntervalSpec, MeasureSpec
 from exactquad.stats import (
     covariance,
@@ -132,6 +132,23 @@ class TestCovarianceWitness:
         assert abs(w.product_gap - w.covariance) <= (
             1e-10 * (1 + abs(w.covariance)))
 
+    def test_one_integration_pass(self, monkeypatch):
+        # the rule for ((f - Ef)(g - Eg), f) is synthesized on the Gauss
+        # rule of the moments pass, whose integrals give its target
+        calls = 0
+        integrals = measure._integrals
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return integrals(*args)
+
+        monkeypatch.setattr(measure, "_integrals", counting)
+        w = covariance_witness(parse("sin(3*t)+t"), parse("t^2*exp(-t)"),
+                               MeasureSpec(IntervalSpec(0, 2), density=parse("1")))
+        assert calls == 1
+        assert abs(w.product_gap - w.covariance) <= 1e-8 * (1 + abs(w.covariance))
+
     def test_refined_witness_is_tight(self):
         # the refinement stops within 1e-11 of 4 Cov, far inside the
         # witness's own 1e-8 acceptance check
@@ -174,6 +191,53 @@ class TestGrussContinuous:
         r = gruss_check(parse("sin(pi*t)"), T, UNIT)
         assert r.M_f == pytest.approx(1.0, abs=1e-9)
         assert r.m_f == pytest.approx(0.0, abs=1e-12)
+
+    def test_extrema_make_no_scalar_calls(self, monkeypatch):
+        # the moments pass, the scan and each refinement round evaluate
+        # (f, g) as one batch: about 5 rounds reach the 1e-10 cell width
+        scalar = arrays = 0
+        call = Expression.__call__
+
+        def counted_call(expr, t):
+            nonlocal scalar, arrays
+            if np.ndim(t):
+                arrays += 1
+            else:
+                scalar += 1
+            return call(expr, t)
+
+        def counted(columns):
+            def wrapper(exprs, ts):
+                nonlocal arrays
+                arrays += 1
+                return columns(exprs, ts)
+            return wrapper
+
+        monkeypatch.setattr(Expression, "__call__", counted_call)
+        for module in (stats, measure):
+            monkeypatch.setattr(module, "evaluate_columns",
+                                counted(module.evaluate_columns))
+        m = MeasureSpec(IntervalSpec(0, 2), density=parse("1"))
+        r = gruss_check(parse("sin(3*t)+t"), parse("t^2*exp(-t)"), m)
+        assert scalar == 0
+        assert arrays <= 16
+        assert r.M_g == pytest.approx(4.0 * math.exp(-2.0), rel=1e-12)
+
+    def test_interior_maximum(self):
+        # f' = 3 cos(3t) + 1 vanishes where cos(3t) = -1/3
+        r = gruss_check(parse("sin(3*t)+t"), T,
+                        MeasureSpec(IntervalSpec(0, 1.2), density=parse("1")))
+        exact = math.sqrt(8.0) / 3.0 + math.acos(-1.0 / 3.0) / 3.0
+        assert r.M_f == pytest.approx(exact, rel=1e-12)
+
+    def test_extremum_at_an_endpoint_is_exact(self):
+        # t^2 - t on [0, 1.5]: the maximum 0.75 sits at the upper end, the
+        # minimum -1/4 inside at t = 1/2
+        r = gruss_check(parse("t^2-t"), T,
+                        MeasureSpec(IntervalSpec(0, 1.5), density=parse("1")))
+        assert r.M_f == 0.75
+        assert r.m_f == pytest.approx(-0.25, rel=1e-15)
+        assert (r.m_g, r.M_g) == (0.0, 1.5)
 
     def test_unbounded_function_rejected(self):
         m = MeasureSpec(IntervalSpec(0, math.inf), density=parse("exp(-t)"))
