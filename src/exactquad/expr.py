@@ -411,9 +411,9 @@ class Expression:
     """A parsed function of the scalar variable ``t``.
 
     Calling an instance evaluates it: scalars in, float out; ndarray in,
-    ndarray out.  Arithmetic between expressions (or with plain numbers)
-    builds new expressions, so composites like ``(f - c) * g`` stay in the
-    same grammar and keep printing/round-tripping.
+    a new ndarray out.  Arithmetic between expressions (or with plain
+    numbers) builds new expressions, so composites like ``(f - c) * g``
+    stay in the same grammar and keep printing/round-tripping.
     """
 
     __slots__ = ("_ast", "_fn", "_text")
@@ -433,18 +433,9 @@ class Expression:
         return self._text
 
     def __call__(self, t):
-        arr = np.asarray(t, dtype=float)
-        with np.errstate(all="ignore"):
-            out = self._fn(arr)
-        if not np.isfinite(out).all():
-            raise EvalDomainError("non-finite value", self._text)
-        if arr.ndim == 0:
-            return float(out)
-        # every operation makes a new array; only the bare ``t`` hands back
-        # the caller's input, and a constant comes back as a scalar
-        if out is arr or np.ndim(out) == 0:
-            return np.full(arr.shape, out, dtype=float)
-        return out
+        """The one-column view of :func:`evaluate_columns`."""
+        out = evaluate_columns((self,), t)[..., 0]
+        return float(out[0]) if np.ndim(t) == 0 else out
 
     def __repr__(self):
         return f"Expression({self._text!r})"

@@ -329,6 +329,14 @@ def _eliminate(points, weights, target, floor):
     return np.flatnonzero(weights > floor)
 
 
+def _miss(weights, points, target) -> float:
+    """Largest coordinate miss of the weighted mean of ``points`` against
+    ``target``, relative to 1 + max|target|; the reductions' gate is
+    ``RECON_TOL``."""
+    miss = np.max(np.abs(weights @ points / weights.sum() - target))
+    return float(miss) / (1.0 + float(np.max(np.abs(target))))
+
+
 def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
     """Prune a combination of m points of R^n to at most n+1 support points.
 
@@ -361,12 +369,11 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     total = float(math.fsum(weights))
     if total <= 0:
         raise SchemaError("weights must have positive sum")
-    feas_scale = 1.0 + float(np.max(np.abs(target)))
-    gap = np.max(np.abs(weights @ points / total - target))
-    if gap > RECON_TOL * feas_scale:
+    gap = _miss(weights, points, target)
+    if gap > RECON_TOL:
         raise InfeasibleCombinationError(
-            f"input combination misses the target by {gap:.3e} "
-            f"(allowed {RECON_TOL * feas_scale:.3e})"
+            f"input combination misses the target by {gap:.3e} relative "
+            f"(allowed {RECON_TOL:.0e})"
         )
 
     floor = 1e-15 * total
@@ -399,11 +406,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         active = np.flatnonzero(weights > floor)
     if active.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
-    w_act = weights[active]
-    if (
-        np.max(np.abs(w_act @ points[active] / math.fsum(w_act) - target))
-        > RECON_TOL * feas_scale
-    ):
+    if _miss(weights[active], points[active], target) > RECON_TOL:
         # near-null eliminations drifted too far; the <= n+1 support stands
         weights = snapshot
         active = np.flatnonzero(weights > floor)
@@ -411,10 +414,10 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     kept = active
     w_out = weights[kept]
     w_out *= total / math.fsum(w_out)
-    recon = np.max(np.abs(w_out @ points[kept] / total - target))
-    if recon > RECON_TOL * feas_scale:
+    recon = _miss(w_out, points[kept], target)
+    if recon > RECON_TOL:
         raise ReconstructionError(
-            f"reduced combination misses the target by {recon:.3e}"
+            f"reduced combination misses the target by {recon:.3e} relative"
         )
     if params is None:
         out_params = kept.astype(float)
@@ -520,7 +523,6 @@ def _clip_bounds(iv: IntervalSpec):
 
 
 _LM_LADDER = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
-_LM_ALPHAS = (1.0, 0.5, 0.25)
 _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
@@ -545,8 +547,9 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
 
     An iteration evaluates the curve twice: once at the parameters and
     their two central-difference neighbours for the Jacobian, and once at
-    the parameters of all 18 damped trial steps, so a polish of k
-    iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls.
+    the parameters of all 6 damped trial steps, one full step per damping
+    value, so a polish of k iterations makes at most 1 + 2k
+    :meth:`CurveSystem.evaluate` calls.
 
     Returns ``(params, weights, converged)``.  A ``False`` flag means the
     iteration stalled above ``target_resid``; the caller decides whether
@@ -586,9 +589,8 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         for lam_rel in _LM_LADDER:
             lam = lam_rel * s[0]
             step = vt.T @ (s / (s * s + lam * lam) * utr)
-            for alpha in _LM_ALPHAS:
-                trials.append((np.clip(params + alpha * step[:m], lo, hi),
-                               np.maximum(weights + alpha * step[m:], 0.0)))
+            trials.append((np.clip(params + step[:m], lo, hi),
+                           np.maximum(weights + step[m:], 0.0)))
         x_try = curve.evaluate(np.concatenate([p for p, _ in trials]))
         best = None
         for (p_try, w_try), x_t in zip(trials, np.split(x_try, len(trials))):
@@ -625,11 +627,10 @@ def merge_coincident(params, weights, points=None):
 def _rebuild(params, weights, points, target, total):
     params, weights, points = merge_coincident(params, weights, points)
     weights = weights * (total / math.fsum(weights))
-    scale = 1.0 + float(np.max(np.abs(target)))
-    recon = np.max(np.abs(weights @ points - total * target)) / max(total, 1.0)
-    if recon > RECON_TOL * scale:
+    recon = _miss(weights, points, target)
+    if recon > RECON_TOL:
         raise ReconstructionError(
-            f"reduced combination misses the target by {recon:.3e}"
+            f"reduced combination misses the target by {recon:.3e} relative"
         )
     return ConvexCombination(params=params, weights=weights, total=total)
 
@@ -663,11 +664,11 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     weights = comb.weights[keep]
     points = curve.evaluate(params)
 
-    scale = 1.0 + float(np.max(np.abs(v)))
-    gap = np.max(np.abs(weights @ points - total * v)) / max(total, 1.0)
-    if gap > RECON_TOL * scale:
+    gap = _miss(weights, points, v)
+    if gap > RECON_TOL:
         raise InfeasibleCombinationError(
-            f"combination does not reproduce the target (off by {gap:.3e})"
+            f"combination does not reproduce the target (off by {gap:.3e} "
+            "relative)"
         )
 
     if params.size > n + 1:
@@ -683,10 +684,11 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         except ReconstructionError:
             # an ill-conditioned frame can leave the dropped coordinate at
             # its forward-error floor; a local Gauss-Newton solve recovers
-            # the nearby exact root
+            # the nearby exact root; polish rows within this target keep
+            # the miss well inside RECON_TOL at any total
             p2, w2, _ = polish_combination(
                 curve, new_params, new_weights, v, total,
-                target_resid=0.01 * RECON_TOL * scale * max(total, 1.0),
+                target_resid=0.01 * RECON_TOL * min(total, 1.0),
             )
             return _rebuild(p2, w2, curve.evaluate(p2), v, total)
 

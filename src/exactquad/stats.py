@@ -215,7 +215,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
 
     s_star, h_star = refine_bracket(probe, t1, t2, psi_b + tol_phi, h2, done)
     product_gap = 0.25 * float(h_star)
-    if abs(product_gap - cov) > 1e-8 * (1.0 + abs(cov)):
+    if abs(product_gap - cov) > RESIDUAL_GATE * (1.0 + abs(cov)):
         raise NonConvergenceError(
             f"witness search left a gap of {abs(product_gap - cov):.3e}; "
             "continuity assumptions look violated"

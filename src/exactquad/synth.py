@@ -20,9 +20,10 @@ total mass, reproducing every function integral:
    points (:func:`~exactquad.hull.reduce_on_curve`);
 6. polish nodes and weights with a damped Gauss-Newton solve, dropping
    nodes whose weight reaches zero;
-7. rescale to the original mass and check residuals for all functions,
-   including the dependent ones; a rank-restricted rule that misses the
-   gate is rebuilt once on the full system.
+7. refit the weights at the original mass and gate the residuals of all
+   functions, the dependent ones included.  Steps 5-7 run in one loop:
+   on the independent subset, then, only if it dropped functions and
+   missed the gate, on all n functions.
 
 The produced rule is one of infinitely many valid rules; the pipeline is
 deterministic, so identical inputs give identical output.
@@ -156,10 +157,6 @@ class VerificationReport:
         }
 
 
-class _DependentMismatch(Exception):
-    """Internal: a rule restricted to the independent functions failed the gate."""
-
-
 def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector):
     """The positive discrete measure whose moments are ``J``.
 
@@ -235,11 +232,13 @@ def _constant_rule(curve, m, params, j_vals, mu):
     return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
 
 
-def _gate_residuals(node_vals, lam, j_vals):
-    recon = lam @ node_vals
-    resid = np.abs(recon - j_vals)
-    ok = resid <= RESIDUAL_GATE * (1.0 + np.abs(j_vals))
-    return resid, ok
+def _gate(node_vals, w, j_vals, mu):
+    """``(resid, rel, mass_err)`` of weights ``w`` at nodes with values
+    ``node_vals``: the residuals against ``j_vals``, the same relative to
+    1 + |J| (gate ``RESIDUAL_GATE``) and |sum(w) - mu| / mu (gate
+    ``MASS_GATE``)."""
+    resid = np.abs(w @ node_vals - j_vals)
+    return resid, resid / (1.0 + np.abs(j_vals)), abs(math.fsum(w) - mu) / mu
 
 
 def _refit_weights(node_vals, j_vals, mu, lam):
@@ -270,21 +269,19 @@ def _refit_weights(node_vals, j_vals, mu, lam):
     fit = np.maximum(fit, 0.0)
 
     def key(w):
-        mass_ok = abs(math.fsum(w) - mu) <= MASS_GATE * mu
-        rel = float(np.max(np.abs(w @ node_vals - j_vals) * d))
-        return (not mass_ok, rel)
+        _, rel, mass_err = _gate(node_vals, w, j_vals, mu)
+        return (mass_err > MASS_GATE, float(np.max(rel)))
 
     return fit if key(fit) <= key(lam) else lam
 
 
-def _synthesize_pass(curve, m, working, params, w, j_vals, mu, rank, indep):
+def _synthesize_pass(curve, m, working, params, w, j_vals, mu, indep):
+    """Candidate nodes and weights on the functions ``indep``: prune, walk,
+    polish, drop zero weights and merge coincident nodes."""
     if not indep:
         nodes, lam, converged = _constant_rule(curve, m, params, j_vals, mu)
     else:
-        sub = CurveSystem(
-            components=tuple(curve.components[i] for i in indep),
-            interval=working,
-        )
+        sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
         target = j_vals[indep] / mu
         comb = caratheodory_finite(sub.evaluate(params), w / mu, target,
                                    params=params)
@@ -292,43 +289,13 @@ def _synthesize_pass(curve, m, working, params, w, j_vals, mu, rank, indep):
             comb = reduce_on_curve(sub, comb, target)
         # polish against the measure's full interval: exhaustion bias is
         # absorbed here because nodes may move anywhere in it
-        polish_curve = CurveSystem(components=sub.components,
-                                   interval=m.interval)
         nodes, lam, converged = polish_combination(
-            polish_curve, comb.params, comb.weights * mu, target, mu)
+            CurveSystem(sub.components, m.interval), comb.params,
+            comb.weights * mu, target, mu)
         keep = lam > 1e-14 * mu
         if np.any(keep):
             nodes, lam = nodes[keep], lam[keep]
-
-    nodes, lam = merge_coincident(nodes, lam)
-    node_vals = curve.evaluate(nodes)
-    lam = _refit_weights(node_vals, j_vals, mu, lam)
-
-    mass_ok = abs(math.fsum(lam) - mu) <= MASS_GATE * mu
-    resid, ok = _gate_residuals(node_vals, lam, j_vals)
-    if not (mass_ok and np.all(ok)):
-        # the weight refit spans all n functions, so a dependent function's
-        # miss can land on independent ones or on the mass: any gate failure
-        # of a pass that dropped dependents is retried on the full system
-        if len(indep) < curve.n:
-            raise _DependentMismatch
-        if not mass_ok:
-            raise PolishError(
-                f"weights sum to {math.fsum(lam)} instead of the total mass {mu}"
-            )
-        bad = np.flatnonzero(~ok)
-        raise PolishError(
-            f"rule residuals exceed the {RESIDUAL_GATE} gate for "
-            f"function(s) {bad.tolist()}"
-        )
-    return QuadratureRule(
-        nodes=nodes,
-        weights=lam,
-        total=mu,
-        residuals=resid,
-        rank_used=rank,
-        converged=bool(converged),
-    )
+    return (*merge_coincident(nodes, lam), converged)
 
 
 def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
@@ -354,20 +321,37 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
     which holds whenever each component of ``curve`` is a linear
     combination of the constant 1 and the functions that pass integrated.
-    Probes continuity on the window, discretizes, reads the affine rank
-    and runs the passes and the full-system retry.
+    Probes continuity on the window, discretizes and reads the affine
+    rank.  One loop builds a candidate on the independent subset, refits
+    its weights on all n functions and gates every residual; if the subset
+    dropped functions and missed the gate (a dependence that holds on the
+    support, not at the nodes, or a miss the refit spread), it runs once
+    more on all n functions.  ``rank_used`` is the affine rank either way.
     """
     curve.evaluate(continuity_points(working.lower, working.upper))
     params, w = discretize_hull_point(curve, m, J)
     report = affine_rank(curve, m, params)
-    args = (curve, m, working, params, w, J.values, J.mass, report.rank)
-    try:
-        return _synthesize_pass(*args, list(report.independent_indices))
-    except _DependentMismatch:
-        # the affine relation held only on the measure's support, not at the
-        # synthesized nodes, or the refit spread a miss; retry on the full
-        # system
-        return _synthesize_pass(*args, list(range(curve.n)))
+    subsets = [list(report.independent_indices)]
+    if report.rank < curve.n:
+        subsets.append(list(range(curve.n)))
+    for indep in subsets:
+        nodes, lam, converged = _synthesize_pass(curve, m, working, params, w,
+                                                 J.values, J.mass, indep)
+        node_vals = curve.evaluate(nodes)
+        lam = _refit_weights(node_vals, J.values, J.mass, lam)
+        resid, rel, mass_err = _gate(node_vals, lam, J.values, J.mass)
+        if mass_err <= MASS_GATE and np.all(rel <= RESIDUAL_GATE):
+            return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,
+                                  residuals=resid, rank_used=report.rank,
+                                  converged=bool(converged))
+    if not mass_err <= MASS_GATE:
+        raise PolishError(
+            f"weights sum to {math.fsum(lam)} instead of the total mass {J.mass}"
+        )
+    raise PolishError(
+        f"rule residuals exceed the {RESIDUAL_GATE} gate for "
+        f"function(s) {np.flatnonzero(~(rel <= RESIDUAL_GATE)).tolist()}"
+    )
 
 
 def verify_rule(rule: QuadratureRule, curve: CurveSystem,
@@ -375,22 +359,17 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
     """Re-integrate at ``VERIFY_TOL`` and check the rule against the
     synthesis gates ``RESIDUAL_GATE`` and ``MASS_GATE``."""
     ref = integrate_system(m, curve, VERIFY_TOL)
-    j_ref, mass = ref.values, ref.mass
-    node_vals = curve.evaluate(rule.nodes)
-    recon = rule.weights @ node_vals
-    resid = np.abs(recon - j_ref)
-    rel = resid / (1.0 + np.abs(j_ref))
-    weight_sum = float(math.fsum(rule.weights))
-    ws_err = abs(weight_sum - mass) / mass
+    resid, rel, ws_err = _gate(curve.evaluate(rule.nodes), rule.weights,
+                               ref.values, ref.mass)
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
     nonneg = bool(np.all(rule.weights >= 0.0))
     passed = bool(np.all(rel <= RESIDUAL_GATE) and ws_err <= MASS_GATE
                   and nodes_in and nonneg)
     return VerificationReport(
-        reference=j_ref,
+        reference=ref.values,
         residuals=resid,
         relative_residuals=rel,
-        weight_sum=weight_sum,
+        weight_sum=float(math.fsum(rule.weights)),
         weight_sum_rel_error=ws_err,
         nodes_in_interval=nodes_in,
         weights_nonnegative=nonneg,

@@ -79,6 +79,21 @@ class TestDomainErrors:
         with pytest.raises(EvalDomainError):
             evaluate(parse("t^(-1)"), 0.0)
 
+    def test_general_power_domain(self):
+        # an exponent that is not a number literal is checked point by point
+        with pytest.raises(EvalDomainError,
+                           match="negative base with non-integer exponent") as exc:
+            evaluate(parse("(t-1)^t"), 0.5)
+        assert exc.value.subexpr == "(t-1.0)^t"
+        with pytest.raises(EvalDomainError,
+                           match="zero raised to a negative power") as exc:
+            evaluate(parse("(t-1)^(t-2)"), 1.0)
+        assert exc.value.subexpr == "(t-1.0)^(t-2.0)"
+        # an integral exponent keeps a negative base real
+        assert evaluate(parse("(t-1)^(t-2)"), 0.0) == 1.0
+        assert np.array_equal(parse("(t-1)^t")(np.array([1.0, 2.0, 3.0])),
+                              [0.0, 1.0, 8.0])
+
     def test_overflow_is_domain_error(self):
         with pytest.raises(EvalDomainError):
             evaluate(parse("exp(t)"), 1e6)

@@ -485,6 +485,27 @@ class TestReduceOnCurve:
         out = reduce_on_curve(curve, comb, v)
         assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
 
+    @pytest.mark.parametrize("total", [1.0, 0.25])
+    def test_more_than_n_plus_one_terms_are_pruned_first(self, total):
+        # five positive terms of (t, t^2) exceed n + 1 = 3, so the prune
+        # runs before the walk
+        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+        ts = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        w = total * np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        v = w @ curve.evaluate(ts) / total
+        out = reduce_on_curve(curve, ConvexCombination(ts, w, total), v)
+        assert len(out) <= 2
+        assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
+        mean = out.weights @ curve.evaluate(out.params) / total
+        assert np.max(np.abs(mean - v)) <= RECON_TOL * (1.0 + np.max(np.abs(v)))
+        # the gate reads the weighted mean, so a total below 1 does not
+        # loosen it: three terms (no prune) aimed 3 RECON_TOL off are refused
+        w3 = w[:3] * (total / math.fsum(w[:3]))
+        v3 = w3 @ curve.evaluate(ts[:3]) / total
+        off = v3 + 3.0 * RECON_TOL * (1.0 + np.max(np.abs(v3)))
+        with pytest.raises(InfeasibleCombinationError):
+            reduce_on_curve(curve, ConvexCombination(ts[:3], w3, total), off)
+
 
 def _check_rule(curve, m, rule):
     assert len(rule) <= curve.n and np.all(rule.weights >= 0.0)
@@ -750,7 +771,8 @@ class TestSystemEvaluation:
 
 
 def test_polish_evaluates_twice_per_iteration(monkeypatch):
-    # one batch for the Jacobian (point, up, dn) and one for the 18 trials
+    # one batch for the Jacobian (point, up, dn) and one for the 6 trials,
+    # one full step per damping value
     curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
     params = np.array([0.1, 0.45, 0.8])
     weights = np.array([0.3, 0.4, 0.3])
@@ -765,3 +787,4 @@ def test_polish_evaluates_twice_per_iteration(monkeypatch):
     monkeypatch.undo()
     assert ok and len(iterations) >= 2
     assert len(calls) <= 1 + 2 * len(iterations)
+    assert max(calls) == 6 * params.size

@@ -192,6 +192,15 @@ class TestGrussContinuous:
         assert r.M_f == pytest.approx(1.0, abs=1e-9)
         assert r.m_f == pytest.approx(0.0, abs=1e-12)
 
+    def test_atoms_join_the_extrema_scan(self):
+        # the peak of f sits at an atom off the scan grid: scanned with the
+        # atoms it is exact, while the refinement alone stops 6.3e-13 short
+        f = parse("-abs(t-0.3141592)")
+        with_atom = MeasureSpec(IntervalSpec(0, 1), density=parse("1"),
+                                atoms=((0.3141592, 0.5),))
+        assert gruss_check(f, T, with_atom).M_f == 0.0
+        assert -1e-12 < gruss_check(f, T, UNIT).M_f < 0.0
+
     def test_extrema_make_no_scalar_calls(self, monkeypatch):
         # the moments pass, the scan and each refinement round evaluate
         # (f, g) as one batch: about 5 rounds reach the 1e-10 cell width

@@ -1,12 +1,20 @@
+import io
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactquad import synth
-from exactquad.errors import EvalDomainError, ExactQuadError, SchemaError
+from exactquad import cli, synth
+from exactquad.errors import (
+    EvalDomainError,
+    ExactQuadError,
+    PolishError,
+    SchemaError,
+)
 from exactquad.expr import parse
 from exactquad.hull import RECON_TOL, CurveSystem
 from exactquad.measure import (
@@ -383,6 +391,28 @@ class TestSynthesize:
         assert calls == [2]
         assert len(rule) == 2 and 0.123 not in rule.nodes
         assert verify_rule(rule, c, UNIT).passed
+
+    @pytest.mark.parametrize("spoil,message", [
+        (lambda w: 1.001 * w, "instead of the total mass"),
+        (lambda w: w[::-1], "gate for function(s) [0, 1]"),
+    ], ids=["mass", "residuals"])
+    def test_gate_miss_is_a_polish_failure(self, monkeypatch, tmp_path,
+                                           spoil, message):
+        # a full-rank system gets one pass, so a refit that spoils the
+        # weights reaches the final gate: typed, and exit code 3 in the CLI
+        refit = synth._refit_weights
+        monkeypatch.setattr(synth, "_refit_weights",
+                            lambda *args: spoil(refit(*args)))
+        with pytest.raises(PolishError, match=re.escape(message)) as exc:
+            synthesize_rule(curve("t", "t^2"), UNIT)
+        assert exc.value.kind == "polish-failure"
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps({"functions": ["t", "t^2"], "measure": {
+            "interval": {"lower": 0, "upper": 1}, "density": "1"}}))
+        err = io.StringIO()
+        assert cli.run(["synthesize", str(path)], stdout=io.StringIO(),
+                       stderr=err) == 3
+        assert json.loads(err.getvalue().splitlines()[0])["kind"] == "polish-failure"
 
     def test_gamma_tail_nodes_carry_density(self):
         # the exhaustion window of (0, inf) reaches far past the mass; a
