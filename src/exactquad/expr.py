@@ -260,25 +260,30 @@ def _pretty(node) -> str:
     if tag == "const":
         return node[1]
     if tag == "neg":
-        inner = _pretty(node[1])
-        if _prec(node[1]) < 3:
-            inner = f"({inner})"
-        return f"-{inner}"
+        return _neg_text(node[1], _pretty(node[1]))
     if tag == "bin":
         op, a, b = node[1], node[2], node[3]
-        p = _PREC[op]
-        left = _pretty(a)
-        # parenthesize to reparse into the identical tree, not just an
-        # equivalent value
-        if _prec(a) < p or (_prec(a) == p and op == "^"):
-            left = f"({left})"
-        right = _pretty(b)
-        if _prec(b) < p or (_prec(b) == p and op != "^"):
-            right = f"({right})"
-        return f"{left}{op}{right}"
+        return _bin_text(op, a, b, _pretty(a), _pretty(b))
     if tag == "fn":
         return f"{node[1]}({','.join(_pretty(a) for a in node[2])})"
     raise AssertionError(f"bad node {node!r}")
+
+
+def _neg_text(a, inner: str) -> str:
+    """Text of ``-a`` from the tree ``a`` and its text ``inner``."""
+    return f"-({inner})" if _prec(a) < 3 else f"-{inner}"
+
+
+def _bin_text(op, a, b, left: str, right: str) -> str:
+    """Text of ``a op b`` from the operand trees and their texts."""
+    p = _PREC[op]
+    # parenthesize to reparse into the identical tree, not just an
+    # equivalent value
+    if _prec(a) < p or (_prec(a) == p and op == "^"):
+        left = f"({left})"
+    if _prec(b) < p or (_prec(b) == p and op != "^"):
+        right = f"({right})"
+    return f"{left}{op}{right}"
 
 
 def _literal(node):
@@ -311,6 +316,52 @@ def _literal_pow(fa, c, label):
     return _pow
 
 
+def _bin_closure(op, fa, fb, b, label):
+    """Closure of ``a op b`` from the operands' closures ``fa`` and ``fb``.
+
+    ``b`` is the right operand's tree, whose literal value decides a
+    power's domain checks, and ``label`` the text of the whole node, which
+    division and power errors name.
+    """
+    if op == "+":
+        return lambda t: fa(t) + fb(t)
+    if op == "-":
+        return lambda t: fa(t) - fb(t)
+    if op == "*":
+        return lambda t: fa(t) * fb(t)
+    if op == "/":
+
+        def _div(t):
+            den = fb(t)
+            if np.any(np.asarray(den) == 0.0):
+                raise EvalDomainError("division by zero", label)
+            return fa(t) / den
+
+        return _div
+    if op == "^":
+        c = _literal(b)
+        if c is not None:
+            return _literal_pow(fa, c, label)
+
+        def _pow(t):
+            base = np.asarray(fa(t), dtype=float)
+            expo = np.asarray(fb(t), dtype=float)
+            neg = base < 0
+            if np.any(neg):
+                e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
+                b_neg = np.broadcast_to(neg, e_at.shape)
+                if np.any(e_at[b_neg] != np.floor(e_at[b_neg])):
+                    raise EvalDomainError(
+                        "negative base with non-integer exponent", label
+                    )
+            if np.any((base == 0) & (expo < 0)):
+                raise EvalDomainError("zero raised to a negative power", label)
+            return np.power(base, expo)
+
+        return _pow
+    raise AssertionError(op)
+
+
 def _compile(node):
     """Build a closure evaluating ``node`` on a float ndarray."""
     tag = node[0]
@@ -326,46 +377,9 @@ def _compile(node):
         f = _compile(node[1])
         return lambda t: -f(t)
     if tag == "bin":
-        op, fa, fb = node[1], _compile(node[2]), _compile(node[3])
-        if op == "+":
-            return lambda t: fa(t) + fb(t)
-        if op == "-":
-            return lambda t: fa(t) - fb(t)
-        if op == "*":
-            return lambda t: fa(t) * fb(t)
-        if op == "/":
-            label = _pretty(node)
-
-            def _div(t):
-                den = fb(t)
-                if np.any(np.asarray(den) == 0.0):
-                    raise EvalDomainError("division by zero", label)
-                return fa(t) / den
-
-            return _div
-        if op == "^":
-            label = _pretty(node)
-            c = _literal(node[3])
-            if c is not None:
-                return _literal_pow(fa, c, label)
-
-            def _pow(t):
-                base = np.asarray(fa(t), dtype=float)
-                expo = np.asarray(fb(t), dtype=float)
-                neg = base < 0
-                if np.any(neg):
-                    e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
-                    b_neg = np.broadcast_to(neg, e_at.shape)
-                    if np.any(e_at[b_neg] != np.floor(e_at[b_neg])):
-                        raise EvalDomainError(
-                            "negative base with non-integer exponent", label
-                        )
-                if np.any((base == 0) & (expo < 0)):
-                    raise EvalDomainError("zero raised to a negative power", label)
-                return np.power(base, expo)
-
-            return _pow
-        raise AssertionError(op)
+        op, b = node[1], node[3]
+        label = _pretty(node) if op in "/^" else None
+        return _bin_closure(op, _compile(node[2]), _compile(b), b, label)
     if tag == "fn":
         name, args = node[1], node[2]
         if name in _UNARY_FUNCS:
@@ -397,12 +411,11 @@ def _compile(node):
 
 
 def _as_ast(value):
-    if isinstance(value, Expression):
-        return value.ast
     c = float(value)
     if not np.isfinite(c):
         raise ValueError("expression constants must be finite")
-    if c < 0:
+    # -0.0 too: it prints as "-0.0", which parses as a negation
+    if math.copysign(1.0, c) < 0:
         return ("neg", ("num", -c))
     return ("num", c)
 
@@ -413,7 +426,9 @@ class Expression:
     Calling an instance evaluates it: scalars in, float out; ndarray in,
     a new ndarray out.  Arithmetic between expressions (or with plain
     numbers) builds new expressions, so composites like ``(f - c) * g``
-    stay in the same grammar and keep printing/round-tripping.
+    stay in the same grammar and keep printing/round-tripping.  A
+    composite is built from its operands' closures and texts, so it costs
+    the same whatever the size of the operands' trees.
     """
 
     __slots__ = ("_ast", "_fn", "_text")
@@ -440,13 +455,27 @@ class Expression:
     def __repr__(self):
         return f"Expression({self._text!r})"
 
+    @classmethod
+    def _composed(cls, ast, fn, text) -> "Expression":
+        """The expression of ``ast``, whose closure and text are built."""
+        e = object.__new__(cls)
+        e._ast, e._fn, e._text = ast, fn, text
+        return e
+
     def _bin(self, op, other, swap=False):
-        try:
-            rhs = _as_ast(other)
-        except (TypeError, ValueError):
-            return NotImplemented
-        a, b = (rhs, self._ast) if swap else (self._ast, rhs)
-        return Expression(("bin", op, a, b))
+        if isinstance(other, Expression):
+            operand = other._ast, other._fn, other._text
+        else:
+            try:
+                rhs = _as_ast(other)
+            except (TypeError, ValueError):
+                return NotImplemented
+            operand = rhs, _compile(rhs), _pretty(rhs)
+        mine = self._ast, self._fn, self._text
+        (a, fa, left), (b, fb, right) = (operand, mine) if swap else (mine, operand)
+        text = _bin_text(op, a, b, left, right)
+        return Expression._composed(("bin", op, a, b),
+                                    _bin_closure(op, fa, fb, b, text), text)
 
     def __add__(self, other):
         return self._bin("+", other)
@@ -474,7 +503,9 @@ class Expression:
         return self._bin("^", other)
 
     def __neg__(self):
-        return Expression(("neg", self._ast))
+        f = self._fn
+        return Expression._composed(("neg", self._ast), lambda t: -f(t),
+                                    _neg_text(self._ast, self._text))
 
 
 def evaluate_columns(exprs, ts) -> np.ndarray:

@@ -7,7 +7,10 @@ points by shifting weight along null vectors of the homogeneous system
 the means of 2(n+1) contiguous clusters per round, so its cost grows
 linearly in the number of points.  Each round factorizes once: one SVD
 gives a null-space basis, and a rank-one update after every elimination
-keeps the rest of the basis null on the surviving points.
+keeps the rest of the basis null on the surviving points.  The shifts and
+the updates run on Python floats in numpy's operation order, so they give
+numpy's bits: they touch at most 2(n+1) numbers each, where a numpy call
+costs more than its arithmetic.
 ``reduce_on_curve`` takes a strictly positive combination of n+1 ordered
 points of a continuous curve and produces at most n curve points with the
 same total weight and the same weighted sum: it rebuilds coordinates in
@@ -92,13 +95,13 @@ class ConvexCombination:
             raise SchemaError("params and weights must be equal-length 1-d arrays")
         if not math.isfinite(total) or total <= 0:
             raise SchemaError(f"total must be finite and > 0, got {total}")
-        if np.any(np.diff(params) <= 0):
+        if np.any(params[1:] <= params[:-1]):
             raise SchemaError("params must be strictly increasing")
         floor = -1e-12 * max(1.0, total)
         if np.any(weights < floor):
             raise SchemaError(f"weights below {floor} are not a convex combination")
         weights = np.maximum(weights, 0.0)
-        if abs(math.fsum(weights) - total) > 1e-12 * total:
+        if abs(math.fsum(weights.tolist()) - total) > 1e-12 * total:
             raise SchemaError("weights do not sum to total within 1e-12 relative")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
@@ -280,21 +283,23 @@ def _null_direction(points, target):
     return c, smin, float(s[0])
 
 
-def _shift_to_zero(weights, c):
-    """Step ``weights`` along -c, in place, until the first one reaches zero.
+def _shift_to_zero(w, c):
+    """Step the weights ``w`` along -c, in place, until the first reaches zero.
 
-    ``c`` must be sign-normalized: its largest-magnitude entry is positive.
-    The step is the ratio test over the entries above 1e-14 times that
-    entry.  The weight it zeroes is set to exactly 0 and roundoff negatives
-    are clipped to 0.  Returns the index of the zeroed weight.
+    ``w`` and ``c`` are lists of floats, and ``c`` must be sign-normalized:
+    its largest-magnitude entry is positive.  The step is the ratio test
+    over the entries above 1e-14 times that entry.  The weight it zeroes is
+    set to exactly 0 and roundoff negatives are clipped to 0.  Returns the
+    index of the zeroed weight.
     """
-    pos = (c > 1e-14 * c.max()).nonzero()[0]
-    ratios = weights[pos] / c[pos]
-    i = int(ratios.argmin())
-    weights -= ratios[i] * c
-    j = int(pos[i])
-    weights[j] = 0.0
-    np.maximum(weights, 0.0, out=weights)
+    cut = 1e-14 * max(c)
+    step, j = math.inf, -1
+    for k, ck in enumerate(c):
+        if ck > cut and w[k] / ck < step:  # the first smallest ratio
+            step, j = w[k] / ck, k
+    # clipped as np.maximum(x, 0.0) clips: -0.0 becomes 0.0
+    w[:] = [d if (d := wk - step * ck) > 0.0 else 0.0 for wk, ck in zip(w, c)]
+    w[j] = 0.0
     return j
 
 
@@ -308,23 +313,27 @@ def _eliminate(points, weights, target, floor):
     zero at point j, and subtracts multiples of it from the remaining
     vectors so they vanish at j.  They stay null vectors of the surviving
     points, so every step zeroes a new point (the recombination of Litterer
-    & Lyons, 2012).  Returns the active indices.
+    & Lyons, 2012).  The steps run on lists of floats, converted once after
+    the SVD.  Returns the active indices.
     """
     n = points.shape[1]
     active = np.flatnonzero(weights > floor)
     if active.size <= n + 1:
         return active
     a = np.vstack([(points[active] - target).T, np.ones(active.size)])
-    basis = np.linalg.svd(a)[2][n + 1:]
-    w = weights[active]
-    for i in range(basis.shape[0]):
-        c = basis[i]
-        if -c.min() > c.max():
-            c = -c
+    basis = np.linalg.svd(a)[2][n + 1:].tolist()
+    w = weights[active].tolist()
+    for i, c in enumerate(basis):
+        if -min(c) > max(c):
+            c = [-x for x in c]
         j = _shift_to_zero(w, c)
-        rest = basis[i + 1:]
-        rest -= np.multiply.outer(rest[:, j] / c[j], c)
-        rest[:, j] = 0.0
+        cj = c[j]
+        for r in range(i + 1, len(basis)):
+            row = basis[r]
+            f = row[j] / cj
+            row = [x - f * y for x, y in zip(row, c)]
+            row[j] = 0.0
+            basis[r] = row
     weights[active] = w
     return np.flatnonzero(weights > floor)
 
@@ -333,8 +342,8 @@ def _miss(weights, points, target) -> float:
     """Largest coordinate miss of the weighted mean of ``points`` against
     ``target``, relative to 1 + max|target|; the reductions' gate is
     ``RECON_TOL``."""
-    miss = np.max(np.abs(weights @ points / weights.sum() - target))
-    return float(miss) / (1.0 + float(np.max(np.abs(target))))
+    miss = np.abs(weights @ points / weights.sum() - target).max()
+    return float(miss) / (1.0 + float(np.abs(target).max()))
 
 
 def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
@@ -366,7 +375,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     if np.any(weights < -1e-12):
         raise SchemaError("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
-    total = float(math.fsum(weights))
+    total = math.fsum(weights.tolist())
     if total <= 0:
         raise SchemaError("weights must have positive sum")
     gap = _miss(weights, points, target)
@@ -380,7 +389,8 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     k = 2 * (n + 1)
     active = np.flatnonzero(weights > floor)
     while active.size > k:
-        starts = np.arange(k) * active.size // k
+        bounds = np.arange(k + 1) * active.size // k
+        starts = bounds[:-1]
         w_act = weights[active]
         mass = np.add.reduceat(w_act, starts)
         sums = points[active]
@@ -388,8 +398,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         means = np.add.reduceat(sums, starts) / mass[:, None]
         new_mass = mass.copy()
         _eliminate(means, new_mass, target, floor)
-        sizes = np.diff(starts, append=active.size)
-        weights[active] = w_act * np.repeat(new_mass / mass, sizes)
+        weights[active] = w_act * np.repeat(new_mass / mass, bounds[1:] - starts)
         active = active[weights[active] > floor]
     active = _eliminate(points, weights, target, floor)
 
@@ -400,8 +409,8 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         c, smin, smax = _null_direction(points[active], target)
         if smin > RANK_TOL * smax:
             break
-        w_act = weights[active]
-        _shift_to_zero(w_act, c)
+        w_act = weights[active].tolist()
+        _shift_to_zero(w_act, c.tolist())
         weights[active] = w_act
         active = np.flatnonzero(weights > floor)
     if active.size == 0:
@@ -413,7 +422,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
 
     kept = active
     w_out = weights[kept]
-    w_out *= total / math.fsum(w_out)
+    w_out *= total / math.fsum(w_out.tolist())
     recon = _miss(w_out, points[kept], target)
     if recon > RECON_TOL:
         raise ReconstructionError(
@@ -453,8 +462,11 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
         width = hi - lo
         if not even:
             s = lo + width * (lo_g / (lo_g - hi_g))
-            ts = np.unique(s + width * _SECANT_OFFSETS)
-            ts = ts[(ts > lo) & (ts < hi)]
+            # non-decreasing by construction, so equal probes are neighbours
+            ts = s + width * _SECANT_OFFSETS
+            keep = (ts > lo) & (ts < hi)
+            keep[1:] &= ts[1:] != ts[:-1]
+            ts = ts[keep]
             even = ts.size == 0
         if even:
             ts = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
@@ -473,7 +485,7 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
 
 
 def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
-                        t0: float, t_stop: float):
+                        t0: float, t_stop: float, *, x0=None, x_stop=None):
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
     Requires all coordinates of ``x(t0) - origin`` negative and ``x(t_stop)``
@@ -488,23 +500,32 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     that met g >= 0 in its batch, and k the 0-based index of its vanishing
     coordinate; ties pick the smallest index.  Callers use this p rather
     than a re-solve at t_bar, which can differ by more than ``ZERO_TOL`` on
-    an ill-conditioned frame.
+    an ill-conditioned frame.  ``x0`` and ``x_stop``, the curve points at
+    ``t0`` and ``t_stop`` when the caller holds them, spare their
+    evaluation; the curve is then evaluated only at the probes.
     """
-    p0 = coords(frame, curve.evaluate(t0)[0])
+    if x0 is None:
+        x0 = curve.evaluate(t0)[0]
+    p0 = coords(frame, x0)
     if p0.max() >= -ZERO_TOL:
         return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0
+    if x_stop is None:
+        x_stop = curve.evaluate(t_stop)[0]
     scale_t = max(1.0, abs(t0), abs(t_stop))
     width_floor = 8.0 * np.finfo(float).eps * scale_t
 
-    def probe(ts):
-        rows = coords(frame, curve.evaluate(ts))
+    def scored(x):
+        rows = coords(frame, x)
         return rows.max(axis=1), rows
+
+    def probe(ts):
+        return scored(curve.evaluate(ts))
 
     def done(lo, hi, row):
         return hi - lo <= width_floor or (
             hi - lo <= BISECT_TOL * scale_t and row.max() <= ZERO_TOL)
 
-    g_stop, rows_stop = probe(np.array([float(t_stop)]))
+    g_stop, rows_stop = scored(np.reshape(x_stop, (1, -1)))
     hi_t, row = refine_bracket(probe, float(t0), float(t_stop),
                                float(g_stop[0]), rows_stop[0], done)
     return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0]), row
@@ -626,7 +647,7 @@ def merge_coincident(params, weights, points=None):
 
 def _rebuild(params, weights, points, target, total):
     params, weights, points = merge_coincident(params, weights, points)
-    weights = weights * (total / math.fsum(weights))
+    weights = weights * (total / math.fsum(weights.tolist()))
     recon = _miss(weights, points, target)
     if recon > RECON_TOL:
         raise ReconstructionError(
@@ -636,7 +657,7 @@ def _rebuild(params, weights, points, target, total):
 
 
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
-                    v) -> ConvexCombination:
+                    v, *, points=None) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
@@ -653,6 +674,10 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     basis point.  Only when every frame is rank deficient (the support
     points are affinely dependent) is one point eliminated along a null
     vector instead.
+
+    ``points``, the curve at ``comb.params`` (one row per parameter) when
+    the caller holds it, spares evaluating the support: the walk then
+    evaluates the curve only at its probes and at the crossing.
     """
     v = np.asarray(v, dtype=float)
     n = curve.n
@@ -662,7 +687,13 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     keep = comb.weights > 0.0
     params = comb.params[keep]
     weights = comb.weights[keep]
-    points = curve.evaluate(params)
+    if points is None:
+        points = curve.evaluate(params)
+    else:
+        points = np.asarray(points, dtype=float)
+        if points.shape != (len(comb), n):
+            raise SchemaError(f"points must be ({len(comb)}, {n}), got {points.shape}")
+        points = points[keep]
 
     gap = _miss(weights, points, v)
     if gap > RECON_TOL:
@@ -673,8 +704,8 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
 
     if params.size > n + 1:
         pruned = caratheodory_finite(points, weights, v, params=params)
+        points = points[np.searchsorted(params, pruned.params)]
         params, weights = pruned.params, pruned.weights
-        points = curve.evaluate(params)
     if params.size <= n:
         return _rebuild(params, weights, points, v, total)
 
@@ -696,26 +727,31 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         # a support point of small weight leaves v near the affine hull of
         # the others, so the frame without it can be singular; the next
         # point's frame then serves, walking toward its right neighbour
-        basis_params = np.delete(params, i)
-        basis_points = np.delete(points, i, axis=0)
+        others = np.arange(n + 1) != i
+        basis_params, basis_points = params[others], points[others]
         try:
             frame = build_frame(v, basis_points)
         except RankDeficiencyError:
             continue
-        t_bar, k, p = first_zero_crossing(frame, curve, params[i],
-                                          params[i + 1])
-        x_bar = curve.evaluate(t_bar)[0]
+        t_bar, k, p = first_zero_crossing(frame, curve, params[i], params[i + 1],
+                                          x0=points[i], x_stop=points[i + 1])
+        # a crossing on an end of the gap has its row already
+        end = np.flatnonzero(params[i:i + 2] == t_bar)
+        x_bar = points[i + end[0]] if end.size else curve.evaluate(t_bar)[0]
         p[k] = 0.0
         p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
         denom = 1.0 - p.sum()
-        new_params = np.concatenate([[t_bar], np.delete(basis_params, k)])
-        new_nu = np.concatenate([[1.0 / denom], -np.delete(p, k) / denom])
-        new_points = np.vstack([x_bar, np.delete(basis_points, k, axis=0)])
+        rest = np.arange(n) != k
+        new_params = np.concatenate([[t_bar], basis_params[rest]])
+        new_nu = np.concatenate([[1.0 / denom], -p[rest] / denom])
+        new_points = np.vstack([x_bar, basis_points[rest]])
         return finish(new_params, new_nu * total, new_points)
 
     # every frame is singular: the support is affinely dependent
     c, _, _ = _null_direction(points, v)
-    _shift_to_zero(weights, c)
+    w = weights.tolist()
+    _shift_to_zero(w, c.tolist())
+    weights = np.array(w)
     keep = weights > 0.0
     return finish(params[keep], weights[keep], points[keep])
 

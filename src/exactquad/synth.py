@@ -13,7 +13,9 @@ total mass, reproducing every function integral:
 4. discretize the measure as the Gauss nodes of step 1's accepted panels
    plus the atoms; the moments of this positive discrete measure are the
    integral vector itself, so the target lies in its hull by construction
-   and the affine rank of step 2 is read on the same nodes;
+   and the affine rank of step 2 is read on the same nodes; the curve is
+   evaluated on them once, and the rank, the prune and the walk of step 5
+   share those values;
 5. prune the combination to at most rank+1 support points with a
    merge-reduce Caratheodory elimination over contiguous node clusters
    (:func:`~exactquad.hull.caratheodory_finite`), then to at most rank
@@ -164,9 +166,11 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
     :func:`~exactquad.measure.exhaust_interval` or
     :func:`~exactquad.measure.integrate_system`.  Its Gauss nodes and the
     atoms of ``m`` are merged and sorted, and zero weights (density
-    underflow) are dropped.  Since the integrals are the moments of this
-    measure, ``J / J.mass`` lies in the convex hull of its curve points by
-    construction.
+    underflow) are dropped.  Without atoms the Gauss nodes are already
+    strictly increasing, unless two nodes of panels at the integrator's
+    width floor round together, and are kept as they are.  Since the
+    integrals are the moments of this measure, ``J / J.mass`` lies in the
+    convex hull of its curve points by construction.
 
     Returns ``(params, weights)``: distinct increasing parameters, weights
     > 0 that sum to ``J.mass`` and reproduce ``J.values`` up to rounding.
@@ -175,13 +179,15 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
         raise SchemaError(f"J has {len(J.values)} integrals for {curve.n} functions")
     params = np.concatenate([J.nodes, [loc for loc, _ in m.atoms]])
     weights = np.concatenate([J.weights, [mass for _, mass in m.atoms]])
-    params, weights = merge_coincident(params, weights)
+    if m.atoms or not np.all(params[1:] > params[:-1]):
+        params, weights = merge_coincident(params, weights)
     keep = weights > 0.0
     return params[keep], weights[keep]
 
 
 def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
-                config: SynthesisConfig | None = None) -> AffineRankReport:
+                config: SynthesisConfig | None = None, *,
+                values=None) -> AffineRankReport:
     """Affine rank of the function system over the measure's support.
 
     The support is probed at ``params``, by default the nodes of
@@ -191,15 +197,18 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
     (``ROUNDING_FLOOR``), so a constant function is dependent.  The
     independent subset is chosen greedily in index order, so earlier
     functions win.  Rank 0 means every function is constant wherever the
-    measure has mass.
+    measure has mass.  ``values``, the curve at ``params`` when the caller
+    holds it, spares that evaluation.
     """
-    if params is None:
-        ivec, _ = exhaust_interval(m, curve, (config or SynthesisConfig()).tol)
-        params, _ = discretize_hull_point(curve, m, ivec)
-    x = curve.evaluate(params)
+    x = values
+    if x is None:
+        if params is None:
+            ivec, _ = exhaust_interval(m, curve, (config or SynthesisConfig()).tol)
+            params, _ = discretize_hull_point(curve, m, ivec)
+        x = curve.evaluate(params)
     xc = x - x.mean(axis=0)
     thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
-    floor = ROUNDING_FLOOR * math.sqrt(len(params)) * np.max(np.abs(x), axis=0)
+    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.max(np.abs(x), axis=0)
     indep: list[int] = []
     for k in range(curve.n):
         s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
@@ -209,7 +218,7 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
     residual_of_fit = 0.0
     dependent = [k for k in range(curve.n) if k not in indep]
     if dependent:
-        a = np.column_stack([x[:, indep], np.ones(len(params))])
+        a = np.column_stack([x[:, indep], np.ones(len(x))])
         for k in dependent:
             coef, *_ = np.linalg.lstsq(a, x[:, k], rcond=None)
             fit = float(np.max(np.abs(a @ coef - x[:, k])))
@@ -223,10 +232,11 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
     )
 
 
-def _constant_rule(curve, m, params, j_vals, mu):
-    """Rank-0 case: every function is constant wherever the measure has mass."""
+def _constant_rule(curve, m, params, x, j_vals, mu):
+    """Rank-0 case: every function is constant wherever the measure has mass;
+    ``x`` is the curve at ``params``."""
     mean = j_vals / mu
-    miss = np.max(np.abs(curve.evaluate(params) - mean), axis=1)
+    miss = np.max(np.abs(x - mean), axis=1)
     node = float(params[int(np.argmin(miss))])
     full = CurveSystem(components=curve.components, interval=m.interval)
     return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
@@ -275,18 +285,23 @@ def _refit_weights(node_vals, j_vals, mu, lam):
     return fit if key(fit) <= key(lam) else lam
 
 
-def _synthesize_pass(curve, m, working, params, w, j_vals, mu, indep):
+def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     """Candidate nodes and weights on the functions ``indep``: prune, walk,
-    polish, drop zero weights and merge coincident nodes."""
+    polish, drop zero weights and merge coincident nodes.  ``x`` is the
+    curve at the discrete measure's ``params``; the prune and the walk
+    reuse its rows."""
     if not indep:
-        nodes, lam, converged = _constant_rule(curve, m, params, j_vals, mu)
+        nodes, lam, converged = _constant_rule(curve, m, params, x, j_vals, mu)
     else:
         sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
         target = j_vals[indep] / mu
-        comb = caratheodory_finite(sub.evaluate(params), w / mu, target,
-                                   params=params)
+        points = x[:, indep]
+        comb = caratheodory_finite(points, w / mu, target, params=params)
         if len(comb) > len(indep):
-            comb = reduce_on_curve(sub, comb, target)
+            # the parameters are increasing and distinct: kept ones map to rows
+            comb = reduce_on_curve(
+                sub, comb, target,
+                points=points[np.searchsorted(params, comb.params)])
         # polish against the measure's full interval: exhaustion bias is
         # absorbed here because nodes may move anywhere in it
         nodes, lam, converged = polish_combination(
@@ -330,13 +345,14 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     """
     curve.evaluate(continuity_points(working.lower, working.upper))
     params, w = discretize_hull_point(curve, m, J)
-    report = affine_rank(curve, m, params)
+    x = curve.evaluate(params)  # the one evaluation of the discrete measure
+    report = affine_rank(curve, m, params, values=x)
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:
         subsets.append(list(range(curve.n)))
     for indep in subsets:
         nodes, lam, converged = _synthesize_pass(curve, m, working, params, w,
-                                                 J.values, J.mass, indep)
+                                                 x, J.values, J.mass, indep)
         node_vals = curve.evaluate(nodes)
         lam = _refit_weights(node_vals, J.values, J.mass, lam)
         resid, rel, mass_err = _gate(node_vals, lam, J.values, J.mass)

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from exactquad.errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
-from exactquad.expr import MAX_DEPTH, Expression, continuity_probe, evaluate, parse
+from exactquad.expr import (
+    MAX_DEPTH,
+    Expression,
+    _pretty,
+    continuity_probe,
+    evaluate,
+    parse,
+)
 
 
 class TestParseExamples:
@@ -241,6 +248,47 @@ def test_pretty_parse_roundtrip_zero_ulp(ast):
     direct = e(_T_GRID)
     again = reparsed(_T_GRID)
     assert np.array_equal(direct, again)
+
+
+def _outcome(e, ts):
+    """Values of ``e`` at ``ts``, or the text of the domain error it raises."""
+    try:
+        return e(ts)
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+# a composite's operands: parsed trees or plain numbers (negative ones
+# too, which compose as negated literals)
+_OPERAND = st.one_of(_tree(6).map(Expression),
+                     st.floats(-3.0, 3.0, allow_nan=False))
+_COMPOSE_OPS = {
+    "+": lambda a, b: a + b, "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b, "/": lambda a, b: a / b,
+    "^": lambda a, b: a ** b, "r-": lambda a, b: b - a,
+    "r/": lambda a, b: b / a, "neg": lambda a, b: -a,
+}
+
+
+@given(_tree(6), st.lists(st.tuples(st.sampled_from(list(_COMPOSE_OPS)),
+                                    _OPERAND), min_size=1, max_size=5))
+@settings(max_examples=200, deadline=None)
+def test_composites_print_and_evaluate_as_their_tree(ast, steps):
+    # a composite is built from its operands' closures and texts; it must
+    # print as its tree does, reparse to that tree, and evaluate (domain
+    # error labels included) as the tree compiled from scratch
+    e = Expression(ast)
+    for op, operand in steps:
+        e = _COMPOSE_OPS[op](e, operand)
+    assert e.text == _pretty(e.ast)
+    assert parse(e.text).ast == e.ast
+    fresh = Expression(e.ast)
+    ts = np.linspace(-2.0, 2.0, 101)
+    got, want = _outcome(e, ts), _outcome(fresh, ts)
+    if isinstance(want, str):
+        assert got == want
+    else:
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("text", [

@@ -21,6 +21,8 @@ The file's ``digests`` record the exact digests of variants 0-5
 
 A change that moves rules on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
+``PYTHONPATH=src python tests/test_golden.py --check`` prints the digests
+and exits 1 if any differs from the file's, without writing the file.
 """
 
 import hashlib
@@ -127,6 +129,8 @@ def test_rules_match_the_golden_file(workload, tmp_path):
 
 
 if __name__ == "__main__":
+    if sys.argv[1:] not in ([], ["--check"]):
+        sys.exit("usage: test_golden.py [--check]")
     out = {"about": __doc__.split("\n\n")[0], "seed": SEED, "rtol": RTOL,
            "digest_definition": DIGEST_DEFINITION, "digests": {}}
     with tempfile.TemporaryDirectory() as tmp:
@@ -139,5 +143,12 @@ if __name__ == "__main__":
                     out[workload] = golden_records(workload, raw)
             out["digests"][f"{workload} v0-{count - 1}"] = hashlib.sha256(
                 "\n".join(lines).encode()).hexdigest()[:16]
-    GOLDEN.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")
     print(json.dumps(out["digests"]))
+    if sys.argv[1:] == ["--check"]:
+        stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+        changed = [key for key, digest in out["digests"].items()
+                   if stored.get(key) != digest]
+        for key in changed:
+            print(f"{key}: {out['digests'][key]}, the file has {stored.get(key)}")
+        sys.exit(1 if changed else 0)
+    GOLDEN.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

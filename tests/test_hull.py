@@ -788,3 +788,89 @@ def test_polish_evaluates_twice_per_iteration(monkeypatch):
     assert ok and len(iterations) >= 2
     assert len(calls) <= 1 + 2 * len(iterations)
     assert max(calls) == 6 * params.size
+
+
+def test_walk_with_points_never_evaluates_the_support(monkeypatch):
+    # with the support's points given, the prune and the walk evaluate the
+    # curve only at the walk's probes and at the crossing, and the result
+    # is the one of evaluating the support itself
+    curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
+    for ts in (np.array([0.1, 0.3, 0.6, 0.9]),
+               np.sqrt([0.01, 0.05, 0.13, 0.27, 0.5, 0.9])):
+        w = np.linspace(1.0, 2.0, ts.size)
+        pts = curve.evaluate(ts)
+        v = w @ pts / w.sum()
+        comb = ConvexCombination(ts, w, w.sum())
+        want = reduce_on_curve(curve, comb, v)
+        seen = []
+        evaluate = CurveSystem.evaluate
+        monkeypatch.setattr(CurveSystem, "evaluate",
+                            lambda self, t: seen.append(np.atleast_1d(t))
+                            or evaluate(self, t))
+        got = reduce_on_curve(curve, comb, v, points=pts)
+        monkeypatch.undo()
+        assert len(got) <= 3 and seen
+        assert not np.isin(np.concatenate(seen), ts).any()
+        assert np.array_equal(got.params, want.params)
+        assert np.array_equal(got.weights, want.weights)
+
+
+def _shift_to_zero_reference(weights, c):
+    """The numpy ratio-test shift that the float kernel replaced."""
+    pos = (c > 1e-14 * c.max()).nonzero()[0]
+    ratios = weights[pos] / c[pos]
+    i = int(ratios.argmin())
+    weights -= ratios[i] * c
+    j = int(pos[i])
+    weights[j] = 0.0
+    np.maximum(weights, 0.0, out=weights)
+    return j
+
+
+def _eliminate_reference(points, weights, target, floor):
+    """The numpy elimination that the float kernel replaced: one SVD, then
+    ratio-test shifts and rank-one updates on arrays."""
+    n = points.shape[1]
+    active = np.flatnonzero(weights > floor)
+    if active.size <= n + 1:
+        return active
+    a = np.vstack([(points[active] - target).T, np.ones(active.size)])
+    basis = np.linalg.svd(a)[2][n + 1:]
+    w = weights[active]
+    for i in range(basis.shape[0]):
+        c = basis[i]
+        if -c.min() > c.max():
+            c = -c
+        j = _shift_to_zero_reference(w, c)
+        rest = basis[i + 1:]
+        rest -= np.multiply.outer(rest[:, j] / c[j], c)
+        rest[:, j] = 0.0
+    weights[active] = w
+    return np.flatnonzero(weights > floor)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+       spread=st.sampled_from([1e-9, 1e-4, 1e-1, 1.0]))
+def test_float_kernel_matches_numpy_bit_for_bit(n, seed, spread):
+    # 2(n+1) points clustered around a few centres, like the cluster means
+    # of a merge round; a few weights at zero or below the floor
+    rng = np.random.default_rng(seed)
+    k = 2 * (n + 1)
+    centres = rng.normal(size=(int(rng.integers(1, 4)), n))
+    pts = centres[rng.integers(len(centres), size=k)]
+    pts = pts + spread * rng.normal(size=(k, n))
+    w = rng.uniform(0.0, 1.0, k)
+    w[rng.random(k) < 0.15] = 0.0
+    w[rng.integers(k)] += 0.5
+    target = w @ pts / w.sum()
+    floor = 1e-15 * math.fsum(w)
+    w_ref, w_new = w.copy(), w.copy()
+    active = hull._eliminate(pts, w_new, target, floor)
+    assert np.array_equal(active, _eliminate_reference(pts, w_ref, target, floor))
+    assert w_new.tobytes() == w_ref.tobytes()
+    # the single shift of the dependence loop and the singular-frame fallback
+    c, _, _ = hull._null_direction(pts, target)
+    w_list, w_ref = w.tolist(), w.copy()
+    assert hull._shift_to_zero(w_list, c.tolist()) == _shift_to_zero_reference(w_ref, c)
+    assert np.array(w_list).tobytes() == w_ref.tobytes()

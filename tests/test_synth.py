@@ -497,3 +497,27 @@ class TestRuleJson:
             with pytest.raises(SchemaError):
                 config_from_json(unknown)
         assert config_from_json({"tol": 1e-9}).tol == 1e-9
+
+
+@pytest.mark.parametrize("texts, atoms", [
+    (["t", "t^2", "exp(t)"], ()),
+    (["t", "2*t+3"], ()),
+    (["1"], ()),
+    (["t", "sin(3*t)"], ((0.25, 0.5), (0.75, 0.125))),
+])
+def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms):
+    # the affine rank, the prune and the walk (or the rank-0 rule) share
+    # one evaluation of the curve at the discrete measure's nodes
+    m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"), atoms=atoms)
+    c = CurveSystem.from_texts(texts, m.interval)
+    J, window = exhaust_interval(m, c)
+    params, _ = discretize_hull_point(c, m, J)
+    batches = []
+    evaluate = CurveSystem.evaluate
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: batches.append(np.atleast_1d(t))
+                        or evaluate(self, t))
+    rule = synth.synthesize_on_pass(c, m, J, window)
+    monkeypatch.undo()
+    assert len(rule) <= max(1, len(texts))
+    assert sum(np.array_equal(b, params) for b in batches) == 1
