@@ -10,7 +10,7 @@ representations and Gruss-type covariance bounds.
 """
 
 from . import cli, errors  # exactquad.cli resolves after "import exactquad"
-from .expr import Expression, continuity_probe, evaluate, parse
+from .expr import Expression, continuity_probe, parse
 from .measure import (
     IntegralVector,
     IntervalSpec,
@@ -23,14 +23,10 @@ from .measure import (
     total_mass,
 )
 from .hull import (
-    BarycentricFrame,
     ConvexCombination,
     CurveSystem,
-    build_frame,
     caratheodory_finite,
     chebyshev_sample_test,
-    coords,
-    first_zero_crossing,
     reduce_on_curve,
 )
 from .synth import (
@@ -60,7 +56,6 @@ __all__ = [
     "errors",
     "Expression",
     "parse",
-    "evaluate",
     "continuity_probe",
     "IntervalSpec",
     "MeasureSpec",
@@ -73,11 +68,7 @@ __all__ = [
     "measure_to_json",
     "ConvexCombination",
     "CurveSystem",
-    "BarycentricFrame",
     "caratheodory_finite",
-    "build_frame",
-    "coords",
-    "first_zero_crossing",
     "reduce_on_curve",
     "chebyshev_sample_test",
     "SynthesisConfig",

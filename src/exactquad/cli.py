@@ -134,7 +134,7 @@ def _cmd_chebyshev(obj, args):
                                    trial_count=args.trials, seed=args.seed)
     note = ("witness found: the functions are NOT an alternant system"
             if report["witness"] is not None
-            else "no vanishing determinant found (evidence only)")
+            else "no sign change of the determinant found (evidence only)")
     return report, note
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 
-__all__ = ["Expression", "parse", "evaluate", "continuity_probe"]
+__all__ = ["Expression", "parse", "continuity_probe"]
 
 # evaluation and printing recurse once per level, and composing parsed
 # expressions (as stats does) adds a few levels
@@ -539,11 +539,6 @@ def parse(text: str) -> Expression:
     if not text or not text.strip():
         raise SyntaxParseError("empty expression", 0)
     return Expression(_Parser(text).parse())
-
-
-def evaluate(e: Expression, t: float) -> float:
-    """Evaluate ``e`` at the scalar ``t``."""
-    return e(float(t))
 
 
 def continuity_points(lower: float, upper: float) -> np.ndarray:

@@ -29,9 +29,11 @@ coordinate row probed at the crossing.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
 the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
-is the alternant-determinant probe: a seeded random search, polished by
-Nelder-Mead, for node tuples where det[x_i(t_j)] vanishes, which would
-show that the system is not a Chebyshev (alternant) system.
+is the alternant test, a sign-change certificate: it samples ordered node
+tuples from a seeded generator, and when det[x_i(t_j)] has opposite signs
+at two of them, ``refine_bracket`` finds where it vanishes on the segment
+between them, at distinct nodes, which shows that the system is not a
+Chebyshev (alternant) system.
 """
 
 from __future__ import annotations
@@ -56,11 +58,7 @@ from .measure import IntervalSpec
 __all__ = [
     "ConvexCombination",
     "CurveSystem",
-    "BarycentricFrame",
     "caratheodory_finite",
-    "build_frame",
-    "coords",
-    "first_zero_crossing",
     "reduce_on_curve",
     "chebyshev_sample_test",
     "combination_from_json",
@@ -74,6 +72,7 @@ ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
 POLISH_TARGET = 1e-12   # relative residual at which the polish stops
 POLISH_MAX_ITER = 200   # Gauss-Newton iterations before the polish gives up
 REFINE_POINTS = 63  # interior points per batched bracket-refinement round
+_CHEBYSHEV_BATCH = 256  # sampled tuples per batch of the alternant test
 # offsets of a secant-centred round, in bracket widths: 0 and +-4^-j, j = 1..31
 _SECANT_OFFSETS = np.concatenate(
     [-(4.0 ** -np.arange(1, 32)), [0.0], 4.0 ** -np.arange(31, 0, -1)])
@@ -144,77 +143,62 @@ class CurveSystem:
 
 def chebyshev_sample_test(functions, interval, trial_count: int = 200,
                           seed: int = 0) -> dict:
-    """Randomized search for a vanishing generalized Vandermonde determinant.
+    """Seeded search for a sign change of det[x_i(t_j)] over ordered tuples.
 
-    Draws ``trial_count`` strictly increasing tuples from a seeded 64-bit
-    PRNG, evaluates det[x_i(t_j)], then locally minimizes |det| divided by
-    the node-gap product (which stays bounded away from zero under node
-    coalescence) around the most suspicious tuple.  A tuple of distinct
-    points with |det| <= 1e-12 * scale disproves the alternant property;
-    finding none is evidence only, not a certificate.
+    Draws ``trial_count`` increasing node tuples from a seeded 64-bit PRNG,
+    ``_CHEBYSHEV_BATCH`` per batched determinant, and reports the least
+    |det| over ``scale``, the product of the tuple's column norms.  Signs
+    count only where the matrix passes the frame's rank test.  Ordered
+    tuples form a convex set, so det vanishes at distinct nodes on the
+    segment from the first counted positive tuple to the first negative
+    one (Karlin & Studden, 1966): the witness holds that ``segment``, and
+    ``tuple``, ``det`` and ``scale`` at the zero :func:`refine_bracket`
+    finds on it, |det| <= 1e-12 times the larger |det| of the ends unless
+    the bracket narrows to a float first.  A zero without a sign change is
+    not found; no witness is evidence only.
     """
-    # scipy.optimize is slow to import and only this function needs it
-    from scipy.optimize import minimize
-
-    if isinstance(functions, CurveSystem):
-        curve = functions
-    else:
-        curve = CurveSystem.from_texts(functions, interval)
+    curve = (functions if isinstance(functions, CurveSystem)
+             else CurveSystem.from_texts(functions, interval))
     lo, hi = curve.interval.lower, curve.interval.upper
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SchemaError("the determinant test needs a compact interval")
     if trial_count < 1 or seed < 0:
         raise SchemaError("need at least one trial and a non-negative seed, "
                           f"got {trial_count} trials and seed {seed}")
-    span = hi - lo
-    m = curve.n
     rng = np.random.default_rng(seed)
-
-    def det_and_scale(ts):
-        mat = curve.evaluate(ts).T  # rows: functions, columns: points
-        det = float(np.linalg.det(mat))
-        scale = float(np.prod(np.linalg.norm(mat, axis=0))) + 1e-300
-        return det, scale
-
-    best = None  # (ratio, tuple, det, scale)
-    for _ in range(trial_count):
-        for _ in range(100):
-            ts = np.sort(rng.uniform(lo, hi, m))
-            if m == 1 or np.min(np.diff(ts)) > 1e-12 * span:
-                break
-        det, scale = det_and_scale(ts)
-        ratio = abs(det) / scale
-        if best is None or ratio < best[0]:
-            best = (ratio, ts, det, scale)
-
-    def objective(ts):
-        ts = np.asarray(ts)
-        if np.any(ts < lo) or np.any(ts > hi):
-            return np.inf
-        order = np.sort(ts)
-        if m > 1 and np.min(np.diff(order)) <= 1e-12 * span:
-            return np.inf
-        mat = curve.evaluate(order).T
-        det = abs(float(np.linalg.det(mat)))
-        gaps = 1.0
-        for i in range(m):
-            for j in range(i + 1, m):
-                gaps *= order[j] - order[i]
-        return det / max(gaps, 1e-300)
-
-    polished = minimize(objective, best[1], method="Nelder-Mead",
-                        options={"maxiter": 2000, "xatol": 1e-14,
-                                 "fatol": 1e-300})
-    t_star = np.sort(np.clip(polished.x, lo, hi))
-    det_star, scale_star = det_and_scale(t_star)
-    distinct = m == 1 or float(np.min(np.diff(t_star))) > 1e-9 * span
+    best = None  # (ratio, tuple, det)
+    ends = {}  # sign -> the first counted tuple of that sign, (tuple, det, scale)
+    drawn = 0
+    while drawn < trial_count:
+        ts = _draw_tuples(rng, lo, hi, curve.n,
+                          min(_CHEBYSHEV_BATCH, trial_count - drawn))
+        drawn += len(ts)
+        det, scale, mats = _determinants(curve, ts)
+        ratio = np.abs(det) / scale
+        i = int(np.argmin(ratio))
+        if best is None or ratio[i] < best[0]:
+            best = (float(ratio[i]), ts[i], float(det[i]))
+        if len(ends) < 2:
+            s = np.linalg.svd(mats, compute_uv=False)
+            signs = np.sign(det) * (s[:, -1] > RANK_TOL * s[:, 0])
+            for sign in (1.0, -1.0):
+                for j in np.flatnonzero(signs == sign)[:1]:
+                    ends.setdefault(sign, (ts[j], float(det[j]), float(scale[j])))
     witness = None
-    if distinct and abs(det_star) <= 1e-12 * scale_star:
-        witness = {
-            "tuple": [float(x) for x in t_star],
-            "det": det_star,
-            "scale": scale_star,
-        }
+    if len(ends) == 2:
+        (ta, da, _), (tb, db, sb) = ends[1.0], ends[-1.0]
+        tol = 1e-12 * max(da, -db)
+
+        def probe(us):  # scores -det, -da at u = 0 and -db at u = 1
+            ts = np.outer(1.0 - us, ta) + np.outer(us, tb)
+            det, scale, _ = _determinants(curve, ts)
+            return -det, np.column_stack([det, scale])
+
+        u, (det, scale) = refine_bracket(probe, 0.0, 1.0, -db, (db, sb),
+                                         lambda lo, hi, info: abs(info[0]) <= tol)
+        witness = {"tuple": [float(x) for x in (1.0 - u) * ta + u * tb],
+                   "det": float(det), "scale": float(scale),
+                   "segment": [[float(x) for x in ta], [float(x) for x in tb]]}
     return {
         "trials": trial_count,
         "seed": seed,
@@ -225,8 +209,39 @@ def chebyshev_sample_test(functions, interval, trial_count: int = 200,
     }
 
 
+def _draw_tuples(rng, lo: float, hi: float, m: int, count: int) -> np.ndarray:
+    """The next at most ``count`` sorted m-tuples of [lo, hi], as drawing
+    them one by one gives: a tuple with two nodes within 1e-12 of the span
+    is drawn again, at most 99 times.  At such a row the generator is
+    replayed to just past it, the row is redrawn, and the rows up to it
+    are returned."""
+    state = rng.bit_generator.state
+    ts = np.sort(rng.uniform(lo, hi, (count, m)), axis=1)
+    gap = 1e-12 * (hi - lo)
+    close = np.flatnonzero(np.diff(ts, axis=1).min(axis=1, initial=np.inf) <= gap)
+    if close.size:
+        ts = ts[:close[0] + 1]
+        rng.bit_generator.state = state
+        rng.uniform(lo, hi, ts.size)
+        for _ in range(99):
+            ts[-1] = np.sort(rng.uniform(lo, hi, m))
+            if np.diff(ts[-1]).min() > gap:
+                break
+    return ts
+
+
+def _determinants(curve: CurveSystem, ts):
+    """``(det, scale, mats)`` for the rows of the (k, n) array ``ts``: the
+    (k, n, n) matrices [x_i(t_j)], their determinants, each with the bits
+    of its own ``np.linalg.det``, and their column norms' products + 1e-300."""
+    k, m = ts.shape
+    mats = curve.evaluate(ts.ravel()).reshape(k, m, m).transpose(0, 2, 1)
+    scale = np.prod(np.linalg.norm(mats, axis=1), axis=1) + 1e-300
+    return np.linalg.det(mats), scale, mats
+
+
 @dataclass(frozen=True, eq=False)
-class BarycentricFrame:
+class _BarycentricFrame:
     """Coordinates rooted at a target point with curve-point basis vectors."""
 
     origin: np.ndarray
@@ -236,7 +251,7 @@ class BarycentricFrame:
     vt: np.ndarray
 
 
-def build_frame(v, curve_points) -> BarycentricFrame:
+def _build_frame(v, curve_points) -> _BarycentricFrame:
     """Frame with origin ``v`` and basis vectors ``curve_points[j] - v``.
 
     ``curve_points`` holds n points of R^n as rows.  Raises
@@ -244,20 +259,16 @@ def build_frame(v, curve_points) -> BarycentricFrame:
     (smallest singular value <= ``RANK_TOL`` times the largest).
     """
     v = np.asarray(v, dtype=float)
-    pts = np.asarray(curve_points, dtype=float)
-    n = v.size
-    if pts.shape != (n, n):
-        raise SchemaError(f"need exactly {n} points of R^{n}, got shape {pts.shape}")
-    basis = (pts - v).T
+    basis = (np.asarray(curve_points, dtype=float) - v).T
     u, s, vt = np.linalg.svd(basis)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
+    if s[-1] <= RANK_TOL * s[0]:
         raise RankDeficiencyError(
             f"frame basis is rank deficient (singular values {s[0]:.3e}..{s[-1]:.3e})"
         )
-    return BarycentricFrame(origin=v, basis=basis, u=u, s=s, vt=vt)
+    return _BarycentricFrame(origin=v, basis=basis, u=u, s=s, vt=vt)
 
 
-def coords(frame: BarycentricFrame, x) -> np.ndarray:
+def _coords(frame: _BarycentricFrame, x) -> np.ndarray:
     """Frame coordinates p with ``frame.basis @ p = x - frame.origin``.
 
     Accepts a single point (n,) or a batch (k, n); returns matching shape.
@@ -484,7 +495,7 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
     return hi, hi_info
 
 
-def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
+def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem,
                         t0: float, t_stop: float, *, x0=None, x_stop=None):
     """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
 
@@ -506,7 +517,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     """
     if x0 is None:
         x0 = curve.evaluate(t0)[0]
-    p0 = coords(frame, x0)
+    p0 = _coords(frame, x0)
     if p0.max() >= -ZERO_TOL:
         return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0
     if x_stop is None:
@@ -515,7 +526,7 @@ def first_zero_crossing(frame: BarycentricFrame, curve: CurveSystem,
     width_floor = 8.0 * np.finfo(float).eps * scale_t
 
     def scored(x):
-        rows = coords(frame, x)
+        rows = _coords(frame, x)
         return rows.max(axis=1), rows
 
     def probe(ts):
@@ -664,12 +675,12 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     zero weight are dropped first; if more than n+1 positive terms remain
     they are pruned with :func:`caratheodory_finite`.  The n+1 -> n step
     walks the curve from support point i toward point i+1, to the first
-    coordinate zero-crossing that :func:`first_zero_crossing` sees in the
+    coordinate zero-crossing that :func:`_first_zero_crossing` sees in the
     frame built from the other n points, and reweights; any crossing it
     returns leaves every coordinate <= ``ZERO_TOL``, so the n kept points
     carry non-negative weights (positives left by roundoff are clipped).
     It takes the first i, in index order, whose frame
-    :func:`build_frame` accepts: the walk has a crossing in that gap,
+    :func:`_build_frame` accepts: the walk has a crossing in that gap,
     because every coordinate of x(t_i) is negative and x(t_(i+1)) is a
     basis point.  Only when every frame is rank deficient (the support
     points are affinely dependent) is one point eliminated along a null
@@ -730,10 +741,10 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         others = np.arange(n + 1) != i
         basis_params, basis_points = params[others], points[others]
         try:
-            frame = build_frame(v, basis_points)
+            frame = _build_frame(v, basis_points)
         except RankDeficiencyError:
             continue
-        t_bar, k, p = first_zero_crossing(frame, curve, params[i], params[i + 1],
+        t_bar, k, p = _first_zero_crossing(frame, curve, params[i], params[i + 1],
                                           x0=points[i], x_stop=points[i + 1])
         # a crossing on an end of the gap has its row already
         end = np.flatnonzero(params[i:i + 2] == t_bar)

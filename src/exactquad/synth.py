@@ -185,8 +185,7 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
     return params[keep], weights[keep]
 
 
-def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
-                config: SynthesisConfig | None = None, *,
+def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None, *,
                 values=None) -> AffineRankReport:
     """Affine rank of the function system over the measure's support.
 
@@ -203,7 +202,7 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None,
     x = values
     if x is None:
         if params is None:
-            ivec, _ = exhaust_interval(m, curve, (config or SynthesisConfig()).tol)
+            ivec, _ = exhaust_interval(m, curve, SynthesisConfig().tol)
             params, _ = discretize_hull_point(curve, m, ivec)
         x = curve.evaluate(params)
     xc = x - x.mean(axis=0)

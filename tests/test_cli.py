@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import math
@@ -10,7 +11,9 @@ import numpy as np
 import pytest
 
 import exactquad
+from exactquad import hull
 from exactquad.cli import chebyshev_sample_test, run
+from exactquad.hull import RANK_TOL, CurveSystem
 from exactquad.measure import IntervalSpec
 
 UNIT_MEASURE = {
@@ -190,19 +193,41 @@ from exactquad.measure import IntervalSpec, MeasureSpec
 from exactquad.synth import synthesize_rule
 m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"))
 assert len(synthesize_rule(CurveSystem.from_texts(["t", "t^2"], m.interval), m)) == 2
-assert run(["gruss", sys.argv[1]], stdout=io.StringIO(), stderr=io.StringIO()) == 0
+for argv in (["gruss", sys.argv[1]], ["chebyshev-test", sys.argv[2]]):
+    assert run(argv, stdout=io.StringIO(), stderr=io.StringIO()) == 0
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
 def test_import_synthesis_and_gruss_load_no_scipy(tmp_path):
-    # scipy is slow to import and only chebyshev-test needs it
+    # scipy is a test-only dependency: importing the package, a synthesis,
+    # a Gruss report and an alternant test (one that finds its witness)
+    # may load no scipy module
     path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})
+    alt = write(tmp_path, "ch.json", {"functions": ["t", "t^3"], "interval": {
+        "lower": -1, "upper": 1, "lower_open": False, "upper_open": False}})
     env = dict(os.environ, PYTHONPATH=str(Path(exactquad.__file__).parent.parent))
-    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, path],
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SCRIPT, path, alt],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_no_module_imports_scipy():
+    # the static half of the guard above: no import statement of the
+    # package, at module level or inside a function, names scipy
+    paths = sorted(Path(exactquad.__file__).parent.glob("*.py"))
+    assert paths
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), (
+                f"{path.name}:{node.lineno} imports scipy")
 
 
 class TestStatsCommands:
@@ -273,6 +298,51 @@ class TestStatsCommands:
         assert r["lhs"] == 0.25 and r["bound"] == 0.25 and r["slack"] == 0.0
 
 
+_SEEDS = (0, 1, 7, 42)
+_SYMMETRIC = IntervalSpec(-1, 1)
+
+
+def assert_certificate(functions, interval, w):
+    """``w`` certifies a zero of det[x_i(t_j)] at distinct nodes."""
+    curve = CurveSystem.from_texts(functions, interval)
+    a, b = (np.array(t) for t in w["segment"])
+    assert np.all(np.diff(a) > 0) and np.all(np.diff(b) > 0)
+    mats = np.stack([curve.evaluate(a).T, curve.evaluate(b).T])
+    s = np.linalg.svd(mats, compute_uv=False)
+    assert np.all(s[:, -1] > RANK_TOL * s[:, 0])
+    det = np.linalg.det(mats)
+    assert det[0] * det[1] < 0
+    t = np.array(w["tuple"])
+    k = int(np.argmax(np.abs(b - a)))
+    u = (t[k] - a[k]) / (b[k] - a[k])
+    assert 0.0 <= u <= 1.0
+    span = interval.upper - interval.lower
+    assert np.max(np.abs(a + u * (b - a) - t)) <= 1e-12 * span
+    assert abs(w["det"]) <= 1e-12 * np.max(np.abs(det))
+
+
+def one_tuple_at_a_time(functions, interval, trials, seed):
+    """The sampled tuples and the evidence fields as drawing and evaluating
+    one tuple at a time gives them."""
+    curve = CurveSystem.from_texts(functions, interval)
+    lo, hi = interval.lower, interval.upper
+    rng = np.random.default_rng(seed)
+    tuples, best = [], None
+    for _ in range(trials):
+        for _ in range(100):
+            ts = np.sort(rng.uniform(lo, hi, curve.n))
+            if curve.n == 1 or np.min(np.diff(ts)) > 1e-12 * (hi - lo):
+                break
+        tuples.append(ts)
+        mat = curve.evaluate(ts).T
+        det = float(np.linalg.det(mat))
+        scale = float(np.prod(np.linalg.norm(mat, axis=0))) + 1e-300
+        if best is None or abs(det) / scale < best[0]:
+            best = (abs(det) / scale, ts, det)
+    return np.array(tuples), {"min_abs_det": abs(best[2]), "min_scaled_det": best[0],
+                              "argmin_tuple": [float(x) for x in best[1]]}
+
+
 class TestChebyshevCommand:
     def test_order_system_has_no_witness(self):
         report = chebyshev_sample_test(["1", "t"], IntervalSpec(0, 1),
@@ -284,16 +354,67 @@ class TestChebyshevCommand:
                                        trial_count=100, seed=42)
         assert report["witness"] is None
 
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_degree_five_vandermonde_has_no_witness(self, seed):
+        # |det| / scale falls below 1e-12 at close nodes, yet every sampled
+        # determinant is positive
+        report = chebyshev_sample_test([f"t^{k}" for k in range(6)],
+                                       IntervalSpec(0, 1), seed=seed)
+        assert report["witness"] is None
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    @pytest.mark.parametrize("functions", [["t", "t^2"], ["t"]])
+    def test_sign_change_is_certified(self, functions, seed):
+        # det = t1 t2 (t2 - t1) and det = t1 change sign at t = 0
+        report = chebyshev_sample_test(functions, _SYMMETRIC, seed=seed)
+        assert report["witness"] is not None
+        assert_certificate(functions, _SYMMETRIC, report["witness"])
+
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_zero_without_sign_change_is_not_found(self, seed):
+        # det = t1^2 vanishes at t1 = 0 but never changes sign: the stated
+        # limit of a sign-change certificate
+        report = chebyshev_sample_test(["t^2"], _SYMMETRIC, seed=seed)
+        assert report["witness"] is None
+
+    @pytest.mark.parametrize("functions", [
+        ["exp(t)", "exp(t+1)"], ["1", "t", "(1+t)/3"],
+        ["sin(t)", "cos(t)", "sin(t+1)"]])
+    def test_signs_of_singular_matrices_do_not_count(self, functions):
+        # det is 0 at every tuple of these dependent systems, so the signs
+        # the sampled determinants take are roundoff and certify nothing
+        report = chebyshev_sample_test(functions, IntervalSpec(0, 1))
+        assert report["witness"] is None
+
     def test_odd_pair_witness_found(self):
-        # det = t1 t2 (t2^2 - t1^2) vanishes at t1 = -t2; the polished
-        # witness must land on that antisymmetric configuration
-        report = chebyshev_sample_test(["t", "t^3"], IntervalSpec(-1, 1),
+        # det = t1 t2 (t2^2 - t1^2) changes sign at t1 = -t2 and where a
+        # node crosses 0; seed 42 finds the zero at t1 = 0
+        report = chebyshev_sample_test(["t", "t^3"], _SYMMETRIC,
                                        trial_count=100, seed=42)
-        w = report["witness"]
-        assert w is not None
-        t1, t2 = w["tuple"]
-        assert t1 == pytest.approx(-t2, abs=1e-6)
-        assert abs(w["det"]) <= 1e-12 * w["scale"]
+        assert report["witness"] is not None
+        assert_certificate(["t", "t^3"], _SYMMETRIC, report["witness"])
+
+    @pytest.mark.parametrize("functions, lower, upper", [
+        ([f"t^{k}" for k in range(6)], 0.0, 1.0),
+        ([f"t^{k}" for k in range(10)], 0.0, 1.0),
+        (["sin(3*t)", "exp(-t)", "log(2+t)", "sqrt(t+1)"], -1.0, 2.0),
+        (["t", "t^3"], -1.0, 1.0),
+        # 41 of the first 300 draws have equal nodes and are drawn again
+        (["1", "t", "t^2"], 1.0, 1.0 + 4e-15),
+    ], ids=["degree-5", "degree-9", "mixed", "odd-pair", "redraws"])
+    def test_evidence_matches_one_tuple_at_a_time(self, functions, lower, upper,
+                                                  monkeypatch):
+        # 300 trials span a batch boundary; the batches sample the same
+        # tuples and report the same evidence, bit for bit
+        sampled = []
+        determinants = hull._determinants
+        monkeypatch.setattr(hull, "_determinants", lambda curve, ts: (
+            sampled.append(ts.copy()) or determinants(curve, ts)))
+        interval = IntervalSpec(lower, upper)
+        report = chebyshev_sample_test(functions, interval, trial_count=300, seed=3)
+        tuples, expected = one_tuple_at_a_time(functions, interval, 300, 3)
+        assert np.array_equal(np.concatenate(sampled)[:300], tuples)
+        assert json.dumps({k: report[k] for k in expected}) == json.dumps(expected)
 
     def test_seed_recorded_and_deterministic(self, tmp_path):
         path = write(tmp_path, "ch.json", {

@@ -17,10 +17,10 @@ from exactquad.hull import (
     ZERO_TOL,
     ConvexCombination,
     CurveSystem,
-    build_frame,
+    _build_frame,
     caratheodory_finite,
-    coords,
-    first_zero_crossing,
+    _coords,
+    _first_zero_crossing,
     merge_coincident,
     polish_combination,
     reduce_on_curve,
@@ -208,27 +208,27 @@ def test_caratheodory_properties(m, n, seed, kind):
 
 class TestFrame:
     def test_identity_frame(self):
-        frame = build_frame(np.zeros(2), np.eye(2))
+        frame = _build_frame(np.zeros(2), np.eye(2))
         x = np.array([0.3, 0.7])
-        assert coords(frame, x) == pytest.approx([0.3, 0.7], abs=1e-14)
+        assert _coords(frame, x) == pytest.approx([0.3, 0.7], abs=1e-14)
 
     def test_shifted_frame(self):
-        frame = build_frame(np.array([1.0, 1.0]),
+        frame = _build_frame(np.array([1.0, 1.0]),
                             np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert coords(frame, np.zeros(2)) == pytest.approx([-1.0, -1.0])
+        assert _coords(frame, np.zeros(2)) == pytest.approx([-1.0, -1.0])
 
     def test_rank_deficiency(self):
         with pytest.raises(RankDeficiencyError):
-            build_frame(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]]))
+            _build_frame(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]]))
 
     def test_basis_point_coordinates(self):
         # x(t_j) maps to the j-th unit coordinate, the origin to zero
         points = np.array([[1.0, 2.0], [3.0, -1.0]])
         v = np.array([0.5, 0.25])
-        frame = build_frame(v, points)
-        assert coords(frame, v) == pytest.approx([0.0, 0.0], abs=1e-14)
-        assert coords(frame, points[0]) == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert coords(frame, points[1]) == pytest.approx([0.0, 1.0], abs=1e-12)
+        frame = _build_frame(v, points)
+        assert _coords(frame, v) == pytest.approx([0.0, 0.0], abs=1e-14)
+        assert _coords(frame, points[0]) == pytest.approx([1.0, 0.0], abs=1e-12)
+        assert _coords(frame, points[1]) == pytest.approx([0.0, 1.0], abs=1e-12)
 
     def test_first_support_point_coords_are_negative_weight_ratios(self):
         # with v = sum(nu_j x(t_j)), the coordinates of x(t_0) - v in the
@@ -238,23 +238,23 @@ class TestFrame:
         nu = np.array([0.25, 0.35, 0.40])
         x = curve.evaluate(ts)
         v = nu @ x
-        frame = build_frame(v, x[1:])
-        p0 = coords(frame, x[0])
+        frame = _build_frame(v, x[1:])
+        p0 = _coords(frame, x[0])
         assert p0 == pytest.approx(-nu[1:] / nu[0], rel=1e-9)
         assert np.all(p0 < 0)
 
     def test_batched_coords(self):
-        frame = build_frame(np.zeros(2), np.eye(2))
+        frame = _build_frame(np.zeros(2), np.eye(2))
         batch = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert coords(frame, batch) == pytest.approx(batch)
+        assert _coords(frame, batch) == pytest.approx(batch)
 
     def test_batched_coords_match_single_solves(self):
         rng = np.random.default_rng(3)
-        frame = build_frame(rng.standard_normal(5),
+        frame = _build_frame(rng.standard_normal(5),
                             rng.standard_normal((5, 5)))
         batch = rng.standard_normal((7, 5))
-        single = np.array([coords(frame, x) for x in batch])
-        assert np.max(np.abs(coords(frame, batch) - single)) <= 1e-12
+        single = np.array([_coords(frame, x) for x in batch])
+        assert np.max(np.abs(_coords(frame, batch) - single)) <= 1e-12
 
     def test_random_wide_frame_solves_within_its_condition(self):
         # basis @ p reproduces x - origin, and each basis point maps to its
@@ -262,28 +262,28 @@ class TestFrame:
         n = 12
         rng = np.random.default_rng(0)
         points = rng.standard_normal((n, n))
-        frame = build_frame(rng.standard_normal(n), points)
+        frame = _build_frame(rng.standard_normal(n), points)
         bound = 16 * n * np.finfo(float).eps * np.linalg.cond(frame.basis)
         x = rng.standard_normal((63, n))
         y = x - frame.origin
-        p = coords(frame, x)
+        p = _coords(frame, x)
         resid = np.linalg.norm(p @ frame.basis.T - y, axis=1)
         assert np.all(resid <= bound * np.linalg.norm(y, axis=1))
-        assert np.max(np.abs(coords(frame, points) - np.eye(n))) <= bound
+        assert np.max(np.abs(_coords(frame, points) - np.eye(n))) <= bound
 
 
 class TestFirstZeroCrossing:
     def test_affine_crossing(self):
         curve = CurveSystem.from_texts(["t-0.3", "t-1.5"], IntervalSpec(0, 1))
-        frame = build_frame(np.zeros(2), np.eye(2))
-        t_bar, k, _ = first_zero_crossing(frame, curve, 0.0, 1.0)
+        frame = _build_frame(np.zeros(2), np.eye(2))
+        t_bar, k, _ = _first_zero_crossing(frame, curve, 0.0, 1.0)
         assert t_bar == pytest.approx(0.3, abs=1e-12)
         assert k == 0
 
     def test_crossing_at_t_stop(self):
         curve = CurveSystem.from_texts(["t-1"], IntervalSpec(0, 1))
-        frame = build_frame(np.zeros(1), np.array([[1.0]]))
-        t_bar, k, _ = first_zero_crossing(frame, curve, 0.0, 1.0)
+        frame = _build_frame(np.zeros(1), np.array([[1.0]]))
+        t_bar, k, _ = _first_zero_crossing(frame, curve, 0.0, 1.0)
         assert t_bar == pytest.approx(1.0, abs=1e-12)
         assert k == 0
 
@@ -293,11 +293,11 @@ class TestFirstZeroCrossing:
         nu = np.array([0.3, 0.4, 0.3])
         x = curve.evaluate(ts)
         v = nu @ x
-        frame = build_frame(v, x[1:])
-        t_bar, _, _ = first_zero_crossing(frame, curve, ts[0], ts[1])
+        frame = _build_frame(v, x[1:])
+        t_bar, _, _ = _first_zero_crossing(frame, curve, ts[0], ts[1])
         # oracle: brute-force scan of the coordinate maximum at 1e6 points
         grid = np.linspace(ts[0], ts[1], 10**6 + 1)
-        g = coords(frame, curve.evaluate(grid)).max(axis=1)
+        g = _coords(frame, curve.evaluate(grid)).max(axis=1)
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2e-6
 
@@ -307,7 +307,7 @@ class TestFirstZeroCrossing:
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.05, 0.5, 0.95])
         x = curve.evaluate(ts)
-        frame = build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
+        frame = _build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
         sizes = []
         evaluate = CurveSystem.evaluate
 
@@ -316,7 +316,7 @@ class TestFirstZeroCrossing:
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", counting)
-        t_bar, k, p = first_zero_crossing(frame, curve, ts[0], ts[1])
+        t_bar, k, p = _first_zero_crossing(frame, curve, ts[0], ts[1])
         assert len(sizes) <= 6 and sum(sizes) <= 300
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
         assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
@@ -389,13 +389,13 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
     nu = rng.uniform(0.05, 1.0, n + 1)
     x = curve.evaluate(ts)
     try:
-        frame = build_frame(nu @ x / nu.sum(), x[1:])
+        frame = _build_frame(nu @ x / nu.sum(), x[1:])
     except RankDeficiencyError:
         assume(False)
     # on frames with a condition number above about 1e5 the coordinates'
     # roundoff can exceed ZERO_TOL at the crossing (3 of 20000 draws)
     assume(np.linalg.cond(frame.basis) <= 1e4)
-    t_bar, k, p = first_zero_crossing(frame, curve, ts[0], ts[1])
+    t_bar, k, p = _first_zero_crossing(frame, curve, ts[0], ts[1])
     assert ts[0] < t_bar <= ts[1]
     assert p.max() <= ZERO_TOL
     assert abs(p[k]) <= ZERO_TOL
@@ -403,7 +403,7 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
         # each coordinate of the moment curve changes sign at most once in
         # (t0, t1), so the first crossing is the only one
         grid = np.linspace(ts[0], ts[1], 20001)
-        g = coords(frame, curve.evaluate(grid)).max(axis=1)
+        g = _coords(frame, curve.evaluate(grid)).max(axis=1)
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2.0 * (grid[1] - grid[0])
 
@@ -599,7 +599,7 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
     w = np.array([1e-11, 0.5, 0.5 - 1e-11])
     v = w @ curve.evaluate(ts)
     with pytest.raises(RankDeficiencyError):
-        build_frame(v, curve.evaluate(ts[1:]))
+        _build_frame(v, curve.evaluate(ts[1:]))
     out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
     assert len(out) <= 2 and np.all(out.weights >= 0.0)
     recon = out.weights @ curve.evaluate(out.params)
