@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -91,8 +91,8 @@ def _cmd_reduce(obj, args):
     interval = interval_from_json(obj["interval"])
     curve = CurveSystem.from_texts(obj["functions"], interval)
     comb = combination_from_json(obj["combination"])
-    points = curve.evaluate(comb.params)
-    v = comb.weights @ points / comb.total
+    comb = replace(comb, points=curve.evaluate(comb.params))
+    v = comb.weights @ comb.points / comb.total
     reduced = reduce_on_curve(curve, comb, v)
     note = f"reduced {len(comb)} support points to {len(reduced)}"
     return combination_to_json(reduced), note

@@ -27,9 +27,10 @@ subexpression.  A power whose exponent is a number literal (``t^3``,
 fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based byte offsets.
 
 A function system is evaluated as one batch by :func:`evaluate_columns`:
-one ``errstate`` and one output array for all components, each column
-checked for finiteness before the next is computed, so it raises exactly
-the error that calling the components one by one, in index order, would.
+one ``errstate`` and one output array for all components, checked for
+finiteness once; only a failing batch is searched for its first failing
+column, so it raises exactly the error that calling the components one by
+one, in index order, would.
 """
 
 from __future__ import annotations
@@ -513,20 +514,32 @@ def evaluate_columns(exprs, ts) -> np.ndarray:
 
     Returns a new ``ts.shape + (len(exprs),)`` array, a scalar ``ts``
     counting as one point; column k holds exactly the values of
-    ``exprs[k](ts)``.  All closures run under one ``errstate``.  Each
-    column is checked for finiteness as soon as it is computed, so the
-    first component that fails, in index order, raises the same
-    :class:`EvalDomainError` as its own call.
+    ``exprs[k](ts)``.  All closures run under one ``errstate``, and the
+    whole batch is checked for finiteness once.  Only when that check
+    fails, or a closure raises, are the columns before the failure checked
+    one by one, so the first component that fails, in index order, raises
+    the same :class:`EvalDomainError` as its own call.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty(ts.shape + (len(exprs),))
     with np.errstate(all="ignore"):
         for k, e in enumerate(exprs):
-            col = e._fn(ts)
-            if not np.isfinite(col).all():
-                raise EvalDomainError("non-finite value", e._text)
-            out[..., k] = col
+            try:
+                out[..., k] = e._fn(ts)
+            except EvalDomainError:
+                _raise_first_nonfinite(exprs, out, k)
+                raise
+    if not np.isfinite(out).all():
+        _raise_first_nonfinite(exprs, out, len(exprs))
     return out
+
+
+def _raise_first_nonfinite(exprs, out, stop):
+    """Raise the error of the first of the columns ``0..stop-1`` of ``out``
+    that holds a non-finite value, if any does."""
+    for k in range(stop):
+        if not np.isfinite(out[..., k]).all():
+            raise EvalDomainError("non-finite value", exprs[k]._text)
 
 
 def parse(text: str) -> Expression:

@@ -11,8 +11,8 @@ keeps the rest of the basis null on the surviving points.  The shifts and
 the updates run on Python floats in numpy's operation order, so they give
 numpy's bits: they touch at most 2(n+1) numbers each, where a numpy call
 costs more than its arithmetic.
-``reduce_on_curve`` takes a strictly positive combination of n+1 ordered
-points of a continuous curve and produces at most n curve points with the
+``reduce_on_curve`` takes a positive combination of curve points, prunes
+it to n+1 when it holds more, and produces at most n curve points with the
 same total weight and the same weighted sum: it rebuilds coordinates in
 the barycentric frame rooted at the target, solved through one SVD of the
 frame's basis, slides the parameter from a support point toward its right
@@ -20,11 +20,17 @@ neighbour until one coordinate first crosses zero, and reweights the
 remaining points.
 The crossing is found by ``refine_bracket``, which probes up to 63
 points of the bracket per vectorized call and keeps the cell ending at
-the first sign change: one evenly spaced round, then rounds centred on the
-secant root of the end scores, with an even round after any round that
-narrows the bracket less than 4-fold, so a walk usually takes 4 calls.
-The vanishing coordinate and the reweighting both come from the
-coordinate row probed at the crossing.
+the first sign change: an evenly spaced round while the bracket's lower
+end has no score, rounds centred on the secant root of the end scores
+once it has one, and an even round after any round that narrows the
+bracket less than 4-fold.  The input points inside the walked gap are
+scored first, as a probe round that costs no evaluation, so a walk on a
+discrete measure starts from a bracket one cell wide with a secant round
+and usually takes 3 calls; from a bare support it takes about 4.  The
+vanishing coordinate, the reweighting and the new point's curve row all
+come from the batch probed at the crossing, and a combination carries
+its support's rows (``ConvexCombination.points``) from the prune to the
+walk and on to the polish, so no stage evaluates a point twice.
 ``stats.covariance_witness`` narrows its bracket the same way.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
@@ -80,11 +86,16 @@ _SECANT_OFFSETS = np.concatenate(
 
 @dataclass(frozen=True, eq=False)
 class ConvexCombination:
-    """Support parameters with non-negative weights summing to ``total``."""
+    """Support parameters with non-negative weights summing to ``total``.
+
+    ``points``, when set, holds the curve at ``params``, one row per
+    parameter, so that a later stage need not evaluate it again.
+    """
 
     params: np.ndarray
     weights: np.ndarray
     total: float
+    points: np.ndarray | None = None
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -92,6 +103,12 @@ class ConvexCombination:
         total = float(self.total)
         if params.ndim != 1 or params.shape != weights.shape or params.size == 0:
             raise SchemaError("params and weights must be equal-length 1-d arrays")
+        if self.points is not None:
+            points = np.asarray(self.points, dtype=float)
+            if points.ndim != 2 or len(points) != params.size:
+                raise SchemaError(f"points must have one row per parameter, "
+                                  f"got shape {points.shape}")
+            object.__setattr__(self, "points", points)
         if not math.isfinite(total) or total <= 0:
             raise SchemaError(f"total must be finite and > 0, got {total}")
         if np.any(params[1:] <= params[:-1]):
@@ -100,7 +117,10 @@ class ConvexCombination:
         if np.any(weights < floor):
             raise SchemaError(f"weights below {floor} are not a convex combination")
         weights = np.maximum(weights, 0.0)
-        if abs(math.fsum(weights.tolist()) - total) > 1e-12 * total:
+        # a pairwise sum of non-negative weights is within about
+        # log2(size) ulps, far inside this tolerance, and synthesis passes
+        # every node of its discrete measure here
+        if abs(float(weights.sum()) - total) > 1e-12 * total:
             raise SchemaError("weights do not sum to total within 1e-12 relative")
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", weights)
@@ -365,7 +385,8 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     within ``RECON_TOL`` (relative); otherwise the input is infeasible, and
     the pruned combination must meet the same gate.
     ``params`` optionally maps point indices to curve parameters; when
-    omitted, point indices serve as the output parameters.
+    omitted, point indices serve as the output parameters.  The result
+    carries the kept rows of ``points`` as its ``points``.
 
     Merge-reduce: while more than k = 2(n+1) points carry weight, they are
     split in index order into k contiguous clusters.  The cluster means are
@@ -443,32 +464,35 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         out_params = kept.astype(float)
     else:
         out_params = np.asarray(params, dtype=float)[kept]
-    return ConvexCombination(params=out_params, weights=w_out, total=total)
+    return ConvexCombination(params=out_params, weights=w_out, total=total,
+                             points=points[kept])
 
 
-def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
+def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
+                   lo_g: float | None = None):
     """Narrow ``[lo, hi]`` to the first parameter where ``probe`` hits.
 
     ``probe(ts)`` takes an increasing array of parameters and returns
     ``(g, info)``: a score array, negative before the crossing and ``>= 0``
     (a hit) at or past it, and per-point data indexable like ``ts``.
     ``lo`` must not hit and ``hi`` must, with ``hi_g`` and ``hi_info`` its
-    score and data.  Each round probes up to ``REFINE_POINTS`` interior
-    points in one call and keeps the cell that ends at the first hit.  The
-    first round spaces them evenly.  Once ``lo`` carries a probed score,
-    a round centres them on the secant root s of the scores at ``lo`` and
-    ``hi``, at s and s +- w 4^-j (j = 1..31, w the bracket width), so the
-    kept cell is about as wide as the secant's error and the bracket
-    shrinks about quadratically (a batched Dekker-Brent secant).  A round
-    that shrinks the bracket less than 4-fold is followed by an even one,
-    which shrinks it ``REFINE_POINTS + 1``-fold.  Rounds stop when
-    ``done(lo, hi, hi_info)`` holds or no float lies strictly inside.
-    Returns ``(hi, hi_info)``: the first hit the probes saw, which is the
-    first crossing in ``[lo, hi]`` unless the scores cross zero more than
-    once inside one probed cell.
+    score and data; ``lo_g`` is the score at ``lo`` when the caller holds
+    it.  Each round probes up to ``REFINE_POINTS`` interior points in one
+    call and keeps the cell that ends at the first hit.  While ``lo``
+    carries no score, a round spaces them evenly.  Once it does, a round
+    centres them on the secant root s of the scores at ``lo`` and ``hi``,
+    at s and s +- w 4^-j (j = 1..31, w the bracket width), so the kept cell
+    is about as wide as the secant's error and the bracket shrinks about
+    quadratically (a batched Dekker-Brent secant).  So a bracket whose
+    ``lo_g`` is given opens with a secant round, one without it with an
+    even round.  A round that shrinks the bracket less than 4-fold is
+    followed by an even one, which shrinks it ``REFINE_POINTS + 1``-fold.
+    Rounds stop when ``done(lo, hi, hi_info)`` holds or no float lies
+    strictly inside.  Returns ``(hi, hi_info)``: the first hit the probes
+    saw, which is the first crossing in ``[lo, hi]`` unless the scores
+    cross zero more than once inside one probed cell.
     """
-    lo_g = None
-    even = True
+    even = lo_g is None
     while not done(lo, hi, hi_info):
         width = hi - lo
         if not even:
@@ -495,51 +519,57 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done):
     return hi, hi_info
 
 
-def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem,
-                        t0: float, t_stop: float, *, x0=None, x_stop=None):
-    """First parameter in (t0, t_stop] where some frame coordinate reaches zero.
+def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
+    """First parameter in (ts[0], ts[-1]] where some frame coordinate reaches zero.
 
-    Requires all coordinates of ``x(t0) - origin`` negative and ``x(t_stop)``
-    a basis point of the frame, whose coordinate row is a unit vector up to
+    ``ts`` is increasing: the walk's start t0, any parameters inside the
+    gap whose curve rows the caller holds, and its stop; ``xs`` holds the
+    curve at ``ts``, one row each.  Requires all
+    coordinates of ``x(t0) - origin`` negative and ``x(ts[-1])`` a basis
+    point of the frame, whose coordinate row is a unit vector up to
     roundoff, so the largest coordinate g(t) is negative at t0 and positive
-    at t_stop.  :func:`refine_bracket` narrows (t0, t_stop] until the
-    bracket is ``BISECT_TOL`` wide (relative) with g(hi) <= ``ZERO_TOL``,
-    or a few ulps wide, and returns the first crossing its probes see; any
-    such crossing leaves every coordinate <= ``ZERO_TOL`` (up to roundoff
-    on a frame of condition above about 1e5), which is all the reweighting
-    needs.  Returns ``(t_bar, k, p)``: p is the coordinate row of x(t_bar)
-    that met g >= 0 in its batch, and k the 0-based index of its vanishing
-    coordinate; ties pick the smallest index.  Callers use this p rather
-    than a re-solve at t_bar, which can differ by more than ``ZERO_TOL`` on
-    an ill-conditioned frame.  ``x0`` and ``x_stop``, the curve points at
-    ``t0`` and ``t_stop`` when the caller holds them, spare their
-    evaluation; the curve is then evaluated only at the probes.
+    at the stop.  The rows after t0 are scored in one batch, the walk's
+    first probe round, and the first of them with g >= 0 ends the bracket.
+    :func:`refine_bracket` narrows the bracket until it is ``BISECT_TOL``
+    wide (relative) with g(hi) <= ``ZERO_TOL``, or a few ulps wide, and
+    returns the first crossing its probes see; it opens with a secant round
+    when the bracket starts at a scored row inside the gap.  Any such
+    crossing leaves every coordinate <= ``ZERO_TOL`` (up to roundoff on a
+    frame of condition above about 1e5), which is all the reweighting
+    needs.  Returns ``(t_bar, k, p, x_bar)``: x_bar is the curve row at
+    t_bar and p its coordinate row, both from the batch that met g >= 0
+    there, and k the 0-based index of the vanishing coordinate; ties pick
+    the smallest index.  Callers use this p rather than a re-solve at
+    t_bar, which can differ by more than ``ZERO_TOL`` on an
+    ill-conditioned frame.  The curve is evaluated only at the probes.
     """
-    if x0 is None:
-        x0 = curve.evaluate(t0)[0]
-    p0 = _coords(frame, x0)
+    n = xs.shape[1]
+    p0 = _coords(frame, xs[0])
     if p0.max() >= -ZERO_TOL:
-        return float(t0), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0
-    if x_stop is None:
-        x_stop = curve.evaluate(t_stop)[0]
-    scale_t = max(1.0, abs(t0), abs(t_stop))
+        return float(ts[0]), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0, xs[0]
+    scale_t = max(1.0, abs(float(ts[0])), abs(float(ts[-1])))
     width_floor = 8.0 * np.finfo(float).eps * scale_t
 
     def scored(x):
+        # each point's data: its coordinate row, then its curve row
         rows = _coords(frame, x)
-        return rows.max(axis=1), rows
+        return rows.max(axis=1), np.concatenate([rows, x], axis=1)
 
-    def probe(ts):
-        return scored(curve.evaluate(ts))
+    def probe(us):
+        return scored(curve.evaluate(us))
 
-    def done(lo, hi, row):
+    def done(lo, hi, info):
         return hi - lo <= width_floor or (
-            hi - lo <= BISECT_TOL * scale_t and row.max() <= ZERO_TOL)
+            hi - lo <= BISECT_TOL * scale_t and info[:n].max() <= ZERO_TOL)
 
-    g_stop, rows_stop = scored(np.reshape(x_stop, (1, -1)))
-    hi_t, row = refine_bracket(probe, float(t0), float(t_stop),
-                               float(g_stop[0]), rows_stop[0], done)
-    return hi_t, int(np.flatnonzero(row >= -ZERO_TOL)[0]), row
+    g, info = scored(xs[1:])
+    hits = np.flatnonzero(g >= 0.0)
+    h = int(hits[0]) if hits.size else g.size - 1
+    lo_g = float(g[h - 1]) if h > 0 else None
+    hi_t, hi_info = refine_bracket(probe, float(ts[h]), float(ts[h + 1]),
+                                   float(g[h]), info[h], done, lo_g)
+    p, x_bar = hi_info[:n], hi_info[n:]
+    return hi_t, int(np.flatnonzero(p >= -ZERO_TOL)[0]), p, x_bar
 
 
 def _clip_bounds(iv: IntervalSpec):
@@ -559,7 +589,7 @@ _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
 def polish_combination(curve: CurveSystem, params, weights, target, total,
-                       target_resid: float = POLISH_TARGET):
+                       target_resid: float = POLISH_TARGET, points=None):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
     Drives the residual map (sum(w_i x(t_i)) - total*target, sum(w_i) - total)
@@ -577,13 +607,18 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     weak singular direction, the damped steps crawl along it, and running
     to ``POLISH_MAX_ITER`` would cost hundreds of evaluations for almost no gain.
 
-    An iteration evaluates the curve twice: once at the parameters and
-    their two central-difference neighbours for the Jacobian, and once at
-    the parameters of all 6 damped trial steps, one full step per damping
-    value, so a polish of k iterations makes at most 1 + 2k
-    :meth:`CurveSystem.evaluate` calls.
+    ``points``, the curve at ``params`` (one row each) when the caller
+    holds it, spares the evaluation at the start.  An iteration evaluates
+    the curve twice: once at the two central-difference neighbours of the
+    parameters for the Jacobian, and once at the parameters of all 6
+    damped trial steps, one full step per damping value; the rows at the
+    parameters come from the trial that moved them there.  So a polish of
+    k iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls,
+    and one that starts within ``target_resid`` from given ``points`` makes
+    none.
 
-    Returns ``(params, weights, converged)``.  A ``False`` flag means the
+    Returns ``(params, weights, converged, points)``, ``points`` being the
+    curve at the returned parameters.  A ``False`` flag means the
     iteration stalled above ``target_resid``; the caller decides whether
     the achieved residual is acceptable.
     """
@@ -600,15 +635,16 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         raw = np.concatenate([w @ x - total * target, [math.fsum(w) - total]])
         return raw * row_scale
 
-    r = residual(curve.evaluate(params), weights)
+    x = curve.evaluate(params) if points is None else np.asarray(points, dtype=float)
+    r = residual(x, weights)
     norm = float(np.linalg.norm(r))
     for _ in range(POLISH_MAX_ITER):
         if float(np.max(np.abs(r))) <= target_resid:
-            return params, weights, True
+            return params, weights, True, x
         h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(params))
         up = np.minimum(params + h, hi)
         dn = np.maximum(params - h, lo)
-        x, x_up, x_dn = np.split(curve.evaluate(np.concatenate([params, up, dn])), 3)
+        x_up, x_dn = np.split(curve.evaluate(np.concatenate([up, dn])), 2)
         dx = (x_up - x_dn) / (up - dn)[:, None]
         jac = np.zeros((n + 1, 2 * m))
         jac[:n, :m] = (weights[:, None] * dx).T
@@ -629,14 +665,14 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
             r_try = residual(x_t, w_try)
             norm_try = float(np.linalg.norm(r_try))
             if best is None or norm_try < best[0]:
-                best = (norm_try, p_try, w_try, r_try)
+                best = (norm_try, p_try, w_try, r_try, x_t)
         if best is None or best[0] >= norm:
             break  # first-order stationary; caller checks the residual gate
         stalled = best[0] > (1.0 - _LM_MIN_GAIN) * norm
-        norm, params, weights, r = best
+        norm, params, weights, r, x = best
         if stalled:
             break
-    return params, weights, float(np.max(np.abs(r))) <= target_resid
+    return params, weights, float(np.max(np.abs(r))) <= target_resid, x
 
 
 def merge_coincident(params, weights, points=None):
@@ -645,15 +681,23 @@ def merge_coincident(params, weights, points=None):
     Returns ``(params, weights)``, or ``(params, weights, points)`` when
     ``points`` (one row per parameter) is given; a merged parameter keeps
     the row of its first occurrence.  The parameters come out strictly
-    increasing, and each sum adds its terms in input order.
+    increasing, and each sum adds its terms in input order onto 0.0, so
+    a lone -0.0 weight comes out as 0.0.  A stable sort keeps ties in
+    input order; only when some parameter repeats are the sums formed.
     """
-    uniq, first, inverse = np.unique(params, return_index=True,
-                                     return_inverse=True)
-    merged = np.zeros(uniq.size)
-    np.add.at(merged, inverse, weights)
+    params = np.asarray(params, dtype=float)
+    order = np.argsort(params, kind="stable")
+    params = params[order]
+    weights = np.asarray(weights, dtype=float)[order] + 0.0
+    first = np.ones(params.size, dtype=bool)
+    np.not_equal(params[1:], params[:-1], out=first[1:])
+    if not first.all():
+        merged = np.zeros(int(np.count_nonzero(first)))
+        np.add.at(merged, np.cumsum(first) - 1, weights)
+        params, weights, order = params[first], merged, order[first]
     if points is None:
-        return uniq, merged
-    return uniq, merged, points[first]
+        return params, weights
+    return params, weights, points[order]
 
 
 def _rebuild(params, weights, points, target, total):
@@ -664,59 +708,62 @@ def _rebuild(params, weights, points, target, total):
         raise ReconstructionError(
             f"reduced combination misses the target by {recon:.3e} relative"
         )
-    return ConvexCombination(params=params, weights=weights, total=total)
+    return ConvexCombination(params=params, weights=weights, total=total,
+                             points=points)
 
 
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
-                    v, *, points=None) -> ConvexCombination:
+                    v) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
     zero weight are dropped first; if more than n+1 positive terms remain
-    they are pruned with :func:`caratheodory_finite`.  The n+1 -> n step
-    walks the curve from support point i toward point i+1, to the first
-    coordinate zero-crossing that :func:`_first_zero_crossing` sees in the
-    frame built from the other n points, and reweights; any crossing it
-    returns leaves every coordinate <= ``ZERO_TOL``, so the n kept points
-    carry non-negative weights (positives left by roundoff are clipped).
-    It takes the first i, in index order, whose frame
-    :func:`_build_frame` accepts: the walk has a crossing in that gap,
-    because every coordinate of x(t_i) is negative and x(t_(i+1)) is a
-    basis point.  Only when every frame is rank deficient (the support
-    points are affinely dependent) is one point eliminated along a null
-    vector instead.
+    they are pruned with :func:`caratheodory_finite`, which also gates
+    them.  The n+1 -> n step walks the curve from support point i toward
+    point i+1, to the first coordinate zero-crossing that
+    :func:`_first_zero_crossing` sees in the frame built from the other n
+    points, and reweights; any crossing it returns leaves every coordinate
+    <= ``ZERO_TOL``, so the n kept points carry non-negative weights
+    (positives left by roundoff are clipped).  It takes the first i, in
+    index order, whose frame :func:`_build_frame` accepts: the walk has a
+    crossing in that gap, because every coordinate of x(t_i) is negative
+    and x(t_(i+1)) is a basis point.  Only when every frame is rank
+    deficient (the support points are affinely dependent) is one point
+    eliminated along a null vector instead.
 
-    ``points``, the curve at ``comb.params`` (one row per parameter) when
-    the caller holds it, spares evaluating the support: the walk then
-    evaluates the curve only at its probes and at the crossing.
+    The curve at the input parameters is ``comb.points`` when set, and is
+    evaluated once otherwise.  The input points strictly inside the walked
+    gap are the walk's first probe round, so a dense input (such as a
+    discrete measure) leaves a bracket one input cell wide, and the walk
+    evaluates the curve only at its probes.  The result carries its
+    support's rows as ``points``.
     """
     v = np.asarray(v, dtype=float)
     n = curve.n
     if v.size != n:
         raise SchemaError(f"target has dimension {v.size}, curve has {n}")
     total = comb.total
-    keep = comb.weights > 0.0
-    params = comb.params[keep]
-    weights = comb.weights[keep]
+    params, weights, points = comb.params, comb.weights, comb.points
+    keep = weights > 0.0
+    if not keep.all():
+        params, weights = params[keep], weights[keep]
+        points = None if points is None else points[keep]
     if points is None:
         points = curve.evaluate(params)
-    else:
-        points = np.asarray(points, dtype=float)
-        if points.shape != (len(comb), n):
-            raise SchemaError(f"points must be ({len(comb)}, {n}), got {points.shape}")
-        points = points[keep]
-
-    gap = _miss(weights, points, v)
-    if gap > RECON_TOL:
-        raise InfeasibleCombinationError(
-            f"combination does not reproduce the target (off by {gap:.3e} "
-            "relative)"
-        )
+    elif points.shape[1] != n:
+        raise SchemaError(f"points must have {n} columns, got {points.shape[1]}")
+    seed_params, seed_points = params, points
 
     if params.size > n + 1:
         pruned = caratheodory_finite(points, weights, v, params=params)
-        points = points[np.searchsorted(params, pruned.params)]
-        params, weights = pruned.params, pruned.weights
+        params, weights, points = pruned.params, pruned.weights, pruned.points
+    else:
+        gap = _miss(weights, points, v)
+        if gap > RECON_TOL:
+            raise InfeasibleCombinationError(
+                f"combination does not reproduce the target (off by {gap:.3e} "
+                "relative)"
+            )
     if params.size <= n:
         return _rebuild(params, weights, points, v, total)
 
@@ -728,11 +775,12 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
             # its forward-error floor; a local Gauss-Newton solve recovers
             # the nearby exact root; polish rows within this target keep
             # the miss well inside RECON_TOL at any total
-            p2, w2, _ = polish_combination(
+            p2, w2, _, x2 = polish_combination(
                 curve, new_params, new_weights, v, total,
                 target_resid=0.01 * RECON_TOL * min(total, 1.0),
+                points=new_points,
             )
-            return _rebuild(p2, w2, curve.evaluate(p2), v, total)
+            return _rebuild(p2, w2, x2, v, total)
 
     for i in range(n):
         # a support point of small weight leaves v near the affine hull of
@@ -744,11 +792,14 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
             frame = _build_frame(v, basis_points)
         except RankDeficiencyError:
             continue
-        t_bar, k, p = _first_zero_crossing(frame, curve, params[i], params[i + 1],
-                                          x0=points[i], x_stop=points[i + 1])
-        # a crossing on an end of the gap has its row already
-        end = np.flatnonzero(params[i:i + 2] == t_bar)
-        x_bar = points[i + end[0]] if end.size else curve.evaluate(t_bar)[0]
+        # the input points strictly inside the gap seed the walk
+        a = int(np.searchsorted(seed_params, params[i], side="right"))
+        b = int(np.searchsorted(seed_params, params[i + 1], side="left"))
+        t_bar, k, p, x_bar = _first_zero_crossing(
+            frame, curve, np.concatenate([params[i:i + 1], seed_params[a:b],
+                                          params[i + 1:i + 2]]),
+            np.concatenate([points[i:i + 1], seed_points[a:b],
+                            points[i + 1:i + 2]]))
         p[k] = 0.0
         p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
         denom = 1.0 - p.sum()

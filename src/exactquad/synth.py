@@ -14,14 +14,19 @@ total mass, reproducing every function integral:
    plus the atoms; the moments of this positive discrete measure are the
    integral vector itself, so the target lies in its hull by construction
    and the affine rank of step 2 is read on the same nodes; the curve is
-   evaluated on them once, and the rank, the prune and the walk of step 5
-   share those values;
-5. prune the combination to at most rank+1 support points with a
-   merge-reduce Caratheodory elimination over contiguous node clusters
-   (:func:`~exactquad.hull.caratheodory_finite`), then to at most rank
-   points (:func:`~exactquad.hull.reduce_on_curve`);
-6. polish nodes and weights with a damped Gauss-Newton solve, dropping
-   nodes whose weight reaches zero;
+   evaluated on them once, in one batch with the continuity probe, and
+   the rank, the prune and the walk of step 5 share those values;
+5. hand the whole discrete combination, with its rows, to
+   :func:`~exactquad.hull.reduce_on_curve`: it prunes to at most rank+1
+   support points with a merge-reduce Caratheodory elimination over
+   contiguous node clusters (:func:`~exactquad.hull.caratheodory_finite`),
+   then walks to at most rank points, scoring the discrete nodes inside
+   the walked gap before it probes the curve; the result carries the
+   rows of its support;
+6. polish nodes and weights with a damped Gauss-Newton solve from those
+   rows, dropping nodes whose weight reaches zero; the polish returns the
+   rows at its nodes, and they are step 7's values whenever the pass ran
+   on all n functions, so a polish that starts converged evaluates nothing;
 7. refit the weights at the original mass and gate the residuals of all
    functions, the dependent ones included.  Steps 5-7 run in one loop:
    on the independent subset, then, only if it dropped functions and
@@ -49,8 +54,8 @@ from .errors import (
 from .expr import continuity_points
 from .hull import (
     RANK_TOL,
+    ConvexCombination,
     CurveSystem,
-    caratheodory_finite,
     merge_coincident,
     polish_combination,
     reduce_on_curve,
@@ -236,9 +241,11 @@ def _constant_rule(curve, m, params, x, j_vals, mu):
     ``x`` is the curve at ``params``."""
     mean = j_vals / mu
     miss = np.max(np.abs(x - mean), axis=1)
-    node = float(params[int(np.argmin(miss))])
+    i = int(np.argmin(miss))
+    node = float(params[i])
     full = CurveSystem(components=curve.components, interval=m.interval)
-    return polish_combination(full, np.array([node]), np.array([mu]), mean, mu)
+    return polish_combination(full, np.array([node]), np.array([mu]), mean, mu,
+                              points=x[i:i + 1])
 
 
 def _gate(node_vals, w, j_vals, mu):
@@ -288,28 +295,29 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     """Candidate nodes and weights on the functions ``indep``: prune, walk,
     polish, drop zero weights and merge coincident nodes.  ``x`` is the
     curve at the discrete measure's ``params``; the prune and the walk
-    reuse its rows."""
+    reuse its rows.  Returns ``(nodes, weights, rows, converged)``, with
+    ``rows`` the polished system at the nodes: the functions ``indep``, or
+    all of them for the rank-0 rule."""
     if not indep:
-        nodes, lam, converged = _constant_rule(curve, m, params, x, j_vals, mu)
+        nodes, lam, converged, rows = _constant_rule(curve, m, params, x,
+                                                     j_vals, mu)
     else:
         sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
         target = j_vals[indep] / mu
-        points = x[:, indep]
-        comb = caratheodory_finite(points, w / mu, target, params=params)
-        if len(comb) > len(indep):
-            # the parameters are increasing and distinct: kept ones map to rows
-            comb = reduce_on_curve(
-                sub, comb, target,
-                points=points[np.searchsorted(params, comb.params)])
+        nu = w / mu
+        # the whole discrete measure: the walk is seeded with its rows
+        comb = reduce_on_curve(
+            sub, ConvexCombination(params, nu, math.fsum(nu.tolist()),
+                                   points=x[:, indep]), target)
         # polish against the measure's full interval: exhaustion bias is
         # absorbed here because nodes may move anywhere in it
-        nodes, lam, converged = polish_combination(
+        nodes, lam, converged, rows = polish_combination(
             CurveSystem(sub.components, m.interval), comb.params,
-            comb.weights * mu, target, mu)
+            comb.weights * mu, target, mu, points=comb.points)
         keep = lam > 1e-14 * mu
         if np.any(keep):
-            nodes, lam = nodes[keep], lam[keep]
-    return (*merge_coincident(nodes, lam), converged)
+            nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
+    return (*merge_coincident(nodes, lam, rows), converged)
 
 
 def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
@@ -335,24 +343,26 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
     which holds whenever each component of ``curve`` is a linear
     combination of the constant 1 and the functions that pass integrated.
-    Probes continuity on the window, discretizes and reads the affine
-    rank.  One loop builds a candidate on the independent subset, refits
+    Discretizes, probes continuity on the window in the batch that
+    evaluates the discrete measure, and reads the affine rank.  One loop builds a candidate on the independent subset, refits
     its weights on all n functions and gates every residual; if the subset
     dropped functions and missed the gate (a dependence that holds on the
     support, not at the nodes, or a miss the refit spread), it runs once
     more on all n functions.  ``rank_used`` is the affine rank either way.
     """
-    curve.evaluate(continuity_points(working.lower, working.upper))
     params, w = discretize_hull_point(curve, m, J)
-    x = curve.evaluate(params)  # the one evaluation of the discrete measure
+    # one batch: the discrete measure's nodes, then the continuity probe
+    x = curve.evaluate(np.concatenate(
+        [params, continuity_points(working.lower, working.upper)]))[:params.size]
     report = affine_rank(curve, m, params, values=x)
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:
         subsets.append(list(range(curve.n)))
     for indep in subsets:
-        nodes, lam, converged = _synthesize_pass(curve, m, working, params, w,
-                                                 x, J.values, J.mass, indep)
-        node_vals = curve.evaluate(nodes)
+        nodes, lam, rows, converged = _synthesize_pass(
+            curve, m, working, params, w, x, J.values, J.mass, indep)
+        # rows of all n functions, in index order, are the gate's values
+        node_vals = rows if rows.shape[1] == curve.n else curve.evaluate(nodes)
         lam = _refit_weights(node_vals, J.values, J.mass, lam)
         resid, rel, mass_err = _gate(node_vals, lam, J.values, J.mass)
         if mass_err <= MASS_GATE and np.all(rel <= RESIDUAL_GATE):

@@ -160,6 +160,24 @@ class TestReduceCommand:
         assert len(comb["params"]) <= 2
         assert math.fsum(comb["weights"]) == pytest.approx(1.0, rel=1e-12)
 
+    def test_five_points_prune_and_walk_seeded_to_two(self, tmp_path):
+        # the CI example: five points of (t, t^2) exceed n + 1 = 3, so the
+        # command prunes, then walks with its own input rows as seeds
+        params = [0.1, 0.3, 0.5, 0.7, 0.9]
+        weights = [0.1, 0.3, 0.2, 0.25, 0.15]
+        path = write(tmp_path, "r.json", {
+            "functions": ["t", "t^2"],
+            "interval": {"lower": 0, "upper": 1},
+            "combination": {"params": params, "weights": weights, "total": 1},
+        })
+        code, out, _ = invoke(["reduce", path])
+        assert code == 0
+        comb = json.loads(out)
+        assert len(comb["params"]) <= 2
+        t, w = np.array(comb["params"]), np.array(comb["weights"])
+        v = np.array(weights) @ np.column_stack([params, np.square(params)])
+        assert np.max(np.abs(w @ np.column_stack([t, t * t]) - v)) <= 1e-9
+
 
 def test_module_entry_point_runs_the_command(tmp_path):
     path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})

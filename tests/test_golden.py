@@ -22,7 +22,9 @@ The file's ``digests`` record the exact digests of variants 0-5
 A change that moves rules on purpose rewrites the file with
 ``PYTHONPATH=src python tests/test_golden.py`` and says why.
 ``PYTHONPATH=src python tests/test_golden.py --check`` prints the digests
-and exits 1 if any differs from the file's, without writing the file.
+and, per corpus, the largest ``|a - b| / (1 + |b|)`` of variant 0 against
+the file, and exits 1 if any digest differs from the file's, without
+writing the file.
 """
 
 import hashlib
@@ -120,6 +122,19 @@ def mismatches(got, want, where: str) -> list[str]:
     return [f"{where}: {got!r} != {want!r}"]
 
 
+def largest_move(got, want) -> float:
+    """Largest ``|a - b| / (1 + |b|)`` over the floats that ``got`` and
+    ``want`` hold at the same place; places whose shapes differ count 0."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        return max((largest_move(got[k], want[k]) for k in want if k in got),
+                   default=0.0)
+    if isinstance(want, list) and isinstance(got, list) and len(got) == len(want):
+        return max((largest_move(g, w) for g, w in zip(got, want)), default=0.0)
+    if isinstance(want, float) and isinstance(got, float):
+        return abs(got - want) / (1.0 + abs(want))
+    return 0.0
+
+
 @pytest.mark.parametrize("workload", ["acceptance", "tail", "stats"])
 def test_rules_match_the_golden_file(workload, tmp_path):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))[workload]
@@ -145,7 +160,11 @@ if __name__ == "__main__":
                 "\n".join(lines).encode()).hexdigest()[:16]
     print(json.dumps(out["digests"]))
     if sys.argv[1:] == ["--check"]:
-        stored = json.loads(GOLDEN.read_text(encoding="utf-8"))["digests"]
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        for workload in DIGEST_VARIANTS:
+            move = largest_move(out[workload], golden[workload])
+            print(f"{workload} v0: largest |a - b| / (1 + |b|) {move:.3g}")
+        stored = golden["digests"]
         changed = [key for key, digest in out["digests"].items()
                    if stored.get(key) != digest]
         for key in changed:

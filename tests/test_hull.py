@@ -276,14 +276,18 @@ class TestFirstZeroCrossing:
     def test_affine_crossing(self):
         curve = CurveSystem.from_texts(["t-0.3", "t-1.5"], IntervalSpec(0, 1))
         frame = _build_frame(np.zeros(2), np.eye(2))
-        t_bar, k, _ = _first_zero_crossing(frame, curve, 0.0, 1.0)
+        ts = np.array([0.0, 1.0])
+        t_bar, k, _, x_bar = _first_zero_crossing(frame, curve, ts,
+                                                  curve.evaluate(ts))
         assert t_bar == pytest.approx(0.3, abs=1e-12)
+        assert np.array_equal(x_bar, curve.evaluate(t_bar)[0])
         assert k == 0
 
     def test_crossing_at_t_stop(self):
         curve = CurveSystem.from_texts(["t-1"], IntervalSpec(0, 1))
         frame = _build_frame(np.zeros(1), np.array([[1.0]]))
-        t_bar, k, _ = _first_zero_crossing(frame, curve, 0.0, 1.0)
+        ts = np.array([0.0, 1.0])
+        t_bar, k, _, _ = _first_zero_crossing(frame, curve, ts, curve.evaluate(ts))
         assert t_bar == pytest.approx(1.0, abs=1e-12)
         assert k == 0
 
@@ -294,7 +298,7 @@ class TestFirstZeroCrossing:
         x = curve.evaluate(ts)
         v = nu @ x
         frame = _build_frame(v, x[1:])
-        t_bar, _, _ = _first_zero_crossing(frame, curve, ts[0], ts[1])
+        t_bar, _, _, _ = _first_zero_crossing(frame, curve, ts[:2], x[:2])
         # oracle: brute-force scan of the coordinate maximum at 1e6 points
         grid = np.linspace(ts[0], ts[1], 10**6 + 1)
         g = _coords(frame, curve.evaluate(grid)).max(axis=1)
@@ -302,8 +306,8 @@ class TestFirstZeroCrossing:
         assert abs(t_bar - grid[first]) <= 2e-6
 
     def test_refinement_is_batched(self, monkeypatch):
-        # one call each for t0 and t_stop, then one per refinement round of
-        # at most 63 points: an even round and secant-centred ones
+        # one call per refinement round of at most 63 points: an even round
+        # and secant-centred ones
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.05, 0.5, 0.95])
         x = curve.evaluate(ts)
@@ -316,10 +320,13 @@ class TestFirstZeroCrossing:
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", counting)
-        t_bar, k, p = _first_zero_crossing(frame, curve, ts[0], ts[1])
-        assert len(sizes) <= 6 and sum(sizes) <= 300
+        t_bar, k, p, x_bar = _first_zero_crossing(frame, curve, ts[:2], x[:2])
+        assert len(sizes) <= 4 and sum(sizes) <= 300
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
         assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
+        # the crossing's row comes from the probe batch that found it
+        assert np.array_equal(x_bar, evaluate(curve, t_bar)[0])
+        assert np.array_equal(p, _coords(frame, x_bar))
 
 
 def _refine_rounds(g, lo, hi, tol):
@@ -361,6 +368,36 @@ class TestRefineBracket:
         assert rounds <= 8
         assert r <= t <= r + 1e-13
 
+    def test_score_at_lo_opens_with_a_secant_round(self):
+        # a bracket one discrete cell wide, as a seeded walk starts from:
+        # with the score at lo the first round is centred on the secant
+        # root, without it the first round is even and one more is needed
+        def g(t):
+            return np.exp(t) - 2.0
+
+        lo, hi = 0.6925, 0.6935
+        batches = []
+
+        def probe(ts):
+            batches.append(ts)
+            return g(ts), ts
+
+        def done(a, b, _):
+            return b - a <= 1e-13
+
+        hi_g = float(g(np.array([hi]))[0])
+        lo_g = float(g(np.array([lo]))[0])
+        t, _ = hull.refine_bracket(probe, lo, hi, hi_g, hi, done, lo_g)
+        secant = lo + (hi - lo) * (lo_g / (lo_g - hi_g))
+        assert secant in batches[0]
+        assert not np.allclose(np.diff(batches[0]), (hi - lo) / 64)
+        assert t == pytest.approx(math.log(2.0), abs=1e-13)
+        seeded = len(batches)
+        batches.clear()
+        hull.refine_bracket(probe, lo, hi, hi_g, hi, done)
+        assert np.allclose(np.diff(batches[0]), (hi - lo) / 64)
+        assert seeded == 2 and len(batches) == 3
+
     def test_no_float_inside_stops(self):
         lo = 1.0
         hi = np.nextafter(lo, 2.0)
@@ -395,7 +432,7 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
     # on frames with a condition number above about 1e5 the coordinates'
     # roundoff can exceed ZERO_TOL at the crossing (3 of 20000 draws)
     assume(np.linalg.cond(frame.basis) <= 1e4)
-    t_bar, k, p = _first_zero_crossing(frame, curve, ts[0], ts[1])
+    t_bar, k, p, _ = _first_zero_crossing(frame, curve, ts[:2], x[:2])
     assert ts[0] < t_bar <= ts[1]
     assert p.max() <= ZERO_TOL
     assert abs(p[k]) <= ZERO_TOL
@@ -618,6 +655,41 @@ def test_merge_coincident_sums_repeated_parameters():
     assert np.array_equal(p2, p) and np.array_equal(w2, w)
 
 
+def _merge_coincident_reference(params, weights, points=None):
+    """The np.unique merge that the stable sort replaced."""
+    uniq, first, inverse = np.unique(params, return_index=True,
+                                     return_inverse=True)
+    merged = np.zeros(uniq.size)
+    np.add.at(merged, inverse, weights)
+    if points is None:
+        return uniq, merged
+    return uniq, merged, points[first]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), size=st.integers(0, 40))
+def test_merge_coincident_matches_np_unique_bit_for_bit(data, size):
+    # parameters from a small pool, so ties are common, -0.0 next to 0.0;
+    # weights with zeros and -0.0 among them
+    pool = data.draw(st.lists(st.sampled_from(
+        [-0.0, 0.0, 0.25, 1.0 / 3.0, -1.5, 1e300, 5e-324]), min_size=1,
+        max_size=4) | st.lists(st.floats(-10, 10), min_size=1, max_size=30))
+    params = np.array(data.draw(st.lists(st.sampled_from(pool),
+                                         min_size=size, max_size=size)),
+                      dtype=float)
+    weights = np.array(data.draw(st.lists(
+        st.sampled_from([0.0, -0.0, 1e-300]) | st.floats(0, 1e3),
+        min_size=size, max_size=size)), dtype=float)
+    points = np.arange(2.0 * size).reshape(size, 2)
+    got = merge_coincident(params, weights, points)
+    want = _merge_coincident_reference(params, weights, points)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+    for g, w in zip(merge_coincident(params, weights),
+                    _merge_coincident_reference(params, weights)):
+        assert g.tobytes() == w.tobytes()
+
+
 def _random_curve(rng, n):
     texts = []
     for i in range(n):
@@ -654,8 +726,9 @@ def test_polish_combination_tightens():
     target = np.array([0.5, 1.0 / 3.0])
     params = np.array([0.2113, 0.7887])
     weights = np.array([0.5, 0.5])
-    p2, w2, ok = polish_combination(curve, params, weights, target, 1.0)
+    p2, w2, ok, x2 = polish_combination(curve, params, weights, target, 1.0)
     assert ok
+    assert np.array_equal(x2, curve.evaluate(p2))
     recon = w2 @ curve.evaluate(p2)
     assert np.max(np.abs(recon - target)) <= 1e-12
 
@@ -692,7 +765,7 @@ def test_polish_stops_when_it_crawls(monkeypatch):
     evaluate = CurveSystem.evaluate
     monkeypatch.setattr(CurveSystem, "evaluate",
                         lambda self, t: calls.append(1) or evaluate(self, t))
-    p2, w2, _ = polish_combination(curve, params, weights, target, total)
+    p2, w2, _, _ = polish_combination(curve, params, weights, target, total)
     monkeypatch.undo()
     assert len(calls) < 200
     assert rel_resid(p2, w2) <= before
@@ -754,6 +827,30 @@ class TestSystemEvaluation:
         assert exc.value.subexpr == curve.components[1].text
         assert str(exc.value) == f"non-finite value in '{curve.components[1].text}'"
 
+    def test_overflow_before_a_domain_error_names_the_overflow(self):
+        # component 0 overflows to inf, component 1 raises inside its own
+        # closure: the batch raises component 0's error, as calling the
+        # components one by one would
+        curve = CurveSystem.from_texts(["exp(1000*t)", "log(t-5)", "2"],
+                                       IntervalSpec(0, 1))
+        with pytest.raises(EvalDomainError) as exc:
+            curve.evaluate(np.array([0.0, 1.0]))
+        assert exc.value.subexpr == curve.components[0].text
+        with pytest.raises(EvalDomainError) as exc:
+            curve.evaluate(np.array([0.0]))
+        assert exc.value.subexpr == "log(t-5.0)"
+
+    def test_constant_component_in_a_failing_batch(self):
+        # a constant's closure gives one value for the whole column; the
+        # search for the first failing column passes it and names the next
+        curve = CurveSystem.from_texts(["pi", "1/t", "sqrt(t-5)"],
+                                       IntervalSpec(0, 1))
+        with pytest.raises(EvalDomainError) as exc:
+            curve.evaluate(np.array([0.0, 1.0]))
+        assert exc.value.subexpr == "1.0/t"
+        x = curve.evaluate(np.array([6.0, 7.0]))
+        assert np.array_equal(x[:, 0], [math.pi, math.pi])
+
     def test_scalar_and_empty_shapes(self):
         curve = CurveSystem.from_texts(["t", "2", "sin(t)"], IntervalSpec(0, 1))
         assert curve.evaluate(0.5).shape == (1, 3)
@@ -771,8 +868,8 @@ class TestSystemEvaluation:
 
 
 def test_polish_evaluates_twice_per_iteration(monkeypatch):
-    # one batch for the Jacobian (point, up, dn) and one for the 6 trials,
-    # one full step per damping value
+    # one batch for the Jacobian (up, dn) and one for the 6 trials, one
+    # full step per damping value
     curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
     params = np.array([0.1, 0.45, 0.8])
     weights = np.array([0.3, 0.4, 0.3])
@@ -783,7 +880,7 @@ def test_polish_evaluates_twice_per_iteration(monkeypatch):
                         lambda self, t: calls.append(np.size(t)) or evaluate(self, t))
     monkeypatch.setattr(np.linalg, "svd",
                         lambda *a, **k: iterations.append(1) or svd(*a, **k))
-    _, _, ok = polish_combination(curve, params, weights, target, 1.0)
+    _, _, ok, _ = polish_combination(curve, params, weights, target, 1.0)
     monkeypatch.undo()
     assert ok and len(iterations) >= 2
     assert len(calls) <= 1 + 2 * len(iterations)
@@ -792,27 +889,77 @@ def test_polish_evaluates_twice_per_iteration(monkeypatch):
 
 def test_walk_with_points_never_evaluates_the_support(monkeypatch):
     # with the support's points given, the prune and the walk evaluate the
-    # curve only at the walk's probes and at the crossing, and the result
-    # is the one of evaluating the support itself
+    # curve only at the walk's probes, and the result is the one of
+    # evaluating the support itself, rows included
     curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
     for ts in (np.array([0.1, 0.3, 0.6, 0.9]),
                np.sqrt([0.01, 0.05, 0.13, 0.27, 0.5, 0.9])):
         w = np.linspace(1.0, 2.0, ts.size)
         pts = curve.evaluate(ts)
         v = w @ pts / w.sum()
-        comb = ConvexCombination(ts, w, w.sum())
-        want = reduce_on_curve(curve, comb, v)
+        want = reduce_on_curve(curve, ConvexCombination(ts, w, w.sum()), v)
         seen = []
         evaluate = CurveSystem.evaluate
         monkeypatch.setattr(CurveSystem, "evaluate",
                             lambda self, t: seen.append(np.atleast_1d(t))
                             or evaluate(self, t))
-        got = reduce_on_curve(curve, comb, v, points=pts)
+        got = reduce_on_curve(curve, ConvexCombination(ts, w, w.sum(), pts), v)
         monkeypatch.undo()
         assert len(got) <= 3 and seen
         assert not np.isin(np.concatenate(seen), ts).any()
         assert np.array_equal(got.params, want.params)
         assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.points, curve.evaluate(got.params))
+
+
+def _count_probe_batches(monkeypatch):
+    """A list that counts the walk's probe calls, one entry per batch."""
+    calls = []
+    refine = hull.refine_bracket
+
+    def counting(probe, *args):
+        return refine(lambda ts: calls.append(ts.size) or probe(ts), *args)
+
+    monkeypatch.setattr(hull, "refine_bracket", counting)
+    return calls
+
+
+def test_input_rows_seed_the_walk(monkeypatch):
+    # a dense combination on the moment curve prunes to an n+1 support;
+    # its rows inside the walked gap narrow the bracket to one input cell
+    # before any probe, so the walk needs fewer probe batches than from
+    # the bare support, and finds the same crossing
+    curve = CurveSystem.from_texts(["t", "t^2", "t^3"], IntervalSpec(0, 1))
+    ts = (np.arange(400) + 0.5) / 400
+    w = 1.0 + np.sin(7.0 * ts) ** 2
+    pts = curve.evaluate(ts)
+    v = w @ pts / w.sum()
+    support = caratheodory_finite(pts, w, v, params=ts)
+    assert len(support) == 4
+    calls = _count_probe_batches(monkeypatch)
+    seeded = reduce_on_curve(curve, ConvexCombination(ts, w, math.fsum(w), pts), v)
+    seeded_batches = len(calls)
+    calls.clear()
+    bare = reduce_on_curve(curve, ConvexCombination(
+        support.params, support.weights, support.total), v)
+    assert 0 < seeded_batches < len(calls)
+    assert len(seeded) == len(bare) == 3
+    assert np.max(np.abs(seeded.params - bare.params)) <= hull.BISECT_TOL
+    recon = seeded.weights @ curve.evaluate(seeded.params) / seeded.total
+    assert np.max(np.abs(recon - v)) <= RECON_TOL
+
+
+def test_polish_from_converged_rows_evaluates_nothing(monkeypatch):
+    # rows at the start spare the first evaluation, and a start within the
+    # target returns them as the rows at the end
+    curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+    params = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0)
+    rows = curve.evaluate(params)
+    target = np.array([0.5, 1.0 / 3.0])
+    monkeypatch.setattr(CurveSystem, "evaluate", None)
+    p2, w2, ok, x2 = polish_combination(curve, params, np.array([0.5, 0.5]),
+                                        target, 1.0, points=rows)
+    assert ok and np.array_equal(p2, params) and x2 is rows
 
 
 def _shift_to_zero_reference(weights, c):

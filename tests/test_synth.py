@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from exactquad import cli, synth
+from exactquad import cli, hull, synth
 from exactquad.errors import (
     EvalDomainError,
     ExactQuadError,
     PolishError,
     SchemaError,
 )
-from exactquad.expr import parse
+from exactquad.expr import continuity_points, parse
 from exactquad.hull import RECON_TOL, CurveSystem
 from exactquad.measure import (
     IntervalSpec,
@@ -382,8 +382,9 @@ class TestSynthesize:
 
         def with_zero_weight(curve, params, weights, *args, **kwargs):
             calls.append(len(params))
-            p, w, converged = polish(curve, params, weights, *args, **kwargs)
-            return np.append(p, 0.123), np.append(w, 0.0), converged
+            p, w, converged, x = polish(curve, params, weights, *args, **kwargs)
+            return (np.append(p, 0.123), np.append(w, 0.0), converged,
+                    np.vstack([x, curve.evaluate(0.123)]))
 
         monkeypatch.setattr(synth, "polish_combination", with_zero_weight)
         c = curve("t", "t^2")
@@ -507,11 +508,13 @@ class TestRuleJson:
 ])
 def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms):
     # the affine rank, the prune and the walk (or the rank-0 rule) share
-    # one evaluation of the curve at the discrete measure's nodes
+    # one evaluation of the curve at the discrete measure's nodes, and the
+    # continuity probe rides in the same batch
     m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"), atoms=atoms)
     c = CurveSystem.from_texts(texts, m.interval)
     J, window = exhaust_interval(m, c)
     params, _ = discretize_hull_point(c, m, J)
+    probe = continuity_points(window.lower, window.upper)
     batches = []
     evaluate = CurveSystem.evaluate
     monkeypatch.setattr(CurveSystem, "evaluate",
@@ -520,4 +523,35 @@ def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms
     rule = synth.synthesize_on_pass(c, m, J, window)
     monkeypatch.undo()
     assert len(rule) <= max(1, len(texts))
-    assert sum(np.array_equal(b, params) for b in batches) == 1
+    assert np.array_equal(batches[0], np.concatenate([params, probe]))
+    assert not any(np.isin(params, b).any() or np.isin(probe, b).any()
+                   for b in batches[1:])
+
+
+@pytest.mark.parametrize("texts", [["t", "t^2"], ["t", "t^2", "exp(t)"],
+                                   ["sin(t)", "cos(2*t)", "t^3", "t"]])
+def test_converged_synthesis_evaluates_only_the_batch_and_the_probes(
+        monkeypatch, texts):
+    # full rank on a compact interval, and the walk's crossing is exact
+    # enough that the polish converges at once: after the one batch of
+    # the discrete measure and the continuity probe, the curve is evaluated
+    # only at the walk's probes, never at the crossing, the polish start
+    # or the gate
+    m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"))
+    c = CurveSystem.from_texts(texts, m.interval)
+    J, window = exhaust_interval(m, c)
+    probes, evals = [], []
+    evaluate, refine = CurveSystem.evaluate, hull.refine_bracket
+
+    def counting_refine(probe, *args):
+        return refine(lambda ts: probes.append(ts.size) or probe(ts), *args)
+
+    monkeypatch.setattr(hull, "refine_bracket", counting_refine)
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: evals.append(np.size(t))
+                        or evaluate(self, t))
+    rule = synth.synthesize_on_pass(c, m, J, window)
+    monkeypatch.undo()
+    assert rule.rank_used == len(texts) and rule.converged
+    assert probes and len(evals) == 1 + len(probes)
+    assert evals[1:] == probes
