@@ -1,6 +1,7 @@
 # Exact rules are not limited to compact intervals.  Here the measure is
-# exp(-t) dt on [0, inf): the library exhausts the tail with nested compact
-# windows, then places two nodes reproducing the first two moments
+# exp(-t) dt on [0, inf): the library maps the half-line onto a finite
+# range (the exp-sinh change of variables) and integrates there in one
+# adaptive pass, then places two nodes reproducing the first two moments
 # Gamma(2) = 1 and Gamma(3) = 2.
 
 import math
@@ -18,7 +19,8 @@ measure = MeasureSpec(IntervalSpec(0.0, math.inf), density=parse("exp(-t)"))
 moments = CurveSystem.from_texts(["t", "t^2"], measure.interval)
 
 integrals, window = exhaust_interval(measure, moments)
-print(f"exhaustion window: [{window.lower:g}, {window.upper:g}]")
+print(f"window of the {integrals.nodes.size} integration nodes: "
+      f"[{window.lower:g}, {window.upper:g}]")
 print(f"tail mass beyond the window: {math.exp(-window.upper):.3e}")
 print("moment integrals over [0, inf):", integrals.values)
 

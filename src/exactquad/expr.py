@@ -509,7 +509,7 @@ class Expression:
                                     _neg_text(self._ast, self._text))
 
 
-def evaluate_columns(exprs, ts) -> np.ndarray:
+def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     """Values of every expression at ``ts``, one column per expression.
 
     Returns a new ``ts.shape + (len(exprs),)`` array, a scalar ``ts``
@@ -518,7 +518,10 @@ def evaluate_columns(exprs, ts) -> np.ndarray:
     whole batch is checked for finiteness once.  Only when that check
     fails, or a closure raises, are the columns before the failure checked
     one by one, so the first component that fails, in index order, raises
-    the same :class:`EvalDomainError` as its own call.
+    the same :class:`EvalDomainError` as its own call.  With ``finite``
+    false, non-finite values stay in the output (an overflow, or ``inf *
+    0`` far out on an infinite interval); a closure's own domain check
+    still raises.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     out = np.empty(ts.shape + (len(exprs),))
@@ -527,9 +530,10 @@ def evaluate_columns(exprs, ts) -> np.ndarray:
             try:
                 out[..., k] = e._fn(ts)
             except EvalDomainError:
-                _raise_first_nonfinite(exprs, out, k)
+                if finite:
+                    _raise_first_nonfinite(exprs, out, k)
                 raise
-    if not np.isfinite(out).all():
+    if finite and not np.isfinite(out).all():
         _raise_first_nonfinite(exprs, out, len(exprs))
     return out
 

@@ -4,24 +4,27 @@ A measure is a non-negative density (an :class:`~exactquad.expr.Expression`
 in ``t``) plus a finite list of point atoms, on an interval that may be
 open or infinite.  Integration over a compact interval uses interval
 bisection with an embedded Gauss 7/15 pair per panel (the error estimate
-is the difference of the pair).  Open or infinite intervals are reduced to
-compact ones by a geometric schedule of nested windows, driven to
-stability by :func:`exhaust`; each window adds the integrals over its two
-new shells to those of the window inside it, so the adaptive panels always
-start at the scale of the shell.  All four public integrators run on the
-one private integrator ``_integrals``, whose column 0 is the mass: every
-integration checks that the mass converges and is positive.  On an open or
-infinite interval it also integrates each ``|f|`` over the same shells, and
-exhaustion must stabilize those too: symmetric windows let the two tails of
-a non-integrable ``f`` cancel, so the signed integrals alone could settle
-on a principal value.
+is the difference of the pair).  An open or infinite interval is mapped
+onto a finite u-range by a double-exponential change of variables
+(tanh-sinh, exp-sinh or sinh-sinh: Takahasi and Mori, 1974; Mori and
+Sugihara, 2001), on which the same bisection runs once.  All four public
+integrators run on the one private integrator ``_integrals``, whose column
+0 is the mass: every integration checks that the mass is finite and
+positive.  On an open or infinite interval it also integrates each
+``|f|``, and every integrand must have decayed at the ends of the u-range:
+symmetric nodes let the two tails of a non-integrable ``f`` cancel, so the
+signed integrals alone could settle on a principal value.
 
 The integrator keeps the Gauss 15 nodes of the panels it accepts, weighted
-by half-width, Gauss weight and density, and returns them with the
-integrals (:class:`IntegralVector`).  This positive discrete measure, with
-the atoms, has exactly the computed integrals as its moments, up to
-summation order, so synthesis prunes it directly (Tchakaloff's theorem used
-constructively).
+by half-width, Gauss weight and density (and dt/du, mapped back to t), and
+returns them with the integrals (:class:`IntegralVector`).  This positive
+discrete measure, with the atoms, has exactly the computed integrals as
+its moments, up to summation order, so synthesis prunes it directly
+(Tchakaloff's theorem used constructively).
+
+:func:`exhaust` drives a function of compact windows over a geometric
+schedule of nested windows until its values are stable; the extrema of
+:mod:`exactquad.stats` use it, since a supremum is not an integral.
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -68,6 +71,11 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 _MAX_PANELS = 65536
 _MAX_ROUNDS = 48
 _MAX_EXHAUST_STEPS = 60
+# the u-grid of the double-exponential maps: every map leaves the doubles
+# before |u| = 7
+_DE_STEP = 0.125
+_DE_STEPS = 56
+_TINY = np.finfo(float).tiny
 
 
 @dataclass(frozen=True)
@@ -141,8 +149,12 @@ class IntegralVector:
     ``nodes`` (increasing) and ``weights`` are the positive quadrature
     rule of the density part that computed them: the Gauss 15 nodes of
     every accepted panel, each weighted by the panel's half-width, its
-    Gauss weight and the density there.  With the atoms added, their
-    moments are ``mass`` and ``values`` up to summation order.
+    Gauss weight and the density there.  On an open or infinite interval
+    the panels lie in u, each node is mapped back to t and its weight
+    also carries dt/du; only the nodes with positive weight are kept, and
+    two of them may round to the same t near a finite end.  With the
+    atoms added, their moments are ``mass`` and ``values`` up to
+    summation order.
     """
 
     values: np.ndarray
@@ -152,10 +164,14 @@ class IntegralVector:
 
 
 def _density_callable(m: MeasureSpec):
+    """The density as a function of an array of ``t``, with its sign
+    check; ``finite=False`` lets non-finite values through, as
+    :func:`~exactquad.expr.evaluate_columns` does."""
     dens = m.density
 
-    def w(ts):
-        vals = np.asarray(dens(ts), dtype=float)
+    def w(ts, finite=True):
+        vals = (np.asarray(dens(ts), dtype=float) if finite else
+                evaluate_columns((dens,), ts, finite=False)[:, 0])
         if np.any(vals < -1e-12):
             worst = float(np.min(vals))
             raise NegativeDensityError(
@@ -270,6 +286,9 @@ def _working_windows(interval: IntervalSpec):
 def exhaust(m: MeasureSpec, on_window, rtol: float):
     """Drive ``on_window`` over compact windows of the measure's interval.
 
+    Only the extrema of :mod:`exactquad.stats` use it: integration maps an
+    open or infinite interval instead (see :func:`_integrate_mapped`).
+
     ``on_window(window, inner)`` returns a 1-d array of values for the
     compact ``window``; ``inner`` is the previous, smaller window, or
     ``None`` on the first call.  A compact interval is its own window and
@@ -301,67 +320,165 @@ def exhaust(m: MeasureSpec, on_window, rtol: float):
     )
 
 
+def _de_map(iv: IntervalSpec):
+    """The double-exponential change of variables ``t = phi(u)`` of a
+    non-compact interval: tanh-sinh between two finite ends, exp-sinh with
+    one infinite end, sinh-sinh on the line.
+
+    Returns ``phi``, which maps an array of ``u`` to ``(t, dt/du)``.  The
+    distance of a node to a finite end is computed directly, not as a
+    difference of nearby numbers.  A node whose distance is below the
+    smallest normal double, that rounds onto an end or that leaves the
+    finite doubles gets ``dt/du = 0``: it carries no mass and is dropped.
+    """
+    a, b = iv.lower, iv.upper
+
+    def phi(u):
+        with np.errstate(over="ignore"):
+            s = 0.5 * np.pi * np.sinh(u)
+            c = 0.5 * np.pi * np.cosh(u)
+            near = np.inf
+            if math.isfinite(a) and math.isfinite(b):
+                width = b - a
+                d_lo = width / (1.0 + np.exp(-2.0 * s))
+                d_hi = width / (1.0 + np.exp(2.0 * s))
+                t = np.where(u < 0.0, a + d_lo, b - d_hi)
+                dphi = 2.0 * c * d_lo * d_hi / width
+                near = np.minimum(d_lo, d_hi)
+            elif math.isfinite(a):
+                near = np.exp(s)
+                t, dphi = a + near, c * near
+            elif math.isfinite(b):
+                near = np.exp(-s)
+                t, dphi = b - near, c * near
+            else:
+                t, dphi = np.sinh(s), c * np.cosh(s)
+        inside = (near >= _TINY) & (a < t) & (t < b) & np.isfinite(dphi)
+        return t, np.where(inside, dphi, 0.0)
+
+    return phi
+
+
+def _integrate_mapped(m: MeasureSpec, components, tol):
+    """Density integrals of ``components`` over a non-compact interval,
+    in one adaptive pass on the u-range of :func:`_de_map`.
+
+    Returns ``(integrals, nodes, weights)`` as :func:`_integrate_compact`
+    does, the nodes mapped back to t: the integrals of the mass and of
+    each component, and the accepted Gauss 15 nodes that carry mass, each
+    weighted by half-width, Gauss weight, density and dt/du.  The columns
+    after the values hold ``|f|``, which only the error control reads.
+
+    One evaluation on a u-grid of step ``_DE_STEP`` finds the outermost
+    grid nodes with mass.  The u-range reaches one step beyond each, where
+    the mass weight underflows, unless the map leaves the doubles there or
+    the density is not finite (``inf * 0`` far out); then it ends at the
+    node itself.  At those outermost nodes every integrand, ``|f|``
+    included, must be within ``tol * (1 + |I|)``, with ``I`` the grid's
+    trapezoid sum: a mass that fails is a :class:`DivergentMassError` and
+    any other column a :class:`NonConvergenceError`, both raised before
+    the pass.  The ``|f|`` test refuses a principal value, which symmetric
+    nodes would otherwise reach by cancelling two tails.  An end where the
+    density is exactly zero at the grid node beyond is the end of its
+    support, and is not tested.
+    """
+    k = len(components)
+    w = _density_callable(m)
+    phi = _de_map(m.interval)
+
+    def columns(us, finite=True):
+        """``(t, live, columns)`` at ``us``; a node is live where the map
+        keeps it and the mass weight is finite, and the functions are
+        evaluated only where that weight is positive."""
+        ts, dphi = phi(us)
+        live = dphi > 0.0
+        out = np.zeros((us.size, 1 + 2 * k))
+        with np.errstate(invalid="ignore", over="ignore"):
+            out[live, 0] = w(ts[live], finite) * dphi[live]
+        live &= np.isfinite(out[:, 0])
+        out[~live, 0] = 0.0
+        pos = np.flatnonzero(out[:, 0] > 0.0)
+        vals = evaluate_columns(components, ts[pos]) * out[pos, :1]
+        out[pos, 1:] = np.concatenate([vals, np.abs(vals)], axis=1)
+        return ts, live, out
+
+    grid = _DE_STEP * np.arange(-_DE_STEPS, _DE_STEPS + 1)
+    ts, live, cols = columns(grid, finite=False)
+    carry = np.flatnonzero(cols[:, 0] > 0.0)
+    if not carry.size:
+        return np.zeros(1 + k), np.empty(0), np.empty(0)
+    with np.errstate(over="ignore"):
+        limit = tol * (1.0 + np.abs(_DE_STEP * cols[carry].sum(axis=0)))
+    span = []
+    for end, beyond in ((carry[0], carry[0] - 1), (carry[-1], carry[-1] + 1)):
+        beyond_live = 0 <= beyond < grid.size and live[beyond]
+        span.append(grid[beyond if beyond_live else end])
+        if not cols[end, 0] <= limit[0] < np.inf:
+            if beyond_live:
+                continue
+            raise DivergentMassError(
+                "the mass does not decay towards an end of the interval: "
+                f"its integrand is {cols[end, 0]:.3g} at t = {float(ts[end])!r}")
+        bad = np.flatnonzero(np.abs(cols[end, 1:]) > limit[1:])
+        if bad.size:
+            raise NonConvergenceError(
+                f"function {int(bad[0]) % k} is not absolutely integrable: "
+                f"its integrand is {cols[end, 1 + bad[0]]:.3g} at "
+                f"t = {float(ts[end])!r}")
+    totals, nodes, weights = _integrate_compact(lambda us: columns(us)[2],
+                                                *span, tol, 1 + 2 * k)
+    keep = weights > 0.0
+    return totals[:1 + k], phi(nodes[keep])[0], weights[keep]
+
+
 def _integrals(m: MeasureSpec, components, tol):
     """``(IntegralVector, window)`` of ``components`` integrated against ``m``.
 
-    Column 0 is the mass, so it shares the panels and windows of the
-    values.  On a non-compact interval the columns after the values hold
-    the integrals of ``|f|``, which only the stability test reads: a
-    function that is not absolutely integrable never stabilizes.  Each
-    larger window adds only its two new shells to the density integral of
-    the window inside it: integrating a large window from scratch would
-    start from panels far wider than the density's scale, whose nodes can
-    all miss the mass.  The Gauss rules of the shells, in order, are the
-    rule of the window.  Atoms are exact sums.
+    Column 0 is the mass, so it shares the panels of the values.  A
+    compact interval is integrated as it is and is its own window.  An
+    open or infinite one is integrated in one pass of the
+    double-exponential change of variables (:func:`_integrate_mapped`),
+    and its window is the hull of the Gauss nodes that carry mass, the
+    atoms and the closed ends.  Atoms are exact sums.
     """
     k = len(components)
-    absolute = not m.interval.is_compact
-    w = _density_callable(m) if m.density is not None else None
-    dens = np.zeros(1 + 2 * k if absolute else 1 + k)
-    shells: list[tuple[float, np.ndarray, np.ndarray]] = []
+    iv = m.interval
+    totals = np.zeros(1 + k)
+    nodes = weights = np.empty(0)
+    if m.density is not None:
+        if iv.is_compact:
+            w = _density_callable(m)
 
-    def vec(ts):
-        weight = w(ts)[:, None]
-        cols = [weight, evaluate_columns(components, ts) * weight]
-        if absolute:
-            cols.append(np.abs(cols[1]))
-        return np.concatenate(cols, axis=1)
+            def vec(ts):
+                weight = w(ts)[:, None]
+                return np.concatenate(
+                    [weight, evaluate_columns(components, ts) * weight], axis=1)
 
-    def on_window(window, inner):
-        nonlocal dens
-        if w is not None:
-            pieces = ([(window.lower, window.upper)] if inner is None else
-                      [(window.lower, inner.lower), (inner.upper, window.upper)])
-            for a, b in pieces:
-                vals, nodes, weights = _integrate_compact(vec, a, b, tol, dens.size)
-                dens = dens + vals
-                shells.append((a, nodes, weights))
-        inside = [(loc, mass) for loc, mass in m.atoms
-                  if window.lower <= loc <= window.upper]
-        if not inside:
-            return dens
-        locs, masses = np.array(inside).T
+            part, nodes, weights = _integrate_compact(vec, iv.lower, iv.upper,
+                                                      tol, 1 + k)
+        else:
+            part, nodes, weights = _integrate_mapped(m, components, tol)
+        totals = totals + part
+    if m.atoms:
+        locs, masses = np.array(m.atoms).T
         terms = (masses[:, None] * evaluate_columns(components, locs)).T
-        sums = [math.fsum(masses)]
-        sums += [math.fsum(col) for col in terms]
-        if absolute:
-            sums += [math.fsum(np.abs(col)) for col in terms]
-        return dens + np.array(sums)
-
-    try:
-        vals, window = exhaust(m, on_window, 0.25 * tol)
-    except NonConvergenceError as exc:
-        if components:
-            _integrals(m, [], tol)  # raises if the mass is what diverges
-            raise
-        raise DivergentMassError(str(exc)) from exc
-    mass = float(vals[0])
+        totals = totals + np.array([math.fsum(masses)]
+                                   + [math.fsum(col) for col in terms])
+    mass = float(totals[0])
     if not math.isfinite(mass) or mass <= 0.0:
         raise SchemaError(f"measure has non-positive total mass {mass}")
-    shells.sort(key=lambda shell: shell[0])
-    nodes = np.concatenate([np.empty(0)] + [shell[1] for shell in shells])
-    weights = np.concatenate([np.empty(0)] + [shell[2] for shell in shells])
-    return IntegralVector(values=vals[1:k + 1], mass=mass, nodes=nodes,
+    window = iv
+    if not iv.is_compact:
+        # a closed end stays in the window, where the continuity probe
+        # checks the functions
+        closed = [end for end, is_open in ((iv.lower, iv.lower_open),
+                                           (iv.upper, iv.upper_open))
+                  if not is_open]
+        support = np.concatenate([nodes, [loc for loc, _ in m.atoms], closed])
+        lo, hi = float(support.min()), float(support.max())
+        # a single support point: the window reaches one double above it
+        window = IntervalSpec(lo, hi if lo < hi else float(np.nextafter(hi, np.inf)))
+    return IntegralVector(values=totals[1:], mass=mass, nodes=nodes,
                           weights=weights), window
 
 
@@ -385,13 +502,14 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
 
 
 def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
-    """Reduce an open or infinite interval to a compact working window.
+    """Integrals over the whole interval and a compact working window.
 
-    Returns ``(integrals, window)`` where ``integrals`` estimates the
-    system integrals and the mass over the whole interval and ``window``
-    is a compact sub-interval carrying all but a ``tol`` fraction of the
-    mass; the Gauss nodes of ``integrals`` lie in it.  Compact input is
-    returned unchanged (identity).
+    Returns ``(integrals, window)`` where ``integrals`` holds the system
+    integrals and the mass over the whole interval.  On an open or
+    infinite interval ``window`` is the hull of the Gauss nodes that carry
+    mass, the atoms and the closed ends, so it holds the whole discrete
+    measure; a single such point gets a window one double wide.  A
+    compact interval is its own window.
     """
     return _integrals(m, list(curve.components), tol)
 

@@ -4,8 +4,10 @@ Given n integrable continuous functions and a finite positive measure, the
 pipeline produces at most n nodes with non-negative weights summing to the
 total mass, reproducing every function integral:
 
-1. integrate the functions and the mass in one pass, which also reduces
-   an open or infinite interval to a compact working window by exhaustion;
+1. integrate the functions and the mass in one pass, after a
+   double-exponential change of variables on an open or infinite
+   interval; the hull of the pass's nodes and the atoms is the compact
+   working window;
 2. detect affine dependencies among the functions over the measure's
    support and restrict to a maximal independent subset;
 3. normalize the integral vector to unit mass, the mass being column 0 of
@@ -309,8 +311,9 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
         comb = reduce_on_curve(
             sub, ConvexCombination(params, nu, math.fsum(nu.tolist()),
                                    points=x[:, indep]), target)
-        # polish against the measure's full interval: exhaustion bias is
-        # absorbed here because nodes may move anywhere in it
+        # polish against the measure's full interval: nodes may move out
+        # of the working window, which is only the hull of the discrete
+        # measure
         nodes, lam, converged, rows = polish_combination(
             CurveSystem(sub.components, m.interval), comb.params,
             comb.weights * mu, target, mu, points=comb.points)

@@ -7,6 +7,7 @@ from scipy.integrate import quad
 from exactquad.errors import (
     DivergentMassError,
     EvalDomainError,
+    ExactQuadError,
     NegativeDensityError,
     SchemaError,
 )
@@ -29,6 +30,9 @@ from exactquad.measure import (
 
 UNIT = MeasureSpec(IntervalSpec(0, 1), density=parse("1"))
 EXP = MeasureSpec(IntervalSpec(0, math.inf), density=parse("exp(-t)"))
+OPEN = MeasureSpec(IntervalSpec(0, 1, True, True), density=parse("t^-0.5"),
+                   atoms=((0.5, 0.25),))
+LINE = MeasureSpec(IntervalSpec(-math.inf, math.inf), density=parse("exp(-t^2/2)"))
 ATOMS = MeasureSpec(IntervalSpec(0, 1), atoms=((0.0, 0.5), (1.0, 0.5)))
 
 
@@ -63,19 +67,20 @@ class TestTotalMass:
         assert total_mass(ATOMS) == 1.0
 
     def test_open_exponential_tail_keeps_its_mass(self):
-        # the open end keeps the windows growing to 2^33 and more, far
-        # past the scale of exp(-t); only the new shells are integrated
+        # exp-sinh nodes reach from below 1e-280 to past t = 600, where
+        # the mass weight underflows, and none sits on the open end
         m = MeasureSpec(IntervalSpec(0, math.inf, lower_open=True),
                         density=parse("exp(-t)"))
-        assert total_mass(m) == pytest.approx(1.0, abs=1e-9)
-        assert integrate(m, parse("t")) == pytest.approx(1.0, abs=1e-9)
+        assert total_mass(m) == pytest.approx(1.0, abs=1e-12)
+        assert integrate(m, parse("t")) == pytest.approx(1.0, abs=1e-12)
+        out = integrate_system(m, curve("t", interval=m.interval))
+        assert out.nodes[0] > 0.0 and out.nodes[-1] > 600.0
 
     def test_divergent_mass(self):
         bad = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1/t"))
         with pytest.raises(DivergentMassError):
             total_mass(bad)
-        # t/t is integrable though 1/t is not: the failed joint pass
-        # integrates the mass alone and reports it as the cause
+        # t/t is integrable though 1/t is not: the mass is tested first
         with pytest.raises(DivergentMassError):
             integrate_system(bad, curve("t"))
 
@@ -158,16 +163,22 @@ class TestMassColumn:
         assert integrate_system(m, c).mass == pytest.approx(mass, rel=rel, abs=0.0)
         assert exhaust_interval(m, c)[0].mass == pytest.approx(mass, rel=rel, abs=0.0)
 
-    @pytest.mark.parametrize("m", [UNIT, EXP, ATOMS], ids=["unit", "exp", "atoms"])
+    @pytest.mark.parametrize("m", [UNIT, EXP, ATOMS, OPEN, LINE],
+                             ids=["unit", "exp", "atoms", "open", "line"])
     def test_gauss_nodes_are_the_density_part(self, m):
         # with the atoms, the moments of the integrator's own nodes are the
-        # integrals it returns, up to summation order
+        # integrals it returns, up to summation order; on an open or
+        # infinite interval the nodes are mapped back from the u-range and
+        # lie strictly inside the interval
         c = curve("t", "t^2", interval=m.interval)
         out, window = exhaust_interval(m, c)
         nodes = np.concatenate([out.nodes, [loc for loc, _ in m.atoms]])
         weights = np.concatenate([out.weights, [mass for _, mass in m.atoms]])
         assert np.all(np.diff(out.nodes) > 0) and np.all(out.weights >= 0)
         assert np.all((window.lower <= out.nodes) & (out.nodes <= window.upper))
+        assert all(m.interval.contains(float(t)) for t in out.nodes)
+        if not m.interval.is_compact:
+            assert m.interval.lower < out.nodes[0] and out.nodes[-1] < m.interval.upper
         assert math.fsum(weights) == pytest.approx(out.mass, rel=1e-14)
         recon = weights @ c.evaluate(nodes)
         assert recon == pytest.approx(out.values, rel=1e-14, abs=1e-15)
@@ -181,11 +192,12 @@ class TestExhaustion:
         assert out.values == pytest.approx([0.5], abs=1e-12)
 
     def test_exponential_window_covers_tail(self):
+        # the window runs from the closed end to the last node
         tol = 1e-10
         out, window = exhaust_interval(EXP, curve("t", "t^2",
                                                   interval=EXP.interval), tol)
         assert out.values == pytest.approx([1.0, 2.0], abs=1e-8)
-        assert window.lower == 0.0
+        assert window.lower == 0.0 and window.upper == out.nodes[-1]
         # closed-form tail mass: exp(-T) must be below tol
         assert math.exp(-window.upper) <= tol
         assert window.upper >= -math.log(tol)
@@ -194,10 +206,11 @@ class TestExhaustion:
         m = MeasureSpec(IntervalSpec(0, 1, True, True), density=parse("1"))
         out, window = exhaust_interval(m, curve("t"), 1e-10)
         assert 0.0 < window.lower < window.upper < 1.0
+        assert (window.lower, window.upper) == (out.nodes[0], out.nodes[-1])
         # uniform density: excluded tail mass is the two insets
         tail = window.lower + (1.0 - window.upper)
         assert tail <= 1e-10
-        assert out.values == pytest.approx([0.5], abs=1e-9)
+        assert out.values == pytest.approx([0.5], abs=1e-12)
 
     def test_windows_nested_and_exhausting(self):
         iv = IntervalSpec(0, math.inf, lower_open=True)
@@ -211,11 +224,20 @@ class TestExhaustion:
         assert windows[-1].lower < 1e-6 and windows[-1].upper > 1e6
 
     def test_atoms_must_be_covered(self):
+        # the density's nodes end where exp(-t) underflows, near t = 700;
+        # the window reaches the atom beyond them
         m = MeasureSpec(IntervalSpec(0, math.inf), density=parse("exp(-t)"),
-                        atoms=((50.0, 1.0),))
+                        atoms=((5000.0, 1.0),))
         out, window = exhaust_interval(m, curve("t", interval=m.interval))
-        assert window.upper >= 50.0
-        assert out.values[0] == pytest.approx(1.0 + 50.0, abs=1e-7)
+        assert out.nodes[-1] < 5000.0 == window.upper
+        assert out.values[0] == pytest.approx(1.0 + 5000.0, rel=1e-12)
+
+    def test_single_atom_window(self):
+        m = MeasureSpec(IntervalSpec(0, math.inf, lower_open=True),
+                        atoms=((2.0, 1.0),))
+        out, window = exhaust_interval(m, curve("t", interval=m.interval))
+        assert window.lower == 2.0 < window.upper == np.nextafter(2.0, 3.0)
+        assert out.nodes.size == 0 and out.values[0] == 2.0
 
 
 class TestDensityValidation:
@@ -320,3 +342,53 @@ def test_atom_error_names_the_first_failing_function():
     with pytest.raises(EvalDomainError) as info:
         integrate_system(m, funcs)
     assert info.value.subexpr.startswith("sqrt")
+
+
+class TestDoubleExponential:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """One entry per ``_integrate_compact`` call."""
+        calls = []
+        compact = measure._integrate_compact
+        monkeypatch.setattr(measure, "_integrate_compact",
+                            lambda *a: calls.append(1) or compact(*a))
+        return calls
+
+    @pytest.mark.parametrize("alpha", [0.75, 0.9])
+    def test_endpoint_singularity(self, alpha):
+        # t^-alpha on (0, 1]: mass 1/(1-alpha), moments 1/(k+1-alpha)
+        m = MeasureSpec(IntervalSpec(0, 1, lower_open=True),
+                        density=parse(f"t^-{alpha}"))
+        out = integrate_system(m, curve("t", "t^2", interval=m.interval))
+        assert out.mass == pytest.approx(1.0 / (1.0 - alpha), rel=0, abs=1e-10)
+        assert out.values == pytest.approx(
+            [1.0 / (2.0 - alpha), 1.0 / (3.0 - alpha)], rel=0, abs=1e-10)
+
+    def test_mass_below_the_doubles_is_refused(self):
+        # a thousandth of the mass of t^-0.99 lies below t = 1e-300
+        m = MeasureSpec(IntervalSpec(0, 1, lower_open=True),
+                        density=parse("t^-0.99"))
+        with pytest.raises(ExactQuadError):
+            total_mass(m)
+
+    def test_divergent_mass_is_refused_before_the_pass(self, passes):
+        bad = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1/t"))
+        with pytest.raises(DivergentMassError):
+            integrate_system(bad, curve("t", interval=bad.interval))
+        assert passes == []
+
+    @pytest.mark.parametrize("m", [EXP, OPEN, LINE], ids=["exp", "open", "line"])
+    def test_one_pass_per_integration(self, passes, m):
+        integrate_system(m, curve("t", "t^2", interval=m.interval))
+        assert passes == [1]
+
+    def test_kink_under_exponential_weight(self):
+        # the kink of |t - 1| is bisected in u: the integral is 2/e
+        assert integrate(EXP, parse("abs(t-1)")) == pytest.approx(
+            2.0 / math.e, rel=0, abs=1e-12)
+
+    def test_density_overflow_far_out_is_no_mass(self):
+        # t^2 exp(-t) evaluates to inf * 0 where t^2 overflows; those grid
+        # nodes carry no mass and bound the u-range
+        m = MeasureSpec(IntervalSpec(0, math.inf), density=parse("t^2*exp(-t)"))
+        assert total_mass(m) == pytest.approx(2.0, rel=1e-12)

@@ -416,15 +416,27 @@ class TestSynthesize:
         assert json.loads(err.getvalue().splitlines()[0])["kind"] == "polish-failure"
 
     def test_gamma_tail_nodes_carry_density(self):
-        # the exhaustion window of (0, inf) reaches far past the mass; a
-        # uniform grid over it once put a node at t = 744, where the
-        # density underflows to 7e-321, below the smallest normal float
+        # the nodes of (0, inf) reach t = 700, far past the mass; a
+        # uniform grid over such a window once put a node at t = 744,
+        # where the density underflows to 7e-321, below the smallest
+        # normal float
         m = MeasureSpec(IntervalSpec(0, math.inf, lower_open=True),
                         density=parse("t*exp(-t)"))
         c = curve("t", "t^2", "t^3", interval=m.interval)
         rule = synthesize_rule(c, m)
         assert len(rule) <= 3
         assert np.all(m.density(rule.nodes) >= np.finfo(float).tiny)
+        assert verify_rule(rule, c, m).passed
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
+    def test_endpoint_singularity_rule(self, alpha):
+        # t^-alpha on (0, 1]: the windows never reached the mass below
+        # 2^-60; the double-exponential pass does
+        m = MeasureSpec(IntervalSpec(0, 1, lower_open=True),
+                        density=parse(f"t^-{alpha}"))
+        c = curve("t", "t^2", interval=m.interval)
+        rule = synthesize_rule(c, m)
+        assert len(rule) <= 2
         assert verify_rule(rule, c, m).passed
 
     def test_near_dependent_exponentials(self):
@@ -453,6 +465,14 @@ def test_continuity_probe_reports_the_first_failing_component():
         synthesize_rule(curve, UNIT)
     assert exc.value.subexpr == "sin(t)/t"
     assert str(exc.value) == "division by zero in 'sin(t)/t'"
+
+
+def test_continuity_probe_reaches_a_closed_end_of_a_half_line():
+    # the Gauss nodes stop short of t = 0; the window keeps the closed end
+    m = MeasureSpec(IntervalSpec(0, math.inf), density=parse("exp(-t)"))
+    with pytest.raises(EvalDomainError) as exc:
+        synthesize_rule(curve("t", "log(t)", interval=m.interval), m)
+    assert exc.value.subexpr == "log(t)"
 
 
 class TestVerify:
@@ -555,3 +575,26 @@ def test_converged_synthesis_evaluates_only_the_batch_and_the_probes(
     assert rule.rank_used == len(texts) and rule.converged
     assert probes and len(evals) == 1 + len(probes)
     assert evals[1:] == probes
+
+
+# the five open or infinite measures of the benchmark's tail corpus
+NON_COMPACT = [
+    (IntervalSpec(0, math.inf), "exp(-t)", ["t", "t^2", "t^3", "t^4"]),
+    (IntervalSpec(-math.inf, math.inf), "exp(-t^2/2)",
+     ["t", "t^2", "t^3", "t^4", "t^5", "t^6"]),
+    (IntervalSpec(-math.inf, math.inf), "(1+t^2)^-2", ["t", "t^2"]),
+    (IntervalSpec(0, math.inf, lower_open=True), "t*exp(-t)",
+     ["t", "t^2", "exp(-t)"]),
+    (IntervalSpec(0, 1, lower_open=True), "t^-0.5", ["t", "t^2"]),
+]
+
+
+@pytest.mark.parametrize("interval,density,texts", NON_COMPACT,
+                         ids=[d for _, d, _ in NON_COMPACT])
+def test_non_compact_discrete_measure_is_small(interval, density, texts):
+    # one adaptive pass in u: a few hundred nodes, where the exhaustion
+    # windows left 1080 to 8760
+    m = MeasureSpec(interval, density=parse(density))
+    c = CurveSystem.from_texts(texts, interval)
+    params, w = discretize_hull_point(c, m, exhaust_interval(m, c)[0])
+    assert 0 < params.size <= 400 and np.all(w > 0)
