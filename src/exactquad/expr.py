@@ -538,6 +538,18 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     return out
 
 
+def overflows(expr: Expression, t: float) -> bool:
+    """Whether evaluating ``expr`` at the point ``t`` overflows on the way,
+    even where its value is finite: ``(1+t^2)^-0.5`` is 0 once ``t^2`` is
+    inf."""
+    with np.errstate(all="ignore", over="raise"):
+        try:
+            expr._fn(np.atleast_1d(float(t)))
+        except FloatingPointError:
+            return True
+    return False
+
+
 def _raise_first_nonfinite(exprs, out, stop):
     """Raise the error of the first of the columns ``0..stop-1`` of ``out``
     that holds a non-finite value, if any does."""

@@ -377,8 +377,7 @@ def _miss(weights, points, target) -> float:
     return float(miss) / (1.0 + float(np.abs(target).max()))
 
 
-def caratheodory_finite(points, weights, target, params=None, *,
-                        total=None) -> ConvexCombination:
+def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
     """Prune a combination of m points of R^n to at most n+1 support points.
 
     ``points`` is (m, n), ``weights`` non-negative with positive sum, and
@@ -386,10 +385,8 @@ def caratheodory_finite(points, weights, target, params=None, *,
     within ``RECON_TOL`` (relative); otherwise the input is infeasible, and
     the pruned combination must meet the same gate.
     ``params`` optionally maps point indices to curve parameters; when
-    omitted, point indices serve as the output parameters.  ``total``,
-    the sum of the weights when the caller holds it, spares the prune its
-    own exact sum.  The result carries the kept rows of ``points`` as its
-    ``points``.
+    omitted, point indices serve as the output parameters.  The result
+    carries the kept rows of ``points`` as its ``points``.
 
     Merge-reduce: while more than k = 2(n+1) points carry weight, they are
     split in index order into k contiguous clusters.  The cluster means are
@@ -410,8 +407,7 @@ def caratheodory_finite(points, weights, target, params=None, *,
     if np.any(weights < -1e-12):
         raise SchemaError("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
-    if total is None:
-        total = math.fsum(weights.tolist())
+    total = math.fsum(weights.tolist())
     if total <= 0:
         raise SchemaError("weights must have positive sum")
     gap = _miss(weights, points, target)
@@ -723,10 +719,10 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
     zero weight are dropped first; if more than n+1 positive terms remain
     they are pruned with :func:`caratheodory_finite`, which also gates
-    them and takes ``comb.total`` as their sum.  The n+1 -> n step walks
-    the curve from support point i toward point i+1, to the first
-    coordinate zero-crossing that :func:`_first_zero_crossing` sees in
-    the frame built from the other n points, and reweights; any crossing it returns leaves every coordinate
+    them.  The n+1 -> n step walks the curve from support point i toward
+    point i+1, to the first coordinate zero-crossing that
+    :func:`_first_zero_crossing` sees in the frame built from the other n
+    points, and reweights; any crossing it returns leaves every coordinate
     <= ``ZERO_TOL``, so the n kept points carry non-negative weights
     (positives left by roundoff are clipped).  It takes the first i, in
     index order, whose frame :func:`_build_frame` accepts: the walk has a
@@ -759,8 +755,7 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     seed_params, seed_points = params, points
 
     if params.size > n + 1:
-        pruned = caratheodory_finite(points, weights, v, params=params,
-                                     total=total)
+        pruned = caratheodory_finite(points, weights, v, params=params)
         params, weights, points = pruned.params, pruned.weights, pruned.points
     else:
         gap = _miss(weights, points, v)

@@ -47,7 +47,7 @@ from .errors import (
     number,
     string,
 )
-from .expr import Expression, evaluate_columns, parse
+from .expr import Expression, evaluate_columns, overflows, parse
 
 __all__ = [
     "IntervalSpec",
@@ -152,9 +152,9 @@ class IntegralVector:
     Gauss weight and the density there.  On an open or infinite interval
     the panels lie in u, each node is mapped back to t and its weight
     also carries dt/du; only the nodes with positive weight are kept, and
-    two of them may round to the same t near a finite end.  With the
-    atoms added, their moments are ``mass`` and ``values`` up to
-    summation order.
+    several of them may round to the same t near a finite end or sit on a
+    closed one.  With the atoms added, their moments are ``mass`` and
+    ``values`` up to summation order.
     """
 
     values: np.ndarray
@@ -328,8 +328,9 @@ def _de_map(iv: IntervalSpec):
     Returns ``phi``, which maps an array of ``u`` to ``(t, dt/du)``.  The
     distance of a node to a finite end is computed directly, not as a
     difference of nearby numbers.  A node whose distance is below the
-    smallest normal double, that rounds onto an end or that leaves the
-    finite doubles gets ``dt/du = 0``: it carries no mass and is dropped.
+    smallest normal double, that rounds onto an open end or that leaves
+    the finite doubles gets ``dt/du = 0``: it carries no mass and is
+    dropped.  A node that rounds onto a closed end stays there.
     """
     a, b = iv.lower, iv.upper
 
@@ -353,7 +354,9 @@ def _de_map(iv: IntervalSpec):
                 t, dphi = b - near, c * near
             else:
                 t, dphi = np.sinh(s), c * np.cosh(s)
-        inside = (near >= _TINY) & (a < t) & (t < b) & np.isfinite(dphi)
+        inside = ((near >= _TINY) & np.isfinite(dphi)
+                  & ((a < t) if iv.lower_open else (a <= t))
+                  & ((t < b) if iv.upper_open else (t <= b)))
         return t, np.where(inside, dphi, 0.0)
 
     return phi
@@ -371,25 +374,30 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
 
     One evaluation on a u-grid of step ``_DE_STEP`` finds the outermost
     grid nodes with mass.  The u-range reaches one step beyond each, where
-    the mass weight underflows, unless the map leaves the doubles there or
-    the density is not finite (``inf * 0`` far out); then it ends at the
-    node itself.  At those outermost nodes every integrand, ``|f|``
-    included, must be within ``tol * (1 + |I|)``, with ``I`` the grid's
-    trapezoid sum: a mass that fails is a :class:`DivergentMassError` and
-    any other column a :class:`NonConvergenceError`, both raised before
-    the pass.  The ``|f|`` test refuses a principal value, which symmetric
-    nodes would otherwise reach by cancelling two tails.  An end where the
-    density is exactly zero at the grid node beyond is the end of its
-    support, and is not tested.
+    the mass weight underflows, unless the map drops the node there or the
+    density is not finite (``inf * 0`` far out); then it ends at the node
+    itself.  At those outermost nodes every integrand, ``|f|`` included,
+    must be within ``tol * (1 + |I|)``, with ``I`` the grid's trapezoid
+    sum: a mass that fails is a :class:`DivergentMassError` and any other
+    column a :class:`NonConvergenceError`, both raised before the pass.
+    The ``|f|`` test refuses a principal value, which symmetric nodes
+    would otherwise reach by cancelling two tails.  At an infinite end the
+    test reads the integrand in u; at a finite end it reads the density
+    times the node's distance to the end, the mass cut off there for a
+    bounded density (for a ``t^-alpha`` singularity, ``1 - alpha`` times
+    it).  An end is not tested where the density is exactly zero at the
+    grid node beyond and its evaluation there did not overflow: that is
+    the end of its support.
     """
     k = len(components)
+    iv = m.interval
     w = _density_callable(m)
-    phi = _de_map(m.interval)
+    phi = _de_map(iv)
 
     def columns(us, finite=True):
-        """``(t, live, columns)`` at ``us``; a node is live where the map
-        keeps it and the mass weight is finite, and the functions are
-        evaluated only where that weight is positive."""
+        """``(t, dt/du, live, columns)`` at ``us``; a node is live where
+        the map keeps it and the mass weight is finite, and the functions
+        are evaluated only where that weight is positive."""
         ts, dphi = phi(us)
         live = dphi > 0.0
         out = np.zeros((us.size, 1 + 2 * k))
@@ -400,32 +408,37 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
         pos = np.flatnonzero(out[:, 0] > 0.0)
         vals = evaluate_columns(components, ts[pos]) * out[pos, :1]
         out[pos, 1:] = np.concatenate([vals, np.abs(vals)], axis=1)
-        return ts, live, out
+        return ts, dphi, live, out
 
     grid = _DE_STEP * np.arange(-_DE_STEPS, _DE_STEPS + 1)
-    ts, live, cols = columns(grid, finite=False)
+    ts, dphi, live, cols = columns(grid, finite=False)
     carry = np.flatnonzero(cols[:, 0] > 0.0)
     if not carry.size:
         return np.zeros(1 + k), np.empty(0), np.empty(0)
     with np.errstate(over="ignore"):
         limit = tol * (1.0 + np.abs(_DE_STEP * cols[carry].sum(axis=0)))
     span = []
-    for end, beyond in ((carry[0], carry[0] - 1), (carry[-1], carry[-1] + 1)):
+    for end, beyond, edge in ((carry[0], carry[0] - 1, iv.lower),
+                              (carry[-1], carry[-1] + 1, iv.upper)):
         beyond_live = 0 <= beyond < grid.size and live[beyond]
         span.append(grid[beyond if beyond_live else end])
-        if not cols[end, 0] <= limit[0] < np.inf:
-            if beyond_live:
-                continue
+        cut = np.abs(cols[end])
+        if math.isfinite(edge):
+            cut = cut * (abs(ts[end] - edge) / dphi[end])
+        thin = cut <= limit
+        thin[0] &= limit[0] < np.inf
+        if thin.all() or beyond_live and not overflows(m.density, ts[beyond]):
+            continue
+        where = f"at t = {float(ts[end])!r}"
+        if not thin[0]:
             raise DivergentMassError(
-                "the mass does not decay towards an end of the interval: "
-                f"its integrand is {cols[end, 0]:.3g} at t = {float(ts[end])!r}")
-        bad = np.flatnonzero(np.abs(cols[end, 1:]) > limit[1:])
-        if bad.size:
-            raise NonConvergenceError(
-                f"function {int(bad[0]) % k} is not absolutely integrable: "
-                f"its integrand is {cols[end, 1 + bad[0]]:.3g} at "
-                f"t = {float(ts[end])!r}")
-    totals, nodes, weights = _integrate_compact(lambda us: columns(us)[2],
+                "the mass does not decay towards an end of the interval within "
+                f"the doubles: tail estimate {cut[0]:.3g} {where}")
+        bad = int(np.flatnonzero(~thin[1:])[0])
+        raise NonConvergenceError(
+            f"function {bad % k} is not absolutely integrable: "
+            f"tail estimate {cut[1 + bad]:.3g} {where}")
+    totals, nodes, weights = _integrate_compact(lambda us: columns(us)[3],
                                                 *span, tol, 1 + 2 * k)
     keep = weights > 0.0
     return totals[:1 + k], phi(nodes[keep])[0], weights[keep]

@@ -10,6 +10,7 @@ from exactquad.expr import (
     Expression,
     _pretty,
     continuity_probe,
+    overflows,
     parse,
 )
 
@@ -356,3 +357,11 @@ def test_array_and_scalar_evaluation_agree():
     assert arr.shape == ts.shape
     for i, t in enumerate(ts):
         assert arr[i] == e(float(t))
+
+
+def test_overflows_sees_an_intermediate_overflow():
+    # (1+t^2)^-0.5 is a finite 0 once t^2 overflows
+    e = parse("(1+t^2)^-0.5")
+    assert e(1e160) == 0.0 and overflows(e, 1e160)
+    assert not overflows(e, 1e150)
+    assert not overflows(parse("exp(-t)"), 1e6)

@@ -392,3 +392,49 @@ class TestDoubleExponential:
         # nodes carry no mass and bound the u-range
         m = MeasureSpec(IntervalSpec(0, math.inf), density=parse("t^2*exp(-t)"))
         assert total_mass(m) == pytest.approx(2.0, rel=1e-12)
+
+    @pytest.mark.parametrize("density, lower", [("(1+t^2)^-0.5", -math.inf),
+                                                ("t/(1+t^2)", 0.0)])
+    def test_overflow_to_zero_is_not_the_end_of_the_support(self, density, lower):
+        # past |t| = 1.3e154 t^2 overflows and the density reads exactly 0,
+        # which must not pass for the end of a support where the mass is
+        # still far from decayed
+        m = MeasureSpec(IntervalSpec(lower, math.inf), density=parse(density))
+        with pytest.raises(DivergentMassError):
+            total_mass(m)
+
+    def test_heavy_tail_is_not_truncated(self):
+        # (1+t^2)^-0.51 has a finite mass, but 7e-7 of it lies past the
+        # largest double, and 0.08 past t = 1e154, where t^2 overflows
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("(1+t^2)^-0.51"))
+        with pytest.raises(DivergentMassError):
+            total_mass(m)
+
+    def test_support_end_inside_the_line(self):
+        # max(0, 1 - t^2) ends its support at t = -1 and 1, where the mass
+        # integrand in u is far from decayed
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("max(0, 1-t^2)"))
+        assert total_mass(m) == pytest.approx(4.0 / 3.0, rel=0, abs=1e-10)
+
+    @pytest.mark.parametrize("shift", [1e4, 1e5])
+    def test_open_end_far_from_zero(self, shift):
+        # nodes within half an ulp of an open end round onto it and are
+        # dropped; the mass they would carry is below the tolerance
+        m = MeasureSpec(IntervalSpec(shift, shift + 1.0, True, True),
+                        density=parse("1"))
+        out = integrate_system(m, curve("t", interval=m.interval))
+        assert out.mass == pytest.approx(1.0, rel=0, abs=2e-10)
+        assert out.values[0] == pytest.approx(shift + 0.5, rel=2e-10)
+        assert shift < out.nodes[0] and out.nodes[-1] < shift + 1.0
+
+    @pytest.mark.parametrize("shift", [1e5, 1e6])
+    def test_closed_end_far_from_zero(self, shift):
+        # nodes that round onto a closed end stay on it, carrying its mass
+        m = MeasureSpec(IntervalSpec(shift, math.inf),
+                        density=parse(f"exp(-(t-{shift}))"))
+        out = integrate_system(m, curve("t", interval=m.interval))
+        assert out.mass == pytest.approx(1.0, rel=0, abs=1e-10)
+        assert out.values[0] == pytest.approx(shift + 1.0, rel=1e-10)
+        assert out.nodes[0] == shift
