@@ -538,11 +538,12 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     return out
 
 
-def overflows(expr: Expression, t: float) -> bool:
+def overflows(expr: Expression, t: float, *, under=False) -> bool:
     """Whether evaluating ``expr`` at the point ``t`` overflows on the way,
     even where its value is finite: ``(1+t^2)^-0.5`` is 0 once ``t^2`` is
-    inf."""
-    with np.errstate(all="ignore", over="raise"):
+    inf.  With ``under``, whether it underflows first: ``1/t^2`` divides
+    by 0 once ``t^2`` is 0.  A domain error met first raises."""
+    with np.errstate(all="ignore", **{"under" if under else "over": "raise"}):
         try:
             expr._fn(np.atleast_1d(float(t)))
         except FloatingPointError:

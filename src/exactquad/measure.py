@@ -22,10 +22,6 @@ discrete measure, with the atoms, has exactly the computed integrals as
 its moments, up to summation order, so synthesis prunes it directly
 (Tchakaloff's theorem used constructively).
 
-:func:`exhaust` drives a function of compact windows over a geometric
-schedule of nested windows until its values are stable; the extrema of
-:mod:`exactquad.stats` use it, since a supremum is not an integral.
-
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
 """
@@ -39,6 +35,7 @@ import numpy as np
 
 from .errors import (
     DivergentMassError,
+    EvalDomainError,
     NegativeDensityError,
     NonConvergenceError,
     SchemaError,
@@ -70,11 +67,10 @@ _G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
 
 _MAX_PANELS = 65536
 _MAX_ROUNDS = 48
-_MAX_EXHAUST_STEPS = 60
-# the u-grid of the double-exponential maps: every map leaves the doubles
-# before |u| = 7
+# the u-grid of the double-exponential maps, which the extrema scan of
+# :mod:`exactquad.stats` shares: every map leaves the doubles before |u| = 7
 _DE_STEP = 0.125
-_DE_STEPS = 56
+_DE_GRID = _DE_STEP * np.arange(-56, 57)
 _TINY = np.finfo(float).tiny
 
 
@@ -166,12 +162,22 @@ class IntegralVector:
 def _density_callable(m: MeasureSpec):
     """The density as a function of an array of ``t``, with its sign
     check; ``finite=False`` lets non-finite values through, as
-    :func:`~exactquad.expr.evaluate_columns` does."""
+    :func:`~exactquad.expr.evaluate_columns` does, and reads a division
+    by a zero that underflowed (``1/t^2`` below t = 1e-162) as an
+    infinite value."""
     dens = m.density
 
     def w(ts, finite=True):
-        vals = (np.asarray(dens(ts), dtype=float) if finite else
-                evaluate_columns((dens,), ts, finite=False)[:, 0])
+        try:
+            vals = (np.asarray(dens(ts), dtype=float) if finite else
+                    evaluate_columns((dens,), ts, finite=False)[:, 0])
+        except EvalDomainError:
+            if finite:
+                raise
+            # an underflow marks a point; a domain error without one raises
+            under = np.array([overflows(dens, t, under=True) for t in ts])
+            vals = np.full(ts.shape, np.inf)
+            vals[~under] = w(ts[~under], False)
         if np.any(vals < -1e-12):
             worst = float(np.min(vals))
             raise NegativeDensityError(
@@ -256,67 +262,6 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
         dens = np.concatenate([dens[~bad], child_dens])
     raise NonConvergenceError(
         f"integral over [{a}, {b}] did not converge within the refinement depth"
-    )
-
-
-def _working_windows(interval: IntervalSpec):
-    """Nested compact sub-intervals exhausting an open or infinite interval."""
-    lo, hi = interval.lower, interval.upper
-    finite_span = hi - lo if math.isfinite(lo) and math.isfinite(hi) else None
-    inset = (finite_span / 8.0) if finite_span is not None else 0.125
-    anchor_lo = lo if math.isfinite(lo) else (hi if math.isfinite(hi) else 0.0)
-    anchor_hi = hi if math.isfinite(hi) else (lo if math.isfinite(lo) else 0.0)
-    for p in range(_MAX_EXHAUST_STEPS):
-        if math.isinf(lo):
-            a = anchor_lo - 2.0**p
-        elif interval.lower_open:
-            a = lo + inset / 2.0**p
-        else:
-            a = lo
-        if math.isinf(hi):
-            b = anchor_hi + 2.0**p
-        elif interval.upper_open:
-            b = hi - inset / 2.0**p
-        else:
-            b = hi
-        if a < b:
-            yield IntervalSpec(a, b)
-
-
-def exhaust(m: MeasureSpec, on_window, rtol: float):
-    """Drive ``on_window`` over compact windows of the measure's interval.
-
-    Only the extrema of :mod:`exactquad.stats` use it: integration maps an
-    open or infinite interval instead (see :func:`_integrate_mapped`).
-
-    ``on_window(window, inner)`` returns a 1-d array of values for the
-    compact ``window``; ``inner`` is the previous, smaller window, or
-    ``None`` on the first call.  A compact interval is its own window and
-    is evaluated once.  Otherwise the windows grow by the exhaustion
-    schedule, and the values are accepted once two consecutive windows,
-    each holding every atom, moved them by at most ``rtol * (1 + |value|)``.
-
-    Returns ``(values, window)``.  Raises :class:`NonConvergenceError` when
-    the schedule runs out first.
-    """
-    if m.interval.is_compact:
-        return on_window(m.interval, None), m.interval
-    prev = inner = None
-    stable = 0
-    for window in _working_windows(m.interval):
-        vals = on_window(window, inner)
-        covered = all(window.lower <= loc <= window.upper for loc, _ in m.atoms)
-        if prev is not None and covered:
-            if np.all(np.abs(vals - prev) <= rtol * (1.0 + np.abs(vals))):
-                stable += 1
-                if stable >= 2:
-                    return vals, window
-            else:
-                stable = 0
-        prev, inner = vals, window
-    raise NonConvergenceError(
-        "exhaustion of the interval did not stabilize within the expansion "
-        f"schedule (last window [{inner.lower}, {inner.upper}])"
     )
 
 
@@ -410,18 +355,21 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
         out[pos, 1:] = np.concatenate([vals, np.abs(vals)], axis=1)
         return ts, dphi, live, out
 
-    grid = _DE_STEP * np.arange(-_DE_STEPS, _DE_STEPS + 1)
-    ts, dphi, live, cols = columns(grid, finite=False)
+    ts, dphi, live, cols = columns(_DE_GRID, finite=False)
     carry = np.flatnonzero(cols[:, 0] > 0.0)
     if not carry.size:
+        if not m.atoms:
+            raise SchemaError("the density is zero at every node of the u-grid: "
+                              "a density narrower than the grid's spacing in t "
+                              "near its mass, which grows with |t|, is missed")
         return np.zeros(1 + k), np.empty(0), np.empty(0)
     with np.errstate(over="ignore"):
         limit = tol * (1.0 + np.abs(_DE_STEP * cols[carry].sum(axis=0)))
     span = []
     for end, beyond, edge in ((carry[0], carry[0] - 1, iv.lower),
                               (carry[-1], carry[-1] + 1, iv.upper)):
-        beyond_live = 0 <= beyond < grid.size and live[beyond]
-        span.append(grid[beyond if beyond_live else end])
+        beyond_live = 0 <= beyond < _DE_GRID.size and live[beyond]
+        span.append(_DE_GRID[beyond if beyond_live else end])
         cut = np.abs(cols[end])
         if math.isfinite(edge):
             cut = cut * (abs(ts[end] - edge) / dphi[end])

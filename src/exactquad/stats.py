@@ -19,7 +19,11 @@ positive discrete measure with those moments.
 The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
 with function extrema over the interval.  They are found by a scan of
 4096 points and batched rounds that sample the cells around the four
-best points in one evaluation of (f, g) each, usually 5 rounds.  A
+best points in one evaluation of (f, g) each, usually 5 rounds.  An open
+or infinite interval is scanned and refined in u at t = phi(u), on the
+integrator's double-exponential map; an extremum at the outermost node of
+an open end is a limit there, accepted only where the two outermost nodes
+agree.  A far-out extremum narrower than the scan's spacing is missed.  A
 discrete sequence version falls out by using an atomic measure.
 """
 
@@ -38,9 +42,9 @@ from .errors import (
     UnboundedFunctionError,
     WeightNormalizationError,
 )
-from .expr import Expression, evaluate_columns
+from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
-from .measure import MeasureSpec, exhaust, exhaust_interval
+from .measure import _DE_GRID, MeasureSpec, _de_map, exhaust_interval
 from .synth import RESIDUAL_GATE, SynthesisConfig, synthesize_on_pass
 
 __all__ = [
@@ -57,7 +61,7 @@ _CELL_TOL = 1e-10      # relative width at which an extremum's cell closes
 # sample offsets of a refinement round, in cell widths: both ends and
 # REFINE_POINTS even interior points
 _CELL_STEPS = np.linspace(0.0, 1.0, REFINE_POINTS + 2)
-_EXTREMA_RTOL = 1e-10  # window-to-window stability of the extrema
+_EXTREMA_RTOL = 1e-10  # agreement of the two outermost grid nodes at an open end
 MOMENT_TOL = 1e-11     # integration tolerance of the moments
 
 
@@ -233,32 +237,29 @@ def _best_cells(grid, scores):
             grid[rows, np.minimum(j + 1, last)])
 
 
-def _window_extrema(fns, lo: float, hi: float, extra: np.ndarray):
-    """Minimum and maximum of each function on [lo, hi], in that order.
+def _scan_extrema(fns, xs, ts, to_t):
+    """Minimum and maximum of each function, in that order, from a scan
+    at the points ``ts`` and batched rounds of refinement.
 
-    One evaluation scans ``_SCAN_POINTS`` even points and the atoms in
-    ``extra``; each extremum keeps the two scan gaps around its best
+    ``xs`` are the scan points' increasing coordinates, which ``to_t``
+    maps to points.  Each extremum keeps the two scan gaps around its best
     point.  Each round then samples every open cell at ``REFINE_POINTS``
     interior points and its two ends, in one evaluation, and keeps the two
     sample gaps around the cell's best point, so a cell shrinks 32-fold
     or more.  A cell closes once it is narrower than ``_CELL_TOL`` times
     max(1, |a|, |b|) of its scan cell [a, b].  An extremum is the best
-    value sampled, so one at a scan point, an end of the window included,
-    is exact.
+    value sampled, so one at a scan point is exact.
     """
     k = len(fns)
     col = np.repeat(np.arange(k), 2)  # cell c refines function col[c] ...
     sign = np.tile([-1.0, 1.0], k)    # ... towards its minimum or maximum
-    ts = np.linspace(lo, hi, _SCAN_POINTS)
-    if extra.size:
-        ts = np.unique(np.concatenate([ts, extra]))
     scores = sign[:, None] * evaluate_columns(fns, ts).T[col]
-    best, a, b = _best_cells(np.broadcast_to(ts, scores.shape), scores)
+    best, a, b = _best_cells(np.broadcast_to(xs, scores.shape), scores)
     tol = _CELL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     cells = np.flatnonzero(b - a > tol)
     while cells.size:
         grid = a[cells, None] + (b - a)[cells, None] * _CELL_STEPS
-        vals = evaluate_columns(fns, grid.ravel()).reshape(grid.shape + (k,))
+        vals = evaluate_columns(fns, to_t(grid.ravel())).reshape(grid.shape + (k,))
         scores = sign[cells, None] * vals[np.arange(cells.size), :, col[cells]]
         top, a[cells], b[cells] = _best_cells(grid, scores)
         best[cells] = np.maximum(best[cells], top)
@@ -268,21 +269,66 @@ def _window_extrema(fns, lo: float, hi: float, extra: np.ndarray):
 
 def _extrema(fns, m: MeasureSpec) -> list[float]:
     """Infimum and supremum of each function over the measure's interval,
-    in that order."""
+    in that order.
+
+    A compact interval is scanned even in t.  An open or infinite one is
+    scanned at t = phi(u), with the integrator's double-exponential map
+    phi, even in u between the outermost live nodes of its u-grid: nodes
+    the map keeps and where no function overflows on the way (``t^2
+    exp(-t)`` is ``inf * 0`` far out).  The atoms and closed ends join the
+    scan, and the rounds refine in u, where a cell is a cell in t since
+    phi increases.  An extremum within ``_EXTREMA_RTOL * (1 + |v|)`` of the
+    value ``v`` at the outermost live node of an open end is a limit
+    there, accepted only when the next node inward agrees with ``v``
+    within that tolerance: otherwise the function is unbounded there, or
+    its limit cannot be resolved in doubles (``t^0.01`` at 0), and
+    :class:`UnboundedFunctionError` is raised.  The spacing of the scan in
+    t grows with |t|, so a far-out extremum in a feature narrower than it
+    is missed.
+    """
+    iv = m.interval
     atoms = np.array([loc for loc, _ in m.atoms])
+    if iv.is_compact:
+        ts = np.linspace(iv.lower, iv.upper, _SCAN_POINTS)
+        if atoms.size:
+            ts = np.unique(np.concatenate([ts, atoms]))
+        return [float(v) for v in _scan_extrema(fns, ts, ts, lambda ts: ts)]
+    phi = _de_map(iv)
+    nodes, dphi = phi(_DE_GRID)
+    live = np.flatnonzero(dphi > 0.0)
 
-    def on_window(window, inner):
-        inside = atoms[(atoms >= window.lower) & (atoms <= window.upper)]
-        return _window_extrema(fns, window.lower, window.upper, inside)
+    def clean(i):
+        return not any(overflows(f, nodes[i]) for f in fns)
 
-    try:
-        vals, _ = exhaust(m, on_window, _EXTREMA_RTOL)
-    except NonConvergenceError:
-        raise UnboundedFunctionError(
-            "extrema did not stabilize under interval expansion; "
-            "a function looks unbounded on the interval"
-        ) from None
-    return [float(v) for v in vals]
+    # a value read after an overflow on the way (t^2 exp(-t) is nan and
+    # (1+t^2)^-0.5 is 0 past t = 1e154) is no limit: the range ends inside
+    while live.size > 1 and not clean(live[0]):
+        live = live[1:]
+    while live.size > 1 and not clean(live[-1]):
+        live = live[:-1]
+    if live.size < 2:
+        raise UnboundedFunctionError("the functions overflow all over the interval")
+    us = np.linspace(_DE_GRID[live[0]], _DE_GRID[live[-1]], _SCAN_POINTS)
+    ts = phi(us)[0]
+    closed = [end for end, is_open in ((iv.lower, iv.lower_open),
+                                       (iv.upper, iv.upper_open)) if not is_open]
+    # an atom or a closed end takes the u interpolated between scan points
+    pts = np.unique(np.concatenate([ts, atoms, closed]))
+    best = _scan_extrema(fns, np.interp(pts, ts, us), pts, lambda us: phi(us)[0])
+    for end, inner, is_open in ((live[0], live[0] + 1, iv.lower_open),
+                                (live[-1], live[-1] - 1, iv.upper_open)):
+        if not is_open:
+            continue
+        v, w = np.repeat(evaluate_columns(fns, nodes[[end, inner]], finite=False),
+                         2, axis=1)
+        tol = _EXTREMA_RTOL * (1.0 + np.abs(v))
+        bad = np.flatnonzero((np.abs(best - v) <= tol) & ~(np.abs(w - v) <= tol))
+        if bad.size:
+            raise UnboundedFunctionError(
+                f"function {bad[0] // 2} is unbounded towards t = {nodes[end]:.6g}, "
+                "or its limit there cannot be resolved in doubles: it reads "
+                f"{v[bad[0]]:.6g} there and {w[bad[0]]:.6g} at t = {nodes[inner]:.6g}")
+    return [float(v) for v in best]
 
 
 def _gruss_report(cov, m_f, big_f, m_g, big_g) -> GrussReport:

@@ -347,7 +347,8 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     which holds whenever each component of ``curve`` is a linear
     combination of the constant 1 and the functions that pass integrated.
     Discretizes, probes continuity on the window in the batch that
-    evaluates the discrete measure, and reads the affine rank.  One loop builds a candidate on the independent subset, refits
+    evaluates the discrete measure, and reads the affine rank.  One loop
+    builds a candidate on the independent subset, refits
     its weights on all n functions and gates every residual; if the subset
     dropped functions and missed the gate (a dependence that holds on the
     support, not at the nodes, or a miss the refit spread), it runs once

@@ -283,16 +283,19 @@ class TestStatsCommands:
 
     @pytest.mark.parametrize("command", ["gruss", "covwitness"])
     def test_divergent_mass_in_stats_commands(self, tmp_path, command):
-        measure = {
-            "interval": {"lower": 0, "upper": 1,
-                         "lower_open": True, "upper_open": False},
-            "density": "1/t",
-            "atoms": [],
-        }
-        path = write(tmp_path, "p.json", {"f": "t", "g": "t^2", "measure": measure})
-        code, _, err = invoke([command, path])
-        assert code == 3
-        assert json.loads(err.splitlines()[0])["kind"] == "divergent-mass"
+        # t^2 underflows below t = 1e-162, where 1/t^2 divides by 0
+        for density in ("1/t", "1/t^2"):
+            measure = {
+                "interval": {"lower": 0, "upper": 1,
+                             "lower_open": True, "upper_open": False},
+                "density": density,
+                "atoms": [],
+            }
+            path = write(tmp_path, "p.json",
+                         {"f": "t", "g": "t^2", "measure": measure})
+            code, _, err = invoke([command, path])
+            assert code == 3
+            assert json.loads(err.splitlines()[0])["kind"] == "divergent-mass"
 
     @pytest.mark.parametrize("command", ["gruss", "covwitness"])
     @pytest.mark.parametrize("f,lower,kind", [

@@ -365,3 +365,8 @@ def test_overflows_sees_an_intermediate_overflow():
     assert e(1e160) == 0.0 and overflows(e, 1e160)
     assert not overflows(e, 1e150)
     assert not overflows(parse("exp(-t)"), 1e6)
+    # 1/t^2 divides by a t^2 that underflowed; 1/(t-1) at 1 by a true zero
+    assert overflows(parse("1/t^2"), 1e-200, under=True)
+    assert not overflows(parse("1/t^2"), 1e-100, under=True)
+    with pytest.raises(EvalDomainError):
+        overflows(parse("1/(t-1)"), 1.0, under=True)

@@ -25,7 +25,6 @@ from exactquad.measure import (
     measure_from_json,
     measure_to_json,
     total_mass,
-    _working_windows,
 )
 
 UNIT = MeasureSpec(IntervalSpec(0, 1), density=parse("1"))
@@ -211,17 +210,6 @@ class TestExhaustion:
         tail = window.lower + (1.0 - window.upper)
         assert tail <= 1e-10
         assert out.values == pytest.approx([0.5], abs=1e-12)
-
-    def test_windows_nested_and_exhausting(self):
-        iv = IntervalSpec(0, math.inf, lower_open=True)
-        windows = []
-        for i, w in enumerate(_working_windows(iv)):
-            windows.append(w)
-            if i >= 20:
-                break
-        for a, b in zip(windows, windows[1:]):
-            assert b.lower <= a.lower and b.upper >= a.upper
-        assert windows[-1].lower < 1e-6 and windows[-1].upper > 1e6
 
     def test_atoms_must_be_covered(self):
         # the density's nodes end where exp(-t) underflows, near t = 700;
@@ -417,6 +405,14 @@ class TestDoubleExponential:
         m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
                         density=parse("max(0, 1-t^2)"))
         assert total_mass(m) == pytest.approx(4.0 / 3.0, rel=0, abs=1e-10)
+
+    def test_narrow_density_far_out_is_refused(self):
+        # the sinh-sinh grid steps by several units near t = 30, so a bump
+        # 0.05 wide there falls between its nodes; the refusal says so
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("exp(-((t-30)/0.05)^2)"))
+        with pytest.raises(SchemaError, match="narrower than the grid's spacing"):
+            total_mass(m)
 
     @pytest.mark.parametrize("shift", [1e4, 1e5])
     def test_open_end_far_from_zero(self, shift):

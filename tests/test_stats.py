@@ -259,6 +259,41 @@ class TestGrussContinuous:
         assert r.slack >= -1e-9 * (1 + r.bound)
         assert 0.0 <= r.M_f <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("f, interval, density, low, high, tol", [
+        ("t^0.5", IntervalSpec(0, 1, lower_open=True), "1", 0.0, 1.0, 1e-10),
+        ("t^0.25", IntervalSpec(0, 1, True, True), "1", 0.0, 1.0, 1e-10),
+        ("(1+t)^-0.5", IntervalSpec(0, math.inf), "exp(-t)", 0.0, 1.0, 1e-10),
+        ("(1+abs(t))^-0.1", IntervalSpec(-math.inf, math.inf), "exp(-t^2/2)",
+         0.0, 1.0, 1e-10),
+        # the infimum is the limit at infinity, not a value at a large t
+        ("1/(1+t)", IntervalSpec(0, math.inf), "exp(-t)", 0.0, 1.0, 1e-12),
+        # reads 0 where t^2 overflows, which is no limit: the maximum 5/4
+        # sits at t = 3^-1/2 and the infimum 1 at t = 0 and at infinity
+        ("t*(1+t^2)^-0.5+1/(1+t^2)", IntervalSpec(0, math.inf), "exp(-t)",
+         1.0, 1.25, 1e-10),
+        # inf * 0 far out is no value: the maximum 4/e^2 sits at t = 2
+        ("t^2*exp(-t)", IntervalSpec(0, math.inf), "exp(-t)",
+         0.0, 4.0 * math.exp(-2.0), 1e-10),
+    ], ids=["sqrt-open-0", "quarter-power-open", "half-line-decay",
+            "line-decay", "reciprocal-half-line", "overflow-on-the-way",
+            "inf-times-zero"])
+    def test_limits_at_open_ends(self, f, interval, density, low, high, tol):
+        # a bounded function's extremum at an open end is its limit there
+        m = MeasureSpec(interval, density=parse(density))
+        r = gruss_check(parse(f), parse(f), m)
+        assert abs(r.m_f - low) <= tol and abs(r.M_f - high) <= tol
+
+    @pytest.mark.parametrize("f, interval, density", [
+        ("log(1+t)", IntervalSpec(0, math.inf), "exp(-t)"),
+        # bounded, but at t = 6e-276 t^0.01 is still 1.8e-3 and not settled
+        ("t^0.01", IntervalSpec(0, 1, lower_open=True), "1"),
+    ], ids=["log-half-line", "hundredth-power-open-0"])
+    def test_unsettled_limits_are_refused(self, f, interval, density):
+        m = MeasureSpec(interval, density=parse(density))
+        with pytest.raises(UnboundedFunctionError,
+                           match="unbounded towards t = .* cannot be resolved"):
+            gruss_check(parse(f), parse(f), m)
+
 
 class TestGrussDiscrete:
     def test_equality_case_is_tight(self):
