@@ -22,7 +22,9 @@ follows IEEE-754 double semantics.  Evaluating outside the real domain
 (log of a non-positive value, division by zero, sqrt of a negative, a
 negative base with a non-integer exponent, or any non-finite result) raises
 :class:`~exactquad.errors.EvalDomainError` naming the offending
-subexpression.  A power whose exponent is a number literal (``t^3``,
+subexpression, but a denominator that underflowed to 0 divides as in
+IEEE: ``1/t^2`` is inf below t = 1e-162, as ``t^-2`` is, and
+``exp(-1/t)/t^2`` nan.  A power whose exponent is a number literal (``t^3``,
 ``t^-0.5``) decides when it is compiled which of its two domain checks can
 fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based byte offsets.
 
@@ -334,8 +336,12 @@ def _bin_closure(op, fa, fb, b, label):
 
         def _div(t):
             den = fb(t)
-            if np.any(np.asarray(den) == 0.0):
-                raise EvalDomainError("division by zero", label)
+            zero = np.asarray(den) == 0.0
+            if np.any(zero):
+                # a denominator that underflowed to 0 divides as in IEEE
+                at, zero = np.broadcast_arrays(t, zero)
+                if not all(_raises(fb, x, "under") for x in at[zero]):
+                    raise EvalDomainError("division by zero", label)
             return fa(t) / den
 
         return _div
@@ -538,14 +544,18 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     return out
 
 
-def overflows(expr: Expression, t: float, *, under=False) -> bool:
+def overflows(expr: Expression, t: float) -> bool:
     """Whether evaluating ``expr`` at the point ``t`` overflows on the way,
     even where its value is finite: ``(1+t^2)^-0.5`` is 0 once ``t^2`` is
-    inf.  With ``under``, whether it underflows first: ``1/t^2`` divides
-    by 0 once ``t^2`` is 0.  A domain error met first raises."""
-    with np.errstate(all="ignore", **{"under" if under else "over": "raise"}):
+    inf."""
+    return _raises(expr._fn, t, "over")
+
+
+def _raises(fn, t: float, flag: str) -> bool:
+    """Whether the closure ``fn`` at the point ``t`` raises ``flag``."""
+    with np.errstate(all="ignore", **{flag: "raise"}):
         try:
-            expr._fn(np.atleast_1d(float(t)))
+            fn(np.atleast_1d(float(t)))
         except FloatingPointError:
             return True
     return False

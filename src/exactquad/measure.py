@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     DivergentMassError,
-    EvalDomainError,
     NegativeDensityError,
     NonConvergenceError,
     SchemaError,
@@ -162,22 +161,12 @@ class IntegralVector:
 def _density_callable(m: MeasureSpec):
     """The density as a function of an array of ``t``, with its sign
     check; ``finite=False`` lets non-finite values through, as
-    :func:`~exactquad.expr.evaluate_columns` does, and reads a division
-    by a zero that underflowed (``1/t^2`` below t = 1e-162) as an
-    infinite value."""
+    :func:`~exactquad.expr.evaluate_columns` does."""
     dens = m.density
 
     def w(ts, finite=True):
-        try:
-            vals = (np.asarray(dens(ts), dtype=float) if finite else
-                    evaluate_columns((dens,), ts, finite=False)[:, 0])
-        except EvalDomainError:
-            if finite:
-                raise
-            # an underflow marks a point; a domain error without one raises
-            under = np.array([overflows(dens, t, under=True) for t in ts])
-            vals = np.full(ts.shape, np.inf)
-            vals[~under] = w(ts[~under], False)
+        vals = (np.asarray(dens(ts), dtype=float) if finite else
+                evaluate_columns((dens,), ts, finite=False)[:, 0])
         if np.any(vals < -1e-12):
             worst = float(np.min(vals))
             raise NegativeDensityError(

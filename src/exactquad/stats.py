@@ -19,12 +19,10 @@ positive discrete measure with those moments.
 The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
 with function extrema over the interval.  They are found by a scan of
 4096 points and batched rounds that sample the cells around the four
-best points in one evaluation of (f, g) each, usually 5 rounds.  An open
-or infinite interval is scanned and refined in u at t = phi(u), on the
-integrator's double-exponential map; an extremum at the outermost node of
-an open end is a limit there, accepted only where the two outermost nodes
-agree.  A far-out extremum narrower than the scan's spacing is missed.  A
-discrete sequence version falls out by using an atomic measure.
+best points in one evaluation of (f, g) each, usually 5 rounds, in u at
+t = phi(u) on an open or infinite interval.  A far-out extremum narrower
+than the scan's spacing in t is missed.  A discrete sequence version falls
+out by using an atomic measure.
 """
 
 from __future__ import annotations
@@ -61,7 +59,7 @@ _CELL_TOL = 1e-10      # relative width at which an extremum's cell closes
 # sample offsets of a refinement round, in cell widths: both ends and
 # REFINE_POINTS even interior points
 _CELL_STEPS = np.linspace(0.0, 1.0, REFINE_POINTS + 2)
-_EXTREMA_RTOL = 1e-10  # agreement of the two outermost grid nodes at an open end
+_EXTREMA_RTOL = 1e-10  # move of an extremum by the last grid step at an open end
 MOMENT_TOL = 1e-11     # integration tolerance of the moments
 
 
@@ -237,23 +235,23 @@ def _best_cells(grid, scores):
             grid[rows, np.minimum(j + 1, last)])
 
 
-def _scan_extrema(fns, xs, ts, to_t):
-    """Minimum and maximum of each function, in that order, from a scan
-    at the points ``ts`` and batched rounds of refinement.
+def _scan_extrema(fns, xs, ts, to_t, scopes):
+    """Minimum and maximum of each function, in that order, in each scope
+    of a scan at the points ``ts``: one row per row of the boolean
+    ``scopes``, which marks the scope's scan points.
 
-    ``xs`` are the scan points' increasing coordinates, which ``to_t``
-    maps to points.  Each extremum keeps the two scan gaps around its best
-    point.  Each round then samples every open cell at ``REFINE_POINTS``
-    interior points and its two ends, in one evaluation, and keeps the two
-    sample gaps around the cell's best point, so a cell shrinks 32-fold
-    or more.  A cell closes once it is narrower than ``_CELL_TOL`` times
-    max(1, |a|, |b|) of its scan cell [a, b].  An extremum is the best
-    value sampled, so one at a scan point is exact.
+    ``xs`` are the scan points' increasing coordinates, which ``to_t`` maps
+    to points.  Each extremum keeps the two scan gaps around its scope's
+    best point; each round samples every open cell at its two ends and
+    ``REFINE_POINTS`` interior points in one evaluation and keeps the two
+    gaps around the best sample, until the cell is narrower than
+    ``_CELL_TOL`` max(1, |a|, |b|) of its scan cell [a, b].
     """
-    k = len(fns)
-    col = np.repeat(np.arange(k), 2)  # cell c refines function col[c] ...
-    sign = np.tile([-1.0, 1.0], k)    # ... towards its minimum or maximum
-    scores = sign[:, None] * evaluate_columns(fns, ts).T[col]
+    k, n = len(fns), len(scopes)
+    col = np.tile(np.repeat(np.arange(k), 2), n)  # cell c refines function col[c] ...
+    sign = np.tile([-1.0, 1.0], k * n)            # ... towards its minimum or maximum
+    seen = np.repeat(scopes, 2 * k, axis=0)       # ... from its scope's scan points
+    scores = np.where(seen, sign[:, None] * evaluate_columns(fns, ts).T[col], -np.inf)
     best, a, b = _best_cells(np.broadcast_to(xs, scores.shape), scores)
     tol = _CELL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
     cells = np.flatnonzero(b - a > tol)
@@ -264,27 +262,24 @@ def _scan_extrema(fns, xs, ts, to_t):
         top, a[cells], b[cells] = _best_cells(grid, scores)
         best[cells] = np.maximum(best[cells], top)
         cells = cells[b[cells] - a[cells] > tol[cells]]
-    return sign * best
+    return (sign * best).reshape(n, 2 * k)
 
 
 def _extrema(fns, m: MeasureSpec) -> list[float]:
     """Infimum and supremum of each function over the measure's interval,
     in that order.
 
-    A compact interval is scanned even in t.  An open or infinite one is
-    scanned at t = phi(u), with the integrator's double-exponential map
-    phi, even in u between the outermost live nodes of its u-grid: nodes
-    the map keeps and where no function overflows on the way (``t^2
-    exp(-t)`` is ``inf * 0`` far out).  The atoms and closed ends join the
-    scan, and the rounds refine in u, where a cell is a cell in t since
-    phi increases.  An extremum within ``_EXTREMA_RTOL * (1 + |v|)`` of the
-    value ``v`` at the outermost live node of an open end is a limit
-    there, accepted only when the next node inward agrees with ``v``
-    within that tolerance: otherwise the function is unbounded there, or
-    its limit cannot be resolved in doubles (``t^0.01`` at 0), and
-    :class:`UnboundedFunctionError` is raised.  The spacing of the scan in
-    t grows with |t|, so a far-out extremum in a feature narrower than it
-    is missed.
+    A compact interval is scanned even in t, an open or infinite one even
+    in u at t = phi(u), on the integrator's double-exponential map, between
+    the outermost u-grid nodes where the functions are finite and did not
+    overflow on the way.  Cells are refined in several scopes: without the
+    scan's last grid step at each open end; windows of a half, a quarter
+    and an eighth of it around the map's centre, so that far-out points
+    where ``sin(t)`` has random phases cannot shadow the centre's peaks;
+    and with the last grid step at each open end.  An extremum that this
+    step moves by more than ``_EXTREMA_RTOL * (1 + |v|)`` raises
+    :class:`UnboundedFunctionError`: the function is unbounded there, or
+    its limit cannot be resolved in doubles (``t^0.01`` at 0).
     """
     iv = m.interval
     atoms = np.array([loc for loc, _ in m.atoms])
@@ -292,43 +287,52 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
         ts = np.linspace(iv.lower, iv.upper, _SCAN_POINTS)
         if atoms.size:
             ts = np.unique(np.concatenate([ts, atoms]))
-        return [float(v) for v in _scan_extrema(fns, ts, ts, lambda ts: ts)]
+        scope = np.ones((1, ts.size), dtype=bool)
+        return [float(v) for v in _scan_extrema(fns, ts, ts, lambda ts: ts, scope)[0]]
     phi = _de_map(iv)
     nodes, dphi = phi(_DE_GRID)
     live = np.flatnonzero(dphi > 0.0)
 
     def clean(i):
-        return not any(overflows(f, nodes[i]) for f in fns)
+        return (np.isfinite(evaluate_columns(fns, nodes[i], finite=False)).all()
+                and not any(overflows(f, nodes[i]) for f in fns))
 
-    # a value read after an overflow on the way (t^2 exp(-t) is nan and
-    # (1+t^2)^-0.5 is 0 past t = 1e154) is no limit: the range ends inside
+    # no limit: a value after an overflow on the way ((1+t^2)^-0.5 is 0 past
+    # 1e154) or over an underflowed denominator (exp(-1/t)/t^2 below 1e-162)
     while live.size > 1 and not clean(live[0]):
         live = live[1:]
     while live.size > 1 and not clean(live[-1]):
         live = live[:-1]
-    if live.size < 2:
+    if live.size < 3:
         raise UnboundedFunctionError("the functions overflow all over the interval")
     us = np.linspace(_DE_GRID[live[0]], _DE_GRID[live[-1]], _SCAN_POINTS)
     ts = phi(us)[0]
-    closed = [end for end, is_open in ((iv.lower, iv.lower_open),
-                                       (iv.upper, iv.upper_open)) if not is_open]
+    closed = [end for end in (iv.lower, iv.upper) if iv.contains(end)]
     # an atom or a closed end takes the u interpolated between scan points
     pts = np.unique(np.concatenate([ts, atoms, closed]))
-    best = _scan_extrema(fns, np.interp(pts, ts, us), pts, lambda us: phi(us)[0])
-    for end, inner, is_open in ((live[0], live[0] + 1, iv.lower_open),
-                                (live[-1], live[-1] - 1, iv.upper_open)):
-        if not is_open:
-            continue
-        v, w = np.repeat(evaluate_columns(fns, nodes[[end, inner]], finite=False),
-                         2, axis=1)
-        tol = _EXTREMA_RTOL * (1.0 + np.abs(v))
-        bad = np.flatnonzero((np.abs(best - v) <= tol) & ~(np.abs(w - v) <= tol))
-        if bad.size:
+    xs = np.interp(pts, ts, us)
+    u_lo = _DE_GRID[live[1]] if iv.lower_open else -np.inf
+    u_hi = _DE_GRID[live[-2]] if iv.upper_open else np.inf
+    inner = (xs >= u_lo) & (xs <= u_hi)
+    c = min(max(0.0, us[0]), us[-1])
+    centre = [(xs >= c + (us[0] - c) / 2**j) & (xs <= c + (us[-1] - c) / 2**j)
+              for j in (1, 2, 3)]
+    ends = [(end, inner | step) for end, step, is_open in (
+        (live[0], xs < u_lo, iv.lower_open), (live[-1], xs > u_hi, iv.upper_open))
+        if is_open]
+    rows = _scan_extrema(fns, xs, pts, lambda us: phi(us)[0],
+                         np.array([inner, *centre] + [scope for _, scope in ends]))
+    sign = np.tile([-1.0, 1.0], len(fns))
+    base = sign * np.max(sign * rows[:4], axis=0)
+    for (end, _), row in zip(ends, rows[4:]):
+        moved = np.flatnonzero(sign * (row - base) > _EXTREMA_RTOL * (1.0 + np.abs(row)))
+        if moved.size:
+            j = moved[0]
             raise UnboundedFunctionError(
-                f"function {bad[0] // 2} is unbounded towards t = {nodes[end]:.6g}, "
-                "or its limit there cannot be resolved in doubles: it reads "
-                f"{v[bad[0]]:.6g} there and {w[bad[0]]:.6g} at t = {nodes[inner]:.6g}")
-    return [float(v) for v in best]
+                f"function {j // 2} is unbounded towards t = {nodes[end]:.6g}, or its "
+                "limit there cannot be resolved in doubles: the last grid step "
+                f"there moves an extremum from {base[j]:.6g} to {row[j]:.6g}")
+    return [float(v) for v in sign * np.max(sign * rows, axis=0)]
 
 
 def _gruss_report(cov, m_f, big_f, m_g, big_g) -> GrussReport:

@@ -10,6 +10,7 @@ from exactquad.expr import (
     Expression,
     _pretty,
     continuity_probe,
+    evaluate_columns,
     overflows,
     parse,
 )
@@ -365,8 +366,16 @@ def test_overflows_sees_an_intermediate_overflow():
     assert e(1e160) == 0.0 and overflows(e, 1e160)
     assert not overflows(e, 1e150)
     assert not overflows(parse("exp(-t)"), 1e6)
-    # 1/t^2 divides by a t^2 that underflowed; 1/(t-1) at 1 by a true zero
-    assert overflows(parse("1/t^2"), 1e-200, under=True)
-    assert not overflows(parse("1/t^2"), 1e-100, under=True)
-    with pytest.raises(EvalDomainError):
-        overflows(parse("1/(t-1)"), 1.0, under=True)
+
+
+def test_division_by_an_underflowed_zero_overflows():
+    # t^2 underflows to 0 below t = 1e-162: 1/t^2 reads inf there, as t^-2
+    # does, and exp(-1/t)/t^2 is 0/0, nan; a plain call refuses both
+    cols = evaluate_columns((parse("1/t^2"), parse("-1/t^2"), parse("exp(-1/t)/t^2")),
+                            1e-200, finite=False)[0]
+    assert cols[0] == math.inf and cols[1] == -math.inf and math.isnan(cols[2])
+    with pytest.raises(EvalDomainError, match="non-finite value"):
+        parse("1/t^2")(1e-200)
+    # a true zero stays a division by zero
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        evaluate_columns((parse("1/(t-1)"),), 1.0, finite=False)

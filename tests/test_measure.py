@@ -406,6 +406,23 @@ class TestDoubleExponential:
                         density=parse("max(0, 1-t^2)"))
         assert total_mass(m) == pytest.approx(4.0 / 3.0, rel=0, abs=1e-10)
 
+    @pytest.mark.parametrize("interval, mass", [
+        (IntervalSpec(0, 1, lower_open=True), math.exp(-1.0)),
+        (IntervalSpec(0, math.inf, lower_open=True), 1.0),
+    ], ids=["unit", "half-line"])
+    def test_zero_over_an_underflowed_zero_is_no_divergence(self, interval, mass):
+        # exp(-1/t)/t^2 is 0/0, nan, once exp(-1/t) and t^2 both underflow,
+        # below t = 1e-162: the range ends inside, where the mass is none
+        m = MeasureSpec(interval, density=parse("exp(-1/t)/t^2"))
+        assert total_mass(m) == pytest.approx(mass, rel=0, abs=1e-12)
+
+    def test_domain_error_after_an_underflow_stays_a_domain_error(self):
+        # exp(-1000) underflows before the closed end's real domain error
+        m = MeasureSpec(IntervalSpec(1000, math.inf),
+                        density=parse("exp(-t)*(t-1000)^-0.5"))
+        with pytest.raises(EvalDomainError, match="zero raised to a negative power"):
+            total_mass(m)
+
     def test_narrow_density_far_out_is_refused(self):
         # the sinh-sinh grid steps by several units near t = 30, so a bump
         # 0.05 wide there falls between its nodes; the refusal says so

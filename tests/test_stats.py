@@ -274,9 +274,15 @@ class TestGrussContinuous:
         # inf * 0 far out is no value: the maximum 4/e^2 sits at t = 2
         ("t^2*exp(-t)", IntervalSpec(0, math.inf), "exp(-t)",
          0.0, 4.0 * math.exp(-2.0), 1e-10),
+        # far out the scan meets sin at random phases that can beat the
+        # scan near the centre but cannot be refined: the centre's own
+        # cells reach +-1
+        ("sin(t)", IntervalSpec(-math.inf, math.inf), "exp(-t^2/2)",
+         -1.0, 1.0, 1e-12),
+        ("cos(3*t)", IntervalSpec(0, math.inf), "exp(-t)", -1.0, 1.0, 1e-12),
     ], ids=["sqrt-open-0", "quarter-power-open", "half-line-decay",
             "line-decay", "reciprocal-half-line", "overflow-on-the-way",
-            "inf-times-zero"])
+            "inf-times-zero", "sine-line", "cosine-half-line"])
     def test_limits_at_open_ends(self, f, interval, density, low, high, tol):
         # a bounded function's extremum at an open end is its limit there
         m = MeasureSpec(interval, density=parse(density))
@@ -287,12 +293,26 @@ class TestGrussContinuous:
         ("log(1+t)", IntervalSpec(0, math.inf), "exp(-t)"),
         # bounded, but at t = 6e-276 t^0.01 is still 1.8e-3 and not settled
         ("t^0.01", IntervalSpec(0, 1, lower_open=True), "1"),
-    ], ids=["log-half-line", "hundredth-power-open-0"])
+        # far out the scan meets sin at random phases, so the extrema lie
+        # inside the scan, but the last grid step still raises them
+        ("sin(t)*log(1+t)", IntervalSpec(0, math.inf), "exp(-t)"),
+        # grows at both ends: each end's last step is measured against the
+        # scan without the last step at either end
+        ("sin(t)*t", IntervalSpec(-math.inf, math.inf), "exp(-t^2/2)"),
+    ], ids=["log-half-line", "hundredth-power-open-0", "oscillating-log-growth",
+            "oscillating-growth-at-both-ends"])
     def test_unsettled_limits_are_refused(self, f, interval, density):
         m = MeasureSpec(interval, density=parse(density))
         with pytest.raises(UnboundedFunctionError,
                            match="unbounded towards t = .* cannot be resolved"):
             gruss_check(parse(f), parse(f), m)
+
+    def test_underflowed_denominator_is_no_limit(self):
+        # exp(-1/t)/t^2 is 0/0, nan, below t = 1e-162, where both parts
+        # underflow: the scan ends inside, and the maximum 4/e^2 sits at 1/2
+        m = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1"))
+        low, high = stats._extrema((parse("exp(-1/t)/t^2"),), m)
+        assert 0.0 <= low <= 1e-12 and abs(high - 4.0 * math.exp(-2.0)) <= 1e-12
 
 
 class TestGrussDiscrete:
