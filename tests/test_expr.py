@@ -343,6 +343,41 @@ def test_depth_limit(shape):
     assert composite(1.0) == (e(1.0) - 0.5) * (e(1.0) - 0.25)
 
 
+_TREE_TOO_DEEP = f"expression tree is deeper than {MAX_DEPTH} levels"
+
+
+@pytest.mark.parametrize("text,error,message,offset", [
+    ("", SyntaxParseError, "empty expression", 0),
+    ("   ", SyntaxParseError, "empty expression", 0),
+    ("2t", SyntaxParseError, "unexpected token 't'", 1),
+    ("t+", SyntaxParseError, "expected a value", 2),
+    ("(t", SyntaxParseError, "expected ')'", 2),
+    ("t)", SyntaxParseError, "unexpected token ')'", 1),
+    ("sin t", SyntaxParseError, "expected '('", 4),
+    ("t,t", SyntaxParseError, "unexpected token ','", 1),
+    ("sin(t,t)", SyntaxParseError, "'sin' takes exactly one argument", 0),
+    ("min(t)", SyntaxParseError, "'min' needs at least two arguments", 0),
+    ("foo(t)", UnknownIdentifierError, "unknown identifier 'foo'", 0),
+    ("1e999", SyntaxParseError, "number literal overflows a double", 0),
+    ("t $ 2", SyntaxParseError, "unexpected character '$'", 2),
+    # an unexpected character is reported before an earlier syntax error
+    ("2t $", SyntaxParseError, "unexpected character '$'", 3),
+    ("t+.", SyntaxParseError, "unexpected character '.'", 2),
+    (_DEEP_SHAPES["parentheses"](MAX_DEPTH + 1), SyntaxParseError,
+     f"expression is nested deeper than {MAX_DEPTH} levels", MAX_DEPTH),
+    (_DEEP_SHAPES["unary-minus"](MAX_DEPTH + 1), SyntaxParseError, _TREE_TOO_DEEP, 0),
+    (_DEEP_SHAPES["power-chain"](MAX_DEPTH + 1), SyntaxParseError, _TREE_TOO_DEEP, 0),
+    (_DEEP_SHAPES["flat-sum"](MAX_DEPTH + 1), SyntaxParseError, _TREE_TOO_DEEP, 0),
+    (_DEEP_SHAPES["calls"](MAX_DEPTH + 1), SyntaxParseError, _TREE_TOO_DEEP, 0),
+], ids=lambda v: v[:12] if isinstance(v, str) else None)
+def test_malformed_input_table(text, error, message, offset):
+    with pytest.raises(SyntaxParseError) as exc:
+        parse(text)
+    assert type(exc.value) is error
+    assert str(exc.value) == f"{message} (offset {offset})"
+    assert exc.value.offset == offset
+
+
 def test_continuity_probe_accepts_and_rejects():
     vals = continuity_probe(parse("1/(1+t)"), 0.0, 1.0)
     assert len(vals) == 1024 and np.all(np.isfinite(vals))
