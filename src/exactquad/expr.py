@@ -13,9 +13,15 @@ Grammar (closed, no user-defined functions)::
 ``^`` binds tightest, then unary minus, then ``* /``, then ``+ -``.
 Functions: sin cos tan exp log sqrt abs (one argument), min max (two or
 more).  There is no implicit multiplication: ``2t`` is a syntax error.
-Number literals must be finite doubles.  Trees may be ``MAX_DEPTH`` levels
-deep (``t+t+t`` and ``-(-t)`` have three), and parentheses, calls and
-exponents may nest ``MAX_DEPTH`` deep.
+The text is ASCII: number literals are written in the digits 0-9 and must
+be finite doubles, and only ASCII whitespace separates tokens.  Trees may
+be ``MAX_DEPTH`` levels deep (``t+t+t`` and ``-(-t)`` have three), and
+parentheses, calls and exponents may nest ``MAX_DEPTH`` deep.
+
+A text is parsed in one pass: one regex scan, then precedence climbing
+that builds each node's tree, closure and text from its operands' as it
+recognises the node, exactly as arithmetic on expressions builds a
+composite; ``Expression(ast)`` builds a tree with the same helpers.
 
 Expressions are immutable after parsing; evaluation is side-effect free and
 follows IEEE-754 double semantics.  Evaluating outside the real domain
@@ -39,6 +45,7 @@ from __future__ import annotations
 
 import math
 import re
+import string
 
 import numpy as np
 
@@ -46,8 +53,8 @@ from .errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 
 __all__ = ["Expression", "parse", "continuity_probe"]
 
-# evaluation and printing recurse once per level, and composing parsed
-# expressions (as stats does) adds a few levels
+# evaluation and Expression(ast) recurse once per level, and composing
+# parsed expressions (as stats does) adds a few levels
 MAX_DEPTH = 100
 CONTINUITY_POINTS = 1024
 
@@ -72,174 +79,33 @@ _VARIADIC_FUNCS = {"min", "max"}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?)"
-    r"|(?P<ident>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^(),]))"
+    r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?"  # number
+    r"|[A-Za-z_]\w*|[-+*/^(),]"                  # name, operator
+    r"|\S",                                      # any other character
+    re.ASCII,
 )
+# a one-character token that is none of these is an unexpected character
+_TOKEN_CHARS = frozenset(string.ascii_letters + string.digits + "_-+*/^(),")
+_FUNCS = {*_UNARY_FUNCS, *_DOMAIN_FUNCS, *_VARIADIC_FUNCS}
 
 
 def _byte_offset(text: str, pos: int) -> int:
     return len(text[:pos].encode("utf-8"))
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            bad = pos + (len(text[pos:]) - len(stripped))
-            raise SyntaxParseError(
-                f"unexpected character {stripped[0]!r}", _byte_offset(text, bad)
-            )
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group("num"), m.start("num")))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group("ident"), m.start("ident")))
-        else:
-            tokens.append(("op", m.group("op"), m.start("op")))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-        self.nesting = 0  # open parentheses, calls and exponents
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def advance(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def fail(self, message, tok=None):
-        tok = tok if tok is not None else self.peek()
-        raise SyntaxParseError(message, _byte_offset(self.text, tok[2]))
-
-    def expect_op(self, op):
-        kind, val, _ = self.peek()
-        if kind != "op" or val != op:
-            self.fail(f"expected '{op}'")
-        return self.advance()
-
-    def descend(self, tok):
-        """Open a parenthesis, call or exponent; bounds the parser's recursion."""
-        self.nesting += 1
-        if self.nesting > MAX_DEPTH:
-            self.fail(f"expression is nested deeper than {MAX_DEPTH} levels", tok)
-
-    def parse(self):
-        node = self.sum()
-        kind, val, _ = self.peek()
-        if kind != "end":
-            self.fail(f"unexpected token {val!r}")
-        # each tree level holds at least one token
-        if len(self.tokens) > MAX_DEPTH + 1 and _depth(node) > MAX_DEPTH:
-            self.fail(f"expression tree is deeper than {MAX_DEPTH} levels",
-                      self.tokens[0])
-        return node
-
-    def sum(self):
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.advance()
-                node = ("bin", val, node, self.term())
-            else:
-                return node
-
-    def term(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.advance()
-                node = ("bin", val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        signs = []  # a loop, not recursion: a run of minus signs can be long
-        while self.peek()[:2] == ("op", "-"):
-            signs.append(self.advance())
-        node = self.power()
-        for _ in signs:
-            node = ("neg", node)
-        return node
-
-    def power(self):
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.descend(self.advance())
-            base = ("bin", "^", base, self.unary())
-            self.nesting -= 1
-        return base
-
-    def atom(self):
-        tok = kind, val, pos = self.peek()
-        if kind == "num":
-            self.advance()
-            value = float(val)
-            if value == math.inf:
-                self.fail("number literal overflows a double", tok)
-            return ("num", value)
-        if kind == "ident":
-            self.advance()
-            if val == "t":
-                return ("t",)
-            if val in _CONSTANTS:
-                return ("const", val)
-            if val in _UNARY_FUNCS or val in _DOMAIN_FUNCS or val in _VARIADIC_FUNCS:
-                self.expect_op("(")
-                self.descend(tok)
-                args = [self.sum()]
-                while True:
-                    k, v, _ = self.peek()
-                    if k == "op" and v == ",":
-                        self.advance()
-                        args.append(self.sum())
-                    else:
-                        break
-                self.expect_op(")")
-                self.nesting -= 1
-                if val in _VARIADIC_FUNCS:
-                    if len(args) < 2:
-                        self.fail(f"'{val}' needs at least two arguments", tok)
-                elif len(args) != 1:
-                    self.fail(f"'{val}' takes exactly one argument", tok)
-                return ("fn", val, tuple(args))
-            raise UnknownIdentifierError(
-                f"unknown identifier {val!r}", _byte_offset(self.text, pos)
-            )
-        if kind == "op" and val == "(":
-            self.descend(self.advance())
-            node = self.sum()
-            self.expect_op(")")
-            self.nesting -= 1
-            return node
-        self.fail("expected a value" if kind == "end" else f"unexpected token {val!r}")
-
-
-def _depth(node) -> int:
-    """Depth of an expression tree, level by level rather than recursively."""
-    depth, level = 0, [node]
-    while level:
-        depth += 1
-        level = [child for n in level for child in (
-            (n[1],) if n[0] == "neg" else n[2:] if n[0] == "bin"
-            else n[2] if n[0] == "fn" else ())]
-    return depth
+def _syntax_error(text, k, message, error=SyntaxParseError):
+    """``error(message)`` at the ``k``-th token of ``text`` (``k`` past the
+    last token is the end), unless ``text`` holds an unexpected character:
+    no such text parses, and its first one is reported instead."""
+    starts = []
+    for m in _TOKEN_RE.finditer(text):
+        tok = m.group()
+        if len(tok) == 1 and tok not in _TOKEN_CHARS:
+            return SyntaxParseError(f"unexpected character {tok!r}",
+                                    _byte_offset(text, m.start()))
+        starts.append(m.start())
+    starts.append(len(text))
+    return error(message, _byte_offset(text, starts[k]))
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}
@@ -254,24 +120,6 @@ def _prec(node) -> int:
     return 5
 
 
-def _pretty(node) -> str:
-    tag = node[0]
-    if tag == "num":
-        return repr(node[1])
-    if tag == "t":
-        return "t"
-    if tag == "const":
-        return node[1]
-    if tag == "neg":
-        return _neg_text(node[1], _pretty(node[1]))
-    if tag == "bin":
-        op, a, b = node[1], node[2], node[3]
-        return _bin_text(op, a, b, _pretty(a), _pretty(b))
-    if tag == "fn":
-        return f"{node[1]}({','.join(_pretty(a) for a in node[2])})"
-    raise AssertionError(f"bad node {node!r}")
-
-
 def _neg_text(a, inner: str) -> str:
     """Text of ``-a`` from the tree ``a`` and its text ``inner``."""
     return f"-({inner})" if _prec(a) < 3 else f"-{inner}"
@@ -279,12 +127,12 @@ def _neg_text(a, inner: str) -> str:
 
 def _bin_text(op, a, b, left: str, right: str) -> str:
     """Text of ``a op b`` from the operand trees and their texts."""
-    p = _PREC[op]
+    p, pa, pb = _PREC[op], _prec(a), _prec(b)
     # parenthesize to reparse into the identical tree, not just an
     # equivalent value
-    if _prec(a) < p or (_prec(a) == p and op == "^"):
+    if pa < p or (pa == p and op == "^"):
         left = f"({left})"
-    if _prec(b) < p or (_prec(b) == p and op != "^"):
+    if pb < p or (pb == p and op != "^"):
         right = f"({right})"
     return f"{left}{op}{right}"
 
@@ -369,52 +217,80 @@ def _bin_closure(op, fa, fb, b, label):
     raise AssertionError(op)
 
 
-def _compile(node):
-    """Build a closure evaluating ``node`` on a float ndarray."""
-    tag = node[0]
-    if tag == "num":
-        v = node[1]
-        return lambda t: v
-    if tag == "t":
-        return lambda t: t
-    if tag == "const":
-        v = _CONSTANTS[node[1]]
-        return lambda t: v
-    if tag == "neg":
-        f = _compile(node[1])
-        return lambda t: -f(t)
-    if tag == "bin":
-        op, b = node[1], node[3]
-        label = _pretty(node) if op in "/^" else None
-        return _bin_closure(op, _compile(node[2]), _compile(b), b, label)
-    if tag == "fn":
-        name, args = node[1], node[2]
-        if name in _UNARY_FUNCS:
-            ufunc, fa = _UNARY_FUNCS[name], _compile(args[0])
-            return lambda t: ufunc(fa(t))
-        if name in _DOMAIN_FUNCS:
-            ufunc, outside, message = _DOMAIN_FUNCS[name]
-            fa, label = _compile(args[0]), _pretty(node)
+# A node is the triple (tree, closure, text).  Each is built from its
+# operands' nodes, so parsing, Expression(ast) and arithmetic on expressions
+# build a node in one step whatever the size of its operands.
 
-            def _checked(t):
-                a = fa(t)
-                if np.any(outside(np.asarray(a))):
-                    raise EvalDomainError(message, label)
-                return ufunc(a)
 
-            return _checked
-        fs = [_compile(a) for a in args]
+def _leaf(tree, v, text):
+    return tree, lambda t: v, text
+
+
+_T_NODE = ("t",), lambda t: t, "t"
+_CONST_NODES = {name: _leaf(("const", name), v, name) for name, v in _CONSTANTS.items()}
+
+
+def _num_node(v):
+    return _leaf(("num", v), v, repr(v))
+
+
+def _neg_node(x):
+    a, fa, inner = x
+    return ("neg", a), lambda t: -fa(t), _neg_text(a, inner)
+
+
+def _bin_node(op, x, y):
+    (a, fa, left), (b, fb, right) = x, y
+    text = _bin_text(op, a, b, left, right)
+    return ("bin", op, a, b), _bin_closure(op, fa, fb, b, text), text
+
+
+def _fn_node(name, args):
+    text = f"{name}({','.join([x[2] for x in args])})"
+    if name in _UNARY_FUNCS:
+        ufunc, fa = _UNARY_FUNCS[name], args[0][1]
+
+        def fn(t):
+            return ufunc(fa(t))
+    elif name in _DOMAIN_FUNCS:
+        ufunc, outside, message = _DOMAIN_FUNCS[name]
+        fa = args[0][1]
+
+        def fn(t):
+            a = fa(t)
+            if np.any(outside(np.asarray(a))):
+                raise EvalDomainError(message, text)
+            return ufunc(a)
+    else:
+        fs = [x[1] for x in args]
         reducer = np.minimum if name == "min" else np.maximum
         sentinel = np.inf if name == "min" else -np.inf
 
-        def _fold(t):
+        def fn(t):
             out = sentinel
             for f in fs:
                 out = reducer(out, f(t))
             return out
 
-        return _fold
-    raise AssertionError(f"bad node {node!r}")
+    return ("fn", name, tuple([x[0] for x in args])), fn, text
+
+
+def _build(tree):
+    """The node of ``tree``, built from its leaves up."""
+    tag = tree[0]
+    if tag == "num":
+        return _num_node(tree[1])
+    if tag == "t":
+        return _T_NODE
+    if tag == "const":
+        return _CONST_NODES[tree[1]]
+    if tag == "neg":
+        return _neg_node(_build(tree[1]))
+    if tag == "bin":
+        return _bin_node(tree[1], _build(tree[2]), _build(tree[3]))
+    if tag == "fn":
+        return _fn_node(tree[1], [_build(a) for a in tree[2]])
+    raise AssertionError(f"bad node {tree!r}")
 
 
 def _as_ast(value):
@@ -441,9 +317,7 @@ class Expression:
     __slots__ = ("_ast", "_fn", "_text")
 
     def __init__(self, ast):
-        self._ast = ast
-        self._fn = _compile(ast)
-        self._text = _pretty(ast)
+        self._ast, self._fn, self._text = _build(ast)
 
     @property
     def ast(self):
@@ -474,15 +348,12 @@ class Expression:
             operand = other._ast, other._fn, other._text
         else:
             try:
-                rhs = _as_ast(other)
+                operand = _build(_as_ast(other))
             except (TypeError, ValueError):
                 return NotImplemented
-            operand = rhs, _compile(rhs), _pretty(rhs)
         mine = self._ast, self._fn, self._text
-        (a, fa, left), (b, fb, right) = (operand, mine) if swap else (mine, operand)
-        text = _bin_text(op, a, b, left, right)
-        return Expression._composed(("bin", op, a, b),
-                                    _bin_closure(op, fa, fb, b, text), text)
+        x, y = (operand, mine) if swap else (mine, operand)
+        return Expression._composed(*_bin_node(op, x, y))
 
     def __add__(self, other):
         return self._bin("+", other)
@@ -510,9 +381,7 @@ class Expression:
         return self._bin("^", other)
 
     def __neg__(self):
-        f = self._fn
-        return Expression._composed(("neg", self._ast), lambda t: -f(t),
-                                    _neg_text(self._ast, self._text))
+        return Expression._composed(*_neg_node((self._ast, self._fn, self._text)))
 
 
 def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
@@ -576,9 +445,124 @@ def parse(text: str) -> Expression:
     malformed input and :class:`UnknownIdentifierError` for names outside
     the grammar.
     """
-    if not text or not text.strip():
+    tokens = _TOKEN_RE.findall(text)
+    if not tokens:
         raise SyntaxParseError("empty expression", 0)
-    return Expression(_Parser(text).parse())
+    tokens.append("")  # the end
+    i = 0  # the next token
+    nesting = 0  # open parentheses, calls and exponents
+    # tree depth of the node last parsed; a node deeper than MAX_DEPTH is
+    # not built, as the parse can only fail
+    depth = 0
+
+    def fail(message, k=None, error=SyntaxParseError):
+        raise _syntax_error(text, i if k is None else k, message, error)
+
+    def expect(op):
+        nonlocal i
+        if tokens[i] != op:
+            fail(f"expected '{op}'")
+        i += 1
+
+    def descend(k):
+        """Open the parenthesis, call or exponent at token ``k``; bounds the
+        parser's recursion."""
+        nonlocal nesting
+        nesting += 1
+        if nesting > MAX_DEPTH:
+            fail(f"expression is nested deeper than {MAX_DEPTH} levels", k)
+
+    def climb(min_prec):
+        """Operands joined by ``+ -`` (precedence 1) and ``* /`` (2) of at
+        least ``min_prec``, left-associative."""
+        nonlocal i, depth
+        node = unary()
+        d = depth
+        while True:
+            op = tokens[i]
+            prec = _PREC.get(op)  # never "^", which unary takes
+            if prec is None or prec < min_prec:
+                depth = d
+                return node
+            i += 1
+            rhs = climb(2) if prec == 1 else unary()
+            d = max(d, depth) + 1
+            if d <= MAX_DEPTH:
+                node = _bin_node(op, node, rhs)
+
+    def unary():
+        """``'-'* atom ('^' unary)?``: a run of minus signs (a loop: a run can
+        be long) over a power, whose unary exponent makes ``^``
+        right-associative."""
+        nonlocal i, nesting, depth
+        k = i
+        while tokens[k] == "-":
+            k += 1
+        signs = k - i
+        tok = tokens[k]
+        i = k + 1
+        depth = 1
+        if tok == "t":
+            node = _T_NODE
+        elif "0" <= tok[:1] <= "9" or tok[:1] == "." and tok != ".":  # a number
+            value = float(tok)
+            if value == math.inf:
+                fail("number literal overflows a double", k)
+            node = _num_node(value)
+        elif tok in _FUNCS:
+            expect("(")
+            descend(k)
+            args = [climb(1)]
+            d = depth
+            while tokens[i] == ",":
+                i += 1
+                args.append(climb(1))
+                d = max(d, depth)
+            expect(")")
+            nesting -= 1
+            if tok in _VARIADIC_FUNCS:
+                if len(args) < 2:
+                    fail(f"'{tok}' needs at least two arguments", k)
+            elif len(args) != 1:
+                fail(f"'{tok}' takes exactly one argument", k)
+            depth = d + 1
+            node = _fn_node(tok, args) if depth <= MAX_DEPTH else args[0]
+        elif tok == "(":
+            descend(k)
+            node = climb(1)
+            expect(")")
+            nesting -= 1
+        elif tok in _CONST_NODES:
+            node = _CONST_NODES[tok]
+        elif not tok:
+            fail("expected a value", k)
+        elif tok in "-+*/^(),":
+            fail(f"unexpected token {tok!r}", k)
+        else:
+            # a name, or an unexpected character, which fail reports first
+            fail(f"unknown identifier {tok!r}", k, UnknownIdentifierError)
+        if tokens[i] == "^":
+            descend(i)
+            i += 1
+            d = depth
+            exponent = unary()
+            nesting -= 1
+            depth = max(d, depth) + 1
+            if depth <= MAX_DEPTH:
+                node = _bin_node("^", node, exponent)
+        if signs:
+            depth += signs
+            if depth <= MAX_DEPTH:
+                for _ in range(signs):
+                    node = _neg_node(node)
+        return node
+
+    node = climb(1)
+    if tokens[i]:
+        fail(f"unexpected token {tokens[i]!r}")
+    if depth > MAX_DEPTH:
+        fail(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
+    return Expression._composed(*node)
 
 
 def continuity_points(lower: float, upper: float) -> np.ndarray:

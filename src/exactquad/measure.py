@@ -347,11 +347,9 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
     ts, dphi, live, cols = columns(_DE_GRID, finite=False)
     carry = np.flatnonzero(cols[:, 0] > 0.0)
     if not carry.size:
-        if not m.atoms:
-            raise SchemaError("the density is zero at every node of the u-grid: "
-                              "a density narrower than the grid's spacing in t "
-                              "near its mass, which grows with |t|, is missed")
-        return np.zeros(1 + k), np.empty(0), np.empty(0)
+        raise SchemaError("the density is zero at every node of the u-grid: "
+                          "a density narrower than the grid's spacing in t "
+                          "near its mass, which grows with |t|, is missed")
     with np.errstate(over="ignore"):
         limit = tol * (1.0 + np.abs(_DE_STEP * cols[carry].sum(axis=0)))
     span = []

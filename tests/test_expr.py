@@ -8,7 +8,6 @@ from exactquad.errors import EvalDomainError, SyntaxParseError, UnknownIdentifie
 from exactquad.expr import (
     MAX_DEPTH,
     Expression,
-    _pretty,
     continuity_probe,
     evaluate_columns,
     overflows,
@@ -56,6 +55,24 @@ class TestParseExamples:
     def test_non_ascii_rejected(self):
         with pytest.raises(SyntaxParseError):
             parse("t+α")
+
+    # the grammar is ASCII: no other digits, letters or spaces
+    @pytest.mark.parametrize("text,offset", [
+        ("\u0663*t", 0),    # ARABIC-INDIC DIGIT THREE
+        ("t+\uff13", 2),    # FULLWIDTH DIGIT THREE
+        ("t\u00a0+1", 1),   # NO-BREAK SPACE
+        ("t\u2003+1", 1),   # EM SPACE
+        ("t\u3000+1", 1),   # IDEOGRAPHIC SPACE
+        (" \u00a0", 1),
+        ("\uff54", 0),      # FULLWIDTH LATIN SMALL LETTER T
+    ])
+    def test_non_ascii_digits_and_spaces_rejected(self, text, offset):
+        with pytest.raises(SyntaxParseError) as exc:
+            parse(text)
+        assert type(exc.value) is SyntaxParseError
+        bad = text.encode("utf-8")[offset:].decode("utf-8")[0]
+        assert str(exc.value) == f"unexpected character {bad!r} (offset {offset})"
+        assert exc.value.offset == offset
 
     def test_min_needs_two_arguments(self):
         with pytest.raises(SyntaxParseError):
@@ -223,40 +240,51 @@ def _tree(draw_depth):
     )
 
     def extend(children):
-        un = st.sampled_from(["sin", "cos", "abs"]).flatmap(
+        un = st.sampled_from(["sin", "cos", "tan", "exp", "abs", "log", "sqrt"]).flatmap(
             lambda name: children.map(lambda a: ("fn", name, (a,)))
         )
         neg = children.map(lambda a: ("neg", a))
         binop = st.tuples(
-            st.sampled_from(["+", "-", "*"]), children, children
+            st.sampled_from(["+", "-", "*", "/", "^"]), children, children
         ).map(lambda t: ("bin", t[0], t[1], t[2]))
+        # a literal exponent, negated or not, decides its domain checks
+        literal_pow = st.tuples(
+            children, st.sampled_from([0.0, 0.5, 1.5, 2.0, 3.0]), st.booleans()
+        ).map(lambda t: ("bin", "^", t[0], ("neg", ("num", t[1])) if t[2] else ("num", t[1])))
         mm = st.tuples(
             st.sampled_from(["min", "max"]), children, children
         ).map(lambda t: ("fn", t[0], (t[1], t[2])))
-        return st.one_of(un, neg, binop, mm)
+        return st.one_of(un, neg, binop, literal_pow, mm)
 
     return st.recursive(leaf, extend, max_leaves=draw_depth)
 
 
 _T_GRID = np.linspace(-2.0, 2.0, 1000)
+# the domain edges of log, sqrt, division and powers, and points off them
+_EDGE_POINTS = (-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0)
+
+
+def _outcome(e, ts):
+    """The bytes of ``e``'s values at ``ts``, or the text of the domain
+    error it raises."""
+    try:
+        return np.asarray(e(ts)).tobytes()
+    except EvalDomainError as exc:
+        return str(exc)
 
 
 @given(_tree(12))
 @settings(max_examples=200, deadline=None)
 def test_pretty_parse_roundtrip_zero_ulp(ast):
+    # a tree's text reparses to the same tree and text, and the parsed
+    # expression evaluates as the one built from the tree, to the bit, or
+    # raises the same domain error naming the same subexpression
     e = Expression(ast)
     reparsed = parse(e.text)
-    direct = e(_T_GRID)
-    again = reparsed(_T_GRID)
-    assert np.array_equal(direct, again)
-
-
-def _outcome(e, ts):
-    """Values of ``e`` at ``ts``, or the text of the domain error it raises."""
-    try:
-        return e(ts)
-    except EvalDomainError as exc:
-        return str(exc)
+    assert e.ast == ast and reparsed.ast == ast
+    assert reparsed.text == e.text
+    for ts in (_T_GRID, *_EDGE_POINTS):
+        assert _outcome(reparsed, ts) == _outcome(e, ts)
 
 
 # a composite's operands: parsed trees or plain numbers (negative ones
@@ -281,15 +309,11 @@ def test_composites_print_and_evaluate_as_their_tree(ast, steps):
     e = Expression(ast)
     for op, operand in steps:
         e = _COMPOSE_OPS[op](e, operand)
-    assert e.text == _pretty(e.ast)
-    assert parse(e.text).ast == e.ast
     fresh = Expression(e.ast)
+    assert e.text == fresh.text
+    assert parse(e.text).ast == e.ast
     ts = np.linspace(-2.0, 2.0, 101)
-    got, want = _outcome(e, ts), _outcome(fresh, ts)
-    if isinstance(want, str):
-        assert got == want
-    else:
-        assert np.array_equal(got, want)
+    assert _outcome(e, ts) == _outcome(fresh, ts)
 
 
 @pytest.mark.parametrize("text", [

@@ -431,6 +431,14 @@ class TestDoubleExponential:
         with pytest.raises(SchemaError, match="narrower than the grid's spacing"):
             total_mass(m)
 
+    def test_narrow_density_far_out_next_to_an_atom_is_refused(self):
+        # an atom does not make the missed density's mass zero: the mass is
+        # 1 + 0.05*sqrt(pi), not the atom's 1
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf),
+                        density=parse("exp(-((t-30)/0.05)^2)"), atoms=((0.0, 1.0),))
+        with pytest.raises(SchemaError, match="narrower than the grid's spacing"):
+            total_mass(m)
+
     @pytest.mark.parametrize("shift", [1e4, 1e5])
     def test_open_end_far_from_zero(self, shift):
         # nodes within half an ulp of an open end round onto it and are
