@@ -557,7 +557,12 @@ def parse(text: str) -> Expression:
                     node = _neg_node(node)
         return node
 
-    node = climb(1)
+    try:
+        node = climb(1)
+    finally:
+        # climb and unary call each other through their closures' cells;
+        # emptying the cells frees them without the cycle collector
+        climb = unary = None
     if tokens[i]:
         fail(f"unexpected token {tokens[i]!r}")
     if depth > MAX_DEPTH:
