@@ -200,6 +200,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         _emit_error("schema", f"malformed JSON at offset {exc.pos}: {exc.msg}",
                     stderr)
         return 2
+    except RecursionError:
+        _emit_error("schema", "malformed JSON: arrays or objects nest too deeply",
+                    stderr)
+        return 2
     try:
         result, note = _COMMANDS[args.command](obj, args)
     except SchemaError as exc:

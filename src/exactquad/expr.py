@@ -19,9 +19,14 @@ be ``MAX_DEPTH`` levels deep (``t+t+t`` and ``-(-t)`` have three), and
 parentheses, calls and exponents may nest ``MAX_DEPTH`` deep.
 
 A text is parsed in one pass: one regex scan, then precedence climbing
-that builds each node's tree, closure and text from its operands' as it
+that builds each node's tree, evaluator and text from its operands' as it
 recognises the node, exactly as arithmetic on expressions builds a
-composite; ``Expression(ast)`` builds a tree with the same helpers.
+composite; ``Expression(ast)`` builds a tree with the same helpers.  A
+node's evaluator is a ``functools.partial`` of one module-level function
+per operation over its operands' evaluators, not a closure of its own, so
+a parsed expression keeps about three collector-tracked objects per inner
+node (tree, partial, argument tuple) and none per number literal that is a
+left operand of ``+ - *``; a negated number literal is one constant.
 
 Expressions are immutable after parsing; evaluation is side-effect free and
 follows IEEE-754 double semantics.  Evaluating outside the real domain
@@ -30,9 +35,10 @@ negative base with a non-integer exponent, or any non-finite result) raises
 :class:`~exactquad.errors.EvalDomainError` naming the offending
 subexpression, but a denominator that underflowed to 0 divides as in
 IEEE: ``1/t^2`` is inf below t = 1e-162, as ``t^-2`` is, and
-``exp(-1/t)/t^2`` nan.  A power whose exponent is a number literal (``t^3``,
-``t^-0.5``) decides when it is compiled which of its two domain checks can
-fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based byte offsets.
+``exp(-1/t)/t^2`` nan.  A power whose exponent is a constant (``t^3``,
+``t^-0.5``, ``t^pi``) decides when it is compiled which of its two domain
+checks can fire, so ``t^2`` checks nothing.  Syntax errors carry 0-based
+byte offsets.
 
 A function system is evaluated as one batch by :func:`evaluate_columns`:
 one ``errstate`` and one output array for all components, checked for
@@ -46,6 +52,7 @@ from __future__ import annotations
 import math
 import re
 import string
+from functools import partial
 
 import numpy as np
 
@@ -70,12 +77,20 @@ _DOMAIN_FUNCS = {
     "log": (np.log, lambda a: a <= 0.0, "log of a non-positive value"),
     "sqrt": (np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
 }
-# checks of a power with a literal exponent, in order: base test, message
-_POW_CHECKS = (
-    (lambda b: b < 0, "negative base with non-integer exponent"),
-    (lambda b: b == 0, "zero raised to a negative power"),
-)
-_VARIADIC_FUNCS = {"min", "max"}
+# the checks of a power whose exponent is a constant c, keyed by (c is not
+# an integer, c < 0): a negative base fails only for a non-integer c and a zero
+# base only for a negative c; each is (base test, message), in the general
+# power's order
+_NEGATIVE_BASE = (lambda b: b < 0, "negative base with non-integer exponent")
+_ZERO_BASE = (lambda b: b == 0, "zero raised to a negative power")
+_POW_CHECKS = {
+    (False, False): (),
+    (False, True): (_ZERO_BASE,),
+    (True, False): (_NEGATIVE_BASE,),
+    (True, True): (_NEGATIVE_BASE, _ZERO_BASE),
+}
+# min and max: reducer and start value
+_VARIADIC_FUNCS = {"min": (np.minimum, np.inf), "max": (np.maximum, -np.inf)}
 _CONSTANTS = {"pi": np.pi, "e": np.e}
 
 _TOKEN_RE = re.compile(
@@ -137,93 +152,132 @@ def _bin_text(op, a, b, left: str, right: str) -> str:
     return f"{left}{op}{right}"
 
 
-def _literal(node):
-    """The value of a number literal or a negated one, else None."""
-    if node[0] == "num":
-        return node[1]
-    if node[0] == "neg" and node[1][0] == "num":
-        return -node[1][1]
-    return None
+# Evaluators.  Each node's evaluator is a partial of one of these functions:
+# its operands' evaluators and the node's label first, ``t`` last.  A
+# partial holds its arguments in one tuple, where a closure holds a cell per
+# captured name, a cell tuple and the function object; a constant's partial
+# holds only a float, which the cycle collector does not track.  A partial
+# costs a little more to call than a closure, so a constant left operand
+# (``2*t``, ``1+t``) is passed as its float instead of being called.
 
 
-def _literal_pow(fa, c, label):
-    """``fa ^ c`` for a literal ``c``, with only the domain checks that can fire.
+def _const(v, t):
+    return v
 
-    A negative base fails only for a non-integer ``c`` and a zero base only
-    for a negative ``c``; the checks keep the general power's order.
+
+def _negate(fa, t):
+    return -fa(t)
+
+
+def _add(fa, fb, t):
+    return fa(t) + fb(t)
+
+
+def _sub(fa, fb, t):
+    return fa(t) - fb(t)
+
+
+def _mul(fa, fb, t):
+    return fa(t) * fb(t)
+
+
+def _cadd(v, fb, t):
+    return v + fb(t)
+
+
+def _csub(v, fb, t):
+    return v - fb(t)
+
+
+def _cmul(v, fb, t):
+    return v * fb(t)
+
+
+def _div(fa, fb, label, t):
+    den = fb(t)
+    zero = np.asarray(den) == 0.0
+    if np.any(zero):
+        # a denominator that underflowed to 0 divides as in IEEE
+        at, zero = np.broadcast_arrays(t, zero)
+        if not all(_raises(fb, x, "under") for x in at[zero]):
+            raise EvalDomainError("division by zero", label)
+    return fa(t) / den
+
+
+def _pow(fa, fb, label, t):
+    base = np.asarray(fa(t), dtype=float)
+    expo = np.asarray(fb(t), dtype=float)
+    neg = base < 0
+    if np.any(neg):
+        e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
+        b_neg = np.broadcast_to(neg, e_at.shape)
+        if np.any(e_at[b_neg] != np.floor(e_at[b_neg])):
+            raise EvalDomainError("negative base with non-integer exponent", label)
+    if np.any((base == 0) & (expo < 0)):
+        raise EvalDomainError("zero raised to a negative power", label)
+    return np.power(base, expo)
+
+
+def _powc(fa, c, checks, label, t):
+    """``fa ^ c`` for a constant ``c``, with the domain ``checks`` that can fire."""
+    base = fa(t)
+    for outside, message in checks:
+        if np.any(outside(base)):
+            raise EvalDomainError(message, label)
+    return np.power(base, c)
+
+
+def _unary(fa, ufunc, t):
+    return ufunc(fa(t))
+
+
+def _domain(fa, label, ufunc, outside, message, t):
+    a = fa(t)
+    if np.any(outside(np.asarray(a))):
+        raise EvalDomainError(message, label)
+    return ufunc(a)
+
+
+def _minmax(fs, reducer, sentinel, t):
+    out = sentinel
+    for f in fs:
+        out = reducer(out, f(t))
+    return out
+
+
+_ARITH = {"+": (_add, _cadd), "-": (_sub, _csub), "*": (_mul, _cmul)}
+
+
+def _constant(f):
+    """The value of a constant's evaluator ``f``, else None."""
+    return f.args[0] if isinstance(f, partial) and f.func is _const else None
+
+
+def _bin_evaluator(op, fa, fb, label):
+    """Evaluator of ``a op b`` from the operands' evaluators ``fa`` and ``fb``.
+
+    ``label`` is the text of the whole node, which division and power
+    errors name; a constant exponent decides a power's domain checks.
     """
-    checks = [check for check, fires in zip(_POW_CHECKS, (not c.is_integer(), c < 0))
-              if fires]
-    if not checks:
-        return lambda t: np.power(fa(t), c)
-
-    def _pow(t):
-        base = fa(t)
-        for outside, message in checks:
-            if np.any(outside(base)):
-                raise EvalDomainError(message, label)
-        return np.power(base, c)
-
-    return _pow
-
-
-def _bin_closure(op, fa, fb, b, label):
-    """Closure of ``a op b`` from the operands' closures ``fa`` and ``fb``.
-
-    ``b`` is the right operand's tree, whose literal value decides a
-    power's domain checks, and ``label`` the text of the whole node, which
-    division and power errors name.
-    """
-    if op == "+":
-        return lambda t: fa(t) + fb(t)
-    if op == "-":
-        return lambda t: fa(t) - fb(t)
-    if op == "*":
-        return lambda t: fa(t) * fb(t)
+    if op in _ARITH:
+        general, constant_left = _ARITH[op]
+        v = _constant(fa)
+        return partial(general, fa, fb) if v is None else partial(constant_left, v, fb)
     if op == "/":
-
-        def _div(t):
-            den = fb(t)
-            zero = np.asarray(den) == 0.0
-            if np.any(zero):
-                # a denominator that underflowed to 0 divides as in IEEE
-                at, zero = np.broadcast_arrays(t, zero)
-                if not all(_raises(fb, x, "under") for x in at[zero]):
-                    raise EvalDomainError("division by zero", label)
-            return fa(t) / den
-
-        return _div
-    if op == "^":
-        c = _literal(b)
-        if c is not None:
-            return _literal_pow(fa, c, label)
-
-        def _pow(t):
-            base = np.asarray(fa(t), dtype=float)
-            expo = np.asarray(fb(t), dtype=float)
-            neg = base < 0
-            if np.any(neg):
-                e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
-                b_neg = np.broadcast_to(neg, e_at.shape)
-                if np.any(e_at[b_neg] != np.floor(e_at[b_neg])):
-                    raise EvalDomainError(
-                        "negative base with non-integer exponent", label
-                    )
-            if np.any((base == 0) & (expo < 0)):
-                raise EvalDomainError("zero raised to a negative power", label)
-            return np.power(base, expo)
-
-        return _pow
-    raise AssertionError(op)
+        return partial(_div, fa, fb, label)
+    c = _constant(fb)
+    if c is None:
+        return partial(_pow, fa, fb, label)
+    return partial(_powc, fa, c, _POW_CHECKS[not c.is_integer(), c < 0], label)
 
 
-# A node is the triple (tree, closure, text).  Each is built from its
+# A node is the triple (tree, evaluator, text).  Each is built from its
 # operands' nodes, so parsing, Expression(ast) and arithmetic on expressions
 # build a node in one step whatever the size of its operands.
 
 
 def _leaf(tree, v, text):
-    return tree, lambda t: v, text
+    return tree, partial(_const, v), text
 
 
 _T_NODE = ("t",), lambda t: t, "t"
@@ -236,42 +290,27 @@ def _num_node(v):
 
 def _neg_node(x):
     a, fa, inner = x
-    return ("neg", a), lambda t: -fa(t), _neg_text(a, inner)
+    tree, text = ("neg", a), _neg_text(a, inner)
+    if (v := _constant(fa)) is not None:
+        # -v is the float that negating the constant's value gives
+        return _leaf(tree, -v, text)
+    return tree, partial(_negate, fa), text
 
 
 def _bin_node(op, x, y):
     (a, fa, left), (b, fb, right) = x, y
     text = _bin_text(op, a, b, left, right)
-    return ("bin", op, a, b), _bin_closure(op, fa, fb, b, text), text
+    return ("bin", op, a, b), _bin_evaluator(op, fa, fb, text), text
 
 
 def _fn_node(name, args):
     text = f"{name}({','.join([x[2] for x in args])})"
     if name in _UNARY_FUNCS:
-        ufunc, fa = _UNARY_FUNCS[name], args[0][1]
-
-        def fn(t):
-            return ufunc(fa(t))
+        fn = partial(_unary, args[0][1], _UNARY_FUNCS[name])
     elif name in _DOMAIN_FUNCS:
-        ufunc, outside, message = _DOMAIN_FUNCS[name]
-        fa = args[0][1]
-
-        def fn(t):
-            a = fa(t)
-            if np.any(outside(np.asarray(a))):
-                raise EvalDomainError(message, text)
-            return ufunc(a)
+        fn = partial(_domain, args[0][1], text, *_DOMAIN_FUNCS[name])
     else:
-        fs = [x[1] for x in args]
-        reducer = np.minimum if name == "min" else np.maximum
-        sentinel = np.inf if name == "min" else -np.inf
-
-        def fn(t):
-            out = sentinel
-            for f in fs:
-                out = reducer(out, f(t))
-            return out
-
+        fn = partial(_minmax, tuple([x[1] for x in args]), *_VARIADIC_FUNCS[name])
     return ("fn", name, tuple([x[0] for x in args])), fn, text
 
 
@@ -310,7 +349,7 @@ class Expression:
     a new ndarray out.  Arithmetic between expressions (or with plain
     numbers) builds new expressions, so composites like ``(f - c) * g``
     stay in the same grammar and keep printing/round-tripping.  A
-    composite is built from its operands' closures and texts, so it costs
+    composite is built from its operands' evaluators and texts, so it costs
     the same whatever the size of the operands' trees.
     """
 
@@ -338,7 +377,7 @@ class Expression:
 
     @classmethod
     def _composed(cls, ast, fn, text) -> "Expression":
-        """The expression of ``ast``, whose closure and text are built."""
+        """The expression of ``ast``, whose evaluator and text are built."""
         e = object.__new__(cls)
         e._ast, e._fn, e._text = ast, fn, text
         return e
@@ -389,13 +428,13 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
 
     Returns a new ``ts.shape + (len(exprs),)`` array, a scalar ``ts``
     counting as one point; column k holds exactly the values of
-    ``exprs[k](ts)``.  All closures run under one ``errstate``, and the
+    ``exprs[k](ts)``.  All evaluators run under one ``errstate``, and the
     whole batch is checked for finiteness once.  Only when that check
-    fails, or a closure raises, are the columns before the failure checked
+    fails, or an evaluator raises, are the columns before the failure checked
     one by one, so the first component that fails, in index order, raises
     the same :class:`EvalDomainError` as its own call.  With ``finite``
     false, non-finite values stay in the output (an overflow, or ``inf *
-    0`` far out on an infinite interval); a closure's own domain check
+    0`` far out on an infinite interval); an evaluator's own domain check
     still raises.
     """
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -421,7 +460,7 @@ def overflows(expr: Expression, t: float) -> bool:
 
 
 def _raises(fn, t: float, flag: str) -> bool:
-    """Whether the closure ``fn`` at the point ``t`` raises ``flag``."""
+    """Whether the evaluator ``fn`` at the point ``t`` raises ``flag``."""
     with np.errstate(all="ignore", **{flag: "raise"}):
         try:
             fn(np.atleast_1d(float(t)))
@@ -572,10 +611,17 @@ def parse(text: str) -> Expression:
 
 def continuity_points(lower: float, upper: float) -> np.ndarray:
     """``CONTINUITY_POINTS`` Chebyshev-spaced points of ``[lower, upper]``,
-    both ends included."""
+    from ``upper`` down to ``lower``, both exactly.
+
+    The points are clipped to the interval: next to a tiny ``lower`` the
+    formula rounds onto 0 (``lower = 1.8e-273``, ``upper = 1``), which an
+    open end must not reach.
+    """
     j = np.arange(CONTINUITY_POINTS, dtype=float)
-    return 0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
-        np.pi * j / (CONTINUITY_POINTS - 1))
+    pts = np.clip(0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
+        np.pi * j / (CONTINUITY_POINTS - 1)), lower, upper)
+    pts[0], pts[-1] = upper, lower
+    return pts
 
 
 def continuity_probe(e: Expression, lower: float, upper: float):

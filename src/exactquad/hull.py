@@ -436,18 +436,20 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
 
     # keep eliminating while the support is still affinely dependent, so a
     # target in a lower-dimensional affine hull gets a matching support size
-    snapshot = weights.copy()
+    snapshot = None  # the weights before the first shift
     while active.size > 1:
         c, smin, smax = _null_direction(points[active], target)
         if smin > RANK_TOL * smax:
             break
+        if snapshot is None:
+            snapshot = weights.copy()
         w_act = weights[active].tolist()
         _shift_to_zero(w_act, c.tolist())
         weights[active] = w_act
         active = np.flatnonzero(weights > floor)
     if active.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
-    if _miss(weights[active], points[active], target) > RECON_TOL:
+    if snapshot is not None and _miss(weights[active], points[active], target) > RECON_TOL:
         # near-null eliminations drifted too far; the <= n+1 support stands
         weights = snapshot
         active = np.flatnonzero(weights > floor)

@@ -517,3 +517,17 @@ def test_deep_expression_is_syntax_error(tmp_path, function):
     assert code == 2 and out == ""
     assert "Traceback" not in err
     assert json.loads(err.splitlines()[0])["kind"] == "syntax"
+
+
+@pytest.mark.parametrize("command", ["synthesize", "reduce", "verify", "covwitness",
+                                     "gruss", "gruss-discrete", "chebyshev-test"])
+@pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                  '{"a":' * 100000 + "1" + "}" * 100000],
+                         ids=["arrays", "objects"])
+def test_deeply_nested_json_is_schema_error(tmp_path, command, text):
+    # json.loads raises RecursionError on such nesting, not JSONDecodeError
+    code, out, err = invoke([command, write(tmp_path, "p.json", text)])
+    assert code == 2 and out == ""
+    assert "Traceback" not in err
+    msg = json.loads(err.splitlines()[0])
+    assert msg["kind"] == "schema" and "nest too deeply" in msg["message"]

@@ -1,13 +1,17 @@
+import gc
 import math
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactquad import expr
 from exactquad.errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 from exactquad.expr import (
     MAX_DEPTH,
     Expression,
+    continuity_points,
     continuity_probe,
     evaluate_columns,
     overflows,
@@ -287,6 +291,111 @@ def test_pretty_parse_roundtrip_zero_ulp(ast):
         assert _outcome(reparsed, ts) == _outcome(e, ts)
 
 
+_REFERENCE_FUNCS = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+                    "abs": np.abs, "log": np.log, "sqrt": np.sqrt}
+_REFERENCE_OPS = {"+": lambda a, b: a + b, "-": lambda a, b: a - b,
+                  "*": lambda a, b: a * b, "/": lambda a, b: a / b}
+
+
+def _is_constant(tree):
+    """Whether ``tree`` is a number, ``pi`` or ``e``, negated any number of
+    times: such an exponent decides a power's domain checks once."""
+    while tree[0] == "neg":
+        tree = tree[1]
+    return tree[0] in ("num", "const")
+
+
+def _reference(tree, t):
+    """``tree``'s value at ``t`` by recursion over the tree, with the numpy
+    calls that each node's evaluator makes, and no domain checks."""
+    tag = tree[0]
+    if tag == "num":
+        return tree[1]
+    if tag == "t":
+        return t
+    if tag == "const":
+        return {"pi": np.pi, "e": np.e}[tree[1]]
+    if tag == "neg":
+        return -_reference(tree[1], t)
+    if tag == "fn":
+        args = [_reference(a, t) for a in tree[2]]
+        if tree[1] in ("min", "max"):
+            out = np.inf if tree[1] == "min" else -np.inf
+            for a in args:
+                out = (np.minimum if tree[1] == "min" else np.maximum)(out, a)
+            return out
+        return _REFERENCE_FUNCS[tree[1]](args[0])
+    op, a, b = tree[1:]
+    base = _reference(a, t)
+    if op != "^":
+        return _REFERENCE_OPS[op](base, _reference(b, t))
+    if _is_constant(b):
+        return np.power(base, _reference(b, t))
+    return np.power(np.asarray(base, dtype=float),
+                    np.asarray(_reference(b, t), dtype=float))
+
+
+@given(_tree(12))
+@settings(max_examples=200, deadline=None)
+def test_evaluation_matches_a_reference_recursion(ast):
+    # the evaluators built from partials give, to the bit, what the same
+    # numpy calls give applied to the tree, wherever no domain error is raised
+    e = Expression(ast)
+    for ts in (_T_GRID, *_EDGE_POINTS):
+        try:
+            got = e(ts)
+        except EvalDomainError:
+            continue
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(np.asarray(_reference(ast, np.atleast_1d(ts)),
+                                              dtype=float), np.shape(ts) or (1,))
+        assert np.asarray(got, dtype=float).tobytes() == want.tobytes()
+
+
+def _reachable(roots, stop):
+    """Objects reachable from ``roots`` by ``gc.get_referents``, by id,
+    not entering modules or the objects in ``stop``."""
+    seen, todo = {}, list(roots)
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen or id(obj) in stop or isinstance(obj, types.ModuleType):
+            continue
+        seen[id(obj)] = obj
+        todo.extend(gc.get_referents(obj))
+    return seen
+
+
+def _nodes(tree):
+    if tree[0] == "bin":
+        return 1 + _nodes(tree[2]) + _nodes(tree[3])
+    if tree[0] == "neg":
+        return 1 + _nodes(tree[1])
+    if tree[0] == "fn":
+        return 1 + sum(map(_nodes, tree[2]))
+    return 1
+
+
+@pytest.mark.parametrize("text", [
+    "-1.5+-0.25*t+-2.0*t^2+-0.5*t^3+-1.25*t^4",
+    "1.5*sin(2*t)+-0.5*exp(-0.25*t)",
+    "max(t,1-t,0.5)/sqrt(1+t^2)+log(2+t)^t",
+])
+def test_evaluator_keeps_few_tracked_objects(text):
+    # what an evaluator holds beyond the module's own functions and tables:
+    # a partial and its argument tuple per inner node, and at most one
+    # partial per number literal
+    shared = _reachable(vars(expr).values(), {})
+    e = parse(text)
+    gc.collect()
+    own = _reachable([e._fn], shared).values()
+    assert sum(map(gc.is_tracked, own)) <= 2 * _nodes(e.ast)
+    # a constant, negated or not, is one partial over an untracked float
+    for literal in ("2.5", "-2.5"):
+        e = parse(literal)
+        gc.collect()
+        assert sum(map(gc.is_tracked, _reachable([e._fn], shared).values())) == 1
+
+
 # a composite's operands: parsed trees or plain numbers (negative ones
 # too, which compose as negated literals)
 _OPERAND = st.one_of(_tree(6).map(Expression),
@@ -408,6 +517,19 @@ def test_continuity_probe_accepts_and_rejects():
     with pytest.raises(EvalDomainError):
         continuity_probe(parse("log(t)"), 0.0, 1.0)
     continuity_probe(parse("log(t)"), 0.1, 1.0)
+
+
+@pytest.mark.parametrize("lower,upper", [
+    (1.8e-273, 1.0), (0.0, 1.0), (0.1, 0.7), (-3.0, 1e-300), (1e6, 1e6 + 1.0),
+    (-2.5, 2.5), (5e-324, 1e-300),
+])
+def test_continuity_points_span_the_interval_exactly(lower, upper):
+    # next to a tiny lower end the Chebyshev formula rounds onto 0, outside
+    # an open end, and its end points can round inward
+    pts = continuity_points(lower, upper)
+    assert pts[0] == upper and pts[-1] == lower
+    assert np.all(pts >= lower) and np.all(pts <= upper)
+    assert np.all(np.diff(pts) <= 0)
 
 
 def test_array_and_scalar_evaluation_agree():

@@ -98,6 +98,15 @@ class TestCovarianceWitness:
         assert w.covariance == pytest.approx(1.0, abs=1e-8)
         assert w.product_gap == pytest.approx(w.covariance, rel=1e-8)
 
+    def test_open_end_next_to_zero(self):
+        # the continuity probe next to the open end 0 rounded onto t = 0,
+        # where exp(-1/t) divides by zero
+        m = MeasureSpec(IntervalSpec(0, 1, lower_open=True), density=parse("1"))
+        w = covariance_witness(parse("exp(-1/t)"), T, m)
+        assert 0.0 < w.t1 <= 1.0 and 0.0 < w.t2 <= 1.0
+        assert w.product_gap == pytest.approx(w.covariance,
+                                              abs=1e-8 * (1 + abs(w.covariance)))
+
     def test_randomized_witness_identity(self):
         rng = np.random.default_rng(13)
         for _ in range(25):

@@ -475,6 +475,23 @@ def test_continuity_probe_reaches_a_closed_end_of_a_half_line():
     assert exc.value.subexpr == "log(t)"
 
 
+@pytest.mark.parametrize("texts,interval,density", [
+    (("log(t)", "t"), IntervalSpec(0, 1, lower_open=True), "1"),
+    (("exp(-1/t)", "t"), IntervalSpec(0, 1, lower_open=True), "1"),
+    (("log(t)", "t"), IntervalSpec(0, 1, lower_open=True), "t^-0.5"),
+    (("log(t)", "t"), IntervalSpec(0, math.inf, lower_open=True), "exp(-t)"),
+], ids=["log-unit", "exp-inverse-unit", "log-singular-density", "log-half-line"])
+def test_continuity_probe_stays_inside_an_open_end(texts, interval, density):
+    # the window's lower end is a Gauss node within 1e-270 of the open end
+    # 0, where the probe's Chebyshev formula rounded its last point onto 0
+    m = MeasureSpec(interval, density=parse(density))
+    c = curve(*texts, interval=interval)
+    rule = synthesize_rule(c, m)
+    assert len(rule) == 2
+    assert np.all(rule.nodes > 0.0)
+    assert verify_rule(rule, c, m).passed
+
+
 class TestVerify:
     def test_clean_rule_passes(self):
         rule = synthesize_rule(curve("t"), UNIT)
