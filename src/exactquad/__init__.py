@@ -10,7 +10,7 @@ representations and Gruss-type covariance bounds.
 """
 
 from . import cli, errors  # exactquad.cli resolves after "import exactquad"
-from .expr import Expression, continuity_probe, parse
+from .expr import Expression, parse
 from .measure import (
     IntegralVector,
     IntervalSpec,
@@ -19,7 +19,6 @@ from .measure import (
     integrate,
     integrate_system,
     measure_from_json,
-    measure_to_json,
     total_mass,
 )
 from .hull import (
@@ -32,7 +31,6 @@ from .hull import (
 from .synth import (
     AffineRankReport,
     QuadratureRule,
-    SynthesisConfig,
     VerificationReport,
     affine_rank,
     discretize_hull_point,
@@ -56,7 +54,6 @@ __all__ = [
     "errors",
     "Expression",
     "parse",
-    "continuity_probe",
     "IntervalSpec",
     "MeasureSpec",
     "IntegralVector",
@@ -65,13 +62,11 @@ __all__ = [
     "integrate_system",
     "exhaust_interval",
     "measure_from_json",
-    "measure_to_json",
     "ConvexCombination",
     "CurveSystem",
     "caratheodory_finite",
     "reduce_on_curve",
     "chebyshev_sample_test",
-    "SynthesisConfig",
     "AffineRankReport",
     "QuadratureRule",
     "VerificationReport",

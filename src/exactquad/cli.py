@@ -24,6 +24,7 @@ from .errors import (
     SchemaError,
     check_fields,
     numbers,
+    positive,
     string,
     strings,
 )
@@ -35,15 +36,9 @@ from .hull import (
     combination_to_json,
     reduce_on_curve,
 )
-from .measure import interval_from_json, measure_from_json
+from .measure import DEFAULT_TOL, interval_from_json, measure_from_json
 from .stats import covariance_witness, gruss_check, gruss_discrete
-from .synth import (
-    config_from_json,
-    rule_from_json,
-    rule_to_json,
-    synthesize_rule,
-    verify_rule,
-)
+from .synth import rule_from_json, rule_to_json, synthesize_rule, verify_rule
 
 __all__ = ["run", "main"]
 
@@ -58,16 +53,23 @@ def _functions_and_measure(obj, **extra):
     return curve, m
 
 
-def _apply_flags(cfg, args):
+def _tol(obj, args) -> float:
+    """The integration tolerance: ``--tol``, else the ``tol`` of the
+    problem's ``tolerances`` block, else ``DEFAULT_TOL``.  The block is
+    checked even when the flag overrides it; the integrator checks the
+    flag's value."""
+    block = obj.get("tolerances")
+    if block is None:
+        block = {}
+    check_fields(block, "tolerances", {"tol": positive}, optional=("tol",))
     if args.tol is not None:
-        cfg = config_from_json({"tol": args.tol}, cfg)
-    return cfg
+        return args.tol
+    return float(block.get("tol", DEFAULT_TOL))
 
 
 def _cmd_synthesize(obj, args):
     curve, m = _functions_and_measure(obj, tolerances=None)
-    cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
-    rule = synthesize_rule(curve, m, cfg)
+    rule = synthesize_rule(curve, m, _tol(obj, args))
     note = (f"synthesized {len(rule)}-node rule (rank {rule.rank_used}), "
             f"max residual {float(np.max(rule.residuals)):.3e}")
     if not rule.converged:
@@ -103,8 +105,8 @@ def _cmd_covwitness(obj, args):
                  {"f": string, "g": string, "measure": None, "tolerances": None},
                  optional=("tolerances",))
     m = measure_from_json(obj["measure"])
-    cfg = _apply_flags(config_from_json(obj.get("tolerances")), args)
-    w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, cfg)
+    tol = _tol(obj, args)
+    w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, tol)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")
     return asdict(w), note
@@ -149,8 +151,8 @@ _COMMANDS = {
 }
 
 
-# subcommands whose synthesis configuration --tol overrides
-_CONFIG_COMMANDS = ("synthesize", "covwitness")
+# subcommands that take an integration tolerance (see _tol)
+_TOL_COMMANDS = ("synthesize", "covwitness")
 
 
 @functools.lru_cache(maxsize=None)
@@ -164,7 +166,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name in _COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("problem", help="path to a JSON problem file, or - for stdin")
-        if name in _CONFIG_COMMANDS:
+        if name in _TOL_COMMANDS:
             p.add_argument("--tol", type=float, default=None,
                            help="integration tolerance override")
         if name == "chebyshev-test":

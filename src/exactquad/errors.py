@@ -107,6 +107,11 @@ def number(value) -> bool:
     return (isinstance(value, float) and math.isfinite(value)) or integer(value)
 
 
+def positive(value) -> bool:
+    """A number, as :func:`number` takes it, that is > 0."""
+    return number(value) and value > 0
+
+
 def boolean(value) -> bool:
     return isinstance(value, bool)
 

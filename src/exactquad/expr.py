@@ -58,7 +58,7 @@ import numpy as np
 
 from .errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 
-__all__ = ["Expression", "parse", "continuity_probe"]
+__all__ = ["Expression", "parse"]
 
 # evaluation and Expression(ast) recurse once per level, and composing
 # parsed expressions (as stats does) adds a few levels
@@ -622,13 +622,3 @@ def continuity_points(lower: float, upper: float) -> np.ndarray:
         np.pi * j / (CONTINUITY_POINTS - 1)), lower, upper)
     pts[0], pts[-1] = upper, lower
     return pts
-
-
-def continuity_probe(e: Expression, lower: float, upper: float):
-    """Evaluate ``e`` at the :func:`continuity_points` of ``[lower, upper]``.
-
-    Raises :class:`EvalDomainError` if any probe fails; returns the probe
-    values otherwise.  Guards the continuity hypothesis before an
-    expression is used as a quadrature input.
-    """
-    return e(continuity_points(lower, upper))

@@ -385,8 +385,10 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     within ``RECON_TOL`` (relative); otherwise the input is infeasible, and
     the pruned combination must meet the same gate.
     ``params`` optionally maps point indices to curve parameters; when
-    omitted, point indices serve as the output parameters.  The result
-    carries the kept rows of ``points`` as its ``points``.
+    omitted, point indices serve as the output parameters.  The result is
+    built by :func:`_rebuild`: sorted by parameter, coincident parameters
+    merged, rescaled to the input's total, gated, and carrying the kept
+    rows of ``points`` as its ``points``.
 
     Merge-reduce: while more than k = 2(n+1) points carry weight, they are
     split in index order into k contiguous clusters.  The cluster means are
@@ -454,20 +456,9 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         weights = snapshot
         active = np.flatnonzero(weights > floor)
 
-    kept = active
-    w_out = weights[kept]
-    w_out *= total / math.fsum(w_out.tolist())
-    recon = _miss(w_out, points[kept], target)
-    if recon > RECON_TOL:
-        raise ReconstructionError(
-            f"reduced combination misses the target by {recon:.3e} relative"
-        )
-    if params is None:
-        out_params = kept.astype(float)
-    else:
-        out_params = np.asarray(params, dtype=float)[kept]
-    return ConvexCombination(params=out_params, weights=w_out, total=total,
-                             points=points[kept])
+    out_params = (active.astype(float) if params is None
+                  else np.asarray(params, dtype=float)[active])
+    return _rebuild(out_params, weights[active], points[active], target, total)
 
 
 def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
@@ -703,6 +694,10 @@ def merge_coincident(params, weights, points=None):
 
 
 def _rebuild(params, weights, points, target, total):
+    """The combination of the support ``params`` (merged by
+    :func:`merge_coincident`), its weights rescaled to sum to ``total``;
+    a miss of ``target`` above ``RECON_TOL`` is a
+    :class:`ReconstructionError`."""
     params, weights, points = merge_coincident(params, weights, points)
     weights = weights * (total / math.fsum(weights.tolist()))
     recon = _miss(weights, points, target)

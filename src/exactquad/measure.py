@@ -9,10 +9,11 @@ onto a finite u-range by a double-exponential change of variables
 (tanh-sinh, exp-sinh or sinh-sinh: Takahasi and Mori, 1974; Mori and
 Sugihara, 2001), on which the same bisection runs once.  All four public
 integrators run on the one private integrator ``_integrals``, whose column
-0 is the mass: every integration checks that the mass is finite and
-positive.  On an open or infinite interval it also integrates each
-``|f|``, and every integrand must have decayed at the ends of the u-range:
-symmetric nodes let the two tails of a non-integrable ``f`` cancel, so the
+0 is the mass: every integration checks that its tolerance ``tol``
+(relative, default ``DEFAULT_TOL``) and the mass are finite and positive.
+On an open or infinite interval it also integrates each ``|f|``, and
+every integrand must have decayed at the ends of the u-range: symmetric
+nodes let the two tails of a non-integrable ``f`` cancel, so the
 signed integrals alone could settle on a principal value.
 
 The integrator keeps the Gauss 15 nodes of the panels it accepts, weighted
@@ -55,7 +56,6 @@ __all__ = [
     "exhaust_interval",
     "density_cell_masses",
     "measure_from_json",
-    "measure_to_json",
     "interval_from_json",
 ]
 
@@ -387,8 +387,12 @@ def _integrals(m: MeasureSpec, components, tol):
     open or infinite one is integrated in one pass of the
     double-exponential change of variables (:func:`_integrate_mapped`),
     and its window is the hull of the Gauss nodes that carry mass, the
-    atoms and the closed ends.  Atoms are exact sums.
+    atoms and the closed ends.  Atoms are exact sums.  A tolerance that is
+    not finite and > 0 is a :class:`SchemaError`, raised before anything
+    is evaluated.
     """
+    if not 0.0 < tol < math.inf:
+        raise SchemaError(f"tol must be finite and > 0, got {tol}")
     k = len(components)
     iv = m.interval
     totals = np.zeros(1 + k)
@@ -512,17 +516,3 @@ def measure_from_json(obj) -> MeasureSpec:
         density=parse(density) if density is not None else None,
         atoms=tuple(atoms),
     )
-
-
-def measure_to_json(m: MeasureSpec) -> dict:
-    iv = m.interval
-    return {
-        "interval": {
-            "lower": "-inf" if math.isinf(iv.lower) else iv.lower,
-            "upper": "inf" if math.isinf(iv.upper) else iv.upper,
-            "lower_open": iv.lower_open,
-            "upper_open": iv.upper_open,
-        },
-        "density": m.density.text if m.density is not None else None,
-        "atoms": [{"t": loc, "mass": mass} for loc, mass in m.atoms],
-    }

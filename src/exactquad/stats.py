@@ -42,8 +42,8 @@ from .errors import (
 )
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
-from .measure import _DE_GRID, MeasureSpec, _de_map, exhaust_interval
-from .synth import RESIDUAL_GATE, SynthesisConfig, synthesize_on_pass
+from .measure import _DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
+from .synth import RESIDUAL_GATE, synthesize_on_pass
 
 __all__ = [
     "CovarianceWitness",
@@ -133,11 +133,13 @@ def _support_point(m: MeasureSpec) -> float:
 
 
 def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
-                       config: SynthesisConfig | None = None) -> CovarianceWitness:
+                       tol: float = DEFAULT_TOL) -> CovarianceWitness:
     """Points (t1, t2) with Cov(f(X), g(X)) = (1/4)(f(t1)-f(t2))(g(t1)-g(t2)).
 
     One integration pass computes the moments, at ``MOMENT_TOL`` or at
-    ``config.tol`` if that is tighter.  Zero covariance returns t1 = t2.
+    ``tol`` if that is tighter; a ``tol`` that is not finite is passed on
+    unchanged, so the integrator refuses it as it refuses one that is not
+    > 0.  Zero covariance returns t1 = t2.
     Otherwise a two-node exact rule for ((f - Ef)(g - Eg), f) supplies
     nodes satisfying the lambda(1 - lambda) identity; both integrals are
     linear in the moments, so the rule is synthesized on the Gauss rule of
@@ -150,7 +152,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     ends the search.  It returns the first such point the probes see.  A
     failed bracket is reported as an error, never patched.
     """
-    tol = min(MOMENT_TOL, (config or SynthesisConfig()).tol)
+    tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
     (ef, eg, efg), moments, window = _moments(f, g, m, tol)
     cov = efg - ef * eg
     zero_scale = 1e-12 * (1.0 + abs(efg) + abs(ef * eg))

@@ -41,7 +41,7 @@ deterministic, so identical inputs give identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,7 +72,6 @@ from .measure import (
 )
 
 __all__ = [
-    "SynthesisConfig",
     "AffineRankReport",
     "QuadratureRule",
     "VerificationReport",
@@ -82,7 +81,6 @@ __all__ = [
     "verify_rule",
     "rule_from_json",
     "rule_to_json",
-    "config_from_json",
 ]
 
 RESIDUAL_GATE = 1e-8    # final per-function exactness gate, relative
@@ -91,19 +89,6 @@ VERIFY_TOL = 1e-12      # re-integration tolerance of verify_rule
 # a centred column below this, times sqrt(nodes) and the column's largest
 # magnitude, is the rounding of its mean: the function is constant
 ROUNDING_FLOOR = 16 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class SynthesisConfig:
-    """What a caller may set: the integration tolerance, finite and > 0."""
-
-    tol: float = DEFAULT_TOL  # integration tolerance (relative)
-
-    def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (math.isfinite(value) and value > 0):
-                raise SchemaError(f"{f.name} must be finite and > 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -209,7 +194,7 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None, *,
     x = values
     if x is None:
         if params is None:
-            ivec, _ = exhaust_interval(m, curve, SynthesisConfig().tol)
+            ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
             params, _ = discretize_hull_point(curve, m, ivec)
         x = curve.evaluate(params)
     xc = x - x.mean(axis=0)
@@ -324,16 +309,18 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
 
 
 def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
-                    config: SynthesisConfig | None = None) -> QuadratureRule:
+                    tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Build an exact rule with at most n nodes and non-negative weights.
 
     The weights sum to the total mass of the measure, and each function's
     weighted node sum matches its integral within the residual gate.
-    Raises :class:`PolishError` when the final residuals miss the gate,
-    and propagates integration or domain failures from the inputs.
+    ``tol`` is the relative tolerance of the integration pass; the
+    integrator refuses one that is not finite and > 0 with a
+    :class:`SchemaError`.  Raises :class:`PolishError` when the final
+    residuals miss the gate, and propagates integration or domain failures
+    from the inputs.
     """
-    cfg = config or SynthesisConfig()
-    return synthesize_on_pass(curve, m, *exhaust_interval(m, curve, cfg.tol))
+    return synthesize_on_pass(curve, m, *exhaust_interval(m, curve, tol))
 
 
 def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
@@ -428,15 +415,3 @@ def rule_from_json(obj) -> QuadratureRule:
         residuals=np.asarray(obj.get("residuals", []), dtype=float),
         rank_used=obj.get("rank_used", len(obj["nodes"])),
     )
-
-
-_CONFIG_KINDS = {"tol": number}
-
-
-def config_from_json(obj, base: SynthesisConfig | None = None) -> SynthesisConfig:
-    base = base or SynthesisConfig()
-    if obj is None:
-        return base
-    check_fields(obj, "tolerances", _CONFIG_KINDS, optional=_CONFIG_KINDS)
-    return replace(base, **{key: type(getattr(base, key))(value)
-                            for key, value in obj.items()})

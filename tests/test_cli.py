@@ -463,6 +463,12 @@ _INTERVAL = UNIT_MEASURE["interval"]
     ("synthesize", _with(_SYNTH, tolerances={"tol": -1}), []),
     ("synthesize", _with(_SYNTH, tolerances={"probe_points": 0}), []),
     ("synthesize", _with(_SYNTH, tolerances={"grid0": 128}), []),
+    ("synthesize", _with(_SYNTH, tolerances={"tol": 0}), ["--tol", "1e-9"]),
+    ("synthesize", _SYNTH, ["--tol", "-1"]),
+    ("covwitness", {"f": "t", "g": "t", "measure": UNIT_MEASURE},
+     ["--tol", "nan"]),
+    ("covwitness", {"f": "t", "g": "t", "measure": UNIT_MEASURE},
+     ["--tol", "inf"]),
     ("synthesize", _with(_SYNTH, measure=_with(
         UNIT_MEASURE, atoms=[{"t": "x", "mass": 1.0}])), []),
     ("synthesize", _with(_SYNTH, measure=_with(
@@ -493,6 +499,8 @@ _INTERVAL = UNIT_MEASURE["interval"]
                                 "weights": [0.5, 0.5], "total": 1.0}}, []),
     ("gruss-discrete", {"p": [1.0], "u": [math.inf], "v": [0]}, []),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-unknown",
+        "tol-zero-under-flag", "tol-flag-negative", "covwitness-tol-flag-nan",
+        "covwitness-tol-flag-infinity",
         "atom-t-string", "lower-boolean", "upper-overflows-float",
         "reduce-function-number", "reduce-tolerances", "verify-tolerances",
         "covwitness-f-number", "gruss-tolerances", "gruss-discrete-p-string",

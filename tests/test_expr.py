@@ -12,7 +12,6 @@ from exactquad.expr import (
     MAX_DEPTH,
     Expression,
     continuity_points,
-    continuity_probe,
     evaluate_columns,
     overflows,
     parse,
@@ -512,11 +511,11 @@ def test_malformed_input_table(text, error, message, offset):
 
 
 def test_continuity_probe_accepts_and_rejects():
-    vals = continuity_probe(parse("1/(1+t)"), 0.0, 1.0)
+    vals = parse("1/(1+t)")(continuity_points(0.0, 1.0))
     assert len(vals) == 1024 and np.all(np.isfinite(vals))
     with pytest.raises(EvalDomainError):
-        continuity_probe(parse("log(t)"), 0.0, 1.0)
-    continuity_probe(parse("log(t)"), 0.1, 1.0)
+        parse("log(t)")(continuity_points(0.0, 1.0))
+    parse("log(t)")(continuity_points(0.1, 1.0))
 
 
 @pytest.mark.parametrize("lower,upper", [

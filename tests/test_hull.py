@@ -115,6 +115,16 @@ class TestCaratheodoryFinite:
         assert len(comb) <= 4
         assert np.all(np.diff(comb.params) > 0)
 
+    def test_unsorted_params_come_out_sorted(self):
+        rng = np.random.default_rng(4)
+        ts = rng.permutation(np.linspace(0, 1, 50))
+        pts = np.column_stack([ts, ts**2])
+        w = rng.uniform(0.1, 1.0, 50)
+        comb = caratheodory_finite(pts, w, w @ pts / w.sum(), params=ts)
+        assert len(comb) <= 3 and np.all(np.diff(comb.params) > 0)
+        assert np.array_equal(comb.points,
+                              np.column_stack([comb.params, comb.params**2]))
+
     def test_infeasible_input_rejected(self):
         pts = np.array([[0.0], [1.0]])
         with pytest.raises(InfeasibleCombinationError):

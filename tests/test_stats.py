@@ -6,6 +6,7 @@ import pytest
 from exactquad import measure, stats
 from exactquad.errors import (
     MomentDivergenceError,
+    SchemaError,
     UnboundedFunctionError,
     WeightNormalizationError,
 )
@@ -73,6 +74,12 @@ class TestCovarianceWitness:
     def test_witness_points_inside_interval(self):
         w = covariance_witness(T, T2, UNIT)
         assert 0.0 <= w.t1 <= 1.0 and 0.0 <= w.t2 <= 1.0
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tolerance_must_be_finite_and_positive(self, tol):
+        # a finite tol above MOMENT_TOL falls back to it; no malformed one does
+        with pytest.raises(SchemaError, match="tol must be finite and > 0"):
+            covariance_witness(T, T2, UNIT, tol)
 
     def test_two_atom_support(self):
         # the rule degenerates onto the atoms and lambda is already 1/2

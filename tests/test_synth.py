@@ -27,7 +27,6 @@ from exactquad.measure import (
 )
 from exactquad.synth import (
     affine_rank,
-    config_from_json,
     discretize_hull_point,
     rule_from_json,
     rule_to_json,
@@ -529,12 +528,6 @@ class TestRuleJson:
         assert set(obj) == {"nodes", "weights", "total", "residuals", "rank_used"}
         again = rule_from_json(obj)
         assert list(again.nodes) == obj["nodes"]
-
-    def test_config_from_json_rejects_unknown(self):
-        for unknown in ({"nope": 1}, {"grid0": 128}):
-            with pytest.raises(SchemaError):
-                config_from_json(unknown)
-        assert config_from_json({"tol": 1e-9}).tol == 1e-9
 
 
 @pytest.mark.parametrize("texts, atoms", [
