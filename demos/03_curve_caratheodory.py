@@ -30,10 +30,7 @@ pruned = caratheodory_finite(curve.evaluate(params), weights, target,
                              params=params)
 print(f"classical Caratheodory pruning: {params.size} -> {len(pruned)} points")
 
-if len(pruned) == curve.n + 1:
-    reduced = reduce_on_curve(curve, pruned, target)
-else:
-    reduced = pruned
+reduced = reduce_on_curve(curve, pruned, target)
 print(f"curve reduction:                {len(pruned)} -> {len(reduced)} points")
 print("final parameters:", reduced.params)
 print("final weights:   ", reduced.weights)

@@ -69,10 +69,6 @@ class InfeasibleCombinationError(ExactQuadError):
     kind = "infeasible-combination"
 
 
-class RankDeficiencyError(ExactQuadError):
-    kind = "rank-deficient"
-
-
 class ReconstructionError(ExactQuadError):
     kind = "reconstruction-failure"
 

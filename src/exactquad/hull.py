@@ -12,8 +12,8 @@ the updates run on Python floats in numpy's operation order, so they give
 numpy's bits: they touch at most 2(n+1) numbers each, where a numpy call
 costs more than its arithmetic.
 ``reduce_on_curve`` takes a positive combination of curve points, prunes
-it to n+1 when it holds more, and produces at most n curve points with the
-same total weight and the same weighted sum: it rebuilds coordinates in
+it to at most n+1, and produces at most n curve points with the same total
+weight and the same weighted sum: it rebuilds coordinates in
 the barycentric frame rooted at the target, solved through one SVD of the
 frame's basis, slides the parameter from a support point toward its right
 neighbour until one coordinate first crosses zero, and reweights the
@@ -51,7 +51,6 @@ import numpy as np
 
 from .errors import (
     InfeasibleCombinationError,
-    RankDeficiencyError,
     ReconstructionError,
     SchemaError,
     check_fields,
@@ -271,20 +270,18 @@ class _BarycentricFrame:
     vt: np.ndarray
 
 
-def _build_frame(v, curve_points) -> _BarycentricFrame:
+def _build_frame(v, curve_points) -> _BarycentricFrame | None:
     """Frame with origin ``v`` and basis vectors ``curve_points[j] - v``.
 
-    ``curve_points`` holds n points of R^n as rows.  Raises
-    :class:`RankDeficiencyError` when the basis is numerically singular
-    (smallest singular value <= ``RANK_TOL`` times the largest).
+    ``curve_points`` holds n points of R^n as rows.  Returns ``None`` when
+    the basis is numerically singular (smallest singular value <=
+    ``RANK_TOL`` times the largest).
     """
     v = np.asarray(v, dtype=float)
     basis = (np.asarray(curve_points, dtype=float) - v).T
     u, s, vt = np.linalg.svd(basis)
     if s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficiencyError(
-            f"frame basis is rank deficient (singular values {s[0]:.3e}..{s[-1]:.3e})"
-        )
+        return None
     return _BarycentricFrame(origin=v, basis=basis, u=u, s=s, vt=vt)
 
 
@@ -713,20 +710,22 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
                     v) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
-    ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  Terms with
-    zero weight are dropped first; if more than n+1 positive terms remain
-    they are pruned with :func:`caratheodory_finite`, which also gates
-    them.  The n+1 -> n step walks the curve from support point i toward
-    point i+1, to the first coordinate zero-crossing that
-    :func:`_first_zero_crossing` sees in the frame built from the other n
-    points, and reweights; any crossing it returns leaves every coordinate
-    <= ``ZERO_TOL``, so the n kept points carry non-negative weights
-    (positives left by roundoff are clipped).  It takes the first i, in
-    index order, whose frame :func:`_build_frame` accepts: the walk has a
-    crossing in that gap, because every coordinate of x(t_i) is negative
-    and x(t_(i+1)) is a basis point.  Only when every frame is rank
-    deficient (the support points are affinely dependent) is one point
-    eliminated along a null vector instead.
+    ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  It is
+    pruned to at most n+1 points by :func:`caratheodory_finite`, which
+    gates it, drops its zero weights and eliminates along null vectors
+    while the support is affinely dependent.  A pruned support of at most
+    n points is the result.  Otherwise the n+1 -> n step walks the curve
+    from support point i toward point i+1, to the first coordinate
+    zero-crossing that :func:`_first_zero_crossing` sees in the frame built
+    from the other n points, and reweights; any crossing it returns leaves
+    every coordinate <= ``ZERO_TOL``, so the n kept points carry
+    non-negative weights (positives left by roundoff are clipped).  It
+    takes the first i, in index order, whose frame :func:`_build_frame`
+    builds: the walk has a crossing in that gap, because every coordinate
+    of x(t_i) is negative and x(t_(i+1)) is a basis point.  Only when every
+    frame is singular (a support point of tiny weight leaves ``v`` within
+    roundoff of the others' hull) is one point eliminated along a null
+    vector instead.
 
     The curve at the input parameters is ``comb.points`` when set, and is
     evaluated once otherwise.  The input points strictly inside the walked
@@ -740,27 +739,14 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     if v.size != n:
         raise SchemaError(f"target has dimension {v.size}, curve has {n}")
     total = comb.total
-    params, weights, points = comb.params, comb.weights, comb.points
-    keep = weights > 0.0
-    if not keep.all():
-        params, weights = params[keep], weights[keep]
-        points = None if points is None else points[keep]
-    if points is None:
-        points = curve.evaluate(params)
-    elif points.shape[1] != n:
-        raise SchemaError(f"points must have {n} columns, got {points.shape[1]}")
-    seed_params, seed_points = params, points
-
-    if params.size > n + 1:
-        pruned = caratheodory_finite(points, weights, v, params=params)
-        params, weights, points = pruned.params, pruned.weights, pruned.points
-    else:
-        gap = _miss(weights, points, v)
-        if gap > RECON_TOL:
-            raise InfeasibleCombinationError(
-                f"combination does not reproduce the target (off by {gap:.3e} "
-                "relative)"
-            )
+    seed_params, seed_points = comb.params, comb.points
+    if seed_points is None:
+        seed_points = curve.evaluate(seed_params)
+    elif seed_points.shape[1] != n:
+        raise SchemaError(f"points must have {n} columns, "
+                          f"got {seed_points.shape[1]}")
+    pruned = caratheodory_finite(seed_points, comb.weights, v, params=seed_params)
+    params, weights, points = pruned.params, pruned.weights, pruned.points
     if params.size <= n:
         return _rebuild(params, weights, points, v, total)
 
@@ -785,9 +771,8 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         # point's frame then serves, walking toward its right neighbour
         others = np.arange(n + 1) != i
         basis_params, basis_points = params[others], points[others]
-        try:
-            frame = _build_frame(v, basis_points)
-        except RankDeficiencyError:
+        frame = _build_frame(v, basis_points)
+        if frame is None:
             continue
         # the input points strictly inside the gap seed the walk
         a = int(np.searchsorted(seed_params, params[i], side="right"))
@@ -806,7 +791,8 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         new_points = np.vstack([x_bar, basis_points[rest]])
         return finish(new_params, new_nu * total, new_points)
 
-    # every frame is singular: the support is affinely dependent
+    # every frame is singular: a point of tiny weight leaves v within
+    # roundoff of the affine hull of the others
     c, _, _ = _null_direction(points, v)
     w = weights.tolist()
     _shift_to_zero(w, c.tolist())

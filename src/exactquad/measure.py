@@ -165,8 +165,7 @@ def _density_callable(m: MeasureSpec):
     dens = m.density
 
     def w(ts, finite=True):
-        vals = (np.asarray(dens(ts), dtype=float) if finite else
-                evaluate_columns((dens,), ts, finite=False)[:, 0])
+        vals = evaluate_columns((dens,), ts, finite=finite)[:, 0]
         if np.any(vals < -1e-12):
             worst = float(np.min(vals))
             raise NegativeDensityError(

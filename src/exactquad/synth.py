@@ -93,16 +93,10 @@ ROUNDING_FLOOR = 16 * np.finfo(float).eps
 
 @dataclass(frozen=True)
 class AffineRankReport:
-    """Affine rank of the sampled curve over the measure's support.
-
-    ``dependency_coefficients`` maps each dependent function index to
-    ``(coefficients over the independent functions, intercept)``.
-    """
+    """Affine rank of the sampled curve over the measure's support."""
 
     rank: int
     independent_indices: tuple[int, ...]
-    dependency_coefficients: dict[int, tuple[np.ndarray, float]]
-    residual_of_fit: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,26 +171,24 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
     return params[keep], weights[keep]
 
 
-def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None, *,
+def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
                 values=None) -> AffineRankReport:
     """Affine rank of the function system over the measure's support.
 
-    The support is probed at ``params``, by default the nodes of
-    :func:`discretize_hull_point`.  Rank is read off the singular values of
-    the centered samples with relative threshold ``RANK_TOL``, and a
-    column must also stand above the rounding of its own mean
-    (``ROUNDING_FLOOR``), so a constant function is dependent.  The
-    independent subset is chosen greedily in index order, so earlier
+    The support is probed at the nodes of :func:`discretize_hull_point`;
+    ``values``, the curve at those nodes when the caller holds it, spares
+    the integration pass and the evaluation.  Rank is read off the
+    singular values of the centered samples with relative threshold
+    ``RANK_TOL``, and a column must also stand above the rounding of its
+    own mean (``ROUNDING_FLOOR``), so a constant function is dependent.
+    The independent subset is chosen greedily in index order, so earlier
     functions win.  Rank 0 means every function is constant wherever the
-    measure has mass.  ``values``, the curve at ``params`` when the caller
-    holds it, spares that evaluation.
+    measure has mass.
     """
     x = values
     if x is None:
-        if params is None:
-            ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
-            params, _ = discretize_hull_point(curve, m, ivec)
-        x = curve.evaluate(params)
+        ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
+        x = curve.evaluate(discretize_hull_point(curve, m, ivec)[0])
     xc = x - x.mean(axis=0)
     thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
     floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.max(np.abs(x), axis=0)
@@ -205,22 +197,7 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, params=None, *,
         s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
         if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
             indep.append(k)
-    deps: dict[int, tuple[np.ndarray, float]] = {}
-    residual_of_fit = 0.0
-    dependent = [k for k in range(curve.n) if k not in indep]
-    if dependent:
-        a = np.column_stack([x[:, indep], np.ones(len(x))])
-        for k in dependent:
-            coef, *_ = np.linalg.lstsq(a, x[:, k], rcond=None)
-            fit = float(np.max(np.abs(a @ coef - x[:, k])))
-            deps[k] = (coef[:-1], float(coef[-1]))
-            residual_of_fit = max(residual_of_fit, fit)
-    return AffineRankReport(
-        rank=len(indep),
-        independent_indices=tuple(indep),
-        dependency_coefficients=deps,
-        residual_of_fit=residual_of_fit,
-    )
+    return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
 
 
 def _constant_rule(curve, m, params, x, j_vals, mu):
@@ -345,7 +322,7 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     # one batch: the discrete measure's nodes, then the continuity probe
     x = curve.evaluate(np.concatenate(
         [params, continuity_points(working.lower, working.upper)]))[:params.size]
-    report = affine_rank(curve, m, params, values=x)
+    report = affine_rank(curve, m, values=x)
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:
         subsets.append(list(range(curve.n)))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from hypothesis import strategies as st
 from exactquad.errors import (
     EvalDomainError,
     InfeasibleCombinationError,
-    RankDeficiencyError,
     SchemaError,
 )
 from exactquad.hull import (
@@ -228,8 +228,7 @@ class TestFrame:
         assert _coords(frame, np.zeros(2)) == pytest.approx([-1.0, -1.0])
 
     def test_rank_deficiency(self):
-        with pytest.raises(RankDeficiencyError):
-            _build_frame(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]]))
+        assert _build_frame(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]])) is None
 
     def test_basis_point_coordinates(self):
         # x(t_j) maps to the j-th unit coordinate, the origin to zero
@@ -435,10 +434,8 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
     ts = np.cumsum(rng.uniform(0.05, 0.6, n + 1)) - 1.0
     nu = rng.uniform(0.05, 1.0, n + 1)
     x = curve.evaluate(ts)
-    try:
-        frame = _build_frame(nu @ x / nu.sum(), x[1:])
-    except RankDeficiencyError:
-        assume(False)
+    frame = _build_frame(nu @ x / nu.sum(), x[1:])
+    assume(frame is not None)
     # on frames with a condition number above about 1e5 the coordinates'
     # roundoff can exceed ZERO_TOL at the crossing (3 of 20000 draws)
     assume(np.linalg.cond(frame.basis) <= 1e4)
@@ -510,8 +507,8 @@ class TestReduceOnCurve:
             reduce_on_curve(curve, comb, np.array([0.9]))
 
     def test_degenerate_support_eliminates(self):
-        # three support points of a line in R^2: frame is rank deficient,
-        # the null-vector elimination must still reach <= 2 points
+        # three support points of a line in R^2: the prune's dependence
+        # loop eliminates one along a null vector, leaving <= 2 points
         curve = CurveSystem.from_texts(["t", "2*t+1"], IntervalSpec(0, 1))
         ts = np.array([0.2, 0.5, 0.8])
         nu = np.array([0.25, 0.5, 0.25])
@@ -521,6 +518,30 @@ class TestReduceOnCurve:
         assert len(out) <= 2
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= 1e-9 * (1 + np.max(np.abs(v)))
+
+    def test_every_frame_singular_eliminates(self, monkeypatch):
+        # nearly all weight on t = 0.9: the support is affinely independent,
+        # so the prune keeps all three points, but v lies within 1e-12 of
+        # x(0.9) and both frames are singular; the walk's fallback
+        # eliminates a point along a null vector instead
+        calls = []
+        null_direction = hull._null_direction
+
+        def counted(points, target):
+            calls.append(len(points))
+            return null_direction(points, target)
+
+        monkeypatch.setattr(hull, "_null_direction", counted)
+        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+        ts = np.array([0.1, 0.5, 0.9])
+        w = np.array([1e-12, 1e-12, 1.0 - 2e-12])
+        v = w @ curve.evaluate(ts)
+        out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
+        assert len(out) <= 2 and np.all(out.weights >= 0.0)
+        recon = out.weights @ curve.evaluate(out.params)
+        assert np.max(np.abs(recon - v)) <= RECON_TOL
+        # once for the prune's dependence check, once for the fallback
+        assert calls == [3, 3]
 
     def test_total_rescaled(self):
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
@@ -546,11 +567,13 @@ class TestReduceOnCurve:
         mean = out.weights @ curve.evaluate(out.params) / total
         assert np.max(np.abs(mean - v)) <= RECON_TOL * (1.0 + np.max(np.abs(v)))
         # the gate reads the weighted mean, so a total below 1 does not
-        # loosen it: three terms (no prune) aimed 3 RECON_TOL off are refused
+        # loosen it: three terms aimed 3 RECON_TOL off are refused by the
+        # prune's gate, the one gate of every input size
         w3 = w[:3] * (total / math.fsum(w[:3]))
         v3 = w3 @ curve.evaluate(ts[:3]) / total
         off = v3 + 3.0 * RECON_TOL * (1.0 + np.max(np.abs(v3)))
-        with pytest.raises(InfeasibleCombinationError):
+        with pytest.raises(InfeasibleCombinationError,
+                           match="input combination misses the target"):
             reduce_on_curve(curve, ConvexCombination(ts[:3], w3, total), off)
 
 
@@ -645,12 +668,44 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
     ts = np.array([0.1, 0.5, 0.9])
     w = np.array([1e-11, 0.5, 0.5 - 1e-11])
     v = w @ curve.evaluate(ts)
-    with pytest.raises(RankDeficiencyError):
-        _build_frame(v, curve.evaluate(ts[1:]))
+    assert _build_frame(v, curve.evaluate(ts[1:])) is None
     out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
     assert len(out) <= 2 and np.all(out.weights >= 0.0)
     recon = out.weights @ curve.evaluate(out.params)
     assert np.max(np.abs(recon - v)) <= RECON_TOL
+
+
+def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
+    # acceptance corpus seed 1301, variant 4, problem #122: after the prune
+    # every frame of the six-function walk is singular, so the fallback
+    # eliminates a point along a null vector; 6 nodes at rank 6
+    callers = []
+    null_direction = hull._null_direction
+
+    def traced(points, target):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return null_direction(points, target)
+
+    monkeypatch.setattr(hull, "_null_direction", traced)
+    interval = IntervalSpec(0.3495655389701642, 0.9974650408091958)
+    curve = CurveSystem.from_texts([
+        "-1.9814032200451814*exp(0.7493025639466802*t)",
+        "0.9371581068053549+-0.5312734213955288*t+-0.8953757367711086*t^2",
+        "0.9980560990102338*exp(-0.262221664245607*t)",
+        "-1.101316361260654+-1.4076781002380678*t+0.7863168756712864*t^2"
+        "+1.2673577722984084*t^3+1.6519462970654968*t^4",
+        "-1.4355196568470672*sin(1*t)+1.6567305210005223*cos(2*t)",
+        "0.5689924552943415+0.4519040605392983*t+1.4150527546153655*t^2",
+    ], interval)
+    m = MeasureSpec(
+        interval,
+        density=parse("(-0.8983758843659542+0.6388370199480857*t"
+                      "+-0.5099952297487931*t^2)^2+0.11769779690438362"),
+    )
+    rule = synthesize_rule(curve, m)
+    assert "reduce_on_curve" in callers
+    assert len(rule) == 6 and rule.rank_used == 6
+    _check_rule(curve, m, rule)
 
 
 def test_merge_coincident_sums_repeated_parameters():

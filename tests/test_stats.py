@@ -232,10 +232,10 @@ class TestGrussContinuous:
             return call(expr, t)
 
         def counted(columns):
-            def wrapper(exprs, ts):
+            def wrapper(exprs, ts, **kwargs):
                 nonlocal arrays
                 arrays += 1
-                return columns(exprs, ts)
+                return columns(exprs, ts, **kwargs)
             return wrapper
 
         monkeypatch.setattr(Expression, "__call__", counted_call)

@@ -140,10 +140,6 @@ class TestAffineRank:
         report = affine_rank(curve("t", "2*t+3"), UNIT)
         assert report.rank == 1
         assert report.independent_indices == (0,)
-        coef, intercept = report.dependency_coefficients[1]
-        assert coef == pytest.approx([2.0], abs=1e-9)
-        assert intercept == pytest.approx(3.0, abs=1e-9)
-        assert report.residual_of_fit <= 1e-8
 
     def test_moment_curve_full_rank(self):
         assert affine_rank(curve("t", "t^2"), UNIT).rank == 2
@@ -168,9 +164,6 @@ def test_random_constant_has_rank_zero(value):
     assert synthesize_rule(curve(text), UNIT).rank_used == 0
     report = affine_rank(curve("t", text), UNIT)
     assert report.independent_indices == (0,)
-    coef, intercept = report.dependency_coefficients[1]
-    assert abs(coef[0]) <= 1e-9 * (1.0 + abs(value))
-    assert intercept == pytest.approx(value, rel=1e-12, abs=1e-12)
 
 
 class TestDiscretize:
