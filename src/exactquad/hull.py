@@ -578,8 +578,33 @@ _LM_LADDER = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
+def _exact_mass_fits(xs, target, total, scale):
+    """For each row block x of ``xs`` (k, m, n), the weights minimizing
+    ||scale * (w @ x - total * target)|| with sum(w) = total: one batched
+    KKT solve, least squares where it is singular.  Returns (k, m), a row
+    of NaN for a fit with a weight below -1e-12 * total."""
+    a = xs * scale
+    m = xs.shape[1]
+    kkt = np.zeros((len(xs), m + 1, m + 1))
+    kkt[:, :m, :m] = 2.0 * a @ a.transpose(0, 2, 1)
+    kkt[:, :m, m] = 1.0
+    kkt[:, m, :m] = 1.0
+    rhs = np.concatenate([2.0 * a @ (total * target * scale),
+                          np.full((len(xs), 1), total)], axis=1)
+    try:
+        sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        sol = np.full(rhs.shape, np.nan)
+    for i in np.flatnonzero(~np.all(np.isfinite(sol), axis=1)):
+        sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
+    fits = sol[:, :m]
+    fits[np.any(fits < -1e-12 * total, axis=1)] = np.nan
+    return np.maximum(fits, 0.0)
+
+
 def polish_combination(curve: CurveSystem, params, weights, target, total,
-                       target_resid: float = POLISH_TARGET, points=None):
+                       target_resid: float = POLISH_TARGET, points=None, *,
+                       exact_mass: bool = False):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
     Drives the residual map (sum(w_i x(t_i)) - total*target, sum(w_i) - total)
@@ -588,9 +613,18 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     ``target_resid`` is a relative stopping measure.  Steps come from an
     SVD factorization of the Jacobian with a ladder of Levenberg damping
     values (near-dependent systems make the plain Gauss-Newton step
-    overshoot along weak singular directions); the best strictly-improving
-    trial wins.  Parameters are clipped into the curve interval (nudged
-    inside open ends) and weights are projected to be non-negative.
+    overshoot along weak singular directions).  Parameters are clipped
+    into the curve interval (nudged inside open ends) and weights are
+    projected to be non-negative.
+
+    At each trial's parameters the weights are also fitted by least squares
+    on the scaled function rows with sum(w) = total exactly (variable
+    projection; Golub & Pereyra, 1973).  The fit replaces the trial's
+    Gauss-Newton weights when its scaled residual norm is no larger, unless
+    it makes a weight < -1e-12 * total; the best strictly-improving trial
+    wins.  A stall leaves Gauss-Newton weights off the mass by about the
+    residual: with ``exact_mass``, a polish that stops above
+    ``target_resid`` rescales them to sum to ``total``.
 
     The iteration also stops after a step that lowers the residual norm by
     less than 1%: near a rank-deficient Jacobian the residual sits in a
@@ -605,7 +639,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     parameters come from the trial that moved them there.  So a polish of
     k iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls,
     and one that starts within ``target_resid`` from given ``points`` makes
-    none.
+    none and returns the weights as given.
 
     Returns ``(params, weights, converged, points)``, ``points`` being the
     curve at the returned parameters.  A ``False`` flag means the
@@ -649,11 +683,18 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
             step = vt.T @ (s / (s * s + lam * lam) * utr)
             trials.append((np.clip(params + step[:m], lo, hi),
                            np.maximum(weights + step[m:], 0.0)))
-        x_try = curve.evaluate(np.concatenate([p for p, _ in trials]))
+        x_try = curve.evaluate(np.concatenate([p for p, _ in trials])).reshape(
+            len(trials), m, n)
+        fits = _exact_mass_fits(x_try, target, total, row_scale[:n])
         best = None
-        for (p_try, w_try), x_t in zip(trials, np.split(x_try, len(trials))):
+        for (p_try, w_try), x_t, fit in zip(trials, x_try, fits):
             r_try = residual(x_t, w_try)
             norm_try = float(np.linalg.norm(r_try))
+            if not np.isnan(fit[0]):
+                r_fit = residual(x_t, fit)
+                norm_fit = float(np.linalg.norm(r_fit))
+                if norm_fit <= norm_try:
+                    w_try, r_try, norm_try = fit, r_fit, norm_fit
             if best is None or norm_try < best[0]:
                 best = (norm_try, p_try, w_try, r_try, x_t)
         if best is None or best[0] >= norm:
@@ -662,7 +703,10 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         norm, params, weights, r, x = best
         if stalled:
             break
-    return params, weights, float(np.max(np.abs(r))) <= target_resid, x
+    converged = float(np.max(np.abs(r))) <= target_resid
+    if exact_mass and not converged:
+        weights = weights * (total / math.fsum(weights))
+    return params, weights, converged, x
 
 
 def merge_coincident(params, weights, points=None):
@@ -748,7 +792,7 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     pruned = caratheodory_finite(seed_points, comb.weights, v, params=seed_params)
     params, weights, points = pruned.params, pruned.weights, pruned.points
     if params.size <= n:
-        return _rebuild(params, weights, points, v, total)
+        return pruned
 
     def finish(new_params, new_weights, new_points):
         try:

@@ -25,14 +25,14 @@ total mass, reproducing every function integral:
    then walks to at most rank points, scoring the discrete nodes inside
    the walked gap before it probes the curve; the result carries the
    rows of its support;
-6. polish nodes and weights with a damped Gauss-Newton solve from those
-   rows, dropping nodes whose weight reaches zero; the polish returns the
-   rows at its nodes, and they are step 7's values whenever the pass ran
-   on all n functions, so a polish that starts converged evaluates nothing;
-7. refit the weights at the original mass and gate the residuals of all
-   functions, the dependent ones included.  Steps 5-7 run in one loop:
-   on the independent subset, then, only if it dropped functions and
-   missed the gate, on all n functions.
+6. polish nodes and weights on all n functions, the dependent ones
+   included, with a damped Gauss-Newton solve from those rows that fits
+   the weights at each trial's nodes with the mass exact
+   (:func:`~exactquad.hull.polish_combination`); drop nodes whose weight
+   reaches zero, and gate every residual and the mass on the rows that
+   the polish returns.  Steps 5-6 run in one loop: on the independent
+   subset, then, only if it dropped functions and missed the gate, on all
+   n functions.
 
 The produced rule is one of infinitely many valid rules; the pipeline is
 deterministic, so identical inputs give identical output.
@@ -200,18 +200,6 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
 
 
-def _constant_rule(curve, m, params, x, j_vals, mu):
-    """Rank-0 case: every function is constant wherever the measure has mass;
-    ``x`` is the curve at ``params``."""
-    mean = j_vals / mu
-    miss = np.max(np.abs(x - mean), axis=1)
-    i = int(np.argmin(miss))
-    node = float(params[i])
-    full = CurveSystem(components=curve.components, interval=m.interval)
-    return polish_combination(full, np.array([node]), np.array([mu]), mean, mu,
-                              points=x[i:i + 1])
-
-
 def _gate(node_vals, w, j_vals, mu):
     """``(resid, rel, mass_err)`` of weights ``w`` at nodes with values
     ``node_vals``: the residuals against ``j_vals``, the same relative to
@@ -221,67 +209,33 @@ def _gate(node_vals, w, j_vals, mu):
     return resid, resid / (1.0 + np.abs(j_vals)), abs(math.fsum(w) - mu) / mu
 
 
-def _refit_weights(node_vals, j_vals, mu, lam):
-    """Weights minimizing the scaled residual subject to sum = mu exactly.
-
-    Solves the KKT system of min ||D (node_vals^T w - J)||^2 with the mass
-    equality constraint; keeps the polished weights when the refit turns a
-    weight genuinely negative or worsens the residual.
-    """
-    m = lam.size
-    d = 1.0 / (1.0 + np.abs(j_vals))
-    a = node_vals.T * d[:, None]
-    b = j_vals * d
-    kkt = np.zeros((m + 1, m + 1))
-    kkt[:m, :m] = 2.0 * a.T @ a
-    kkt[:m, m] = 1.0
-    kkt[m, :m] = 1.0
-    rhs = np.concatenate([2.0 * a.T @ b, [mu]])
-    try:
-        sol = np.linalg.solve(kkt, rhs)
-        if not np.all(np.isfinite(sol)):
-            raise np.linalg.LinAlgError
-    except np.linalg.LinAlgError:
-        sol, *_ = np.linalg.lstsq(kkt, rhs, rcond=None)
-    fit = sol[:m]
-    if np.any(fit < -1e-12 * mu):
-        return lam
-    fit = np.maximum(fit, 0.0)
-
-    def key(w):
-        _, rel, mass_err = _gate(node_vals, w, j_vals, mu)
-        return (mass_err > MASS_GATE, float(np.max(rel)))
-
-    return fit if key(fit) <= key(lam) else lam
-
-
 def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
-    """Candidate nodes and weights on the functions ``indep``: prune, walk,
-    polish, drop zero weights and merge coincident nodes.  ``x`` is the
-    curve at the discrete measure's ``params``; the prune and the walk
-    reuse its rows.  Returns ``(nodes, weights, rows, converged)``, with
-    ``rows`` the polished system at the nodes: the functions ``indep``, or
-    all of them for the rank-0 rule."""
+    """Candidate nodes and weights on the functions ``indep``: prune and
+    walk (rank 0: the node whose row is nearest the target), then polish
+    on all n functions, drop zero weights and merge coincident nodes.
+    ``x`` is the curve at the discrete measure's ``params``.  Returns
+    ``(nodes, weights, rows, converged)``, ``rows`` being all n functions
+    at the nodes."""
+    target = j_vals / mu
     if not indep:
-        nodes, lam, converged, rows = _constant_rule(curve, m, params, x,
-                                                     j_vals, mu)
+        i = int(np.argmin(np.max(np.abs(x - target), axis=1)))
+        start, lam, rows = params[i:i + 1], np.array([mu]), x[i:i + 1]
     else:
         sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
-        target = j_vals[indep] / mu
-        nu = w / mu
         # the whole discrete measure: the walk is seeded with its rows
         comb = reduce_on_curve(
-            sub, ConvexCombination(params, nu, math.fsum(nu.tolist()),
-                                   points=x[:, indep]), target)
-        # polish against the measure's full interval: nodes may move out
-        # of the working window, which is only the hull of the discrete
-        # measure
-        nodes, lam, converged, rows = polish_combination(
-            CurveSystem(sub.components, m.interval), comb.params,
-            comb.weights * mu, target, mu, points=comb.points)
-        keep = lam > 1e-14 * mu
-        if np.any(keep):
-            nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
+            sub, ConvexCombination(params, w / mu, 1.0, points=x[:, indep]),
+            target[indep])
+        start, lam = comb.params, comb.weights * mu
+        rows = comb.points if len(indep) == curve.n else None
+    # polish against the measure's full interval: nodes may move out of the
+    # working window, which is only the hull of the discrete measure
+    nodes, lam, converged, rows = polish_combination(
+        CurveSystem(curve.components, m.interval), start, lam, target, mu,
+        points=rows, exact_mass=True)
+    keep = lam > 1e-14 * mu
+    if np.any(keep):
+        nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
     return (*merge_coincident(nodes, lam, rows), converged)
 
 
@@ -312,11 +266,11 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     combination of the constant 1 and the functions that pass integrated.
     Discretizes, probes continuity on the window in the batch that
     evaluates the discrete measure, and reads the affine rank.  One loop
-    builds a candidate on the independent subset, refits
-    its weights on all n functions and gates every residual; if the subset
-    dropped functions and missed the gate (a dependence that holds on the
-    support, not at the nodes, or a miss the refit spread), it runs once
-    more on all n functions.  ``rank_used`` is the affine rank either way.
+    builds a candidate on the independent subset, polishes it on all n
+    functions and gates every residual; if the subset dropped functions
+    and missed the gate (a dependence that holds on the support, not at
+    the nodes), it runs once more on all n functions.  ``rank_used`` is
+    the affine rank either way.
     """
     params, w = discretize_hull_point(curve, m, J)
     # one batch: the discrete measure's nodes, then the continuity probe
@@ -329,10 +283,7 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     for indep in subsets:
         nodes, lam, rows, converged = _synthesize_pass(
             curve, m, working, params, w, x, J.values, J.mass, indep)
-        # rows of all n functions, in index order, are the gate's values
-        node_vals = rows if rows.shape[1] == curve.n else curve.evaluate(nodes)
-        lam = _refit_weights(node_vals, J.values, J.mass, lam)
-        resid, rel, mass_err = _gate(node_vals, lam, J.values, J.mass)
+        resid, rel, mass_err = _gate(rows, lam, J.values, J.mass)
         if mass_err <= MASS_GATE and np.all(rel <= RESIDUAL_GATE):
             return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,
                                   residuals=resid, rank_used=report.rank,

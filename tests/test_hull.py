@@ -708,6 +708,112 @@ def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
     _check_rule(curve, m, rule)
 
 
+# acceptance corpus problems of full affine rank 6 that were refused at the
+# residual gate while a refit after the polish set the weights: one slowly
+# varying exponential is nearly affine in the others on its window, the
+# polish on the subset stalled with its weights off the mass, and the
+# refit at the polish's nodes missed function 0, 3 or 0 by 1.2e-8-1.8e-8
+NEAR_AFFINE_EXPONENTIALS = {
+    "401/5/#124": (
+        (-0.0496413827298694, 2.4908830839858815), [
+            "0.04162659004618696*exp(0.10305282325624776*t)",
+            "-1.1538906533996216*exp(-0.6946132891765966*t)",
+            "-1.5775728499478872*sin(1*t)+0.0891912086436939*cos(2*t)",
+            "-0.8448482233542314*exp(0.5007481951826356*t)",
+            "-1.4946805291052074*sin(1*t)+-1.6379441729450641*cos(1*t)",
+            "-1.267697250846732+-1.467636102579302*t+-1.6176098011203064*t^2"
+            "+-1.7579379587700794*t^3+-0.6439169259598412*t^4",
+        ],
+        "(0.9397722556730983+-0.8417079065387245*t"
+        "+-0.5941552659778835*t^2)^2+0.31330319804337287",
+        ((2.2154796171768742, 0.1872993673907569),
+         (1.9225356874209347, 0.1605508160631006),
+         (-0.011433380344717949, 0.8645604567367617))),
+    "1301/3/#122": (
+        (1.3587349429122546, 4.347070328731304), [
+            "-1.6537010559204584*exp(0.8657430652242681*t)",
+            "-1.2607695257446871+-0.9416907415264144*t+0.34411680867116257*t^2",
+            "-0.12064098554825042+-0.7228729238162606*t+-1.0848791566459446*t^2"
+            "+1.2083802270855202*t^3+1.2433824272857543*t^4",
+            "-0.21905372334544593*exp(-0.061998584846794325*t)",
+            "0.32461139339325085*exp(0.3528888976076472*t)",
+            "0.8876823327850505*sin(1*t)+-0.0028578422870904063*cos(1*t)",
+        ],
+        "(0.6219324624695133+0.7833020386071341*t"
+        "+0.05035145160911969*t^2)^2+0.42390613206467104", ()),
+    "1307/2/#174": (
+        (1.500746163810947, 4.232039323268843), [
+            "0.12420247169144005*exp(-0.07082344997697088*t)",
+            "0.13660914318160167*sin(1*t)+-0.04062319512356494*cos(2*t)",
+            "-1.0608085191781123*sin(2*t)+1.8643792390114835*cos(1*t)",
+            "0.22873407241519228*sin(2*t)+-1.7241553446023956*cos(2*t)",
+            "1.216380956717475+-0.15400342738034967*t",
+            "-0.7898000268532006+0.087764828273599*t+-0.09162581928915703*t^2"
+            "+1.507700759536731*t^3+1.9061700863024216*t^4",
+        ],
+        "(0.5982627448219542+0.3057201569808339*t"
+        "+-0.37230258474216815*t^2)^2+0.4420678812322169", ()),
+}
+
+
+def _corpus_problem(bounds, texts, density, atoms=()):
+    interval = IntervalSpec(*bounds)
+    return (CurveSystem.from_texts(texts, interval),
+            MeasureSpec(interval, density=parse(density), atoms=atoms))
+
+
+@pytest.mark.parametrize("problem", NEAR_AFFINE_EXPONENTIALS.values(),
+                         ids=NEAR_AFFINE_EXPONENTIALS.keys())
+def test_near_affine_exponential_meets_the_gate(problem):
+    curve, m = _corpus_problem(*problem)
+    _check_rule(curve, m, synthesize_rule(curve, m))
+
+
+def test_dependent_functions_keep_the_rank_node_count():
+    # acceptance corpus seed 401, variant 2, #43: affine rank 4 of 6
+    # functions.  Polished on the 4 independent functions alone, the rule
+    # missed dependent function 4 by 2.7e-4 (the dependence holds on the
+    # support, not at the nodes), and the second pass on all 6 functions
+    # gave 6 nodes; the polish on all n functions needs 4
+    curve, m = _corpus_problem((0.838614452643744, 2.6378131468376065), [
+        "0.8699615558210527*exp(-0.25464906650970476*t)",
+        "-1.2431995081867018+-1.8371558732494941*t+0.11653616700264635*t^2"
+        "+-0.6064744557554831*t^3",
+        "0.18456660519480783*exp(0.12337269799329609*t)",
+        "1.0943998379226012*exp(-0.005350708005897875*t)",
+        "0.05811877209580496*sin(1*t)+-1.738067868291263*cos(2*t)",
+        "-1.7298131945574102+-1.3912795202855683*t+-1.2519905082116525*t^2"
+        "+-0.5392829201944034*t^3+1.963775907631578*t^4",
+    ], "(-0.2391158332121115+-0.635298631726029*t"
+       "+-0.40741607215155273*t^2)^2+0.8575309305096456")
+    rule = synthesize_rule(curve, m)
+    assert rule.rank_used == 4 and len(rule) <= 4
+    _check_rule(curve, m, rule)
+
+
+def test_stalled_polish_holds_the_mass():
+    # acceptance corpus seed 1307, variant 1, #32: affine rank 5 of 6
+    # functions.  The polish on all 6 stalls near 3e-10, where its
+    # Gauss-Newton weights miss the mass by 2.9e-10, above synthesis's
+    # MASS_GATE (1e-10); the polish rescales them to the exact mass
+    curve, m = _corpus_problem((1.843164556676924, 3.4187764428627982), [
+        "-1.8724023286076217+-0.6035804090478054*t+-1.5921155736845831*t^2"
+        "+-0.33337401476141393*t^3",
+        "0.7338111678337702+1.3308880743352227*t+-0.15294391030888344*t^2"
+        "+0.8878342294436474*t^3",
+        "0.32372365725499463*exp(0.6600737855099357*t)",
+        "1.8734446361249923+-1.5528973054726602*t+-0.7099598858474181*t^2"
+        "+-0.9068245186989139*t^3+1.518209734231065*t^4",
+        "-0.7607359541971142*exp(-0.271769619160948*t)",
+        "1.6470850998022812*exp(0.27043805959237655*t)",
+    ], "(-0.5368022748552865+0.9899847750082886*t"
+       "+0.7062389827074282*t^2)^2+0.319080970183308")
+    rule = synthesize_rule(curve, m)
+    assert rule.rank_used == 5 and len(rule) <= 5
+    assert abs(math.fsum(rule.weights) - rule.total) <= 1e-14 * rule.total
+    _check_rule(curve, m, rule)
+
+
 def test_merge_coincident_sums_repeated_parameters():
     params = np.array([0.5, 0.1, 0.5, 0.9, 0.1, 0.5])
     weights = np.array([0.25, 0.125, 0.5, 1.0, 2.0, 4.0])

@@ -391,11 +391,15 @@ class TestSynthesize:
     ], ids=["mass", "residuals"])
     def test_gate_miss_is_a_polish_failure(self, monkeypatch, tmp_path,
                                            spoil, message):
-        # a full-rank system gets one pass, so a refit that spoils the
+        # a full-rank system gets one pass, so a polish that spoils the
         # weights reaches the final gate: typed, and exit code 3 in the CLI
-        refit = synth._refit_weights
-        monkeypatch.setattr(synth, "_refit_weights",
-                            lambda *args: spoil(refit(*args)))
+        polish = synth.polish_combination
+
+        def spoiled(*args, **kwargs):
+            p, w, converged, x = polish(*args, **kwargs)
+            return p, spoil(w), converged, x
+
+        monkeypatch.setattr(synth, "polish_combination", spoiled)
         with pytest.raises(PolishError, match=re.escape(message)) as exc:
             synthesize_rule(curve("t", "t^2"), UNIT)
         assert exc.value.kind == "polish-failure"
