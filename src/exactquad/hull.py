@@ -603,8 +603,7 @@ def _exact_mass_fits(xs, target, total, scale):
 
 
 def polish_combination(curve: CurveSystem, params, weights, target, total,
-                       target_resid: float = POLISH_TARGET, points=None, *,
-                       exact_mass: bool = False):
+                       target_resid: float = POLISH_TARGET, points=None):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
     Drives the residual map (sum(w_i x(t_i)) - total*target, sum(w_i) - total)
@@ -622,9 +621,8 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     projection; Golub & Pereyra, 1973).  The fit replaces the trial's
     Gauss-Newton weights when its scaled residual norm is no larger, unless
     it makes a weight < -1e-12 * total; the best strictly-improving trial
-    wins.  A stall leaves Gauss-Newton weights off the mass by about the
-    residual: with ``exact_mass``, a polish that stops above
-    ``target_resid`` rescales them to sum to ``total``.
+    wins.  Gauss-Newton weights hold the mass only to about the residual,
+    so a caller that needs it exact rescales them.
 
     The iteration also stops after a step that lowers the residual norm by
     less than 1%: near a rank-deficient Jacobian the residual sits in a
@@ -703,10 +701,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         norm, params, weights, r, x = best
         if stalled:
             break
-    converged = float(np.max(np.abs(r))) <= target_resid
-    if exact_mass and not converged:
-        weights = weights * (total / math.fsum(weights))
-    return params, weights, converged, x
+    return params, weights, float(np.max(np.abs(r))) <= target_resid, x
 
 
 def merge_coincident(params, weights, points=None):

@@ -29,10 +29,10 @@ total mass, reproducing every function integral:
    included, with a damped Gauss-Newton solve from those rows that fits
    the weights at each trial's nodes with the mass exact
    (:func:`~exactquad.hull.polish_combination`); drop nodes whose weight
-   reaches zero, and gate every residual and the mass on the rows that
-   the polish returns.  Steps 5-6 run in one loop: on the independent
-   subset, then, only if it dropped functions and missed the gate, on all
-   n functions.
+   reaches zero, rescale the rest to the exact mass, and gate every
+   residual and the mass on the rows that the polish returns.  Steps 5-6
+   run in one loop: on the independent subset, then, only if it dropped
+   functions and missed the gate, on all n functions.
 
 The produced rule is one of infinitely many valid rules; the pipeline is
 deterministic, so identical inputs give identical output.
@@ -212,7 +212,8 @@ def _gate(node_vals, w, j_vals, mu):
 def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     """Candidate nodes and weights on the functions ``indep``: prune and
     walk (rank 0: the node whose row is nearest the target), then polish
-    on all n functions, drop zero weights and merge coincident nodes.
+    on all n functions, drop zero weights, rescale the rest to the mass
+    ``mu`` and merge coincident nodes.
     ``x`` is the curve at the discrete measure's ``params``.  Returns
     ``(nodes, weights, rows, converged)``, ``rows`` being all n functions
     at the nodes."""
@@ -232,10 +233,13 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     # working window, which is only the hull of the discrete measure
     nodes, lam, converged, rows = polish_combination(
         CurveSystem(curve.components, m.interval), start, lam, target, mu,
-        points=rows, exact_mass=True)
+        points=rows)
     keep = lam > 1e-14 * mu
     if np.any(keep):
+        # Gauss-Newton weights hold the mass only to the polish's absolute
+        # target, which MASS_GATE, relative to mu, misses when mu is small
         nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
+        lam = lam * (mu / math.fsum(lam))
     return (*merge_coincident(nodes, lam, rows), converged)
 
 

@@ -795,7 +795,7 @@ def test_stalled_polish_holds_the_mass():
     # acceptance corpus seed 1307, variant 1, #32: affine rank 5 of 6
     # functions.  The polish on all 6 stalls near 3e-10, where its
     # Gauss-Newton weights miss the mass by 2.9e-10, above synthesis's
-    # MASS_GATE (1e-10); the polish rescales them to the exact mass
+    # MASS_GATE (1e-10); synthesis rescales them to the exact mass
     curve, m = _corpus_problem((1.843164556676924, 3.4187764428627982), [
         "-1.8724023286076217+-0.6035804090478054*t+-1.5921155736845831*t^2"
         "+-0.33337401476141393*t^3",

@@ -386,13 +386,15 @@ class TestSynthesize:
         assert verify_rule(rule, c, UNIT).passed
 
     @pytest.mark.parametrize("spoil,message", [
-        (lambda w: 1.001 * w, "instead of the total mass"),
+        (lambda w: 0.0 * w, "instead of the total mass"),
         (lambda w: w[::-1], "gate for function(s) [0, 1]"),
     ], ids=["mass", "residuals"])
     def test_gate_miss_is_a_polish_failure(self, monkeypatch, tmp_path,
                                            spoil, message):
         # a full-rank system gets one pass, so a polish that spoils the
-        # weights reaches the final gate: typed, and exit code 3 in the CLI
+        # weights reaches the final gate: typed, and exit code 3 in the CLI.
+        # Synthesis rescales kept weights to the mass, so only weights that
+        # all drop as zero can miss it
         polish = synth.polish_combination
 
         def spoiled(*args, **kwargs):
@@ -410,6 +412,25 @@ class TestSynthesize:
         assert cli.run(["synthesize", str(path)], stdout=io.StringIO(),
                        stderr=err) == 3
         assert json.loads(err.getvalue().splitlines()[0])["kind"] == "polish-failure"
+
+    def test_small_mass_holds_the_mass_gate(self, monkeypatch):
+        # a converged polish holds the mass only to its absolute target,
+        # 1e-12 * (1 + mu): relative to mu = 1e-4 that is 1e-8, above
+        # MASS_GATE (1e-10), so synthesis rescales the weights to the mass
+        m = MeasureSpec(IntervalSpec(0, 1), density=parse("1e-4*(1+t)"))
+        c = curve("t", "t^2", "exp(t)")
+        assert verify_rule(synthesize_rule(c, m), c, m).passed
+        polish = synth.polish_combination
+
+        def off_mass(curve, params, weights, target, total, *args, **kwargs):
+            p, w, converged, x = polish(curve, params, weights, target, total,
+                                        *args, **kwargs)
+            return p, w + 1e-12 * (1.0 + total) / w.size, converged, x
+
+        monkeypatch.setattr(synth, "polish_combination", off_mass)
+        rule = synthesize_rule(c, m)
+        assert abs(math.fsum(rule.weights) - rule.total) <= 1e-14 * rule.total
+        assert verify_rule(rule, c, m).passed
 
     def test_gamma_tail_nodes_carry_density(self):
         # the nodes of (0, inf) reach t = 700, far past the mass; a
