@@ -64,6 +64,10 @@ __all__ = ["Expression", "parse"]
 # parsed expressions (as stats does) adds a few levels
 MAX_DEPTH = 100
 CONTINUITY_POINTS = 1024
+# cos(pi j / (CONTINUITY_POINTS - 1)), j = 0..CONTINUITY_POINTS-1: the
+# Chebyshev spacing that every continuity probe scales onto its window
+_CONTINUITY_COS = np.cos(np.pi * np.arange(CONTINUITY_POINTS, dtype=float)
+                         / (CONTINUITY_POINTS - 1))
 
 _UNARY_FUNCS = {
     "sin": np.sin,
@@ -617,8 +621,7 @@ def continuity_points(lower: float, upper: float) -> np.ndarray:
     formula rounds onto 0 (``lower = 1.8e-273``, ``upper = 1``), which an
     open end must not reach.
     """
-    j = np.arange(CONTINUITY_POINTS, dtype=float)
-    pts = np.clip(0.5 * (lower + upper) + 0.5 * (upper - lower) * np.cos(
-        np.pi * j / (CONTINUITY_POINTS - 1)), lower, upper)
+    pts = np.clip(0.5 * (lower + upper) + 0.5 * (upper - lower) * _CONTINUITY_COS,
+                  lower, upper)
     pts[0], pts[-1] = upper, lower
     return pts

@@ -25,8 +25,11 @@ end has no score, rounds centred on the secant root of the end scores
 once it has one, and an even round after any round that narrows the
 bracket less than 4-fold.  The input points inside the walked gap are
 scored first, as a probe round that costs no evaluation, so a walk on a
-discrete measure starts from a bracket one cell wide with a secant round
-and usually takes 3 calls; from a bare support it takes about 4.  The
+discrete measure starts from a bracket one cell wide: it opens with a
+secant round when the cell is at most ``_WIDE_CELL`` of the parameter
+scale wide, and with an even round otherwise.  Such a walk takes 3.75
+calls on average on the acceptance corpus; from a bare support it takes
+about 4.  The
 vanishing coordinate, the reweighting and the new point's curve row all
 come from the batch probed at the crossing, and a combination carries
 its support's rows (``ConvexCombination.points``) from the prune to the
@@ -77,6 +80,7 @@ ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
 POLISH_TARGET = 1e-12   # relative residual at which the polish stops
 POLISH_MAX_ITER = 200   # Gauss-Newton iterations before the polish gives up
 REFINE_POINTS = 63  # interior points per batched bracket-refinement round
+_WIDE_CELL = 1e-2  # a seeded walk cell wider than this, relative, opens evenly
 _CHEBYSHEV_BATCH = 256  # sampled tuples per batch of the alternant test
 # offsets of a secant-centred round, in bracket widths: 0 and +-4^-j, j = 1..31
 _SECANT_OFFSETS = np.concatenate(
@@ -295,14 +299,22 @@ def _coords(frame: _BarycentricFrame, x) -> np.ndarray:
     return ((x - frame.origin) @ frame.u / frame.s) @ frame.vt
 
 
+def _homogeneous(points, target):
+    """The (n+1, m) system [points - target; 1] of m points of R^n."""
+    m, n = points.shape
+    a = np.empty((n + 1, m))
+    a[:n] = (points - target).T
+    a[n] = 1.0
+    return a
+
+
 def _null_direction(points, target):
     """Sign-normalized null vector of the homogeneous system [points - target; 1].
 
     Returns ``(c, smin, smax)``;  smin/smax are the extreme singular values,
     so the caller can tell a structural null vector from a near-dependence.
     """
-    a = np.vstack([(points - target).T, np.ones(len(points))])
-    _, s, vt = np.linalg.svd(a)
+    _, s, vt = np.linalg.svd(_homogeneous(points, target))
     c = vt[-1]
     i_star = int(np.argmax(np.abs(c)))
     if c[i_star] < 0:
@@ -331,26 +343,22 @@ def _shift_to_zero(w, c):
     return j
 
 
-def _eliminate(points, weights, target, floor):
-    """Shift ``weights`` in place until at most n+1 exceed ``floor``.
+def _null_shifts(points, w, target):
+    """Shift the positive weights ``w`` (a list of floats, one per row of
+    the (m, n) ``points``, m > n+1) until at most n+1 are nonzero.
 
-    One SVD of [points - target; 1] over the a active points: the trailing
-    a - (n+1) rows of vt are null vectors (a basis of the null space, or
-    part of it when the system has rank below n+1).  Each step
-    sign-normalizes the next one, moves along it until one weight reaches
-    zero at point j, and subtracts multiples of it from the remaining
-    vectors so they vanish at j.  They stay null vectors of the surviving
-    points, so every step zeroes a new point (the recombination of Litterer
-    & Lyons, 2012).  The steps run on lists of floats, converted once after
-    the SVD.  Returns the active indices.
+    One SVD of [points - target; 1]: the trailing m - (n+1) rows of vt are
+    null vectors (a basis of the null space, or part of it when the system
+    has rank below n+1).  Each step sign-normalizes the next one, moves
+    along it until one weight reaches zero at point j, and subtracts
+    multiples of it from the remaining vectors so they vanish at j.  They
+    stay null vectors of the surviving points, so every step zeroes a new
+    point (the recombination of Litterer & Lyons, 2012).  The steps run on
+    lists of floats, converted once after the SVD.  Returns the shifted
+    weights as an array.
     """
     n = points.shape[1]
-    active = np.flatnonzero(weights > floor)
-    if active.size <= n + 1:
-        return active
-    a = np.vstack([(points[active] - target).T, np.ones(active.size)])
-    basis = np.linalg.svd(a)[2][n + 1:].tolist()
-    w = weights[active].tolist()
+    basis = np.linalg.svd(_homogeneous(points, target))[2][n + 1:].tolist()
     for i, c in enumerate(basis):
         if -min(c) > max(c):
             c = [-x for x in c]
@@ -362,8 +370,7 @@ def _eliminate(points, weights, target, floor):
             row = [x - f * y for x, y in zip(row, c)]
             row[j] = 0.0
             basis[r] = row
-    weights[active] = w
-    return np.flatnonzero(weights > floor)
+    return np.array(w)
 
 
 def _miss(weights, points, target) -> float:
@@ -392,7 +399,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     eliminated down to n+1 clusters by null-vector shifts, and each
     surviving cluster's weights are rescaled by its new mass over its old
     one, which keeps the total and the weighted sum.  A round drops about
-    half the points with one SVD of 2(n+1) columns (see ``_eliminate``).
+    half the points with one SVD of 2(n+1) columns (see ``_null_shifts``).
     The last at most 2(n+1) points are eliminated directly, again with one
     SVD, and a final SVD checks whether the support is still affinely
     dependent.
@@ -418,44 +425,46 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
 
     floor = 1e-15 * total
     k = 2 * (n + 1)
-    active = np.flatnonzero(weights > floor)
-    while active.size > k:
-        bounds = np.arange(k + 1) * active.size // k
+    # the rounds run on the active points alone: idx maps them back
+    idx = np.flatnonzero(weights > floor)
+    pts, w = points[idx], weights[idx]
+    while idx.size > k:
+        bounds = np.arange(k + 1) * idx.size // k
         starts = bounds[:-1]
-        w_act = weights[active]
-        mass = np.add.reduceat(w_act, starts)
-        sums = points[active]
-        sums *= w_act[:, None]
-        means = np.add.reduceat(sums, starts) / mass[:, None]
-        new_mass = mass.copy()
-        _eliminate(means, new_mass, target, floor)
-        weights[active] = w_act * np.repeat(new_mass / mass, bounds[1:] - starts)
-        active = active[weights[active] > floor]
-    active = _eliminate(points, weights, target, floor)
+        mass = np.add.reduceat(w, starts)
+        means = np.add.reduceat(pts * w[:, None], starts) / mass[:, None]
+        new_mass = _null_shifts(means, mass.tolist(), target)
+        w = w * np.repeat(new_mass / mass, bounds[1:] - starts)
+        keep = w > floor
+        idx, pts, w = idx[keep], pts[keep], w[keep]
+    if idx.size > n + 1:
+        w = _null_shifts(pts, w.tolist(), target)
+        keep = w > floor
+        idx, pts, w = idx[keep], pts[keep], w[keep]
 
     # keep eliminating while the support is still affinely dependent, so a
     # target in a lower-dimensional affine hull gets a matching support size
-    snapshot = None  # the weights before the first shift
-    while active.size > 1:
-        c, smin, smax = _null_direction(points[active], target)
+    snapshot = None  # the support before the first shift
+    while idx.size > 1:
+        c, smin, smax = _null_direction(pts, target)
         if smin > RANK_TOL * smax:
             break
         if snapshot is None:
-            snapshot = weights.copy()
-        w_act = weights[active].tolist()
-        _shift_to_zero(w_act, c.tolist())
-        weights[active] = w_act
-        active = np.flatnonzero(weights > floor)
-    if active.size == 0:
+            snapshot = idx, pts, w
+        w_list = w.tolist()
+        _shift_to_zero(w_list, c.tolist())
+        w = np.array(w_list)
+        keep = w > floor
+        idx, pts, w = idx[keep], pts[keep], w[keep]
+    if idx.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
-    if snapshot is not None and _miss(weights[active], points[active], target) > RECON_TOL:
+    if snapshot is not None and _miss(w, pts, target) > RECON_TOL:
         # near-null eliminations drifted too far; the <= n+1 support stands
-        weights = snapshot
-        active = np.flatnonzero(weights > floor)
+        idx, pts, w = snapshot
 
-    out_params = (active.astype(float) if params is None
-                  else np.asarray(params, dtype=float)[active])
-    return _rebuild(out_params, weights[active], points[active], target, total)
+    out_params = (idx.astype(float) if params is None
+                  else np.asarray(params, dtype=float)[idx])
+    return _rebuild(out_params, w, pts, target, total)
 
 
 def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
@@ -523,7 +532,8 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
     :func:`refine_bracket` narrows the bracket until it is ``BISECT_TOL``
     wide (relative) with g(hi) <= ``ZERO_TOL``, or a few ulps wide, and
     returns the first crossing its probes see; it opens with a secant round
-    when the bracket starts at a scored row inside the gap.  Any such
+    when the bracket starts at a scored row inside the gap and is at most
+    ``_WIDE_CELL`` times the parameter scale wide.  Any such
     crossing leaves every coordinate <= ``ZERO_TOL`` (up to roundoff on a
     frame of condition above about 1e5), which is all the reweighting
     needs.  Returns ``(t_bar, k, p, x_bar)``: x_bar is the curve row at
@@ -555,7 +565,10 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
     g, info = scored(xs[1:])
     hits = np.flatnonzero(g >= 0.0)
     h = int(hits[0]) if hits.size else g.size - 1
-    lo_g = float(g[h - 1]) if h > 0 else None
+    # a wide seeded cell opens with an even round: a secant root of scores
+    # that far apart misses by about the cell
+    lo_g = (float(g[h - 1]) if h > 0 and ts[h + 1] - ts[h] <= _WIDE_CELL * scale_t
+            else None)
     hi_t, hi_info = refine_bracket(probe, float(ts[h]), float(ts[h + 1]),
                                    float(g[h]), info[h], done, lo_g)
     p, x_bar = hi_info[:n], hi_info[n:]
@@ -715,6 +728,9 @@ def merge_coincident(params, weights, points=None):
     input order; only when some parameter repeats are the sums formed.
     """
     params = np.asarray(params, dtype=float)
+    if np.all(params[1:] > params[:-1]):
+        weights = np.asarray(weights, dtype=float) + 0.0
+        return (params, weights) if points is None else (params, weights, points)
     order = np.argsort(params, kind="stable")
     params = params[order]
     weights = np.asarray(weights, dtype=float)[order] + 0.0

@@ -3,25 +3,27 @@
 A measure is a non-negative density (an :class:`~exactquad.expr.Expression`
 in ``t``) plus a finite list of point atoms, on an interval that may be
 open or infinite.  Integration over a compact interval uses interval
-bisection with an embedded Gauss 7/15 pair per panel (the error estimate
-is the difference of the pair).  An open or infinite interval is mapped
-onto a finite u-range by a double-exponential change of variables
-(tanh-sinh, exp-sinh or sinh-sinh: Takahasi and Mori, 1974; Mori and
-Sugihara, 2001), on which the same bisection runs once.  All four public
-integrators run on the one private integrator ``_integrals``, whose column
-0 is the mass: every integration checks that its tolerance ``tol``
-(relative, default ``DEFAULT_TOL``) and the mass are finite and positive.
-On an open or infinite interval it also integrates each ``|f|``, and
-every integrand must have decayed at the ends of the u-range: symmetric
-nodes let the two tails of a non-integrable ``f`` cancel, so the
-signed integrals alone could settle on a principal value.
+bisection from 2 panels, each integrated with QUADPACK's Gauss-Kronrod
+pair G7-K15 (Piessens et al., 1983): 15 evaluations give the Kronrod
+value, the Gauss 7 value reads every second node, and the error estimate
+is |K15 - G7|.  An open or infinite interval is mapped onto a finite
+u-range by a double-exponential change of variables (tanh-sinh, exp-sinh
+or sinh-sinh: Takahasi and Mori, 1974; Mori and Sugihara, 2001), on which
+the same bisection runs once.  All four public integrators run on the one
+private integrator ``_integrals``, whose column 0 is the mass: every
+integration checks that its tolerance ``tol`` (relative, default
+``DEFAULT_TOL``) and the mass are finite and positive.  On an open or
+infinite interval it also integrates each ``|f|``, and every integrand
+must have decayed at the ends of the u-range: symmetric nodes let the two
+tails of a non-integrable ``f`` cancel, so the signed integrals alone
+could settle on a principal value.
 
-The integrator keeps the Gauss 15 nodes of the panels it accepts, weighted
-by half-width, Gauss weight and density (and dt/du, mapped back to t), and
-returns them with the integrals (:class:`IntegralVector`).  This positive
-discrete measure, with the atoms, has exactly the computed integrals as
-its moments, up to summation order, so synthesis prunes it directly
-(Tchakaloff's theorem used constructively).
+The integrator keeps the K15 nodes of the panels it accepts, weighted by
+half-width, Kronrod weight (all positive) and density (and dt/du, mapped
+back to t), and returns them with the integrals (:class:`IntegralVector`).
+This positive discrete measure, with the atoms, has exactly the computed
+integrals as its moments, up to summation order, so synthesis prunes it
+directly (Tchakaloff's theorem used constructively).
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -61,8 +63,24 @@ __all__ = [
 
 DEFAULT_TOL = 1e-10
 
-_G7_X, _G7_W = np.polynomial.legendre.leggauss(7)
-_G15_X, _G15_W = np.polynomial.legendre.leggauss(15)
+# QUADPACK's Gauss-Kronrod 7/15 pair (qk15; Piessens et al., 1983): the
+# Kronrod abscissae of [0, 1] from 1 down to 0, their weights, and the
+# weights of the Gauss 7 nodes, which are every second Kronrod abscissa
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+# the K15 rule on [-1, 1] in increasing order; its odd-indexed nodes are
+# the G7 nodes, with weights _G7_W
+_K15_X = np.concatenate([-np.array(_XGK[:-1]), _XGK[::-1]])
+_K15_W = np.array(_WGK + _WGK[-2::-1])
+_G7_W = np.array(_WG + _WG[-2::-1])
 
 _MAX_PANELS = 65536
 _MAX_ROUNDS = 48
@@ -142,9 +160,9 @@ class IntegralVector:
     """Component integrals of a function system, and the measure's mass.
 
     ``nodes`` (increasing) and ``weights`` are the positive quadrature
-    rule of the density part that computed them: the Gauss 15 nodes of
-    every accepted panel, each weighted by the panel's half-width, its
-    Gauss weight and the density there.  On an open or infinite interval
+    rule of the density part that computed them: the K15 nodes of every
+    accepted G7-K15 panel, each weighted by the panel's half-width, its
+    Kronrod weight and the density there.  On an open or infinite interval
     the panels lie in u, each node is mapped back to t and its weight
     also carries dt/du; only the nodes with positive weight are kept, and
     several of them may round to the same t near a finite end or sit on a
@@ -177,7 +195,7 @@ def _density_callable(m: MeasureSpec):
 
 
 def _gauss_nodes(lo, hi, x):
-    """Half-widths and the (panels, len(x)) nodes of a Gauss rule with
+    """Half-widths and the (panels, len(x)) nodes of a rule with
     abscissae ``x`` on [-1, 1], for a batch of panels."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
@@ -185,47 +203,45 @@ def _gauss_nodes(lo, hi, x):
 
 
 def _panel_rule(vec_fn, lo, hi):
-    """Gauss 15 values, |G15 - G7| error estimates and the (panels, 15)
+    """K15 values, |K15 - G7| error estimates and the (panels, 15)
     column-0 samples of ``vec_fn`` for a batch of panels.
 
-    One ``vec_fn`` call takes the Gauss 15 nodes of every panel, then
-    their Gauss 7 nodes."""
-    half, pts15 = _gauss_nodes(lo, hi, _G15_X)
-    _, pts7 = _gauss_nodes(lo, hi, _G7_X)
-    vals = np.asarray(vec_fn(np.concatenate([pts15.ravel(), pts7.ravel()])),
-                      dtype=float)
-    v15 = vals[:pts15.size].reshape(len(lo), 15, -1)
-    v7 = vals[pts15.size:].reshape(len(lo), 7, -1)
-    i15 = half[:, None] * np.einsum("pkn,k->pn", v15, _G15_W)
-    i7 = half[:, None] * np.einsum("pkn,k->pn", v7, _G7_W)
-    return i15, np.abs(i15 - i7), v15[:, :, 0]
+    One ``vec_fn`` call takes the K15 nodes of every panel; the G7 sum
+    reads the odd-indexed ones."""
+    half, pts = _gauss_nodes(lo, hi, _K15_X)
+    vals = np.asarray(vec_fn(pts.ravel()), dtype=float).reshape(len(lo), 15, -1)
+    i15 = half[:, None] * np.einsum("pkn,k->pn", vals, _K15_W)
+    i7 = half[:, None] * np.einsum("pkn,k->pn", vals[:, 1::2], _G7_W)
+    return i15, np.abs(i15 - i7), vals[:, :, 0]
 
 
 def _integrate_compact(vec_fn, a, b, tol, n_out):
     """Adaptive bisection of [a, b] with ``vec_fn``'s column 0 the density.
 
-    Returns ``(integrals, nodes, weights)``: the ``(n_out,)`` integrals and
-    the Gauss 15 rule of the accepted panels, in increasing node order,
-    each weight the half-width times the Gauss weight times the density at
-    the node.  The integrals are the moments of that rule up to summation
-    order.
+    The bisection starts from 2 panels, each a G7-K15 batch
+    (:func:`_panel_rule`).  Returns ``(integrals, nodes, weights)``: the
+    ``(n_out,)`` integrals and the K15 rule of the accepted panels, in
+    increasing node order, each weight the half-width times the Kronrod
+    weight (all positive) times the density at the node.  The integrals
+    are the moments of that rule up to summation order.
     """
     if not b > a:
         return np.zeros(n_out), np.empty(0), np.empty(0)
-    edges = np.linspace(a, b, 9)
+    edges = np.linspace(a, b, 3)
     lo, hi = edges[:-1], edges[1:]
     vals, errs, dens = _panel_rule(vec_fn, lo, hi)
     width_floor = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
     for _ in range(_MAX_ROUNDS):
-        order = np.argsort(lo, kind="stable")
-        lo, hi, vals, errs, dens = (lo[order], hi[order], vals[order],
-                                    errs[order], dens[order])
+        if np.any(lo[1:] < lo[:-1]):
+            order = np.argsort(lo, kind="stable")
+            lo, hi, vals, errs, dens = (lo[order], hi[order], vals[order],
+                                        errs[order], dens[order])
         totals = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
         fn_tol = tol * (1.0 + np.abs(totals))
         if np.all(err_tot <= fn_tol):
-            half, nodes = _gauss_nodes(lo, hi, _G15_X)
-            weights = half[:, None] * _G15_W[None, :] * dens
+            half, nodes = _gauss_nodes(lo, hi, _K15_X)
+            weights = half[:, None] * _K15_W[None, :] * dens
             return totals, nodes.ravel(), weights.ravel()
         share = (hi - lo) / (b - a)
         bad = np.any(errs > 0.5 * fn_tol[None, :] * share[:, None], axis=1)
@@ -301,8 +317,8 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
 
     Returns ``(integrals, nodes, weights)`` as :func:`_integrate_compact`
     does, the nodes mapped back to t: the integrals of the mass and of
-    each component, and the accepted Gauss 15 nodes that carry mass, each
-    weighted by half-width, Gauss weight, density and dt/du.  The columns
+    each component, and the accepted K15 nodes that carry mass, each
+    weighted by half-width, Kronrod weight, density and dt/du.  The columns
     after the values hold ``|f|``, which only the error control reads.
 
     One evaluation on a u-grid of step ``_DE_STEP`` finds the outermost
@@ -385,7 +401,7 @@ def _integrals(m: MeasureSpec, components, tol):
     compact interval is integrated as it is and is its own window.  An
     open or infinite one is integrated in one pass of the
     double-exponential change of variables (:func:`_integrate_mapped`),
-    and its window is the hull of the Gauss nodes that carry mass, the
+    and its window is the hull of the K15 nodes that carry mass, the
     atoms and the closed ends.  Atoms are exact sums.  A tolerance that is
     not finite and > 0 is a :class:`SchemaError`, raised before anything
     is evaluated.
@@ -457,7 +473,7 @@ def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
 
     Returns ``(integrals, window)`` where ``integrals`` holds the system
     integrals and the mass over the whole interval.  On an open or
-    infinite interval ``window`` is the hull of the Gauss nodes that carry
+    infinite interval ``window`` is the hull of the K15 nodes that carry
     mass, the atoms and the closed ends, so it holds the whole discrete
     measure; a single such point gets a window one double wide.  A
     compact interval is its own window.
@@ -468,15 +484,15 @@ def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
 def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:
     """Density mass of each cell ``[edges[i], edges[i+1])``, atoms excluded.
 
-    Uses one fixed 15-point Gauss rule per cell, with no error control.
-    Synthesis does not call it: it discretizes on the Gauss nodes that
-    :class:`IntegralVector` carries.
+    Uses the K15 rule of the integrator's G7-K15 pair once per cell, with
+    no error control.  Synthesis does not call it: it discretizes on the
+    K15 nodes that :class:`IntegralVector` carries.
     """
     if m.density is None:
         return np.zeros(len(edges) - 1)
-    half, pts = _gauss_nodes(edges[:-1], edges[1:], _G15_X)
+    half, pts = _gauss_nodes(edges[:-1], edges[1:], _K15_X)
     vals = _density_callable(m)(pts.ravel()).reshape(pts.shape)
-    return np.maximum(half * (vals @ _G15_W), 0.0)
+    return np.maximum(half * (vals @ _K15_W), 0.0)
 
 
 # --- JSON wire format -------------------------------------------------------

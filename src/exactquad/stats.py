@@ -13,7 +13,7 @@ and a batched bracket refinement along the curve parameter (one even
 round, then secant-centred rounds, usually 3 or 4 in all) moves the second
 node until the factor lambda(1 - lambda) is replaced by its maximal value
 1/4.  The moments and the rule share one integration pass: the integrals
-of x1 and x2 are linear in the moments, and the pass's Gauss rule is a
+of x1 and x2 are linear in the moments, and the pass's K15 rule is a
 positive discrete measure with those moments.
 
 The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
@@ -142,7 +142,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     > 0.  Zero covariance returns t1 = t2.
     Otherwise a two-node exact rule for ((f - Ef)(g - Eg), f) supplies
     nodes satisfying the lambda(1 - lambda) identity; both integrals are
-    linear in the moments, so the rule is synthesized on the Gauss rule of
+    linear in the moments, so the rule is synthesized on the K15 rule of
     the same pass (:func:`~exactquad.synth.synthesize_on_pass`).  With t1
     held fixed, batched rounds of :func:`~exactquad.hull.refine_bracket`
     on [t1, t2] locate the point where the product gap reaches 4 Cov,

@@ -12,10 +12,11 @@ total mass, reproducing every function integral:
    support and restrict to a maximal independent subset;
 3. normalize the integral vector to unit mass, the mass being column 0 of
    that same pass, so the target is consistent with its window;
-4. discretize the measure as the Gauss nodes of step 1's accepted panels
-   plus the atoms; the moments of this positive discrete measure are the
-   integral vector itself, so the target lies in its hull by construction
-   and the affine rank of step 2 is read on the same nodes; the curve is
+4. discretize the measure as the K15 nodes of step 1's accepted G7-K15
+   panels (2 to start with) plus the atoms; the moments of this positive
+   discrete measure are the integral vector itself, so the target lies in
+   its hull by construction and the affine rank of step 2 is read on the
+   same nodes; the curve is
    evaluated on them once, in one batch with the continuity probe, and
    the rank, the prune and the walk of step 5 share those values;
 5. hand the whole discrete combination, with its rows, to
@@ -150,9 +151,9 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
 
     ``J`` is the integral vector of ``curve`` against ``m``, from
     :func:`~exactquad.measure.exhaust_interval` or
-    :func:`~exactquad.measure.integrate_system`.  Its Gauss nodes and the
+    :func:`~exactquad.measure.integrate_system`.  Its K15 nodes and the
     atoms of ``m`` are merged and sorted, and zero weights (density
-    underflow) are dropped.  Without atoms the Gauss nodes are already
+    underflow) are dropped.  Without atoms the K15 nodes are already
     strictly increasing, unless two nodes of panels at the integrator's
     width floor round together, and are kept as they are.  Since the
     integrals are the moments of this measure, ``J / J.mass`` lies in the
@@ -262,9 +263,9 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
                        working: IntervalSpec) -> QuadratureRule:
     """:func:`synthesize_rule` after its integration pass.
 
-    ``J`` holds the integrals of ``curve`` against ``m`` and the Gauss
+    ``J`` holds the integrals of ``curve`` against ``m`` and the K15
     rule of the pass that computed them, ``working`` that pass's window.
-    The pass may have integrated other functions: its Gauss rule with the
+    The pass may have integrated other functions: its K15 rule with the
     atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
     which holds whenever each component of ``curve`` is a linear
     combination of the constant 1 and the functions that pass integrated.

@@ -28,7 +28,7 @@ from exactquad.hull import (
 from exactquad import hull
 from exactquad.expr import parse
 from exactquad.measure import IntervalSpec, MeasureSpec, integrate_system
-from exactquad.synth import synthesize_rule
+from exactquad.synth import QuadratureRule, synthesize_rule
 
 
 def reconstruction_gap(comb, params, pts, target):
@@ -336,6 +336,34 @@ class TestFirstZeroCrossing:
         # the crossing's row comes from the probe batch that found it
         assert np.array_equal(x_bar, evaluate(curve, t_bar)[0])
         assert np.array_equal(p, _coords(frame, x_bar))
+
+    @pytest.mark.parametrize("cell,even", [((0.1, 0.3), True),
+                                           ((0.226, 0.234), False)])
+    def test_wide_seeded_cell_opens_with_an_even_round(self, monkeypatch,
+                                                       cell, even):
+        # rows inside the gap leave a seeded cell around the crossing at
+        # 0.23: one wider than 1e-2 opens with an even round, where a
+        # secant root of scores that far apart misses by about the cell,
+        # and a narrower one with a round centred on the secant root
+        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+        ts = np.array([0.05, 0.5, 0.95])
+        x = curve.evaluate(ts)
+        frame = _build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
+        walk = np.array([0.05, *cell, 0.5])
+        rows = curve.evaluate(walk)
+        batches = []
+        evaluate = CurveSystem.evaluate
+
+        def recording(self, t):
+            batches.append(np.array(t))
+            return evaluate(self, t)
+
+        monkeypatch.setattr(CurveSystem, "evaluate", recording)
+        t_bar, k, p, _ = _first_zero_crossing(frame, curve, walk, rows)
+        assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
+        assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
+        evenly = np.allclose(np.diff(batches[0]), (cell[1] - cell[0]) / 64)
+        assert evenly == even
 
 
 def _refine_rounds(g, lo, hi, tol):
@@ -676,9 +704,12 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
 
 
 def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
-    # acceptance corpus seed 1301, variant 4, problem #122: after the prune
-    # every frame of the six-function walk is singular, so the fallback
-    # eliminates a point along a null vector; 6 nodes at rank 6
+    # seven atoms of (t, ..., t^6) at the Chebyshev points of [-1, 1], six
+    # of mass 1e-12 and one of mass 1 at t = 1: the support is affinely
+    # independent, so the prune keeps all seven, but every frame of the
+    # walk holds x(1) - v, which is within about 1e-11 of zero, so every
+    # frame is singular and the fallback eliminates a point along a null
+    # vector
     callers = []
     null_direction = hull._null_direction
 
@@ -687,25 +718,21 @@ def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
         return null_direction(points, target)
 
     monkeypatch.setattr(hull, "_null_direction", traced)
-    interval = IntervalSpec(0.3495655389701642, 0.9974650408091958)
-    curve = CurveSystem.from_texts([
-        "-1.9814032200451814*exp(0.7493025639466802*t)",
-        "0.9371581068053549+-0.5312734213955288*t+-0.8953757367711086*t^2",
-        "0.9980560990102338*exp(-0.262221664245607*t)",
-        "-1.101316361260654+-1.4076781002380678*t+0.7863168756712864*t^2"
-        "+1.2673577722984084*t^3+1.6519462970654968*t^4",
-        "-1.4355196568470672*sin(1*t)+1.6567305210005223*cos(2*t)",
-        "0.5689924552943415+0.4519040605392983*t+1.4150527546153655*t^2",
-    ], interval)
-    m = MeasureSpec(
-        interval,
-        density=parse("(-0.8983758843659542+0.6388370199480857*t"
-                      "+-0.5099952297487931*t^2)^2+0.11769779690438362"),
-    )
-    rule = synthesize_rule(curve, m)
+    interval = IntervalSpec(-1, 1)
+    curve = CurveSystem.from_texts([f"t^{k}" for k in range(1, 7)], interval)
+    ts = -np.cos(np.pi * np.arange(7) / 6)
+    masses = np.array([1e-12] * 6 + [1.0])
+    m = MeasureSpec(interval, atoms=tuple(zip(ts, masses)))
+    j = integrate_system(m, curve)
+    v = j.values / j.mass
+    assert all(_build_frame(v, np.delete(curve.evaluate(ts), i, axis=0)) is None
+               for i in range(6))
+    out = reduce_on_curve(curve, ConvexCombination(ts, masses, j.mass), v)
     assert "reduce_on_curve" in callers
-    assert len(rule) == 6 and rule.rank_used == 6
-    _check_rule(curve, m, rule)
+    assert math.fsum(out.weights) == pytest.approx(j.mass, rel=1e-14)
+    _check_rule(curve, m, QuadratureRule(nodes=out.params, weights=out.weights,
+                                         total=out.total, residuals=[],
+                                         rank_used=curve.n))
 
 
 # acceptance corpus problems of full affine rank 6 that were refused at the
@@ -1184,8 +1211,11 @@ def test_float_kernel_matches_numpy_bit_for_bit(n, seed, spread):
     target = w @ pts / w.sum()
     floor = 1e-15 * math.fsum(w)
     w_ref, w_new = w.copy(), w.copy()
-    active = hull._eliminate(pts, w_new, target, floor)
-    assert np.array_equal(active, _eliminate_reference(pts, w_ref, target, floor))
+    active = np.flatnonzero(w > floor)
+    if active.size > n + 1:
+        w_new[active] = hull._null_shifts(pts[active], w[active].tolist(), target)
+    assert np.array_equal(np.flatnonzero(w_new > floor),
+                          _eliminate_reference(pts, w_ref, target, floor))
     assert w_new.tobytes() == w_ref.tobytes()
     # the single shift of the dependence loop and the singular-frame fallback
     c, _, _ = hull._null_direction(pts, target)

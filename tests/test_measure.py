@@ -1,4 +1,6 @@
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +27,16 @@ from exactquad.measure import (
     measure_from_json,
     total_mass,
 )
+from exactquad.synth import synthesize_rule
 
+# the benchmark's problem generators, imported read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
+sys.path.pop(0)
+
+# every 20th problem of the acceptance corpus, seed 20260808, variant 0
+ACCEPTANCE_SLICE = corpus.acceptance_corpus(20260808, 0)[::20]
 UNIT = MeasureSpec(IntervalSpec(0, 1), density=parse("1"))
 EXP = MeasureSpec(IntervalSpec(0, math.inf), density=parse("exp(-t)"))
 OPEN = MeasureSpec(IntervalSpec(0, 1, True, True), density=parse("t^-0.5"),
@@ -307,7 +318,8 @@ class TestJson:
 
 
 def test_one_column_call_per_refinement_round(monkeypatch):
-    # each panel batch evaluates its Gauss 15 and Gauss 7 nodes in one call
+    # each panel batch evaluates its 15 Kronrod nodes in one call, and the
+    # Gauss 7 sum reuses every second one
     rounds, calls = [], []
     panel_rule = measure._panel_rule
     monkeypatch.setattr(measure, "_panel_rule",
@@ -321,8 +333,56 @@ def test_one_column_call_per_refinement_round(monkeypatch):
 
     vals, nodes, _ = measure._integrate_compact(vec, 0.0, 1.0, 1e-10, 3)
     assert len(rounds) > 2 and len(calls) == len(rounds)
-    assert all(size % 22 == 0 for size in calls)
+    assert all(size % 15 == 0 for size in calls)
     assert vals[1] == pytest.approx(2.0 / 3.0, rel=1e-10)
+
+
+def test_kronrod_pair_is_quadpacks(monkeypatch):
+    # the hard-coded G7-K15 constants are scipy's copy of QUADPACK's qk15,
+    # read from the arguments its Gauss-Kronrod 15 rule passes on
+    from scipy.integrate import _quad_vec
+
+    seen = {}
+    monkeypatch.setattr(_quad_vec, "_quadrature_gk",
+                        lambda a, b, f, norm, x, w, v: seen.update(x=x, w=w, v=v))
+    _quad_vec._quadrature_gk15(0.0, 1.0, None, None)
+    # scipy lists the Kronrod nodes from 1 down to -1
+    assert measure._K15_X.tolist() == list(seen["x"][::-1])
+    assert measure._K15_W.tolist() == list(seen["v"][::-1])
+    assert measure._G7_W.tolist() == list(seen["w"][::-1])
+    assert np.all(measure._K15_W > 0.0)
+    # the Gauss 7 nodes are the odd-indexed Kronrod nodes
+    g7_x, g7_w = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(measure._K15_X[1::2], g7_x, rtol=0.0, atol=1e-15)
+    assert np.allclose(measure._G7_W, g7_w, rtol=0.0, atol=1e-15)
+
+
+def _quadpack_miss(problem, rule):
+    """Largest ``|rule sum - I| / (1 + |I|)`` over the mass and the
+    functions of a compact problem, ``I`` from QUADPACK at epsrel 1e-13
+    plus the atoms' exact sums."""
+    m = measure_from_json(problem["measure"])
+    lo, hi = m.interval.lower, m.interval.upper
+    funcs = [parse("1")] + [parse(f) for f in problem["functions"]]
+    worst = 0.0
+    for f in funcs:
+        ref = math.fsum(mass * float(f(t)) for t, mass in m.atoms)
+        if m.density is not None:
+            ref += quad(lambda t: float(m.density(t) * f(t)), lo, hi,
+                        epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        got = math.fsum(rule.weights * f(rule.nodes))
+        worst = max(worst, abs(got - ref) / (1.0 + abs(ref)))
+    return worst
+
+
+@pytest.mark.parametrize("item", ACCEPTANCE_SLICE, ids=lambda item: item["name"])
+def test_acceptance_rules_against_quadpack(item):
+    # every 20th rule of the acceptance corpus (seed 20260808, variant 0)
+    # reproduces the mass and every integral as QUADPACK computes them
+    problem = item["problem"]
+    m = measure_from_json(problem["measure"])
+    rule = synthesize_rule(CurveSystem.from_texts(problem["functions"], m.interval), m)
+    assert _quadpack_miss(problem, rule) <= 1e-9
 
 
 def test_atoms_evaluate_as_one_batch(monkeypatch):
