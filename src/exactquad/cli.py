@@ -17,8 +17,6 @@ import json
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from .errors import (
     ExactQuadError,
     SchemaError,
@@ -71,7 +69,7 @@ def _cmd_synthesize(obj, args):
     curve, m = _functions_and_measure(obj, tolerances=None)
     rule = synthesize_rule(curve, m, _tol(obj, args))
     note = (f"synthesized {len(rule)}-node rule (rank {rule.rank_used}), "
-            f"max residual {float(np.max(rule.residuals)):.3e}")
+            f"max residual {float(rule.residuals.max()):.3e}")
     if not rule.converged:
         note += " [polish stopped above its target; residual gate still met]"
     return rule_to_json(rule), note
@@ -82,7 +80,7 @@ def _cmd_verify(obj, args):
     rule = rule_from_json(obj["rule"])
     report = verify_rule(rule, curve, m)
     note = ("rule verifies: max relative residual "
-            f"{float(np.max(report.relative_residuals)):.3e}"
+            f"{float(report.relative_residuals.max()):.3e}"
             if report.passed else "rule FAILS verification")
     return report.to_json(), note
 
@@ -93,6 +91,10 @@ def _cmd_reduce(obj, args):
     interval = interval_from_json(obj["interval"])
     curve = CurveSystem.from_texts(obj["functions"], interval)
     comb = combination_from_json(obj["combination"])
+    # the params are strictly increasing, so their ends are enough
+    for t in (float(comb.params[0]), float(comb.params[-1])):
+        if not interval.contains(t):
+            raise SchemaError(f"combination param {t} outside the interval")
     comb = replace(comb, points=curve.evaluate(comb.params))
     v = comb.weights @ comb.points / comb.total
     reduced = reduce_on_curve(curve, comb, v)

@@ -76,17 +76,20 @@ _UNARY_FUNCS = {
     "exp": np.exp,
     "abs": np.abs,
 }
-# one-argument functions with a domain: ufunc, out-of-domain test, message
+# one-argument functions with a domain: ufunc, then the out-of-domain test
+# (comparison ufunc, bound) and its message.  A test is a ufunc, not an
+# operator, so that it gives a numpy bool, which has ``.any()``, also on the
+# float that a constant argument evaluates to
 _DOMAIN_FUNCS = {
-    "log": (np.log, lambda a: a <= 0.0, "log of a non-positive value"),
-    "sqrt": (np.sqrt, lambda a: a < 0.0, "sqrt of a negative value"),
+    "log": (np.log, np.less_equal, 0.0, "log of a non-positive value"),
+    "sqrt": (np.sqrt, np.less, 0.0, "sqrt of a negative value"),
 }
 # the checks of a power whose exponent is a constant c, keyed by (c is not
 # an integer, c < 0): a negative base fails only for a non-integer c and a zero
-# base only for a negative c; each is (base test, message), in the general
-# power's order
-_NEGATIVE_BASE = (lambda b: b < 0, "negative base with non-integer exponent")
-_ZERO_BASE = (lambda b: b == 0, "zero raised to a negative power")
+# base only for a negative c; each is (comparison ufunc, bound, message), in
+# the general power's order
+_NEGATIVE_BASE = (np.less, 0, "negative base with non-integer exponent")
+_ZERO_BASE = (np.equal, 0, "zero raised to a negative power")
 _POW_CHECKS = {
     (False, False): (),
     (False, True): (_ZERO_BASE,),
@@ -199,8 +202,8 @@ def _cmul(v, fb, t):
 
 def _div(fa, fb, label, t):
     den = fb(t)
-    zero = np.asarray(den) == 0.0
-    if np.any(zero):
+    zero = np.equal(den, 0.0)  # a numpy bool for a constant denominator too
+    if zero.any():
         # a denominator that underflowed to 0 divides as in IEEE
         at, zero = np.broadcast_arrays(t, zero)
         if not all(_raises(fb, x, "under") for x in at[zero]):
@@ -212,12 +215,12 @@ def _pow(fa, fb, label, t):
     base = np.asarray(fa(t), dtype=float)
     expo = np.asarray(fb(t), dtype=float)
     neg = base < 0
-    if np.any(neg):
+    if neg.any():
         e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
         b_neg = np.broadcast_to(neg, e_at.shape)
-        if np.any(e_at[b_neg] != np.floor(e_at[b_neg])):
+        if (e_at[b_neg] != np.floor(e_at[b_neg])).any():
             raise EvalDomainError("negative base with non-integer exponent", label)
-    if np.any((base == 0) & (expo < 0)):
+    if ((base == 0) & (expo < 0)).any():
         raise EvalDomainError("zero raised to a negative power", label)
     return np.power(base, expo)
 
@@ -225,8 +228,8 @@ def _pow(fa, fb, label, t):
 def _powc(fa, c, checks, label, t):
     """``fa ^ c`` for a constant ``c``, with the domain ``checks`` that can fire."""
     base = fa(t)
-    for outside, message in checks:
-        if np.any(outside(base)):
+    for outside, bound, message in checks:
+        if outside(base, bound).any():
             raise EvalDomainError(message, label)
     return np.power(base, c)
 
@@ -235,9 +238,9 @@ def _unary(fa, ufunc, t):
     return ufunc(fa(t))
 
 
-def _domain(fa, label, ufunc, outside, message, t):
+def _domain(fa, label, ufunc, outside, bound, message, t):
     a = fa(t)
-    if np.any(outside(np.asarray(a))):
+    if outside(a, bound).any():
         raise EvalDomainError(message, label)
     return ufunc(a)
 
@@ -374,7 +377,7 @@ class Expression:
     def __call__(self, t):
         """The one-column view of :func:`evaluate_columns`."""
         out = evaluate_columns((self,), t)[..., 0]
-        return float(out[0]) if np.ndim(t) == 0 else out
+        return float(out[0]) if np.asarray(t).ndim == 0 else out
 
     def __repr__(self):
         return f"Expression({self._text!r})"
@@ -441,7 +444,9 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     0`` far out on an infinite interval); an evaluator's own domain check
     still raises.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    ts = np.asarray(ts, dtype=float)
+    if ts.ndim == 0:
+        ts = ts.reshape(1)
     out = np.empty(ts.shape + (len(exprs),))
     with np.errstate(all="ignore"):
         for k, e in enumerate(exprs):
@@ -467,7 +472,7 @@ def _raises(fn, t: float, flag: str) -> bool:
     """Whether the evaluator ``fn`` at the point ``t`` raises ``flag``."""
     with np.errstate(all="ignore", **{flag: "raise"}):
         try:
-            fn(np.atleast_1d(float(t)))
+            fn(np.array([float(t)]))
         except FloatingPointError:
             return True
     return False
@@ -621,7 +626,7 @@ def continuity_points(lower: float, upper: float) -> np.ndarray:
     formula rounds onto 0 (``lower = 1.8e-273``, ``upper = 1``), which an
     open end must not reach.
     """
-    pts = np.clip(0.5 * (lower + upper) + 0.5 * (upper - lower) * _CONTINUITY_COS,
-                  lower, upper)
+    pts = (0.5 * (lower + upper) + 0.5 * (upper - lower) * _CONTINUITY_COS).clip(
+        lower, upper)
     pts[0], pts[-1] = upper, lower
     return pts

@@ -36,6 +36,20 @@ its support's rows (``ConvexCombination.points``) from the prune to the
 walk and on to the polish, so no stage evaluates a point twice.
 ``stats.covariance_witness`` narrows its bracket the same way.
 
+Per-operation code, here and in the other layers, calls ndarray methods,
+ufuncs and module constants, not numpy's Python-level wrappers: on the
+arrays of about 30 points that a synthesis handles, the wrapper costs
+more than the arithmetic.  Timed per call (timeit, 2-vCPU Xeon VM,
+numpy 2.4): ``np.any`` 3.2 us against ``.any()`` 0.95 us,
+``np.flatnonzero`` 2.2 us against ``.nonzero()[0]`` 0.32 us,
+``float(np.linalg.norm(r))`` 1.2 us against ``math.sqrt(r.dot(r))``
+0.46 us, and an even round's ``np.linspace`` 8.2 us against 2.2 us for
+the same formula on a module table (:func:`_even_probes`); a per-call
+``np.finfo`` is a module constant.  Each replacement gives numpy's bits.
+``np.linalg.svd``, ``solve``, ``lstsq`` and ``np.einsum`` stay, since no
+public form without the wrapper gives their bits, and so do the calls
+that the Gruss extrema scan makes once per operation on 4096 points.
+
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
 the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
 is the alternant test, a sign-change certificate: it samples ordered node
@@ -61,7 +75,7 @@ from .errors import (
     numbers,
 )
 from .expr import Expression, evaluate_columns, parse
-from .measure import IntervalSpec
+from .measure import _EPS, IntervalSpec
 
 __all__ = [
     "ConvexCombination",
@@ -85,6 +99,8 @@ _CHEBYSHEV_BATCH = 256  # sampled tuples per batch of the alternant test
 # offsets of a secant-centred round, in bracket widths: 0 and +-4^-j, j = 1..31
 _SECANT_OFFSETS = np.concatenate(
     [-(4.0 ** -np.arange(1, 32)), [0.0], 4.0 ** -np.arange(31, 0, -1)])
+_EVEN_STEPS = np.arange(1.0, REFINE_POINTS + 1)  # the steps of an even round
+_DIFF_STEP = np.cbrt(_EPS)  # relative central-difference step of the polish
 
 
 @dataclass(frozen=True, eq=False)
@@ -114,10 +130,10 @@ class ConvexCombination:
             object.__setattr__(self, "points", points)
         if not math.isfinite(total) or total <= 0:
             raise SchemaError(f"total must be finite and > 0, got {total}")
-        if np.any(params[1:] <= params[:-1]):
+        if (params[1:] <= params[:-1]).any():
             raise SchemaError("params must be strictly increasing")
         floor = -1e-12 * max(1.0, total)
-        if np.any(weights < floor):
+        if (weights < floor).any():
             raise SchemaError(f"weights below {floor} are not a convex combination")
         weights = np.maximum(weights, 0.0)
         # a pairwise sum of non-negative weights is within about
@@ -198,14 +214,14 @@ def chebyshev_sample_test(functions, interval, trial_count: int = 200,
         drawn += len(ts)
         det, scale, mats = _determinants(curve, ts)
         ratio = np.abs(det) / scale
-        i = int(np.argmin(ratio))
+        i = int(ratio.argmin())
         if best is None or ratio[i] < best[0]:
             best = (float(ratio[i]), ts[i], float(det[i]))
         if len(ends) < 2:
             s = np.linalg.svd(mats, compute_uv=False)
             signs = np.sign(det) * (s[:, -1] > RANK_TOL * s[:, 0])
             for sign in (1.0, -1.0):
-                for j in np.flatnonzero(signs == sign)[:1]:
+                for j in (signs == sign).nonzero()[0][:1]:
                     ends.setdefault(sign, (ts[j], float(det[j]), float(scale[j])))
     witness = None
     if len(ends) == 2:
@@ -213,9 +229,9 @@ def chebyshev_sample_test(functions, interval, trial_count: int = 200,
         tol = 1e-12 * max(da, -db)
 
         def probe(us):  # scores -det, -da at u = 0 and -db at u = 1
-            ts = np.outer(1.0 - us, ta) + np.outer(us, tb)
+            ts = (1.0 - us)[:, None] * ta + us[:, None] * tb
             det, scale, _ = _determinants(curve, ts)
-            return -det, np.column_stack([det, scale])
+            return -det, np.concatenate([det[:, None], scale[:, None]], axis=1)
 
         u, (det, scale) = refine_bracket(probe, 0.0, 1.0, -db, (db, sb),
                                          lambda lo, hi, info: abs(info[0]) <= tol)
@@ -239,15 +255,17 @@ def _draw_tuples(rng, lo: float, hi: float, m: int, count: int) -> np.ndarray:
     replayed to just past it, the row is redrawn, and the rows up to it
     are returned."""
     state = rng.bit_generator.state
-    ts = np.sort(rng.uniform(lo, hi, (count, m)), axis=1)
+    ts = rng.uniform(lo, hi, (count, m))
+    ts.sort(axis=1)
     gap = 1e-12 * (hi - lo)
-    close = np.flatnonzero(np.diff(ts, axis=1).min(axis=1, initial=np.inf) <= gap)
+    close = (np.diff(ts, axis=1).min(axis=1, initial=np.inf) <= gap).nonzero()[0]
     if close.size:
         ts = ts[:close[0] + 1]
         rng.bit_generator.state = state
         rng.uniform(lo, hi, ts.size)
         for _ in range(99):
-            ts[-1] = np.sort(rng.uniform(lo, hi, m))
+            ts[-1] = rng.uniform(lo, hi, m)
+            ts[-1].sort()
             if np.diff(ts[-1]).min() > gap:
                 break
     return ts
@@ -259,7 +277,7 @@ def _determinants(curve: CurveSystem, ts):
     of its own ``np.linalg.det``, and their column norms' products + 1e-300."""
     k, m = ts.shape
     mats = curve.evaluate(ts.ravel()).reshape(k, m, m).transpose(0, 2, 1)
-    scale = np.prod(np.linalg.norm(mats, axis=1), axis=1) + 1e-300
+    scale = np.linalg.norm(mats, axis=1).prod(axis=1) + 1e-300
     return np.linalg.det(mats), scale, mats
 
 
@@ -316,7 +334,7 @@ def _null_direction(points, target):
     """
     _, s, vt = np.linalg.svd(_homogeneous(points, target))
     c = vt[-1]
-    i_star = int(np.argmax(np.abs(c)))
+    i_star = int(np.abs(c).argmax())
     if c[i_star] < 0:
         c = -c
     smin = float(s[-1]) if len(s) == len(c) else 0.0
@@ -410,7 +428,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     if points.ndim != 2 or points.shape[0] != weights.size:
         raise SchemaError("points must be (m, n) with one weight per point")
     m, n = points.shape
-    if np.any(weights < -1e-12):
+    if (weights < -1e-12).any():
         raise SchemaError("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
     total = math.fsum(weights.tolist())
@@ -426,7 +444,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     floor = 1e-15 * total
     k = 2 * (n + 1)
     # the rounds run on the active points alone: idx maps them back
-    idx = np.flatnonzero(weights > floor)
+    idx = (weights > floor).nonzero()[0]
     pts, w = points[idx], weights[idx]
     while idx.size > k:
         bounds = np.arange(k + 1) * idx.size // k
@@ -434,7 +452,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         mass = np.add.reduceat(w, starts)
         means = np.add.reduceat(pts * w[:, None], starts) / mass[:, None]
         new_mass = _null_shifts(means, mass.tolist(), target)
-        w = w * np.repeat(new_mass / mass, bounds[1:] - starts)
+        w = w * (new_mass / mass).repeat(bounds[1:] - starts)
         keep = w > floor
         idx, pts, w = idx[keep], pts[keep], w[keep]
     if idx.size > n + 1:
@@ -465,6 +483,18 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     out_params = (idx.astype(float) if params is None
                   else np.asarray(params, dtype=float)[idx])
     return _rebuild(out_params, w, pts, target, total)
+
+
+def _even_probes(lo: float, hi: float) -> np.ndarray:
+    """The ``REFINE_POINTS`` interior points of an even round on [lo, hi].
+
+    This is the formula of ``np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]``,
+    steps times (hi - lo) / (REFINE_POINTS + 1) plus lo, so it gives
+    linspace's bits at a fraction of its cost, for every bracket wider than
+    32 subnormal steps; below that the step rounds to 0, where linspace
+    switches formulas and this returns lo throughout.
+    """
+    return _EVEN_STEPS * ((hi - lo) / (REFINE_POINTS + 1)) + lo
 
 
 def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
@@ -503,12 +533,12 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
             ts = ts[keep]
             even = ts.size == 0
         if even:
-            ts = np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]
+            ts = _even_probes(lo, hi)
             ts = ts[(ts > lo) & (ts < hi)]
             if ts.size == 0:
                 break
         g, info = probe(ts)
-        hits = np.flatnonzero(g >= 0.0)
+        hits = (g >= 0.0).nonzero()[0]
         i = int(hits[0]) if hits.size else ts.size
         if i > 0:
             lo, lo_g = float(ts[i - 1]), float(g[i - 1])
@@ -546,9 +576,9 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
     n = xs.shape[1]
     p0 = _coords(frame, xs[0])
     if p0.max() >= -ZERO_TOL:
-        return float(ts[0]), int(np.flatnonzero(p0 >= -ZERO_TOL)[0]), p0, xs[0]
+        return float(ts[0]), int((p0 >= -ZERO_TOL).nonzero()[0][0]), p0, xs[0]
     scale_t = max(1.0, abs(float(ts[0])), abs(float(ts[-1])))
-    width_floor = 8.0 * np.finfo(float).eps * scale_t
+    width_floor = 8.0 * _EPS * scale_t
 
     def scored(x):
         # each point's data: its coordinate row, then its curve row
@@ -563,7 +593,7 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
             hi - lo <= BISECT_TOL * scale_t and info[:n].max() <= ZERO_TOL)
 
     g, info = scored(xs[1:])
-    hits = np.flatnonzero(g >= 0.0)
+    hits = (g >= 0.0).nonzero()[0]
     h = int(hits[0]) if hits.size else g.size - 1
     # a wide seeded cell opens with an even round: a secant root of scores
     # that far apart misses by about the cell
@@ -572,7 +602,7 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
     hi_t, hi_info = refine_bracket(probe, float(ts[h]), float(ts[h + 1]),
                                    float(g[h]), info[h], done, lo_g)
     p, x_bar = hi_info[:n], hi_info[n:]
-    return hi_t, int(np.flatnonzero(p >= -ZERO_TOL)[0]), p, x_bar
+    return hi_t, int((p >= -ZERO_TOL).nonzero()[0][0]), p, x_bar
 
 
 def _clip_bounds(iv: IntervalSpec):
@@ -602,16 +632,17 @@ def _exact_mass_fits(xs, target, total, scale):
     kkt[:, :m, :m] = 2.0 * a @ a.transpose(0, 2, 1)
     kkt[:, :m, m] = 1.0
     kkt[:, m, :m] = 1.0
-    rhs = np.concatenate([2.0 * a @ (total * target * scale),
-                          np.full((len(xs), 1), total)], axis=1)
+    rhs = np.empty((len(xs), m + 1))
+    rhs[:, :m] = 2.0 * a @ (total * target * scale)
+    rhs[:, m] = total
     try:
         sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError:
         sol = np.full(rhs.shape, np.nan)
-    for i in np.flatnonzero(~np.all(np.isfinite(sol), axis=1)):
+    for i in (~np.isfinite(sol).all(axis=1)).nonzero()[0]:
         sol[i] = np.linalg.lstsq(kkt[i], rhs[i], rcond=None)[0]
     fits = sol[:, :m]
-    fits[np.any(fits < -1e-12 * total, axis=1)] = np.nan
+    fits[(fits < -1e-12 * total).any(axis=1)] = np.nan
     return np.maximum(fits, 0.0)
 
 
@@ -672,14 +703,15 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
 
     x = curve.evaluate(params) if points is None else np.asarray(points, dtype=float)
     r = residual(x, weights)
-    norm = float(np.linalg.norm(r))
+    norm = math.sqrt(r.dot(r))
     for _ in range(POLISH_MAX_ITER):
-        if float(np.max(np.abs(r))) <= target_resid:
+        if float(np.abs(r).max()) <= target_resid:
             return params, weights, True, x
-        h = np.cbrt(np.finfo(float).eps) * np.maximum(1.0, np.abs(params))
+        h = _DIFF_STEP * np.maximum(1.0, np.abs(params))
         up = np.minimum(params + h, hi)
         dn = np.maximum(params - h, lo)
-        x_up, x_dn = np.split(curve.evaluate(np.concatenate([up, dn])), 2)
+        x_both = curve.evaluate(np.concatenate([up, dn]))
+        x_up, x_dn = x_both[:m], x_both[m:]
         dx = (x_up - x_dn) / (up - dn)[:, None]
         jac = np.zeros((n + 1, 2 * m))
         jac[:n, :m] = (weights[:, None] * dx).T
@@ -692,7 +724,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         for lam_rel in _LM_LADDER:
             lam = lam_rel * s[0]
             step = vt.T @ (s / (s * s + lam * lam) * utr)
-            trials.append((np.clip(params + step[:m], lo, hi),
+            trials.append(((params + step[:m]).clip(lo, hi),
                            np.maximum(weights + step[m:], 0.0)))
         x_try = curve.evaluate(np.concatenate([p for p, _ in trials])).reshape(
             len(trials), m, n)
@@ -700,10 +732,10 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         best = None
         for (p_try, w_try), x_t, fit in zip(trials, x_try, fits):
             r_try = residual(x_t, w_try)
-            norm_try = float(np.linalg.norm(r_try))
+            norm_try = math.sqrt(r_try.dot(r_try))
             if not np.isnan(fit[0]):
                 r_fit = residual(x_t, fit)
-                norm_fit = float(np.linalg.norm(r_fit))
+                norm_fit = math.sqrt(r_fit.dot(r_fit))
                 if norm_fit <= norm_try:
                     w_try, r_try, norm_try = fit, r_fit, norm_fit
             if best is None or norm_try < best[0]:
@@ -714,7 +746,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         norm, params, weights, r, x = best
         if stalled:
             break
-    return params, weights, float(np.max(np.abs(r))) <= target_resid, x
+    return params, weights, float(np.abs(r).max()) <= target_resid, x
 
 
 def merge_coincident(params, weights, points=None):
@@ -728,17 +760,17 @@ def merge_coincident(params, weights, points=None):
     input order; only when some parameter repeats are the sums formed.
     """
     params = np.asarray(params, dtype=float)
-    if np.all(params[1:] > params[:-1]):
+    if (params[1:] > params[:-1]).all():
         weights = np.asarray(weights, dtype=float) + 0.0
         return (params, weights) if points is None else (params, weights, points)
-    order = np.argsort(params, kind="stable")
+    order = params.argsort(kind="stable")
     params = params[order]
     weights = np.asarray(weights, dtype=float)[order] + 0.0
     first = np.ones(params.size, dtype=bool)
     np.not_equal(params[1:], params[:-1], out=first[1:])
     if not first.all():
-        merged = np.zeros(int(np.count_nonzero(first)))
-        np.add.at(merged, np.cumsum(first) - 1, weights)
+        merged = np.zeros(int(first.sum()))
+        np.add.at(merged, first.cumsum() - 1, weights)
         params, weights, order = params[first], merged, order[first]
     if points is None:
         return params, weights
@@ -830,8 +862,8 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         if frame is None:
             continue
         # the input points strictly inside the gap seed the walk
-        a = int(np.searchsorted(seed_params, params[i], side="right"))
-        b = int(np.searchsorted(seed_params, params[i + 1], side="left"))
+        a = int(seed_params.searchsorted(params[i], side="right"))
+        b = int(seed_params.searchsorted(params[i + 1], side="left"))
         t_bar, k, p, x_bar = _first_zero_crossing(
             frame, curve, np.concatenate([params[i:i + 1], seed_params[a:b],
                                           params[i + 1:i + 2]]),
@@ -843,7 +875,7 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         rest = np.arange(n) != k
         new_params = np.concatenate([[t_bar], basis_params[rest]])
         new_nu = np.concatenate([[1.0 / denom], -p[rest] / denom])
-        new_points = np.vstack([x_bar, basis_points[rest]])
+        new_points = np.concatenate([x_bar[None, :], basis_points[rest]])
         return finish(new_params, new_nu * total, new_points)
 
     # every frame is singular: a point of tiny weight leaves v within

@@ -89,6 +89,8 @@ _MAX_ROUNDS = 48
 _DE_STEP = 0.125
 _DE_GRID = _DE_STEP * np.arange(-56, 57)
 _TINY = np.finfo(float).tiny
+_EPS = np.finfo(float).eps
+_HALVES = np.arange(3.0)  # the steps of the starting panels' edges
 
 
 @dataclass(frozen=True)
@@ -184,8 +186,8 @@ def _density_callable(m: MeasureSpec):
 
     def w(ts, finite=True):
         vals = evaluate_columns((dens,), ts, finite=finite)[:, 0]
-        if np.any(vals < -1e-12):
-            worst = float(np.min(vals))
+        if (vals < -1e-12).any():
+            worst = float(vals.min())
             raise NegativeDensityError(
                 f"density evaluates to {worst} (< -1e-12); not a positive measure"
             )
@@ -215,6 +217,15 @@ def _panel_rule(vec_fn, lo, hi):
     return i15, np.abs(i15 - i7), vals[:, :, 0]
 
 
+def _start_edges(a, b):
+    """The edges of the 2 starting panels of [a, b]: the formula of
+    ``np.linspace(a, b, 3)``, steps times (b - a) / 2 plus a and then b,
+    so its bits at a fraction of its cost."""
+    edges = _HALVES * ((b - a) / 2) + a
+    edges[-1] = b
+    return edges
+
+
 def _integrate_compact(vec_fn, a, b, tol, n_out):
     """Adaptive bisection of [a, b] with ``vec_fn``'s column 0 the density.
 
@@ -227,26 +238,26 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
     """
     if not b > a:
         return np.zeros(n_out), np.empty(0), np.empty(0)
-    edges = np.linspace(a, b, 3)
+    edges = _start_edges(a, b)
     lo, hi = edges[:-1], edges[1:]
     vals, errs, dens = _panel_rule(vec_fn, lo, hi)
-    width_floor = 64.0 * np.finfo(float).eps * max(abs(a), abs(b), 1.0)
+    width_floor = 64.0 * _EPS * max(abs(a), abs(b), 1.0)
     for _ in range(_MAX_ROUNDS):
-        if np.any(lo[1:] < lo[:-1]):
-            order = np.argsort(lo, kind="stable")
+        if (lo[1:] < lo[:-1]).any():
+            order = lo.argsort(kind="stable")
             lo, hi, vals, errs, dens = (lo[order], hi[order], vals[order],
                                         errs[order], dens[order])
         totals = vals.sum(axis=0)
         err_tot = errs.sum(axis=0)
         fn_tol = tol * (1.0 + np.abs(totals))
-        if np.all(err_tot <= fn_tol):
+        if (err_tot <= fn_tol).all():
             half, nodes = _gauss_nodes(lo, hi, _K15_X)
             weights = half[:, None] * _K15_W[None, :] * dens
             return totals, nodes.ravel(), weights.ravel()
         share = (hi - lo) / (b - a)
-        bad = np.any(errs > 0.5 * fn_tol[None, :] * share[:, None], axis=1)
+        bad = (errs > 0.5 * fn_tol[None, :] * share[:, None]).any(axis=1)
         bad &= (hi - lo) > width_floor
-        if not np.any(bad):
+        if not bad.any():
             raise NonConvergenceError(
                 f"integral over [{a}, {b}] did not reach tolerance {tol}; "
                 f"residual error {float(err_tot.max())}"
@@ -354,13 +365,13 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
             out[live, 0] = w(ts[live], finite) * dphi[live]
         live &= np.isfinite(out[:, 0])
         out[~live, 0] = 0.0
-        pos = np.flatnonzero(out[:, 0] > 0.0)
+        pos = (out[:, 0] > 0.0).nonzero()[0]
         vals = evaluate_columns(components, ts[pos]) * out[pos, :1]
         out[pos, 1:] = np.concatenate([vals, np.abs(vals)], axis=1)
         return ts, dphi, live, out
 
     ts, dphi, live, cols = columns(_DE_GRID, finite=False)
-    carry = np.flatnonzero(cols[:, 0] > 0.0)
+    carry = (cols[:, 0] > 0.0).nonzero()[0]
     if not carry.size:
         raise SchemaError("the density is zero at every node of the u-grid: "
                           "a density narrower than the grid's spacing in t "
@@ -384,7 +395,7 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
             raise DivergentMassError(
                 "the mass does not decay towards an end of the interval within "
                 f"the doubles: tail estimate {cut[0]:.3g} {where}")
-        bad = int(np.flatnonzero(~thin[1:])[0])
+        bad = int((~thin[1:]).nonzero()[0][0])
         raise NonConvergenceError(
             f"function {bad % k} is not absolutely integrable: "
             f"tail estimate {cut[1 + bad]:.3g} {where}")

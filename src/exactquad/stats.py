@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
-from .measure import _DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
+from .measure import _DE_GRID, _EPS, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
 from .synth import RESIDUAL_GATE, synthesize_on_pass
 
 __all__ = [
@@ -206,7 +206,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
             f"(psi(t2) = {psi_b:.3e}); continuity assumptions look violated"
         )
     tol_phi = 1e-11 * (1.0 + 4.0 * abs(cov))
-    width_floor = 8.0 * np.finfo(float).eps * max(1.0, abs(t1), abs(t2))
+    width_floor = 8.0 * _EPS * max(1.0, abs(t1), abs(t2))
 
     def probe(ss):
         # a point with psi >= -tol_phi hits; one with |psi| <= tol_phi ends
@@ -230,7 +230,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
 
 def _best_cells(grid, scores):
     """Each row's best score and the two gaps of ``grid`` around it."""
-    j = np.argmax(scores, axis=1)
+    j = scores.argmax(axis=1)
     rows = np.arange(len(j))
     last = grid.shape[1] - 1
     return (scores[rows, j], grid[rows, np.maximum(j - 1, 0)],
@@ -250,13 +250,13 @@ def _scan_extrema(fns, xs, ts, to_t, scopes):
     ``_CELL_TOL`` max(1, |a|, |b|) of its scan cell [a, b].
     """
     k, n = len(fns), len(scopes)
-    col = np.tile(np.repeat(np.arange(k), 2), n)  # cell c refines function col[c] ...
-    sign = np.tile([-1.0, 1.0], k * n)            # ... towards its minimum or maximum
-    seen = np.repeat(scopes, 2 * k, axis=0)       # ... from its scope's scan points
+    col = np.arange(2 * k * n) // 2 % k           # cell c refines function col[c] ...
+    sign = np.array([-1.0, 1.0] * (k * n))        # ... towards its minimum or maximum
+    seen = scopes.repeat(2 * k, axis=0)           # ... from its scope's scan points
     scores = np.where(seen, sign[:, None] * evaluate_columns(fns, ts).T[col], -np.inf)
     best, a, b = _best_cells(np.broadcast_to(xs, scores.shape), scores)
     tol = _CELL_TOL * np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    cells = np.flatnonzero(b - a > tol)
+    cells = (b - a > tol).nonzero()[0]
     while cells.size:
         grid = a[cells, None] + (b - a)[cells, None] * _CELL_STEPS
         vals = evaluate_columns(fns, to_t(grid.ravel())).reshape(grid.shape + (k,))
@@ -293,7 +293,7 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
         return [float(v) for v in _scan_extrema(fns, ts, ts, lambda ts: ts, scope)[0]]
     phi = _de_map(iv)
     nodes, dphi = phi(_DE_GRID)
-    live = np.flatnonzero(dphi > 0.0)
+    live = (dphi > 0.0).nonzero()[0]
 
     def clean(i):
         return (np.isfinite(evaluate_columns(fns, nodes[i], finite=False)).all()
@@ -324,17 +324,17 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
         if is_open]
     rows = _scan_extrema(fns, xs, pts, lambda us: phi(us)[0],
                          np.array([inner, *centre] + [scope for _, scope in ends]))
-    sign = np.tile([-1.0, 1.0], len(fns))
-    base = sign * np.max(sign * rows[:4], axis=0)
+    sign = np.array([-1.0, 1.0] * len(fns))
+    base = sign * (sign * rows[:4]).max(axis=0)
     for (end, _), row in zip(ends, rows[4:]):
-        moved = np.flatnonzero(sign * (row - base) > _EXTREMA_RTOL * (1.0 + np.abs(row)))
+        moved = (sign * (row - base) > _EXTREMA_RTOL * (1.0 + np.abs(row))).nonzero()[0]
         if moved.size:
             j = moved[0]
             raise UnboundedFunctionError(
                 f"function {j // 2} is unbounded towards t = {nodes[end]:.6g}, or its "
                 "limit there cannot be resolved in doubles: the last grid step "
                 f"there moves an extremum from {base[j]:.6g} to {row[j]:.6g}")
-    return [float(v) for v in sign * np.max(sign * rows, axis=0)]
+    return [float(v) for v in sign * (sign * rows).max(axis=0)]
 
 
 def _gruss_report(cov, m_f, big_f, m_g, big_g) -> GrussReport:
@@ -364,7 +364,7 @@ def gruss_discrete(p, u, v) -> GrussReport:
         raise SchemaError("p, u, v must be 1-d sequences of one length")
     if p.size == 0 or p.size > 10**6:
         raise SchemaError("sequence length must be between 1 and 10^6")
-    if np.any(p < 0.0):
+    if (p < 0.0).any():
         raise WeightNormalizationError("weights must be non-negative")
     total = math.fsum(p)
     if not abs(total - 1.0) <= 1e-12:
@@ -378,8 +378,8 @@ def gruss_discrete(p, u, v) -> GrussReport:
     except (OverflowError, ValueError):  # the sum leaves the double range
         e_u = e_v = e_uv = math.inf
     cov = e_uv - e_u * e_v
-    report = _gruss_report(cov, float(np.min(u)), float(np.max(u)),
-                           float(np.min(v)), float(np.max(v)))
+    report = _gruss_report(cov, float(u.min()), float(u.max()),
+                           float(v.min()), float(v.max()))
     if not all(map(math.isfinite, (e_u, e_v, e_uv, cov, report.bound))):
         raise MomentDivergenceError(
             "the moments or the bound of the sequences overflow a double")

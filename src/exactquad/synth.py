@@ -166,7 +166,7 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
         raise SchemaError(f"J has {len(J.values)} integrals for {curve.n} functions")
     params = np.concatenate([J.nodes, [loc for loc, _ in m.atoms]])
     weights = np.concatenate([J.weights, [mass for _, mass in m.atoms]])
-    if m.atoms or not np.all(params[1:] > params[:-1]):
+    if m.atoms or not (params[1:] > params[:-1]).all():
         params, weights = merge_coincident(params, weights)
     keep = weights > 0.0
     return params[keep], weights[keep]
@@ -191,11 +191,14 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
         ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
         x = curve.evaluate(discretize_hull_point(curve, m, ivec)[0])
     xc = x - x.mean(axis=0)
-    thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
-    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.max(np.abs(x), axis=0)
+    s_all = np.linalg.svd(xc, compute_uv=False)
+    thresh = RANK_TOL * float(s_all[0])
+    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.abs(x).max(axis=0)
     indep: list[int] = []
     for k in range(curve.n):
-        s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
+        # the last candidate after every column was accepted is xc itself
+        s = (s_all if len(indep) == k == curve.n - 1
+             else np.linalg.svd(xc[:, indep + [k]], compute_uv=False))
         if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
             indep.append(k)
     return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
@@ -220,7 +223,7 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     at the nodes."""
     target = j_vals / mu
     if not indep:
-        i = int(np.argmin(np.max(np.abs(x - target), axis=1)))
+        i = int(np.abs(x - target).max(axis=1).argmin())
         start, lam, rows = params[i:i + 1], np.array([mu]), x[i:i + 1]
     else:
         sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
@@ -236,7 +239,7 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
         CurveSystem(curve.components, m.interval), start, lam, target, mu,
         points=rows)
     keep = lam > 1e-14 * mu
-    if np.any(keep):
+    if keep.any():
         # Gauss-Newton weights hold the mass only to the polish's absolute
         # target, which MASS_GATE, relative to mu, misses when mu is small
         nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
@@ -289,7 +292,7 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
         nodes, lam, rows, converged = _synthesize_pass(
             curve, m, working, params, w, x, J.values, J.mass, indep)
         resid, rel, mass_err = _gate(rows, lam, J.values, J.mass)
-        if mass_err <= MASS_GATE and np.all(rel <= RESIDUAL_GATE):
+        if mass_err <= MASS_GATE and (rel <= RESIDUAL_GATE).all():
             return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,
                                   residuals=resid, rank_used=report.rank,
                                   converged=bool(converged))
@@ -299,7 +302,7 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
         )
     raise PolishError(
         f"rule residuals exceed the {RESIDUAL_GATE} gate for "
-        f"function(s) {np.flatnonzero(~(rel <= RESIDUAL_GATE)).tolist()}"
+        f"function(s) {(~(rel <= RESIDUAL_GATE)).nonzero()[0].tolist()}"
     )
 
 
@@ -311,8 +314,8 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
     resid, rel, ws_err = _gate(curve.evaluate(rule.nodes), rule.weights,
                                ref.values, ref.mass)
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
-    nonneg = bool(np.all(rule.weights >= 0.0))
-    passed = bool(np.all(rel <= RESIDUAL_GATE) and ws_err <= MASS_GATE
+    nonneg = bool((rule.weights >= 0.0).all())
+    passed = bool((rel <= RESIDUAL_GATE).all() and ws_err <= MASS_GATE
                   and nodes_in and nonneg)
     return VerificationReport(
         reference=ref.values,

@@ -498,6 +498,13 @@ _INTERVAL = UNIT_MEASURE["interval"]
                 "combination": {"params": [0.2, math.nan],
                                 "weights": [0.5, 0.5], "total": 1.0}}, []),
     ("gruss-discrete", {"p": [1.0], "u": [math.inf], "v": [0]}, []),
+    ("reduce", {"functions": ["t"], "interval": _INTERVAL,
+                "combination": {"params": [-3, 0.5, 4], "weights": [0.25, 0.5, 0.25],
+                                "total": 1.0}}, []),
+    ("reduce", {"functions": ["log(t)", "t"],
+                "interval": _with(_INTERVAL, lower_open=True),
+                "combination": {"params": [-0.5, 0.5], "weights": [0.5, 0.5],
+                                "total": 1.0}}, []),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-unknown",
         "tol-zero-under-flag", "tol-flag-negative", "covwitness-tol-flag-nan",
         "covwitness-tol-flag-infinity",
@@ -505,7 +512,8 @@ _INTERVAL = UNIT_MEASURE["interval"]
         "reduce-function-number", "reduce-tolerances", "verify-tolerances",
         "covwitness-f-number", "gruss-tolerances", "gruss-discrete-p-string",
         "trials-zero", "gruss-discrete-p-nan", "verify-node-nan",
-        "reduce-param-nan", "gruss-discrete-u-infinity"])
+        "reduce-param-nan", "gruss-discrete-u-infinity",
+        "reduce-params-outside-interval", "reduce-param-outside-open-end"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
     assert code == 2 and out == ""

@@ -131,6 +131,23 @@ class TestDomainErrors:
             parse("1+log(t-2)")(1.0)
         assert "log(t-2.0)" in str(exc.value)
 
+    # a constant subtree evaluates to a Python float, not an array, so its
+    # domain check must accept a scalar
+    @pytest.mark.parametrize("text,message,subexpr", [
+        ("(-2)^0.5", "negative base with non-integer exponent", "(-2.0)^0.5"),
+        ("0^-1+t", "zero raised to a negative power", "0.0^(-1.0)"),
+        ("log(0)+t", "log of a non-positive value", "log(0.0)"),
+        ("sqrt(-1)*t", "sqrt of a negative value", "sqrt(-1.0)"),
+        ("1/(1-1)", "division by zero", "1.0/(1.0-1.0)"),
+    ])
+    @pytest.mark.parametrize("x", [0.5, np.array([0.25, 0.5])],
+                             ids=["scalar", "array"])
+    def test_constant_subtree_domain_error(self, text, message, subexpr, x):
+        with pytest.raises(EvalDomainError) as exc:
+            parse(text)(x)
+        assert str(exc.value) == f"{message} in '{subexpr}'"
+        assert exc.value.subexpr == subexpr
+
 
 # --- powers with a literal exponent ---------------------------------------
 
