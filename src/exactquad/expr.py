@@ -63,11 +63,6 @@ __all__ = ["Expression", "parse"]
 # evaluation and Expression(ast) recurse once per level, and composing
 # parsed expressions (as stats does) adds a few levels
 MAX_DEPTH = 100
-CONTINUITY_POINTS = 1024
-# cos(pi j / (CONTINUITY_POINTS - 1)), j = 0..CONTINUITY_POINTS-1: the
-# Chebyshev spacing that every continuity probe scales onto its window
-_CONTINUITY_COS = np.cos(np.pi * np.arange(CONTINUITY_POINTS, dtype=float)
-                         / (CONTINUITY_POINTS - 1))
 
 _UNARY_FUNCS = {
     "sin": np.sin,
@@ -617,16 +612,3 @@ def parse(text: str) -> Expression:
         fail(f"expression tree is deeper than {MAX_DEPTH} levels", 0)
     return Expression._composed(*node)
 
-
-def continuity_points(lower: float, upper: float) -> np.ndarray:
-    """``CONTINUITY_POINTS`` Chebyshev-spaced points of ``[lower, upper]``,
-    from ``upper`` down to ``lower``, both exactly.
-
-    The points are clipped to the interval: next to a tiny ``lower`` the
-    formula rounds onto 0 (``lower = 1.8e-273``, ``upper = 1``), which an
-    open end must not reach.
-    """
-    pts = (0.5 * (lower + upper) + 0.5 * (upper - lower) * _CONTINUITY_COS).clip(
-        lower, upper)
-    pts[0], pts[-1] = upper, lower
-    return pts

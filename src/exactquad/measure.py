@@ -439,9 +439,15 @@ def _integrals(m: MeasureSpec, components, tol):
         totals = totals + part
     if m.atoms:
         locs, masses = np.array(m.atoms).T
-        terms = (masses[:, None] * evaluate_columns(components, locs)).T
-        totals = totals + np.array([math.fsum(masses)]
-                                   + [math.fsum(col) for col in terms])
+        with np.errstate(over="ignore"):
+            terms = (masses[:, None] * evaluate_columns(components, locs)).T
+        try:
+            sums = [math.fsum(masses)] + [math.fsum(col) for col in terms]
+        except (OverflowError, ValueError):  # an exact sum leaves the doubles
+            sums = [math.inf]
+        if not all(map(math.isfinite, sums)):
+            raise SchemaError("the atoms' sums leave the double range")
+        totals = totals + np.array(sums)
     mass = float(totals[0])
     if not math.isfinite(mass) or mass <= 0.0:
         raise SchemaError(f"measure has non-positive total mass {mass}")

@@ -366,7 +366,10 @@ def gruss_discrete(p, u, v) -> GrussReport:
         raise SchemaError("sequence length must be between 1 and 10^6")
     if (p < 0.0).any():
         raise WeightNormalizationError("weights must be non-negative")
-    total = math.fsum(p)
+    try:
+        total = math.fsum(p)
+    except OverflowError:
+        raise SchemaError("the weights p sum past the double range") from None
     if not abs(total - 1.0) <= 1e-12:
         raise WeightNormalizationError(
             f"weights sum to {total}, not 1 (within 1e-12)"

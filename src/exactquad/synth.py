@@ -16,9 +16,10 @@ total mass, reproducing every function integral:
    panels (2 to start with) plus the atoms; the moments of this positive
    discrete measure are the integral vector itself, so the target lies in
    its hull by construction and the affine rank of step 2 is read on the
-   same nodes; the curve is
-   evaluated on them once, in one batch with the continuity probe, and
-   the rank, the prune and the walk of step 5 share those values;
+   same nodes; the curve is evaluated on them once, in one batch with
+   the working window's two ends, where a function undefined at a closed
+   end of the interval fails as a domain error, and the rank, the prune
+   and the walk of step 5 share those values;
 5. hand the whole discrete combination, with its rows, to
    :func:`~exactquad.hull.reduce_on_curve`: it prunes to at most rank+1
    support points with a merge-reduce Caratheodory elimination over
@@ -54,7 +55,6 @@ from .errors import (
     number,
     numbers,
 )
-from .expr import continuity_points
 from .hull import (
     RANK_TOL,
     ConvexCombination,
@@ -184,7 +184,10 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     own mean (``ROUNDING_FLOOR``), so a constant function is dependent.
     The independent subset is chosen greedily in index order, so earlier
     functions win.  Rank 0 means every function is constant wherever the
-    measure has mass.
+    measure has mass.  When all the centred columns pass the test together
+    the rank is n from one factorization: by Cauchy interlacing no subset
+    of columns has a smaller least singular value than the whole matrix,
+    so the greedy loop would accept every column.
     """
     x = values
     if x is None:
@@ -194,6 +197,9 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     s_all = np.linalg.svd(xc, compute_uv=False)
     thresh = RANK_TOL * float(s_all[0])
     floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.abs(x).max(axis=0)
+    if s_all.size == curve.n and s_all[-1] > max(thresh, floor.max()):
+        return AffineRankReport(rank=curve.n,
+                                independent_indices=tuple(range(curve.n)))
     indep: list[int] = []
     for k in range(curve.n):
         # the last candidate after every column was accepted is xc itself
@@ -272,18 +278,19 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
     which holds whenever each component of ``curve`` is a linear
     combination of the constant 1 and the functions that pass integrated.
-    Discretizes, probes continuity on the window in the batch that
-    evaluates the discrete measure, and reads the affine rank.  One loop
-    builds a candidate on the independent subset, polishes it on all n
-    functions and gates every residual; if the subset dropped functions
-    and missed the gate (a dependence that holds on the support, not at
-    the nodes), it runs once more on all n functions.  ``rank_used`` is
-    the affine rank either way.
+    Discretizes, evaluates the discrete measure in one batch with the
+    window's two ends (the continuity probe: the discrete nodes cover the
+    interior, and a closed end of the interval is an end of the window),
+    and reads the affine rank.  One loop builds a candidate on the
+    independent subset, polishes it on all n functions and gates every
+    residual; if the subset dropped functions and missed the gate (a
+    dependence that holds on the support, not at the nodes), it runs once
+    more on all n functions.  ``rank_used`` is the affine rank either way.
     """
     params, w = discretize_hull_point(curve, m, J)
-    # one batch: the discrete measure's nodes, then the continuity probe
+    # one batch: the discrete measure's nodes, then the window's two ends
     x = curve.evaluate(np.concatenate(
-        [params, continuity_points(working.lower, working.upper)]))[:params.size]
+        [params, (working.upper, working.lower)]))[:params.size]
     report = affine_rank(curve, m, values=x)
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:

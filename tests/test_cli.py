@@ -456,6 +456,9 @@ def _with(obj, **changes):
 
 _SYNTH = {"functions": ["t"], "measure": UNIT_MEASURE}
 _INTERVAL = UNIT_MEASURE["interval"]
+# two atoms whose masses sum past the largest double
+_HUGE_ATOMS = _with(UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
+                                         {"t": 0.75, "mass": 1e308}])
 
 
 @pytest.mark.parametrize("command, problem, flags", [
@@ -505,6 +508,17 @@ _INTERVAL = UNIT_MEASURE["interval"]
                 "interval": _with(_INTERVAL, lower_open=True),
                 "combination": {"params": [-0.5, 0.5], "weights": [0.5, 0.5],
                                 "total": 1.0}}, []),
+    ("gruss-discrete", {"p": [1e308, 1e308], "u": [0, 1], "v": [0, 1]}, []),
+    ("synthesize", _with(_SYNTH, measure=_HUGE_ATOMS), []),
+    ("gruss", {"f": "t", "g": "t", "measure": _HUGE_ATOMS}, []),
+    # the atoms' terms of 1e10*(t-0.5) overflow to -inf and +inf, and
+    # those of 1e10*t to +inf
+    ("synthesize", _with(_SYNTH, functions=["1e10*(t-0.5)"], measure=_with(
+        UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
+                             {"t": 0.75, "mass": 1e307}])), []),
+    ("synthesize", _with(_SYNTH, functions=["1e10*t"], measure=_with(
+        UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
+                             {"t": 0.75, "mass": 1e307}])), []),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-unknown",
         "tol-zero-under-flag", "tol-flag-negative", "covwitness-tol-flag-nan",
         "covwitness-tol-flag-infinity",
@@ -513,7 +527,10 @@ _INTERVAL = UNIT_MEASURE["interval"]
         "covwitness-f-number", "gruss-tolerances", "gruss-discrete-p-string",
         "trials-zero", "gruss-discrete-p-nan", "verify-node-nan",
         "reduce-param-nan", "gruss-discrete-u-infinity",
-        "reduce-params-outside-interval", "reduce-param-outside-open-end"])
+        "reduce-params-outside-interval", "reduce-param-outside-open-end",
+        "gruss-discrete-p-overflows", "synthesize-atom-masses-overflow",
+        "gruss-atom-masses-overflow", "synthesize-atom-moments-cancel",
+        "synthesize-atom-moment-overflows"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
     assert code == 2 and out == ""

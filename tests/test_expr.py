@@ -11,7 +11,6 @@ from exactquad.errors import EvalDomainError, SyntaxParseError, UnknownIdentifie
 from exactquad.expr import (
     MAX_DEPTH,
     Expression,
-    continuity_points,
     evaluate_columns,
     overflows,
     parse,
@@ -525,27 +524,6 @@ def test_malformed_input_table(text, error, message, offset):
     assert type(exc.value) is error
     assert str(exc.value) == f"{message} (offset {offset})"
     assert exc.value.offset == offset
-
-
-def test_continuity_probe_accepts_and_rejects():
-    vals = parse("1/(1+t)")(continuity_points(0.0, 1.0))
-    assert len(vals) == 1024 and np.all(np.isfinite(vals))
-    with pytest.raises(EvalDomainError):
-        parse("log(t)")(continuity_points(0.0, 1.0))
-    parse("log(t)")(continuity_points(0.1, 1.0))
-
-
-@pytest.mark.parametrize("lower,upper", [
-    (1.8e-273, 1.0), (0.0, 1.0), (0.1, 0.7), (-3.0, 1e-300), (1e6, 1e6 + 1.0),
-    (-2.5, 2.5), (5e-324, 1e-300),
-])
-def test_continuity_points_span_the_interval_exactly(lower, upper):
-    # next to a tiny lower end the Chebyshev formula rounds onto 0, outside
-    # an open end, and its end points can round inward
-    pts = continuity_points(lower, upper)
-    assert pts[0] == upper and pts[-1] == lower
-    assert np.all(pts >= lower) and np.all(pts <= upper)
-    assert np.all(np.diff(pts) <= 0)
 
 
 def test_array_and_scalar_evaluation_agree():

@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from exactquad import cli, hull, synth
@@ -15,8 +15,8 @@ from exactquad.errors import (
     PolishError,
     SchemaError,
 )
-from exactquad.expr import continuity_points, parse
-from exactquad.hull import RECON_TOL, CurveSystem
+from exactquad.expr import parse
+from exactquad.hull import RANK_TOL, RECON_TOL, CurveSystem
 from exactquad.measure import (
     IntervalSpec,
     MeasureSpec,
@@ -164,6 +164,67 @@ def test_random_constant_has_rank_zero(value):
     assert synthesize_rule(curve(text), UNIT).rank_used == 0
     report = affine_rank(curve("t", text), UNIT)
     assert report.independent_indices == (0,)
+
+
+def _greedy_independent(x):
+    """The greedy rank test with every candidate column set factorized
+    afresh: column k joins when the centred columns chosen so far and k
+    have a least singular value above both thresholds."""
+    xc = x - x.mean(axis=0)
+    thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
+    floor = synth.ROUNDING_FLOOR * math.sqrt(len(x)) * np.abs(x).max(axis=0)
+    indep = []
+    for k in range(x.shape[1]):
+        s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
+        if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
+            indep.append(k)
+    return tuple(indep)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
+       n=st.integers(1, 6),
+       exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+       kind=st.sampled_from(["independent", "near-dependent", "constant"]),
+       gap=st.floats(1e-16, 1e-3))
+# the constant column's centred rounding stands above the relative
+# threshold but not above its own rounding floor
+@example(seed=0, rows=12, n=2, exponents=[-6.0, 6.0, 0.0, 0.0, 0.0, 0.0],
+         kind="constant", gap=1e-3)
+def test_affine_rank_agrees_with_the_greedy_loop(seed, rows, n, exponents,
+                                                 kind, gap):
+    # full rank read from one factorization gives the greedy loop's rank
+    # and columns, with columns scaled by up to 1e+-6, a column within
+    # gap of an affine combination of earlier ones, a constant column, and
+    # as few rows as columns or fewer
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((rows, n))
+    if kind == "near-dependent" and n > 1:
+        j = int(rng.integers(1, n))
+        x[:, j] = (x[:, :j] @ rng.standard_normal(j) + 0.5
+                   + gap * rng.standard_normal(rows))
+    elif kind == "constant":
+        x[:, int(rng.integers(n))] = rng.standard_normal()
+    x *= 10.0 ** np.array(exponents[:n])
+    report = affine_rank(curve(*["t"] * n), UNIT, values=x)
+    expected = _greedy_independent(x)
+    assert report.independent_indices == expected
+    assert report.rank == len(expected)
+
+
+@pytest.mark.parametrize("texts", [("t",), ("exp(-t)", "cos(t)", "log(1+t)"),
+                                   ("t", "t^2", "exp(t)", "sin(3*t)")])
+def test_full_rank_costs_one_factorization(monkeypatch, texts):
+    c = curve(*texts)
+    x = c.evaluate(np.linspace(0.0, 1.0, 30))
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or svd(*a, **k))
+    report = affine_rank(c, UNIT, values=x)
+    monkeypatch.undo()
+    assert report.independent_indices == tuple(range(c.n))
+    assert len(calls) == 1
 
 
 class TestDiscretize:
@@ -557,12 +618,12 @@ class TestRuleJson:
 def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms):
     # the affine rank, the prune and the walk (or the rank-0 rule) share
     # one evaluation of the curve at the discrete measure's nodes, and the
-    # continuity probe rides in the same batch
+    # continuity probe, the window's two ends, rides in the same batch
     m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"), atoms=atoms)
     c = CurveSystem.from_texts(texts, m.interval)
     J, window = exhaust_interval(m, c)
     params, _ = discretize_hull_point(c, m, J)
-    probe = continuity_points(window.lower, window.upper)
+    probe = np.array([window.upper, window.lower])
     batches = []
     evaluate = CurveSystem.evaluate
     monkeypatch.setattr(CurveSystem, "evaluate",
