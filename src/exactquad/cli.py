@@ -17,6 +17,8 @@ import json
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from .errors import (
     ExactQuadError,
     SchemaError,
@@ -209,7 +211,10 @@ def run(argv=None, stdout=None, stderr=None) -> int:
                     stderr)
         return 2
     try:
-        result, note = _COMMANDS[args.command](obj, args)
+        # numpy's floating-point warnings stay off stderr: a result is
+        # checked by its own gates, and a failure is a typed error
+        with np.errstate(all="ignore"):
+            result, note = _COMMANDS[args.command](obj, args)
     except SchemaError as exc:
         _emit_error(exc.kind, str(exc), stderr)
         return 2

@@ -6,11 +6,11 @@ points by shifting weight along null vectors of the homogeneous system
 [points; 1] until weights hit zero.  It works merge-reduce, eliminating
 the means of 2(n+1) contiguous clusters per round, so its cost grows
 linearly in the number of points.  Each round factorizes once: one SVD
-gives a null-space basis, and a rank-one update after every elimination
-keeps the rest of the basis null on the surviving points.  The shifts and
-the updates run on Python floats in numpy's operation order, so they give
-numpy's bits: they touch at most 2(n+1) numbers each, where a numpy call
-costs more than its arithmetic.
+gives a null-space basis and the system's rank, and a rank-one update
+after every elimination keeps the rest of the basis null on the surviving
+points.  The shifts and the updates run on Python floats in numpy's
+operation order, so they give numpy's bits: they touch at most 2(n+1)
+numbers each, where a numpy call costs more than its arithmetic.
 ``reduce_on_curve`` takes a positive combination of curve points, prunes
 it to at most n+1, and produces at most n curve points with the same total
 weight and the same weighted sum: it rebuilds coordinates in
@@ -326,30 +326,17 @@ def _homogeneous(points, target):
     return a
 
 
-def _null_direction(points, target):
-    """Sign-normalized null vector of the homogeneous system [points - target; 1].
-
-    Returns ``(c, smin, smax)``;  smin/smax are the extreme singular values,
-    so the caller can tell a structural null vector from a near-dependence.
-    """
-    _, s, vt = np.linalg.svd(_homogeneous(points, target))
-    c = vt[-1]
-    i_star = int(np.abs(c).argmax())
-    if c[i_star] < 0:
-        c = -c
-    smin = float(s[-1]) if len(s) == len(c) else 0.0
-    return c, smin, float(s[0])
-
-
 def _shift_to_zero(w, c):
     """Step the weights ``w`` along -c, in place, until the first reaches zero.
 
-    ``w`` and ``c`` are lists of floats, and ``c`` must be sign-normalized:
-    its largest-magnitude entry is positive.  The step is the ratio test
-    over the entries above 1e-14 times that entry.  The weight it zeroes is
-    set to exactly 0 and roundoff negatives are clipped to 0.  Returns the
-    index of the zeroed weight.
+    ``w`` and ``c`` are lists of floats.  ``c`` is sign-normalized first,
+    negated when its most negative entry outweighs its largest.  The step
+    is the ratio test over the entries above 1e-14 times the largest.  The
+    weight it zeroes is set to exactly 0 and roundoff negatives are clipped
+    to 0.  Returns the index of the zeroed weight.
     """
+    if -min(c) > max(c):
+        c = [-x for x in c]
     cut = 1e-14 * max(c)
     step, j = math.inf, -1
     for k, ck in enumerate(c):
@@ -363,23 +350,30 @@ def _shift_to_zero(w, c):
 
 def _null_shifts(points, w, target):
     """Shift the positive weights ``w`` (a list of floats, one per row of
-    the (m, n) ``points``, m > n+1) until at most n+1 are nonzero.
+    the (m, n) ``points``) until at most rank r of them are nonzero.
 
-    One SVD of [points - target; 1]: the trailing m - (n+1) rows of vt are
-    null vectors (a basis of the null space, or part of it when the system
-    has rank below n+1).  Each step sign-normalizes the next one, moves
-    along it until one weight reaches zero at point j, and subtracts
-    multiples of it from the remaining vectors so they vanish at j.  They
-    stay null vectors of the surviving points, so every step zeroes a new
-    point (the recombination of Litterer & Lyons, 2012).  The steps run on
-    lists of floats, converted once after the SVD.  Returns the shifted
+    One SVD of [points - target; 1] gives r, its singular values above
+    ``RANK_TOL`` times the largest.  The rows of vt past n+1 are null
+    vectors, rows r to n near-null ones.  Each step, first along the null
+    rows, then along the near-null ones, moves along its vector until one
+    weight reaches zero at point j, and subtracts multiples of it from the
+    remaining vectors so they vanish at j: they stay (near-)null vectors of
+    the surviving points, so every step zeroes a new point (the
+    recombination of Litterer & Lyons, 2012).  When the near-null steps
+    leave weights that sum to 0 or miss ``target`` by more than
+    ``RECON_TOL``, the weights from before them are returned.  The steps
+    run on lists of floats, converted once after the SVD.  Returns the
     weights as an array.
     """
     n = points.shape[1]
-    basis = np.linalg.svd(_homogeneous(points, target))[2][n + 1:].tolist()
+    _, s, vt = np.linalg.svd(_homogeneous(points, target))
+    basis = vt[n + 1:].tolist()
+    exact = len(basis)
+    basis += vt[int((s > RANK_TOL * s[0]).sum()):n + 1].tolist()
+    before = None  # the weights before the first near-null step
     for i, c in enumerate(basis):
-        if -min(c) > max(c):
-            c = [-x for x in c]
+        if i == exact:
+            before = w.copy()
         j = _shift_to_zero(w, c)
         cj = c[j]
         for r in range(i + 1, len(basis)):
@@ -388,7 +382,11 @@ def _null_shifts(points, w, target):
             row = [x - f * y for x, y in zip(row, c)]
             row[j] = 0.0
             basis[r] = row
-    return np.array(w)
+    shifted = np.array(w)
+    if before is not None and (not shifted.any()
+                               or _miss(shifted, points, target) > RECON_TOL):
+        return np.array(before)
+    return shifted
 
 
 def _miss(weights, points, target) -> float:
@@ -419,8 +417,8 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     one, which keeps the total and the weighted sum.  A round drops about
     half the points with one SVD of 2(n+1) columns (see ``_null_shifts``).
     The last at most 2(n+1) points are eliminated directly, again with one
-    SVD, and a final SVD checks whether the support is still affinely
-    dependent.
+    SVD, which also reads the rank of the system: while the support is
+    affinely dependent, its near-null vectors eliminate more points.
     """
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float).copy()
@@ -455,30 +453,12 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
         w = w * (new_mass / mass).repeat(bounds[1:] - starts)
         keep = w > floor
         idx, pts, w = idx[keep], pts[keep], w[keep]
-    if idx.size > n + 1:
+    if idx.size > 1:
         w = _null_shifts(pts, w.tolist(), target)
-        keep = w > floor
-        idx, pts, w = idx[keep], pts[keep], w[keep]
-
-    # keep eliminating while the support is still affinely dependent, so a
-    # target in a lower-dimensional affine hull gets a matching support size
-    snapshot = None  # the support before the first shift
-    while idx.size > 1:
-        c, smin, smax = _null_direction(pts, target)
-        if smin > RANK_TOL * smax:
-            break
-        if snapshot is None:
-            snapshot = idx, pts, w
-        w_list = w.tolist()
-        _shift_to_zero(w_list, c.tolist())
-        w = np.array(w_list)
         keep = w > floor
         idx, pts, w = idx[keep], pts[keep], w[keep]
     if idx.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
-    if snapshot is not None and _miss(w, pts, target) > RECON_TOL:
-        # near-null eliminations drifted too far; the <= n+1 support stands
-        idx, pts, w = snapshot
 
     out_params = (idx.astype(float) if params is None
                   else np.asarray(params, dtype=float)[idx])
@@ -879,10 +859,10 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         return finish(new_params, new_nu * total, new_points)
 
     # every frame is singular: a point of tiny weight leaves v within
-    # roundoff of the affine hull of the others
-    c, _, _ = _null_direction(points, v)
+    # roundoff of the affine hull of the others; one shift along the last
+    # singular vector of [points - v; 1] eliminates a point
     w = weights.tolist()
-    _shift_to_zero(w, c.tolist())
+    _shift_to_zero(w, np.linalg.svd(_homogeneous(points, v))[2][-1].tolist())
     weights = np.array(w)
     keep = weights > 0.0
     return finish(params[keep], weights[keep], points[keep])

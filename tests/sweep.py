@@ -18,6 +18,16 @@ rules of seeds 20260808 and 401 (when swept) of the largest
 ``seed/variant/#index``.  The problem generators are the benchmark's,
 imported read-only as in ``test_golden.py``.
 
+When seed 20260808 is swept, ``invariance`` holds, for each transform of
+its ``acceptance`` problems that leaves the affine rank as it is (a
+function scaled by 1e3 or 1e-3 as ``1000.0*(f)``, the density and atom
+masses scaled by 1e3, the functions reversed, f0 duplicated), how many
+problems change their (rank_used, node count) or refusal, how many of
+those are new refusals, and how many rules lose or gain rank.
+``shift_twin`` is (t, t^2) under the uniform density on [1e5, 1e5 + 1],
+a shift of t that no text transform makes: its node count and rank, and
+the ``verify_rule`` residuals, or its error kind.
+
     PYTHONPATH=src python tests/sweep.py [--seeds S ...] [--out FILE]
 
 The default seeds are 20260808, 401, 610, 1301 and 1307 (6000
@@ -48,6 +58,85 @@ sys.path.pop(0)
 SEEDS = (20260808, 401, 610, 1301, 1307)
 VARIANTS = {"acceptance": 6, "tail": 4}
 VERIFY_SEEDS = (20260808, 401)
+INVARIANCE_SEED = 20260808
+
+
+def _scaled(text: str, factor: float) -> str:
+    return f"{factor!r}*({text})"
+
+
+def _scale_function(k: int, factor: float):
+    def transform(problem):
+        texts = list(problem["functions"])
+        texts[k] = _scaled(texts[k], factor)
+        return {**problem, "functions": texts}
+    return transform
+
+
+def _scale_mass(problem):
+    m = problem["measure"]
+    density = m["density"] and _scaled(m["density"], 1e3)
+    atoms = [{**a, "mass": 1e3 * a["mass"]} for a in m["atoms"]]
+    return {**problem, "measure": {**m, "density": density, "atoms": atoms}}
+
+
+# each keeps the affine rank of the system and the rule's node count
+TRANSFORMS = {
+    "f0 x 1e3": _scale_function(0, 1e3),
+    "f0 x 1e-3": _scale_function(0, 1e-3),
+    "last x 1e-3": _scale_function(-1, 1e-3),
+    "mass x 1e3": _scale_mass,
+    "reversed order": lambda p: {**p, "functions": p["functions"][::-1]},
+    "f0 duplicated": lambda p: {**p, "functions": p["functions"][:1] + p["functions"]},
+}
+SHIFT_TWIN = {"functions": ["t", "t^2"], "measure": {
+    "interval": {"lower": 1e5, "upper": 1e5 + 1}, "density": "1", "atoms": []}}
+
+
+def synthesize(problem):
+    """``(rule, curve, measure)`` of one problem; ``rule`` is the typed
+    error when it is refused."""
+    try:
+        m = measure_from_json(problem["measure"])
+        c = CurveSystem.from_texts(problem["functions"], m.interval)
+        return synth.synthesize_rule(c, m), c, m
+    except ExactQuadError as exc:
+        return exc, None, None
+
+
+def outcome(rule):
+    """``(rank_used, node count)`` of a rule, or the kind of its error."""
+    if isinstance(rule, ExactQuadError):
+        return rule.kind
+    return rule.rank_used, len(rule)
+
+
+def invariance(problems, base) -> dict:
+    """The outcome changes of each transform against ``base``, the
+    outcomes of ``problems``."""
+    out = {}
+    for name, transform in TRANSFORMS.items():
+        changed = refused = drops = rises = 0
+        for problem, before in zip(problems, base):
+            after = outcome(synthesize(transform(problem))[0])
+            changed += after != before
+            if isinstance(after, str):
+                refused += not isinstance(before, str)
+            elif not isinstance(before, str):
+                drops += after[0] < before[0]
+                rises += after[0] > before[0]
+        out[name] = {"changed": changed, "new_refusals": refused,
+                     "rank_drops": drops, "rank_rises": rises}
+    return out
+
+
+def shift_twin() -> dict:
+    rule, c, m = synthesize(SHIFT_TWIN)
+    if isinstance(rule, ExactQuadError):
+        return {"error": rule.kind}
+    report = synth.verify_rule(rule, c, m)
+    return {"nodes": len(rule), "rank": rule.rank_used,
+            "residuals": report.residuals.tolist()}
 
 
 def sweep(seeds) -> dict:
@@ -55,6 +144,7 @@ def sweep(seeds) -> dict:
     one_pass = synth._synthesize_pass
     synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
     out, verified = {"seeds": list(seeds)}, []
+    base_problems, base = [], []  # acceptance at INVARIANCE_SEED
     try:
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
@@ -62,12 +152,12 @@ def sweep(seeds) -> dict:
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
                     problem, pid = item["problem"], f"{seed}/{variant}/#{i}"
                     calls.clear()
-                    try:
-                        m = measure_from_json(problem["measure"])
-                        c = CurveSystem.from_texts(problem["functions"], m.interval)
-                        rule = synth.synthesize_rule(c, m)
-                    except ExactQuadError as exc:
-                        refusals[exc.kind].append(pid)
+                    rule, c, m = synthesize(problem)
+                    if workload == "acceptance" and seed == INVARIANCE_SEED:
+                        base_problems.append(problem)
+                        base.append(outcome(rule))
+                    if isinstance(rule, ExactQuadError):
+                        refusals[rule.kind].append(pid)
                         rule = None
                     problems += 1
                     second += len(calls) > 1
@@ -91,6 +181,10 @@ def sweep(seeds) -> dict:
             "seeds": [s for s in VERIFY_SEEDS if s in seeds],
             "rules": len(verified), "median": float(median),
             "p99": float(p99), "max": max(verified)}
+    if base:
+        out["invariance"] = {"seed": INVARIANCE_SEED, "problems": len(base),
+                             "transforms": invariance(base_problems, base),
+                             "shift_twin": shift_twin()}
     return out
 
 

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -564,3 +565,21 @@ def test_deeply_nested_json_is_schema_error(tmp_path, command, text):
     assert "Traceback" not in err
     msg = json.loads(err.splitlines()[0])
     assert msg["kind"] == "schema" and "nest too deeply" in msg["message"]
+
+
+@pytest.mark.parametrize("command, problem, exit_code", [
+    # the weights' sum overflows in ConvexCombination
+    ("reduce", {"functions": ["t"], "interval": _INTERVAL,
+                "combination": {"params": [0.2, 0.8], "weights": [1e308, 1e308],
+                                "total": 1e308}}, 2),
+    # the K15 sum of the density overflows
+    ("synthesize", _with(_SYNTH, measure=_with(UNIT_MEASURE, density="1e308")), 3),
+    # the centred columns overflow in the rank test
+    ("synthesize", _with(_SYNTH, functions=["1e308*t", "t"]), 0),
+], ids=["reduce-weights-overflow", "density-overflows", "function-overflows"])
+def test_numpy_warnings_stay_off_stderr(tmp_path, command, problem, exit_code):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = invoke([command, write(tmp_path, "p.json", problem)])
+    assert code == exit_code
+    assert not caught and "Warning" not in err
