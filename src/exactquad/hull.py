@@ -13,11 +13,12 @@ operation order, so they give numpy's bits: they touch at most 2(n+1)
 numbers each, where a numpy call costs more than its arithmetic.
 ``reduce_on_curve`` takes a positive combination of curve points, prunes
 it to at most n+1, and produces at most n curve points with the same total
-weight and the same weighted sum: it rebuilds coordinates in
-the barycentric frame rooted at the target, solved through one SVD of the
-frame's basis, slides the parameter from a support point toward its right
-neighbour until one coordinate first crosses zero, and reweights the
-remaining points.
+weight and the same weighted sum: one SVD of the row-scaled
+[support - target; 1] gives the barycentric frame of n support points
+rooted at the target as one (n, n) matrix (the ratio test of the
+Caratheodory step), the walk slides the parameter from the remaining
+support point toward its right neighbour until one coordinate first
+crosses zero, and reweights the other points.
 The crossing is found by ``refine_bracket``, which probes up to 63
 points of the bracket per vectorized call and keeps the cell ending at
 the first sign change: an evenly spaced round while the bracket's lower
@@ -187,7 +188,8 @@ def chebyshev_sample_test(functions, interval, trial_count: int = 200,
     Draws ``trial_count`` increasing node tuples from a seeded 64-bit PRNG,
     ``_CHEBYSHEV_BATCH`` per batched determinant, and reports the least
     |det| over ``scale``, the product of the tuple's column norms.  Signs
-    count only where the matrix passes the frame's rank test.  Ordered
+    count only where the matrix's smallest singular value is above
+    ``RANK_TOL`` times its largest.  Ordered
     tuples form a convex set, so det vanishes at distinct nodes on the
     segment from the first counted positive tuple to the first negative
     one (Karlin & Studden, 1966): the witness holds that ``segment``, and
@@ -281,42 +283,6 @@ def _determinants(curve: CurveSystem, ts):
     return np.linalg.det(mats), scale, mats
 
 
-@dataclass(frozen=True, eq=False)
-class _BarycentricFrame:
-    """Coordinates rooted at a target point with curve-point basis vectors."""
-
-    origin: np.ndarray
-    basis: np.ndarray  # columns are basis vectors
-    u: np.ndarray      # basis = u @ diag(s) @ vt, its SVD
-    s: np.ndarray
-    vt: np.ndarray
-
-
-def _build_frame(v, curve_points) -> _BarycentricFrame | None:
-    """Frame with origin ``v`` and basis vectors ``curve_points[j] - v``.
-
-    ``curve_points`` holds n points of R^n as rows.  Returns ``None`` when
-    the basis is numerically singular (smallest singular value <=
-    ``RANK_TOL`` times the largest).
-    """
-    v = np.asarray(v, dtype=float)
-    basis = (np.asarray(curve_points, dtype=float) - v).T
-    u, s, vt = np.linalg.svd(basis)
-    if s[-1] <= RANK_TOL * s[0]:
-        return None
-    return _BarycentricFrame(origin=v, basis=basis, u=u, s=s, vt=vt)
-
-
-def _coords(frame: _BarycentricFrame, x) -> np.ndarray:
-    """Frame coordinates p with ``frame.basis @ p = x - frame.origin``.
-
-    Accepts a single point (n,) or a batch (k, n); returns matching shape.
-    Solved through the SVD of the basis: p = V diag(1/s) U^T (x - origin).
-    """
-    x = np.asarray(x, dtype=float)
-    return ((x - frame.origin) @ frame.u / frame.s) @ frame.vt
-
-
 def _homogeneous(points, target):
     """The (n+1, m) system [points - target; 1] of m points of R^n."""
     m, n = points.shape
@@ -324,6 +290,37 @@ def _homogeneous(points, target):
     a[:n] = (points - target).T
     a[n] = 1.0
     return a
+
+
+def _walk_frame(points, v):
+    """``(i, F, null)``: the walk's start and frame on the n+1 support
+    ``points`` (rows) around ``v``, from one SVD.
+
+    A = [points - v; 1], its rows scaled by their largest |entry| so that
+    a function of large size does not make the others' rows negligible,
+    gives w = A^-1 as a row map: x has barycentric coordinates
+    b = (x - v) @ w[:n] + w[n], and lam = w[n] reproduces v.  The walk
+    starts at the first i < n with lam_i > ``RANK_TOL`` max(lam), and the
+    frame of the other points has coordinates p_j = b_j - (b_i / lam_i)
+    lam_j = ((x - v) @ F)_j: x(t_i) maps to -lam_j / lam_i < 0 and each
+    other support point to a unit row.  ``null`` is the last row of vt; i
+    and F are ``None`` when A is singular at ``RANK_TOL`` or no i qualifies.
+    """
+    n = points.shape[1]
+    h = _homogeneous(points, v)
+    d = np.abs(h).max(axis=1)
+    d[d == 0.0] = 1.0
+    u, s, vt = np.linalg.svd(h / d[:, None])
+    if s[-1] > RANK_TOL * s[0]:
+        w = (u / (d[:, None] * s)) @ vt
+        lam = w[n]
+        heavy = (lam[:n] > RANK_TOL * lam.max()).nonzero()[0]
+        if heavy.size:
+            i = int(heavy[0])
+            others = np.arange(n + 1) != i
+            frame = w[:n, others] - w[:n, i:i + 1] * (lam[others] / lam[i])
+            return i, frame, vt[-1]
+    return None, None, vt[-1]
 
 
 def _shift_to_zero(w, c):
@@ -528,13 +525,14 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
     return hi, hi_info
 
 
-def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
+def _first_zero_crossing(v, frame, curve: CurveSystem, ts, xs):
     """First parameter in (ts[0], ts[-1]] where some frame coordinate reaches zero.
 
-    ``ts`` is increasing: the walk's start t0, any parameters inside the
-    gap whose curve rows the caller holds, and its stop; ``xs`` holds the
-    curve at ``ts``, one row each.  Requires all
-    coordinates of ``x(t0) - origin`` negative and ``x(ts[-1])`` a basis
+    The frame coordinates of a point x are (x - v) @ ``frame``, an (n, n)
+    matrix (see :func:`_walk_frame`).  ``ts`` is increasing: the walk's
+    start t0, any parameters inside the gap whose curve rows the caller
+    holds, and its stop; ``xs`` holds the curve at ``ts``, one row each.
+    Requires all coordinates of x(t0) negative and x(ts[-1]) a basis
     point of the frame, whose coordinate row is a unit vector up to
     roundoff, so the largest coordinate g(t) is negative at t0 and positive
     at the stop.  The rows after t0 are scored in one batch, the walk's
@@ -554,7 +552,7 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
     ill-conditioned frame.  The curve is evaluated only at the probes.
     """
     n = xs.shape[1]
-    p0 = _coords(frame, xs[0])
+    p0 = (xs[0] - v) @ frame
     if p0.max() >= -ZERO_TOL:
         return float(ts[0]), int((p0 >= -ZERO_TOL).nonzero()[0][0]), p0, xs[0]
     scale_t = max(1.0, abs(float(ts[0])), abs(float(ts[-1])))
@@ -562,7 +560,7 @@ def _first_zero_crossing(frame: _BarycentricFrame, curve: CurveSystem, ts, xs):
 
     def scored(x):
         # each point's data: its coordinate row, then its curve row
-        rows = _coords(frame, x)
+        rows = (x - v) @ frame
         return rows.max(axis=1), np.concatenate([rows, x], axis=1)
 
     def probe(us):
@@ -783,16 +781,19 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     while the support is affinely dependent.  A pruned support of at most
     n points is the result.  Otherwise the n+1 -> n step walks the curve
     from support point i toward point i+1, to the first coordinate
-    zero-crossing that :func:`_first_zero_crossing` sees in the frame built
-    from the other n points, and reweights; any crossing it returns leaves
+    zero-crossing that :func:`_first_zero_crossing` sees in the frame of
+    the other n points, and reweights; any crossing it returns leaves
     every coordinate <= ``ZERO_TOL``, so the n kept points carry
-    non-negative weights (positives left by roundoff are clipped).  It
-    takes the first i, in index order, whose frame :func:`_build_frame`
-    builds: the walk has a crossing in that gap, because every coordinate
-    of x(t_i) is negative and x(t_(i+1)) is a basis point.  Only when every
-    frame is singular (a support point of tiny weight leaves ``v`` within
-    roundoff of the others' hull) is one point eliminated along a null
-    vector instead.
+    non-negative weights (positives left by roundoff are clipped).
+    :func:`_walk_frame` reads i and the frame from one SVD of the support:
+    i is the first point, in index order, that carries more than
+    ``RANK_TOL`` of the largest weight, and the walk has a crossing in its
+    gap, because every coordinate of x(t_i) is negative and x(t_(i+1)) is
+    a basis point.  Only when that SVD is singular at ``RANK_TOL``, or
+    every point before the last carries less than ``RANK_TOL`` of the
+    weight (``v`` then lies within roundoff of the hull of fewer points),
+    is one point eliminated along the SVD's null vector instead; on the
+    benchmark corpora that never happens.
 
     The curve at the input parameters is ``comb.points`` when set, and is
     evaluated once otherwise.  The input points strictly inside the walked
@@ -832,40 +833,32 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
             )
             return _rebuild(p2, w2, x2, v, total)
 
-    for i in range(n):
-        # a support point of small weight leaves v near the affine hull of
-        # the others, so the frame without it can be singular; the next
-        # point's frame then serves, walking toward its right neighbour
-        others = np.arange(n + 1) != i
-        basis_params, basis_points = params[others], points[others]
-        frame = _build_frame(v, basis_points)
-        if frame is None:
-            continue
-        # the input points strictly inside the gap seed the walk
-        a = int(seed_params.searchsorted(params[i], side="right"))
-        b = int(seed_params.searchsorted(params[i + 1], side="left"))
-        t_bar, k, p, x_bar = _first_zero_crossing(
-            frame, curve, np.concatenate([params[i:i + 1], seed_params[a:b],
-                                          params[i + 1:i + 2]]),
-            np.concatenate([points[i:i + 1], seed_points[a:b],
-                            points[i + 1:i + 2]]))
-        p[k] = 0.0
-        p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
-        denom = 1.0 - p.sum()
-        rest = np.arange(n) != k
-        new_params = np.concatenate([[t_bar], basis_params[rest]])
-        new_nu = np.concatenate([[1.0 / denom], -p[rest] / denom])
-        new_points = np.concatenate([x_bar[None, :], basis_points[rest]])
-        return finish(new_params, new_nu * total, new_points)
-
-    # every frame is singular: a point of tiny weight leaves v within
-    # roundoff of the affine hull of the others; one shift along the last
-    # singular vector of [points - v; 1] eliminates a point
-    w = weights.tolist()
-    _shift_to_zero(w, np.linalg.svd(_homogeneous(points, v))[2][-1].tolist())
-    weights = np.array(w)
-    keep = weights > 0.0
-    return finish(params[keep], weights[keep], points[keep])
+    i, frame, null = _walk_frame(points, v)
+    if frame is None:
+        # v lies within roundoff of the hull of fewer support points
+        w = weights.tolist()
+        _shift_to_zero(w, null.tolist())
+        weights = np.array(w)
+        keep = weights > 0.0
+        return finish(params[keep], weights[keep], points[keep])
+    others = np.arange(n + 1) != i
+    basis_params, basis_points = params[others], points[others]
+    # the input points strictly inside the gap seed the walk
+    a = int(seed_params.searchsorted(params[i], side="right"))
+    b = int(seed_params.searchsorted(params[i + 1], side="left"))
+    t_bar, k, p, x_bar = _first_zero_crossing(
+        v, frame, curve, np.concatenate([params[i:i + 1], seed_params[a:b],
+                                         params[i + 1:i + 2]]),
+        np.concatenate([points[i:i + 1], seed_points[a:b],
+                        points[i + 1:i + 2]]))
+    p[k] = 0.0
+    p = np.minimum(p, 0.0)  # residual positives are within ZERO_TOL
+    denom = 1.0 - p.sum()
+    rest = np.arange(n) != k
+    new_params = np.concatenate([[t_bar], basis_params[rest]])
+    new_nu = np.concatenate([[1.0 / denom], -p[rest] / denom])
+    new_points = np.concatenate([x_bar[None, :], basis_points[rest]])
+    return finish(new_params, new_nu * total, new_points)
 
 
 def combination_from_json(obj) -> ConvexCombination:

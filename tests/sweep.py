@@ -10,7 +10,10 @@ with, per corpus:
 - ``extra_node_rules``: the rules with more nodes than max(rank_used, 1),
   with their node count and rank;
 - ``second_passes``: how many syntheses ran the candidate pass a second
-  time, on all n functions.
+  time, on all n functions;
+- ``walk_rescues``: how many times the curve walk's reweighted support
+  missed the gate and ``reduce_on_curve`` polished it (the
+  ``hull.polish_combination`` calls made inside ``hull``).
 
 ``verify`` holds the median, p99 and max over the accepted ``acceptance``
 rules of seeds 20260808 and 401 (when swept) of the largest
@@ -44,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from exactquad import synth
+from exactquad import hull, synth
 from exactquad.errors import ExactQuadError
 from exactquad.hull import CurveSystem
 from exactquad.measure import measure_from_json
@@ -141,13 +144,17 @@ def shift_twin() -> dict:
 
 def sweep(seeds) -> dict:
     calls = []  # one entry per candidate pass of the current synthesis
-    one_pass = synth._synthesize_pass
+    rescues = []  # one entry per polish inside hull: the walk's rescues
+    one_pass, polish = synth._synthesize_pass, hull.polish_combination
     synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
+    hull.polish_combination = (lambda *args, **kwargs: rescues.append(1)
+                               or polish(*args, **kwargs))
     out, verified = {"seeds": list(seeds)}, []
     base_problems, base = [], []  # acceptance at INVARIANCE_SEED
     try:
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
+            rescues.clear()
             for seed, variant in itertools.product(seeds, range(count)):
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
                     problem, pid = item["problem"], f"{seed}/{variant}/#{i}"
@@ -172,9 +179,10 @@ def sweep(seeds) -> dict:
                 "refusals": dict(sorted(refusals.items())),
                 "refusal_count": sum(map(len, refusals.values())),
                 "extra_node_rules": extra, "second_passes": second,
+                "walk_rescues": len(rescues),
             }
     finally:
-        synth._synthesize_pass = one_pass
+        synth._synthesize_pass, hull.polish_combination = one_pass, polish
     if verified:
         median, p99 = np.percentile(verified, [50, 99])
         out["verify"] = {

@@ -19,10 +19,9 @@ from exactquad.hull import (
     ZERO_TOL,
     ConvexCombination,
     CurveSystem,
-    _build_frame,
-    caratheodory_finite,
-    _coords,
     _first_zero_crossing,
+    _walk_frame,
+    caratheodory_finite,
     merge_coincident,
     polish_combination,
     reduce_on_curve,
@@ -243,28 +242,62 @@ def test_caratheodory_properties(m, n, seed, kind):
     assert reconstruction_gap(comb, params, pts, target) <= RECON_TOL
 
 
+def _frame_solve(points, v, i, x):
+    """Frame coordinates of the rows ``x`` by one ``np.linalg.solve`` on the
+    frame's basis, the columns points[j] - v for j != i, and its condition."""
+    basis = (np.delete(points, i, axis=0) - v).T
+    return np.linalg.solve(basis, (x - v).T).T, np.linalg.cond(basis)
+
+
+def _support(rng, n):
+    """n+1 random points of R^n, positive weights summing to 1, their mean."""
+    points = rng.standard_normal((n + 1, n))
+    lam = rng.uniform(0.05, 1.0, n + 1)
+    lam /= lam.sum()
+    return points, lam, lam @ points
+
+
 class TestFrame:
     def test_identity_frame(self):
-        frame = _build_frame(np.zeros(2), np.eye(2))
+        # v = 0 is the mean of (-1, -1), (1, 0) and (0, 1): the frame
+        # without the first point is the identity
+        points = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+        i, frame, _ = _walk_frame(points, np.zeros(2))
+        assert i == 0
+        assert np.abs(frame - np.eye(2)).max() <= 1e-14
         x = np.array([0.3, 0.7])
-        assert _coords(frame, x) == pytest.approx([0.3, 0.7], abs=1e-14)
+        assert x @ frame == pytest.approx([0.3, 0.7], abs=1e-14)
 
     def test_shifted_frame(self):
-        frame = _build_frame(np.array([1.0, 1.0]),
-                            np.array([[2.0, 1.0], [1.0, 2.0]]))
-        assert _coords(frame, np.zeros(2)) == pytest.approx([-1.0, -1.0])
+        # v = (1, 1) is the mean of the origin, (2, 1) and (1, 2): the
+        # origin lies at -1 times each basis vector (1, 0), (0, 1) from v
+        points = np.array([[0.0, 0.0], [2.0, 1.0], [1.0, 2.0]])
+        v = np.array([1.0, 1.0])
+        i, frame, _ = _walk_frame(points, v)
+        assert i == 0
+        assert (np.zeros(2) - v) @ frame == pytest.approx([-1.0, -1.0])
 
     def test_rank_deficiency(self):
-        assert _build_frame(np.zeros(2), np.array([[1.0, 0.0], [2.0, 0.0]])) is None
+        # three points of a line in R^2: [points - v; 1] is singular, so
+        # there is no frame, and the shift's vector is in its null space
+        points = np.array([[1.0, 0.0], [2.0, 0.0], [3.0, 0.0]])
+        i, frame, null = _walk_frame(points, points.mean(axis=0))
+        assert i is None and frame is None
+        a = np.vstack([(points - points.mean(axis=0)).T, np.ones(3)])
+        assert np.abs(a @ null).max() <= 1e-14
 
     def test_basis_point_coordinates(self):
-        # x(t_j) maps to the j-th unit coordinate, the origin to zero
-        points = np.array([[1.0, 2.0], [3.0, -1.0]])
-        v = np.array([0.5, 0.25])
-        frame = _build_frame(v, points)
-        assert _coords(frame, v) == pytest.approx([0.0, 0.0], abs=1e-14)
-        assert _coords(frame, points[0]) == pytest.approx([1.0, 0.0], abs=1e-12)
-        assert _coords(frame, points[1]) == pytest.approx([0.0, 1.0], abs=1e-12)
+        # each basis point maps to its unit row, and point i to the
+        # negated weight ratios -lam_j / lam_i
+        rng = np.random.default_rng(1)
+        for n in (1, 2, 5, 9):
+            points, lam, v = _support(rng, n)
+            i, frame, _ = _walk_frame(points, v)
+            assert i == 0
+            others = np.arange(n + 1) != i
+            assert np.abs((points[others] - v) @ frame - np.eye(n)).max() <= 1e-12
+            assert ((points[i] - v) @ frame
+                    == pytest.approx(-lam[others] / lam[i], rel=1e-10))
 
     def test_first_support_point_coords_are_negative_weight_ratios(self):
         # with v = sum(nu_j x(t_j)), the coordinates of x(t_0) - v in the
@@ -274,80 +307,126 @@ class TestFrame:
         nu = np.array([0.25, 0.35, 0.40])
         x = curve.evaluate(ts)
         v = nu @ x
-        frame = _build_frame(v, x[1:])
-        p0 = _coords(frame, x[0])
+        i, frame, _ = _walk_frame(x, v)
+        p0 = (x[0] - v) @ frame
+        assert i == 0
         assert p0 == pytest.approx(-nu[1:] / nu[0], rel=1e-9)
         assert np.all(p0 < 0)
 
+    def test_light_points_are_not_walked(self):
+        # the walk starts at the first point below n with more than
+        # RANK_TOL of the largest weight; with none, there is no frame
+        curve = CurveSystem.from_texts(["t", "t^2", "t^3"], IntervalSpec(0, 1))
+        x = curve.evaluate(np.array([0.1, 0.4, 0.6, 0.9]))
+        for lam, want in (([1e-11, 0.3, 0.3, 0.4], 1),
+                          ([1e-11, 1e-12, 0.5, 0.5], 2),
+                          ([1e-12, 1e-12, 1e-12, 1.0], None)):
+            i, frame, _ = _walk_frame(x, np.array(lam) @ x)
+            assert i == want and (frame is None) == (want is None)
+
     def test_batched_coords(self):
-        frame = _build_frame(np.zeros(2), np.eye(2))
-        batch = np.array([[0.1, 0.2], [0.3, 0.4]])
-        assert _coords(frame, batch) == pytest.approx(batch)
+        rng = np.random.default_rng(3)
+        points, _, v = _support(rng, 5)
+        _, frame, _ = _walk_frame(points, v)
+        batch = rng.standard_normal((7, 5))
+        single = np.array([(x - v) @ frame for x in batch])
+        assert np.max(np.abs((batch - v) @ frame - single)) <= 1e-12
 
     def test_batched_coords_match_single_solves(self):
+        # the frame agrees with one solve per frame, as the walk did with
+        # its basis, within the basis's condition number
         rng = np.random.default_rng(3)
-        frame = _build_frame(rng.standard_normal(5),
-                            rng.standard_normal((5, 5)))
-        batch = rng.standard_normal((7, 5))
-        single = np.array([_coords(frame, x) for x in batch])
-        assert np.max(np.abs(_coords(frame, batch) - single)) <= 1e-12
+        for _ in range(200):
+            n = int(rng.integers(1, 13))
+            points, _, v = _support(rng, n)
+            i, frame, _ = _walk_frame(points, v)
+            x = rng.standard_normal((7, n))
+            want, cond = _frame_solve(points, v, i, x)
+            scale = max(1.0, np.abs(want).max())
+            assert np.abs((x - v) @ frame - want).max() <= 1e-12 * cond * scale
 
     def test_random_wide_frame_solves_within_its_condition(self):
-        # basis @ p reproduces x - origin, and each basis point maps to its
-        # unit row, both to within a backward-stable solve's cond * eps
+        # basis @ p reproduces x - v, and each basis point maps to its unit
+        # row, both to within a backward-stable solve's cond * eps
         n = 12
         rng = np.random.default_rng(0)
-        points = rng.standard_normal((n, n))
-        frame = _build_frame(rng.standard_normal(n), points)
-        bound = 16 * n * np.finfo(float).eps * np.linalg.cond(frame.basis)
+        points, _, v = _support(rng, n)
+        i, frame, _ = _walk_frame(points, v)
+        basis = (np.delete(points, i, axis=0) - v).T
+        bound = 16 * n * np.finfo(float).eps * np.linalg.cond(basis)
         x = rng.standard_normal((63, n))
-        y = x - frame.origin
-        p = _coords(frame, x)
-        resid = np.linalg.norm(p @ frame.basis.T - y, axis=1)
+        y = x - v
+        resid = np.linalg.norm((y @ frame) @ basis.T - y, axis=1)
         assert np.all(resid <= bound * np.linalg.norm(y, axis=1))
-        assert np.max(np.abs(_coords(frame, points) - np.eye(n))) <= bound
+        others = np.delete(points, i, axis=0)
+        assert np.max(np.abs((others - v) @ frame - np.eye(n))) <= bound
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 8), seed=st.integers(0, 2**32 - 1),
+       power=st.integers(-12, 12), data=st.data())
+def test_frame_is_invariant_under_scaling_a_function(n, seed, power, data):
+    # scaling one function, its column of the points, of v and of x, by
+    # 10^power keeps the walk's start and the frame coordinates: the SVD's
+    # rows are scaled to their largest entry
+    k = data.draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(seed)
+    points, _, v = _support(rng, n)
+    x = rng.standard_normal((7, n))
+    i, frame, _ = _walk_frame(points, v)
+    scale = np.ones(n)
+    scale[k] = 10.0 ** power
+    i2, frame2, _ = _walk_frame(points * scale, v * scale)
+    assert i2 == i == 0
+    want, cond = _frame_solve(points, v, i, x)
+    got = (x * scale - v * scale) @ frame2
+    bound = 1e-12 * cond * max(1.0, np.abs(want).max())
+    assert np.abs(got - (x - v) @ frame).max() <= bound
+
+
+def _moment_frame(ts, nu):
+    """Rows of (t, t^2) at ``ts``, v = nu @ rows, and the walk's frame."""
+    curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+    x = curve.evaluate(ts)
+    v = nu @ x
+    i, frame, _ = _walk_frame(x, v)
+    assert i == 0
+    return curve, x, v, frame
 
 
 class TestFirstZeroCrossing:
     def test_affine_crossing(self):
         curve = CurveSystem.from_texts(["t-0.3", "t-1.5"], IntervalSpec(0, 1))
-        frame = _build_frame(np.zeros(2), np.eye(2))
         ts = np.array([0.0, 1.0])
-        t_bar, k, _, x_bar = _first_zero_crossing(frame, curve, ts,
-                                                  curve.evaluate(ts))
+        t_bar, k, _, x_bar = _first_zero_crossing(np.zeros(2), np.eye(2), curve,
+                                                  ts, curve.evaluate(ts))
         assert t_bar == pytest.approx(0.3, abs=1e-12)
         assert np.array_equal(x_bar, curve.evaluate(t_bar)[0])
         assert k == 0
 
     def test_crossing_at_t_stop(self):
         curve = CurveSystem.from_texts(["t-1"], IntervalSpec(0, 1))
-        frame = _build_frame(np.zeros(1), np.array([[1.0]]))
         ts = np.array([0.0, 1.0])
-        t_bar, k, _, _ = _first_zero_crossing(frame, curve, ts, curve.evaluate(ts))
+        t_bar, k, _, _ = _first_zero_crossing(np.zeros(1), np.eye(1), curve,
+                                              ts, curve.evaluate(ts))
         assert t_bar == pytest.approx(1.0, abs=1e-12)
         assert k == 0
 
     def test_moment_curve_against_dense_grid(self):
-        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.05, 0.5, 0.95])
-        nu = np.array([0.3, 0.4, 0.3])
-        x = curve.evaluate(ts)
-        v = nu @ x
-        frame = _build_frame(v, x[1:])
-        t_bar, _, _, _ = _first_zero_crossing(frame, curve, ts[:2], x[:2])
+        curve, x, v, frame = _moment_frame(ts, np.array([0.3, 0.4, 0.3]))
+        t_bar, _, _, _ = _first_zero_crossing(v, frame, curve, ts[:2], x[:2])
         # oracle: brute-force scan of the coordinate maximum at 1e6 points
         grid = np.linspace(ts[0], ts[1], 10**6 + 1)
-        g = _coords(frame, curve.evaluate(grid)).max(axis=1)
+        g = ((curve.evaluate(grid) - v) @ frame).max(axis=1)
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2e-6
 
     def test_refinement_is_batched(self, monkeypatch):
         # one call per refinement round of at most 63 points: an even round
         # and secant-centred ones
-        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.05, 0.5, 0.95])
-        x = curve.evaluate(ts)
-        frame = _build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
+        curve, x, v, frame = _moment_frame(ts, np.array([0.3, 0.4, 0.3]))
         sizes = []
         evaluate = CurveSystem.evaluate
 
@@ -356,13 +435,13 @@ class TestFirstZeroCrossing:
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", counting)
-        t_bar, k, p, x_bar = _first_zero_crossing(frame, curve, ts[:2], x[:2])
+        t_bar, k, p, x_bar = _first_zero_crossing(v, frame, curve, ts[:2], x[:2])
         assert len(sizes) <= 4 and sum(sizes) <= 300
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
         assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
         # the crossing's row comes from the probe batch that found it
         assert np.array_equal(x_bar, evaluate(curve, t_bar)[0])
-        assert np.array_equal(p, _coords(frame, x_bar))
+        assert np.array_equal(p, (x_bar - v) @ frame)
 
     @pytest.mark.parametrize("cell,even", [((0.1, 0.3), True),
                                            ((0.226, 0.234), False)])
@@ -372,10 +451,8 @@ class TestFirstZeroCrossing:
         # 0.23: one wider than 1e-2 opens with an even round, where a
         # secant root of scores that far apart misses by about the cell,
         # and a narrower one with a round centred on the secant root
-        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
-        ts = np.array([0.05, 0.5, 0.95])
-        x = curve.evaluate(ts)
-        frame = _build_frame(np.array([0.3, 0.4, 0.3]) @ x, x[1:])
+        curve, _, v, frame = _moment_frame(np.array([0.05, 0.5, 0.95]),
+                                           np.array([0.3, 0.4, 0.3]))
         walk = np.array([0.05, *cell, 0.5])
         rows = curve.evaluate(walk)
         batches = []
@@ -386,7 +463,7 @@ class TestFirstZeroCrossing:
             return evaluate(self, t)
 
         monkeypatch.setattr(CurveSystem, "evaluate", recording)
-        t_bar, k, p, _ = _first_zero_crossing(frame, curve, walk, rows)
+        t_bar, k, p, _ = _first_zero_crossing(v, frame, curve, walk, rows)
         assert k == 0 and t_bar == pytest.approx(0.23, abs=1e-13)
         assert abs(p[k]) <= ZERO_TOL and p.max() <= ZERO_TOL
         evenly = np.allclose(np.diff(batches[0]), (cell[1] - cell[0]) / 64)
@@ -489,12 +566,13 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
     ts = np.cumsum(rng.uniform(0.05, 0.6, n + 1)) - 1.0
     nu = rng.uniform(0.05, 1.0, n + 1)
     x = curve.evaluate(ts)
-    frame = _build_frame(nu @ x / nu.sum(), x[1:])
-    assume(frame is not None)
+    v = nu @ x / nu.sum()
+    i, frame, _ = _walk_frame(x, v)
+    assume(i == 0)
     # on frames with a condition number above about 1e5 the coordinates'
     # roundoff can exceed ZERO_TOL at the crossing (3 of 20000 draws)
-    assume(np.linalg.cond(frame.basis) <= 1e4)
-    t_bar, k, p, _ = _first_zero_crossing(frame, curve, ts[:2], x[:2])
+    assume(np.linalg.cond(x[1:] - v) <= 1e4)
+    t_bar, k, p, _ = _first_zero_crossing(v, frame, curve, ts[:2], x[:2])
     assert ts[0] < t_bar <= ts[1]
     assert p.max() <= ZERO_TOL
     assert abs(p[k]) <= ZERO_TOL
@@ -502,7 +580,7 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
         # each coordinate of the moment curve changes sign at most once in
         # (t0, t1), so the first crossing is the only one
         grid = np.linspace(ts[0], ts[1], 20001)
-        g = _coords(frame, curve.evaluate(grid)).max(axis=1)
+        g = ((curve.evaluate(grid) - v) @ frame).max(axis=1)
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2.0 * (grid[1] - grid[0])
 
@@ -578,18 +656,19 @@ class TestReduceOnCurve:
     def test_every_frame_singular_eliminates(self, monkeypatch):
         # nearly all weight on t = 0.9: the support is affinely independent,
         # so the prune keeps all three points, but v lies within 1e-12 of
-        # x(0.9) and both frames are singular; the walk's fallback
-        # eliminates a point along a null vector instead
+        # x(0.9): the points before it carry less than RANK_TOL of the
+        # weight, and the walk eliminates a point along a null vector
         callers = _trace_shifts(monkeypatch)
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.1, 0.5, 0.9])
         w = np.array([1e-12, 1e-12, 1.0 - 2e-12])
         v = w @ curve.evaluate(ts)
+        assert (w[:2] <= RANK_TOL * w.max()).all()
         out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
         assert len(out) <= 2 and np.all(out.weights >= 0.0)
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= RECON_TOL
-        # the prune reads full rank and shifts nothing; the fallback shifts
+        # the prune reads full rank and shifts nothing; the walk shifts once
         assert callers == ["reduce_on_curve"]
 
     def test_total_rescaled(self):
@@ -624,6 +703,20 @@ class TestReduceOnCurve:
         with pytest.raises(InfeasibleCombinationError,
                            match="input combination misses the target"):
             reduce_on_curve(curve, ConvexCombination(ts[:3], w3, total), off)
+
+    def test_function_of_large_size_keeps_the_others(self):
+        # (1e12*t, t^2): the prune keeps three points, and the walk's SVD,
+        # its rows scaled, still sees t^2; unscaled, every frame looked
+        # singular, and a null-vector shift kept (0.1, 0.9), which misses
+        # the t^2 moment 0.322 by 0.098, inside a gate scaled by 1e12
+        curve = CurveSystem.from_texts(["1e12*t", "t^2"], IntervalSpec(0, 1))
+        ts = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
+        w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
+        v = w @ curve.evaluate(ts)
+        out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
+        assert len(out) == 2
+        mean = out.weights @ curve.evaluate(out.params)
+        assert np.all(np.abs(mean - v) <= 1e-12 * np.abs(v))
 
 
 def _check_rule(curve, m, rule):
@@ -707,8 +800,9 @@ def test_small_first_weight_after_the_updated_prune():
 
 
 def test_singular_first_frame_needs_no_polish(monkeypatch):
-    # with weight 1e-11 on t = 0.1, the frame of the other two points is
-    # singular; walking t = 0.5 toward 0.9 reproduces v on its own
+    # with weight 1e-11 on t = 0.1, below RANK_TOL of the largest, the
+    # frame of the other two points is singular; walking t = 0.5 toward
+    # 0.9 reproduces v on its own
     def no_polish(*args, **kwargs):
         raise AssertionError("the walk fell back to the polish")
 
@@ -717,7 +811,7 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
     ts = np.array([0.1, 0.5, 0.9])
     w = np.array([1e-11, 0.5, 0.5 - 1e-11])
     v = w @ curve.evaluate(ts)
-    assert _build_frame(v, curve.evaluate(ts[1:])) is None
+    assert w[0] <= RANK_TOL * w.max() < w[1]
     out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
     assert len(out) <= 2 and np.all(out.weights >= 0.0)
     recon = out.weights @ curve.evaluate(out.params)
@@ -727,10 +821,10 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
 def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
     # seven atoms of (t, ..., t^6) at the Chebyshev points of [-1, 1], six
     # of mass 1e-12 and one of mass 1 at t = 1: the support is affinely
-    # independent, so the prune keeps all seven, but every frame of the
-    # walk holds x(1) - v, which is within about 1e-11 of zero, so every
-    # frame is singular and the fallback eliminates a point along a null
-    # vector
+    # independent, so the prune keeps all seven, but every point before the
+    # last carries less than RANK_TOL of the weight (every frame of the
+    # walk would hold x(1) - v, within about 1e-11 of zero), so the walk
+    # eliminates a point along the null vector of its SVD instead
     callers = _trace_shifts(monkeypatch)
     interval = IntervalSpec(-1, 1)
     curve = CurveSystem.from_texts([f"t^{k}" for k in range(1, 7)], interval)
@@ -739,8 +833,7 @@ def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
     m = MeasureSpec(interval, atoms=tuple(zip(ts, masses)))
     j = integrate_system(m, curve)
     v = j.values / j.mass
-    assert all(_build_frame(v, np.delete(curve.evaluate(ts), i, axis=0)) is None
-               for i in range(6))
+    assert (masses[:6] <= RANK_TOL * masses.max()).all()
     out = reduce_on_curve(curve, ConvexCombination(ts, masses, j.mass), v)
     assert callers == ["reduce_on_curve"]
     assert math.fsum(out.weights) == pytest.approx(j.mass, rel=1e-14)
@@ -1288,8 +1381,8 @@ def test_float_kernel_matches_numpy_bit_for_bit(n, seed, spread, deficiency):
     assert np.array_equal(np.flatnonzero(w_new > floor),
                           _eliminate_reference(pts, w_ref, target, floor))
     assert w_new.tobytes() == w_ref.tobytes()
-    # the single shift of the singular-frame fallback, along the last row
-    # of vt, which the kernel sign-normalizes itself
+    # the single shift of the walk without a frame, along the last row of
+    # vt, which the kernel sign-normalizes itself
     c = np.linalg.svd(hull._homogeneous(pts, target))[2][-1]
     w_list, w_ref = w.tolist(), w.copy()
     assert (hull._shift_to_zero(w_list, c.tolist())
