@@ -51,6 +51,14 @@ the same formula on a module table (:func:`_even_probes`); a per-call
 public form without the wrapper gives their bits, and so do the calls
 that the Gruss extrema scan makes once per operation on 4096 points.
 
+``residual`` is the one measure of how well a combination reproduces its
+goal: the signed rows sum_i w_i x_k(t_i) - goal_k and sum_i w_i - total,
+and each row's scale, 1 + |goal_k| and 1 + |total|.  Every gate reads it.
+The polish multiplies its rows by the reciprocal scales, computed once per
+polish; synthesis and ``verify_rule`` divide each function row by its
+scale and the mass row by the mass; the reductions' ``_miss`` keeps one
+scalar scale, (1 + max|target|) times the mass, over all function rows.
+
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
 the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
 is the alternant test, a sign-change certificate: it samples ordered node
@@ -386,12 +394,24 @@ def _null_shifts(points, w, target):
     return shifted
 
 
+def residual(weights, rows, goal, total):
+    """``(r, scale)`` of the combination of the curve ``rows`` (m, n) with
+    ``weights`` (m,): r holds sum_i w_i x_k(t_i) - goal_k for each column k,
+    then sum_i w_i - total, exactly rounded, and scale holds 1 + |goal_k|
+    and 1 + |total| (componentwise residuals; Higham, 2002, ch. 7)."""
+    r = np.empty(goal.size + 1)
+    np.subtract(weights @ rows, goal, out=r[:-1])
+    r[-1] = math.fsum(weights.tolist()) - total
+    return r, 1.0 + np.abs(np.concatenate((goal, (total,))))
+
+
 def _miss(weights, points, target) -> float:
-    """Largest coordinate miss of the weighted mean of ``points`` against
-    ``target``, relative to 1 + max|target|; the reductions' gate is
-    ``RECON_TOL``."""
-    miss = np.abs(weights @ points / weights.sum() - target).max()
-    return float(miss) / (1.0 + float(np.abs(target).max()))
+    """Largest function row of the combination's :func:`residual` against
+    ``target``, over (1 + max|target|) times its mass (gate ``RECON_TOL``)."""
+    mass = float(np.add.reduce(weights))
+    r = np.abs(residual(weights, points, mass * target, mass)[0][:-1])
+    scale = (1.0 + float(np.maximum.reduce(np.abs(target)))) * mass
+    return float(np.maximum.reduce(r)) / scale
 
 
 def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
@@ -599,11 +619,11 @@ _LM_LADDER = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
 
 
-def _exact_mass_fits(xs, target, total, scale):
+def _exact_mass_fits(xs, goal, total, scale):
     """For each row block x of ``xs`` (k, m, n), the weights minimizing
-    ||scale * (w @ x - total * target)|| with sum(w) = total: one batched
-    KKT solve, least squares where it is singular.  Returns (k, m), a row
-    of NaN for a fit with a weight below -1e-12 * total."""
+    ||scale * (w @ x - goal)|| with sum(w) = total: one batched KKT solve,
+    least squares where it is singular.  Returns (k, m), a row of NaN for
+    a fit with a weight below -1e-12 * total."""
     a = xs * scale
     m = xs.shape[1]
     kkt = np.zeros((len(xs), m + 1, m + 1))
@@ -611,7 +631,7 @@ def _exact_mass_fits(xs, target, total, scale):
     kkt[:, :m, m] = 1.0
     kkt[:, m, :m] = 1.0
     rhs = np.empty((len(xs), m + 1))
-    rhs[:, :m] = 2.0 * a @ (total * target * scale)
+    rhs[:, :m] = 2.0 * a @ (goal * scale)
     rhs[:, m] = total
     try:
         sol = np.linalg.solve(kkt, rhs[..., None])[..., 0]
@@ -628,10 +648,11 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
                        target_resid: float = POLISH_TARGET, points=None):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
-    Drives the residual map (sum(w_i x(t_i)) - total*target, sum(w_i) - total)
-    toward zero by moving both the support parameters and the weights.
-    Residual rows are scaled relative to the target components, so
-    ``target_resid`` is a relative stopping measure.  Steps come from an
+    Drives the :func:`residual` of the combination against goal
+    total*target and mass ``total`` toward zero by moving both the support
+    parameters and the weights.  Each row is multiplied by the reciprocal
+    of its scale, 1 + |total*target_k| or 1 + |total|, so ``target_resid``
+    is a relative stopping measure.  Steps come from an
     SVD factorization of the Jacobian with a ladder of Levenberg damping
     values (near-dependent systems make the plain Gauss-Newton step
     overshoot along weak singular directions).  Parameters are clipped
@@ -668,19 +689,13 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     """
     params = np.asarray(params, dtype=float).copy()
     weights = np.maximum(np.asarray(weights, dtype=float), 0.0)
-    target = np.asarray(target, dtype=float)
+    goal = total * np.asarray(target, dtype=float)
     n, m = curve.n, params.size
     lo, hi = _clip_bounds(curve.interval)
-    row_scale = np.concatenate(
-        [1.0 / (1.0 + np.abs(total * target)), [1.0 / (1.0 + abs(total))]]
-    )
-
-    def residual(x, w):
-        raw = np.concatenate([w @ x - total * target, [math.fsum(w) - total]])
-        return raw * row_scale
-
     x = curve.evaluate(params) if points is None else np.asarray(points, dtype=float)
-    r = residual(x, weights)
+    r, scale = residual(weights, x, goal, total)
+    row_scale = 1.0 / scale
+    r = r * row_scale
     norm = math.sqrt(r.dot(r))
     for _ in range(POLISH_MAX_ITER):
         if float(np.abs(r).max()) <= target_resid:
@@ -706,13 +721,13 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
                            np.maximum(weights + step[m:], 0.0)))
         x_try = curve.evaluate(np.concatenate([p for p, _ in trials])).reshape(
             len(trials), m, n)
-        fits = _exact_mass_fits(x_try, target, total, row_scale[:n])
+        fits = _exact_mass_fits(x_try, goal, total, row_scale[:n])
         best = None
         for (p_try, w_try), x_t, fit in zip(trials, x_try, fits):
-            r_try = residual(x_t, w_try)
+            r_try = residual(w_try, x_t, goal, total)[0] * row_scale
             norm_try = math.sqrt(r_try.dot(r_try))
             if not np.isnan(fit[0]):
-                r_fit = residual(x_t, fit)
+                r_fit = residual(fit, x_t, goal, total)[0] * row_scale
                 norm_fit = math.sqrt(r_fit.dot(r_fit))
                 if norm_fit <= norm_try:
                     w_try, r_try, norm_try = fit, r_fit, norm_fit

@@ -234,7 +234,10 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
     ``(n_out,)`` integrals and the K15 rule of the accepted panels, in
     increasing node order, each weight the half-width times the Kronrod
     weight (all positive) times the density at the node.  The integrals
-    are the moments of that rule up to summation order.
+    are the moments of that rule up to summation order.  When no panel
+    can be bisected further, a non-finite error estimate is a
+    :class:`SchemaError`, since the integrals leave the double range, and
+    a finite one a :class:`NonConvergenceError`.
     """
     if not b > a:
         return np.zeros(n_out), np.empty(0), np.empty(0)
@@ -258,6 +261,8 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
         bad = (errs > 0.5 * fn_tol[None, :] * share[:, None]).any(axis=1)
         bad &= (hi - lo) > width_floor
         if not bad.any():
+            if not np.isfinite(err_tot).all():
+                raise SchemaError("the integrals leave the double range")
             raise NonConvergenceError(
                 f"integral over [{a}, {b}] did not reach tolerance {tol}; "
                 f"residual error {float(err_tot.max())}"

@@ -32,9 +32,12 @@ total mass, reproducing every function integral:
    the weights at each trial's nodes with the mass exact
    (:func:`~exactquad.hull.polish_combination`); drop nodes whose weight
    reaches zero, rescale the rest to the exact mass, and gate every
-   residual and the mass on the rows that the polish returns.  Steps 5-6
-   run in one loop: on the independent subset, then, only if it dropped
-   functions and missed the gate, on all n functions.
+   residual and the mass on the rows that the polish returns: the rows of
+   :func:`~exactquad.hull.residual`, each function's over 1 + |J_k|
+   (``RESIDUAL_GATE``) and the mass's over the mass (``MASS_GATE``), the
+   gate that :func:`verify_rule` applies too.  Steps 5-6 run in one loop:
+   on the independent subset, then, only if it dropped functions and
+   missed the gate, on all n functions.
 
 The produced rule is one of infinitely many valid rules; the pipeline is
 deterministic, so identical inputs give identical output.
@@ -62,6 +65,7 @@ from .hull import (
     merge_coincident,
     polish_combination,
     reduce_on_curve,
+    residual,
 )
 from .measure import (
     DEFAULT_TOL,
@@ -182,6 +186,8 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     singular values of the centered samples with relative threshold
     ``RANK_TOL``, and a column must also stand above the rounding of its
     own mean (``ROUNDING_FLOOR``), so a constant function is dependent.
+    The samples are scaled by one power of two first, so a column near
+    the double limit does not overflow its mean.
     The independent subset is chosen greedily in index order, so earlier
     functions win.  Rank 0 means every function is constant wherever the
     measure has mass.  When all the centred columns pass the test together
@@ -193,10 +199,15 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     if x is None:
         ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
         x = curve.evaluate(discretize_hull_point(curve, m, ivec)[0])
-    xc = x - x.mean(axis=0)
+    # one power of two brings the largest entry below 1, so that the mean
+    # cannot overflow; every threshold below is a ratio, so none moves
+    top = np.maximum.reduce(np.abs(x))
+    e = -math.frexp(max(top.tolist()))[1]
+    xc = np.ldexp(x, e)
+    xc -= np.add.reduce(xc) / len(xc)  # the bits of xc.mean(axis=0)
     s_all = np.linalg.svd(xc, compute_uv=False)
     thresh = RANK_TOL * float(s_all[0])
-    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.abs(x).max(axis=0)
+    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.ldexp(top, e)
     if s_all.size == curve.n and s_all[-1] > max(thresh, floor.max()):
         return AffineRankReport(rank=curve.n,
                                 independent_indices=tuple(range(curve.n)))
@@ -208,15 +219,6 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
         if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
             indep.append(k)
     return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
-
-
-def _gate(node_vals, w, j_vals, mu):
-    """``(resid, rel, mass_err)`` of weights ``w`` at nodes with values
-    ``node_vals``: the residuals against ``j_vals``, the same relative to
-    1 + |J| (gate ``RESIDUAL_GATE``) and |sum(w) - mu| / mu (gate
-    ``MASS_GATE``)."""
-    resid = np.abs(w @ node_vals - j_vals)
-    return resid, resid / (1.0 + np.abs(j_vals)), abs(math.fsum(w) - mu) / mu
 
 
 def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
@@ -298,10 +300,11 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     for indep in subsets:
         nodes, lam, rows, converged = _synthesize_pass(
             curve, m, working, params, w, x, J.values, J.mass, indep)
-        resid, rel, mass_err = _gate(rows, lam, J.values, J.mass)
+        r, scale = residual(lam, rows, J.values, J.mass)
+        rel, mass_err = np.abs(r[:-1]) / scale[:-1], abs(r[-1]) / J.mass
         if mass_err <= MASS_GATE and (rel <= RESIDUAL_GATE).all():
             return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,
-                                  residuals=resid, rank_used=report.rank,
+                                  residuals=np.abs(r[:-1]), rank_used=report.rank,
                                   converged=bool(converged))
     if not mass_err <= MASS_GATE:
         raise PolishError(
@@ -318,8 +321,9 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
     """Re-integrate at ``VERIFY_TOL`` and check the rule against the
     synthesis gates ``RESIDUAL_GATE`` and ``MASS_GATE``."""
     ref = integrate_system(m, curve, VERIFY_TOL)
-    resid, rel, ws_err = _gate(curve.evaluate(rule.nodes), rule.weights,
-                               ref.values, ref.mass)
+    r, scale = residual(rule.weights, curve.evaluate(rule.nodes), ref.values, ref.mass)
+    resid, ws_err = np.abs(r[:-1]), abs(r[-1]) / ref.mass
+    rel = resid / scale[:-1]
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
     nonneg = bool((rule.weights >= 0.0).all())
     passed = bool((rel <= RESIDUAL_GATE).all() and ws_err <= MASS_GATE

@@ -13,7 +13,13 @@ with, per corpus:
   time, on all n functions;
 - ``walk_rescues``: how many times the curve walk's reweighted support
   missed the gate and ``reduce_on_curve`` polished it (the
-  ``hull.polish_combination`` calls made inside ``hull``).
+  ``hull.polish_combination`` calls made inside ``hull``);
+- ``rules_digest``: SHA-256, first 16 hex, of the newline-joined lines of
+  every problem of every seed, in the line format of ``test_golden.py``'s
+  ``DIGEST_DEFINITION``, so that two sweeps show whether any rule or
+  refusal moved.  Like the golden digests, it depends on the machine: the
+  BLAS kernels and numpy's SIMD loops move converged rules in their last
+  bits.
 
 ``verify`` holds the median, p99 and max over the accepted ``acceptance``
 rules of seeds 20260808 and 401 (when swept) of the largest
@@ -39,6 +45,7 @@ also to ``--out`` when given.
 """
 
 import argparse
+import hashlib
 import itertools
 import json
 import sys
@@ -51,6 +58,7 @@ from exactquad import hull, synth
 from exactquad.errors import ExactQuadError
 from exactquad.hull import CurveSystem
 from exactquad.measure import measure_from_json
+from test_golden import digest_lines
 
 # the benchmark's problem generators, imported read-only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -154,12 +162,14 @@ def sweep(seeds) -> dict:
     try:
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
+            lines = []  # of the rules digest
             rescues.clear()
             for seed, variant in itertools.product(seeds, range(count)):
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
                     problem, pid = item["problem"], f"{seed}/{variant}/#{i}"
                     calls.clear()
                     rule, c, m = synthesize(problem)
+                    lines += digest_lines(workload, [rule])
                     if workload == "acceptance" and seed == INVARIANCE_SEED:
                         base_problems.append(problem)
                         base.append(outcome(rule))
@@ -180,6 +190,8 @@ def sweep(seeds) -> dict:
                 "refusal_count": sum(map(len, refusals.values())),
                 "extra_node_rules": extra, "second_passes": second,
                 "walk_rescues": len(rescues),
+                "rules_digest": hashlib.sha256(
+                    "\n".join(lines).encode()).hexdigest()[:16],
             }
     finally:
         synth._synthesize_pass, hull.polish_combination = one_pass, polish

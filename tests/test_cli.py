@@ -460,6 +460,10 @@ _INTERVAL = UNIT_MEASURE["interval"]
 # two atoms whose masses sum past the largest double
 _HUGE_ATOMS = _with(UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
                                          {"t": 0.75, "mass": 1e308}])
+# densities whose integrals leave the double range
+_OVERFLOWING_DENSITY = _with(UNIT_MEASURE, density="1e308")
+_OVERFLOWING_ON_THE_LINE = {"interval": {"lower": "-inf", "upper": "inf"},
+                            "density": "1e308*exp(-t^2)", "atoms": []}
 
 
 @pytest.mark.parametrize("command, problem, flags", [
@@ -520,6 +524,10 @@ _HUGE_ATOMS = _with(UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
     ("synthesize", _with(_SYNTH, functions=["1e10*t"], measure=_with(
         UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
                              {"t": 0.75, "mass": 1e307}])), []),
+    ("synthesize", _with(_SYNTH, measure=_OVERFLOWING_DENSITY), []),
+    ("gruss", {"f": "t", "g": "t^2", "measure": _OVERFLOWING_DENSITY}, []),
+    ("synthesize", _with(_SYNTH, measure=_OVERFLOWING_ON_THE_LINE), []),
+    ("gruss", {"f": "t", "g": "t^2", "measure": _OVERFLOWING_ON_THE_LINE}, []),
 ], ids=["tol-string", "tol-negative", "probe-points-zero", "grid0-unknown",
         "tol-zero-under-flag", "tol-flag-negative", "covwitness-tol-flag-nan",
         "covwitness-tol-flag-infinity",
@@ -531,7 +539,9 @@ _HUGE_ATOMS = _with(UNIT_MEASURE, atoms=[{"t": 0.25, "mass": 1e308},
         "reduce-params-outside-interval", "reduce-param-outside-open-end",
         "gruss-discrete-p-overflows", "synthesize-atom-masses-overflow",
         "gruss-atom-masses-overflow", "synthesize-atom-moments-cancel",
-        "synthesize-atom-moment-overflows"])
+        "synthesize-atom-moment-overflows", "synthesize-density-overflows",
+        "gruss-density-overflows", "synthesize-density-overflows-on-the-line",
+        "gruss-density-overflows-on-the-line"])
 def test_malformed_input_is_schema_error(tmp_path, command, problem, flags):
     code, out, err = invoke([command, write(tmp_path, "p.json", problem), *flags])
     assert code == 2 and out == ""
@@ -572,11 +582,14 @@ def test_deeply_nested_json_is_schema_error(tmp_path, command, text):
     ("reduce", {"functions": ["t"], "interval": _INTERVAL,
                 "combination": {"params": [0.2, 0.8], "weights": [1e308, 1e308],
                                 "total": 1e308}}, 2),
-    # the K15 sum of the density overflows
-    ("synthesize", _with(_SYNTH, measure=_with(UNIT_MEASURE, density="1e308")), 3),
-    # the centred columns overflow in the rank test
+    # the K15 sums of the density overflow: the integrals leave the doubles
+    ("synthesize", _with(_SYNTH, measure=_OVERFLOWING_DENSITY), 2),
+    ("gruss", {"f": "t", "g": "t^2", "measure": _OVERFLOWING_DENSITY}, 2),
+    ("synthesize", _with(_SYNTH, measure=_OVERFLOWING_ON_THE_LINE), 2),
+    # the rank test scales the samples before it centres them
     ("synthesize", _with(_SYNTH, functions=["1e308*t", "t"]), 0),
-], ids=["reduce-weights-overflow", "density-overflows", "function-overflows"])
+], ids=["reduce-weights-overflow", "density-overflows", "gruss-density-overflows",
+        "density-overflows-on-the-line", "function-overflows"])
 def test_numpy_warnings_stay_off_stderr(tmp_path, command, problem, exit_code):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")

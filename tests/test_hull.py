@@ -25,6 +25,7 @@ from exactquad.hull import (
     merge_coincident,
     polish_combination,
     reduce_on_curve,
+    residual,
 )
 from exactquad import hull
 from exactquad.expr import parse
@@ -34,7 +35,7 @@ from exactquad.measure import (
     integrate_system,
     measure_from_json,
 )
-from exactquad.synth import QuadratureRule, synthesize_rule, verify_rule
+from exactquad.synth import VERIFY_TOL, QuadratureRule, synthesize_rule, verify_rule
 
 # the benchmark's problem generators, imported read-only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -1061,6 +1062,26 @@ def test_randomized_reduction_invariants():
         assert abs(math.fsum(out.weights) - 1.0) <= 1e-12
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= 1e-9 * (1 + np.max(np.abs(v)))
+
+
+def test_residual_rows_and_scales_in_closed_form():
+    # three curve rows with dyadic entries: every row is exact
+    rows = np.array([[1.0, 2.0], [3.0, -1.0], [0.5, 4.0]])
+    weights = np.array([0.25, 0.5, 0.25])
+    goal, total = np.array([2.0, -1.0]), 1.5
+    r, scale = residual(weights, rows, goal, total)
+    assert r.tolist() == [0.25 + 1.5 + 0.125 - 2.0, 0.5 - 0.5 + 1.0 + 1.0, -0.5]
+    assert scale.tolist() == [3.0, 2.0, 2.5]
+    # verify_rule reports the residual's rows over their scales
+    m = MeasureSpec(IntervalSpec(0, 2), density=parse("1+t"))
+    c = CurveSystem.from_texts(["t", "exp(t)"], m.interval)
+    rule = synthesize_rule(c, m)
+    report = verify_rule(rule, c, m)
+    ref = integrate_system(m, c, VERIFY_TOL)
+    r, scale = residual(rule.weights, c.evaluate(rule.nodes), ref.values, ref.mass)
+    assert np.array_equal(report.residuals, np.abs(r[:-1]))
+    assert np.array_equal(report.relative_residuals, np.abs(r[:-1]) / scale[:-1])
+    assert report.weight_sum_rel_error == abs(r[-1]) / ref.mass
 
 
 def test_polish_combination_tightens():

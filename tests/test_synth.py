@@ -147,6 +147,16 @@ class TestAffineRank:
     def test_constant_is_rank_zero(self):
         assert affine_rank(curve("1"), UNIT).rank == 0
 
+    def test_huge_column_keeps_its_rank(self):
+        # the mean of 1e308*t over the nodes overflows unless the samples
+        # are scaled first
+        c = curve("1e308*t", "t")
+        report = affine_rank(c, UNIT)
+        assert report.rank == 1 and report.independent_indices == (0,)
+        rule = synthesize_rule(c, UNIT)
+        assert rule.rank_used == 1 and rule.nodes.tolist() == [0.5]
+        assert rule.residuals.tolist() == [0.0, 0.0]
+
     def test_rank_uses_measure_support(self):
         # the functions agree on the two atoms, so the measure sees rank 1
         atoms = MeasureSpec(IntervalSpec(0, 1), atoms=((0.0, 0.5), (1.0, 0.5)))
