@@ -99,6 +99,8 @@ def _cmd_reduce(obj, args):
             raise SchemaError(f"combination param {t} outside the interval")
     comb = replace(comb, points=curve.evaluate(comb.params))
     v = comb.weights @ comb.points / comb.total
+    if not np.isfinite(v).all():
+        raise SchemaError("the combination's target leaves the double range")
     reduced = reduce_on_curve(curve, comb, v)
     note = f"reduced {len(comb)} support points to {len(reduced)}"
     return combination_to_json(reduced), note

@@ -97,7 +97,7 @@ __all__ = [
 ]
 
 RECON_TOL = 1e-9        # reconstruction gate of the reductions, relative
-RANK_TOL = 1e-10        # singular-value rank threshold, relative
+RANK_TOL = 1e-10        # rank threshold of singular values and sines, relative
 BISECT_TOL = 1e-13      # crossing bracket width, relative to the parameter
 ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
 POLISH_TARGET = 1e-12   # relative residual at which the polish stops
@@ -450,7 +450,7 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     if total <= 0:
         raise SchemaError("weights must have positive sum")
     gap = _miss(weights, points, target)
-    if gap > RECON_TOL:
+    if not gap <= RECON_TOL:  # a NaN gap misses too
         raise InfeasibleCombinationError(
             f"input combination misses the target by {gap:.3e} relative "
             f"(allowed {RECON_TOL:.0e})"

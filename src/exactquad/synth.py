@@ -9,7 +9,7 @@ total mass, reproducing every function integral:
    interval; the hull of the pass's nodes and the atoms is the compact
    working window;
 2. detect affine dependencies among the functions over the measure's
-   support and restrict to a maximal independent subset;
+   support (one weighted QR) and keep a maximal independent subset;
 3. normalize the integral vector to unit mass, the mass being column 0 of
    that same pass, so the target is consistent with its window;
 4. discretize the measure as the K15 nodes of step 1's accepted G7-K15
@@ -91,8 +91,9 @@ __all__ = [
 RESIDUAL_GATE = 1e-8    # final per-function exactness gate, relative
 MASS_GATE = 1e-10       # weight sum against the total mass, relative
 VERIFY_TOL = 1e-12      # re-integration tolerance of verify_rule
-# a centred column below this, times sqrt(nodes) and the column's largest
-# magnitude, is the rounding of its mean: the function is constant
+# a centred column whose weighted norm is below this times its weighted
+# mean magnitude is the rounding of its mean: the function is constant.
+# It is the rounding of a column's samples relative to its norm, too
 ROUNDING_FLOOR = 16 * np.finfo(float).eps
 
 
@@ -177,47 +178,74 @@ def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector)
 
 
 def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
-                values=None) -> AffineRankReport:
+                support=None) -> AffineRankReport:
     """Affine rank of the function system over the measure's support.
 
-    The support is probed at the nodes of :func:`discretize_hull_point`;
-    ``values``, the curve at those nodes when the caller holds it, spares
-    the integration pass and the evaluation.  Rank is read off the
-    singular values of the centered samples with relative threshold
-    ``RANK_TOL``, and a column must also stand above the rounding of its
-    own mean (``ROUNDING_FLOOR``), so a constant function is dependent.
-    The samples are scaled by one power of two first, so a column near
-    the double limit does not overflow its mean.
-    The independent subset is chosen greedily in index order, so earlier
-    functions win.  Rank 0 means every function is constant wherever the
-    measure has mass.  When all the centred columns pass the test together
-    the rank is n from one factorization: by Cauchy interlacing no subset
-    of columns has a smaller least singular value than the whole matrix,
-    so the greedy loop would accept every column.
+    The support is the discrete measure of :func:`discretize_hull_point`;
+    ``support``, the curve at its nodes and their weights (> 0) when the
+    caller holds them, spares the integration pass and the evaluation.  The
+    functions are centred on their weighted means, the rows weighted by
+    the weights' square roots, and one QR factorization gives each
+    function's sine to the span of the earlier independent ones: function
+    k is independent when that sine exceeds ``RANK_TOL``, a greedy choice
+    in index order in which no function's scale moves another's test.  A
+    function whose centred norm is at the rounding of its mean
+    (``ROUNDING_FLOOR``) is constant; rank 0 means every function is
+    constant wherever the measure has mass.
     """
-    x = values
-    if x is None:
+    if support is None:
         ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
-        x = curve.evaluate(discretize_hull_point(curve, m, ivec)[0])
-    # one power of two brings the largest entry below 1, so that the mean
-    # cannot overflow; every threshold below is a ratio, so none moves
-    top = np.maximum.reduce(np.abs(x))
-    e = -math.frexp(max(top.tolist()))[1]
-    xc = np.ldexp(x, e)
-    xc -= np.add.reduce(xc) / len(xc)  # the bits of xc.mean(axis=0)
-    s_all = np.linalg.svd(xc, compute_uv=False)
-    thresh = RANK_TOL * float(s_all[0])
-    floor = ROUNDING_FLOOR * math.sqrt(len(x)) * np.ldexp(top, e)
-    if s_all.size == curve.n and s_all[-1] > max(thresh, floor.max()):
-        return AffineRankReport(rank=curve.n,
-                                independent_indices=tuple(range(curve.n)))
+        params, w = discretize_hull_point(curve, m, ivec)
+        support = curve.evaluate(params), w
+    x, w = support
+    # a power of two per column brings its largest entry below 1, so that
+    # its centring cannot overflow nor its squares underflow
+    a = np.ldexp(x, -np.frexp(np.maximum.reduce(np.abs(x)))[1])
+    p = w / np.add.reduce(w)
+    floor = ROUNDING_FLOOR * (p @ np.abs(a))
+    a -= p @ a
+    a -= p @ a  # the rounding of the first mean, which a constant keeps
+    a *= np.sqrt(p)[:, None]
+    norm = np.sqrt(np.add.reduce(a * a))
+    live = (norm > floor).nonzero()[0]
+    if live.size < norm.size:
+        # a constant's centred norm is the rounding of its mean; in the QR
+        # it would only cost the projections below
+        a = a[:, live]
+    norm = norm.tolist()
+    # 'raw' holds R above h's diagonal and copies out no triangle
+    h = np.linalg.qr(a, mode="raw")[0]
+    d = np.abs(h.diagonal()).tolist()
+    q = None  # rows: the accepted columns' directions in R's frame
+    amp: list[float] = []  # ROUNDING_FLOOR over each accepted sine
     indep: list[int] = []
-    for k in range(curve.n):
-        # the last candidate after every column was accepted is xc itself
-        s = (s_all if len(indep) == k == curve.n - 1
-             else np.linalg.svd(xc[:, indep + [k]], compute_uv=False))
-        if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
+    worst, cap = 0.0, len(p) - 1  # c points of weight > 0 span c - 1 dims
+    for i, k in enumerate(live.tolist()):
+        j = len(indep)
+        if j == i:
+            s = d[i] / norm[k]  # the accepted columns span R's first i rows
+        else:
+            # a rejected column's row of R is no direction of the accepted
+            # ones: project R's column i on those alone
+            q = np.eye(len(d)) if q is None else q
+            b, v = q[:j, :i + 1], h[i, :i + 1]
+            coef = b @ v
+            v = v - coef @ b
+            s = math.sqrt(v @ v) / norm[k]
+        # an accepted column's rounding, ROUNDING_FLOOR of its norm, turns
+        # its direction by ROUNDING_FLOOR over its sine, and column i's
+        # sine moves by that times column i's share of the direction
+        tol = RANK_TOL
+        if worst * j > RANK_TOL:
+            coef = h[i, :i] if j == i else coef
+            tol = max(tol, float(np.abs(coef) @ amp) / norm[k])
+        if j < cap and s > tol:
+            if j < i:  # twice, so that its direction is orthogonal to b's
+                v -= (b @ v) @ b
+                q[j, :i + 1] = v / math.sqrt(v @ v)
             indep.append(k)
+            amp.append(ROUNDING_FLOOR / s)
+            worst = max(worst, amp[-1])
     return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
 
 
@@ -293,7 +321,7 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     # one batch: the discrete measure's nodes, then the window's two ends
     x = curve.evaluate(np.concatenate(
         [params, (working.upper, working.lower)]))[:params.size]
-    report = affine_rank(curve, m, values=x)
+    report = affine_rank(curve, m, support=(x, w))
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:
         subsets.append(list(range(curve.n)))

@@ -514,6 +514,10 @@ _OVERFLOWING_ON_THE_LINE = {"interval": {"lower": "-inf", "upper": "inf"},
                 "combination": {"params": [-0.5, 0.5], "weights": [0.5, 0.5],
                                 "total": 1.0}}, []),
     ("gruss-discrete", {"p": [1e308, 1e308], "u": [0, 1], "v": [0, 1]}, []),
+    # the weighted sum of 1.7e308*(2*t-1) overflows to -inf + inf
+    ("reduce", {"functions": ["1.7e308*(2*t-1)", "t"], "interval": _INTERVAL,
+                "combination": {"params": [0, 0.05, 0.95, 1],
+                                "weights": [2.5] * 4, "total": 10.0}}, []),
     ("synthesize", _with(_SYNTH, measure=_HUGE_ATOMS), []),
     ("gruss", {"f": "t", "g": "t", "measure": _HUGE_ATOMS}, []),
     # the atoms' terms of 1e10*(t-0.5) overflow to -inf and +inf, and
@@ -537,7 +541,8 @@ _OVERFLOWING_ON_THE_LINE = {"interval": {"lower": "-inf", "upper": "inf"},
         "trials-zero", "gruss-discrete-p-nan", "verify-node-nan",
         "reduce-param-nan", "gruss-discrete-u-infinity",
         "reduce-params-outside-interval", "reduce-param-outside-open-end",
-        "gruss-discrete-p-overflows", "synthesize-atom-masses-overflow",
+        "gruss-discrete-p-overflows", "reduce-target-overflows",
+        "synthesize-atom-masses-overflow",
         "gruss-atom-masses-overflow", "synthesize-atom-moments-cancel",
         "synthesize-atom-moment-overflows", "synthesize-density-overflows",
         "gruss-density-overflows", "synthesize-density-overflows-on-the-line",

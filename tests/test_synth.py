@@ -16,7 +16,7 @@ from exactquad.errors import (
     SchemaError,
 )
 from exactquad.expr import parse
-from exactquad.hull import RANK_TOL, RECON_TOL, CurveSystem
+from exactquad.hull import RECON_TOL, CurveSystem
 from exactquad.measure import (
     IntervalSpec,
     MeasureSpec,
@@ -85,9 +85,12 @@ FALLBACK_PROBLEMS = [
     },
 ]
 
-# acceptance corpus seed 11, variant 5, #122: affine rank 5 of 6 functions;
-# the restricted pass misses the gate, so the rule is the full system's
-RANK_FIVE_RETRY = {
+# acceptance corpus seed 11, variant 5, #122: a full affine rank of 6
+# whose fifth and sixth columns read |R_kk| 1.5e-5 and 1.4e-6 against
+# RANK_TOL.  When the rank was read against the largest column, its sixth
+# read as dependent, the restricted pass missed the gate and the rule was
+# the full system's
+FULL_RANK_SMALL_SINES = {
     "functions": [
         "-0.715954439663486*sin(1*t)+-1.9009061892791164*cos(1*t)",
         "-1.4616574113336767*exp(-0.5554918602190011*t)",
@@ -157,6 +160,58 @@ class TestAffineRank:
         assert rule.rank_used == 1 and rule.nodes.tolist() == [0.5]
         assert rule.residuals.tolist() == [0.0, 0.0]
 
+    def test_constant_column_hides_no_later_column(self):
+        # t is 1 on an atom of weight 1e-24 and 0 on one of weight 1, so
+        # its weighted centred column lies almost wholly in the first row;
+        # the constant column takes that row of R, and t read against it
+        # too would have a sine of 1e-12
+        x = np.array([[1.0, 1.0], [1.0, 0.0]])
+        report = affine_rank(curve("1", "t"), UNIT,
+                             support=(x, np.array([1e-24, 1.0])))
+        assert report.independent_indices == (1,)
+
+    def test_constant_column_on_a_large_support(self):
+        # on 1e5 nodes of widely spread weights, the rounding of a
+        # constant's mean reaches about 50 eps, above ROUNDING_FLOOR, until
+        # the centring runs a second time
+        t = np.linspace(0.0, 1.0, 100000)
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            c = np.full(t.size, rng.standard_normal())
+            x = np.column_stack([t, c, t * t])
+            w = np.exp(5.0 * rng.standard_normal(t.size))
+            report = affine_rank(curve("t", "1", "t^2"), UNIT, support=(x, w))
+            assert report.independent_indices == (0, 2)
+
+    @pytest.mark.parametrize("texts, indep", [
+        (("t", "t+1e-6*t^2", "t^2"), (0, 1)),
+        (("t", "t+1e-6*t^2", "t+1e-8*t^3"), (0, 1, 2))])
+    def test_rounding_after_a_small_sine(self, texts, indep):
+        # t + 1e-6 t^2 stands a sine of 2.6e-7 off t, so the rounding of its
+        # samples turns its direction by about 1e-8.  t^2 lies along that
+        # direction, and its sine of 1.3e-10 is that rounding: a third
+        # node would be spurious.  t + 1e-8 t^3 stands 6.6e-10 off the two
+        # across that direction, and a threshold raised for every later
+        # column alike would drop it
+        c = curve(*texts)
+        assert affine_rank(c, UNIT).independent_indices == indep
+        assert len(synthesize_rule(c, UNIT)) == len(indep)
+
+    @pytest.mark.parametrize("texts, indep", [
+        (("t", "t", "t+1e-13*t^2", "t^2"), (0, 3)),
+        (("t", "2*t", "t+1e-13*t^2", "t^2"), (0, 3)),
+        (("t", "t+1e-6*t^2", "t^2", "t^3"), (0, 1))])
+    def test_three_atoms_read_rank_two(self, texts, indep):
+        # three atoms span two centred dimensions.  In the first two
+        # systems the rejected columns 1 and 2 take the two rows of R that
+        # t leaves, so t^2 must be projected on t alone; in the third the
+        # rounding after a small sine must not read as a third dimension
+        atoms = MeasureSpec(IntervalSpec(0, 1),
+                            atoms=((0.0, 1.0), (0.5, 1.0), (1.0, 1.0)))
+        assert affine_rank(curve(*texts), atoms).independent_indices == indep
+        rule = synthesize_rule(curve(*texts), atoms)
+        assert rule.rank_used == len(rule) == 2
+
     def test_rank_uses_measure_support(self):
         # the functions agree on the two atoms, so the measure sees rank 1
         atoms = MeasureSpec(IntervalSpec(0, 1), atoms=((0.0, 0.5), (1.0, 0.5)))
@@ -176,65 +231,77 @@ def test_random_constant_has_rank_zero(value):
     assert report.independent_indices == (0,)
 
 
-def _greedy_independent(x):
-    """The greedy rank test with every candidate column set factorized
-    afresh: column k joins when the centred columns chosen so far and k
-    have a least singular value above both thresholds."""
-    xc = x - x.mean(axis=0)
-    thresh = RANK_TOL * float(np.linalg.svd(xc, compute_uv=False)[0])
-    floor = synth.ROUNDING_FLOOR * math.sqrt(len(x)) * np.abs(x).max(axis=0)
-    indep = []
-    for k in range(x.shape[1]):
-        s = np.linalg.svd(xc[:, indep + [k]], compute_uv=False)
-        if s.size == len(indep) + 1 and s[-1] > max(thresh, floor[k]):
-            indep.append(k)
-    return tuple(indep)
-
-
 @settings(max_examples=200, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 12),
        n=st.integers(1, 6),
        exponents=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
        kind=st.sampled_from(["independent", "near-dependent", "constant"]),
        gap=st.floats(1e-16, 1e-3))
-# the constant column's centred rounding stands above the relative
-# threshold but not above its own rounding floor
+# a constant column, the two columns then scaled by 1e-6 and 1e6
 @example(seed=0, rows=12, n=2, exponents=[-6.0, 6.0, 0.0, 0.0, 0.0, 0.0],
          kind="constant", gap=1e-3)
-def test_affine_rank_agrees_with_the_greedy_loop(seed, rows, n, exponents,
-                                                 kind, gap):
-    # full rank read from one factorization gives the greedy loop's rank
-    # and columns, with columns scaled by up to 1e+-6, a column within
-    # gap of an affine combination of earlier ones, a constant column, and
-    # as few rows as columns or fewer
+# the twin of column 0 and the rejected column 1 take the two rows of R
+# that column 0 leaves, and column 2 must still read as independent
+@example(seed=93546629, rows=3, n=3, exponents=[6.0, -6.0, 3.0, 0.0, 0.0, 2.0],
+         kind="near-dependent", gap=5e-11)
+# five points span four centred dimensions: the rounding after a small
+# sine must not read as a fifth
+@example(seed=2728108231, rows=5, n=6,
+         exponents=[-6.0, 6.0, -3.0, 3.0, 0.0, -2.0],
+         kind="near-dependent", gap=5e-7)
+def test_affine_rank_is_scale_free(seed, rows, n, exponents, kind, gap):
+    # with a column within gap of an affine combination of earlier ones, a
+    # constant column, and as few rows as columns or fewer: scaling the
+    # columns by up to 1e+-6 or all the weights keeps the rank and the
+    # columns, duplicating a column keeps the rank, the rank is below the
+    # row count, and a constant column is never independent.  Reversing
+    # the columns keeps the rank too, but for a near-dependent system to
+    # within one: its sine depends on which column of the combination
+    # comes last, and within two decades of RANK_TOL the two orders can
+    # fall on either side of it
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((rows, n))
+    w = rng.uniform(0.1, 1.0, rows)
+    const = None
     if kind == "near-dependent" and n > 1:
         j = int(rng.integers(1, n))
         x[:, j] = (x[:, :j] @ rng.standard_normal(j) + 0.5
                    + gap * rng.standard_normal(rows))
     elif kind == "constant":
-        x[:, int(rng.integers(n))] = rng.standard_normal()
-    x *= 10.0 ** np.array(exponents[:n])
-    report = affine_rank(curve(*["t"] * n), UNIT, values=x)
-    expected = _greedy_independent(x)
-    assert report.independent_indices == expected
-    assert report.rank == len(expected)
+        const = int(rng.integers(n))
+        x[:, const] = rng.standard_normal()
+    c = curve(*["t"] * n)
+    report = affine_rank(c, UNIT, support=(x, w))
+    assert const not in report.independent_indices
+    assert report.rank <= rows - 1
+    scale = 10.0 ** np.array(exponents[:n])
+    for support in [(x * scale, w), (x, w * 10.0 ** exponents[-1])]:
+        assert affine_rank(c, UNIT, support=support) == report
+    k = int(rng.integers(n))
+    twin = np.insert(x, k, x[:, k], axis=1)
+    assert affine_rank(curve(*["t"] * (n + 1)), UNIT,
+                       support=(twin, w)).rank == report.rank
+    reversed_rank = affine_rank(c, UNIT, support=(x[:, ::-1], w)).rank
+    assert abs(reversed_rank - report.rank) <= (kind == "near-dependent")
 
 
-@pytest.mark.parametrize("texts", [("t",), ("exp(-t)", "cos(t)", "log(1+t)"),
-                                   ("t", "t^2", "exp(t)", "sin(3*t)")])
-def test_full_rank_costs_one_factorization(monkeypatch, texts):
+@pytest.mark.parametrize("texts, rank", [
+    (("t",), 1), (("exp(-t)", "cos(t)", "log(1+t)"), 3),
+    (("t", "t^2", "exp(t)", "sin(3*t)"), 4), (("t", "2*t+3", "t^2", "1"), 2),
+    (("1", "5"), 0), (("t^2", "cos(t)", "2*t^2+1"), 2)])
+def test_rank_costs_one_qr_and_no_svd(monkeypatch, texts, rank):
+    # full and deficient ranks alike
     c = curve(*texts)
     x = c.evaluate(np.linspace(0.0, 1.0, 30))
     calls = []
-    svd = np.linalg.svd
-    monkeypatch.setattr(np.linalg, "svd",
-                        lambda *a, **k: calls.append(1) or svd(*a, **k))
-    report = affine_rank(c, UNIT, values=x)
+    for name in ("qr", "svd"):
+        f = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda *a, _f=f, _name=name, **k:
+                            calls.append(_name) or _f(*a, **k))
+    report = affine_rank(c, UNIT, support=(x, np.full(30, 1 / 30)))
     monkeypatch.undo()
-    assert report.independent_indices == tuple(range(c.n))
-    assert len(calls) == 1
+    assert calls == ["qr"]
+    assert report.rank == len(report.independent_indices) == rank
 
 
 class TestDiscretize:
@@ -430,13 +497,13 @@ class TestSynthesize:
         assert verify_rule(rule, c, m).passed
 
     def test_retry_reports_the_affine_rank(self):
-        problem = RANK_FIVE_RETRY
+        problem = FULL_RANK_SMALL_SINES
         m = measure_from_json(problem["measure"])
         c = curve(*problem["functions"], interval=m.interval)
-        assert affine_rank(c, m).rank == 5
+        assert affine_rank(c, m).rank == 6
         rule = synthesize_rule(c, m)
-        assert rule.rank_used == 5
-        assert len(rule) <= 6
+        assert rule.rank_used == 6
+        assert len(rule) <= max(rule.rank_used, 1)
         assert verify_rule(rule, c, m).passed
 
     def test_polish_runs_once_and_its_zero_weights_drop(self, monkeypatch):
