@@ -55,7 +55,11 @@ that the Gruss extrema scan makes once per operation on 4096 points.
 goal: the signed rows sum_i w_i x_k(t_i) - goal_k and sum_i w_i - total,
 and each row's scale, 1 + |goal_k| and 1 + |total|.  Every gate reads it.
 The polish multiplies its rows by the reciprocal scales, computed once per
-polish; synthesis and ``verify_rule`` divide each function row by its
+polish.  On those rows it first corrects the weights alone at the given
+nodes, one least-squares solve, and moves the nodes by damped
+Gauss-Newton only when the corrected weights miss its target, so a walked
+support that is off only in its weights is polished without evaluating
+the curve.  Synthesis and ``verify_rule`` divide each function row by its
 scale and the mass row by the mass; the reductions' ``_miss`` keeps one
 scalar scale, (1 + max|target|) times the mass, over all function rows.
 
@@ -652,10 +656,27 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     total*target and mass ``total`` toward zero by moving both the support
     parameters and the weights.  Each row is multiplied by the reciprocal
     of its scale, 1 + |total*target_k| or 1 + |total|, so ``target_resid``
-    is a relative stopping measure.  Steps come from an
+    is a relative stopping measure.
+
+    The residual is linear in the weights, and a walked support often
+    misses only in them.  So a start that misses ``target_resid`` first
+    corrects the weights alone at the given parameters: the least-squares
+    step on the scaled rows, whose matrix is the weight block of the
+    Jacobian below, by ``np.linalg.lstsq`` (an orthogonal factorization,
+    not the normal equations; variable projection, Golub & Pereyra, 1973),
+    with the corrected weights clipped at 0.  When they meet
+    ``target_resid`` they are returned at once, with the given parameters
+    and rows.  Otherwise they are discarded, and the iteration below runs
+    from the given weights.
+
+    Steps come from an
     SVD factorization of the Jacobian with a ladder of Levenberg damping
     values (near-dependent systems make the plain Gauss-Newton step
-    overshoot along weak singular directions).  Parameters are clipped
+    overshoot along weak singular directions).  Every trial drops the
+    singular values at or below eps times the largest, the pseudo-inverse
+    of Moré (1978): a function that is zero at every node makes a Jacobian
+    row zero, and the undamped trial would divide by its zero singular
+    value.  Parameters are clipped
     into the curve interval (nudged inside open ends) and weights are
     projected to be non-negative.
 
@@ -678,9 +699,10 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     parameters for the Jacobian, and once at the parameters of all 6
     damped trial steps, one full step per damping value; the rows at the
     parameters come from the trial that moved them there.  So a polish of
-    k iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls,
-    and one that starts within ``target_resid`` from given ``points`` makes
-    none and returns the weights as given.
+    k iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls.
+    One from given ``points`` that starts within ``target_resid`` makes
+    none and returns the weights as given, and one whose corrected weights
+    meet it makes none and returns those.
 
     Returns ``(params, weights, converged, points)``, ``points`` being the
     curve at the returned parameters.  A ``False`` flag means the
@@ -696,6 +718,14 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     r, scale = residual(weights, x, goal, total)
     row_scale = 1.0 / scale
     r = r * row_scale
+    if not float(np.abs(r).max()) <= target_resid:
+        # the weight block of the Jacobian, d r / d w = [x.T; 1], scaled
+        step = np.linalg.lstsq(_homogeneous(x, 0.0) * row_scale[:, None], -r,
+                               rcond=None)[0]
+        fit = np.maximum(weights + step, 0.0)
+        r_fit = residual(fit, x, goal, total)[0] * row_scale
+        if float(np.abs(r_fit).max()) <= target_resid:
+            return params, fit, True, x
     norm = math.sqrt(r.dot(r))
     for _ in range(POLISH_MAX_ITER):
         if float(np.abs(r).max()) <= target_resid:
@@ -706,13 +736,15 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         x_both = curve.evaluate(np.concatenate([up, dn]))
         x_up, x_dn = x_both[:m], x_both[m:]
         dx = (x_up - x_dn) / (up - dn)[:, None]
-        jac = np.zeros((n + 1, 2 * m))
-        jac[:n, :m] = (weights[:, None] * dx).T
-        jac[:n, m:] = x.T
-        jac[n, m:] = 1.0
-        jac *= row_scale[:, None]
+        jac = np.empty((n + 1, 2 * m))
+        jac[:n, :m] = (weights[:, None] * dx).T * row_scale[:n, None]
+        jac[n, :m] = 0.0
+        jac[:, m:] = _homogeneous(x, 0.0) * row_scale[:, None]
         u, s, vt = np.linalg.svd(jac, full_matrices=False)
         utr = u.T @ (-r)
+        # the pseudo-inverse: a singular value at roundoff is zero
+        kept = s > _EPS * s[0]
+        s, vt, utr = s[kept], vt[kept], utr[kept]
         trials = []
         for lam_rel in _LM_LADDER:
             lam = lam_rel * s[0]

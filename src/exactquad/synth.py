@@ -28,9 +28,11 @@ total mass, reproducing every function integral:
    the walked gap before it probes the curve; the result carries the
    rows of its support;
 6. polish nodes and weights on all n functions, the dependent ones
-   included, with a damped Gauss-Newton solve from those rows that fits
-   the weights at each trial's nodes with the mass exact
-   (:func:`~exactquad.hull.polish_combination`); drop nodes whose weight
+   included (:func:`~exactquad.hull.polish_combination`): from those
+   rows, first a least-squares correction of the weights alone, which
+   ends the polish without evaluating the curve when it meets the
+   target, and otherwise a damped Gauss-Newton solve that fits the
+   weights at each trial's nodes with the mass exact; drop nodes whose weight
    reaches zero, rescale the rest to the exact mass, and gate every
    residual and the mass on the rows that the polish returns: the rows of
    :func:`~exactquad.hull.residual`, each function's over 1 + |J_k|

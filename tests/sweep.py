@@ -14,6 +14,8 @@ with, per corpus:
 - ``walk_rescues``: how many times the curve walk's reweighted support
   missed the gate and ``reduce_on_curve`` polished it (the
   ``hull.polish_combination`` calls made inside ``hull``);
+- ``polish_evals``: the ``CurveSystem.evaluate`` calls made inside
+  ``polish_combination``, from synthesis and from the walk's rescues;
 - ``rules_digest``: SHA-256, first 16 hex, of the newline-joined lines of
   every problem of every seed, in the line format of ``test_golden.py``'s
   ``DIGEST_DEFINITION``, so that two sweeps show whether any rule or
@@ -30,9 +32,14 @@ imported read-only as in ``test_golden.py``.
 When seed 20260808 is swept, ``invariance`` holds, for each transform of
 its ``acceptance`` problems that leaves the affine rank as it is (a
 function scaled by 1e3 or 1e-3 as ``1000.0*(f)``, the density and atom
-masses scaled by 1e3, the functions reversed, f0 duplicated), how many
-problems change their (rank_used, node count) or refusal, how many of
-those are new refusals, and how many rules lose or gain rank.
+masses scaled by 1e3, the functions reversed, f0 duplicated, the function
+``0`` appended, t shifted by 1e7 and t scaled by 1e-9), how many problems
+change their (rank_used, node count) or refusal, how many of those are new
+refusals, and how many rules lose or gain rank.  Shifting t by a composes
+every function and the density with t - a and moves the interval and the
+atoms by a; scaling t by c composes with t/c, divides the density by c,
+so the mass stays, and scales the interval and the atoms by c.  Both
+compose through ``expr``'s parse tree, not the text.
 ``shift_twin`` is (t, t^2) under the uniform density on [1e5, 1e5 + 1],
 a shift of t that no text transform makes: its node count and rank, and
 the ``verify_rule`` residuals, or its error kind.
@@ -56,6 +63,7 @@ import numpy as np
 
 from exactquad import hull, synth
 from exactquad.errors import ExactQuadError
+from exactquad.expr import Expression, parse
 from exactquad.hull import CurveSystem
 from exactquad.measure import measure_from_json
 from test_golden import digest_lines
@@ -91,6 +99,42 @@ def _scale_mass(problem):
     return {**problem, "measure": {**m, "density": density, "atoms": atoms}}
 
 
+def _composed(text: str, inner) -> str:
+    """The text of ``text`` with every t replaced by the parse tree ``inner``."""
+    def substitute(node):
+        if node == ("t",):
+            return inner
+        if node[0] == "neg":
+            return ("neg", substitute(node[1]))
+        if node[0] == "bin":
+            return ("bin", node[1], substitute(node[2]), substitute(node[3]))
+        if node[0] == "fn":
+            return ("fn", node[1], tuple(substitute(a) for a in node[2]))
+        return node
+    return Expression(substitute(parse(text).ast)).text
+
+
+def _move_t(op: str, a: float, place):
+    """The transform composing every function and the density with
+    ``t op a``, the density then also divided by ``a`` when ``op`` is
+    "/", and mapping the interval's ends and the atoms by ``place``."""
+    inner = ("bin", op, ("t",), ("num", a))
+
+    def transform(problem):
+        m, iv = problem["measure"], problem["measure"]["interval"]
+        density = m["density"] and _composed(m["density"], inner)
+        if density and op == "/":
+            density = f"({density})/{a!r}"
+        measure = {
+            **m, "interval": {**iv, "lower": place(iv["lower"]),
+                              "upper": place(iv["upper"])},
+            "density": density,
+            "atoms": [{**x, "t": place(x["t"])} for x in m["atoms"]]}
+        return {**problem, "measure": measure,
+                "functions": [_composed(f, inner) for f in problem["functions"]]}
+    return transform
+
+
 # each keeps the affine rank of the system and the rule's node count
 TRANSFORMS = {
     "f0 x 1e3": _scale_function(0, 1e3),
@@ -99,6 +143,9 @@ TRANSFORMS = {
     "mass x 1e3": _scale_mass,
     "reversed order": lambda p: {**p, "functions": p["functions"][::-1]},
     "f0 duplicated": lambda p: {**p, "functions": p["functions"][:1] + p["functions"]},
+    "0 appended": lambda p: {**p, "functions": p["functions"] + ["0"]},
+    "shift t by 1e7": _move_t("-", 1e7, lambda t: t + 1e7),
+    "scale t by 1e-9": _move_t("/", 1e-9, lambda t: t * 1e-9),
 }
 SHIFT_TWIN = {"functions": ["t", "t^2"], "measure": {
     "interval": {"lower": 1e5, "upper": 1e5 + 1}, "density": "1", "atoms": []}}
@@ -153,10 +200,23 @@ def shift_twin() -> dict:
 def sweep(seeds) -> dict:
     calls = []  # one entry per candidate pass of the current synthesis
     rescues = []  # one entry per polish inside hull: the walk's rescues
+    polishing, evals = [], []  # the open polishes; their evaluate calls
     one_pass, polish = synth._synthesize_pass, hull.polish_combination
+    evaluate = CurveSystem.evaluate
+
+    def counted(*args, **kwargs):
+        polishing.append(1)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            polishing.pop()
+
     synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
+    synth.polish_combination = counted
     hull.polish_combination = (lambda *args, **kwargs: rescues.append(1)
-                               or polish(*args, **kwargs))
+                               or counted(*args, **kwargs))
+    CurveSystem.evaluate = (lambda self, ts: (polishing and evals.append(1))
+                            or evaluate(self, ts))
     out, verified = {"seeds": list(seeds)}, []
     base_problems, base = [], []  # acceptance at INVARIANCE_SEED
     try:
@@ -164,6 +224,7 @@ def sweep(seeds) -> dict:
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
             lines = []  # of the rules digest
             rescues.clear()
+            evals.clear()
             for seed, variant in itertools.product(seeds, range(count)):
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
                     problem, pid = item["problem"], f"{seed}/{variant}/#{i}"
@@ -189,12 +250,13 @@ def sweep(seeds) -> dict:
                 "refusals": dict(sorted(refusals.items())),
                 "refusal_count": sum(map(len, refusals.values())),
                 "extra_node_rules": extra, "second_passes": second,
-                "walk_rescues": len(rescues),
+                "walk_rescues": len(rescues), "polish_evals": len(evals),
                 "rules_digest": hashlib.sha256(
                     "\n".join(lines).encode()).hexdigest()[:16],
             }
     finally:
         synth._synthesize_pass, hull.polish_combination = one_pass, polish
+        synth.polish_combination, CurveSystem.evaluate = polish, evaluate
     if verified:
         median, p99 = np.percentile(verified, [50, 99])
         out["verify"] = {

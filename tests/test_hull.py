@@ -1336,6 +1336,34 @@ def test_polish_from_converged_rows_evaluates_nothing(monkeypatch):
     assert ok and np.array_equal(p2, params) and x2 is rows
 
 
+def test_polish_fits_the_weights_before_it_moves_a_node(monkeypatch):
+    # (t, 0*t): the start misses only in its weights, so the least-squares
+    # fit of the weights at the given nodes meets the target; the damped
+    # step never runs, so its zero singular value cannot make a NaN
+    curve = CurveSystem.from_texts(["t", "0*t"], IntervalSpec(0, 1))
+    params = np.array([0.3, 0.6])
+    rows = curve.evaluate(params)
+    monkeypatch.setattr(CurveSystem, "evaluate", None)
+    p2, w2, ok, x2 = polish_combination(curve, params, np.array([0.5, 0.5]),
+                                        np.array([0.5, 0.0]), 1.0, points=rows)
+    assert ok and np.array_equal(p2, params) and x2 is rows
+    assert np.allclose(w2, [1.0 / 3.0, 2.0 / 3.0], rtol=0.0, atol=1e-15)
+
+
+def test_damped_step_drops_a_zero_singular_value():
+    # the fitted weights for target 0.7 are [-1/3, 4/3], which clip off
+    # the target, so the nodes move: the zero function's Jacobian row gives
+    # a zero singular value, which the undamped trial must not divide by,
+    # or its NaN parameters fail the evaluation as a domain error of 't'
+    curve = CurveSystem.from_texts(["t", "0*t"], IntervalSpec(0, 1))
+    target = np.array([0.7, 0.0])
+    p2, w2, ok, x2 = polish_combination(curve, np.array([0.3, 0.6]),
+                                        np.array([0.5, 0.5]), target, 1.0)
+    assert ok and np.isfinite(p2).all()
+    assert np.array_equal(x2, curve.evaluate(p2))
+    assert np.max(np.abs(w2 @ x2 - target)) <= 1e-12
+
+
 def _shift_to_zero_reference(weights, c):
     """The numpy ratio-test shift that the float kernel replaced."""
     pos = (c > 1e-14 * c.max()).nonzero()[0]

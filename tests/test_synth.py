@@ -2,6 +2,8 @@ import io
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -741,6 +743,47 @@ def test_converged_synthesis_evaluates_only_the_batch_and_the_probes(
     assert rule.rank_used == len(texts) and rule.converged
     assert probes and len(evals) == 1 + len(probes)
     assert evals[1:] == probes
+
+
+# the benchmark's tail corpus, imported read-only: its near-dependent
+# systems and its 10 to 12 monomials on [0, 1]
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
+sys.path.pop(0)
+WEIGHTS_ONLY_POLISHES = [
+    item for item in corpus.tail_corpus(20260808, 0)
+    if item["name"].startswith("near-dependent")
+    or item["name"] in {f"{n} monomials on [0,1]" for n in (10, 11, 12)}]
+
+
+@pytest.mark.parametrize("item", WEIGHTS_ONLY_POLISHES,
+                         ids=[item["name"] for item in WEIGHTS_ONLY_POLISHES])
+def test_walked_support_needs_only_its_weights_fitted(monkeypatch, item):
+    # the walk leaves these supports just above the polish target and off
+    # only in their weights: the weights fitted at the walked nodes meet
+    # it, so the polish evaluates nothing
+    m = measure_from_json(item["problem"]["measure"])
+    c = CurveSystem.from_texts(item["problem"]["functions"], m.interval)
+    inside, evals = [], []
+    evaluate, polish = CurveSystem.evaluate, hull.polish_combination
+
+    def counted(*args, **kwargs):
+        inside.append(1)
+        try:
+            return polish(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(synth, "polish_combination", counted)
+    monkeypatch.setattr(hull, "polish_combination", counted)
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: (inside and evals.append(np.size(t)))
+                        or evaluate(self, t))
+    rule = synthesize_rule(c, m)
+    monkeypatch.undo()
+    assert evals == []
+    assert rule.converged and verify_rule(rule, c, m).passed
 
 
 # the five open or infinite measures of the benchmark's tail corpus
