@@ -42,7 +42,7 @@ from .errors import (
 )
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
-from .measure import _DE_GRID, _EPS, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
+from .measure import _DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
 from .synth import RESIDUAL_GATE, synthesize_on_pass
 
 __all__ = [
@@ -148,9 +148,9 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     on [t1, t2] locate the point where the product gap reaches 4 Cov,
     which exists by continuity.  The score is psi + tol_phi, with psi the
     signed excess of the gap over 4 Cov and tol_phi = 1e-11 (1 + 4 |Cov|),
-    so a point with psi >= -tol_phi hits, and one with |psi| <= tol_phi
-    ends the search.  It returns the first such point the probes see.  A
-    failed bracket is reported as an error, never patched.
+    so a point with psi >= -tol_phi hits; the search ends on |psi| <=
+    tol_phi at any scale of t, or on a closed bracket.  A failed bracket,
+    or a gap off by more than ``RESIDUAL_GATE``, is an error, never patched.
     """
     tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
     (ef, eg, efg), moments, window = _moments(f, g, m, tol)
@@ -206,7 +206,6 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
             f"(psi(t2) = {psi_b:.3e}); continuity assumptions look violated"
         )
     tol_phi = 1e-11 * (1.0 + 4.0 * abs(cov))
-    width_floor = 8.0 * _EPS * max(1.0, abs(t1), abs(t2))
 
     def probe(ss):
         # a point with psi >= -tol_phi hits; one with |psi| <= tol_phi ends
@@ -215,7 +214,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
         return psi(h) + tol_phi, h
 
     def done(a, b, h_hi):
-        return b - a <= width_floor or abs(psi(h_hi)) <= tol_phi
+        return abs(psi(h_hi)) <= tol_phi
 
     s_star, h_star = refine_bracket(probe, t1, t2, psi_b + tol_phi, h2, done)
     product_gap = 0.25 * float(h_star)

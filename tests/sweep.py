@@ -16,6 +16,9 @@ with, per corpus:
   ``hull.polish_combination`` calls made inside ``hull``);
 - ``polish_evals``: the ``CurveSystem.evaluate`` calls made inside
   ``polish_combination``, from synthesis and from the walk's rescues;
+- ``walk_rounds``: the ``CurveSystem.evaluate`` calls made inside
+  ``hull._first_zero_crossing``, one per probe round of the curve walk;
+- ``evaluate_calls``: every ``CurveSystem.evaluate`` call of the corpus;
 - ``rules_digest``: SHA-256, first 16 hex, of the newline-joined lines of
   every problem of every seed, in the line format of ``test_golden.py``'s
   ``DIGEST_DEFINITION``, so that two sweeps show whether any rule or
@@ -197,34 +200,49 @@ def shift_twin() -> dict:
             "residuals": report.residuals.tolist()}
 
 
+def _tracked(fn, open_calls):
+    """``fn``, with an entry in the list ``open_calls`` while it runs."""
+    def tracked(*args, **kwargs):
+        open_calls.append(1)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            open_calls.pop()
+    return tracked
+
+
 def sweep(seeds) -> dict:
     calls = []  # one entry per candidate pass of the current synthesis
     rescues = []  # one entry per polish inside hull: the walk's rescues
     polishing, evals = [], []  # the open polishes; their evaluate calls
+    walking, rounds = [], []  # the open walks; their evaluate calls
+    evaluations = []  # one entry per evaluate call
     one_pass, polish = synth._synthesize_pass, hull.polish_combination
-    evaluate = CurveSystem.evaluate
+    walk, evaluate = hull._first_zero_crossing, CurveSystem.evaluate
 
-    def counted(*args, **kwargs):
-        polishing.append(1)
-        try:
-            return polish(*args, **kwargs)
-        finally:
-            polishing.pop()
+    def counted_evaluate(self, ts):
+        evaluations.append(1)
+        if polishing:
+            evals.append(1)
+        if walking:
+            rounds.append(1)
+        return evaluate(self, ts)
 
+    counted = _tracked(polish, polishing)
     synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
     synth.polish_combination = counted
     hull.polish_combination = (lambda *args, **kwargs: rescues.append(1)
                                or counted(*args, **kwargs))
-    CurveSystem.evaluate = (lambda self, ts: (polishing and evals.append(1))
-                            or evaluate(self, ts))
+    hull._first_zero_crossing = _tracked(walk, walking)
+    CurveSystem.evaluate = counted_evaluate
     out, verified = {"seeds": list(seeds)}, []
     base_problems, base = [], []  # acceptance at INVARIANCE_SEED
     try:
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
             lines = []  # of the rules digest
-            rescues.clear()
-            evals.clear()
+            for counter in (rescues, evals, rounds, evaluations):
+                counter.clear()
             for seed, variant in itertools.product(seeds, range(count)):
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
                     problem, pid = item["problem"], f"{seed}/{variant}/#{i}"
@@ -251,12 +269,14 @@ def sweep(seeds) -> dict:
                 "refusal_count": sum(map(len, refusals.values())),
                 "extra_node_rules": extra, "second_passes": second,
                 "walk_rescues": len(rescues), "polish_evals": len(evals),
+                "walk_rounds": len(rounds), "evaluate_calls": len(evaluations),
                 "rules_digest": hashlib.sha256(
                     "\n".join(lines).encode()).hexdigest()[:16],
             }
     finally:
         synth._synthesize_pass, hull.polish_combination = one_pass, polish
         synth.polish_combination, CurveSystem.evaluate = polish, evaluate
+        hull._first_zero_crossing = walk
     if verified:
         median, p99 = np.percentile(verified, [50, 99])
         out["verify"] = {

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -557,6 +558,43 @@ _SMOOTH_TEXTS = ("t", "t^2", "t^3", "t^4", "exp(0.7*t)", "exp(-1.3*t)",
                  "sin(2*t)", "sin(0.5*t+1)")
 
 
+def _walk_draw(texts, seed):
+    """``(curve, ts, x, v, i, frame)``: n+1 points x of the curve of
+    ``texts`` on [-1, 2] at parameters ts drawn from ``seed``, a positive
+    combination v of them, and the walk's start i and frame around v."""
+    curve = CurveSystem.from_texts(texts, IntervalSpec(-1, 2))
+    rng = np.random.default_rng(seed)
+    ts = np.cumsum(rng.uniform(0.05, 0.6, len(texts) + 1)) - 1.0
+    nu = rng.uniform(0.05, 1.0, len(texts) + 1)
+    x = curve.evaluate(ts)
+    v = nu @ x / nu.sum()
+    i, frame, _ = _walk_frame(x, v)
+    return curve, ts, x, v, i, frame
+
+
+def _check_rounding_stop(curve, ts, x, v, frame):
+    # walk x(ts[0]) toward x(ts[1]): the top coordinate g at the crossing is
+    # within ZERO_TOL or the rounding of its own dot products; where g jumps
+    # past both between two adjacent floats, the float below t_bar scored
+    # g < 0 in the walk's own probe batch
+    probed = []
+    evaluate = CurveSystem.evaluate
+
+    def recording(self, us):
+        probed.append((us, evaluate(self, us)))
+        return probed[-1][1]
+
+    with mock.patch.object(CurveSystem, "evaluate", recording):
+        t_bar, _, p, x_bar = _first_zero_crossing(v, frame, curve, ts[:2], x[:2])
+    assert ts[0] < t_bar <= ts[1]
+    eps = np.finfo(float).eps
+    if p.max() > max(ZERO_TOL, eps * (np.abs(x_bar - v) @ np.abs(frame)).max()):
+        scores = {float(u): g for us, xs in probed
+                  for u, g in zip(us, ((xs - v) @ frame).max(axis=1))}
+        below = float(np.nextafter(t_bar, -np.inf))
+        assert below in scores and scores[below] < 0.0
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), n=st.integers(2, 4), moment=st.booleans(),
        seed=st.integers(0, 2**32 - 1))
@@ -568,17 +606,13 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
     else:
         texts = data.draw(st.lists(st.sampled_from(_SMOOTH_TEXTS), min_size=n,
                                    max_size=n, unique=True))
-    curve = CurveSystem.from_texts(texts, IntervalSpec(-1, 2))
-    rng = np.random.default_rng(seed)
-    ts = np.cumsum(rng.uniform(0.05, 0.6, n + 1)) - 1.0
-    nu = rng.uniform(0.05, 1.0, n + 1)
-    x = curve.evaluate(ts)
-    v = nu @ x / nu.sum()
-    i, frame, _ = _walk_frame(x, v)
+    curve, ts, x, v, i, frame = _walk_draw(texts, seed)
     assume(i == 0)
-    # on frames with a condition number above about 1e5 the coordinates'
-    # roundoff can exceed ZERO_TOL at the crossing (3 of 20000 draws)
-    assume(np.linalg.cond(x[1:] - v) <= 1e4)
+    if np.linalg.cond(x[1:] - v) > 1e4:
+        # the coordinates' rounding can exceed ZERO_TOL at the crossing
+        # (about 1 in 30 draws)
+        _check_rounding_stop(curve, ts, x, v, frame)
+        return
     t_bar, k, p, _ = _first_zero_crossing(v, frame, curve, ts[:2], x[:2])
     assert ts[0] < t_bar <= ts[1]
     assert p.max() <= ZERO_TOL
@@ -590,6 +624,58 @@ def test_first_zero_crossing_properties(data, n, moment, seed):
         g = ((curve.evaluate(grid) - v) @ frame).max(axis=1)
         first = int(np.flatnonzero(g >= 0.0)[0])
         assert abs(t_bar - grid[first]) <= 2.0 * (grid[1] - grid[0])
+
+
+@pytest.mark.parametrize("texts,seed", [
+    (["sin(0.5*t+1)", "t^2", "t", "exp(-1.3*t)"], 492467217),
+    (["t", "sin(0.5*t+1)", "t^2", "t^4"], 2786227437)])
+def test_ill_conditioned_crossing_stops_at_its_rounding(texts, seed):
+    # frames of condition 2.0e6 and 4.1e5: a walk that stopped at a bracket
+    # 8 eps wide in absolute units of t left p.max() at 6.2e-11 and 2.9e-11,
+    # above the larger of ZERO_TOL and its dot products' rounding, 2.2e-11
+    # and 1e-11, with the float below t_bar not probed
+    curve, ts, x, v, i, frame = _walk_draw(texts, seed)
+    assert i == 0 and np.linalg.cond(x[1:] - v) > 1e5
+    _check_rounding_stop(curve, ts, x, v, frame)
+
+
+# the benchmark's tail corpus: its 10 near-dependent systems and its 9 to
+# 12 monomials on [0, 1]
+NEAR_DEPENDENT_WALKS = [
+    item for item in corpus.tail_corpus(20260808, 0)
+    if "eps=" in item["name"]
+    or item["name"] in {f"{n} monomials on [0,1]" for n in range(9, 13)}]
+
+
+@pytest.mark.parametrize("item", NEAR_DEPENDENT_WALKS,
+                         ids=[item["name"] for item in NEAR_DEPENDENT_WALKS])
+def test_near_dependent_walks_stop_at_their_rounding(monkeypatch, item):
+    # near the crossing these frames' coordinates round above ZERO_TOL, so
+    # a walk that waited for g <= ZERO_TOL probed rounding noise until its
+    # bracket was a few ulps wide: (t, t^2, t^4) at eps 1e-7 took 11 rounds
+    rounds, walking = [], []  # evaluate calls per walk; the open walk
+    walk, evaluate = hull._first_zero_crossing, CurveSystem.evaluate
+
+    def counted(*args):
+        rounds.append(0)
+        walking.append(1)
+        try:
+            return walk(*args)
+        finally:
+            walking.pop()
+
+    def counting(self, t):
+        if walking:
+            rounds[-1] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(hull, "_first_zero_crossing", counted)
+    monkeypatch.setattr(CurveSystem, "evaluate", counting)
+    m = measure_from_json(item["problem"]["measure"])
+    synthesize_rule(CurveSystem.from_texts(item["problem"]["functions"],
+                                           m.interval), m)
+    monkeypatch.undo()
+    assert rounds and max(rounds) <= 4
 
 
 class TestReduceOnCurve:

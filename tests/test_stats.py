@@ -185,6 +185,21 @@ class TestCovarianceWitness:
                 1e-10 * (1 + abs(w.covariance)))
             assert a <= w.t2 <= b
 
+    @pytest.mark.parametrize("c", [1e6, 1e9])
+    def test_witness_on_a_narrow_interval(self, c):
+        # f = c t and g = f^2 under the uniform density on [0, 1/c], Cov =
+        # 1/12 at any c.  A search that also stopped at a bracket 8 eps
+        # wide in absolute units of t left a gap of 5.5e-11 at c = 1e6,
+        # above tol_phi = 1.33e-11, and at c = 1e9 the walk of its
+        # two-node rule was refused
+        f = parse(f"{c!r}*t")
+        m = MeasureSpec(IntervalSpec(0.0, 1.0 / c), density=parse("1"))
+        w = covariance_witness(f, f * f, m)
+        assert w.covariance == pytest.approx(1.0 / 12.0, rel=1e-9)
+        tol_phi = 1e-11 * (1.0 + 4.0 * abs(w.covariance))
+        assert abs(w.product_gap - w.covariance) <= tol_phi
+        assert m.interval.contains(w.t1) and m.interval.contains(w.t2)
+
 
 class TestGrussContinuous:
     def test_uniform_slack(self):

@@ -751,6 +751,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
 
 sys.path.pop(0)
+import sweep  # noqa: E402
+
+
+@pytest.mark.parametrize("index,want", [(5, (2, 2)), (89, (1, 1))])
+def test_scaling_t_keeps_the_rule(index, want):
+    # acceptance 20260808/0/#5 and #89 with t scaled by 1e-9 as the sweep
+    # composes it: a walk that stopped at a bracket 8 eps wide in absolute
+    # units of t, a millionth of the interval, missed RECON_TOL by 3.7e-9
+    # and 2.0e-7, and both were refused
+    problem = corpus.acceptance_corpus(20260808, 0)[index]["problem"]
+    scaled = sweep.TRANSFORMS["scale t by 1e-9"](problem)
+    assert sweep.outcome(sweep.synthesize(problem)[0]) == want
+    assert sweep.outcome(sweep.synthesize(scaled)[0]) == want
+
+
 WEIGHTS_ONLY_POLISHES = [
     item for item in corpus.tail_corpus(20260808, 0)
     if item["name"].startswith("near-dependent")
