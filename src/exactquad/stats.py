@@ -4,17 +4,13 @@ random variable.
 For continuous f, g with finite second moments under a probability measure
 on an interval, the covariance of f(X) and g(X) equals
 (1/4)(f(t1) - f(t2))(g(t1) - g(t2)) for some t1, t2 in the interval.  The
-witness pair is built constructively: a two-node exact rule for the system
-(x1, x2) = ((f - Ef)(g - Eg), f) gives
-
-    Cov = lambda (1 - lambda) (f(t1) - f(t2)) (g(t1) - g(t2)),
-
-and a batched bracket refinement along the curve parameter (one even
-round, then secant-centred rounds, usually 3 or 4 in all) moves the second
-node until the factor lambda(1 - lambda) is replaced by its maximal value
-1/4.  The moments and the rule share one integration pass: the integrals
-of x1 and x2 are linear in the moments, and the pass's K15 rule is a
-positive discrete measure with those moments.
+witness pair is built constructively from the moments pass: its K15 nodes
+and the atoms carry a discrete measure with the same covariance, and the
+node pair with the widest product gap brackets the witness, since that
+gap is at least 4 Cov (see :func:`covariance_witness`).  A batched
+bracket refinement along t (one even round, then secant-centred rounds,
+usually 3 or 4 in all) then moves the second point until the gap is
+4 Cov.
 
 The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
 with function extrema over the interval.  They are found by a scan of
@@ -28,7 +24,7 @@ out by using an atomic measure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +39,7 @@ from .errors import (
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
 from .measure import _DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
-from .synth import RESIDUAL_GATE, synthesize_on_pass
+from .synth import RESIDUAL_GATE, discretize_hull_point
 
 __all__ = [
     "CovarianceWitness",
@@ -88,12 +84,12 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec,
              tol: float = MOMENT_TOL):
     """Probability-normalized Ef, Eg, Efg; checks the second moments.
 
-    Returns ``((ef, eg, efg), J, window)``: ``J`` integrates
-    (f, g, fg, f^2, g^2) in one pass at ``tol`` and ``window`` is that
-    pass's window, as :func:`~exactquad.measure.exhaust_interval` returns
-    them.  f and g are evaluated before their products at every point, so
-    a non-finite product is an overflowing second moment, not a domain
-    error.
+    Returns ``((ef, eg, efg), system, J, window)``: ``J`` integrates
+    ``system`` = (f, g, fg, f^2, g^2) in one pass at ``tol`` and
+    ``window`` is that pass's window, as
+    :func:`~exactquad.measure.exhaust_interval` returns them.  f and g
+    are evaluated before their products at every point, so a non-finite
+    product is an overflowing second moment, not a domain error.
     """
     products = (f * g, f * f, g * g)
     system = CurveSystem(components=(f, g, *products), interval=m.interval)
@@ -110,12 +106,12 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec,
     ef, eg, efg, ef2, eg2 = (float(v) / moments.mass for v in moments.values)
     if not all(math.isfinite(v) for v in (ef, eg, efg, ef2, eg2)):
         raise MomentDivergenceError("moments are not finite")
-    return (ef, eg, efg), moments, window
+    return (ef, eg, efg), system, moments, window
 
 
 def covariance(f: Expression, g: Expression, m: MeasureSpec) -> float:
     """Cov(f(X), g(X)) under the measure normalized to a probability law."""
-    (ef, eg, efg), _, _ = _moments(f, g, m)
+    (ef, eg, efg), *_ = _moments(f, g, m)
     return efg - ef * eg
 
 
@@ -132,6 +128,65 @@ def _support_point(m: MeasureSpec) -> float:
     return 0.0
 
 
+def _staircase(u, v):
+    """Indices of the points that no other point dominates from above,
+    both coordinates at least as large, in decreasing u and so in
+    increasing v; of equal points one is kept."""
+    # decreasing u, and of equal u decreasing v: a point is kept when its
+    # v exceeds every earlier one's
+    order = np.lexsort((-v, -u))
+    vs = v[order]
+    keep = np.empty(vs.size, dtype=bool)
+    keep[0] = True
+    keep[1:] = vs[1:] > np.maximum.accumulate(vs)[:-1]
+    return order[keep]
+
+
+def _widest_pair(u, v):
+    """Indices ``(i, j)`` of two points, maybe one, with the largest product
+    gap (u_i - u_j)(v_i - v_j), in O(m log m) time and O(m) memory.
+
+    Replacing a point by one that dominates it, both coordinates at least
+    as large (or at most as large), never lowers a gap, so i lies on the
+    upper-right staircase of the points and j on the lower-left one.  With
+    both in decreasing u, so in increasing v, the gap matrix A of
+    staircase rows i < i' and columns j < j' satisfies
+
+        A(i, j) + A(i', j') - A(i, j') - A(i', j)
+            = (u_i' - u_i)(v_j - v_j') + (u_j - u_j')(v_i' - v_i) > 0,
+
+    so a row's best column never lies left of an earlier row's, and a
+    divide and conquer over the rows (Aggarwal et al., 1987) finds every
+    row's best column: the middle row of each block of rows scans the
+    columns its block's neighbours leave it, one batch per level.
+    """
+    upper = _staircase(u, v)
+    lower = _staircase(-u, -v)[::-1]
+    ur, vr, ul, vl = u[upper], v[upper], u[lower], v[lower]
+    best = np.empty(upper.size, dtype=np.intp)
+    # blocks of rows [r0, r1) whose best columns lie in [c0, c1]
+    r0, r1 = np.array([0]), np.array([upper.size])
+    c0, c1 = np.array([0]), np.array([lower.size - 1])
+    while r0.size:
+        mid = (r0 + r1) // 2
+        span = c1 - c0 + 1
+        starts = span.cumsum() - span
+        cols = np.arange(starts[-1] + span[-1]) - (starts - c0).repeat(span)
+        rows = mid.repeat(span)
+        gap = (ur[rows] - ul[cols]) * (vr[rows] - vl[cols])
+        top = np.maximum.reduceat(gap, starts).repeat(span)
+        first = np.where(gap == top, np.arange(gap.size), gap.size)
+        j = cols[np.minimum.reduceat(first, starts)]
+        best[mid] = j
+        above, below = r0 < mid, mid + 1 < r1
+        r0, r1 = (np.concatenate([r0[above], mid[below] + 1]),
+                  np.concatenate([mid[above], r1[below]]))
+        c0, c1 = (np.concatenate([c0[above], j[below]]),
+                  np.concatenate([j[above], c1[below]]))
+    i = int(((ur - ul[best]) * (vr - vl[best])).argmax())
+    return int(upper[i]), int(lower[best[i]])
+
+
 def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
                        tol: float = DEFAULT_TOL) -> CovarianceWitness:
     """Points (t1, t2) with Cov(f(X), g(X)) = (1/4)(f(t1)-f(t2))(g(t1)-g(t2)).
@@ -140,46 +195,50 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     ``tol`` if that is tighter; a ``tol`` that is not finite is passed on
     unchanged, so the integrator refuses it as it refuses one that is not
     > 0.  Zero covariance returns t1 = t2.
-    Otherwise a two-node exact rule for ((f - Ef)(g - Eg), f) supplies
-    nodes satisfying the lambda(1 - lambda) identity; both integrals are
-    linear in the moments, so the rule is synthesized on the K15 rule of
-    the same pass (:func:`~exactquad.synth.synthesize_on_pass`).  With t1
-    held fixed, batched rounds of :func:`~exactquad.hull.refine_bracket`
-    on [t1, t2] locate the point where the product gap reaches 4 Cov,
-    which exists by continuity.  The score is psi + tol_phi, with psi the
-    signed excess of the gap over 4 Cov and tol_phi = 1e-11 (1 + 4 |Cov|),
-    so a point with psi >= -tol_phi hits; the search ends on |psi| <=
-    tol_phi at any scale of t, or on a closed bracket.  A failed bracket,
-    or a gap off by more than ``RESIDUAL_GATE``, is an error, never patched.
+
+    Otherwise the pass's K15 nodes and the atoms carry a discrete
+    probability p with the same moments
+    (:func:`~exactquad.synth.discretize_hull_point`), and one of its node
+    pairs brackets the witness.  With (u_i, v_i) = (f, g) at node i and
+    P_ij = (u_i - u_j)(v_i - v_j), 2 Cov = p^T P p.  On a face of the
+    simplex with 3 or more vertices the second derivative of p^T P p along
+    a direction delta (sum 0) is -2 (delta . u)(delta . v), up to a factor:
+    a product of two linear forms on a space of dimension 2 or more, so
+    either indefinite, and no interior point of the face is a maximum, or
+    zero along some delta, along which p^T P p is affine and so constant
+    through an interior maximum.  The maximum over the simplex thus lies on
+    an edge, where p^T P p = 2 lambda (1 - lambda) P_ij <= P_ij / 2, hence
+    max_ij P_ij >= 4 Cov, with equality for two equal atoms; for Cov < 0
+    the same holds with -v.  The pair that maximizes the signed product
+    gap (:func:`_widest_pair`) gives t1 < t2.  (f, g) is evaluated at the
+    nodes in one batch with the window's two ends, the continuity probe: a
+    closed end of the interval is an end of the window.
+
+    With t1 held fixed, batched rounds of
+    :func:`~exactquad.hull.refine_bracket` on [t1, t2] locate the point
+    where the product gap grows from 0 to 4 Cov, which exists by
+    continuity.  The score is psi + tol_phi, with psi the signed excess of
+    the gap over 4 Cov and tol_phi = 1e-11 (1 + 4 |Cov|), so a point with
+    psi >= -tol_phi hits; the search ends on |psi| <= tol_phi at any scale
+    of t, or on a closed bracket.  A failed bracket, or a gap off by more
+    than ``RESIDUAL_GATE``, is an error, never patched.
     """
     tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
-    (ef, eg, efg), moments, window = _moments(f, g, m, tol)
+    (ef, eg, efg), system, moments, window = _moments(f, g, m, tol)
     cov = efg - ef * eg
     zero_scale = 1e-12 * (1.0 + abs(efg) + abs(ef * eg))
     if abs(cov) <= zero_scale:
         t = _support_point(m)
         return CovarianceWitness(t1=t, t2=t, covariance=cov, product_gap=0.0)
 
-    x1 = (f - ef) * (g - eg)
-    system = CurveSystem(components=(x1, f), interval=m.interval)
-    # the pass integrated the mass, f, g and fg, so it integrated x1 too
-    J = replace(moments, values=np.array([moments.mass * cov,
-                                          moments.values[0]]))
-    rule = synthesize_on_pass(system, m, J, window)
-    nu = rule.weights / math.fsum(rule.weights)
-
-    if len(rule) == 1:
-        # a single node forces lambda in {0, 1}, which forces Cov = 0;
-        # reaching here with |Cov| above the gate is an inconsistency
-        if abs(cov) > RESIDUAL_GATE * (1.0 + abs(cov)):
-            raise NonConvergenceError(
-                "single-node rule is inconsistent with a non-zero covariance"
-            )
-        t = float(rule.nodes[0])
-        return CovarianceWitness(t1=t, t2=t, covariance=cov, product_gap=0.0)
-
-    t1, t2 = float(rule.nodes[0]), float(rule.nodes[1])
-    (f1, g1), (f2, g2) = evaluate_columns((f, g), rule.nodes[:2])
+    params, _ = discretize_hull_point(system, m, moments)
+    # one batch: the discrete measure's nodes, then the window's two ends
+    vals = evaluate_columns((f, g), np.concatenate(
+        [params, (window.upper, window.lower)]))[:params.size]
+    sign = 1.0 if cov > 0 else -1.0
+    k1, k2 = sorted(_widest_pair(vals[:, 0], sign * vals[:, 1]))
+    t1, t2 = float(params[k1]), float(params[k2])
+    (f1, g1), (f2, g2) = vals[k1], vals[k2]
     h2 = float((f1 - f2) * (g1 - g2))
 
     def gaps(ss):
@@ -187,25 +246,19 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
         vals = evaluate_columns((f, g), ss)
         return (f1 - vals[:, 0]) * (g1 - vals[:, 1])
 
-    lam = float(nu[0])
-    if abs(lam * (1.0 - lam) - 0.25) <= 1e-12:
-        return CovarianceWitness(t1=t1, t2=t2, covariance=cov,
-                                 product_gap=0.25 * h2)
-
     # move the second point until h(s) grows from 0 to 4 Cov;
-    # h(t2) = Cov / (lam (1 - lam)) overshoots it
-    sign = 1.0 if cov > 0 else -1.0
-
+    # h(t2) covers it
     def psi(h):
         return sign * (h - 4.0 * cov)
 
     psi_b = psi(h2)
-    if psi_b < 0.0:
-        raise NonConvergenceError(
-            "witness bracket failed: the two-node gap does not cover 4*Cov "
-            f"(psi(t2) = {psi_b:.3e}); continuity assumptions look violated"
-        )
     tol_phi = 1e-11 * (1.0 + 4.0 * abs(cov))
+    # t2 must hit: two equal atoms meet 4 Cov only up to rounding
+    if psi_b + tol_phi < 0.0:
+        raise NonConvergenceError(
+            "witness bracket failed: the widest node pair's gap does not cover "
+            f"4*Cov (psi(t2) = {psi_b:.3e}); continuity assumptions look violated"
+        )
 
     def probe(ss):
         # a point with psi >= -tol_phi hits; one with |psi| <= tol_phi ends

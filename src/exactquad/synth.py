@@ -306,10 +306,6 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
 
     ``J`` holds the integrals of ``curve`` against ``m`` and the K15
     rule of the pass that computed them, ``working`` that pass's window.
-    The pass may have integrated other functions: its K15 rule with the
-    atoms must have ``J.mass`` and ``J.values`` as moments up to rounding,
-    which holds whenever each component of ``curve`` is a linear
-    combination of the constant 1 and the functions that pass integrated.
     Discretizes, evaluates the discrete measure in one batch with the
     window's two ends (the continuity probe: the discrete nodes cover the
     interior, and a closed end of the interval is an end of the window),

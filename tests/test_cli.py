@@ -274,6 +274,15 @@ class TestStatsCommands:
         assert abs(w["product_gap"] - w["covariance"]) <= (
             1e-8 * (1 + abs(w["covariance"])))
 
+    def test_covwitness_probes_a_closed_end(self, tmp_path):
+        # log(t) is finite at every Gauss node of [0, 1]; only the
+        # continuity probe at the window's end t = 0 meets its domain
+        path = write(tmp_path, "c.json",
+                     {"f": "log(t)", "g": "t", "measure": UNIT_MEASURE})
+        code, out, err = invoke(["covwitness", path])
+        assert code == 3 and out == ""
+        assert json.loads(err.splitlines()[0])["kind"] == "domain"
+
     def test_gruss(self, tmp_path):
         path = write(tmp_path, "g.json",
                      {"f": "t", "g": "t", "measure": UNIT_MEASURE})
