@@ -233,12 +233,12 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
 
     params, _ = discretize_hull_point(system, m, moments)
     # one batch: the discrete measure's nodes, then the window's two ends
-    vals = evaluate_columns((f, g), np.concatenate(
+    fg = evaluate_columns((f, g), np.concatenate(
         [params, (window.upper, window.lower)]))[:params.size]
     sign = 1.0 if cov > 0 else -1.0
-    k1, k2 = sorted(_widest_pair(vals[:, 0], sign * vals[:, 1]))
+    k1, k2 = sorted(_widest_pair(fg[:, 0], sign * fg[:, 1]))
     t1, t2 = float(params[k1]), float(params[k2])
-    (f1, g1), (f2, g2) = vals[k1], vals[k2]
+    (f1, g1), (f2, g2) = fg[k1], fg[k2]
     h2 = float((f1 - f2) * (g1 - g2))
 
     def gaps(ss):
