@@ -44,7 +44,10 @@ A function system is evaluated as one batch by :func:`evaluate_columns`:
 one ``errstate`` and one output array for all components, checked for
 finiteness once; only a failing batch is searched for its first failing
 column, so it raises exactly the error that calling the components one by
-one, in index order, would.
+one, in index order, would.  A sum, difference or product of two
+expressions keeps its operands, and a batch that holds both as earlier
+components reads its column from theirs instead of walking their trees
+again: (f, g, f*g, f*f, g*g) evaluates f and g once each.
 """
 
 from __future__ import annotations
@@ -248,6 +251,9 @@ def _minmax(fs, reducer, sentinel, t):
 
 
 _ARITH = {"+": (_add, _cadd), "-": (_sub, _csub), "*": (_mul, _cmul)}
+# the ufunc of each: a column of ``a op b`` from the columns of a and b is
+# bit-identical to its evaluator's values
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply}
 
 
 def _constant(f):
@@ -352,13 +358,16 @@ class Expression:
     numbers) builds new expressions, so composites like ``(f - c) * g``
     stay in the same grammar and keep printing/round-tripping.  A
     composite is built from its operands' evaluators and texts, so it costs
-    the same whatever the size of the operands' trees.
+    the same whatever the size of the operands' trees.  A ``+ - *`` of two
+    expressions also keeps ``_parts``, its ufunc and its two operands, for
+    :func:`evaluate_columns`; every other expression holds None.
     """
 
-    __slots__ = ("_ast", "_fn", "_text")
+    __slots__ = ("_ast", "_fn", "_text", "_parts")
 
     def __init__(self, ast):
         self._ast, self._fn, self._text = _build(ast)
+        self._parts = None
 
     @property
     def ast(self):
@@ -378,15 +387,18 @@ class Expression:
         return f"Expression({self._text!r})"
 
     @classmethod
-    def _composed(cls, ast, fn, text) -> "Expression":
+    def _composed(cls, ast, fn, text, parts=None) -> "Expression":
         """The expression of ``ast``, whose evaluator and text are built."""
         e = object.__new__(cls)
-        e._ast, e._fn, e._text = ast, fn, text
+        e._ast, e._fn, e._text, e._parts = ast, fn, text, parts
         return e
 
     def _bin(self, op, other, swap=False):
+        parts = None
         if isinstance(other, Expression):
             operand = other._ast, other._fn, other._text
+            if op in _UFUNCS:
+                parts = (_UFUNCS[op], other, self) if swap else (_UFUNCS[op], self, other)
         else:
             try:
                 operand = _build(_as_ast(other))
@@ -394,7 +406,7 @@ class Expression:
                 return NotImplemented
         mine = self._ast, self._fn, self._text
         x, y = (operand, mine) if swap else (mine, operand)
-        return Expression._composed(*_bin_node(op, x, y))
+        return Expression._composed(*_bin_node(op, x, y), parts)
 
     def __add__(self, other):
         return self._bin("+", other)
@@ -430,11 +442,16 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
 
     Returns a new ``ts.shape + (len(exprs),)`` array, a scalar ``ts``
     counting as one point; column k holds exactly the values of
-    ``exprs[k](ts)``.  All evaluators run under one ``errstate``, and the
+    ``exprs[k](ts)``.  A ``+ - *`` of two expressions that are both
+    earlier components of the batch (the same objects) is computed from
+    their columns, so their trees run once; any other component runs its
+    evaluator.  All evaluators run under one ``errstate``, and the
     whole batch is checked for finiteness once.  Only when that check
     fails, or an evaluator raises, are the columns before the failure checked
     one by one, so the first component that fails, in index order, raises
-    the same :class:`EvalDomainError` as its own call.  With ``finite``
+    the same :class:`EvalDomainError` as its own call: a composite read
+    from its operands' columns cannot raise, as they passed, and a
+    non-finite value in it is its own.  With ``finite``
     false, non-finite values stay in the output (an overflow, or ``inf *
     0`` far out on an infinite interval); an evaluator's own domain check
     still raises.
@@ -445,6 +462,13 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     out = np.empty(ts.shape + (len(exprs),))
     with np.errstate(all="ignore"):
         for k, e in enumerate(exprs):
+            parts = e._parts
+            if parts is not None:
+                ufunc, a, b = parts
+                i, j = _column(exprs, a, k), _column(exprs, b, k)
+                if i >= 0 and j >= 0:
+                    ufunc(out[..., i], out[..., j], out=out[..., k])
+                    continue
             try:
                 out[..., k] = e._fn(ts)
             except EvalDomainError:
@@ -454,6 +478,14 @@ def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
     if finite and not np.isfinite(out).all():
         _raise_first_nonfinite(exprs, out, len(exprs))
     return out
+
+
+def _column(exprs, e, stop) -> int:
+    """Index of the object ``e`` among ``exprs[:stop]``, else -1."""
+    for i in range(stop):
+        if exprs[i] is e:
+            return i
+    return -1
 
 
 def overflows(expr: Expression, t: float) -> bool:

@@ -7,10 +7,11 @@ on an interval, the covariance of f(X) and g(X) equals
 witness pair is built constructively from the moments pass: its K15 nodes
 and the atoms carry a discrete measure with the same covariance, and the
 node pair with the widest product gap brackets the witness, since that
-gap is at least 4 Cov (see :func:`covariance_witness`).  A batched
-bracket refinement along t (one even round, then secant-centred rounds,
-usually 3 or 4 in all) then moves the second point until the gap is
-4 Cov.
+gap is at least 4 Cov (see :func:`covariance_witness`).  The nodes
+between the pair's ends, already evaluated, narrow that bracket to one
+cell between two nodes, and a batched bracket refinement along t
+(secant-centred rounds, usually 3 in all) then moves the second point
+until the gap is 4 Cov.
 
 The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
 with function extrema over the interval.  They are found by a scan of
@@ -56,6 +57,7 @@ _CELL_TOL = 1e-10      # relative width at which an extremum's cell closes
 # REFINE_POINTS even interior points
 _CELL_STEPS = np.linspace(0.0, 1.0, REFINE_POINTS + 2)
 _EXTREMA_RTOL = 1e-10  # move of an extremum by the last grid step at an open end
+_ONE_BATCH = 4         # staircase gap entries per point that one batch computes
 MOMENT_TOL = 1e-11     # integration tolerance of the moments
 
 
@@ -155,18 +157,34 @@ def _widest_pair(u, v):
         A(i, j) + A(i', j') - A(i, j') - A(i', j)
             = (u_i' - u_i)(v_j - v_j') + (u_j - u_j')(v_i' - v_i) > 0,
 
-    so a row's best column never lies left of an earlier row's, and a
-    divide and conquer over the rows (Aggarwal et al., 1987) finds every
-    row's best column: the middle row of each block of rows scans the
-    columns its block's neighbours leave it, one batch per level.
+    so a row's first best column never lies left of an earlier row's.  When
+    A has at most ``_ONE_BATCH`` entries per point, one batch computes it
+    and takes its first maximum in row-major order.  Otherwise a divide and
+    conquer over the rows (:func:`_best_columns`) finds every row's first
+    best column, and the first row with the largest gap wins: the same
+    pair, unless rounding breaks the inequality above.
     """
     upper = _staircase(u, v)
     lower = _staircase(-u, -v)[::-1]
     ur, vr, ul, vl = u[upper], v[upper], u[lower], v[lower]
-    best = np.empty(upper.size, dtype=np.intp)
+    if upper.size * lower.size <= _ONE_BATCH * u.size:
+        gap = (ur[:, None] - ul) * (vr[:, None] - vl)
+        i, j = divmod(int(gap.argmax()), lower.size)
+        return int(upper[i]), int(lower[j])
+    best = _best_columns(ur, vr, ul, vl)
+    i = int(((ur - ul[best]) * (vr - vl[best])).argmax())
+    return int(upper[i]), int(lower[best[i]])
+
+
+def _best_columns(ur, vr, ul, vl):
+    """Each row's first best column of the staircase gap matrix of
+    :func:`_widest_pair`, by a divide and conquer over the rows (Aggarwal
+    et al., 1987): the middle row of each block of rows scans the columns
+    its block's neighbours leave it, one batch per level."""
+    best = np.empty(ur.size, dtype=np.intp)
     # blocks of rows [r0, r1) whose best columns lie in [c0, c1]
-    r0, r1 = np.array([0]), np.array([upper.size])
-    c0, c1 = np.array([0]), np.array([lower.size - 1])
+    r0, r1 = np.array([0]), np.array([ur.size])
+    c0, c1 = np.array([0]), np.array([ul.size - 1])
     while r0.size:
         mid = (r0 + r1) // 2
         span = c1 - c0 + 1
@@ -183,8 +201,7 @@ def _widest_pair(u, v):
                   np.concatenate([mid[above], r1[below]]))
         c0, c1 = (np.concatenate([c0[above], j[below]]),
                   np.concatenate([j[above], c1[below]]))
-    i = int(((ur - ul[best]) * (vr - vl[best])).argmax())
-    return int(upper[i]), int(lower[best[i]])
+    return best
 
 
 def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
@@ -220,8 +237,13 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     continuity.  The score is psi + tol_phi, with psi the signed excess of
     the gap over 4 Cov and tol_phi = 1e-11 (1 + 4 |Cov|), so a point with
     psi >= -tol_phi hits; the search ends on |psi| <= tol_phi at any scale
-    of t, or on a closed bracket.  A failed bracket, or a gap off by more
-    than ``RESIDUAL_GATE``, is an error, never patched.
+    of t, or on a closed bracket.  The nodes strictly between t1 and t2
+    are scored from the batch in hand, as the search's first round: the
+    first that hits and the node before it bracket the search, with that
+    node's score, so it opens with a secant round.  When no node lies
+    between or the first one hits, the bracket starts at t1, whose score
+    psi(0) + tol_phi is exact since h(t1) = 0.  A failed bracket, or a gap
+    off by more than ``RESIDUAL_GATE``, is an error, never patched.
     """
     tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
     (ef, eg, efg), system, moments, window = _moments(f, g, m, tol)
@@ -237,13 +259,11 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
         [params, (window.upper, window.lower)]))[:params.size]
     sign = 1.0 if cov > 0 else -1.0
     k1, k2 = sorted(_widest_pair(fg[:, 0], sign * fg[:, 1]))
-    t1, t2 = float(params[k1]), float(params[k2])
-    (f1, g1), (f2, g2) = fg[k1], fg[k2]
-    h2 = float((f1 - f2) * (g1 - g2))
+    t1 = float(params[k1])
+    f1, g1 = fg[k1]
 
-    def gaps(ss):
-        # the product gaps h(s) = (f(t1)-f(s))(g(t1)-g(s))
-        vals = evaluate_columns((f, g), ss)
+    def gaps(vals):
+        # the product gaps h(s) = (f(t1)-f(s))(g(t1)-g(s)), from rows (f, g)(s)
         return (f1 - vals[:, 0]) * (g1 - vals[:, 1])
 
     # move the second point until h(s) grows from 0 to 4 Cov;
@@ -251,25 +271,36 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     def psi(h):
         return sign * (h - 4.0 * cov)
 
-    psi_b = psi(h2)
     tol_phi = 1e-11 * (1.0 + 4.0 * abs(cov))
+    # the nodes after t1 up to t2, already evaluated, are the search's first
+    # round; a point with psi >= -tol_phi hits
+    h = gaps(fg[k1 + 1:k2 + 1])
+    score = psi(h) + tol_phi
     # t2 must hit: two equal atoms meet 4 Cov only up to rounding
-    if psi_b + tol_phi < 0.0:
+    if score[-1] < 0.0:
         raise NonConvergenceError(
             "witness bracket failed: the widest node pair's gap does not cover "
-            f"4*Cov (psi(t2) = {psi_b:.3e}); continuity assumptions look violated"
+            f"4*Cov (psi(t2) = {psi(h[-1]):.3e}); continuity assumptions look violated"
         )
 
     def probe(ss):
-        # a point with psi >= -tol_phi hits; one with |psi| <= tol_phi ends
-        # the search there
-        h = gaps(ss)
+        # a probe with |psi| <= tol_phi ends the search there
+        h = gaps(evaluate_columns((f, g), ss))
         return psi(h) + tol_phi, h
 
     def done(a, b, h_hi):
         return abs(psi(h_hi)) <= tol_phi
 
-    s_star, h_star = refine_bracket(probe, t1, t2, psi_b + tol_phi, h2, done)
+    # the first hit and the node before it, or t1, bracket the crossing
+    c = int((score >= 0.0).argmax())
+    if c:
+        lo, lo_g = float(params[k1 + c]), float(score[c - 1])
+    else:
+        # h(t1) = 0 exactly; t1 must not hit
+        lo, lo_g = t1, psi(0.0) + tol_phi
+        lo_g = lo_g if lo_g < 0.0 else None
+    s_star, h_star = refine_bracket(probe, lo, float(params[k1 + 1 + c]),
+                                    float(score[c]), h[c], done, lo_g)
     product_gap = 0.25 * float(h_star)
     if abs(product_gap - cov) > RESIDUAL_GATE * (1.0 + abs(cov)):
         raise NonConvergenceError(

@@ -2,7 +2,7 @@
 
 Synthesizes every problem of the ``acceptance`` corpus (variants 0-5) and
 of the ``tail`` corpus (variants 0-3) at each seed, and writes one JSON
-with, per corpus:
+with, per synthesis corpus:
 
 - ``problems``: how many were synthesized;
 - ``refusals`` and ``refusal_count``: the ids of the refused problems by
@@ -25,6 +25,15 @@ with, per corpus:
   refusal moved.  Like the golden digests, it depends on the machine: the
   BLAS kernels and numpy's SIMD loops move converged rules in their last
   bits.
+
+The ``stats`` corpus (variants 0-5) runs through ``cli.run`` at each
+seed, as the benchmark runs it; its block holds ``problems``,
+``refusals`` and ``refusal_count`` as above, ``witness_gap``, the largest
+``|product_gap - covariance| / (1 + |covariance|)`` of the witnesses,
+``gruss_slack``, the least ``gruss`` slack, ``witness_evals``, the
+``evaluate_columns`` calls made inside ``covariance_witness`` (its node
+batch and its probe rounds), and ``rules_digest`` over the
+``test_golden.py`` lines of its outputs.
 
 ``verify`` holds the median, p99 and max over the accepted ``acceptance``
 rules of seeds 20260808 and 401 (when swept) of the largest
@@ -50,21 +59,23 @@ the ``verify_rule`` residuals, or its error kind.
     PYTHONPATH=src python tests/sweep.py [--seeds S ...] [--out FILE]
 
 The default seeds are 20260808, 401, 610, 1301 and 1307 (6000
-``acceptance`` and 600 ``tail`` problems).  The JSON goes to stdout, and
+``acceptance``, 600 ``tail`` and 1800 ``stats`` problems).  The JSON goes to stdout, and
 also to ``--out`` when given.
 """
 
 import argparse
 import hashlib
+import io
 import itertools
 import json
 import sys
+import tempfile
 from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 
-from exactquad import hull, synth
+from exactquad import cli, hull, stats, synth
 from exactquad.errors import ExactQuadError
 from exactquad.expr import Expression, parse
 from exactquad.hull import CurveSystem
@@ -79,6 +90,7 @@ sys.path.pop(0)
 
 SEEDS = (20260808, 401, 610, 1301, 1307)
 VARIANTS = {"acceptance": 6, "tail": 4}
+STATS_VARIANTS = 6
 VERIFY_SEEDS = (20260808, 401)
 INVARIANCE_SEED = 20260808
 
@@ -211,6 +223,50 @@ def _tracked(fn, open_calls):
     return tracked
 
 
+def stats_sweep(seeds) -> dict:
+    """The ``stats`` block: every ``stats`` problem through ``cli.run``."""
+    witnessing, evals = [], []  # the open witnesses; their evaluate calls
+    witness, columns = cli.covariance_witness, stats.evaluate_columns
+
+    def counted_columns(*args, **kwargs):
+        if witnessing:
+            evals.append(1)
+        return columns(*args, **kwargs)
+
+    cli.covariance_witness = _tracked(witness, witnessing)
+    stats.evaluate_columns = counted_columns
+    problems, refusals, lines = 0, defaultdict(list), []
+    gap, slack = 0.0, np.inf
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "problem.json"
+            for seed, variant in itertools.product(seeds, range(STATS_VARIANTS)):
+                for i, item in enumerate(corpus.CORPORA["stats"](seed, variant)):
+                    path.write_text(json.dumps(item["problem"]), encoding="utf-8")
+                    out, err = io.StringIO(), io.StringIO()
+                    code = cli.run([item["kind"], str(path)], stdout=out, stderr=err)
+                    lines += digest_lines("stats", [(code, out.getvalue())])
+                    problems += 1
+                    if code:
+                        kind = json.loads(err.getvalue().splitlines()[0])["kind"]
+                        refusals[kind].append(f"{seed}/{variant}/#{i}")
+                        continue
+                    result = json.loads(out.getvalue())
+                    if item["kind"] == "gruss":
+                        slack = min(slack, result["slack"])
+                    else:
+                        cov = result["covariance"]
+                        gap = max(gap, abs(result["product_gap"] - cov) / (1.0 + abs(cov)))
+    finally:
+        cli.covariance_witness, stats.evaluate_columns = witness, columns
+    return {"variants": STATS_VARIANTS, "problems": problems,
+            "refusals": dict(sorted(refusals.items())),
+            "refusal_count": sum(map(len, refusals.values())),
+            "witness_gap": gap, "gruss_slack": float(slack),
+            "witness_evals": len(evals),
+            "rules_digest": hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]}
+
+
 def sweep(seeds) -> dict:
     calls = []  # one entry per candidate pass of the current synthesis
     rescues = []  # one entry per polish inside hull: the walk's rescues
@@ -277,6 +333,7 @@ def sweep(seeds) -> dict:
         synth._synthesize_pass, hull.polish_combination = one_pass, polish
         synth.polish_combination, CurveSystem.evaluate = polish, evaluate
         hull._first_zero_crossing = walk
+    out["stats"] = stats_sweep(seeds)
     if verified:
         median, p99 = np.percentile(verified, [50, 99])
         out["verify"] = {

@@ -554,3 +554,83 @@ def test_division_by_an_underflowed_zero_overflows():
     # a true zero stays a division by zero
     with pytest.raises(EvalDomainError, match="division by zero"):
         evaluate_columns((parse("1/(t-1)"),), 1.0, finite=False)
+
+
+# --- column reuse -----------------------------------------------------------
+
+def _columns_or_error(exprs, ts):
+    """The bytes of each column of the batch, or the text of its error."""
+    try:
+        out = evaluate_columns(exprs, ts)
+    except EvalDomainError as exc:
+        return str(exc)
+    return [out[:, k].tobytes() for k in range(len(exprs))]
+
+
+def _calls_or_error(exprs, ts):
+    """The bytes of each component's own call, or the text of the first
+    error in index order."""
+    try:
+        return [np.asarray(e(ts)).tobytes() for e in exprs]
+    except EvalDomainError as exc:
+        return str(exc)
+
+
+@given(_tree(6), _tree(6))
+@settings(max_examples=200, deadline=None)
+def test_products_read_from_earlier_columns_match_their_own_calls(fa, ga):
+    # a sum, difference or product of two earlier components is read from
+    # their columns: bit for bit its own call's values, and a failing
+    # batch raises the first failing component's own error
+    f, g = parse(Expression(fa).text), parse(Expression(ga).text)
+    system = (f, g, f * g, f * f, g * g, f - g, g + f)
+    for ts in (np.linspace(-2.0, 2.0, 101), np.array(_EDGE_POINTS)):
+        assert _columns_or_error(system, ts) == _calls_or_error(system, ts)
+
+
+def test_composite_without_earlier_operands_runs_its_evaluator():
+    f, g = parse("sin(t)"), parse("exp(t)")
+    fg = f * g
+    own, calls = fg._fn, []
+    fg._fn = lambda ts: calls.append(1) or own(ts)
+    ts = np.linspace(-1.0, 1.0, 17)
+    # an operand missing, later in the batch, or an equal copy, not f itself
+    for batch in ((fg,), (f, fg), (fg, f, g), (f, fg, g), (parse("sin(t)"), g, fg)):
+        calls.clear()
+        out = evaluate_columns(batch, ts)
+        assert calls == [1]
+        assert out[:, batch.index(fg)].tobytes() == own(ts).tobytes()
+    calls.clear()
+    out = evaluate_columns((f, g, fg), ts)
+    assert calls == []
+    assert out[:, 2].tobytes() == own(ts).tobytes()
+    # a composite with a number operand keeps no operands to read
+    assert (f * 2.0)._parts is None and (f / g)._parts is None
+    assert parse("sin(t)*exp(t)")._parts is None
+
+
+def test_moments_run_each_tree_once_per_batch(monkeypatch):
+    # the moments pass integrates (f, g, fg, f^2, g^2): f's and g's trees
+    # run once per batch, not in every product again
+    from exactquad import measure, stats
+
+    f, g = parse("sin(3*t)+t"), parse("t^2*exp(-t)")
+    runs = {"f": 0, "g": 0}
+    for name, e in (("f", f), ("g", g)):
+        def counted(ts, fn=e._fn, name=name):
+            runs[name] += 1
+            return fn(ts)
+        e._fn = counted
+    batches = 0
+    columns = measure.evaluate_columns
+
+    def counting(exprs, ts, **kwargs):
+        nonlocal batches
+        batches += len(exprs) == 5
+        return columns(exprs, ts, **kwargs)
+
+    monkeypatch.setattr(measure, "evaluate_columns", counting)
+    m = measure.MeasureSpec(measure.IntervalSpec(0, 2), density=parse("1"))
+    stats._moments(f, g, m)
+    assert batches >= 1
+    assert runs == {"f": batches, "g": batches}

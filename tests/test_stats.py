@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -134,7 +135,8 @@ class TestCovarianceWitness:
             assert m.interval.contains(w.t1) and m.interval.contains(w.t2)
 
     def test_witness_search_takes_few_rounds(self, monkeypatch):
-        # one even round, then secant-centred ones; even rounds alone took 6
+        # the nodes inside the widest pair seed a secant-centred first
+        # round; an even first round took 4, even rounds alone took 6
         rounds = 0
         refine = stats.refine_bracket
 
@@ -147,7 +149,27 @@ class TestCovarianceWitness:
 
         monkeypatch.setattr(stats, "refine_bracket", counting)
         w = covariance_witness(T, T2, UNIT)
-        assert 1 <= rounds <= 4
+        assert 1 <= rounds <= 3
+        assert abs(w.product_gap - w.covariance) <= (
+            1e-10 * (1 + abs(w.covariance)))
+
+    def test_interior_nodes_seed_a_secant_round(self, monkeypatch):
+        # the widest pair of sin(3t) + t and t^2 exp(-t) on [0, 2] holds
+        # moments-pass nodes between its ends: the first that hits and the
+        # node before it, with its score, bracket the search
+        seeds = []
+        refine = stats.refine_bracket
+
+        def spying(probe, lo, hi, hi_g, hi_info, done, lo_g=None):
+            seeds.append((lo, hi, lo_g))
+            return refine(probe, lo, hi, hi_g, hi_info, done, lo_g)
+
+        monkeypatch.setattr(stats, "refine_bracket", spying)
+        w = covariance_witness(parse("sin(3*t)+t"), parse("t^2*exp(-t)"),
+                               MeasureSpec(IntervalSpec(0, 2), density=parse("1")))
+        (lo, hi, lo_g), = seeds
+        assert w.t1 < lo < w.t2 <= hi
+        assert lo_g is not None and lo_g < 0.0
         assert abs(w.product_gap - w.covariance) <= (
             1e-10 * (1 + abs(w.covariance)))
 
@@ -237,6 +259,15 @@ def _clouds(draw):
     return u, v
 
 
+def _first_widest(u, v):
+    """The pair of the first maximum, in row-major order, of the full gap
+    matrix of the two staircases."""
+    upper, lower = stats._staircase(u, v), stats._staircase(-u, -v)[::-1]
+    gap = (u[upper, None] - u[lower]) * (v[upper, None] - v[lower])
+    i, j = np.unravel_index(gap.argmax(), gap.shape)
+    return int(upper[i]), int(lower[j])
+
+
 class TestWidestPair:
     @given(_clouds())
     def test_matches_brute_force(self, cloud):
@@ -244,6 +275,43 @@ class TestWidestPair:
         i, j = stats._widest_pair(u, v)
         best = ((u[:, None] - u) * (v[:, None] - v)).max()
         assert _gap(u, v, i, j) == pytest.approx(best, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("per_point", [0, math.inf])
+    @given(cloud=_clouds())
+    def test_both_paths_pick_the_first_maximum(self, per_point, cloud):
+        # per_point 0 forces the divide and conquer, inf the one batch
+        u, v = cloud
+        with mock.patch.object(stats, "_ONE_BATCH", per_point):
+            assert stats._widest_pair(u, v) == _first_widest(u, v)
+
+    def _path(self, monkeypatch, u, v):
+        """``(pair, whether the divide and conquer ran)``."""
+        runs = []
+        best_columns = stats._best_columns
+        monkeypatch.setattr(stats, "_best_columns",
+                            lambda *args: runs.append(1) or best_columns(*args))
+        return stats._widest_pair(u, v), bool(runs)
+
+    def test_circle_takes_the_divide_and_conquer_path(self, monkeypatch):
+        # 400 points on a circle: staircases of about 100 points each, a
+        # product far above 4 entries per point
+        t = np.random.default_rng(5).uniform(0.0, 2.0 * math.pi, 400)
+        u, v = np.cos(t), np.sin(t)
+        pair, divided = self._path(monkeypatch, u, v)
+        assert divided
+        assert pair == _first_widest(u, v)
+
+    def test_small_staircases_take_one_batch(self, monkeypatch):
+        # 30 points: 19 on a quarter circle form the upper staircase, the
+        # origin alone the lower one, 19 entries against 4 * 30
+        a = np.linspace(0.05, 0.5 * math.pi - 0.05, 19)
+        inner = np.random.default_rng(7).uniform(0.2, 0.6, (10, 2))
+        u = np.concatenate([np.cos(a), inner[:, 0], [0.0]])
+        v = np.concatenate([np.sin(a), inner[:, 1], [0.0]])
+        assert stats._staircase(u, v).size == 19
+        pair, divided = self._path(monkeypatch, u, v)
+        assert not divided
+        assert pair == _first_widest(u, v)
 
     @given(_clouds(), st.data())
     def test_gap_covers_four_covariances(self, cloud, data):
