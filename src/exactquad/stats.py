@@ -117,10 +117,20 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec,
     return (ef, eg, efg), system, moments, window
 
 
+def _covariance_from(ef: float, eg: float, efg: float) -> float:
+    """Cov = E fg - E f E g, or exactly 0.0 when it is rounding:
+    |Cov| <= 1e-12 (1 + |E fg| + |E f E g|).  A constant's covariance
+    rounds to a few 1e-17 instead of 0, which would put a Gruss bound of
+    0 below it."""
+    cov = efg - ef * eg
+    return 0.0 if abs(cov) <= 1e-12 * (1.0 + abs(efg) + abs(ef * eg)) else cov
+
+
 def covariance(f: Expression, g: Expression, m: MeasureSpec) -> float:
-    """Cov(f(X), g(X)) under the measure normalized to a probability law."""
+    """Cov(f(X), g(X)) under the measure normalized to a probability law,
+    0.0 when it is rounding (:func:`_covariance_from`)."""
     (ef, eg, efg), *_ = _moments(f, g, m)
-    return efg - ef * eg
+    return _covariance_from(ef, eg, efg)
 
 
 def _support_point(m: MeasureSpec) -> float:
@@ -217,7 +227,8 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     One integration pass computes the moments, at ``MOMENT_TOL`` or at
     ``tol`` if that is tighter; a ``tol`` that is not finite is passed on
     unchanged, so the integrator refuses it as it refuses one that is not
-    > 0.  Zero covariance returns t1 = t2.
+    > 0.  A covariance that is rounding (:func:`_covariance_from`) is 0.0,
+    and returns t1 = t2.
 
     Otherwise the pass's K15 nodes and the atoms carry a discrete
     probability p with the same moments
@@ -253,9 +264,8 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     """
     tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
     (ef, eg, efg), system, moments, window = _moments(f, g, m, tol)
-    cov = efg - ef * eg
-    zero_scale = 1e-12 * (1.0 + abs(efg) + abs(ef * eg))
-    if abs(cov) <= zero_scale:
+    cov = _covariance_from(ef, eg, efg)
+    if cov == 0.0:
         t = _support_point(m)
         return CovarianceWitness(t1=t, t2=t, covariance=cov, product_gap=0.0)
 

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from exactquad import measure, stats
 from exactquad.errors import (
@@ -13,7 +13,7 @@ from exactquad.errors import (
     UnboundedFunctionError,
     WeightNormalizationError,
 )
-from exactquad.expr import Expression, parse
+from exactquad.expr import Expression, evaluate_columns, parse
 from exactquad.measure import IntervalSpec, MeasureSpec
 from exactquad.stats import (
     covariance,
@@ -344,6 +344,21 @@ class TestWidestPair:
         assert _gap(u, v, i, j) == pytest.approx(2.0, rel=1e-12)
 
 
+_UNIT_COEF = st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _gruss_pairs(draw):
+    """``(f, g, lo, hi)`` of the ``stats`` corpus's ``gruss`` families:
+    sin(a t) + b t and a polynomial of degree 0 to 3, on [lo, hi] 0.5 to 2
+    wide."""
+    f = f"sin({draw(st.floats(0.5, 3.0))!r}*t)+{draw(_UNIT_COEF)!r}*t"
+    coefs = draw(st.lists(_UNIT_COEF, min_size=1, max_size=4))
+    g = "+".join([repr(coefs[0])] + [f"{c!r}*t^{p}" for p, c in enumerate(coefs[1:], 1)])
+    lo = draw(_UNIT_COEF)
+    return f, g, lo, lo + draw(st.floats(0.5, 2.0))
+
+
 class TestGrussContinuous:
     def test_uniform_slack(self):
         r = gruss_check(T, T, UNIT)
@@ -354,6 +369,20 @@ class TestGrussContinuous:
         r = gruss_check(parse("3"), T, UNIT)
         assert r.covariance == pytest.approx(0.0, abs=1e-12)
         assert r.slack == pytest.approx(r.bound, abs=1e-12)
+
+    def test_constant_g_reads_zero_covariance(self):
+        # E fg - E f E g rounds to -4.2e-17 here, above the bound 0, so a
+        # covariance within rounding of its terms reads 0
+        m = MeasureSpec(IntervalSpec(-0.5, 1.0), density=parse("1"))
+        f, g = parse("sin(2*t)+0.3*t"), parse("0.3")
+        assert covariance(f, g, m) == 0.0
+        r = gruss_check(f, g, m)
+        assert (r.covariance, r.bound, r.slack) == (0.0, 0.0, 0.0)
+
+    def test_small_covariance_is_kept(self):
+        # Cov(t, 1e-9 t) = 1e-9 / 12 is far above the rounding of its terms
+        assert covariance(T, parse("1e-9*t"), UNIT) == pytest.approx(
+            1e-9 / 12.0, rel=1e-8)
 
     def test_sign_flip(self):
         r = gruss_check(T, parse("-t"), UNIT)
@@ -405,6 +434,40 @@ class TestGrussContinuous:
         assert scalar == 0
         assert arrays <= 16
         assert r.M_g == pytest.approx(4.0 * math.exp(-2.0), rel=1e-12)
+
+    def test_scopes_share_cells_on_the_line(self, monkeypatch):
+        # (sin t, cos t) under exp(-t^2) on R: the six scopes find the same
+        # centre peaks, so 10 distinct cells are refined, not 24 (12678
+        # points when each scope refined its own)
+        points = 0
+        columns = stats.evaluate_columns
+
+        def counted(fns, ts, **kwargs):
+            nonlocal points
+            points += np.size(ts)
+            return columns(fns, ts, **kwargs)
+
+        monkeypatch.setattr(stats, "evaluate_columns", counted)
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf), density=parse("exp(-t^2)"))
+        fns = (parse("sin(t)"), parse("cos(t)"))
+        assert stats._extrema(fns, m) == [-1.0, 1.0, -1.0, 1.0]
+        assert points <= 8000
+
+    @settings(deadline=None)
+    @given(_gruss_pairs())
+    def test_extrema_match_a_dense_evaluation(self, problem):
+        # each extremum is at least as extreme as the 4096-point scan and
+        # within 1e-9 (1 + |v|) of a 65536-point evaluation
+        f, g, lo, hi = problem
+        fns = (parse(f), parse(g))
+        got = stats._extrema(fns, MeasureSpec(IntervalSpec(lo, hi), density=parse("1")))
+        scan = evaluate_columns(fns, np.linspace(lo, hi, 4096))
+        dense = evaluate_columns(fns, np.linspace(lo, hi, 65536))
+        for k in range(2):
+            low, high = got[2 * k], got[2 * k + 1]
+            assert low <= scan[:, k].min() and high >= scan[:, k].max()
+            for v, d in ((low, dense[:, k].min()), (high, dense[:, k].max())):
+                assert abs(v - d) <= 1e-9 * (1.0 + abs(v))
 
     def test_interior_maximum(self):
         # f' = 3 cos(3t) + 1 vanishes where cos(3t) = -1/3
