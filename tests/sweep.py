@@ -30,10 +30,13 @@ The ``stats`` corpus (variants 0-5) runs through ``cli.run`` at each
 seed, as the benchmark runs it; its block holds ``problems``,
 ``refusals`` and ``refusal_count`` as above, ``witness_gap``, the largest
 ``|product_gap - covariance| / (1 + |covariance|)`` of the witnesses,
-``gruss_slack``, the least ``gruss`` slack, ``witness_evals``, the
+``gruss_slack``, the least ``gruss`` slack, ``gruss_negative_slack``, how
+many ``gruss`` outputs have a slack below 0, ``witness_evals``, the
 ``evaluate_columns`` calls made inside ``covariance_witness`` (its node
-batch and its probe rounds), and ``rules_digest`` over the
-``test_golden.py`` lines of its outputs.
+batch and its probe rounds), ``gruss_evals`` and ``gruss_points``, the
+``evaluate_columns`` calls made inside ``stats._extrema`` (its scan and
+its refinement rounds) and the points they evaluate, and
+``rules_digest`` over the ``test_golden.py`` lines of its outputs.
 
 ``verify`` holds the median, p99 and max over the accepted ``acceptance``
 rules of seeds 20260808 and 401 (when swept) of the largest
@@ -226,17 +229,22 @@ def _tracked(fn, open_calls):
 def stats_sweep(seeds) -> dict:
     """The ``stats`` block: every ``stats`` problem through ``cli.run``."""
     witnessing, evals = [], []  # the open witnesses; their evaluate calls
+    scanning, scans = [], []  # the open extrema; their evaluate calls' points
     witness, columns = cli.covariance_witness, stats.evaluate_columns
+    extrema = stats._extrema
 
-    def counted_columns(*args, **kwargs):
+    def counted_columns(fns, ts, **kwargs):
         if witnessing:
             evals.append(1)
-        return columns(*args, **kwargs)
+        if scanning:
+            scans.append(np.size(ts))
+        return columns(fns, ts, **kwargs)
 
     cli.covariance_witness = _tracked(witness, witnessing)
+    stats._extrema = _tracked(extrema, scanning)
     stats.evaluate_columns = counted_columns
     problems, refusals, lines = 0, defaultdict(list), []
-    gap, slack = 0.0, np.inf
+    gap, slack, negative = 0.0, np.inf, 0
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "problem.json"
@@ -254,16 +262,19 @@ def stats_sweep(seeds) -> dict:
                     result = json.loads(out.getvalue())
                     if item["kind"] == "gruss":
                         slack = min(slack, result["slack"])
+                        negative += result["slack"] < 0.0
                     else:
                         cov = result["covariance"]
                         gap = max(gap, abs(result["product_gap"] - cov) / (1.0 + abs(cov)))
     finally:
         cli.covariance_witness, stats.evaluate_columns = witness, columns
+        stats._extrema = extrema
     return {"variants": STATS_VARIANTS, "problems": problems,
             "refusals": dict(sorted(refusals.items())),
             "refusal_count": sum(map(len, refusals.values())),
             "witness_gap": gap, "gruss_slack": float(slack),
-            "witness_evals": len(evals),
+            "gruss_negative_slack": negative, "witness_evals": len(evals),
+            "gruss_evals": len(scans), "gruss_points": sum(scans),
             "rules_digest": hashlib.sha256("\n".join(lines).encode()).hexdigest()[:16]}
 
 

@@ -453,6 +453,15 @@ class TestGrussContinuous:
         assert stats._extrema(fns, m) == [-1.0, 1.0, -1.0, 1.0]
         assert points <= 8000
 
+    def test_an_empty_scope_starts_from_no_value(self):
+        # exp(10000 t^2) overflows past 3 nodes of the line's u-grid, so the
+        # scan runs between the outer two and no scan point lies in the
+        # scope without their grid steps
+        m = MeasureSpec(IntervalSpec(-math.inf, math.inf), density=parse("exp(-t^2)"))
+        low, high = stats._extrema((parse("exp(10000*t^2)"),), m)
+        assert low == 1.0
+        assert 3.1e170 < high < 3.2e170  # exp(10000 t^2) at the outer nodes
+
     @settings(deadline=None)
     @given(_gruss_pairs())
     def test_extrema_match_a_dense_evaluation(self, problem):
