@@ -449,8 +449,8 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
     u_lo = _DE_GRID[live[1]] if iv.lower_open else -np.inf
     u_hi = _DE_GRID[live[-2]] if iv.upper_open else np.inf
     c = min(max(0.0, us[0]), us[-1])
-    # xs increases, so each scope is a range of scan points: inner, then
-    # the centre windows
+    # xs increases, so each scope is a range of scan points: inner and the
+    # centre windows, then inner with the last grid step at each open end
     los = xs.searchsorted(np.append(u_lo, c + (us[0] - c) / _HALVINGS), "left")
     his = xs.searchsorted(np.append(u_hi, c + (us[-1] - c) / _HALVINGS), "right")
     los, his = los.tolist(), his.tolist()
