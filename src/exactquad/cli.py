@@ -15,7 +15,7 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -106,6 +106,13 @@ def _cmd_reduce(obj, args):
     return combination_to_json(reduced), note
 
 
+def _fields(report) -> dict:
+    """A new dict of the fields of the flat dataclass ``report``, in field
+    order, which its ``__init__`` sets them in; ``dataclasses.asdict``
+    would deep-copy every float."""
+    return dict(vars(report))
+
+
 def _cmd_covwitness(obj, args):
     check_fields(obj, "problem",
                  {"f": string, "g": string, "measure": None, "tolerances": None},
@@ -115,7 +122,7 @@ def _cmd_covwitness(obj, args):
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, tol)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")
-    return asdict(w), note
+    return _fields(w), note
 
 
 def _cmd_gruss(obj, args):
@@ -123,13 +130,13 @@ def _cmd_gruss(obj, args):
     m = measure_from_json(obj["measure"])
     r = gruss_check(parse_expr(obj["f"]), parse_expr(obj["g"]), m)
     note = f"|covariance| {abs(r.covariance):.6g} <= bound {r.bound:.6g}"
-    return asdict(r), note
+    return _fields(r), note
 
 
 def _cmd_gruss_discrete(obj, args):
     check_fields(obj, "problem", {"p": numbers, "u": numbers, "v": numbers})
     r = gruss_discrete(obj["p"], obj["u"], obj["v"])
-    out = asdict(r)
+    out = _fields(r)
     out["lhs"] = abs(r.covariance)
     note = f"lhs {out['lhs']:.6g} <= bound {r.bound:.6g}"
     return out, note

@@ -19,14 +19,17 @@ be ``MAX_DEPTH`` levels deep (``t+t+t`` and ``-(-t)`` have three), and
 parentheses, calls and exponents may nest ``MAX_DEPTH`` deep.
 
 A text is parsed in one pass: one regex scan, then precedence climbing
-that builds each node's tree, evaluator and text from its operands' as it
+that builds each node's tree and evaluator from its operands' as it
 recognises the node, exactly as arithmetic on expressions builds a
 composite; ``Expression(ast)`` builds a tree with the same helpers.  A
-node's evaluator is a ``functools.partial`` of one module-level function
-per operation over its operands' evaluators, not a closure of its own, so
-a parsed expression keeps about three collector-tracked objects per inner
-node (tree, partial, argument tuple) and none per number literal that is a
-left operand of ``+ - *``; a negated number literal is one constant.
+parse formats no text: the canonical text is printed from the tree on
+first use and memoized, and a domain error's label is printed from its
+node's tree when the error is raised.  A node's evaluator is a
+``functools.partial`` of one module-level function per operation over its
+operands' evaluators, not a closure of its own, so a parsed expression
+keeps about three collector-tracked objects per inner node (tree, partial,
+argument tuple) and none per number literal that is a left operand of
+``+ - *``; a negated number literal is one constant.
 
 Expressions are immutable after parsing; evaluation is side-effect free and
 follows IEEE-754 double semantics.  Evaluating outside the real domain
@@ -63,8 +66,8 @@ from .errors import EvalDomainError, SyntaxParseError, UnknownIdentifierError
 
 __all__ = ["Expression", "parse"]
 
-# evaluation and Expression(ast) recurse once per level, and composing
-# parsed expressions (as stats does) adds a few levels
+# evaluation, printing and Expression(ast) recurse once per level, and
+# composing parsed expressions (as stats does) adds a few levels
 MAX_DEPTH = 100
 
 _UNARY_FUNCS = {
@@ -140,6 +143,21 @@ def _prec(node) -> int:
     return 5
 
 
+def _print(tree) -> str:
+    """Canonical text of ``tree``; reparsing it rebuilds ``tree``."""
+    tag = tree[0]
+    if tag == "bin":
+        op, a, b = tree[1:]
+        return _bin_text(op, a, b, _print(a), _print(b))
+    if tag == "neg":
+        return _neg_text(tree[1], _print(tree[1]))
+    if tag == "num":
+        return repr(tree[1])
+    if tag == "fn":
+        return f"{tree[1]}({','.join([_print(a) for a in tree[2]])})"
+    return "t" if tag == "t" else tree[1]  # a named constant
+
+
 def _neg_text(a, inner: str) -> str:
     """Text of ``-a`` from the tree ``a`` and its text ``inner``."""
     return f"-({inner})" if _prec(a) < 3 else f"-{inner}"
@@ -158,12 +176,14 @@ def _bin_text(op, a, b, left: str, right: str) -> str:
 
 
 # Evaluators.  Each node's evaluator is a partial of one of these functions:
-# its operands' evaluators and the node's label first, ``t`` last.  A
-# partial holds its arguments in one tuple, where a closure holds a cell per
-# captured name, a cell tuple and the function object; a constant's partial
-# holds only a float, which the cycle collector does not track.  A partial
-# costs a little more to call than a closure, so a constant left operand
-# (``2*t``, ``1+t``) is passed as its float instead of being called.
+# its operands' evaluators and, for one that can raise, the node's tree
+# first, ``t`` last; the tree is printed as the error's label only when the
+# error is raised.  A partial holds its arguments in one tuple, where a
+# closure holds a cell per captured name, a cell tuple and the function
+# object; a constant's partial holds only a float, which the cycle
+# collector does not track.  A partial costs a little more to call than a
+# closure, so a constant left operand (``2*t``, ``1+t``) is passed as its
+# float instead of being called.
 
 
 def _const(v, t):
@@ -198,18 +218,18 @@ def _cmul(v, fb, t):
     return v * fb(t)
 
 
-def _div(fa, fb, label, t):
+def _div(fa, fb, tree, t):
     den = fb(t)
     zero = np.equal(den, 0.0)  # a numpy bool for a constant denominator too
     if zero.any():
         # a denominator that underflowed to 0 divides as in IEEE
         at, zero = np.broadcast_arrays(t, zero)
         if not all(_raises(fb, x, "under") for x in at[zero]):
-            raise EvalDomainError("division by zero", label)
+            raise EvalDomainError("division by zero", _print(tree))
     return fa(t) / den
 
 
-def _pow(fa, fb, label, t):
+def _pow(fa, fb, tree, t):
     base = np.asarray(fa(t), dtype=float)
     expo = np.asarray(fb(t), dtype=float)
     neg = base < 0
@@ -217,18 +237,19 @@ def _pow(fa, fb, label, t):
         e_at = np.broadcast_to(expo, np.broadcast_shapes(base.shape, expo.shape))
         b_neg = np.broadcast_to(neg, e_at.shape)
         if (e_at[b_neg] != np.floor(e_at[b_neg])).any():
-            raise EvalDomainError("negative base with non-integer exponent", label)
+            raise EvalDomainError("negative base with non-integer exponent",
+                                  _print(tree))
     if ((base == 0) & (expo < 0)).any():
-        raise EvalDomainError("zero raised to a negative power", label)
+        raise EvalDomainError("zero raised to a negative power", _print(tree))
     return np.power(base, expo)
 
 
-def _powc(fa, c, checks, label, t):
+def _powc(fa, c, checks, tree, t):
     """``fa ^ c`` for a constant ``c``, with the domain ``checks`` that can fire."""
     base = fa(t)
     for outside, bound, message in checks:
         if outside(base, bound).any():
-            raise EvalDomainError(message, label)
+            raise EvalDomainError(message, _print(tree))
     return np.power(base, c)
 
 
@@ -236,10 +257,10 @@ def _unary(fa, ufunc, t):
     return ufunc(fa(t))
 
 
-def _domain(fa, label, ufunc, outside, bound, message, t):
+def _domain(fa, tree, ufunc, outside, bound, message, t):
     a = fa(t)
     if outside(a, bound).any():
-        raise EvalDomainError(message, label)
+        raise EvalDomainError(message, _print(tree))
     return ufunc(a)
 
 
@@ -261,65 +282,65 @@ def _constant(f):
     return f.args[0] if isinstance(f, partial) and f.func is _const else None
 
 
-def _bin_evaluator(op, fa, fb, label):
+def _bin_evaluator(op, fa, fb, tree):
     """Evaluator of ``a op b`` from the operands' evaluators ``fa`` and ``fb``.
 
-    ``label`` is the text of the whole node, which division and power
-    errors name; a constant exponent decides a power's domain checks.
+    ``tree`` is the whole node, which division and power errors name; a
+    constant exponent decides a power's domain checks.
     """
     if op in _ARITH:
         general, constant_left = _ARITH[op]
         v = _constant(fa)
         return partial(general, fa, fb) if v is None else partial(constant_left, v, fb)
     if op == "/":
-        return partial(_div, fa, fb, label)
+        return partial(_div, fa, fb, tree)
     c = _constant(fb)
     if c is None:
-        return partial(_pow, fa, fb, label)
-    return partial(_powc, fa, c, _POW_CHECKS[not c.is_integer(), c < 0], label)
+        return partial(_pow, fa, fb, tree)
+    return partial(_powc, fa, c, _POW_CHECKS[not c.is_integer(), c < 0], tree)
 
 
-# A node is the triple (tree, evaluator, text).  Each is built from its
-# operands' nodes, so parsing, Expression(ast) and arithmetic on expressions
-# build a node in one step whatever the size of its operands.
+# A node is the pair (tree, evaluator).  Each is built from its operands'
+# nodes, so parsing, Expression(ast) and arithmetic on expressions build a
+# node in one step whatever the size of its operands.
 
 
-def _leaf(tree, v, text):
-    return tree, partial(_const, v), text
+def _leaf(tree, v):
+    return tree, partial(_const, v)
 
 
-_T_NODE = ("t",), lambda t: t, "t"
-_CONST_NODES = {name: _leaf(("const", name), v, name) for name, v in _CONSTANTS.items()}
+_T_NODE = ("t",), lambda t: t
+_CONST_NODES = {name: _leaf(("const", name), v) for name, v in _CONSTANTS.items()}
 
 
 def _num_node(v):
-    return _leaf(("num", v), v, repr(v))
+    return _leaf(("num", v), v)
 
 
 def _neg_node(x):
-    a, fa, inner = x
-    tree, text = ("neg", a), _neg_text(a, inner)
+    a, fa = x
+    tree = ("neg", a)
     if (v := _constant(fa)) is not None:
         # -v is the float that negating the constant's value gives
-        return _leaf(tree, -v, text)
-    return tree, partial(_negate, fa), text
+        return _leaf(tree, -v)
+    return tree, partial(_negate, fa)
 
 
 def _bin_node(op, x, y):
-    (a, fa, left), (b, fb, right) = x, y
-    text = _bin_text(op, a, b, left, right)
-    return ("bin", op, a, b), _bin_evaluator(op, fa, fb, text), text
+    (a, fa), (b, fb) = x, y
+    tree = ("bin", op, a, b)
+    return tree, _bin_evaluator(op, fa, fb, tree)
 
 
 def _fn_node(name, args):
-    text = f"{name}({','.join([x[2] for x in args])})"
+    tree = ("fn", name, tuple([x[0] for x in args]))
     if name in _UNARY_FUNCS:
         fn = partial(_unary, args[0][1], _UNARY_FUNCS[name])
     elif name in _DOMAIN_FUNCS:
-        fn = partial(_domain, args[0][1], text, *_DOMAIN_FUNCS[name])
+        fn = partial(_domain, args[0][1], tree, *_DOMAIN_FUNCS[name])
     else:
         fn = partial(_minmax, tuple([x[1] for x in args]), *_VARIADIC_FUNCS[name])
-    return ("fn", name, tuple([x[0] for x in args])), fn, text
+    return tree, fn
 
 
 def _build(tree):
@@ -357,8 +378,9 @@ class Expression:
     a new ndarray out.  Arithmetic between expressions (or with plain
     numbers) builds new expressions, so composites like ``(f - c) * g``
     stay in the same grammar and keep printing/round-tripping.  A
-    composite is built from its operands' evaluators and texts, so it costs
-    the same whatever the size of the operands' trees.  A ``+ - *`` of two
+    composite is built from its operands' trees and evaluators, so it costs
+    the same whatever the size of the operands' trees; its text is printed
+    from the tree when first read and memoized.  A ``+ - *`` of two
     expressions also keeps ``_parts``, its ufunc and its two operands, for
     :func:`evaluate_columns`; every other expression holds None.
     """
@@ -366,8 +388,8 @@ class Expression:
     __slots__ = ("_ast", "_fn", "_text", "_parts")
 
     def __init__(self, ast):
-        self._ast, self._fn, self._text = _build(ast)
-        self._parts = None
+        self._ast, self._fn = _build(ast)
+        self._text = self._parts = None
 
     @property
     def ast(self):
@@ -376,6 +398,8 @@ class Expression:
     @property
     def text(self) -> str:
         """Canonical source form; reparsing it rebuilds this tree."""
+        if self._text is None:
+            self._text = _print(self._ast)
         return self._text
 
     def __call__(self, t):
@@ -384,19 +408,19 @@ class Expression:
         return float(out[0]) if np.asarray(t).ndim == 0 else out
 
     def __repr__(self):
-        return f"Expression({self._text!r})"
+        return f"Expression({self.text!r})"
 
     @classmethod
-    def _composed(cls, ast, fn, text, parts=None) -> "Expression":
-        """The expression of ``ast``, whose evaluator and text are built."""
+    def _composed(cls, ast, fn, parts=None) -> "Expression":
+        """The expression of ``ast``, whose evaluator is built."""
         e = object.__new__(cls)
-        e._ast, e._fn, e._text, e._parts = ast, fn, text, parts
+        e._ast, e._fn, e._text, e._parts = ast, fn, None, parts
         return e
 
     def _bin(self, op, other, swap=False):
         parts = None
         if isinstance(other, Expression):
-            operand = other._ast, other._fn, other._text
+            operand = other._ast, other._fn
             if op in _UFUNCS:
                 parts = (_UFUNCS[op], other, self) if swap else (_UFUNCS[op], self, other)
         else:
@@ -404,7 +428,7 @@ class Expression:
                 operand = _build(_as_ast(other))
             except (TypeError, ValueError):
                 return NotImplemented
-        mine = self._ast, self._fn, self._text
+        mine = self._ast, self._fn
         x, y = (operand, mine) if swap else (mine, operand)
         return Expression._composed(*_bin_node(op, x, y), parts)
 
@@ -434,7 +458,7 @@ class Expression:
         return self._bin("^", other)
 
     def __neg__(self):
-        return Expression._composed(*_neg_node((self._ast, self._fn, self._text)))
+        return Expression._composed(*_neg_node((self._ast, self._fn)))
 
 
 def evaluate_columns(exprs, ts, *, finite=True) -> np.ndarray:
@@ -510,7 +534,7 @@ def _raise_first_nonfinite(exprs, out, stop):
     that holds a non-finite value, if any does."""
     for k in range(stop):
         if not np.isfinite(out[..., k]).all():
-            raise EvalDomainError("non-finite value", exprs[k]._text)
+            raise EvalDomainError("non-finite value", exprs[k].text)
 
 
 def parse(text: str) -> Expression:

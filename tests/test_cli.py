@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import io
 import json
 import math
@@ -16,6 +17,7 @@ from exactquad import hull
 from exactquad.cli import chebyshev_sample_test, run
 from exactquad.hull import RANK_TOL, CurveSystem
 from exactquad.measure import IntervalSpec
+from exactquad.stats import CovarianceWitness, GrussReport
 
 UNIT_MEASURE = {
     "interval": {"lower": 0, "upper": 1, "lower_open": False, "upper_open": False},
@@ -327,6 +329,21 @@ class TestStatsCommands:
         assert code == 0
         r = json.loads(out)
         assert r["lhs"] == 0.25 and r["bound"] == 0.25 and r["slack"] == 0.0
+
+    @pytest.mark.parametrize("command,problem,report,extra", [
+        ("covwitness", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE},
+         CovarianceWitness, []),
+        ("gruss", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE},
+         GrussReport, []),
+        ("gruss-discrete", {"p": [0.5, 0.5], "u": [0, 1], "v": [1, 0]},
+         GrussReport, ["lhs"]),
+    ])
+    def test_results_list_their_fields_in_order(self, tmp_path, command,
+                                                problem, report, extra):
+        code, out, _ = invoke([command, write(tmp_path, "p.json", problem)])
+        assert code == 0
+        names = [f.name for f in dataclasses.fields(report)]
+        assert list(json.loads(out)) == names + extra
 
 
 _SEEDS = (0, 1, 7, 42)

@@ -1,6 +1,8 @@
 import gc
 import math
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,12 @@ from exactquad.expr import (
     overflows,
     parse,
 )
+
+# the benchmark's problem generators, imported read-only
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
+
+sys.path.pop(0)
 
 
 class TestParseExamples:
@@ -634,3 +642,28 @@ def test_moments_run_each_tree_once_per_batch(monkeypatch):
     stats._moments(f, g, m)
     assert batches >= 1
     assert runs == {"f": batches, "g": batches}
+
+
+def test_parsing_formats_no_text(monkeypatch):
+    # a parse, and the products that stats composes from it, build trees
+    # and evaluators only; .text prints the tree when first read, once
+    calls = []
+    for name in ("_bin_text", "_neg_text"):
+        def counted(*args, real=getattr(expr, name)):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(expr, name, counted)
+    products = []
+    for item in corpus.acceptance_corpus(20260808, 0):
+        problem = item["problem"]
+        functions = [parse(text) for text in problem["functions"]]
+        parse(problem["measure"]["density"])
+        f, g = functions[0], functions[-1]
+        products += [f * g, f * f, g * g]
+    assert calls == []
+    for e in products:
+        text = e.text
+        printed = len(calls)
+        assert printed > 0
+        assert e.text is text and len(calls) == printed
+        calls.clear()
