@@ -106,13 +106,6 @@ def _cmd_reduce(obj, args):
     return combination_to_json(reduced), note
 
 
-def _fields(report) -> dict:
-    """A new dict of the fields of the flat dataclass ``report``, in field
-    order, which its ``__init__`` sets them in; ``dataclasses.asdict``
-    would deep-copy every float."""
-    return dict(vars(report))
-
-
 def _cmd_covwitness(obj, args):
     check_fields(obj, "problem",
                  {"f": string, "g": string, "measure": None, "tolerances": None},
@@ -122,7 +115,9 @@ def _cmd_covwitness(obj, args):
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, tol)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")
-    return _fields(w), note
+    # a report's fields, in the order its __init__ sets them;
+    # dataclasses.asdict would deep-copy every float
+    return dict(vars(w)), note
 
 
 def _cmd_gruss(obj, args):
@@ -130,13 +125,13 @@ def _cmd_gruss(obj, args):
     m = measure_from_json(obj["measure"])
     r = gruss_check(parse_expr(obj["f"]), parse_expr(obj["g"]), m)
     note = f"|covariance| {abs(r.covariance):.6g} <= bound {r.bound:.6g}"
-    return _fields(r), note
+    return dict(vars(r)), note
 
 
 def _cmd_gruss_discrete(obj, args):
     check_fields(obj, "problem", {"p": numbers, "u": numbers, "v": numbers})
     r = gruss_discrete(obj["p"], obj["u"], obj["v"])
-    out = _fields(r)
+    out = dict(vars(r))
     out["lhs"] = abs(r.covariance)
     note = f"lhs {out['lhs']:.6g} <= bound {r.bound:.6g}"
     return out, note

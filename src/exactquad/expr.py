@@ -379,9 +379,10 @@ class Expression:
     numbers) builds new expressions, so composites like ``(f - c) * g``
     stay in the same grammar and keep printing/round-tripping.  A
     composite is built from its operands' trees and evaluators, so it costs
-    the same whatever the size of the operands' trees; its text is printed
-    from the tree when first read and memoized.  A ``+ - *`` of two
-    expressions also keeps ``_parts``, its ufunc and its two operands, for
+    the same whatever the size of the operands' trees.  No expression
+    formats its text until :attr:`text` is first read, which prints it from
+    the tree and memoizes it.  A ``+ - *`` of two expressions also keeps
+    ``_parts``, its ufunc and its two operands, for
     :func:`evaluate_columns`; every other expression holds None.
     """
 
