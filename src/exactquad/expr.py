@@ -144,35 +144,25 @@ def _prec(node) -> int:
 
 
 def _print(tree) -> str:
-    """Canonical text of ``tree``; reparsing it rebuilds ``tree``."""
+    """Canonical text of ``tree``; reparsing it rebuilds ``tree``, not just
+    an equivalent value, so an operand is parenthesized by precedence."""
     tag = tree[0]
     if tag == "bin":
         op, a, b = tree[1:]
-        return _bin_text(op, a, b, _print(a), _print(b))
+        p, pa, pb, left, right = _PREC[op], _prec(a), _prec(b), _print(a), _print(b)
+        if pa < p or (pa == p and op == "^"):
+            left = f"({left})"
+        if pb < p or (pb == p and op != "^"):
+            right = f"({right})"
+        return f"{left}{op}{right}"
     if tag == "neg":
-        return _neg_text(tree[1], _print(tree[1]))
+        inner = _print(tree[1])
+        return f"-({inner})" if _prec(tree[1]) < 3 else f"-{inner}"
     if tag == "num":
         return repr(tree[1])
     if tag == "fn":
         return f"{tree[1]}({','.join([_print(a) for a in tree[2]])})"
     return "t" if tag == "t" else tree[1]  # a named constant
-
-
-def _neg_text(a, inner: str) -> str:
-    """Text of ``-a`` from the tree ``a`` and its text ``inner``."""
-    return f"-({inner})" if _prec(a) < 3 else f"-{inner}"
-
-
-def _bin_text(op, a, b, left: str, right: str) -> str:
-    """Text of ``a op b`` from the operand trees and their texts."""
-    p, pa, pb = _PREC[op], _prec(a), _prec(b)
-    # parenthesize to reparse into the identical tree, not just an
-    # equivalent value
-    if pa < p or (pa == p and op == "^"):
-        left = f"({left})"
-    if pb < p or (pb == p and op != "^"):
-        right = f"({right})"
-    return f"{left}{op}{right}"
 
 
 # Evaluators.  Each node's evaluator is a partial of one of these functions:

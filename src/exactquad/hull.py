@@ -45,7 +45,8 @@ numpy 2.4): ``np.any`` 3.2 us against ``.any()`` 0.95 us,
 ``np.flatnonzero`` 2.2 us against ``.nonzero()[0]`` 0.32 us,
 ``float(np.linalg.norm(r))`` 1.2 us against ``math.sqrt(r.dot(r))``
 0.46 us, and an even round's ``np.linspace`` 8.2 us against 2.2 us for
-the same formula on a module table (:func:`_even_probes`); a per-call
+the same formula on a module table (``measure._linspace``, which the
+integrator's starting edges and the Gruss extrema scan share); a per-call
 ``np.finfo`` is a module constant.  Each replacement gives numpy's bits.
 ``np.linalg.svd``, ``solve``, ``lstsq`` and ``np.einsum`` stay, since no
 public form without the wrapper gives their bits, and so do the calls
@@ -88,7 +89,7 @@ from .errors import (
     numbers,
 )
 from .expr import Expression, evaluate_columns, parse
-from .measure import _EPS, IntervalSpec
+from .measure import _EPS, IntervalSpec, _linspace
 
 __all__ = [
     "ConvexCombination",
@@ -112,7 +113,7 @@ _CHEBYSHEV_BATCH = 256  # sampled tuples per batch of the alternant test
 # offsets of a secant-centred round, in bracket widths: 0 and +-4^-j, j = 1..31
 _SECANT_OFFSETS = np.concatenate(
     [-(4.0 ** -np.arange(1, 32)), [0.0], 4.0 ** -np.arange(31, 0, -1)])
-_EVEN_STEPS = np.arange(1.0, REFINE_POINTS + 1)  # the steps of an even round
+_EVEN_STEPS = np.arange(REFINE_POINTS + 2.0)  # an even round's steps, ends too
 _DIFF_STEP = np.cbrt(_EPS)  # relative central-difference step of the polish
 
 
@@ -197,21 +198,20 @@ def chebyshev_sample_test(functions, interval, trial_count: int = 200,
                           seed: int = 0) -> dict:
     """Seeded search for a sign change of det[x_i(t_j)] over ordered tuples.
 
-    Draws ``trial_count`` increasing node tuples from a seeded 64-bit PRNG,
+    The x_i are the texts ``functions`` parsed on ``interval``.  Draws
+    ``trial_count`` increasing node tuples from a seeded 64-bit PRNG,
     ``_CHEBYSHEV_BATCH`` per batched determinant, and reports the least
     |det| over ``scale``, the product of the tuple's column norms.  Signs
     count only where the matrix's smallest singular value is above
-    ``RANK_TOL`` times its largest.  Ordered
-    tuples form a convex set, so det vanishes at distinct nodes on the
-    segment from the first counted positive tuple to the first negative
-    one (Karlin & Studden, 1966): the witness holds that ``segment``, and
-    ``tuple``, ``det`` and ``scale`` at the zero :func:`refine_bracket`
-    finds on it, |det| <= 1e-12 times the larger |det| of the ends unless
-    the bracket narrows to a float first.  A zero without a sign change is
-    not found; no witness is evidence only.
+    ``RANK_TOL`` times its largest.  Ordered tuples form a convex set, so
+    det vanishes at distinct nodes on the segment from the first counted
+    positive tuple to the first negative one (Karlin & Studden, 1966): the
+    witness holds that ``segment``, and ``tuple``, ``det`` and ``scale`` at
+    the zero :func:`refine_bracket` finds on it, |det| <= 1e-12 times the
+    larger |det| of the ends unless the bracket narrows to a float first.
+    A zero without a sign change is not found; no witness is evidence only.
     """
-    curve = (functions if isinstance(functions, CurveSystem)
-             else CurveSystem.from_texts(functions, interval))
+    curve = CurveSystem.from_texts(functions, interval)
     lo, hi = curve.interval.lower, curve.interval.upper
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise SchemaError("the determinant test needs a compact interval")
@@ -486,18 +486,6 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     return _rebuild(out_params, w, pts, target, total)
 
 
-def _even_probes(lo: float, hi: float) -> np.ndarray:
-    """The ``REFINE_POINTS`` interior points of an even round on [lo, hi].
-
-    This is the formula of ``np.linspace(lo, hi, REFINE_POINTS + 2)[1:-1]``,
-    steps times (hi - lo) / (REFINE_POINTS + 1) plus lo, so it gives
-    linspace's bits at a fraction of its cost, for every bracket wider than
-    32 subnormal steps; below that the step rounds to 0, where linspace
-    switches formulas and this returns lo throughout.
-    """
-    return _EVEN_STEPS * ((hi - lo) / (REFINE_POINTS + 1)) + lo
-
-
 def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
                    lo_g: float | None = None):
     """Narrow ``[lo, hi]`` to the first parameter where ``probe`` hits.
@@ -534,7 +522,7 @@ def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
             ts = ts[keep]
             even = ts.size == 0
         if even:
-            ts = _even_probes(lo, hi)
+            ts = _linspace(lo, hi, _EVEN_STEPS)[1:-1]
             ts = ts[(ts > lo) & (ts < hi)]
             if ts.size == 0:
                 break

@@ -217,13 +217,14 @@ def _panel_rule(vec_fn, lo, hi):
     return i15, np.abs(i15 - i7), vals[:, :, 0]
 
 
-def _start_edges(a, b):
-    """The edges of the 2 starting panels of [a, b]: the formula of
-    ``np.linspace(a, b, 3)``, steps times (b - a) / 2 plus a and then b,
-    so its bits at a fraction of its cost."""
-    edges = _HALVES * ((b - a) / 2) + a
-    edges[-1] = b
-    return edges
+def _linspace(lo, hi, steps):
+    """``np.linspace(lo, hi, steps.size)`` by its formula, for a step table
+    ``steps`` = 0, 1, ..., size - 1: steps times (hi - lo) / (size - 1)
+    plus lo, and then hi.  This gives linspace's bits at a fraction of its
+    cost whenever that step is > 0; below it linspace switches formulas."""
+    xs = steps * ((hi - lo) / (steps.size - 1)) + lo
+    xs[-1] = hi
+    return xs
 
 
 def _integrate_compact(vec_fn, a, b, tol, n_out):
@@ -241,7 +242,7 @@ def _integrate_compact(vec_fn, a, b, tol, n_out):
     """
     if not b > a:
         return np.zeros(n_out), np.empty(0), np.empty(0)
-    edges = _start_edges(a, b)
+    edges = _linspace(a, b, _HALVES)
     lo, hi = edges[:-1], edges[1:]
     vals, errs, dens = _panel_rule(vec_fn, lo, hi)
     width_floor = 64.0 * _EPS * max(abs(a), abs(b), 1.0)

@@ -41,7 +41,8 @@ from .errors import (
 )
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
-from .measure import _DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, exhaust_interval
+from .measure import (_DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, _linspace,
+                      exhaust_interval)
 from .synth import RESIDUAL_GATE, discretize_hull_point
 
 __all__ = [
@@ -53,14 +54,13 @@ __all__ = [
     "gruss_discrete",
 ]
 
-_SCAN_POINTS = 4096
 _CELL_TOL = 1e-10      # relative width at which an extremum's cell closes
 # sample offsets of a refinement round, in cell widths: both ends and
 # REFINE_POINTS even interior points
 _CELL_STEPS = np.linspace(0.0, 1.0, REFINE_POINTS + 2)
 _STEP_SLOTS = np.arange(_CELL_STEPS.size)  # a cell's grid points in a round
 _SIDES = np.array([[-1], [1]])  # a scan point's two neighbours
-_SCAN_STEPS = np.arange(float(_SCAN_POINTS))  # of the even scan
+_SCAN_STEPS = np.arange(4096.0)  # the steps of the even extrema scan
 _HALVINGS = np.array([2.0, 4.0, 8.0])  # the centre windows' shares of the scan
 _EXTREMA_RTOL = 1e-10  # move of an extremum by the last grid step at an open end
 _ONE_BATCH = 4         # staircase gap entries per point that one batch computes
@@ -327,16 +327,6 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
                              product_gap=product_gap)
 
 
-def _even_scan(lo: float, hi: float) -> np.ndarray:
-    """``np.linspace(lo, hi, _SCAN_POINTS)`` by its formula, steps times
-    (hi - lo) / (_SCAN_POINTS - 1) plus lo and then hi, so its bits at a
-    fraction of its cost, for every [lo, hi] wider than 4095 subnormal
-    steps."""
-    xs = _SCAN_STEPS * ((hi - lo) / (_SCAN_POINTS - 1)) + lo
-    xs[-1] = hi
-    return xs
-
-
 def _scan_extrema(fns, xs, ts, to_t, scopes):
     """Minimum and maximum of each function, in that order, in each scope
     of a scan at the points ``ts``: one row per scope ``(lo, hi)``, the
@@ -419,7 +409,7 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
     iv = m.interval
     atoms = np.array([loc for loc, _ in m.atoms])
     if iv.is_compact:
-        ts = _even_scan(iv.lower, iv.upper)
+        ts = _linspace(iv.lower, iv.upper, _SCAN_STEPS)
         if atoms.size:
             ts = np.unique(np.concatenate([ts, atoms]))
         rows = _scan_extrema(fns, ts, ts, lambda ts: ts, [(0, ts.size)])
@@ -440,7 +430,7 @@ def _extrema(fns, m: MeasureSpec) -> list[float]:
         live = live[:-1]
     if live.size < 3:
         raise UnboundedFunctionError("the functions overflow all over the interval")
-    us = _even_scan(_DE_GRID[live[0]], _DE_GRID[live[-1]])
+    us = _linspace(_DE_GRID[live[0]], _DE_GRID[live[-1]], _SCAN_STEPS)
     ts = phi(us)[0]
     closed = [end for end in (iv.lower, iv.upper) if iv.contains(end)]
     # an atom or a closed end takes the u interpolated between scan points

@@ -72,7 +72,6 @@ from .hull import (
 from .measure import (
     DEFAULT_TOL,
     IntegralVector,
-    IntervalSpec,
     MeasureSpec,
     exhaust_interval,
     integrate_system,
@@ -285,6 +284,18 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     return (*merge_coincident(nodes, lam, rows), converged)
 
 
+def _gate(weights, rows, values, mass):
+    """The exactness gate of a rule with curve ``rows`` at its nodes against
+    the integrals ``values`` and the ``mass``: each function's absolute
+    residual, its relative residual over 1 + |J_k|, the mass's relative
+    error, and whether they meet ``RESIDUAL_GATE`` and ``MASS_GATE``."""
+    r, scale = residual(weights, rows, values, mass)
+    resid, mass_err = np.abs(r[:-1]), abs(r[-1]) / mass
+    rel = resid / scale[:-1]
+    return resid, rel, mass_err, bool(mass_err <= MASS_GATE
+                                      and (rel <= RESIDUAL_GATE).all())
+
+
 def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
                     tol: float = DEFAULT_TOL) -> QuadratureRule:
     """Build an exact rule with at most n nodes and non-negative weights.
@@ -293,28 +304,19 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     weighted node sum matches its integral within the residual gate.
     ``tol`` is the relative tolerance of the integration pass; the
     integrator refuses one that is not finite and > 0 with a
-    :class:`SchemaError`.  Raises :class:`PolishError` when the final
-    residuals miss the gate, and propagates integration or domain failures
-    from the inputs.
+    :class:`SchemaError`.  After the pass, discretizes, evaluates the
+    discrete measure in one batch with the working window's two ends (the
+    continuity probe: the discrete nodes cover the interior, and a closed
+    end of the interval is an end of the window), and reads the affine
+    rank.  One loop builds a candidate on the independent subset, polishes
+    it on all n functions and gates every residual; if the subset dropped
+    functions and missed the gate (a dependence that holds on the support,
+    not at the nodes), it runs once more on all n functions.  ``rank_used``
+    is the affine rank either way.  Raises :class:`PolishError` when the
+    final residuals miss the gate, and propagates integration or domain
+    failures from the inputs.
     """
-    return synthesize_on_pass(curve, m, *exhaust_interval(m, curve, tol))
-
-
-def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
-                       working: IntervalSpec) -> QuadratureRule:
-    """:func:`synthesize_rule` after its integration pass.
-
-    ``J`` holds the integrals of ``curve`` against ``m`` and the K15
-    rule of the pass that computed them, ``working`` that pass's window.
-    Discretizes, evaluates the discrete measure in one batch with the
-    window's two ends (the continuity probe: the discrete nodes cover the
-    interior, and a closed end of the interval is an end of the window),
-    and reads the affine rank.  One loop builds a candidate on the
-    independent subset, polishes it on all n functions and gates every
-    residual; if the subset dropped functions and missed the gate (a
-    dependence that holds on the support, not at the nodes), it runs once
-    more on all n functions.  ``rank_used`` is the affine rank either way.
-    """
+    J, working = exhaust_interval(m, curve, tol)
     params, w = discretize_hull_point(curve, m, J)
     # one batch: the discrete measure's nodes, then the window's two ends
     x = curve.evaluate(np.concatenate(
@@ -326,11 +328,10 @@ def synthesize_on_pass(curve: CurveSystem, m: MeasureSpec, J: IntegralVector,
     for indep in subsets:
         nodes, lam, rows, converged = _synthesize_pass(
             curve, m, working, params, w, x, J.values, J.mass, indep)
-        r, scale = residual(lam, rows, J.values, J.mass)
-        rel, mass_err = np.abs(r[:-1]) / scale[:-1], abs(r[-1]) / J.mass
-        if mass_err <= MASS_GATE and (rel <= RESIDUAL_GATE).all():
+        resid, rel, mass_err, passed = _gate(lam, rows, J.values, J.mass)
+        if passed:
             return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,
-                                  residuals=np.abs(r[:-1]), rank_used=report.rank,
+                                  residuals=resid, rank_used=report.rank,
                                   converged=bool(converged))
     if not mass_err <= MASS_GATE:
         raise PolishError(
@@ -347,13 +348,10 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
     """Re-integrate at ``VERIFY_TOL`` and check the rule against the
     synthesis gates ``RESIDUAL_GATE`` and ``MASS_GATE``."""
     ref = integrate_system(m, curve, VERIFY_TOL)
-    r, scale = residual(rule.weights, curve.evaluate(rule.nodes), ref.values, ref.mass)
-    resid, ws_err = np.abs(r[:-1]), abs(r[-1]) / ref.mass
-    rel = resid / scale[:-1]
+    resid, rel, ws_err, exact = _gate(rule.weights, curve.evaluate(rule.nodes),
+                                      ref.values, ref.mass)
     nodes_in = all(m.interval.contains(float(t)) for t in rule.nodes)
     nonneg = bool((rule.weights >= 0.0).all())
-    passed = bool((rel <= RESIDUAL_GATE).all() and ws_err <= MASS_GATE
-                  and nodes_in and nonneg)
     return VerificationReport(
         reference=ref.values,
         residuals=resid,
@@ -362,7 +360,7 @@ def verify_rule(rule: QuadratureRule, curve: CurveSystem,
         weight_sum_rel_error=ws_err,
         nodes_in_interval=nodes_in,
         weights_nonnegative=nonneg,
-        passed=passed,
+        passed=exact and nodes_in and nonneg,
     )
 
 

@@ -648,11 +648,12 @@ def test_parsing_formats_no_text(monkeypatch):
     # a parse, and the products that stats composes from it, build trees
     # and evaluators only; .text prints the tree when first read, once
     calls = []
-    for name in ("_bin_text", "_neg_text"):
-        def counted(*args, real=getattr(expr, name)):
-            calls.append(1)
-            return real(*args)
-        monkeypatch.setattr(expr, name, counted)
+
+    def counted(tree, real=expr._print):
+        calls.append(1)
+        return real(tree)
+
+    monkeypatch.setattr(expr, "_print", counted)
     products = []
     for item in corpus.acceptance_corpus(20260808, 0):
         problem = item["problem"]

@@ -16,11 +16,12 @@ import os
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import exactquad
-from exactquad import cli, hull, measure
+from exactquad import cli, hull, measure, stats
 from exactquad.hull import CurveSystem
 from exactquad.measure import measure_from_json
 from exactquad.synth import synthesize_rule
@@ -149,22 +150,23 @@ def _brackets(draw):
     else:
         hi = lo + draw(st.floats(min_value=0.0, max_value=1e300, exclude_min=True))
     assume(math.isfinite(hi) and hi > lo)
-    # below 33 subnormal steps the step rounds to 0 (see _even_probes)
-    assume((hi - lo) / (hull.REFINE_POINTS + 1) > 0.0)
     return lo, hi
 
 
-@given(_brackets())
-def test_even_round_is_linspace(bracket):
+# each caller's step table and the points of it that the caller uses: the
+# walk's even rounds, the integrator's starting edges, the Gruss extrema scan
+@pytest.mark.parametrize("steps, part", [
+    (hull._EVEN_STEPS, slice(1, -1)),
+    (measure._HALVES, slice(None)),
+    (stats._SCAN_STEPS, slice(None)),
+], ids=["even-round", "starting-edges", "gruss-scan"])
+@given(bracket=_brackets())
+def test_linspace_tables_are_np_linspace(steps, part, bracket):
     lo, hi = bracket
-    want = np.linspace(lo, hi, hull.REFINE_POINTS + 2)[1:-1]
-    assert hull._even_probes(lo, hi).tobytes() == want.tobytes()
-
-
-@given(_brackets())
-def test_starting_panel_edges_are_linspace(bracket):
-    a, b = bracket
-    assert measure._start_edges(a, b).tobytes() == np.linspace(a, b, 3).tobytes()
+    # below that step linspace switches formulas (see measure._linspace)
+    assume((hi - lo) / (steps.size - 1) > 0.0)
+    want = np.linspace(lo, hi, steps.size)[part]
+    assert measure._linspace(lo, hi, steps)[part].tobytes() == want.tobytes()
 
 
 @given(hnp.arrays(np.float64, st.integers(1, 16),

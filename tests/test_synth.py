@@ -708,7 +708,7 @@ def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms
     monkeypatch.setattr(CurveSystem, "evaluate",
                         lambda self, t: batches.append(np.atleast_1d(t))
                         or evaluate(self, t))
-    rule = synth.synthesize_on_pass(c, m, J, window)
+    rule = synth.synthesize_rule(c, m)
     monkeypatch.undo()
     assert len(rule) <= max(1, len(texts))
     assert np.array_equal(batches[0], np.concatenate([params, probe]))
@@ -727,7 +727,6 @@ def test_converged_synthesis_evaluates_only_the_batch_and_the_probes(
     # or the gate
     m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"))
     c = CurveSystem.from_texts(texts, m.interval)
-    J, window = exhaust_interval(m, c)
     probes, evals = [], []
     evaluate, refine = CurveSystem.evaluate, hull.refine_bracket
 
@@ -738,7 +737,7 @@ def test_converged_synthesis_evaluates_only_the_batch_and_the_probes(
     monkeypatch.setattr(CurveSystem, "evaluate",
                         lambda self, t: evals.append(np.size(t))
                         or evaluate(self, t))
-    rule = synth.synthesize_on_pass(c, m, J, window)
+    rule = synth.synthesize_rule(c, m)
     monkeypatch.undo()
     assert rule.rank_used == len(texts) and rule.converged
     assert probes and len(evals) == 1 + len(probes)
