@@ -32,10 +32,15 @@ scale wide, and with an even round otherwise.  Such a walk takes 3.43
 calls on average on the acceptance corpus and 3.26 on the tail corpus,
 whose near-dependent frames stop on their coordinates' rounding.  The
 vanishing coordinate, the reweighting and the new point's curve row all
-come from the batch probed at the crossing, and a combination carries
-its support's rows (``ConvexCombination.points``) from the prune to the
-walk and on to the polish, so no stage evaluates a point twice.
-``stats.covariance_witness`` narrows its bracket the same way.
+come from the batch probed at the crossing, and the support's rows travel
+with it from the prune to the walk and on to the polish, so no stage
+evaluates a point twice.  ``stats.covariance_witness`` narrows its
+bracket the same way.
+
+Both reductions wrap array kernels, ``_prune`` and ``_walk`` (whose
+support ``_rescued`` gates), and add the validation, the prune's input
+gate and the ``ConvexCombination`` that the CLI's ``reduce``, the demos
+and the tests use; synthesis calls the kernels on its own arrays.
 
 Per-operation code, here and in the other layers, calls ndarray methods,
 ufuncs and module constants, not numpy's Python-level wrappers: on the
@@ -413,7 +418,7 @@ def _miss(weights, points, target) -> float:
     """Largest function row of the combination's :func:`residual` against
     ``target``, over (1 + max|target|) times its mass (gate ``RECON_TOL``)."""
     mass = float(np.add.reduce(weights))
-    r = np.abs(residual(weights, points, mass * target, mass)[0][:-1])
+    r = np.abs(weights @ points - mass * target)  # residual's function rows
     scale = (1.0 + float(np.maximum.reduce(np.abs(target)))) * mass
     return float(np.maximum.reduce(r)) / scale
 
@@ -427,26 +432,17 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     the pruned combination must meet the same gate.
     ``params`` optionally maps point indices to curve parameters; when
     omitted, point indices serve as the output parameters.  The result is
-    built by :func:`_rebuild`: sorted by parameter, coincident parameters
-    merged, rescaled to the input's total, gated, and carrying the kept
-    rows of ``points`` as its ``points``.
-
-    Merge-reduce: while more than k = 2(n+1) points carry weight, they are
-    split in index order into k contiguous clusters.  The cluster means are
-    eliminated down to n+1 clusters by null-vector shifts, and each
-    surviving cluster's weights are rescaled by its new mass over its old
-    one, which keeps the total and the weighted sum.  A round drops about
-    half the points with one SVD of 2(n+1) columns (see ``_null_shifts``).
-    The last at most 2(n+1) points are eliminated directly, again with one
-    SVD, which also reads the rank of the system: while the support is
-    affinely dependent, its near-null vectors eliminate more points.
+    sorted by parameter, coincident parameters merged and rescaled to the
+    input's total (:func:`_rescaled`), gated, and carries the kept rows of
+    ``points`` as its ``points``.  The validation and the input gate are
+    this wrapper's; the elimination and the output gate are
+    :func:`_prune`'s.
     """
     points = np.asarray(points, dtype=float)
-    weights = np.asarray(weights, dtype=float).copy()
+    weights = np.asarray(weights, dtype=float)
     target = np.asarray(target, dtype=float)
     if points.ndim != 2 or points.shape[0] != weights.size:
         raise SchemaError("points must be (m, n) with one weight per point")
-    m, n = points.shape
     if (weights < -1e-12).any():
         raise SchemaError("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
@@ -459,9 +455,33 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
             f"input combination misses the target by {gap:.3e} relative "
             f"(allowed {RECON_TOL:.0e})"
         )
+    params = (np.arange(weights.size, dtype=float) if params is None
+              else np.asarray(params, dtype=float))
+    params, weights, points = _prune(points, weights, target, total, params)
+    return ConvexCombination(params=params, weights=weights, total=total,
+                             points=points)
 
+
+def _prune(points, weights, target, total, params):
+    """``(params, weights, points)`` of the at most n+1 points of
+    ``points`` (m, n) that keep weight: their ``params``, their weights
+    :func:`_rescaled` to ``total`` and their rows, gated at ``RECON_TOL``.
+
+    ``weights`` are non-negative and sum to ``total``, and their combination
+    reproduces ``target``; nothing here checks either.  Points at or below
+    1e-15 times ``total`` carry no weight.  Merge-reduce: while more than
+    k = 2(n+1) points carry weight, they are split in index order into k
+    contiguous clusters.  The cluster means are eliminated down to n+1
+    clusters by null-vector shifts, and each surviving cluster's weights
+    are rescaled by its new mass over its old one, which keeps the total
+    and the weighted sum.  A round drops about half the points with one
+    SVD of 2(n+1) columns (see ``_null_shifts``).  The last at most 2(n+1)
+    points are eliminated directly, again with one SVD, which also reads
+    the rank of the system: while the support is affinely dependent, its
+    near-null vectors eliminate more points.
+    """
     floor = 1e-15 * total
-    k = 2 * (n + 1)
+    k = 2 * (points.shape[1] + 1)
     # the rounds run on the active points alone: idx maps them back
     idx = (weights > floor).nonzero()[0]
     pts, w = points[idx], weights[idx]
@@ -477,13 +497,12 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
     if idx.size > 1:
         w = _null_shifts(pts, w.tolist(), target)
         keep = w > floor
-        idx, pts, w = idx[keep], pts[keep], w[keep]
+        idx, w = idx[keep], w[keep]
     if idx.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
-
-    out_params = (idx.astype(float) if params is None
-                  else np.asarray(params, dtype=float)[idx])
-    return _rebuild(out_params, w, pts, target, total)
+    params, w, pts = _rescaled(params[idx], w, points[idx], total)
+    _recon_gate(w, pts, target)
+    return params, w, pts
 
 
 def refine_bracket(probe, lo: float, hi: float, hi_g: float, hi_info, done,
@@ -791,20 +810,41 @@ def merge_coincident(params, weights, points=None):
     return params, weights, points[order]
 
 
-def _rebuild(params, weights, points, target, total):
-    """The combination of the support ``params`` (merged by
-    :func:`merge_coincident`), its weights rescaled to sum to ``total``;
-    a miss of ``target`` above ``RECON_TOL`` is a
-    :class:`ReconstructionError`."""
+def _rescaled(params, weights, points, total):
+    """``(params, weights, points)`` merged by :func:`merge_coincident`,
+    the weights rescaled to sum to ``total``."""
     params, weights, points = merge_coincident(params, weights, points)
-    weights = weights * (total / math.fsum(weights.tolist()))
+    return params, weights * (total / math.fsum(weights.tolist())), points
+
+
+def _recon_gate(weights, points, target):
+    """The reductions' gate: a :func:`_miss` of ``target`` above
+    ``RECON_TOL`` is a :class:`ReconstructionError`."""
     recon = _miss(weights, points, target)
     if recon > RECON_TOL:
         raise ReconstructionError(
             f"reduced combination misses the target by {recon:.3e} relative"
         )
-    return ConvexCombination(params=params, weights=weights, total=total,
-                             points=points)
+
+
+def _rescued(curve: CurveSystem, params, weights, points, v, total):
+    """The walked support ``(params, weights, points)`` of :func:`_walk`,
+    :func:`_rescaled` to ``total`` and gated.  A support that misses
+    ``RECON_TOL`` is polished on ``curve``, from the walk's arrays, to well
+    inside the gate, rescaled and gated again, a miss then being a
+    :class:`ReconstructionError`: an ill-conditioned frame can leave the
+    dropped coordinate at its forward-error floor, and the nearby exact
+    root is a local Gauss-Newton solve away."""
+    out = _rescaled(params, weights, points, total)
+    if _miss(out[1], out[2], v) > RECON_TOL:
+        # polish rows within this target keep the miss well inside
+        # RECON_TOL at any total
+        params, weights, _, points = polish_combination(
+            curve, params, weights, v, total,
+            target_resid=0.01 * RECON_TOL * min(total, 1.0), points=points)
+        out = _rescaled(params, weights, points, total)
+        _recon_gate(out[1], out[2], v)
+    return out
 
 
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
@@ -813,30 +853,16 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
 
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  It is
     pruned to at most n+1 points by :func:`caratheodory_finite`, which
-    gates it, drops its zero weights and eliminates along null vectors
-    while the support is affinely dependent.  A pruned support of at most
-    n points is the result.  Otherwise the n+1 -> n step walks the curve
-    from support point i toward point i+1, to the first coordinate
-    zero-crossing that :func:`_first_zero_crossing` sees in the frame of
-    the other n points, and reweights; the crossing it returns leaves
-    every coordinate <= ``ZERO_TOL`` or within its rounding, so the n kept
-    points carry non-negative weights once those positives are clipped.
-    :func:`_walk_frame` reads i and the frame from one SVD of the support:
-    i is the first point, in index order, that carries more than
-    ``RANK_TOL`` of the largest weight, and the walk has a crossing in its
-    gap, because every coordinate of x(t_i) is negative and x(t_(i+1)) is
-    a basis point.  Only when that SVD is singular at ``RANK_TOL``, or
-    every point before the last carries less than ``RANK_TOL`` of the
-    weight (``v`` then lies within roundoff of the hull of fewer points),
-    is one point eliminated along the SVD's null vector instead; on the
-    benchmark corpora that never happens.
+    gates its input and its output, drops its zero weights and eliminates
+    along null vectors while the support is affinely dependent.  A pruned
+    support of at most n points is the result.  Otherwise :func:`_walk`
+    takes the n+1 -> n step, and :func:`_rescued` gates the walked support
+    at ``RECON_TOL``, polishing one that misses.  Synthesis runs the same
+    kernels on its own arrays, without the prune's input gate.
 
     The curve at the input parameters is ``comb.points`` when set, and is
-    evaluated once otherwise.  The input points strictly inside the walked
-    gap are the walk's first probe round, so a dense input (such as a
-    discrete measure) leaves a bracket one input cell wide, and the walk
-    evaluates the curve only at its probes.  The result carries its
-    support's rows as ``points``.
+    evaluated once otherwise.  The result carries its support's rows as
+    ``points``.
     """
     v = np.asarray(v, dtype=float)
     n = curve.n
@@ -850,25 +876,44 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         raise SchemaError(f"points must have {n} columns, "
                           f"got {seed_points.shape[1]}")
     pruned = caratheodory_finite(seed_points, comb.weights, v, params=seed_params)
-    params, weights, points = pruned.params, pruned.weights, pruned.points
-    if params.size <= n:
+    if len(pruned) <= n:
         return pruned
+    params, weights, points = _rescued(curve, *_walk(
+        curve, pruned.params, pruned.weights, pruned.points, seed_params,
+        seed_points, v, total), v, total)
+    return ConvexCombination(params=params, weights=weights, total=total,
+                             points=points)
 
-    def finish(new_params, new_weights, new_points):
-        try:
-            return _rebuild(new_params, new_weights, new_points, v, total)
-        except ReconstructionError:
-            # an ill-conditioned frame can leave the dropped coordinate at
-            # its forward-error floor; a local Gauss-Newton solve recovers
-            # the nearby exact root; polish rows within this target keep
-            # the miss well inside RECON_TOL at any total
-            p2, w2, _, x2 = polish_combination(
-                curve, new_params, new_weights, v, total,
-                target_resid=0.01 * RECON_TOL * min(total, 1.0),
-                points=new_points,
-            )
-            return _rebuild(p2, w2, x2, v, total)
 
+def _walk(curve: CurveSystem, params, weights, points, seed_params,
+          seed_points, v, total):
+    """The n+1 -> n step of the walk: ``(params, weights, points)`` of at
+    most n curve points, reweighted to reproduce ``v`` with weights that
+    sum to ``total`` up to rounding; :func:`_rescued` merges, rescales and
+    gates them.
+
+    ``params``, ``weights`` and ``points`` are the n+1 point support
+    (strictly increasing parameters, its curve rows), ``seed_params`` and
+    ``seed_points`` the combination it was pruned from.  The step walks
+    the curve from support point i toward point i+1, to the first
+    coordinate zero-crossing that :func:`_first_zero_crossing` sees in the
+    frame of the other n points, and reweights; the crossing it returns
+    leaves every coordinate <= ``ZERO_TOL`` or within its rounding, so the
+    n kept points carry non-negative weights once those positives are
+    clipped.  :func:`_walk_frame` reads i and the frame from one SVD of the
+    support: i is the first point, in index order, that carries more than
+    ``RANK_TOL`` of the largest weight, and the walk has a crossing in its
+    gap, because every coordinate of x(t_i) is negative and x(t_(i+1)) is
+    a basis point.  Only when that SVD is singular at ``RANK_TOL``, or
+    every point before the last carries less than ``RANK_TOL`` of the
+    weight (``v`` then lies within roundoff of the hull of fewer points),
+    is one point eliminated along the SVD's null vector instead; on the
+    benchmark corpora that never happens.  The seed's points strictly
+    inside the walked gap are the walk's first probe round, so a dense
+    seed (such as a discrete measure) leaves a bracket one seed cell wide,
+    and the walk evaluates the curve only at its probes.
+    """
+    n = curve.n
     i, frame, null = _walk_frame(points, v)
     if frame is None:
         # v lies within roundoff of the hull of fewer support points
@@ -876,7 +921,7 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
         _shift_to_zero(w, null.tolist())
         weights = np.array(w)
         keep = weights > 0.0
-        return finish(params[keep], weights[keep], points[keep])
+        return params[keep], weights[keep], points[keep]
     others = np.arange(n + 1) != i
     basis_params, basis_points = params[others], points[others]
     # the input points strictly inside the gap seed the walk
@@ -894,7 +939,7 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
     new_params = np.concatenate([[t_bar], basis_params[rest]])
     new_nu = np.concatenate([[1.0 / denom], -p[rest] / denom])
     new_points = np.concatenate([x_bar[None, :], basis_points[rest]])
-    return finish(new_params, new_nu * total, new_points)
+    return new_params, new_nu * total, new_points
 
 
 def combination_from_json(obj) -> ConvexCombination:

@@ -20,13 +20,17 @@ total mass, reproducing every function integral:
    the working window's two ends, where a function undefined at a closed
    end of the interval fails as a domain error, and the rank, the prune
    and the walk of step 5 share those values;
-5. hand the whole discrete combination, with its rows, to
-   :func:`~exactquad.hull.reduce_on_curve`: it prunes to at most rank+1
-   support points with a merge-reduce Caratheodory elimination over
-   contiguous node clusters (:func:`~exactquad.hull.caratheodory_finite`),
-   then walks to at most rank points, scoring the discrete nodes inside
-   the walked gap before it probes the curve; the result carries the
-   rows of its support;
+5. prune the whole discrete combination, held as arrays of parameters,
+   weights and rows up to the gate, to at most rank+1 support points with
+   a merge-reduce Caratheodory elimination over contiguous node clusters,
+   then walk to at most rank points, scoring the discrete nodes inside the
+   walked gap before probing the curve: the kernels of
+   :func:`~exactquad.hull.caratheodory_finite` and
+   :func:`~exactquad.hull.reduce_on_curve`, without their validation or
+   the prune's input gate, which the discrete measure meets by
+   construction.  The prune's output and the walked support are gated at
+   ``RECON_TOL``, and a walked support that misses it is polished on the
+   subset first (the walk's rescue);
 6. polish nodes and weights on all n functions, the dependent ones
    included (:func:`~exactquad.hull.polish_combination`): from those
    rows, first a least-squares correction of the weights alone, which
@@ -62,11 +66,12 @@ from .errors import (
 )
 from .hull import (
     RANK_TOL,
-    ConvexCombination,
     CurveSystem,
+    _prune,
+    _rescued,
+    _walk,
     merge_coincident,
     polish_combination,
-    reduce_on_curve,
     residual,
 )
 from .measure import (
@@ -255,21 +260,27 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     walk (rank 0: the node whose row is nearest the target), then polish
     on all n functions, drop zero weights, rescale the rest to the mass
     ``mu`` and merge coincident nodes.
-    ``x`` is the curve at the discrete measure's ``params``.  Returns
-    ``(nodes, weights, rows, converged)``, ``rows`` being all n functions
-    at the nodes."""
+    ``x`` is the curve at the discrete measure's ``params``.  The prune and
+    the walk are hull's array kernels on the unit-mass weights w / mu; the
+    prune's output and the walked support are gated at ``RECON_TOL`` (see
+    step 5), and the caller's :func:`_gate` judges the polished rule.
+    Returns ``(nodes, weights, rows, converged)``, ``rows`` being all n
+    functions at the nodes."""
     target = j_vals / mu
     if not indep:
         i = int(np.abs(x - target).max(axis=1).argmin())
         start, lam, rows = params[i:i + 1], np.array([mu]), x[i:i + 1]
     else:
-        sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
-        # the whole discrete measure: the walk is seeded with its rows
-        comb = reduce_on_curve(
-            sub, ConvexCombination(params, w / mu, 1.0, points=x[:, indep]),
-            target[indep])
-        start, lam = comb.params, comb.weights * mu
-        rows = comb.points if len(indep) == curve.n else None
+        v, xs, nu = target[indep], x[:, indep], w / mu
+        total = math.fsum(nu.tolist())
+        start, lam, rows = _prune(xs, nu, v, total, params)
+        if start.size > len(indep):
+            # the whole discrete measure seeds the walk with its rows
+            sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
+            start, lam, rows = _rescued(sub, *_walk(
+                sub, start, lam, rows, params, xs, v, 1.0), v, 1.0)
+        lam = lam * mu
+        rows = rows if len(indep) == curve.n else None
     # polish against the measure's full interval: nodes may move out of the
     # working window, which is only the hull of the discrete measure
     nodes, lam, converged, rows = polish_combination(

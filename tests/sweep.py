@@ -11,9 +11,9 @@ with, per synthesis corpus:
   with their node count and rank;
 - ``second_passes``: how many syntheses ran the candidate pass a second
   time, on all n functions;
-- ``walk_rescues``: how many times the curve walk's reweighted support
-  missed the gate and ``reduce_on_curve`` polished it (the
-  ``hull.polish_combination`` calls made inside ``hull``);
+- ``walk_misses``: how many curve walks leave a reweighted support that
+  misses the reductions' gate, ``hull._miss`` above ``RECON_TOL``, before
+  any polish (each is then polished on the subset, the walk's rescue);
 - ``polish_evals``: the ``CurveSystem.evaluate`` calls made inside
   ``polish_combination``, from synthesis and from the walk's rescues;
 - ``walk_rounds``: the ``CurveSystem.evaluate`` calls made inside
@@ -280,12 +280,12 @@ def stats_sweep(seeds) -> dict:
 
 def sweep(seeds) -> dict:
     calls = []  # one entry per candidate pass of the current synthesis
-    rescues = []  # one entry per polish inside hull: the walk's rescues
+    misses = []  # one entry per walked support that misses RECON_TOL
     polishing, evals = [], []  # the open polishes; their evaluate calls
     walking, rounds = [], []  # the open walks; their evaluate calls
     evaluations = []  # one entry per evaluate call
     one_pass, polish = synth._synthesize_pass, hull.polish_combination
-    walk, evaluate = hull._first_zero_crossing, CurveSystem.evaluate
+    walk, crossing, evaluate = synth._walk, hull._first_zero_crossing, CurveSystem.evaluate
 
     def counted_evaluate(self, ts):
         evaluations.append(1)
@@ -295,12 +295,19 @@ def sweep(seeds) -> dict:
             rounds.append(1)
         return evaluate(self, ts)
 
-    counted = _tracked(polish, polishing)
+    def missing_walk(curve, params, weights, points, seed_params, seed_points,
+                     v, total):
+        out = walk(curve, params, weights, points, seed_params, seed_points,
+                   v, total)
+        _, w, x = hull._rescaled(*out, total)
+        if hull._miss(w, x, v) > hull.RECON_TOL:
+            misses.append(1)
+        return out
+
     synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
-    synth.polish_combination = counted
-    hull.polish_combination = (lambda *args, **kwargs: rescues.append(1)
-                               or counted(*args, **kwargs))
-    hull._first_zero_crossing = _tracked(walk, walking)
+    synth.polish_combination = hull.polish_combination = _tracked(polish, polishing)
+    synth._walk = missing_walk
+    hull._first_zero_crossing = _tracked(crossing, walking)
     CurveSystem.evaluate = counted_evaluate
     out, verified = {"seeds": list(seeds)}, []
     base_problems, base = [], []  # acceptance at INVARIANCE_SEED
@@ -308,7 +315,7 @@ def sweep(seeds) -> dict:
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
             lines = []  # of the rules digest
-            for counter in (rescues, evals, rounds, evaluations):
+            for counter in (misses, evals, rounds, evaluations):
                 counter.clear()
             for seed, variant in itertools.product(seeds, range(count)):
                 for i, item in enumerate(corpus.CORPORA[workload](seed, variant)):
@@ -335,15 +342,16 @@ def sweep(seeds) -> dict:
                 "refusals": dict(sorted(refusals.items())),
                 "refusal_count": sum(map(len, refusals.values())),
                 "extra_node_rules": extra, "second_passes": second,
-                "walk_rescues": len(rescues), "polish_evals": len(evals),
+                "walk_misses": len(misses), "polish_evals": len(evals),
                 "walk_rounds": len(rounds), "evaluate_calls": len(evaluations),
                 "rules_digest": hashlib.sha256(
                     "\n".join(lines).encode()).hexdigest()[:16],
             }
     finally:
-        synth._synthesize_pass, hull.polish_combination = one_pass, polish
-        synth.polish_combination, CurveSystem.evaluate = polish, evaluate
-        hull._first_zero_crossing = walk
+        synth._synthesize_pass, synth._walk = one_pass, walk
+        synth.polish_combination = hull.polish_combination = polish
+        CurveSystem.evaluate = evaluate
+        hull._first_zero_crossing = crossing
     out["stats"] = stats_sweep(seeds)
     if verified:
         median, p99 = np.percentile(verified, [50, 99])

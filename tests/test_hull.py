@@ -762,7 +762,7 @@ class TestReduceOnCurve:
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= RECON_TOL
         # the prune reads full rank and shifts nothing; the walk shifts once
-        assert callers == ["reduce_on_curve"]
+        assert callers == ["_walk"]
 
     def test_total_rescaled(self):
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
@@ -928,7 +928,7 @@ def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
     v = j.values / j.mass
     assert (masses[:6] <= RANK_TOL * masses.max()).all()
     out = reduce_on_curve(curve, ConvexCombination(ts, masses, j.mass), v)
-    assert callers == ["reduce_on_curve"]
+    assert callers == ["_walk"]
     assert math.fsum(out.weights) == pytest.approx(j.mass, rel=1e-14)
     _check_rule(curve, m, QuadratureRule(nodes=out.params, weights=out.weights,
                                          total=out.total, residuals=[],
@@ -1191,6 +1191,29 @@ def test_polish_combination_tightens():
     assert np.array_equal(x2, curve.evaluate(p2))
     recon = w2 @ curve.evaluate(p2)
     assert np.max(np.abs(recon - target)) <= 1e-12
+
+
+def test_singular_kkt_block_falls_back_to_least_squares(monkeypatch):
+    # two equal nodes make the first block's KKT matrix singular, so
+    # np.linalg.solve refuses the batch and every block is fitted by least
+    # squares; each fit still sums to the total and reproduces the goal
+    xs = np.array([[[0.2, 0.04], [0.2, 0.04], [0.8, 0.64]],
+                   [[0.1, 0.01], [0.5, 0.25], [0.9, 0.81]]])
+    goal = np.array([0.5, 0.34])
+    scale = 1.0 / (1.0 + np.abs(goal))
+    fits = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq",
+                        lambda *a, **k: fits.append(1) or lstsq(*a, **k))
+    w = hull._exact_mass_fits(xs, goal, 1.0, scale)
+    monkeypatch.undo()
+    assert len(fits) == 2
+    assert w.sum(axis=1) == pytest.approx([1.0, 1.0], abs=1e-12)
+    assert np.all(w >= 0.0)
+    assert w[0] @ xs[0] == pytest.approx(goal, abs=1e-12)
+    # the regular block's least-squares fit is its KKT solution
+    assert w[1] == pytest.approx(
+        hull._exact_mass_fits(xs[1:], goal, 1.0, scale)[0], abs=1e-12)
 
 
 def test_polish_stops_when_it_crawls(monkeypatch):

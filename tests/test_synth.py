@@ -585,6 +585,41 @@ class TestSynthesize:
         assert np.all(m.density(rule.nodes) >= np.finfo(float).tiny)
         assert verify_rule(rule, c, m).passed
 
+    def test_left_half_line_rule_and_stats(self, tmp_path):
+        # (-inf, 0] is the only interval shape whose double-exponential map
+        # runs the (-inf, b] branch: t = -X with X ~ Exp(1), so the mass
+        # is 1, the moments -1 and 2, and Cov(t, t^2) = -6 + 2 = -4
+        m = MeasureSpec(IntervalSpec(-math.inf, 0.0), density=parse("exp(t)"))
+        c = curve("t", "t^2", interval=m.interval)
+        rule = synthesize_rule(c, m)
+        assert len(rule) == 2 and rule.rank_used == 2
+        assert math.fsum(rule.weights) == pytest.approx(1.0, rel=1e-10)
+        recon = rule.weights @ c.evaluate(rule.nodes)
+        assert recon == pytest.approx([-1.0, 2.0], rel=1e-8)
+        assert verify_rule(rule, c, m).passed
+        measure = {"interval": {"lower": "-inf", "upper": 0}, "density": "exp(t)"}
+
+        def run(command, f, g):
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps({"f": f, "g": g, "measure": measure}))
+            out, err = io.StringIO(), io.StringIO()
+            code = cli.run([command, str(path)], stdout=out, stderr=err)
+            return code, out.getvalue(), err.getvalue()
+
+        code, out, _ = run("covwitness", "t", "t^2")
+        witness = json.loads(out)
+        assert code == 0 and witness["covariance"] == pytest.approx(-4.0, rel=1e-8)
+        assert (abs(witness["product_gap"] - witness["covariance"])
+                <= 1e-8 * (1.0 + abs(witness["covariance"])))
+        code, out, _ = run("gruss", "exp(t)", "sin(t)")
+        report = json.loads(out)
+        assert code == 0 and report["slack"] >= 0.0
+        assert report["M_f"] == 1.0 and report["m_g"] == pytest.approx(-1.0)
+        # t is unbounded on (-inf, 0], so no Gruss bound exists for it
+        code, _, err = run("gruss", "t", "t^2")
+        assert code == 3
+        assert json.loads(err.splitlines()[0])["kind"] == "unbounded-function"
+
     @pytest.mark.parametrize("alpha", [0.5, 0.75, 0.9])
     def test_endpoint_singularity_rule(self, alpha):
         # t^-alpha on (0, 1]: the windows never reached the mass below
@@ -646,6 +681,50 @@ def test_continuity_probe_stays_inside_an_open_end(texts, interval, density):
     rule = synthesize_rule(c, m)
     assert len(rule) == 2
     assert np.all(rule.nodes > 0.0)
+    assert verify_rule(rule, c, m).passed
+
+
+# acceptance-style problems, drawn as perfbench's corpus draws them: n 1 to
+# 6 polynomials, trigonometric pairs and exponentials on an interval of
+# width 0.5 to 3, a squared-quadratic density, and up to three atoms
+_acceptance_coef = st.floats(-2.0, 2.0)
+_acceptance_function = st.one_of(
+    st.lists(_acceptance_coef, min_size=1, max_size=5).map(
+        lambda cs: "+".join(f"{c!r}*t^{k}" for k, c in enumerate(cs))),
+    st.tuples(_acceptance_coef, _acceptance_coef, st.integers(1, 2),
+              st.integers(1, 2)).map(
+        lambda a: f"{a[0]!r}*sin({a[2]}*t)+{a[1]!r}*cos({a[3]}*t)"),
+    st.tuples(_acceptance_coef, st.floats(-1.0, 1.0)).map(
+        lambda a: f"{a[0]!r}*exp({a[1]!r}*t)"))
+
+
+@settings(max_examples=100, deadline=None)
+@given(texts=st.lists(_acceptance_function, min_size=1, max_size=6),
+       lower=st.floats(-2.0, 2.0), width=st.floats(0.5, 3.0),
+       density=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       floor=st.floats(0.01, 1.0),
+       atoms=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.1, 1.0)),
+                      max_size=3))
+def test_synthesized_rules_keep_the_theorem(texts, lower, width, density,
+                                            floor, atoms):
+    # the paper's theorem on every rule that synthesis returns: at most
+    # max(rank, 1) nodes inside the interval, weights >= 0 summing to the
+    # mass, and a rule that re-integration verifies.  The walked support
+    # is gated on the subset and the polished rule once more on all n
+    # functions, so this pins what the last gate must hold
+    interval = IntervalSpec(lower, lower + width)
+    poly = "+".join(f"{c!r}*t^{k}" for k, c in enumerate(density))
+    m = MeasureSpec(interval, density=parse(f"({poly})^2+{floor!r}"),
+                    atoms=tuple((lower + u * width, mass) for u, mass in atoms))
+    c = curve(*texts, interval=interval)
+    try:
+        rule = synthesize_rule(c, m)
+    except ExactQuadError:
+        return  # a typed refusal returns no rule
+    assert len(rule) <= max(rule.rank_used, 1)
+    assert np.all(rule.weights >= 0.0)
+    assert abs(math.fsum(rule.weights) - rule.total) <= synth.MASS_GATE * rule.total
+    assert all(interval.contains(float(t)) for t in rule.nodes)
     assert verify_rule(rule, c, m).passed
 
 
