@@ -10,7 +10,7 @@ from exactquad import (
     CurveSystem,
     IntervalSpec,
     MeasureSpec,
-    exhaust_interval,
+    integrate_system,
     parse,
     synthesize_rule,
 )
@@ -18,7 +18,9 @@ from exactquad import (
 measure = MeasureSpec(IntervalSpec(0.0, math.inf), density=parse("exp(-t)"))
 moments = CurveSystem.from_texts(["t", "t^2"], measure.interval)
 
-integrals, window = exhaust_interval(measure, moments)
+# the pass's integrals carry its nodes and the compact window that holds them
+integrals = integrate_system(measure, moments)
+window = integrals.window
 print(f"window of the {integrals.nodes.size} integration nodes: "
       f"[{window.lower:g}, {window.upper:g}]")
 print(f"tail mass beyond the window: {math.exp(-window.upper):.3e}")

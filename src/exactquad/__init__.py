@@ -15,7 +15,6 @@ from .measure import (
     IntegralVector,
     IntervalSpec,
     MeasureSpec,
-    exhaust_interval,
     integrate,
     integrate_system,
     measure_from_json,
@@ -60,7 +59,6 @@ __all__ = [
     "total_mass",
     "integrate",
     "integrate_system",
-    "exhaust_interval",
     "measure_from_json",
     "ConvexCombination",
     "CurveSystem",

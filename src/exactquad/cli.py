@@ -67,6 +67,13 @@ def _tol(obj, args) -> float:
     return float(block.get("tol", DEFAULT_TOL))
 
 
+def _report_json(report) -> dict:
+    """A report dataclass's fields in ``__init__`` order, arrays as lists;
+    dataclasses.asdict would deep-copy every float."""
+    return {key: value.tolist() if isinstance(value, np.ndarray) else value
+            for key, value in vars(report).items()}
+
+
 def _cmd_synthesize(obj, args):
     curve, m = _functions_and_measure(obj, tolerances=None)
     rule = synthesize_rule(curve, m, _tol(obj, args))
@@ -84,7 +91,7 @@ def _cmd_verify(obj, args):
     note = ("rule verifies: max relative residual "
             f"{float(report.relative_residuals.max()):.3e}"
             if report.passed else "rule FAILS verification")
-    return report.to_json(), note
+    return _report_json(report), note
 
 
 def _cmd_reduce(obj, args):
@@ -115,9 +122,7 @@ def _cmd_covwitness(obj, args):
     w = covariance_witness(parse_expr(obj["f"]), parse_expr(obj["g"]), m, tol)
     note = (f"witness t1={w.t1:.6g} t2={w.t2:.6g}, "
             f"covariance {w.covariance:.6g}")
-    # a report's fields, in the order its __init__ sets them;
-    # dataclasses.asdict would deep-copy every float
-    return dict(vars(w)), note
+    return _report_json(w), note
 
 
 def _cmd_gruss(obj, args):
@@ -125,13 +130,13 @@ def _cmd_gruss(obj, args):
     m = measure_from_json(obj["measure"])
     r = gruss_check(parse_expr(obj["f"]), parse_expr(obj["g"]), m)
     note = f"|covariance| {abs(r.covariance):.6g} <= bound {r.bound:.6g}"
-    return dict(vars(r)), note
+    return _report_json(r), note
 
 
 def _cmd_gruss_discrete(obj, args):
     check_fields(obj, "problem", {"p": numbers, "u": numbers, "v": numbers})
     r = gruss_discrete(obj["p"], obj["u"], obj["v"])
-    out = dict(vars(r))
+    out = _report_json(r)
     out["lhs"] = abs(r.covariance)
     note = f"lhs {out['lhs']:.6g} <= bound {r.bound:.6g}"
     return out, note

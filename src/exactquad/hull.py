@@ -30,7 +30,8 @@ discrete measure starts from a bracket one cell wide: it opens with a
 secant round when the cell is at most ``_WIDE_CELL`` of the parameter
 scale wide, and with an even round otherwise.  Such a walk takes 3.43
 calls on average on the acceptance corpus and 3.26 on the tail corpus,
-whose near-dependent frames stop on their coordinates' rounding.  The
+whose near-dependent frames stop on their coordinates' rounding (variants
+0-5 and 0-3 at seed 20260808, re-measured in October 2026).  The
 vanishing coordinate, the reweighting and the new point's curve row all
 come from the batch probed at the crossing, and the support's rows travel
 with it from the prune to the walk and on to the polish, so no stage
@@ -38,9 +39,9 @@ evaluates a point twice.  ``stats.covariance_witness`` narrows its
 bracket the same way.
 
 Both reductions wrap array kernels, ``_prune`` and ``_walk`` (whose
-support ``_rescued`` gates), and add the validation, the prune's input
-gate and the ``ConvexCombination`` that the CLI's ``reduce``, the demos
-and the tests use; synthesis calls the kernels on its own arrays.
+support ``_rescued`` gates), and add one input check, ``_feasible``, and
+the ``ConvexCombination`` that the CLI's ``reduce``, the demos and the
+tests use; synthesis calls the kernels on its own arrays.
 
 Per-operation code, here and in the other layers, calls ndarray methods,
 ufuncs and module constants, not numpy's Python-level wrappers: on the
@@ -57,9 +58,10 @@ integrator's starting edges and the Gruss extrema scan share); a per-call
 public form without the wrapper gives their bits, and so do the calls
 that the Gruss extrema scan makes once per operation on 4096 points.
 
-``residual`` is the one measure of how well a combination reproduces its
-goal: the signed rows sum_i w_i x_k(t_i) - goal_k and sum_i w_i - total,
-and each row's scale, 1 + |goal_k| and 1 + |total|.  Every gate reads it.
+``residual`` measures how well a combination reproduces its goal: the
+signed rows sum_i w_i x_k(t_i) - goal_k and sum_i w_i - total, and each
+row's scale, 1 + |goal_k| and 1 + |total|.  The polish and the synthesis
+gate read it; the reductions' ``_miss`` forms the function rows itself.
 The polish multiplies its rows by the reciprocal scales, computed once per
 polish.  On those rows it first corrects the weights alone at the given
 nodes, one least-squares solve, and moves the nodes by damped
@@ -423,26 +425,20 @@ def _miss(weights, points, target) -> float:
     return float(np.maximum.reduce(r)) / scale
 
 
-def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
-    """Prune a combination of m points of R^n to at most n+1 support points.
-
-    ``points`` is (m, n), ``weights`` non-negative with positive sum, and
-    the weighted mean of the points must already reproduce ``target``
-    within ``RECON_TOL`` (relative); otherwise the input is infeasible, and
-    the pruned combination must meet the same gate.
-    ``params`` optionally maps point indices to curve parameters; when
-    omitted, point indices serve as the output parameters.  The result is
-    sorted by parameter, coincident parameters merged and rescaled to the
-    input's total (:func:`_rescaled`), gated, and carries the kept rows of
-    ``points`` as its ``points``.  The validation and the input gate are
-    this wrapper's; the elimination and the output gate are
-    :func:`_prune`'s.
-    """
+def _feasible(points, weights, target):
+    """``(points, weights, target, total)`` of a reduction's input, checked:
+    ``points`` (m, n) with one weight per point and ``target`` n long,
+    weights >= -1e-12, clipped at 0, whose exact sum ``total`` is > 0 and
+    whose weighted mean reproduces ``target`` within ``RECON_TOL``
+    (:func:`_miss`), else an :class:`InfeasibleCombinationError`."""
     points = np.asarray(points, dtype=float)
     weights = np.asarray(weights, dtype=float)
     target = np.asarray(target, dtype=float)
     if points.ndim != 2 or points.shape[0] != weights.size:
         raise SchemaError("points must be (m, n) with one weight per point")
+    if target.shape != points.shape[1:]:
+        raise SchemaError(f"target has shape {target.shape}, "
+                          f"points have {points.shape[1]} columns")
     if (weights < -1e-12).any():
         raise SchemaError("weights must be non-negative")
     weights = np.maximum(weights, 0.0)
@@ -455,6 +451,24 @@ def caratheodory_finite(points, weights, target, params=None) -> ConvexCombinati
             f"input combination misses the target by {gap:.3e} relative "
             f"(allowed {RECON_TOL:.0e})"
         )
+    return points, weights, target, total
+
+
+def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
+    """Prune a combination of m points of R^n to at most n+1 support points.
+
+    ``points`` is (m, n), ``weights`` non-negative with positive sum, and
+    the weighted mean of the points must already reproduce ``target``
+    within ``RECON_TOL`` (relative); otherwise the input is infeasible
+    (:func:`_feasible`), and the pruned combination must meet the same
+    gate.  ``params`` optionally maps point indices to curve parameters;
+    when omitted, point indices serve as the output parameters.  The
+    result is sorted by parameter, coincident parameters merged and
+    rescaled to the sum of the input weights (:func:`_rescaled`), gated,
+    and carries the kept rows of ``points`` as its ``points``.  The
+    elimination and the output gate are :func:`_prune`'s.
+    """
+    points, weights, target, total = _feasible(points, weights, target)
     params = (np.arange(weights.size, dtype=float) if params is None
               else np.asarray(params, dtype=float))
     params, weights, points = _prune(points, weights, target, total, params)
@@ -851,36 +865,34 @@ def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
                     v) -> ConvexCombination:
     """Re-express ``v`` with at most n points of the curve.
 
-    ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v.  It is
-    pruned to at most n+1 points by :func:`caratheodory_finite`, which
-    gates its input and its output, drops its zero weights and eliminates
-    along null vectors while the support is affinely dependent.  A pruned
-    support of at most n points is the result.  Otherwise :func:`_walk`
-    takes the n+1 -> n step, and :func:`_rescued` gates the walked support
-    at ``RECON_TOL``, polishing one that misses.  Synthesis runs the same
-    kernels on its own arrays, without the prune's input gate.
+    ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v, which
+    :func:`_feasible` checks as :func:`caratheodory_finite` does.
+    :func:`_prune` prunes it to at most n+1 points, rescaled to
+    ``comb.total``: it drops the zero weights, eliminates along null
+    vectors while the support is affinely dependent and gates its output.
+    A pruned support of at most n points is the result.  Otherwise
+    :func:`_walk` takes the n+1 -> n step, and :func:`_rescued` gates the
+    walked support at ``RECON_TOL``, polishing one that misses.  Synthesis
+    runs the same kernels on its own arrays, without the input check.
 
     The curve at the input parameters is ``comb.points`` when set, and is
-    evaluated once otherwise.  The result carries its support's rows as
-    ``points``.
+    evaluated once otherwise.  The result has the total ``comb.total`` and
+    carries its support's rows as ``points``.
     """
     v = np.asarray(v, dtype=float)
     n = curve.n
     if v.size != n:
         raise SchemaError(f"target has dimension {v.size}, curve has {n}")
-    total = comb.total
     seed_params, seed_points = comb.params, comb.points
     if seed_points is None:
         seed_points = curve.evaluate(seed_params)
-    elif seed_points.shape[1] != n:
-        raise SchemaError(f"points must have {n} columns, "
-                          f"got {seed_points.shape[1]}")
-    pruned = caratheodory_finite(seed_points, comb.weights, v, params=seed_params)
-    if len(pruned) <= n:
-        return pruned
-    params, weights, points = _rescued(curve, *_walk(
-        curve, pruned.params, pruned.weights, pruned.points, seed_params,
-        seed_points, v, total), v, total)
+    seed_points, weights, v, _ = _feasible(seed_points, comb.weights, v)
+    total = comb.total
+    params, weights, points = _prune(seed_points, weights, v, total, seed_params)
+    if params.size > n:
+        params, weights, points = _rescued(curve, *_walk(
+            curve, params, weights, points, seed_params, seed_points, v,
+            total), v, total)
     return ConvexCombination(params=params, weights=weights, total=total,
                              points=points)
 

@@ -9,7 +9,7 @@ value, the Gauss 7 value reads every second node, and the error estimate
 is |K15 - G7|.  An open or infinite interval is mapped onto a finite
 u-range by a double-exponential change of variables (tanh-sinh, exp-sinh
 or sinh-sinh: Takahasi and Mori, 1974; Mori and Sugihara, 2001), on which
-the same bisection runs once.  All four public integrators run on the one
+the same bisection runs once.  All three public integrators run on the one
 private integrator ``_integrals``, whose column 0 is the mass: every
 integration checks that its tolerance ``tol`` (relative, default
 ``DEFAULT_TOL``) and the mass are finite and positive.  On an open or
@@ -20,10 +20,11 @@ could settle on a principal value.
 
 The integrator keeps the K15 nodes of the panels it accepts, weighted by
 half-width, Kronrod weight (all positive) and density (and dt/du, mapped
-back to t), and returns them with the integrals (:class:`IntegralVector`).
-This positive discrete measure, with the atoms, has exactly the computed
-integrals as its moments, up to summation order, so synthesis prunes it
-directly (Tchakaloff's theorem used constructively).
+back to t), and returns them with the integrals and their window
+(:class:`IntegralVector`).  This positive discrete measure, with the
+atoms, has exactly the computed integrals as its moments, up to
+summation order, so synthesis prunes it directly (Tchakaloff's theorem
+used constructively).
 
 Atom contributions are added exactly, as plain sums in sorted-by-location
 order, so they are bit-reproducible.
@@ -55,7 +56,6 @@ __all__ = [
     "total_mass",
     "integrate",
     "integrate_system",
-    "exhaust_interval",
     "density_cell_masses",
     "measure_from_json",
     "interval_from_json",
@@ -170,12 +170,17 @@ class IntegralVector:
     several of them may round to the same t near a finite end or sit on a
     closed one.  With the atoms added, their moments are ``mass`` and
     ``values`` up to summation order.
+
+    ``window``, the pass's compact working window, is the interval when it
+    is compact, else the hull of the nodes, the atoms and the closed ends
+    (one double wide around a single point).
     """
 
     values: np.ndarray
     mass: float
     nodes: np.ndarray
     weights: np.ndarray
+    window: IntervalSpec
 
 
 def _density_callable(m: MeasureSpec):
@@ -412,7 +417,7 @@ def _integrate_mapped(m: MeasureSpec, components, tol):
 
 
 def _integrals(m: MeasureSpec, components, tol):
-    """``(IntegralVector, window)`` of ``components`` integrated against ``m``.
+    """The :class:`IntegralVector` of ``components`` integrated against ``m``.
 
     Column 0 is the mass, so it shares the panels of the values.  A
     compact interval is integrated as it is and is its own window.  An
@@ -469,17 +474,17 @@ def _integrals(m: MeasureSpec, components, tol):
         # a single support point: the window reaches one double above it
         window = IntervalSpec(lo, hi if lo < hi else float(np.nextafter(hi, np.inf)))
     return IntegralVector(values=totals[1:], mass=mass, nodes=nodes,
-                          weights=weights), window
+                          weights=weights, window=window)
 
 
 def total_mass(m: MeasureSpec, tol: float = DEFAULT_TOL) -> float:
     """Total mass of the measure: density integral plus atom masses."""
-    return _integrals(m, [], tol)[0].mass
+    return _integrals(m, [], tol).mass
 
 
 def integrate(m: MeasureSpec, f: Expression, tol: float = DEFAULT_TOL) -> float:
     """Integral of ``f`` over the interval against the measure."""
-    return float(_integrals(m, [f], tol)[0].values[0])
+    return float(_integrals(m, [f], tol).values[0])
 
 
 def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> IntegralVector:
@@ -488,20 +493,12 @@ def integrate_system(m: MeasureSpec, curve, tol: float = DEFAULT_TOL) -> Integra
     ``curve`` is anything with a ``components`` sequence of expressions
     (see :class:`exactquad.hull.CurveSystem`).
     """
-    return _integrals(m, list(curve.components), tol)[0]
-
-
-def exhaust_interval(m: MeasureSpec, curve, tol: float = DEFAULT_TOL):
-    """Integrals over the whole interval and a compact working window.
-
-    Returns ``(integrals, window)`` where ``integrals`` holds the system
-    integrals and the mass over the whole interval.  On an open or
-    infinite interval ``window`` is the hull of the K15 nodes that carry
-    mass, the atoms and the closed ends, so it holds the whole discrete
-    measure; a single such point gets a window one double wide.  A
-    compact interval is its own window.
-    """
     return _integrals(m, list(curve.components), tol)
+
+
+# the benchmark's tracer (perfbench/layers.py) wraps this name, listed in
+# its SPANNED table; it goes when the tracer reads a trace instead
+exhaust_interval = integrate_system
 
 
 def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:
@@ -513,9 +510,9 @@ def density_cell_masses(m: MeasureSpec, edges: np.ndarray) -> np.ndarray:
     """
     if m.density is None:
         return np.zeros(len(edges) - 1)
-    half, pts = _gauss_nodes(edges[:-1], edges[1:], _K15_X)
-    vals = _density_callable(m)(pts.ravel()).reshape(pts.shape)
-    return np.maximum(half * (vals @ _K15_W), 0.0)
+    w = _density_callable(m)
+    masses = _panel_rule(lambda ts: w(ts)[:, None], edges[:-1], edges[1:])[0]
+    return np.maximum(masses[:, 0], 0.0)
 
 
 # --- JSON wire format -------------------------------------------------------

@@ -17,11 +17,12 @@ The covariance bound |Cov| <= (1/4)(M_f - m_f)(M_g - m_g) then follows
 with function extrema over the interval.  They are found by a scan of
 4096 points and batched rounds that sample the cells around the four
 best points in one evaluation of (f, g) each, 4.71 rounds on average on
-the ``stats`` corpus (variants 0-5, seed 20260808), in u at t = phi(u)
-on an open or infinite interval, where several scopes of the scan are
-searched and a cell that several scopes share is refined once.  A
-far-out extremum narrower than the scan's spacing in t is missed.  A
-discrete sequence version falls out by using an atomic measure.
+the ``stats`` corpus (variants 0-5, seed 20260808, re-measured in October
+2026), in u at t = phi(u) on an open or infinite interval, where several
+scopes of the scan are searched and a cell that several scopes share is
+refined once.  A far-out extremum narrower than the scan's spacing in t
+is missed.  A discrete sequence version falls out by using an atomic
+measure.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .errors import (
 from .expr import Expression, evaluate_columns, overflows
 from .hull import REFINE_POINTS, CurveSystem, refine_bracket
 from .measure import (_DE_GRID, DEFAULT_TOL, MeasureSpec, _de_map, _linspace,
-                      exhaust_interval)
+                      integrate_system)
 from .synth import RESIDUAL_GATE, discretize_hull_point
 
 __all__ = [
@@ -92,17 +93,17 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec,
              tol: float = MOMENT_TOL):
     """Probability-normalized Ef, Eg, Efg; checks the second moments.
 
-    Returns ``((ef, eg, efg), system, J, window)``: ``J`` integrates
-    ``system`` = (f, g, fg, f^2, g^2) in one pass at ``tol`` and
-    ``window`` is that pass's window, as
-    :func:`~exactquad.measure.exhaust_interval` returns them.  f and g
-    are evaluated before their products at every point, so a non-finite
-    product is an overflowing second moment, not a domain error.
+    Returns ``((ef, eg, efg), system, J)``: ``J`` integrates ``system`` =
+    (f, g, fg, f^2, g^2) in one pass at ``tol``
+    (:func:`~exactquad.measure.integrate_system`) and carries that pass's
+    window.  f and g are evaluated before their products at every point,
+    so a non-finite product is an overflowing second moment, not a domain
+    error.
     """
     products = (f * g, f * f, g * g)
     system = CurveSystem(components=(f, g, *products), interval=m.interval)
     try:
-        moments, window = exhaust_interval(m, system, tol)
+        moments = integrate_system(m, system, tol)
     except NonConvergenceError as exc:
         raise MomentDivergenceError(
             f"first or second moments do not converge: {exc}"
@@ -114,7 +115,7 @@ def _moments(f: Expression, g: Expression, m: MeasureSpec,
     ef, eg, efg, ef2, eg2 = (float(v) / moments.mass for v in moments.values)
     if not all(math.isfinite(v) for v in (ef, eg, efg, ef2, eg2)):
         raise MomentDivergenceError("moments are not finite")
-    return (ef, eg, efg), system, moments, window
+    return (ef, eg, efg), system, moments
 
 
 def _covariance_from(ef: float, eg: float, efg: float) -> float:
@@ -263,7 +264,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     off by more than ``RESIDUAL_GATE``, is an error, never patched.
     """
     tol = min(MOMENT_TOL, tol) if math.isfinite(tol) else tol
-    (ef, eg, efg), system, moments, window = _moments(f, g, m, tol)
+    (ef, eg, efg), system, moments = _moments(f, g, m, tol)
     cov = _covariance_from(ef, eg, efg)
     if cov == 0.0:
         t = _support_point(m)
@@ -272,7 +273,7 @@ def covariance_witness(f: Expression, g: Expression, m: MeasureSpec,
     params, _ = discretize_hull_point(system, m, moments)
     # one batch: the discrete measure's nodes, then the window's two ends
     fg = evaluate_columns((f, g), np.concatenate(
-        [params, (window.upper, window.lower)]))[:params.size]
+        [params, (moments.window.upper, moments.window.lower)]))[:params.size]
     sign = 1.0 if cov > 0 else -1.0
     k1, k2 = sorted(_widest_pair(fg[:, 0], sign * fg[:, 1]))
     t1 = float(params[k1])

@@ -6,8 +6,9 @@ total mass, reproducing every function integral:
 
 1. integrate the functions and the mass in one pass, after a
    double-exponential change of variables on an open or infinite
-   interval; the hull of the pass's nodes and the atoms is the compact
-   working window;
+   interval (:func:`~exactquad.measure.integrate_system`); the pass's
+   :class:`~exactquad.measure.IntegralVector` carries its K15 nodes and
+   the compact working window, the hull of those nodes and the atoms;
 2. detect affine dependencies among the functions over the measure's
    support (one weighted QR) and keep a maximal independent subset;
 3. normalize the integral vector to unit mass, the mass being column 0 of
@@ -68,19 +69,14 @@ from .hull import (
     RANK_TOL,
     CurveSystem,
     _prune,
+    _rescaled,
     _rescued,
     _walk,
     merge_coincident,
     polish_combination,
     residual,
 )
-from .measure import (
-    DEFAULT_TOL,
-    IntegralVector,
-    MeasureSpec,
-    exhaust_interval,
-    integrate_system,
-)
+from .measure import DEFAULT_TOL, IntegralVector, MeasureSpec, integrate_system
 
 __all__ = [
     "AffineRankReport",
@@ -144,24 +140,11 @@ class VerificationReport:
     weights_nonnegative: bool
     passed: bool
 
-    def to_json(self) -> dict:
-        return {
-            "reference": [float(x) for x in self.reference],
-            "residuals": [float(x) for x in self.residuals],
-            "relative_residuals": [float(x) for x in self.relative_residuals],
-            "weight_sum": self.weight_sum,
-            "weight_sum_rel_error": self.weight_sum_rel_error,
-            "nodes_in_interval": self.nodes_in_interval,
-            "weights_nonnegative": self.weights_nonnegative,
-            "passed": self.passed,
-        }
-
 
 def discretize_hull_point(curve: CurveSystem, m: MeasureSpec, J: IntegralVector):
     """The positive discrete measure whose moments are ``J``.
 
     ``J`` is the integral vector of ``curve`` against ``m``, from
-    :func:`~exactquad.measure.exhaust_interval` or
     :func:`~exactquad.measure.integrate_system`.  Its K15 nodes and the
     atoms of ``m`` are merged and sorted, and zero weights (density
     underflow) are dropped.  Without atoms the K15 nodes are already
@@ -200,8 +183,8 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     constant wherever the measure has mass.
     """
     if support is None:
-        ivec, _ = exhaust_interval(m, curve, DEFAULT_TOL)
-        params, w = discretize_hull_point(curve, m, ivec)
+        params, w = discretize_hull_point(
+            curve, m, integrate_system(m, curve, DEFAULT_TOL))
         support = curve.evaluate(params), w
     x, w = support
     # a power of two per column brings its largest entry below 1, so that
@@ -255,18 +238,19 @@ def affine_rank(curve: CurveSystem, m: MeasureSpec, *,
     return AffineRankReport(rank=len(indep), independent_indices=tuple(indep))
 
 
-def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
+def _synthesize_pass(curve, m, J, params, w, x, indep):
     """Candidate nodes and weights on the functions ``indep``: prune and
     walk (rank 0: the node whose row is nearest the target), then polish
-    on all n functions, drop zero weights, rescale the rest to the mass
-    ``mu`` and merge coincident nodes.
+    on all n functions, drop zero weights, merge coincident nodes and
+    rescale the rest to the mass mu = ``J.mass`` (hull's ``_rescaled``).
     ``x`` is the curve at the discrete measure's ``params``.  The prune and
     the walk are hull's array kernels on the unit-mass weights w / mu; the
     prune's output and the walked support are gated at ``RECON_TOL`` (see
     step 5), and the caller's :func:`_gate` judges the polished rule.
     Returns ``(nodes, weights, rows, converged)``, ``rows`` being all n
     functions at the nodes."""
-    target = j_vals / mu
+    mu = J.mass
+    target = J.values / mu
     if not indep:
         i = int(np.abs(x - target).max(axis=1).argmin())
         start, lam, rows = params[i:i + 1], np.array([mu]), x[i:i + 1]
@@ -276,7 +260,7 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
         start, lam, rows = _prune(xs, nu, v, total, params)
         if start.size > len(indep):
             # the whole discrete measure seeds the walk with its rows
-            sub = CurveSystem(tuple(curve.components[i] for i in indep), working)
+            sub = CurveSystem(tuple(curve.components[i] for i in indep), J.window)
             start, lam, rows = _rescued(sub, *_walk(
                 sub, start, lam, rows, params, xs, v, 1.0), v, 1.0)
         lam = lam * mu
@@ -290,8 +274,7 @@ def _synthesize_pass(curve, m, working, params, w, x, j_vals, mu, indep):
     if keep.any():
         # Gauss-Newton weights hold the mass only to the polish's absolute
         # target, which MASS_GATE, relative to mu, misses when mu is small
-        nodes, lam, rows = nodes[keep], lam[keep], rows[keep]
-        lam = lam * (mu / math.fsum(lam))
+        return (*_rescaled(nodes[keep], lam[keep], rows[keep], mu), converged)
     return (*merge_coincident(nodes, lam, rows), converged)
 
 
@@ -327,18 +310,18 @@ def synthesize_rule(curve: CurveSystem, m: MeasureSpec,
     final residuals miss the gate, and propagates integration or domain
     failures from the inputs.
     """
-    J, working = exhaust_interval(m, curve, tol)
+    J = integrate_system(m, curve, tol)
     params, w = discretize_hull_point(curve, m, J)
     # one batch: the discrete measure's nodes, then the window's two ends
     x = curve.evaluate(np.concatenate(
-        [params, (working.upper, working.lower)]))[:params.size]
+        [params, (J.window.upper, J.window.lower)]))[:params.size]
     report = affine_rank(curve, m, support=(x, w))
     subsets = [list(report.independent_indices)]
     if report.rank < curve.n:
         subsets.append(list(range(curve.n)))
     for indep in subsets:
-        nodes, lam, rows, converged = _synthesize_pass(
-            curve, m, working, params, w, x, J.values, J.mass, indep)
+        nodes, lam, rows, converged = _synthesize_pass(curve, m, J, params, w,
+                                                       x, indep)
         resid, rel, mass_err, passed = _gate(lam, rows, J.values, J.mass)
         if passed:
             return QuadratureRule(nodes=nodes, weights=lam, total=J.mass,

@@ -59,6 +59,10 @@ compose through ``expr``'s parse tree, not the text.
 a shift of t that no text transform makes: its node count and rank, and
 the ``verify_rule`` residuals, or its error kind.
 
+The counters replace the library attributes that ``TARGETS`` lists,
+through :func:`patched`, which refuses a name that the library no longer
+has; ``test_instruments.py`` checks the table against the library.
+
     PYTHONPATH=src python tests/sweep.py [--seeds S ...] [--out FILE]
 
 The default seeds are 20260808, 401, 610, 1301 and 1307 (6000
@@ -67,6 +71,7 @@ also to ``--out`` when given.
 """
 
 import argparse
+import contextlib
 import hashlib
 import io
 import itertools
@@ -96,6 +101,20 @@ VARIANTS = {"acceptance": 6, "tail": 4}
 STATS_VARIANTS = 6
 VERIFY_SEEDS = (20260808, 401)
 INVARIANCE_SEED = 20260808
+# every library attribute that the counters replace, as (owner, name):
+# :func:`patched` replaces no other, and ``test_instruments.py`` checks
+# that the library still has each one
+TARGETS = (
+    (synth, "_synthesize_pass"),
+    (synth, "_walk"),
+    (synth, "polish_combination"),
+    (hull, "polish_combination"),
+    (hull, "_first_zero_crossing"),
+    (CurveSystem, "evaluate"),
+    (cli, "covariance_witness"),
+    (stats, "evaluate_columns"),
+    (stats, "_extrema"),
+)
 
 
 def _scaled(text: str, factor: float) -> str:
@@ -215,37 +234,62 @@ def shift_twin() -> dict:
             "residuals": report.residuals.tolist()}
 
 
-def _tracked(fn, open_calls):
-    """``fn``, with an entry in the list ``open_calls`` while it runs."""
-    def tracked(*args, **kwargs):
-        open_calls.append(1)
-        try:
-            return fn(*args, **kwargs)
-        finally:
-            open_calls.pop()
-    return tracked
+@contextlib.contextmanager
+def patched(*replacements):
+    """Replace the attribute of each ``(owner, name, wrap)`` by
+    ``wrap(original)`` while the block runs, and restore the originals.
+
+    A pair that ``TARGETS`` does not declare is a ``KeyError``, and a name
+    that the owner no longer has an ``AttributeError``: assigning it would
+    add an attribute that nothing calls, whose counter would read 0.
+    """
+    saved = []
+    try:
+        for owner, name, wrap in replacements:
+            if (owner, name) not in TARGETS:
+                raise KeyError(f"{owner.__name__}.{name} is not in TARGETS")
+            original = getattr(owner, name)
+            saved.append((owner, name, original))
+            setattr(owner, name, wrap(original))
+        yield
+    finally:
+        for owner, name, original in reversed(saved):
+            setattr(owner, name, original)
+
+
+def _tracked(open_calls):
+    """A wrap for :func:`patched`: the function, with an entry in the list
+    ``open_calls`` while it runs."""
+    def wrap(fn):
+        def tracked(*args, **kwargs):
+            open_calls.append(1)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                open_calls.pop()
+        return tracked
+    return wrap
 
 
 def stats_sweep(seeds) -> dict:
     """The ``stats`` block: every ``stats`` problem through ``cli.run``."""
     witnessing, evals = [], []  # the open witnesses; their evaluate calls
     scanning, scans = [], []  # the open extrema; their evaluate calls' points
-    witness, columns = cli.covariance_witness, stats.evaluate_columns
-    extrema = stats._extrema
 
-    def counted_columns(fns, ts, **kwargs):
-        if witnessing:
-            evals.append(1)
-        if scanning:
-            scans.append(np.size(ts))
-        return columns(fns, ts, **kwargs)
+    def counted(columns):
+        def counted_columns(fns, ts, **kwargs):
+            if witnessing:
+                evals.append(1)
+            if scanning:
+                scans.append(np.size(ts))
+            return columns(fns, ts, **kwargs)
+        return counted_columns
 
-    cli.covariance_witness = _tracked(witness, witnessing)
-    stats._extrema = _tracked(extrema, scanning)
-    stats.evaluate_columns = counted_columns
     problems, refusals, lines = 0, defaultdict(list), []
     gap, slack, negative = 0.0, np.inf, 0
-    try:
+    with patched((cli, "covariance_witness", _tracked(witnessing)),
+                 (stats, "_extrema", _tracked(scanning)),
+                 (stats, "evaluate_columns", counted)):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "problem.json"
             for seed, variant in itertools.product(seeds, range(STATS_VARIANTS)):
@@ -266,9 +310,6 @@ def stats_sweep(seeds) -> dict:
                     else:
                         cov = result["covariance"]
                         gap = max(gap, abs(result["product_gap"] - cov) / (1.0 + abs(cov)))
-    finally:
-        cli.covariance_witness, stats.evaluate_columns = witness, columns
-        stats._extrema = extrema
     return {"variants": STATS_VARIANTS, "problems": problems,
             "refusals": dict(sorted(refusals.items())),
             "refusal_count": sum(map(len, refusals.values())),
@@ -284,34 +325,39 @@ def sweep(seeds) -> dict:
     polishing, evals = [], []  # the open polishes; their evaluate calls
     walking, rounds = [], []  # the open walks; their evaluate calls
     evaluations = []  # one entry per evaluate call
-    one_pass, polish = synth._synthesize_pass, hull.polish_combination
-    walk, crossing, evaluate = synth._walk, hull._first_zero_crossing, CurveSystem.evaluate
 
-    def counted_evaluate(self, ts):
-        evaluations.append(1)
-        if polishing:
-            evals.append(1)
-        if walking:
-            rounds.append(1)
-        return evaluate(self, ts)
+    def counted_pass(one_pass):
+        return lambda *args: calls.append(1) or one_pass(*args)
 
-    def missing_walk(curve, params, weights, points, seed_params, seed_points,
-                     v, total):
-        out = walk(curve, params, weights, points, seed_params, seed_points,
-                   v, total)
-        _, w, x = hull._rescaled(*out, total)
-        if hull._miss(w, x, v) > hull.RECON_TOL:
-            misses.append(1)
-        return out
+    def counted_evaluate(evaluate):
+        def counted(self, ts):
+            evaluations.append(1)
+            if polishing:
+                evals.append(1)
+            if walking:
+                rounds.append(1)
+            return evaluate(self, ts)
+        return counted
 
-    synth._synthesize_pass = lambda *args: calls.append(1) or one_pass(*args)
-    synth.polish_combination = hull.polish_combination = _tracked(polish, polishing)
-    synth._walk = missing_walk
-    hull._first_zero_crossing = _tracked(crossing, walking)
-    CurveSystem.evaluate = counted_evaluate
+    def missing(walk):
+        def missing_walk(curve, params, weights, points, seed_params,
+                         seed_points, v, total):
+            out = walk(curve, params, weights, points, seed_params, seed_points,
+                       v, total)
+            _, w, x = hull._rescaled(*out, total)
+            if hull._miss(w, x, v) > hull.RECON_TOL:
+                misses.append(1)
+            return out
+        return missing_walk
+
     out, verified = {"seeds": list(seeds)}, []
     base_problems, base = [], []  # acceptance at INVARIANCE_SEED
-    try:
+    with patched((synth, "_synthesize_pass", counted_pass),
+                 (synth, "polish_combination", _tracked(polishing)),
+                 (hull, "polish_combination", _tracked(polishing)),
+                 (synth, "_walk", missing),
+                 (hull, "_first_zero_crossing", _tracked(walking)),
+                 (CurveSystem, "evaluate", counted_evaluate)):
         for workload, count in VARIANTS.items():
             problems, second, refusals, extra = 0, 0, defaultdict(list), {}
             lines = []  # of the rules digest
@@ -347,11 +393,6 @@ def sweep(seeds) -> dict:
                 "rules_digest": hashlib.sha256(
                     "\n".join(lines).encode()).hexdigest()[:16],
             }
-    finally:
-        synth._synthesize_pass, synth._walk = one_pass, walk
-        synth.polish_combination = hull.polish_combination = polish
-        CurveSystem.evaluate = evaluate
-        hull._first_zero_crossing = crossing
     out["stats"] = stats_sweep(seeds)
     if verified:
         median, p99 = np.percentile(verified, [50, 99])

@@ -18,6 +18,7 @@ from exactquad.cli import chebyshev_sample_test, run
 from exactquad.hull import RANK_TOL, CurveSystem
 from exactquad.measure import IntervalSpec
 from exactquad.stats import CovarianceWitness, GrussReport
+from exactquad.synth import VerificationReport
 
 UNIT_MEASURE = {
     "interval": {"lower": 0, "upper": 1, "lower_open": False, "upper_open": False},
@@ -181,6 +182,23 @@ class TestReduceCommand:
         v = np.array(weights) @ np.column_stack([params, np.square(params)])
         assert np.max(np.abs(w @ np.column_stack([t, t * t]) - v)) <= 1e-9
 
+    def test_total_is_the_input_total(self, tmp_path):
+        # the weights sum to the total only within 1e-12, and the prune
+        # alone reduces the dependent system: the output's total is the
+        # input's, not the weights' sum
+        path = write(tmp_path, "r.json", {
+            "functions": ["t", "2*t+1"],
+            "interval": {"lower": 0, "upper": 1},
+            "combination": {"params": [0.2, 0.5, 0.8],
+                            "weights": [0.25, 0.5, 0.2500000000001],
+                            "total": 1},
+        })
+        code, out, _ = invoke(["reduce", path])
+        assert code == 0
+        comb = json.loads(out)
+        assert len(comb["params"]) <= 2 and comb["total"] == 1.0
+        assert math.fsum(comb["weights"]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
 
 def test_module_entry_point_runs_the_command(tmp_path):
     path = write(tmp_path, "g.json", {"f": "t", "g": "t^2", "measure": UNIT_MEASURE})
@@ -337,13 +355,22 @@ class TestStatsCommands:
          GrussReport, []),
         ("gruss-discrete", {"p": [0.5, 0.5], "u": [0, 1], "v": [1, 0]},
          GrussReport, ["lhs"]),
+        # the two-point Gauss rule of [0, 1]
+        ("verify", {"functions": ["t", "t^2"], "measure": UNIT_MEASURE,
+                    "rule": {"nodes": [0.5 - 0.5 / 3 ** 0.5, 0.5 + 0.5 / 3 ** 0.5],
+                             "weights": [0.5, 0.5], "total": 1.0}},
+         VerificationReport, []),
     ])
     def test_results_list_their_fields_in_order(self, tmp_path, command,
                                                 problem, report, extra):
         code, out, _ = invoke([command, write(tmp_path, "p.json", problem)])
         assert code == 0
-        names = [f.name for f in dataclasses.fields(report)]
-        assert list(json.loads(out)) == names + extra
+        fields = dataclasses.fields(report)
+        result = json.loads(out)
+        assert list(result) == [f.name for f in fields] + extra
+        for f in fields:  # an array field is a list of floats
+            if f.type == "np.ndarray":
+                assert result[f.name] and all(type(x) is float for x in result[f.name])
 
 
 _SEEDS = (0, 1, 7, 42)

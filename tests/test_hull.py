@@ -158,6 +158,12 @@ class TestCaratheodoryFinite:
         with pytest.raises(InfeasibleCombinationError):
             caratheodory_finite(pts, np.array([0.5, 0.5]), np.array([2.0]))
 
+    def test_target_of_another_dimension_rejected(self):
+        # a 1-element target must not broadcast over two columns
+        pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(SchemaError, match="target has shape"):
+            caratheodory_finite(pts, np.full(4, 0.25), np.array([0.5]))
+
     def test_nan_target_rejected(self):
         # a NaN miss compares false against the gate, so it must not pass
         pts = np.array([[0.0], [1.0], [2.0]])
@@ -763,6 +769,18 @@ class TestReduceOnCurve:
         assert np.max(np.abs(recon - v)) <= RECON_TOL
         # the prune reads full rank and shifts nothing; the walk shifts once
         assert callers == ["_walk"]
+
+    def test_pruned_result_keeps_the_input_total(self):
+        # weights that sum to the total only within 1e-12: the prune alone
+        # reduces the dependent system's three points, and the result has
+        # the input's total, as a walked one has, with weights summing to it
+        curve = CurveSystem.from_texts(["t", "2*t+1"], IntervalSpec(0, 1))
+        ts = np.array([0.2, 0.5, 0.8])
+        w = np.array([0.25, 0.5, 0.2500000000001])
+        out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0),
+                              w @ curve.evaluate(ts))
+        assert len(out) <= 2 and out.total == 1.0
+        assert math.fsum(out.weights) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_total_rescaled(self):
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))

@@ -23,7 +23,6 @@ from exactquad.measure import (
     IntervalSpec,
     MeasureSpec,
     density_cell_masses,
-    exhaust_interval,
     integrate_system,
     measure_from_json,
 )
@@ -382,11 +381,11 @@ def test_discretize_properties(kind, centre, scale, lower_open, atoms):
     m = MeasureSpec(interval, density=parse(density),
                     atoms=tuple((centre + scale * u, mass) for u, mass in atoms))
     c = curve("t", "t^2", "cos(t)", interval=interval)
-    j, window = exhaust_interval(m, c)
+    j = integrate_system(m, c)
     params, w = discretize_hull_point(c, m, j)
     assert np.all(w > 0)
     assert np.all(np.diff(params) > 0)
-    assert window.lower <= params[0] and params[-1] <= window.upper
+    assert j.window.lower <= params[0] and params[-1] <= j.window.upper
     assert math.fsum(w) == pytest.approx(j.mass, rel=1e-13, abs=0.0)
     recon = w @ c.evaluate(params)
     assert np.all(np.abs(recon - j.values) <= RECON_TOL * (1.0 + np.abs(j.values)))
@@ -779,9 +778,9 @@ def test_synthesis_evaluates_the_discrete_measure_once(monkeypatch, texts, atoms
     # continuity probe, the window's two ends, rides in the same batch
     m = MeasureSpec(IntervalSpec(0, 1), density=parse("1+t"), atoms=atoms)
     c = CurveSystem.from_texts(texts, m.interval)
-    J, window = exhaust_interval(m, c)
+    J = integrate_system(m, c)
     params, _ = discretize_hull_point(c, m, J)
-    probe = np.array([window.upper, window.lower])
+    probe = np.array([J.window.upper, J.window.lower])
     batches = []
     evaluate = CurveSystem.evaluate
     monkeypatch.setattr(CurveSystem, "evaluate",
@@ -898,5 +897,5 @@ def test_non_compact_discrete_measure_is_small(interval, density, texts):
     # windows left 1080 to 8760
     m = MeasureSpec(interval, density=parse(density))
     c = CurveSystem.from_texts(texts, interval)
-    params, w = discretize_hull_point(c, m, exhaust_interval(m, c)[0])
+    params, w = discretize_hull_point(c, m, integrate_system(m, c))
     assert 0 < params.size <= 400 and np.all(w > 0)
