@@ -15,7 +15,6 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -104,8 +103,7 @@ def _cmd_reduce(obj, args):
     for t in (float(comb.params[0]), float(comb.params[-1])):
         if not interval.contains(t):
             raise SchemaError(f"combination param {t} outside the interval")
-    comb = replace(comb, points=curve.evaluate(comb.params))
-    v = comb.weights @ comb.points / comb.total
+    v = comb.weights @ curve.evaluate(comb.params) / comb.total
     if not np.isfinite(v).all():
         raise SchemaError("the combination's target leaves the double range")
     reduced = reduce_on_curve(curve, comb, v)

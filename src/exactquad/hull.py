@@ -1,24 +1,24 @@
 """Convex-combination machinery on curves in R^n.
 
-Two reduction mechanisms live here.  ``caratheodory_finite`` prunes a large
-non-negative combination of points in R^n down to at most n+1 support
-points by shifting weight along null vectors of the homogeneous system
-[points; 1] until weights hit zero.  It works merge-reduce, eliminating
-the means of 2(n+1) contiguous clusters per round, so its cost grows
-linearly in the number of points.  Each round factorizes once: one SVD
-gives a null-space basis and the system's rank, and a rank-one update
-after every elimination keeps the rest of the basis null on the surviving
-points.  The shifts and the updates run on Python floats in numpy's
-operation order, so they give numpy's bits: they touch at most 2(n+1)
-numbers each, where a numpy call costs more than its arithmetic.
-``reduce_on_curve`` takes a positive combination of curve points, prunes
-it to at most n+1, and produces at most n curve points with the same total
-weight and the same weighted sum: one SVD of the row-scaled
-[support - target; 1] gives the barycentric frame of n support points
-rooted at the target as one (n, n) matrix (the ratio test of the
-Caratheodory step), the walk slides the parameter from the remaining
-support point toward its right neighbour until one coordinate first
-crosses zero, and reweights the other points.
+Two reduction kernels live here, and synthesis runs both on its arrays.
+``_prune`` (public, with an input check, as ``caratheodory_finite``)
+prunes a large non-negative combination of points in R^n down to at most
+n+1 support points by shifting weight along null vectors of the
+homogeneous system [points; 1] until weights hit zero.  It works
+merge-reduce, eliminating the means of 2(n+1) contiguous clusters per
+round, so its cost grows linearly in the number of points.  Each round
+factorizes once: one SVD gives a null-space basis and the system's rank,
+and a rank-one update after every elimination keeps the rest of the basis
+null on the surviving points.  The shifts and the updates run on Python
+floats in numpy's operation order, so they give numpy's bits: they touch
+at most 2(n+1) numbers each, where a numpy call costs more than its
+arithmetic.  ``_walk`` takes n+1 support points of a curve and produces
+at most n curve points with the same total weight and the same weighted
+sum: one SVD of the row-scaled [support - target; 1] gives the
+barycentric frame of n support points rooted at the target as one (n, n)
+matrix (the ratio test of the Caratheodory step), the walk slides the
+parameter from the remaining support point toward its right neighbour
+until one coordinate first crosses zero, and reweights the other points.
 The crossing is found by ``refine_bracket``, which probes up to 63
 points of the bracket per vectorized call and keeps the cell ending at
 the first sign change: an evenly spaced round while the bracket's lower
@@ -38,10 +38,12 @@ with it from the prune to the walk and on to the polish, so no stage
 evaluates a point twice.  ``stats.covariance_witness`` narrows its
 bracket the same way.
 
-Both reductions wrap array kernels, ``_prune`` and ``_walk`` (whose
-support ``_rescued`` gates), and add one input check, ``_feasible``, and
-the ``ConvexCombination`` that the CLI's ``reduce``, the demos and the
-tests use; synthesis calls the kernels on its own arrays.
+``reduce_on_curve``, the paper's Caratheodory theorem for a curve, is
+synthesis on its combination's atomic measure: on sum_i w_i delta(t_i)
+that theorem and the quadrature theorem are one statement, so both run
+one path and one gate.  It adds one input check, ``_feasible``, which
+``caratheodory_finite`` shares, and the ``ConvexCombination`` that the
+CLI's ``reduce``, the demos and the tests read.
 
 Per-operation code, here and in the other layers, calls ndarray methods,
 ufuncs and module constants, not numpy's Python-level wrappers: on the
@@ -96,7 +98,7 @@ from .errors import (
     numbers,
 )
 from .expr import Expression, evaluate_columns, parse
-from .measure import _EPS, IntervalSpec, _linspace
+from .measure import _EPS, IntervalSpec, MeasureSpec, _linspace
 
 __all__ = [
     "ConvexCombination",
@@ -126,16 +128,11 @@ _DIFF_STEP = np.cbrt(_EPS)  # relative central-difference step of the polish
 
 @dataclass(frozen=True, eq=False)
 class ConvexCombination:
-    """Support parameters with non-negative weights summing to ``total``.
-
-    ``points``, when set, holds the curve at ``params``, one row per
-    parameter, so that a later stage need not evaluate it again.
-    """
+    """Support parameters with non-negative weights summing to ``total``."""
 
     params: np.ndarray
     weights: np.ndarray
     total: float
-    points: np.ndarray | None = None
 
     def __post_init__(self):
         params = np.asarray(self.params, dtype=float)
@@ -143,12 +140,6 @@ class ConvexCombination:
         total = float(self.total)
         if params.ndim != 1 or params.shape != weights.shape or params.size == 0:
             raise SchemaError("params and weights must be equal-length 1-d arrays")
-        if self.points is not None:
-            points = np.asarray(self.points, dtype=float)
-            if points.ndim != 2 or len(points) != params.size:
-                raise SchemaError(f"points must have one row per parameter, "
-                                  f"got shape {points.shape}")
-            object.__setattr__(self, "points", points)
         if not math.isfinite(total) or total <= 0:
             raise SchemaError(f"total must be finite and > 0, got {total}")
         if (params[1:] <= params[:-1]).any():
@@ -457,23 +448,26 @@ def _feasible(points, weights, target):
 def caratheodory_finite(points, weights, target, params=None) -> ConvexCombination:
     """Prune a combination of m points of R^n to at most n+1 support points.
 
-    ``points`` is (m, n), ``weights`` non-negative with positive sum, and
-    the weighted mean of the points must already reproduce ``target``
-    within ``RECON_TOL`` (relative); otherwise the input is infeasible
-    (:func:`_feasible`), and the pruned combination must meet the same
-    gate.  ``params`` optionally maps point indices to curve parameters;
-    when omitted, point indices serve as the output parameters.  The
-    result is sorted by parameter, coincident parameters merged and
-    rescaled to the sum of the input weights (:func:`_rescaled`), gated,
-    and carries the kept rows of ``points`` as its ``points``.  The
-    elimination and the output gate are :func:`_prune`'s.
+    This is Caratheodory's finite theorem, for points that lie on no
+    curve: it stays public because :func:`reduce_on_curve`, the theorem
+    for a curve, needs the curve's parameters and reaches n points, and
+    the finite statement, with its n+1, is the one that holds for any
+    point set (demo 03 shows both).  ``points`` is (m, n), ``weights``
+    non-negative with positive sum, and the weighted mean of the points
+    must already reproduce ``target`` within ``RECON_TOL`` (relative);
+    otherwise the input is infeasible (:func:`_feasible`), and the pruned
+    combination must meet the same gate.  ``params`` optionally maps point
+    indices to curve parameters; when omitted, point indices serve as the
+    output parameters.  The result is sorted by parameter, coincident
+    parameters merged and rescaled to the sum of the input weights
+    (:func:`_rescaled`), and gated.  The elimination and the output gate
+    are :func:`_prune`'s, the kernel that synthesis runs.
     """
     points, weights, target, total = _feasible(points, weights, target)
     params = (np.arange(weights.size, dtype=float) if params is None
               else np.asarray(params, dtype=float))
-    params, weights, points = _prune(points, weights, target, total, params)
-    return ConvexCombination(params=params, weights=weights, total=total,
-                             points=points)
+    params, weights, _ = _prune(points, weights, target, total, params)
+    return ConvexCombination(params=params, weights=weights, total=total)
 
 
 def _prune(points, weights, target, total, params):
@@ -863,38 +857,37 @@ def _rescued(curve: CurveSystem, params, weights, points, v, total):
 
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
                     v) -> ConvexCombination:
-    """Re-express ``v`` with at most n points of the curve.
+    """Re-express ``v`` with at most max(r, 1) points of the curve, r the
+    affine rank of the curve over the combination's support.
 
     ``comb`` must reproduce ``v``: sum(w_i x(t_i)) = total * v, which
-    :func:`_feasible` checks as :func:`caratheodory_finite` does.
-    :func:`_prune` prunes it to at most n+1 points, rescaled to
-    ``comb.total``: it drops the zero weights, eliminates along null
-    vectors while the support is affinely dependent and gates its output.
-    A pruned support of at most n points is the result.  Otherwise
-    :func:`_walk` takes the n+1 -> n step, and :func:`_rescued` gates the
-    walked support at ``RECON_TOL``, polishing one that misses.  Synthesis
-    runs the same kernels on its own arrays, without the input check.
+    :func:`_feasible` checks as :func:`caratheodory_finite` does.  On the
+    atomic measure sum_i w_i delta(t_i) the paper's Caratheodory theorem
+    for a curve is its quadrature theorem, so the reduction is
+    :func:`~exactquad.synth.synthesize_rule` on that measure: the zero
+    weights dropped and the atom masses scaled to ``comb.total``.  Its
+    nodes and weights are the result, at the total ``comb.total``, and
+    synthesis's refusals are the reduction's.
 
-    The curve at the input parameters is ``comb.points`` when set, and is
-    evaluated once otherwise.  The result has the total ``comb.total`` and
-    carries its support's rows as ``points``.
+    The reduction's contract, a miss of at most 1e-9 (1 + max|v|), holds
+    because the synthesis polish drives every row to ``POLISH_TARGET``
+    (1e-12 relative), not because of synthesis's gate, ``RESIDUAL_GATE``
+    (1e-8), which would pass a miss ten times larger: only a polish that
+    stalls between the two can leave one.
     """
+    from .synth import synthesize_rule  # synth imports this module
+
     v = np.asarray(v, dtype=float)
-    n = curve.n
-    if v.size != n:
-        raise SchemaError(f"target has dimension {v.size}, curve has {n}")
-    seed_params, seed_points = comb.params, comb.points
-    if seed_points is None:
-        seed_points = curve.evaluate(seed_params)
-    seed_points, weights, v, _ = _feasible(seed_points, comb.weights, v)
-    total = comb.total
-    params, weights, points = _prune(seed_points, weights, v, total, seed_params)
-    if params.size > n:
-        params, weights, points = _rescued(curve, *_walk(
-            curve, params, weights, points, seed_params, seed_points, v,
-            total), v, total)
-    return ConvexCombination(params=params, weights=weights, total=total,
-                             points=points)
+    if v.size != curve.n:
+        raise SchemaError(f"target has dimension {v.size}, curve has {curve.n}")
+    _, weights, _, _ = _feasible(curve.evaluate(comb.params), comb.weights, v)
+    keep = weights > 0.0
+    masses = weights[keep] * (comb.total / math.fsum(weights[keep].tolist()))
+    rule = synthesize_rule(curve, MeasureSpec(
+        curve.interval, atoms=tuple(zip(comb.params[keep].tolist(),
+                                        masses.tolist()))))
+    return ConvexCombination(params=rule.nodes, weights=rule.weights,
+                             total=comb.total)
 
 
 def _walk(curve: CurveSystem, params, weights, points, seed_params,

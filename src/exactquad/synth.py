@@ -25,13 +25,14 @@ total mass, reproducing every function integral:
    weights and rows up to the gate, to at most rank+1 support points with
    a merge-reduce Caratheodory elimination over contiguous node clusters,
    then walk to at most rank points, scoring the discrete nodes inside the
-   walked gap before probing the curve: the kernels of
-   :func:`~exactquad.hull.caratheodory_finite` and
-   :func:`~exactquad.hull.reduce_on_curve`, without their validation or
-   the prune's input gate, which the discrete measure meets by
-   construction.  The prune's output and the walked support are gated at
-   ``RECON_TOL``, and a walked support that misses it is polished on the
-   subset first (the walk's rescue);
+   walked gap before probing the curve: hull's kernels ``_prune`` and
+   ``_walk``, without the input check of
+   :func:`~exactquad.hull.caratheodory_finite`, which the discrete
+   measure meets by construction.  The prune's output and the walked
+   support are gated at ``RECON_TOL``, and a walked support that misses
+   it is polished on the subset first (the walk's rescue).
+   :func:`~exactquad.hull.reduce_on_curve` is this whole pipeline on an
+   atomic measure, so the curve theorem shares steps 1-6 and their gate;
 6. polish nodes and weights on all n functions, the dependent ones
    included (:func:`~exactquad.hull.polish_combination`): from those
    rows, first a least-squares correction of the weights alone, which

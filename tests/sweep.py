@@ -59,6 +59,17 @@ compose through ``expr``'s parse tree, not the text.
 a shift of t that no text transform makes: its node count and rank, and
 the ``verify_rule`` residuals, or its error kind.
 
+When seed 20260808 is swept, ``reduce`` holds the curve theorem's
+outcomes: ``hull.reduce_on_curve`` on the functions of its
+``acceptance`` variants 0-1 (400 problems), each on 2n+2 evenly spaced
+points of the problem's interval, ends included, with seeded random
+weights summing to 1.  It holds ``refusals`` and ``refusal_count`` as
+above, ``extra_point_results``, the results with more points than
+max(r, 1), r the affine rank of the functions over the combination's
+support (``synth.affine_rank`` on its atomic measure), and
+``worst_miss``, the largest ``max_k |sum_i w_i x_k(t_i) - v_k| / (1 +
+max_k |v_k|)`` of the results against their targets v.
+
 The counters replace the library attributes that ``TARGETS`` lists,
 through :func:`patched`, which refuses a name that the library no longer
 has; ``test_instruments.py`` checks the table against the library.
@@ -87,7 +98,7 @@ from exactquad import cli, hull, stats, synth
 from exactquad.errors import ExactQuadError
 from exactquad.expr import Expression, parse
 from exactquad.hull import CurveSystem
-from exactquad.measure import measure_from_json
+from exactquad.measure import MeasureSpec, measure_from_json
 from test_golden import digest_lines
 
 # the benchmark's problem generators, imported read-only
@@ -101,6 +112,7 @@ VARIANTS = {"acceptance": 6, "tail": 4}
 STATS_VARIANTS = 6
 VERIFY_SEEDS = (20260808, 401)
 INVARIANCE_SEED = 20260808
+REDUCE_SEED, REDUCE_VARIANTS = 20260808, 2
 # every library attribute that the counters replace, as (owner, name):
 # :func:`patched` replaces no other, and ``test_instruments.py`` checks
 # that the library still has each one
@@ -232,6 +244,37 @@ def shift_twin() -> dict:
     report = synth.verify_rule(rule, c, m)
     return {"nodes": len(rule), "rank": rule.rank_used,
             "residuals": report.residuals.tolist()}
+
+
+def reduce_sweep() -> dict:
+    """The ``reduce`` block: the curve theorem on ``acceptance`` v0-1."""
+    rng = np.random.default_rng(REDUCE_SEED)
+    problems, refusals, extra, worst = 0, defaultdict(list), {}, 0.0
+    for variant in range(REDUCE_VARIANTS):
+        for i, item in enumerate(corpus.acceptance_corpus(REDUCE_SEED, variant)):
+            pid = f"{REDUCE_SEED}/{variant}/#{i}"
+            interval = measure_from_json(item["problem"]["measure"]).interval
+            curve = CurveSystem.from_texts(item["problem"]["functions"], interval)
+            ts = np.linspace(interval.lower, interval.upper, 2 * curve.n + 2)
+            w = rng.uniform(0.05, 1.0, ts.size)
+            w /= w.sum()
+            v = w @ curve.evaluate(ts)
+            problems += 1
+            try:
+                out = hull.reduce_on_curve(curve, hull.ConvexCombination(ts, w, 1.0), v)
+            except ExactQuadError as exc:
+                refusals[exc.kind].append(pid)
+                continue
+            rank = synth.affine_rank(curve, MeasureSpec(
+                interval, atoms=tuple(zip(ts, w)))).rank
+            if len(out) > max(rank, 1):
+                extra[pid] = {"points": len(out), "rank": rank}
+            miss = np.abs(out.weights @ curve.evaluate(out.params) - v).max()
+            worst = max(worst, float(miss) / (1.0 + float(np.abs(v).max())))
+    return {"seed": REDUCE_SEED, "variants": REDUCE_VARIANTS, "problems": problems,
+            "refusals": dict(sorted(refusals.items())),
+            "refusal_count": sum(map(len, refusals.values())),
+            "extra_point_results": extra, "worst_miss": worst}
 
 
 @contextlib.contextmanager
@@ -404,6 +447,8 @@ def sweep(seeds) -> dict:
         out["invariance"] = {"seed": INVARIANCE_SEED, "problems": len(base),
                              "transforms": invariance(base_problems, base),
                              "shift_twin": shift_twin()}
+    if REDUCE_SEED in seeds:
+        out["reduce"] = reduce_sweep()
     return out
 
 

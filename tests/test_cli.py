@@ -165,8 +165,8 @@ class TestReduceCommand:
         assert math.fsum(comb["weights"]) == pytest.approx(1.0, rel=1e-12)
 
     def test_five_points_prune_and_walk_seeded_to_two(self, tmp_path):
-        # the CI example: five points of (t, t^2) exceed n + 1 = 3, so the
-        # command prunes, then walks with its own input rows as seeds
+        # the CI example: five points of (t, t^2) exceed n + 1 = 3, and
+        # the curve's two points reproduce their mean
         params = [0.1, 0.3, 0.5, 0.7, 0.9]
         weights = [0.1, 0.3, 0.2, 0.25, 0.15]
         path = write(tmp_path, "r.json", {
@@ -183,9 +183,9 @@ class TestReduceCommand:
         assert np.max(np.abs(w @ np.column_stack([t, t * t]) - v)) <= 1e-9
 
     def test_total_is_the_input_total(self, tmp_path):
-        # the weights sum to the total only within 1e-12, and the prune
-        # alone reduces the dependent system: the output's total is the
-        # input's, not the weights' sum
+        # the weights sum to the total only within 1e-12: the atoms are
+        # scaled to the input's total, so the dependent system's one-point
+        # result has that total, not the weights' sum
         path = write(tmp_path, "r.json", {
             "functions": ["t", "2*t+1"],
             "interval": {"lower": 0, "upper": 1},
@@ -196,7 +196,7 @@ class TestReduceCommand:
         code, out, _ = invoke(["reduce", path])
         assert code == 0
         comb = json.loads(out)
-        assert len(comb["params"]) <= 2 and comb["total"] == 1.0
+        assert len(comb["params"]) == 1 and comb["total"] == 1.0
         assert math.fsum(comb["weights"]) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
 

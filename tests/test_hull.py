@@ -36,7 +36,13 @@ from exactquad.measure import (
     integrate_system,
     measure_from_json,
 )
-from exactquad.synth import VERIFY_TOL, QuadratureRule, synthesize_rule, verify_rule
+from exactquad.synth import (
+    VERIFY_TOL,
+    QuadratureRule,
+    affine_rank,
+    synthesize_rule,
+    verify_rule,
+)
 
 # the benchmark's problem generators, imported read-only
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -150,8 +156,7 @@ class TestCaratheodoryFinite:
         w = rng.uniform(0.1, 1.0, 50)
         comb = caratheodory_finite(pts, w, w @ pts / w.sum(), params=ts)
         assert len(comb) <= 3 and np.all(np.diff(comb.params) > 0)
-        assert np.array_equal(comb.points,
-                              np.column_stack([comb.params, comb.params**2]))
+        assert np.isin(comb.params, ts).all()
 
     def test_infeasible_input_rejected(self):
         pts = np.array([[0.0], [1.0]])
@@ -739,47 +744,28 @@ class TestReduceOnCurve:
             reduce_on_curve(curve, comb, np.array([0.9]))
 
     def test_degenerate_support_eliminates(self):
-        # three support points of a line in R^2: the prune reads rank 2 of
-        # [points - v; 1] and eliminates one along its near-null vector,
-        # leaving <= 2 points
+        # three support points of a line in R^2: (t, 2t+1) has affine rank
+        # 1, so one curve point reproduces v
         curve = CurveSystem.from_texts(["t", "2*t+1"], IntervalSpec(0, 1))
         ts = np.array([0.2, 0.5, 0.8])
         nu = np.array([0.25, 0.5, 0.25])
         v = nu @ curve.evaluate(ts)
         comb = ConvexCombination(params=ts, weights=nu, total=1.0)
         out = reduce_on_curve(curve, comb, v)
-        assert len(out) <= 2
+        assert len(out) == 1
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= 1e-9 * (1 + np.max(np.abs(v)))
 
-    def test_every_frame_singular_eliminates(self, monkeypatch):
-        # nearly all weight on t = 0.9: the support is affinely independent,
-        # so the prune keeps all three points, but v lies within 1e-12 of
-        # x(0.9): the points before it carry less than RANK_TOL of the
-        # weight, and the walk eliminates a point along a null vector
-        callers = _trace_shifts(monkeypatch)
-        curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
-        ts = np.array([0.1, 0.5, 0.9])
-        w = np.array([1e-12, 1e-12, 1.0 - 2e-12])
-        v = w @ curve.evaluate(ts)
-        assert (w[:2] <= RANK_TOL * w.max()).all()
-        out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
-        assert len(out) <= 2 and np.all(out.weights >= 0.0)
-        recon = out.weights @ curve.evaluate(out.params)
-        assert np.max(np.abs(recon - v)) <= RECON_TOL
-        # the prune reads full rank and shifts nothing; the walk shifts once
-        assert callers == ["_walk"]
-
     def test_pruned_result_keeps_the_input_total(self):
-        # weights that sum to the total only within 1e-12: the prune alone
-        # reduces the dependent system's three points, and the result has
-        # the input's total, as a walked one has, with weights summing to it
+        # weights that sum to the total only within 1e-12: the atoms are
+        # scaled to the input's total, and the one-point result of the
+        # dependent system has that total, with weights summing to it
         curve = CurveSystem.from_texts(["t", "2*t+1"], IntervalSpec(0, 1))
         ts = np.array([0.2, 0.5, 0.8])
         w = np.array([0.25, 0.5, 0.2500000000001])
         out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0),
                               w @ curve.evaluate(ts))
-        assert len(out) <= 2 and out.total == 1.0
+        assert len(out) == 1 and out.total == 1.0
         assert math.fsum(out.weights) == pytest.approx(1.0, rel=1e-15, abs=0.0)
 
     def test_total_rescaled(self):
@@ -794,8 +780,7 @@ class TestReduceOnCurve:
 
     @pytest.mark.parametrize("total", [1.0, 0.25])
     def test_more_than_n_plus_one_terms_are_pruned_first(self, total):
-        # five positive terms of (t, t^2) exceed n + 1 = 3, so the prune
-        # runs before the walk
+        # five positive terms of (t, t^2) exceed n + 1 = 3
         curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         w = total * np.array([0.1, 0.3, 0.2, 0.25, 0.15])
@@ -805,9 +790,8 @@ class TestReduceOnCurve:
         assert math.fsum(out.weights) == pytest.approx(total, rel=1e-12)
         mean = out.weights @ curve.evaluate(out.params) / total
         assert np.max(np.abs(mean - v)) <= RECON_TOL * (1.0 + np.max(np.abs(v)))
-        # the gate reads the weighted mean, so a total below 1 does not
-        # loosen it: three terms aimed 3 RECON_TOL off are refused by the
-        # prune's gate, the one gate of every input size
+        # the input check reads the weighted mean, so a total below 1 does
+        # not loosen it: three terms aimed 3 RECON_TOL off are refused
         w3 = w[:3] * (total / math.fsum(w[:3]))
         v3 = w3 @ curve.evaluate(ts[:3]) / total
         off = v3 + 3.0 * RECON_TOL * (1.0 + np.max(np.abs(v3)))
@@ -816,10 +800,10 @@ class TestReduceOnCurve:
             reduce_on_curve(curve, ConvexCombination(ts[:3], w3, total), off)
 
     def test_function_of_large_size_keeps_the_others(self):
-        # (1e12*t, t^2): the prune keeps three points, and the walk's SVD,
-        # its rows scaled, still sees t^2; unscaled, every frame looked
-        # singular, and a null-vector shift kept (0.1, 0.9), which misses
-        # the t^2 moment 0.322 by 0.098, inside a gate scaled by 1e12
+        # (1e12*t, t^2): the walk's SVD, its rows scaled, still sees t^2;
+        # unscaled, every frame looked singular, and a null-vector shift
+        # kept (0.1, 0.9), which misses the t^2 moment 0.322 by 0.098,
+        # inside a gate scaled by 1e12
         curve = CurveSystem.from_texts(["1e12*t", "t^2"], IntervalSpec(0, 1))
         ts = np.array([0.1, 0.3, 0.5, 0.7, 0.9])
         w = np.array([0.1, 0.3, 0.2, 0.25, 0.15])
@@ -910,10 +894,40 @@ def test_small_first_weight_after_the_updated_prune():
     _check_rule(curve, m, synthesize_rule(curve, m))
 
 
+def _walked(curve, support, ts, pts, v, total):
+    """The walk's n+1 -> n step from the prune's ``support`` of the
+    combination at ``ts`` (curve rows ``pts``), merged, rescaled to
+    ``total`` and gated by ``hull._rescued``, as synthesis runs it."""
+    return hull._rescued(curve, *hull._walk(curve, *support, ts, pts, v, total),
+                         v, total)
+
+
+def test_every_frame_singular_eliminates(monkeypatch):
+    # nearly all weight on t = 0.9: the support is affinely independent,
+    # so the prune keeps all three points, but v lies within 1e-12 of
+    # x(0.9): the points before it carry less than RANK_TOL of the
+    # weight, and the walk eliminates a point along a null vector
+    callers = _trace_shifts(monkeypatch)
+    curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
+    ts = np.array([0.1, 0.5, 0.9])
+    w = np.array([1e-12, 1e-12, 1.0 - 2e-12])
+    pts = curve.evaluate(ts)
+    v, total = w @ pts, math.fsum(w)
+    assert (w[:2] <= RANK_TOL * w.max()).all()
+    support = hull._prune(pts, w, v, total, ts)
+    assert support[0].size == 3
+    params, weights, _ = _walked(curve, support, ts, pts, v, total)
+    assert len(params) <= 2 and np.all(weights >= 0.0)
+    recon = weights @ curve.evaluate(params)
+    assert np.max(np.abs(recon - v)) <= RECON_TOL
+    # the prune reads full rank and shifts nothing; the walk shifts once
+    assert callers == ["_walk"]
+
+
 def test_singular_first_frame_needs_no_polish(monkeypatch):
     # with weight 1e-11 on t = 0.1, below RANK_TOL of the largest, the
     # frame of the other two points is singular; walking t = 0.5 toward
-    # 0.9 reproduces v on its own
+    # 0.9 reproduces v on its own, so the walk's rescue never polishes
     def no_polish(*args, **kwargs):
         raise AssertionError("the walk fell back to the polish")
 
@@ -921,11 +935,13 @@ def test_singular_first_frame_needs_no_polish(monkeypatch):
     curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
     ts = np.array([0.1, 0.5, 0.9])
     w = np.array([1e-11, 0.5, 0.5 - 1e-11])
-    v = w @ curve.evaluate(ts)
+    pts = curve.evaluate(ts)
+    v, total = w @ pts, math.fsum(w)
     assert w[0] <= RANK_TOL * w.max() < w[1]
-    out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
-    assert len(out) <= 2 and np.all(out.weights >= 0.0)
-    recon = out.weights @ curve.evaluate(out.params)
+    params, weights, _ = _walked(curve, hull._prune(pts, w, v, total, ts),
+                                 ts, pts, v, total)
+    assert len(params) <= 2 and np.all(weights >= 0.0)
+    recon = weights @ curve.evaluate(params)
     assert np.max(np.abs(recon - v)) <= RECON_TOL
 
 
@@ -945,11 +961,14 @@ def test_every_frame_singular_on_a_discrete_measure(monkeypatch):
     j = integrate_system(m, curve)
     v = j.values / j.mass
     assert (masses[:6] <= RANK_TOL * masses.max()).all()
-    out = reduce_on_curve(curve, ConvexCombination(ts, masses, j.mass), v)
+    pts = curve.evaluate(ts)
+    support = hull._prune(pts, masses, v, j.mass, ts)
+    assert support[0].size == 7
+    params, weights, _ = _walked(curve, support, ts, pts, v, j.mass)
     assert callers == ["_walk"]
-    assert math.fsum(out.weights) == pytest.approx(j.mass, rel=1e-14)
-    _check_rule(curve, m, QuadratureRule(nodes=out.params, weights=out.weights,
-                                         total=out.total, residuals=[],
+    assert math.fsum(weights) == pytest.approx(j.mass, rel=1e-14)
+    _check_rule(curve, m, QuadratureRule(nodes=params, weights=weights,
+                                         total=j.mass, residuals=[],
                                          rank_used=curve.n))
 
 
@@ -1046,10 +1065,15 @@ def test_dependent_functions_keep_the_rank_node_count():
 def test_near_null_shift_that_zeroes_every_weight_is_undone():
     curve = CurveSystem.from_texts(["1e300*t"], IntervalSpec(0, 1))
     ts, w = np.array([0.2, 0.5]), np.array([0.5, 0.5])
-    comb = ConvexCombination(ts, w, 1.0, points=curve.evaluate(ts))
-    out = reduce_on_curve(curve, comb, w @ comb.points)
-    assert out.params.tolist() == pytest.approx([0.35], rel=1e-12)
-    assert out.weights.tolist() == [1.0]
+    pts = curve.evaluate(ts)
+    v = w @ pts
+    # the near-null vector has entries of one sign: its shift zeroed
+    # every weight, so the prune keeps the weights from before it
+    support = hull._prune(pts, w, v, 1.0, ts)
+    assert np.array_equal(support[0], ts)
+    params, weights, _ = _walked(curve, support, ts, pts, v, 1.0)
+    assert params.tolist() == pytest.approx([0.35], rel=1e-12)
+    assert weights.tolist() == [1.0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -1148,14 +1172,19 @@ def test_merge_coincident_matches_np_unique_bit_for_bit(data, size):
         assert g.tobytes() == w.tobytes()
 
 
-def _random_curve(rng, n):
+def _random_texts(rng, n):
+    """n functions of t on [0, 1], as ``test_acceptance``'s criterion 4 draws them."""
     texts = []
     for i in range(n):
         c = [float(x) for x in rng.uniform(-1, 1, 4)]
         texts.append(
             f"{c[0]!r}+{c[1]!r}*t+{c[2]!r}*t^2+{c[3]!r}*sin({(i % 3) + 1}*t)"
         )
-    return CurveSystem.from_texts(texts, IntervalSpec(0, 1))
+    return texts
+
+
+def _random_curve(rng, n):
+    return CurveSystem.from_texts(_random_texts(rng, n), IntervalSpec(0, 1))
 
 
 def test_randomized_reduction_invariants():
@@ -1177,6 +1206,41 @@ def test_randomized_reduction_invariants():
         assert abs(math.fsum(out.weights) - 1.0) <= 1e-12
         recon = out.weights @ curve.evaluate(out.params)
         assert np.max(np.abs(recon - v)) <= 1e-9 * (1 + np.max(np.abs(v)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 5),
+       duplicate=st.booleans())
+def test_reduction_keeps_at_most_the_affine_rank(seed, n, duplicate):
+    # criterion 4's curves with one function duplicated or, for n >= 2, an
+    # affine combination of two others appended: n + 1 functions of affine
+    # rank at most n, on n + 2 support points.  The reduction is synthesis
+    # on the atomic measure, so it keeps at most max(rank, 1) points, where
+    # the walk alone keeps n + 1
+    rng = np.random.default_rng(seed)
+    texts = _random_texts(rng, n)
+    if duplicate or n == 1:
+        texts.append(texts[int(rng.integers(n))])
+    else:
+        i, j = rng.choice(n, 2, replace=False)
+        a, b, c = (float(x) for x in rng.uniform(-1, 1, 3))
+        texts.append(f"{a!r}*({texts[i]})+{b!r}*({texts[j]})+{c!r}")
+    curve = CurveSystem.from_texts(texts, IntervalSpec(0, 1))
+    while True:
+        ts = np.sort(rng.uniform(0, 1, n + 2))
+        if np.all(np.diff(ts) > 1e-3):
+            break
+    w = rng.uniform(0.05, 1.0, n + 2)
+    w /= w.sum()
+    v = w @ curve.evaluate(ts)
+    out = reduce_on_curve(curve, ConvexCombination(ts, w, 1.0), v)
+    rank = affine_rank(curve, MeasureSpec(curve.interval,
+                                          atoms=tuple(zip(ts, w)))).rank
+    assert len(out) <= max(rank, 1) <= n
+    assert np.all(out.weights >= 0.0)
+    assert abs(math.fsum(out.weights) - 1.0) <= 1e-12
+    recon = out.weights @ curve.evaluate(out.params)
+    assert np.max(np.abs(recon - v)) <= 1e-9 * (1 + np.max(np.abs(v)))
 
 
 def test_residual_rows_and_scales_in_closed_form():
@@ -1389,28 +1453,27 @@ def test_polish_evaluates_twice_per_iteration(monkeypatch):
 
 
 def test_walk_with_points_never_evaluates_the_support(monkeypatch):
-    # with the support's points given, the prune and the walk evaluate the
-    # curve only at the walk's probes, and the result is the one of
-    # evaluating the support itself, rows included
+    # with the support's rows given, the prune evaluates nothing and the
+    # walk evaluates the curve only at its probes, and the rows it returns
+    # are the curve at the walked parameters
     curve = CurveSystem.from_texts(["t", "t^2", "exp(t)"], IntervalSpec(0, 1))
     for ts in (np.array([0.1, 0.3, 0.6, 0.9]),
                np.sqrt([0.01, 0.05, 0.13, 0.27, 0.5, 0.9])):
         w = np.linspace(1.0, 2.0, ts.size)
         pts = curve.evaluate(ts)
         v = w @ pts / w.sum()
-        want = reduce_on_curve(curve, ConvexCombination(ts, w, w.sum()), v)
         seen = []
         evaluate = CurveSystem.evaluate
         monkeypatch.setattr(CurveSystem, "evaluate",
                             lambda self, t: seen.append(np.atleast_1d(t))
                             or evaluate(self, t))
-        got = reduce_on_curve(curve, ConvexCombination(ts, w, w.sum(), pts), v)
+        support = hull._prune(pts, w, v, w.sum(), ts)
+        assert support[0].size == 4 and not seen
+        params, _, rows = hull._walk(curve, *support, ts, pts, v, w.sum())
         monkeypatch.undo()
-        assert len(got) <= 3 and seen
+        assert len(params) <= 3 and seen
         assert not np.isin(np.concatenate(seen), ts).any()
-        assert np.array_equal(got.params, want.params)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.points, curve.evaluate(got.params))
+        assert np.array_equal(rows, curve.evaluate(params))
 
 
 def _count_probe_batches(monkeypatch):
@@ -1434,19 +1497,19 @@ def test_input_rows_seed_the_walk(monkeypatch):
     ts = (np.arange(400) + 0.5) / 400
     w = 1.0 + np.sin(7.0 * ts) ** 2
     pts = curve.evaluate(ts)
-    v = w @ pts / w.sum()
-    support = caratheodory_finite(pts, w, v, params=ts)
-    assert len(support) == 4
+    v, total = w @ pts / w.sum(), math.fsum(w)
+    support = hull._prune(pts, w, v, total, ts)
+    assert support[0].size == 4
     calls = _count_probe_batches(monkeypatch)
-    seeded = reduce_on_curve(curve, ConvexCombination(ts, w, math.fsum(w), pts), v)
+    seeded = hull._walk(curve, *support, ts, pts, v, total)
     seeded_batches = len(calls)
     calls.clear()
-    bare = reduce_on_curve(curve, ConvexCombination(
-        support.params, support.weights, support.total), v)
+    bare = hull._walk(curve, *support, support[0], support[2], v, total)
     assert 0 < seeded_batches < len(calls)
-    assert len(seeded) == len(bare) == 3
-    assert np.max(np.abs(seeded.params - bare.params)) <= hull.BISECT_TOL
-    recon = seeded.weights @ curve.evaluate(seeded.params) / seeded.total
+    assert seeded[0].size == bare[0].size == 3
+    assert np.max(np.abs(seeded[0] - bare[0])) <= hull.BISECT_TOL
+    params, weights, _ = hull._rescued(curve, *seeded, v, total)
+    recon = weights @ curve.evaluate(params) / total
     assert np.max(np.abs(recon - v)) <= RECON_TOL
 
 
