@@ -67,11 +67,12 @@ gate read it; the reductions' ``_miss`` forms the function rows itself.
 The polish multiplies its rows by the reciprocal scales, computed once per
 polish.  On those rows it first corrects the weights alone at the given
 nodes, one least-squares solve, and moves the nodes by damped
-Gauss-Newton only when the corrected weights miss its target, so a walked
-support that is off only in its weights is polished without evaluating
-the curve.  Synthesis and ``verify_rule`` divide each function row by its
-scale and the mass row by the mass; the reductions' ``_miss`` keeps one
-scalar scale, (1 + max|target|) times the mass, over all function rows.
+Gauss-Newton only when the corrected weights miss its target, from those
+weights when they cut the residual norm tenfold, so a walked support that
+is off only in its weights is polished without evaluating the curve.
+Synthesis and ``verify_rule`` divide each function row by its scale and
+the mass row by the mass; the reductions' ``_miss`` keeps one scalar
+scale, (1 + max|target|) times the mass, over all function rows.
 
 ``merge_coincident`` is the one sort-and-merge of equal parameters that
 the reductions and the synthesis pipeline share.  ``chebyshev_sample_test``
@@ -110,7 +111,7 @@ __all__ = [
     "combination_to_json",
 ]
 
-RECON_TOL = 1e-9        # reconstruction gate of the reductions, relative
+RECON_TOL = 1e-9        # prune and input reconstruction gate, relative
 RANK_TOL = 1e-10        # relative rank cut: rank test, prune null space, walk frame
 BISECT_TOL = 1e-13      # crossing bracket width, relative to the parameter
 ZERO_TOL = 1e-11        # a coordinate within this of zero has vanished
@@ -509,7 +510,11 @@ def _prune(points, weights, target, total, params):
     if idx.size == 0:
         raise ReconstructionError("the prune eliminated every support point")
     params, w, pts = _rescaled(params[idx], w, points[idx], total)
-    _recon_gate(w, pts, target)
+    recon = _miss(w, pts, target)
+    if recon > RECON_TOL:
+        raise ReconstructionError(
+            f"reduced combination misses the target by {recon:.3e} relative"
+        )
     return params, w, pts
 
 
@@ -637,6 +642,12 @@ def _clip_bounds(iv: IntervalSpec):
 
 _LM_LADDER = (0.0, 1e-12, 1e-9, 1e-6, 1e-3, 1e-1)
 _LM_MIN_GAIN = 0.01  # a step gaining less than this fraction ends the polish
+# the weights-only fit starts the iteration only when it cuts the scaled
+# residual norm at least this many times: a fit that gains less, its
+# weights clipped at 0, can lead the iteration to a worse stationary point
+# than the given weights do (with every fit kept, tests/sweep.py's reduce
+# worst_miss reads 3.3e-11, against 5.7e-12 at 10 and at 100)
+_FIT_MIN_GAIN = 10.0
 
 
 def _exact_mass_fits(xs, goal, total, scale):
@@ -665,25 +676,26 @@ def _exact_mass_fits(xs, goal, total, scale):
 
 
 def polish_combination(curve: CurveSystem, params, weights, target, total,
-                       target_resid: float = POLISH_TARGET, points=None):
+                       points=None):
     """Damped Gauss-Newton refinement of a reproducing combination.
 
     Drives the :func:`residual` of the combination against goal
     total*target and mass ``total`` toward zero by moving both the support
     parameters and the weights.  Each row is multiplied by the reciprocal
-    of its scale, 1 + |total*target_k| or 1 + |total|, so ``target_resid``
+    of its scale, 1 + |total*target_k| or 1 + |total|, so ``POLISH_TARGET``
     is a relative stopping measure.
 
     The residual is linear in the weights, and a walked support often
-    misses only in them.  So a start that misses ``target_resid`` first
+    misses only in them.  So a start that misses ``POLISH_TARGET`` first
     corrects the weights alone at the given parameters: the least-squares
     step on the scaled rows, whose matrix is the weight block of the
     Jacobian below, by ``np.linalg.lstsq`` (an orthogonal factorization,
     not the normal equations; variable projection, Golub & Pereyra, 1973),
     with the corrected weights clipped at 0.  When they meet
-    ``target_resid`` they are returned at once, with the given parameters
-    and rows.  Otherwise they are discarded, and the iteration below runs
-    from the given weights.
+    ``POLISH_TARGET`` they are returned at once, with the given parameters
+    and rows.  Otherwise the iteration below starts from them when they
+    cut the scaled residual norm at least ``_FIT_MIN_GAIN`` (10) times,
+    and from the given weights when they do not.
 
     Steps come from an
     SVD factorization of the Jacobian with a ladder of Levenberg damping
@@ -716,13 +728,13 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     damped trial steps, one full step per damping value; the rows at the
     parameters come from the trial that moved them there.  So a polish of
     k iterations makes at most 1 + 2k :meth:`CurveSystem.evaluate` calls.
-    One from given ``points`` that starts within ``target_resid`` makes
+    One from given ``points`` that starts within ``POLISH_TARGET`` makes
     none and returns the weights as given, and one whose corrected weights
     meet it makes none and returns those.
 
     Returns ``(params, weights, converged, points)``, ``points`` being the
     curve at the returned parameters.  A ``False`` flag means the
-    iteration stalled above ``target_resid``; the caller decides whether
+    iteration stalled above ``POLISH_TARGET``; the caller decides whether
     the achieved residual is acceptable.
     """
     params = np.asarray(params, dtype=float).copy()
@@ -734,17 +746,20 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
     r, scale = residual(weights, x, goal, total)
     row_scale = 1.0 / scale
     r = r * row_scale
-    if not float(np.abs(r).max()) <= target_resid:
+    norm = math.sqrt(r.dot(r))
+    if not float(np.abs(r).max()) <= POLISH_TARGET:
         # the weight block of the Jacobian, d r / d w = [x.T; 1], scaled
         step = np.linalg.lstsq(_homogeneous(x, 0.0) * row_scale[:, None], -r,
                                rcond=None)[0]
         fit = np.maximum(weights + step, 0.0)
         r_fit = residual(fit, x, goal, total)[0] * row_scale
-        if float(np.abs(r_fit).max()) <= target_resid:
+        if float(np.abs(r_fit).max()) <= POLISH_TARGET:
             return params, fit, True, x
-    norm = math.sqrt(r.dot(r))
+        norm_fit = math.sqrt(r_fit.dot(r_fit))
+        if _FIT_MIN_GAIN * norm_fit <= norm:
+            weights, r, norm = fit, r_fit, norm_fit
     for _ in range(POLISH_MAX_ITER):
-        if float(np.abs(r).max()) <= target_resid:
+        if float(np.abs(r).max()) <= POLISH_TARGET:
             return params, weights, True, x
         h = _DIFF_STEP * np.maximum(1.0, np.abs(params))
         up = np.minimum(params + h, hi)
@@ -787,7 +802,7 @@ def polish_combination(curve: CurveSystem, params, weights, target, total,
         norm, params, weights, r, x = best
         if stalled:
             break
-    return params, weights, float(np.abs(r).max()) <= target_resid, x
+    return params, weights, float(np.abs(r).max()) <= POLISH_TARGET, x
 
 
 def merge_coincident(params, weights, points=None):
@@ -823,36 +838,6 @@ def _rescaled(params, weights, points, total):
     the weights rescaled to sum to ``total``."""
     params, weights, points = merge_coincident(params, weights, points)
     return params, weights * (total / math.fsum(weights.tolist())), points
-
-
-def _recon_gate(weights, points, target):
-    """The reductions' gate: a :func:`_miss` of ``target`` above
-    ``RECON_TOL`` is a :class:`ReconstructionError`."""
-    recon = _miss(weights, points, target)
-    if recon > RECON_TOL:
-        raise ReconstructionError(
-            f"reduced combination misses the target by {recon:.3e} relative"
-        )
-
-
-def _rescued(curve: CurveSystem, params, weights, points, v, total):
-    """The walked support ``(params, weights, points)`` of :func:`_walk`,
-    :func:`_rescaled` to ``total`` and gated.  A support that misses
-    ``RECON_TOL`` is polished on ``curve``, from the walk's arrays, to well
-    inside the gate, rescaled and gated again, a miss then being a
-    :class:`ReconstructionError`: an ill-conditioned frame can leave the
-    dropped coordinate at its forward-error floor, and the nearby exact
-    root is a local Gauss-Newton solve away."""
-    out = _rescaled(params, weights, points, total)
-    if _miss(out[1], out[2], v) > RECON_TOL:
-        # polish rows within this target keep the miss well inside
-        # RECON_TOL at any total
-        params, weights, _, points = polish_combination(
-            curve, params, weights, v, total,
-            target_resid=0.01 * RECON_TOL * min(total, 1.0), points=points)
-        out = _rescaled(params, weights, points, total)
-        _recon_gate(out[1], out[2], v)
-    return out
 
 
 def reduce_on_curve(curve: CurveSystem, comb: ConvexCombination,
@@ -894,8 +879,11 @@ def _walk(curve: CurveSystem, params, weights, points, seed_params,
           seed_points, v, total):
     """The n+1 -> n step of the walk: ``(params, weights, points)`` of at
     most n curve points, reweighted to reproduce ``v`` with weights that
-    sum to ``total`` up to rounding; :func:`_rescued` merges, rescales and
-    gates them.
+    sum to ``total`` up to rounding.  Synthesis merges them and rescales
+    them to ``total`` (:func:`_rescaled`), and hands them to its polish
+    ungated: a crossing at the rounding of an ill-conditioned frame can
+    miss ``RECON_TOL``, and the polish on all n functions removes that
+    miss, so only synthesis's final gate judges them.
 
     ``params``, ``weights`` and ``points`` are the n+1 point support
     (strictly increasing parameters, its curve rows), ``seed_params`` and

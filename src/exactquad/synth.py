@@ -28,17 +28,19 @@ total mass, reproducing every function integral:
    walked gap before probing the curve: hull's kernels ``_prune`` and
    ``_walk``, without the input check of
    :func:`~exactquad.hull.caratheodory_finite`, which the discrete
-   measure meets by construction.  The prune's output and the walked
-   support are gated at ``RECON_TOL``, and a walked support that misses
-   it is polished on the subset first (the walk's rescue).
-   :func:`~exactquad.hull.reduce_on_curve` is this whole pipeline on an
-   atomic measure, so the curve theorem shares steps 1-6 and their gate;
+   measure meets by construction.  The prune's output is gated at
+   ``RECON_TOL``; the walked support is merged, rescaled and handed to
+   step 6 ungated, since the walk's crossing may leave a miss that only
+   the polish removes.  :func:`~exactquad.hull.reduce_on_curve` is this
+   whole pipeline on an atomic measure, so the curve theorem shares steps
+   1-6 and their gate;
 6. polish nodes and weights on all n functions, the dependent ones
    included (:func:`~exactquad.hull.polish_combination`): from those
    rows, first a least-squares correction of the weights alone, which
    ends the polish without evaluating the curve when it meets the
-   target, and otherwise a damped Gauss-Newton solve that fits the
-   weights at each trial's nodes with the mass exact; drop nodes whose weight
+   target, and otherwise a damped Gauss-Newton solve, from the corrected
+   weights when they cut the residual tenfold, that fits the weights at
+   each trial's nodes with the mass exact; drop nodes whose weight
    reaches zero, rescale the rest to the exact mass, and gate every
    residual and the mass on the rows that the polish returns: the rows of
    :func:`~exactquad.hull.residual`, each function's over 1 + |J_k|
@@ -71,7 +73,6 @@ from .hull import (
     CurveSystem,
     _prune,
     _rescaled,
-    _rescued,
     _walk,
     merge_coincident,
     polish_combination,
@@ -246,8 +247,9 @@ def _synthesize_pass(curve, m, J, params, w, x, indep):
     rescale the rest to the mass mu = ``J.mass`` (hull's ``_rescaled``).
     ``x`` is the curve at the discrete measure's ``params``.  The prune and
     the walk are hull's array kernels on the unit-mass weights w / mu; the
-    prune's output and the walked support are gated at ``RECON_TOL`` (see
-    step 5), and the caller's :func:`_gate` judges the polished rule.
+    prune's output is gated at ``RECON_TOL`` (see step 5), the walked
+    support goes to the polish as it is, and the caller's :func:`_gate`
+    judges the polished rule.
     Returns ``(nodes, weights, rows, converged)``, ``rows`` being all n
     functions at the nodes."""
     mu = J.mass
@@ -262,8 +264,8 @@ def _synthesize_pass(curve, m, J, params, w, x, indep):
         if start.size > len(indep):
             # the whole discrete measure seeds the walk with its rows
             sub = CurveSystem(tuple(curve.components[i] for i in indep), J.window)
-            start, lam, rows = _rescued(sub, *_walk(
-                sub, start, lam, rows, params, xs, v, 1.0), v, 1.0)
+            start, lam, rows = _rescaled(*_walk(
+                sub, start, lam, rows, params, xs, v, 1.0), 1.0)
         lam = lam * mu
         rows = rows if len(indep) == curve.n else None
     # polish against the measure's full interval: nodes may move out of the

@@ -12,10 +12,10 @@ with, per synthesis corpus:
 - ``second_passes``: how many syntheses ran the candidate pass a second
   time, on all n functions;
 - ``walk_misses``: how many curve walks leave a reweighted support that
-  misses the reductions' gate, ``hull._miss`` above ``RECON_TOL``, before
-  any polish (each is then polished on the subset, the walk's rescue);
+  would miss the prune's gate, ``hull._miss`` above ``RECON_TOL``; the
+  support goes to the polish on all n functions ungated either way;
 - ``polish_evals``: the ``CurveSystem.evaluate`` calls made inside
-  ``polish_combination``, from synthesis and from the walk's rescues;
+  ``polish_combination``, synthesis's one polish per candidate pass;
 - ``walk_rounds``: the ``CurveSystem.evaluate`` calls made inside
   ``hull._first_zero_crossing``, one per probe round of the curve walk;
 - ``evaluate_calls``: every ``CurveSystem.evaluate`` call of the corpus;

@@ -896,10 +896,9 @@ def test_small_first_weight_after_the_updated_prune():
 
 def _walked(curve, support, ts, pts, v, total):
     """The walk's n+1 -> n step from the prune's ``support`` of the
-    combination at ``ts`` (curve rows ``pts``), merged, rescaled to
-    ``total`` and gated by ``hull._rescued``, as synthesis runs it."""
-    return hull._rescued(curve, *hull._walk(curve, *support, ts, pts, v, total),
-                         v, total)
+    combination at ``ts`` (curve rows ``pts``), merged and rescaled to
+    ``total`` by ``hull._rescaled``, as synthesis hands it to the polish."""
+    return hull._rescaled(*hull._walk(curve, *support, ts, pts, v, total), total)
 
 
 def test_every_frame_singular_eliminates(monkeypatch):
@@ -924,14 +923,10 @@ def test_every_frame_singular_eliminates(monkeypatch):
     assert callers == ["_walk"]
 
 
-def test_singular_first_frame_needs_no_polish(monkeypatch):
+def test_singular_first_frame_needs_no_polish():
     # with weight 1e-11 on t = 0.1, below RANK_TOL of the largest, the
     # frame of the other two points is singular; walking t = 0.5 toward
-    # 0.9 reproduces v on its own, so the walk's rescue never polishes
-    def no_polish(*args, **kwargs):
-        raise AssertionError("the walk fell back to the polish")
-
-    monkeypatch.setattr(hull, "polish_combination", no_polish)
+    # 0.9 reproduces v within RECON_TOL on its own, before any polish
     curve = CurveSystem.from_texts(["t", "t^2"], IntervalSpec(0, 1))
     ts = np.array([0.1, 0.5, 0.9])
     w = np.array([1e-11, 0.5, 0.5 - 1e-11])
@@ -1508,7 +1503,7 @@ def test_input_rows_seed_the_walk(monkeypatch):
     assert 0 < seeded_batches < len(calls)
     assert seeded[0].size == bare[0].size == 3
     assert np.max(np.abs(seeded[0] - bare[0])) <= hull.BISECT_TOL
-    params, weights, _ = hull._rescued(curve, *seeded, v, total)
+    params, weights, _ = hull._rescaled(*seeded, total)
     recon = weights @ curve.evaluate(params) / total
     assert np.max(np.abs(recon - v)) <= RECON_TOL
 
@@ -1538,6 +1533,45 @@ def test_polish_fits_the_weights_before_it_moves_a_node(monkeypatch):
                                         np.array([0.5, 0.0]), 1.0, points=rows)
     assert ok and np.array_equal(p2, params) and x2 is rows
     assert np.allclose(w2, [1.0 / 3.0, 2.0 / 3.0], rtol=0.0, atol=1e-15)
+
+
+def test_polish_iterates_from_a_weights_only_fit_that_gains_tenfold(monkeypatch):
+    # nodes 1e-5 off the two Gauss nodes of (t, t^2, t^3) on [0, 1] and
+    # weights 0.1 off theirs: the weights-only fit at those nodes cuts the
+    # scaled residual norm more than 10-fold but misses POLISH_TARGET, so
+    # the Gauss-Newton iteration starts from the fit, not from the given
+    # weights, and needs fewer evaluations
+    curve = CurveSystem.from_texts(["t", "t^2", "t^3"], IntervalSpec(0, 1))
+    params = 0.5 + np.array([-0.5, 0.5]) / math.sqrt(3.0) + [1e-5, -1e-5]
+    rows = curve.evaluate(params)
+    target, weights = np.array([0.5, 1.0 / 3.0, 0.25]), np.array([0.4, 0.6])
+    r, scale = residual(weights, rows, target, 1.0)
+    row_scale = 1.0 / scale
+    r = r * row_scale
+    step = np.linalg.lstsq(hull._homogeneous(rows, 0.0) * row_scale[:, None],
+                           -r, rcond=None)[0]
+    fit = np.maximum(weights + step, 0.0)
+    r_fit = residual(fit, rows, target, 1.0)[0] * row_scale
+    assert hull._FIT_MIN_GAIN * np.linalg.norm(r_fit) <= np.linalg.norm(r)
+    assert np.abs(r_fit).max() > hull.POLISH_TARGET
+    calls, evaluate = [], CurveSystem.evaluate
+    monkeypatch.setattr(CurveSystem, "evaluate",
+                        lambda self, t: calls.append(1) or evaluate(self, t))
+
+    def polished(start):
+        calls.clear()
+        out = polish_combination(curve, params, start, target, 1.0, points=rows)
+        return out, len(calls)
+
+    (p_a, w_a, ok, x_a), evals = polished(weights)
+    (p_b, w_b, _, _), evals_fit = polished(fit)
+    assert ok and np.max(np.abs(w_a @ x_a - target)) <= 1e-12
+    assert np.array_equal(p_a, p_b) and np.array_equal(w_a, w_b)
+    assert evals == evals_fit
+    # iterating from the given weights, the fit discarded, costs more
+    monkeypatch.setattr(hull, "_FIT_MIN_GAIN", math.inf)
+    (_, _, ok, _), evals_unfitted = polished(weights)
+    assert ok and evals < evals_unfitted
 
 
 def test_damped_step_drops_a_zero_singular_value():

@@ -831,16 +831,24 @@ sys.path.pop(0)
 import sweep  # noqa: E402
 
 
-@pytest.mark.parametrize("index,want", [(5, (2, 2)), (89, (1, 1))])
-def test_scaling_t_keeps_the_rule(index, want):
-    # acceptance 20260808/0/#5 and #89 with t scaled by 1e-9 as the sweep
-    # composes it: a walk that stopped at a bracket 8 eps wide in absolute
-    # units of t, a millionth of the interval, missed RECON_TOL by 3.7e-9
-    # and 2.0e-7, and both were refused
+MOVED_T = [("scale t by 1e-9", 5, (2, 2)), ("scale t by 1e-9", 89, (1, 1)),
+           ("shift t by 1e7", 61, (1, 1)), ("shift t by 1e7", 89, (1, 1))]
+
+
+@pytest.mark.parametrize("transform,index,want", MOVED_T,
+                         ids=[f"{name} #{i}" for name, i, _ in MOVED_T])
+def test_scaling_t_keeps_the_rule(transform, index, want):
+    # acceptance 20260808/0/#5, #61 and #89 with t moved as the sweep
+    # composes it.  Scaled by 1e-9, a walk that stopped at a bracket 8 eps
+    # wide in absolute units of t, a millionth of the interval, missed
+    # RECON_TOL by 3.7e-9 and 2.0e-7, and #5 and #89 were refused.  Shifted
+    # by 1e7, where the doubles are 1.9e-9 apart, the walked supports of
+    # #61 and #89 missed RECON_TOL, and a gate on the walk refused them
+    # before the polish on all n functions could reach RESIDUAL_GATE
     problem = corpus.acceptance_corpus(20260808, 0)[index]["problem"]
-    scaled = sweep.TRANSFORMS["scale t by 1e-9"](problem)
+    moved = sweep.TRANSFORMS[transform](problem)
     assert sweep.outcome(sweep.synthesize(problem)[0]) == want
-    assert sweep.outcome(sweep.synthesize(scaled)[0]) == want
+    assert sweep.outcome(sweep.synthesize(moved)[0]) == want
 
 
 WEIGHTS_ONLY_POLISHES = [
